@@ -23,9 +23,12 @@ Allocation names:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
+
+import numpy as np
 
 __all__ = ["CELL_IDS", "EpsilonBudget", "allocation_names"]
 
@@ -77,6 +80,9 @@ class EpsilonBudget:
     eps_s: float
     eta: float
     allocations: Mapping[str, float] = field(repr=False)
+    _tables: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eps_c < self.eps_sec):
@@ -134,3 +140,17 @@ class EpsilonBudget:
     def alloc(self, name: str) -> float:
         """Allocation for ``name``; unknown names are a programming error."""
         return self.allocations[name]
+
+    def alloc_table(self, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Allocations for ``names`` and their ln(1/eps), as arrays.
+
+        Memoized per name tuple, since the batch estimators ask for the
+        same tuples at every evaluation.  ln(1/eps) is formed with
+        ``math``, as the scalar deviation functions form it.
+        """
+        table = self._tables.get(names)
+        if table is None:
+            eps = [self.alloc(name) for name in names]
+            table = (np.array(eps), np.array([-math.log(e) for e in eps]))
+            self._tables[names] = table
+        return table

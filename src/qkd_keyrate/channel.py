@@ -22,7 +22,13 @@ from typing import Callable
 import numpy as np
 from scipy.special import roots_legendre
 
-from .decoy import IntensityLevel, IntensitySet, ObservedCounts
+from .decoy import (
+    CountsBatch,
+    IntensityBatch,
+    IntensityLevel,
+    IntensitySet,
+    ObservedCounts,
+)
 
 __all__ = [
     "ChannelConfig",
@@ -41,6 +47,11 @@ _NODES, _WEIGHTS = roots_legendre(64)
 # sender configurations that actually occur: the X basis only ever encodes bit 0
 _SENDER_STATES = (("Z", 0), ("Z", 1), ("X", 0))
 _CONFIGS = tuple((a, y, b) for a, y in _SENDER_STATES for b in ("Z", "X"))
+# along the CELLS axis (Z0, Z1, X0, X1 sender; Z/X receiver; outcome):
+# the sender-state weight (0.5 p_z, 0.5 p_z, p_x, 0) and the receiver-basis
+# weight (p_z or p_x), as columns of [0.5 p_z, p_x, p_z, 0]
+_CELL_STATE = np.repeat([0, 0, 1, 3], 4)
+_CELL_BASIS = np.tile([2, 2, 1, 1], 4)
 
 
 @dataclass(frozen=True)
@@ -109,22 +120,25 @@ class FluctuationDensity:
         return cls(mean, lo, hi, sigma2, 1.0 / mass)
 
 
-def gauss_expect(f: Callable[[float], float], dens: FluctuationDensity) -> float:
+def gauss_expect(
+    f: Callable, dens: FluctuationDensity, vectorized: bool = False
+) -> float:
     """Expectation of f under the truncated-Gaussian intensity density.
 
     Fixed 64-node Gauss-Legendre quadrature; a point-mass density simply
-    evaluates f at the mean.
+    evaluates f at the mean.  With ``vectorized`` f is called once on the
+    array of all nodes, otherwise once per node.
     """
     if dens.lo == dens.hi:
         return f(dens.mean)
     center = 0.5 * (dens.hi + dens.lo)
     half = 0.5 * (dens.hi - dens.lo)
-    total = 0.0
-    for t, w in zip(_NODES, _WEIGHTS):
-        k = center + half * t
-        weight = dens.norm * math.exp(-((k - dens.mean) ** 2) / (2.0 * dens.sigma2))
-        total += w * weight * f(k)
-    return total * half
+    k = center + half * _NODES
+    weight = _WEIGHTS * (
+        dens.norm * np.exp(-((k - dens.mean) ** 2) / (2.0 * dens.sigma2))
+    )
+    values = f(k) if vectorized else np.array([f(x) for x in k.tolist()])
+    return float(weight @ values) * half
 
 
 def _interference_factors(xi: float, a: str, y: int, b: str) -> tuple[float, float]:
@@ -175,7 +189,11 @@ def click_probs(
     pd = cfg.dark_prob
 
     def port(frac: float) -> float:
-        return gauss_expect(lambda k: 1.0 - (1.0 - pd) * math.exp(-eta * k * frac), dens)
+        if dens.lo == dens.hi:
+            return 1.0 - (1.0 - pd) * math.exp(-eta * dens.mean * frac)
+        return gauss_expect(
+            lambda k: 1.0 - (1.0 - pd) * np.exp(-eta * k * frac), dens, vectorized=True
+        )
 
     return port(f0), port(f1)
 
@@ -207,6 +225,8 @@ class ChannelModel:
     def __init__(self, cfg: ChannelConfig):
         self.cfg = cfg
         self._tables: dict[tuple[float, float, float], dict] = {}
+        # per level: outcome probabilities along CELLS, and the Z error rate
+        self._rows: dict[tuple[float, float, float], tuple[list, float]] = {}
 
     def outcome_probs(self, level: IntensityLevel) -> dict:
         """Map (sender basis, sender bit, receiver basis) -> (P0, P1).
@@ -269,10 +289,7 @@ class ChannelModel:
                 for j in (0, 1):
                     cells.setdefault(("X", 1, b, j, label), 0.0)
             z_by_k[label] = z_k
-        sig = self.outcome_probs(intens.s)
-        err = sig[("Z", 0, "Z")][1] + sig[("Z", 1, "Z")][0]
-        gain = sum(sig[("Z", y, "Z")][j] for y in (0, 1) for j in (0, 1))
-        e_z = err / gain if gain > 0.0 else 0.0
+        e_z = _z_error_rate(self.outcome_probs(intens.s))
         counts = ObservedCounts(
             z_by_k=z_by_k,
             cells=cells,
@@ -281,6 +298,68 @@ class ChannelModel:
             trials_by_config=trials,
         )
         return counts, e_z
+
+    def expected_batch(
+        self, intens: IntensityBatch, p_z: np.ndarray, n_total: float
+    ) -> tuple[CountsBatch, np.ndarray]:
+        """``expected`` for a batch of points: dense counts and e_z per point.
+
+        Each distinct intensity level is looked up once, and the counts
+        are multiplied in the order ``expected`` multiplies them, so every
+        point's numbers equal its scalar ones.
+        """
+        if n_total <= 0:
+            raise ValueError("n_total must be positive")
+        if not np.all((0.0 < p_z) & (p_z < 1.0)):
+            raise ValueError("p_z must lie in (0, 1)")
+        # sender-state and receiver-basis weights along the CELLS axis; the
+        # X1 state is never sent and weighs 0
+        weights = np.array([0.5 * p_z, 1.0 - p_z, p_z, np.zeros(len(p_z))]).T
+        state = weights[:, _CELL_STATE]
+        basis = weights[:, _CELL_BASIS]
+        probs, e_z = self._cell_probs(intens)
+        n_k = n_total * np.array([lv.prob for lv in intens]).T
+        # N_k, then the state, the basis and the outcome, as in expected()
+        cells = n_k[:, :, None] * state[:, None, :]
+        cells *= basis[:, None, :]
+        cells *= probs
+        # Z sender, Z receiver: cells Z0Z0, Z0Z1, Z1Z0, Z1Z1, summed in order
+        z_by_k = ((cells[:, :, 0] + cells[:, :, 1]) + cells[:, :, 4]) + cells[:, :, 5]
+        counts = CountsBatch(
+            cells=cells,
+            trials=n_total * state * basis,
+            z_by_k=z_by_k,
+            z_tot=(z_by_k[:, 0] + z_by_k[:, 1]) + z_by_k[:, 2],
+            n_z=n_total * p_z * p_z,
+        )
+        return counts, e_z
+
+    def _cell_probs(self, intens: IntensityBatch) -> tuple[np.ndarray, np.ndarray]:
+        """Outcome probabilities along the CELLS axis per point and level,
+        (B, 3, 16), and the Z error rate of each point's signal level.
+
+        Each distinct level is looked up once, through ``outcome_probs``.
+        """
+        rows: list[tuple[list, float]] = []
+        slots: dict[tuple[float, float, float], int] = {}
+        index = np.empty((len(intens.s.prob), 3), dtype=np.intp)
+        for j, level in enumerate(intens):
+            prob = level.prob.tolist()
+            keys = zip(level.nominal.tolist(), level.lo.tolist(), level.hi.tolist())
+            for i, key in enumerate(keys):
+                slot = slots.get(key)
+                if slot is None:
+                    slot = slots[key] = len(rows)
+                    row = self._rows.get(key)
+                    if row is None:
+                        table = self.outcome_probs(IntensityLevel(*key, prob[i]))
+                        probs = [p for c in _CONFIGS for p in table[c]] + [0.0] * 4
+                        row = self._rows[key] = (probs, _z_error_rate(table))
+                    rows.append(row)
+                index[i, j] = slot
+        probs = np.array([r[0] for r in rows]).reshape(-1, 16)
+        e_z = np.array([r[1] for r in rows])
+        return probs[index], e_z[index[:, 0]]
 
     def sample(
         self, intens: IntensitySet, p_z: float, n_total: int, seed: int
@@ -336,6 +415,13 @@ class ChannelModel:
             n_total=n_total,
             trials_by_config=trials,
         )
+
+
+def _z_error_rate(table: dict) -> float:
+    """Z-basis bit error rate of one intensity level's click table."""
+    err = table[("Z", 0, "Z")][1] + table[("Z", 1, "Z")][0]
+    gain = sum(table[("Z", y, "Z")][j] for y in (0, 1) for j in (0, 1))
+    return err / gain if gain > 0.0 else 0.0
 
 
 def expected_counts(

@@ -7,7 +7,8 @@ Subcommands:
   validate  run the statistical validation suites and emit a JSON report
   optimize  single-distance optimization with the improvement trace
 
-Exit codes: 0 success, 1 configuration error, 2 validation failure.
+Exit codes: 0 success, 1 configuration error (including a search box
+with no feasible point), 2 validation failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import sys
 
 from .config import ConfigError, RunConfig, load_config, with_overrides
-from .optimize import optimize_rate
+from .optimize import InfeasibleSearchError, optimize_rate
 from .validate import run_validation
 
 __all__ = ["run_sweep", "write_csv", "main"]
@@ -197,10 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, InfeasibleSearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -63,6 +63,13 @@ class RunConfig:
     output: str = "sweep.csv"
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{_SECTION_OF[name]}.{name} must be a finite number, "
+                    f"got {value!r}"
+                )
         if self.mode not in _MODES:
             raise ConfigError(
                 f"run.mode must be one of {_MODES}, got {self.mode!r}"
@@ -126,6 +133,15 @@ class RunConfig:
             )
         if self.workers < 0:
             raise ConfigError(f"optimizer.workers must be >= 0, got {self.workers!r}")
+        try:
+            EpsilonBudget.build(self.eps_sec, self.eps_c, self.bound_mode)
+        except ValueError as exc:
+            eps_s = self.eps_sec - self.eps_c
+            raise ConfigError(
+                f"run.eps_sec - run.eps_c = {eps_s!r} is too small: its square "
+                f"{eps_s * eps_s!r} underflows double precision, so no failure "
+                f"budget can be split from it ({exc})"
+            ) from None
 
     @property
     def bound_mode(self) -> str:
@@ -161,6 +177,12 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FLOAT_FIELDS = tuple(name for name, kind in _FIELD_TYPES.items() if kind == "float")
+_SECTION_OF = {
+    ("output" if key == "path" else key): section
+    for section, keys in DEFAULT_SECTIONS.items()
+    for key in keys
+}
 
 
 def _line_of(text: str, section: str, key: str) -> int | None:

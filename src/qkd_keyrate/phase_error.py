@@ -14,25 +14,32 @@ Two implementations are provided: the general path driven by the
 source-characterisation coefficients, and the closed form valid for the
 proportional flaw model with equal signal/reference intensities.  They
 agree to float accuracy and serve as mutual cross-checks.
+``n_ph_upper_batch`` is the general path for a batch of points, equal to
+``n_ph_upper_general`` point by point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
+
+import numpy as np
 
 from .budget import EpsilonBudget
 from .concentration import azuma_dev
-from .decoy import CellBounds, DecoyBound
+from .decoy import CELLS, BoundBatch, CellBounds, CellBoundsBatch, DecoyBound, py_max
 from .qubit_model import VirtualStateCoeffs
 
 __all__ = [
+    "PhaseErrorBatch",
     "PhaseErrorBound",
     "n1_upper",
     "n_mxs",
     "n_ph_appendixE",
+    "n_ph_upper_batch",
     "n_ph_upper_general",
+    "phase_terms",
 ]
 
 Cell = tuple[str, int, str, int]
@@ -196,6 +203,118 @@ def n_ph_upper_general(
         e_ph_upper=e_ph,
         failure_prob=min(failure, 1.0 - 1e-300),
         term_log=tuple(log),
+    )
+
+
+class PhaseErrorBatch(NamedTuple):
+    """PhaseErrorBound's numbers for a batch of points, (B,) arrays."""
+
+    n_ph_upper: np.ndarray
+    n1_upper: np.ndarray
+    e_ph_upper: np.ndarray
+    failure_prob: np.ndarray
+
+
+# (half s, collective outcome omega) in the order n_ph_upper_general sums
+# them; after omega 5 of each half comes that half's tail deviation
+_TERMS = tuple((s, omega) for s in (0, 1) for omega in (3, 4, 5))
+# per term: its cell, and the allocation names of its deviation and of the
+# half's tail
+_TERM_CELLS = np.array(
+    [CELLS.index((*_OMEGA_CELL[omega], "X", s ^ 1)) for s, omega in _TERMS]
+)
+# columns of the running sums, in the scalar order.  n_ph: per half its
+# three terms, then its tail.  The failure: per term its allocation and
+# the failure of the cell bound it used, per half then the tail's allocation.
+_TERM_COLS, _TAIL_COLS = np.array([0, 1, 2, 4, 5, 6]), np.array([3, 7])
+_ALLOC_COLS, _TAIL_ALLOC_COLS = np.array([0, 2, 4, 7, 9, 11]), np.array([6, 13])
+_TERM_NAMES = tuple(f"ph.az.{s ^ 1}.{omega}" for s, omega in _TERMS)
+_TAIL_NAMES = tuple(f"ph.az.{s ^ 1}.{s + 1}" for s in (0, 1))
+
+
+def phase_terms(qm: VirtualStateCoeffs) -> tuple[tuple[float, float, float], ...]:
+    """Per term of _TERMS: (prefactor times coefficient, coefficient, Q(omega)).
+
+    These depend on the source alone, so a batch forms them once per
+    distinct source, as ``n_ph_upper_general`` forms them.
+    """
+    sums = [
+        qm.w[0] * qm.c[0, l] + qm.w[1] * qm.c[1, l] for l in range(3)
+    ]
+    out = []
+    for s, omega in _TERMS:
+        sgn = 1.0 if s == 0 else -1.0
+        denom = 2.0 * (1.0 + sgn * qm.overlap)
+        if abs(denom) > 1e-12:
+            pref = qm.probs[s + 1] / denom
+        else:
+            pref = (qm.probs[1] + qm.probs[2]) / 4.0
+        coef = {3: 1.0 + sgn * sums[0], 4: 1.0 + sgn * sums[1], 5: sgn * sums[2]}[omega]
+        if coef != 0.0 and qm.q[omega] <= 0.0:
+            raise ValueError("outcome weight q must be positive")
+        out.append((float(pref * coef), float(coef), float(qm.q[omega])))
+    return tuple(out)
+
+
+def n_ph_upper_batch(
+    terms: np.ndarray,
+    cells: CellBoundsBatch,
+    m1: BoundBatch,
+    budget: EpsilonBudget | None,
+) -> PhaseErrorBatch:
+    """``n_ph_upper_general`` for a batch of points.
+
+    ``terms`` is (B, 6, 3): ``phase_terms`` of each point's source.  The
+    sums are running sums (``np.add.accumulate``) over the summands in
+    the scalar order, so each point's numbers equal its scalar ones; a
+    term with a zero coefficient adds an exact zero.
+    """
+    upper, lower = cells.upper1, cells.lower1
+    count = len(m1.value)
+    # running sums (0 + x = x for the nonnegative first summands)
+    n1 = np.add.accumulate(upper.value, axis=1)[:, -1]
+    pc, coef, q = terms[:, :, 0], terms[:, :, 1], terms[:, :, 2]
+    up = coef > 0.0
+    used = coef != 0.0
+    if budget is None:
+        dev = tail = 0.0
+    else:
+        eps, log_inv = budget.alloc_table(_TERM_NAMES)
+        tail_eps, tail_log_inv = budget.alloc_table(_TAIL_NAMES)
+        dev = np.sqrt(2.0 * n1[:, None] * log_inv)
+        tail = np.sqrt(2.0 * n1[:, None] * tail_log_inv)
+    value = np.where(
+        up,
+        (upper.value[:, _TERM_CELLS] + dev) / q,
+        py_max(0.0, lower.value[:, _TERM_CELLS] - dev) / q,
+    )
+    summands = np.empty((count, 8))
+    summands[:, _TERM_COLS] = np.where(used, pc * value, 0.0)
+    summands[:, _TAIL_COLS] = tail
+    # a -0.0 first summand only changes the sign of a zero sum, which the
+    # clamp removes
+    n_ph = py_max(0.0, np.add.accumulate(summands, axis=1)[:, -1])
+    if budget is None:
+        failure = np.zeros(count)
+    else:
+        cell_failure = np.where(
+            up,
+            upper.failure_prob[:, _TERM_CELLS],
+            lower.failure_prob[:, _TERM_CELLS],
+        )
+        summands = np.empty((count, 14))
+        summands[:, _ALLOC_COLS] = eps
+        summands[:, _ALLOC_COLS + 1] = np.where(used, cell_failure, 0.0)
+        summands[:, _TAIL_ALLOC_COLS] = tail_eps
+        failure = np.add.accumulate(summands, axis=1)[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = n_ph / m1.value
+    e_ph = np.where(m1.value <= 0.0, 1.0, np.where(ratio < 1.0, ratio, 1.0))
+    return PhaseErrorBatch(
+        n_ph_upper=n_ph,
+        n1_upper=n1,
+        e_ph_upper=e_ph,
+        failure_prob=np.where(1.0 - 1e-300 < failure, 1.0 - 1e-300, failure),
     )
 
 

@@ -2,27 +2,32 @@
 
 This is the single code path shared by the sweep, the optimizer, and
 the validation suites, so every consumer agrees on how the pieces chain
-together.  The channel statistics default to the expected values of the
-system model; sampled counts can be substituted for coverage studies.
+together.  The chain runs on batches of parameter points, with a leading
+batch axis: ``evaluate_batch`` evaluates many points at once (the
+optimizer's grid), and ``evaluate_rate`` is a batch of one.  The channel
+statistics default to the expected values of the system model; sampled
+counts can be substituted for coverage studies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .budget import EpsilonBudget
 from .channel import ChannelConfig, ChannelModel
 from .decoy import (
+    CELLS,
+    CountsBatch,
+    IntensityBatch,
     IntensitySet,
     ObservedCounts,
-    decoy_cell_bounds,
-    m0_lower_exact,
-    m0_lower_fluct,
-    m1_lower_exact,
-    m1_lower_fluct,
+    decoy_bounds_batch,
 )
-from .key_length import KeyRateResult, key_length, lambda_ec
-from .phase_error import n_ph_upper_general
+from .key_length import KeyRateBatch, KeyRateResult, key_length_batch, lambda_ec_batch
+from .phase_error import n_ph_upper_batch, phase_terms
 from .qubit_model import (
     EncodingFlawModel,
     THETA_0X,
@@ -36,21 +41,18 @@ from .qubit_model import (
 )
 
 __all__ = [
+    "ParamBatch",
     "ProtocolParams",
     "build_source_model",
+    "evaluate_batch",
     "evaluate_rate",
     "observed_error_rate",
 ]
 
 K_D2_DEFAULT = 2e-4
 
-_CELLS = tuple(
-    (a, y, b, y1)
-    for a in ("Z", "X")
-    for y in (0, 1)
-    for b in ("Z", "X")
-    for y1 in (0, 1)
-)
+# the cell order of the scalar chain, kept under its old name
+_CELLS = CELLS
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,37 @@ class ProtocolParams:
         raise ValueError(f"mode must be 'exact' or 'fluct', got {mode!r}")
 
 
+class ParamBatch(NamedTuple):
+    """ProtocolParams of a batch of points, one (B,) array per field."""
+
+    p_z: np.ndarray
+    p_ks: np.ndarray
+    p_kd1: np.ndarray
+    k_s: np.ndarray
+    k_d1: np.ndarray
+    k_d2: np.ndarray
+
+    @classmethod
+    def of(cls, points: Sequence[ProtocolParams]) -> "ParamBatch":
+        return cls(*(
+            np.array([getattr(p, name) for p in points], dtype=float)
+            for name in ("p_z", "p_ks", "p_kd1", "k_s", "k_d1", "k_d2")
+        ))
+
+    def point(self, i: int) -> ProtocolParams:
+        return ProtocolParams(
+            p_z=float(self.p_z[i]), p_ks=float(self.p_ks[i]),
+            p_kd1=float(self.p_kd1[i]), k_s=float(self.k_s[i]),
+            k_d1=float(self.k_d1[i]), k_d2=float(self.k_d2[i]),
+        )
+
+    def intensities(self, mode: str, r: float) -> tuple[IntensityBatch, np.ndarray]:
+        """Intensity levels for ``mode`` and the mask of feasible points."""
+        return IntensityBatch.from_params(
+            mode, self.k_s, self.k_d1, self.k_d2, self.p_ks, self.p_kd1, r
+        )
+
+
 def build_source_model(
     xi: float, p_z: float, gamma: float = 1.0
 ) -> VirtualStateCoeffs:
@@ -105,6 +138,71 @@ def observed_error_rate(counts: ObservedCounts) -> float:
     return err / gain
 
 
+def evaluate_batch(
+    cfg: ChannelConfig,
+    params: ParamBatch,
+    budget: EpsilonBudget | None,
+    n_total: float,
+    mode: str = "exact",
+    f_ec: float = 1.16,
+    model: ChannelModel | None = None,
+    source: Callable[[float], VirtualStateCoeffs] | None = None,
+) -> tuple[np.ndarray, KeyRateBatch]:
+    """Secret-key results at a batch of parameter points.
+
+    Returns the mask of feasible points and the results of the feasible
+    ones, in order.  A point is infeasible where ``evaluate_rate`` would
+    raise ValueError for it alone: intensity ordering, probability
+    simplex, p_z outside (0, 1) or a source model that cannot be built.
+    Settings that concern every point (mode, n_total, f_ec) raise.
+    ``source`` maps p_z to the source characterisation, for callers that
+    cache it; ``model`` shares click tables across calls on one link.
+    """
+    intens, feasible = params.intensities(mode, cfg.fluct_r)
+    feasible &= (0.0 < params.p_z) & (params.p_z < 1.0)
+    if source is None:
+        source = lambda p_z: build_source_model(cfg.xi, p_z)
+    terms: dict[float, tuple | None] = {}
+    for p_z in params.p_z[feasible].tolist():
+        if p_z not in terms:
+            try:
+                terms[p_z] = phase_terms(source(p_z))
+            except ValueError:
+                terms[p_z] = None
+    feasible &= np.array([terms.get(p_z) is not None for p_z in params.p_z.tolist()])
+
+    idx = np.flatnonzero(feasible)
+    intens = intens.take(idx)
+    p_z = params.p_z[idx]
+    if model is None:
+        model = ChannelModel(cfg)
+    counts, e_z = model.expected_batch(intens, p_z, n_total)
+    point_terms = np.array([terms[v] for v in p_z.tolist()]).reshape(-1, 6, 3)
+    return feasible, _rate_batch(
+        counts, e_z, intens, point_terms, budget, n_total, mode, f_ec
+    )
+
+
+def _rate_batch(
+    counts: CountsBatch,
+    e_z: np.ndarray,
+    intens: IntensityBatch,
+    terms: np.ndarray,
+    budget: EpsilonBudget | None,
+    n_total: float,
+    mode: str,
+    f_ec: float,
+) -> KeyRateBatch:
+    """Decoy bounds, phase-error bound and key length from batch counts."""
+    m0, m1, cells = decoy_bounds_batch(counts, intens, budget, mode)
+    eph = n_ph_upper_batch(terms, cells, m1, budget)
+    z_ks = counts.z_by_k[:, 0]
+    lam = lambda_ec_batch(z_ks, e_z, f_ec)
+    return key_length_batch(
+        m0, m1, eph, lam, budget, n_total=n_total, e_z=e_z, z_ks_size=z_ks
+    )
+
+
 def evaluate_rate(
     cfg: ChannelConfig,
     params: ProtocolParams,
@@ -117,7 +215,7 @@ def evaluate_rate(
     qm: VirtualStateCoeffs | None = None,
     model: ChannelModel | None = None,
 ) -> KeyRateResult:
-    """Secret-key result at one parameter point.
+    """Secret-key result at one parameter point: a batch of one.
 
     Infeasible parameters (intensity ordering, probability simplex)
     raise ValueError; statistical aborts come back in the result.  A
@@ -126,32 +224,22 @@ def evaluate_rate(
     source characterisation across calls that share xi and p_z, and
     ``model`` to share click tables across calls on the same link.
     """
-    intens = params.intensities(mode, cfg.fluct_r)
+    levels = IntensityBatch.of(params.intensities(mode, cfg.fluct_r))
     if counts is None:
         if model is None:
             model = ChannelModel(cfg)
-        counts, e_z = model.expected(intens, params.p_z, n_total)
-    elif e_z is None:
-        e_z = observed_error_rate(counts)
-
-    if mode == "exact":
-        m0 = m0_lower_exact(counts, intens, budget)
-        m1 = m1_lower_exact(counts, intens, budget, m0)
+        batch, e_zs = model.expected_batch(
+            levels, np.array([params.p_z], dtype=float), n_total
+        )
     else:
-        m0 = m0_lower_fluct(counts, intens, budget)
-        m1 = m1_lower_fluct(counts, intens, budget, m0)
-
-    cells = {
-        cell: decoy_cell_bounds(cell, counts, intens, budget, mode)
-        for cell in _CELLS
-    }
+        batch = CountsBatch.of(counts)
+        if e_z is None:
+            e_z = observed_error_rate(counts)
+        e_zs = np.array([e_z], dtype=float)
     if qm is None:
         qm = build_source_model(cfg.xi, params.p_z)
-    eph = n_ph_upper_general(qm, cells, m1, budget)
-
-    z_ks = counts.z_k("s")
-    lam = lambda_ec(z_ks, e_z, f_ec)
-    return key_length(
-        m0, m1, eph, lam, budget,
-        n_total=n_total, e_z=e_z, z_ks_size=z_ks,
+    res = _rate_batch(
+        batch, e_zs, levels, np.array([phase_terms(qm)]),
+        budget, n_total, mode, f_ec,
     )
+    return res.result(0)

@@ -127,3 +127,41 @@ def test_optimize_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "best rate" in out
     assert format(40.0, ".12e") in out
+
+
+def _assert_clean_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+def test_non_finite_config_exit_code(tmp_path, capsys):
+    ini = tmp_path / "nan.ini"
+    ini.write_text("[run]\nn_total = nan\n[sweep]\nstart_km = 0\nstop_km = 0\n")
+    out = tmp_path / "rates.csv"
+    code = main(["sweep", "--config", str(ini), "--out", str(out)])
+    assert "run.n_total must be a finite number" in _assert_clean_error(code, capsys)
+    assert not out.exists()
+
+
+def test_underflowing_secrecy_split_exit_code(tmp_path, capsys):
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[run]\neps_sec = 1e-200\neps_c = 1e-210\n"
+                   "[sweep]\nstart_km = 0\nstop_km = 0\n")
+    code = main(["sweep", "--config", str(ini), "--out", str(tmp_path / "r.csv")])
+    assert "underflows" in _assert_clean_error(code, capsys)
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_infeasible_search_box_exit_code(tmp_path, capsys, command):
+    # at 95% fluctuation neighbouring intensity ranges always overlap
+    ini = tmp_path / "wide.ini"
+    ini.write_text("[run]\nmode = fluctuating\n[source]\nfluct_r = 0.95\n"
+                   "[sweep]\nstart_km = 0\nstop_km = 10\nstep_km = 10\n"
+                   "[optimizer]\ngrid_points = 3\nworkers = 1\n")
+    args = ["--config", str(ini)]
+    args += ["--out", str(tmp_path / "r.csv")] if command == "sweep" else ["--distance", "10"]
+    code = main([command, *args])
+    assert "no feasible parameter point" in _assert_clean_error(code, capsys)

@@ -103,3 +103,44 @@ def test_direct_construction_validates():
         RunConfig(mode="sideways")
     with pytest.raises(ConfigError):
         RunConfig(n_total=0.0)
+
+
+NON_FINITE = ("nan", "inf", "-inf")
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+@pytest.mark.parametrize("key", ["n_total", "eps_sec", "eps_c", "f_ec"])
+def test_run_rejects_non_finite(key, text):
+    with pytest.raises(ConfigError, match=f"run.{key} must be a finite number"):
+        parse_config(f"[run]\n{key} = {text}\n")
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+@pytest.mark.parametrize("key", ["xi", "fluct_r", "k_d2"])
+def test_source_rejects_non_finite(key, text):
+    with pytest.raises(ConfigError, match=f"source.{key} must be a finite number"):
+        parse_config(f"[source]\n{key} = {text}\n")
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+@pytest.mark.parametrize("key", ["det_eff", "dark_prob", "e_mis", "atten_db_per_km"])
+def test_channel_rejects_non_finite(key, text):
+    with pytest.raises(ConfigError, match=f"channel.{key} must be a finite number"):
+        parse_config(f"[channel]\n{key} = {text}\n")
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+@pytest.mark.parametrize("key", ["start_km", "stop_km", "step_km"])
+def test_sweep_rejects_non_finite(key, text):
+    with pytest.raises(ConfigError, match=f"sweep.{key} must be a finite number"):
+        parse_config(f"[sweep]\n{key} = {text}\n")
+
+
+def test_rejects_underflowing_secrecy_split():
+    # eps_s^2 = 1e-400 is below the smallest double
+    with pytest.raises(ConfigError, match="underflows"):
+        parse_config("[run]\neps_sec = 1e-200\neps_c = 1e-210\n")
+    with pytest.raises(ConfigError, match="underflows"):
+        RunConfig(mode="fluctuating", fluct_r=0.05, eps_sec=1e-160, eps_c=1e-170)
+    # small but representable splits still work
+    assert parse_config("[run]\neps_sec = 1e-100\neps_c = 1e-110\n").budget().eta > 0.0
