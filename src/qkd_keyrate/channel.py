@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -131,14 +131,21 @@ def gauss_expect(
     """
     if dens.lo == dens.hi:
         return f(dens.mean)
+    k, weight, half = _quadrature(dens)
+    values = f(k) if vectorized else np.array([f(x) for x in k.tolist()])
+    return float(weight @ values) * half
+
+
+def _quadrature(dens: FluctuationDensity) -> tuple[np.ndarray, np.ndarray, float]:
+    """Nodes, density-weighted node weights and half-width of the 64-node
+    rule on a density that is not a point mass."""
     center = 0.5 * (dens.hi + dens.lo)
     half = 0.5 * (dens.hi - dens.lo)
     k = center + half * _NODES
     weight = _WEIGHTS * (
         dens.norm * np.exp(-((k - dens.mean) ** 2) / (2.0 * dens.sigma2))
     )
-    values = f(k) if vectorized else np.array([f(x) for x in k.tolist()])
-    return float(weight @ values) * half
+    return k, weight, half
 
 
 def _interference_factors(xi: float, a: str, y: int, b: str) -> tuple[float, float]:
@@ -183,19 +190,31 @@ def click_probs(
     p_j = E_k[1 - (1 - p_d) exp(-eta_sy k f_j)].
     """
     a, b = basis_pair
-    f0, f1 = _interference_factors(cfg.xi, a, bit_in, b)
-    dens = FluctuationDensity.for_intensity(level.nominal, cfg.fluct_r)
+    fracs = _interference_factors(cfg.xi, a, bit_in, b)
+    p0, p1 = _port_click_probs(cfg, level.nominal, fracs)
+    return p0, p1
+
+
+def _port_click_probs(
+    cfg: ChannelConfig, nominal: float, fracs: Sequence[float]
+) -> list[float]:
+    """Click probability of each port that receives the fraction
+    ``fracs[i]`` of a pulse of nominal intensity ``nominal``.
+
+    All ports share one density and one set of quadrature weights, and
+    one np.exp runs over the (ports, nodes) array.  Every port's number
+    equals ``gauss_expect`` of its own integrand bit for bit: the
+    elementwise products are the same, and each port is one dot product
+    with the weights.
+    """
+    dens = FluctuationDensity.for_intensity(nominal, cfg.fluct_r)
     eta = cfg.eta_sy
     pd = cfg.dark_prob
-
-    def port(frac: float) -> float:
-        if dens.lo == dens.hi:
-            return 1.0 - (1.0 - pd) * math.exp(-eta * dens.mean * frac)
-        return gauss_expect(
-            lambda k: 1.0 - (1.0 - pd) * np.exp(-eta * k * frac), dens, vectorized=True
-        )
-
-    return port(f0), port(f1)
+    if dens.lo == dens.hi:
+        return [1.0 - (1.0 - pd) * math.exp(-eta * dens.mean * f) for f in fracs]
+    k, weight, half = _quadrature(dens)
+    values = 1.0 - (1.0 - pd) * np.exp(np.multiply.outer(fracs, -eta * k))
+    return [float(weight @ row) * half for row in values]
 
 
 def resolve_double_clicks(p_j: float, p_jother: float) -> float:
@@ -224,6 +243,10 @@ class ChannelModel:
 
     def __init__(self, cfg: ChannelConfig):
         self.cfg = cfg
+        # port 0 and port 1 fractions of every configuration, in _CONFIGS order
+        self._fractions = tuple(
+            f for a, y, b in _CONFIGS for f in _interference_factors(cfg.xi, a, y, b)
+        )
         self._tables: dict[tuple[float, float, float], dict] = {}
         # per level: outcome probabilities along CELLS, and the Z error rate
         self._rows: dict[tuple[float, float, float], tuple[list, float]] = {}
@@ -239,9 +262,9 @@ class ChannelModel:
         table = self._tables.get(key)
         if table is not None:
             return table
+        ports = _port_click_probs(self.cfg, level.nominal, self._fractions)
         table = {}
-        for a, y, b in _CONFIGS:
-            p0, p1 = click_probs(self.cfg, level, (a, b), y)
+        for (a, y, b), p0, p1 in zip(_CONFIGS, ports[0::2], ports[1::2]):
             q0 = resolve_double_clicks(p0, p1)
             q1 = resolve_double_clicks(p1, p0)
             if a == b:

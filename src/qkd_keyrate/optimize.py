@@ -120,6 +120,10 @@ def optimize_rate(
     """
     if strategy not in ("grid", "grid+nm"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if grid_points < 2:
+        # as RunConfig requires: the polish starts from a simplex half a
+        # grid step wide
+        raise ValueError(f"grid_points must be >= 2, got {grid_points!r}")
     if space is None:
         space = SearchSpace()
 

@@ -11,6 +11,7 @@ counts can be substituted for coverage studies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -30,6 +31,7 @@ from .key_length import KeyRateBatch, KeyRateResult, key_length_batch, lambda_ec
 from .phase_error import n_ph_upper_batch, phase_terms
 from .qubit_model import (
     EncodingFlawModel,
+    FilteredQubit,
     THETA_0X,
     THETA_0Z,
     THETA_1Z,
@@ -116,6 +118,23 @@ def build_source_model(
     xi: float, p_z: float, gamma: float = 1.0
 ) -> VirtualStateCoeffs:
     """Virtual-state coefficients for the proportional flaw model."""
+    s0z, s1z, a_inv = _filtered_source(xi, gamma)
+    return virtual_state_coeffs(s0z, s1z, a_inv, p_z)
+
+
+# a sweep or an optimization uses one xi; a few slots cover callers that
+# alternate between flaw settings
+@functools.lru_cache(maxsize=8)
+def _filtered_source(
+    xi: float, gamma: float
+) -> tuple[FilteredQubit, FilteredQubit, np.ndarray]:
+    """The filtered Z states and the inverse transmission matrix at xi.
+
+    Only the virtual-state coefficients depend on p_z, so this part is
+    memoized per (xi, gamma).  ``a_inv`` is shared by every caller and is
+    read-only.  A degenerate setting raises, and raises again on the next
+    call: lru_cache stores only results.
+    """
     flaw = (
         EncodingFlawModel(model_xi=xi) if xi != 0.0 else EncodingFlawModel.exact()
     )
@@ -123,8 +142,9 @@ def build_source_model(
         apply_filter(bloch_of_state(theta, flaw, gamma))
         for theta in (THETA_0Z, THETA_1Z, THETA_0X)
     ]
-    tm = build_transmission_matrix(*filtered)
-    return virtual_state_coeffs(filtered[0], filtered[1], tm.a_inv, p_z)
+    a_inv = build_transmission_matrix(*filtered).a_inv
+    a_inv.setflags(write=False)
+    return filtered[0], filtered[1], a_inv
 
 
 def observed_error_rate(counts: ObservedCounts) -> float:

@@ -14,6 +14,7 @@ from qkd_keyrate.channel import (
     ChannelConfig,
     ChannelModel,
     FluctuationDensity,
+    _interference_factors,
     apply_misalignment,
     click_probs,
     expected_counts,
@@ -206,3 +207,58 @@ def test_sample_empty_run():
 def test_expected_rejects_empty_run():
     with pytest.raises(ValueError):
         expected_counts(make_cfg(), make_intens(), 0.5, 0.0)
+
+
+# the six sender/receiver configurations of a click table
+CONFIGS = (("Z", 0, "Z"), ("Z", 0, "X"), ("Z", 1, "Z"), ("Z", 1, "X"),
+           ("X", 0, "Z"), ("X", 0, "X"))
+
+
+def click_probs_per_port(cfg, level, basis_pair, bit_in):
+    """click_probs as one gauss_expect per port, the reference for the
+    shared quadrature."""
+    a, b = basis_pair
+    dens = FluctuationDensity.for_intensity(level.nominal, cfg.fluct_r)
+    eta, pd = cfg.eta_sy, cfg.dark_prob
+
+    def port(frac):
+        if dens.lo == dens.hi:
+            return 1.0 - (1.0 - pd) * math.exp(-eta * dens.mean * frac)
+        return gauss_expect(
+            lambda k: 1.0 - (1.0 - pd) * np.exp(-eta * k * frac), dens, vectorized=True
+        )
+
+    f0, f1 = _interference_factors(cfg.xi, a, bit_in, b)
+    return port(f0), port(f1)
+
+
+def table_from_click_probs(cfg, level, click):
+    """A click table from six separate click-probability calls."""
+    table = {}
+    for a, y, b in CONFIGS:
+        p0, p1 = click(cfg, level, (a, b), y)
+        q0, q1 = resolve_double_clicks(p0, p1), resolve_double_clicks(p1, p0)
+        if a == b:
+            if (y if a == "Z" else 0) == 0:
+                q0, q1 = apply_misalignment(q0, q1, cfg.e_mis)
+            else:
+                q1, q0 = apply_misalignment(q1, q0, cfg.e_mis)
+        table[(a, y, b)] = (q0, q1)
+    return table
+
+
+@pytest.mark.parametrize("distance", [0.0, 80.0, 160.0])
+@pytest.mark.parametrize("r", [0.0, 0.02, 0.05])
+def test_table_matches_separate_click_probs(distance, r):
+    # one quadrature per table must not move a single bit
+    cfg = make_cfg(distance_km=distance, xi=0.147, fluct_r=r)
+    rng = np.random.default_rng(int(distance) + int(1000 * r))
+    for k_s, k_d1 in [(0.5, 0.1)] + [(u, 0.3 * u) for u in rng.uniform(0.05, 1.0, 5)]:
+        intens = IntensitySet.fluctuating(k_s=k_s, k_d1=k_d1, k_d2=2e-4,
+                                          p_s=0.6, p_d1=0.3, r=r)
+        model = ChannelModel(cfg)
+        for lab in ("s", "d1", "d2"):
+            level = intens.level(lab)
+            table = model.outcome_probs(level)
+            assert table == table_from_click_probs(cfg, level, click_probs_per_port)
+            assert table == table_from_click_probs(cfg, level, click_probs)

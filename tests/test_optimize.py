@@ -100,3 +100,11 @@ def test_hopeless_link_reports_zero():
 def test_unknown_strategy_raises():
     with pytest.raises(ValueError):
         optimize_rate(channel(), budget(), 1e12, strategy="anneal")
+
+
+@pytest.mark.parametrize("strategy", ["grid", "grid+nm"])
+def test_single_grid_point_raises(strategy):
+    # the polish's simplex is half a grid step wide, which one point lacks
+    with pytest.raises(ValueError, match=r"grid_points must be >= 2"):
+        optimize_rate(channel(dist=50.0), budget(), 1e12, strategy=strategy,
+                      grid_points=1)

@@ -1,6 +1,12 @@
 """End-to-end checks of the single-point evaluation chain."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig, ChannelModel
@@ -11,13 +17,26 @@ from qkd_keyrate.decoy import (
     m1_lower_exact,
 )
 from qkd_keyrate.key_length import key_length, lambda_ec
+from qkd_keyrate.optimize import SearchSpace
 from qkd_keyrate.phase_error import n_ph_upper_general
 from qkd_keyrate.pipeline import (
     _CELLS,
     ProtocolParams,
+    _filtered_source,
     build_source_model,
     evaluate_rate,
     observed_error_rate,
+)
+from qkd_keyrate.qubit_model import (
+    THETA_0X,
+    THETA_0Z,
+    THETA_1Z,
+    DegenerateStatesError,
+    EncodingFlawModel,
+    apply_filter,
+    bloch_of_state,
+    build_transmission_matrix,
+    virtual_state_coeffs,
 )
 
 PARAMS = ProtocolParams(p_z=0.88, p_ks=0.8, p_kd1=0.12, k_s=0.46, k_d1=0.11)
@@ -132,3 +151,71 @@ def test_flaw_tolerance_at_fixed_point():
     flawed = evaluate_rate(channel(xi=0.147), PARAMS, bud, 1e12)
     assert clean.rate > 0.0 and flawed.rate > 0.0
     assert flawed.rate > 0.5 * clean.rate
+
+
+def uncached_source_model(xi, p_z, gamma=1.0):
+    """build_source_model without the per-xi memo."""
+    flaw = EncodingFlawModel(model_xi=xi) if xi != 0.0 else EncodingFlawModel.exact()
+    filtered = [apply_filter(bloch_of_state(theta, flaw, gamma))
+                for theta in (THETA_0Z, THETA_1Z, THETA_0X)]
+    tm = build_transmission_matrix(*filtered)
+    return virtual_state_coeffs(filtered[0], filtered[1], tm.a_inv, p_z)
+
+
+def test_cached_source_model_matches_uncached():
+    # xi changes between calls, so each xi is read back after another one
+    for xi in (0.0, 0.05, 0.147, 0.05, 0.0, 0.147):
+        for p_z in (0.3, 0.5, 0.88, 0.95):
+            got = build_source_model(xi, p_z)
+            want = uncached_source_model(xi, p_z)
+            for field in dataclasses.fields(got):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and (a == b).all(), field.name
+                else:
+                    assert a == b, field.name
+
+
+def test_cached_a_inv_is_read_only():
+    build_source_model(0.147, 0.5)
+    _, _, a_inv = _filtered_source(0.147, 1.0)
+    with pytest.raises(ValueError):
+        a_inv[0, 0] = 1.0
+
+
+def test_degenerate_source_is_not_cached():
+    # at xi = pi the Z1 state lands on Z0 and all three filtered states
+    # are collinear; every call must raise again, not find a stored result
+    for _ in range(2):
+        misses = _filtered_source.cache_info().misses
+        with pytest.raises(DegenerateStatesError):
+            build_source_model(math.pi, 0.5)
+        assert _filtered_source.cache_info().misses == misses + 1
+
+
+# (fluct_r, N) per mode; with distances up to 120 km about two thirds of
+# the exact points and a fifth of the fluctuating ones give a key
+MODES = {"exact": (0.0, 1e12), "fluct": (0.02, 1e14)}
+
+
+@given(
+    mode=st.sampled_from(sorted(MODES)),
+    distance=st.floats(0.0, 120.0),
+    u=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_feasible_points_evaluate(mode, distance, u):
+    # every point params_at produces that passes the intensity checks
+    # evaluates, has a rate in [0, 1], and a tighter eps_sec costs key
+    r, n_total = MODES[mode]
+    params = SearchSpace().params_at(np.array(u))
+    try:
+        params.intensities(mode, r)
+    except ValueError:
+        assume(False)
+    cfg = channel(dist=distance, r=r)
+    loose = evaluate_rate(cfg, params, budget(mode, 1e-8), n_total, mode=mode)
+    tight = evaluate_rate(cfg, params, budget(mode, 1e-10), n_total, mode=mode)
+    assert 0.0 <= loose.rate <= 1.0
+    assert 0.0 <= tight.rate <= 1.0
+    assert tight.ell <= loose.ell
