@@ -33,30 +33,10 @@ from .concentration import (
     mult_chernoff_devs,
 )
 from .config import ConfigError, RunConfig, load_config
-from .decoy import (
-    CellBounds,
-    DecoyBound,
-    IntensitySet,
-    ObservedCounts,
-    decoy_cell_bounds,
-    m0_lower_exact,
-    m0_lower_fluct,
-    m1_lower_exact,
-    m1_lower_fluct,
-)
-from .key_length import (
-    KeyRateResult,
-    binary_entropy,
-    eph_threshold,
-    key_length,
-    lambda_ec,
-)
+from .decoy import IntensitySet, ObservedCounts
+from .key_length import KeyRateResult, binary_entropy, eph_threshold, lambda_ec
 from .optimize import OptimizationResult, SearchSpace, optimize_rate
-from .phase_error import (
-    PhaseErrorBound,
-    n_ph_appendixE,
-    n_ph_upper_general,
-)
+from .phase_error import n_ph_appendixE
 from .pipeline import ProtocolParams, build_source_model, evaluate_rate
 from .validate import run_validation
 
@@ -77,26 +57,16 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "load_config",
-    "CellBounds",
-    "DecoyBound",
     "IntensitySet",
     "ObservedCounts",
-    "decoy_cell_bounds",
-    "m0_lower_exact",
-    "m0_lower_fluct",
-    "m1_lower_exact",
-    "m1_lower_fluct",
     "KeyRateResult",
     "binary_entropy",
     "eph_threshold",
-    "key_length",
     "lambda_ec",
     "OptimizationResult",
     "SearchSpace",
     "optimize_rate",
-    "PhaseErrorBound",
     "n_ph_appendixE",
-    "n_ph_upper_general",
     "ProtocolParams",
     "build_source_model",
     "evaluate_rate",

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "Lemma",
-    "DeviationRequest",
     "DeviationResult",
     "chernoff_devs",
     "hoeffding_dev",
@@ -51,29 +50,6 @@ def _check_prob(eps: float, name: str = "eps") -> None:
 def _log_inv(eps: float) -> float:
     # ln(1/eps) without forming 1/eps
     return -math.log(eps)
-
-
-@dataclass(frozen=True)
-class DeviationRequest:
-    """Validated bundle of the quantities a tail bound consumes.
-
-    ``observed_or_mean`` is the observed count for the mean-free bounds and
-    the true mean for the Chernoff bound; ``trials`` is the number of
-    underlying Bernoulli trials (or martingale steps).
-    """
-
-    observed_or_mean: float
-    trials: int
-    failure_prob: float
-
-    def __post_init__(self) -> None:
-        if self.observed_or_mean < 0:
-            raise ValueError("count must be nonnegative")
-        if self.trials < 0:
-            raise ValueError("trials must be nonnegative")
-        _check_prob(self.failure_prob, "failure_prob")
-        if self.observed_or_mean > self.trials:
-            raise ValueError("count cannot exceed the number of trials")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ class ConfigError(ValueError):
 # section -> keys; doubles as the schema for unknown-key diagnostics
 DEFAULT_SECTIONS = {
     "run": ("mode", "asymptotic", "n_total", "eps_sec", "eps_c", "f_ec"),
-    "source": ("xi", "fluct_r", "k_d2"),
+    "source": ("xi", "fluct_r"),
     "channel": ("det_eff", "dark_prob", "e_mis", "atten_db_per_km"),
     "sweep": ("start_km", "stop_km", "step_km"),
     "optimizer": ("strategy", "seed", "grid_points", "workers"),
@@ -48,7 +48,6 @@ class RunConfig:
     f_ec: float = 1.16
     xi: float = 0.147
     fluct_r: float = 0.0
-    k_d2: float = 2e-4
     det_eff: float = 0.15
     dark_prob: float = 5e-7
     e_mis: float = 0.01
@@ -93,8 +92,6 @@ class RunConfig:
             raise ConfigError(
                 "run.mode = fluctuating requires source.fluct_r > 0"
             )
-        if not 0.0 < self.k_d2 < 1.0:
-            raise ConfigError(f"source.k_d2 must lie in (0, 1), got {self.k_d2!r}")
         if not 0.0 < self.det_eff <= 1.0:
             raise ConfigError(
                 f"channel.det_eff must lie in (0, 1], got {self.det_eff!r}"

@@ -10,20 +10,20 @@ are supported: ``exact`` (the set intensity is the emitted one) and
 every inequality is evaluated at its worst-case endpoint and mean values
 are estimated without any independence assumption).
 
-Every bound is returned together with its accumulated failure
-probability.  Passing ``budget=None`` zeroes all statistical deviations,
-which turns the bounds into their asymptotic (infinite-key) counterparts.
+``decoy_bounds_batch`` bounds a batch of parameter points at once, with
+a leading batch axis on every array; one point is a batch of one.  Every
+bound comes with its accumulated failure probability.  Passing
+``budget=None`` zeroes all statistical deviations, which turns the
+bounds into their asymptotic (infinite-key) counterparts.
 
-The scalar functions bound one parameter point.  ``decoy_bounds_batch``
-computes the same bounds for a batch of points at once, with a leading
-batch axis on every array, and reproduces the scalar results bit for
-bit: transcendental per-point factors go through ``math`` as in the
-scalar code, and only the IEEE-exact ``+ - * / sqrt`` run in numpy.
+Each point's bounds equal, bit for bit, those of the one-point functions
+the batch replaced (kept as the test reference in
+``tests/scalar_chain.py``): transcendental per-point factors go through
+``math``, and only the IEEE-exact ``+ - * / sqrt`` run in numpy.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
@@ -31,26 +31,18 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .budget import EpsilonBudget
-from .concentration import azuma_dev, best_mean_bound, hoeffding_dev
 
 __all__ = [
     "CELLS",
     "K_LABELS",
     "BoundBatch",
-    "BoundKind",
-    "CellBounds",
+    "CellBoundsBatch",
     "CountsBatch",
-    "DecoyBound",
     "IntensityBatch",
     "IntensityLevel",
     "IntensitySet",
     "ObservedCounts",
     "decoy_bounds_batch",
-    "decoy_cell_bounds",
-    "m0_lower_exact",
-    "m0_lower_fluct",
-    "m1_lower_exact",
-    "m1_lower_fluct",
     "poisson_pk",
 ]
 
@@ -170,44 +162,6 @@ class IntensitySet:
         )
 
 
-class BoundKind(enum.Enum):
-    VAC_LOWER = "vac_lower"
-    SINGLE_LOWER = "single_lower"
-    SINGLE_UPPER = "single_upper"
-
-
-@dataclass(frozen=True)
-class DecoyBound:
-    """A decoy bound with its failure-probability bookkeeping.
-
-    ``value`` is the count-level bound, clamped to [0, cap] where cap is
-    the observed signal-intensity total of the estimated population.
-    ``mu`` is the mean-level bound before the final mean-to-count
-    deviation and ``mean_failure`` the failure probability of the mean
-    estimates alone; downstream formulas that reuse ``mu`` accumulate
-    ``mean_failure`` rather than ``failure_prob``.
-    """
-
-    value: float
-    failure_prob: float
-    kind: BoundKind
-    mu: float = 0.0
-    mean_failure: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.value < 0.0:
-            raise ValueError("bound value must be clamped to >= 0")
-        if not 0.0 <= self.failure_prob < 1.0:
-            raise ValueError("failure_prob must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class CellBounds:
-    lower0: DecoyBound
-    lower1: DecoyBound
-    upper1: DecoyBound
-
-
 @dataclass
 class ObservedCounts:
     """Sifted detection statistics of one protocol run.
@@ -250,309 +204,6 @@ class ObservedCounts:
 
     def config_trials(self, a: str, y: int, b: str) -> float:
         return self.trials_by_config.get((a, y, b), 0.0)
-
-
-def _count_lower(mu: float, eps: float, fallback_trials: float) -> float:
-    """Count lower bound from a mean lower bound, m >= mu - dev.
-
-    The multiplicative deviation sqrt(2 mu ln(1/eps)) applies only while
-    the mean dominates 2 ln(1/eps); below that the additive (Hoeffding)
-    deviation over the trial count takes over.
-    """
-    if mu <= 0.0:
-        return 0.0
-    log_inv = -math.log(eps)
-    if mu > 2.0 * log_inv:
-        dev = math.sqrt(2.0 * mu * log_inv)
-    else:
-        dev = hoeffding_dev(fallback_trials, eps)
-    return max(0.0, mu - dev)
-
-
-def _mean_exact(
-    counts: ObservedCounts,
-    budget: EpsilonBudget | None,
-    observed: float,
-    total: float,
-    direction: str,
-    name: str,
-) -> tuple[float, float]:
-    if budget is None:
-        return observed, 0.0
-    return best_mean_bound(
-        observed, total, budget.alloc(name), direction, budget.alloc(name + ".H")
-    )
-
-
-def _mean_fluct(
-    budget: EpsilonBudget | None,
-    observed: float,
-    trials: float,
-    direction: str,
-    name: str,
-) -> tuple[float, float]:
-    if budget is None:
-        return observed, 0.0
-    eps = budget.alloc(name)
-    dev = azuma_dev(trials, eps)
-    return (observed - dev if direction == "lower" else observed + dev), eps
-
-
-def m0_lower_exact(
-    counts: ObservedCounts, intens: IntensitySet, budget: EpsilonBudget | None
-) -> DecoyBound:
-    """Lower bound on the vacuum contribution to the signal Z key (exact mode).
-
-    mu_0^L combines a lower estimate of the weak-decoy Z mean with an
-    upper estimate of the strong-decoy one; the final step subtracts the
-    mean-to-count deviation.
-    """
-    k_s, k_d1, k_d2 = intens.s.nominal, intens.d1.nominal, intens.d2.nominal
-    z_tot = counts.z_tot
-    zm_d2, f_d2 = _mean_exact(
-        counts, budget, counts.z_k("d2"), z_tot, "lower", "z.d2.vac.lo"
-    )
-    zp_d1, f_d1 = _mean_exact(
-        counts, budget, counts.z_k("d1"), z_tot, "upper", "z.d1.vac.hi"
-    )
-    mu = (
-        intens.s.prob
-        * math.exp(-k_s)
-        / (k_d1 - k_d2)
-        * (
-            k_d1 * math.exp(k_d2) / intens.d2.prob * zm_d2
-            - k_d2 * math.exp(k_d1) / intens.d1.prob * zp_d1
-        )
-    )
-    mu = max(0.0, mu)
-    mean_failure = f_d2 + f_d1
-    if budget is None:
-        return DecoyBound(mu, 0.0, BoundKind.VAC_LOWER, mu=mu)
-    eps_final = budget.alloc("m0.final")
-    value = min(_count_lower(mu, eps_final, counts.n_z), counts.z_k("s"))
-    return DecoyBound(
-        value, mean_failure + eps_final, BoundKind.VAC_LOWER, mu=mu,
-        mean_failure=mean_failure,
-    )
-
-
-def m1_lower_exact(
-    counts: ObservedCounts,
-    intens: IntensitySet,
-    budget: EpsilonBudget | None,
-    m0_bound: DecoyBound,
-) -> DecoyBound:
-    """Lower bound on the single-photon contribution (exact mode).
-
-    Uses the two-decoy closed form; the vacuum mean bound mu_0^L enters
-    through ``m0_bound.mu``, and its mean-estimate failures are carried
-    into the accumulated failure probability.
-    """
-    k_s, k_d1, k_d2 = intens.s.nominal, intens.d1.nominal, intens.d2.nominal
-    z_tot = counts.z_tot
-    zm_d1, f_d1 = _mean_exact(
-        counts, budget, counts.z_k("d1"), z_tot, "lower", "z.d1.sin.lo"
-    )
-    zp_d2, f_d2 = _mean_exact(
-        counts, budget, counts.z_k("d2"), z_tot, "upper", "z.d2.sin.hi"
-    )
-    zp_s, f_s = _mean_exact(
-        counts, budget, counts.z_k("s"), z_tot, "upper", "z.s.sin.hi"
-    )
-    p_s_vac = intens.s.prob * math.exp(-k_s)
-    mu = (
-        intens.s.prob
-        * k_s**2
-        * math.exp(-k_s)
-        / ((k_d1 - k_d2) * (k_s - k_d1 - k_d2))
-        * (
-            math.exp(k_d1) / intens.d1.prob * zm_d1
-            - math.exp(k_d2) / intens.d2.prob * zp_d2
-            + (k_d1**2 - k_d2**2)
-            / k_s**2
-            * (m0_bound.mu / p_s_vac - math.exp(k_s) / intens.s.prob * zp_s)
-        )
-    )
-    mu = max(0.0, mu)
-    mean_failure = m0_bound.mean_failure + f_d1 + f_d2 + f_s
-    if budget is None:
-        return DecoyBound(mu, 0.0, BoundKind.SINGLE_LOWER, mu=mu)
-    eps_final = budget.alloc("m1.final")
-    value = min(_count_lower(mu, eps_final, counts.n_z), counts.z_k("s"))
-    return DecoyBound(
-        value, mean_failure + eps_final, BoundKind.SINGLE_LOWER, mu=mu,
-        mean_failure=mean_failure,
-    )
-
-
-def m0_lower_fluct(
-    counts: ObservedCounts, intens: IntensitySet, budget: EpsilonBudget | None
-) -> DecoyBound:
-    """Vacuum lower bound when only intensity ranges are known.
-
-    Worst-case range endpoints replace the nominal intensities, and the
-    Z means are estimated by martingale deviations over the N_z basis
-    coincidences, so no independence between trials is assumed.
-    """
-    zm_d2, f_d2 = _mean_fluct(
-        budget, counts.z_k("d2"), counts.n_z, "lower", "z.d2.vac.lo"
-    )
-    zp_d1, f_d1 = _mean_fluct(
-        budget, counts.z_k("d1"), counts.n_z, "upper", "z.d1.vac.hi"
-    )
-    mu = (
-        intens.p_s_and_vacuum_lo()
-        / (intens.d1.lo - intens.d2.hi)
-        * (
-            intens.d1.lo * math.exp(intens.d2.lo) / intens.d2.prob * zm_d2
-            - intens.d2.hi * math.exp(intens.d1.hi) / intens.d1.prob * zp_d1
-        )
-    )
-    mu = max(0.0, mu)
-    mean_failure = f_d2 + f_d1
-    if budget is None:
-        return DecoyBound(mu, 0.0, BoundKind.VAC_LOWER, mu=mu)
-    eps_final = budget.alloc("m0.final")
-    value = min(_count_lower(mu, eps_final, counts.n_z), counts.z_k("s"))
-    return DecoyBound(
-        value, mean_failure + eps_final, BoundKind.VAC_LOWER, mu=mu,
-        mean_failure=mean_failure,
-    )
-
-
-def m1_lower_fluct(
-    counts: ObservedCounts,
-    intens: IntensitySet,
-    budget: EpsilonBudget | None,
-    m0_bound: DecoyBound,
-) -> DecoyBound:
-    """Single-photon lower bound for the intensity-fluctuation case."""
-    s, d1, d2 = intens.s, intens.d1, intens.d2
-    zm_d1, f_d1 = _mean_fluct(
-        budget, counts.z_k("d1"), counts.n_z, "lower", "z.d1.sin.lo"
-    )
-    zp_d2, f_d2 = _mean_fluct(
-        budget, counts.z_k("d2"), counts.n_z, "upper", "z.d2.sin.hi"
-    )
-    zp_s, f_s = _mean_fluct(
-        budget, counts.z_k("s"), counts.n_z, "upper", "z.s.sin.hi"
-    )
-    mu = (
-        intens.p_s_and_single_lo()
-        * s.lo
-        / ((d1.hi - d2.lo) * (s.lo - d1.hi - d2.lo))
-        * (
-            math.exp(d1.lo) / d1.prob * zm_d1
-            - math.exp(d2.hi) / d2.prob * zp_d2
-            - (d1.hi**2 - d2.lo**2)
-            / s.lo**2
-            * (
-                math.exp(s.hi) / s.prob * zp_s
-                - m0_bound.mu / intens.p_s_and_vacuum_lo()
-            )
-        )
-    )
-    mu = max(0.0, mu)
-    mean_failure = m0_bound.mean_failure + f_d1 + f_d2 + f_s
-    if budget is None:
-        return DecoyBound(mu, 0.0, BoundKind.SINGLE_LOWER, mu=mu)
-    eps_final = budget.alloc("m1.final")
-    value = min(_count_lower(mu, eps_final, counts.n_z), counts.z_k("s"))
-    return DecoyBound(
-        value, mean_failure + eps_final, BoundKind.SINGLE_LOWER, mu=mu,
-        mean_failure=mean_failure,
-    )
-
-
-def decoy_cell_bounds(
-    cell: tuple[str, int, str, int],
-    counts: ObservedCounts,
-    intens: IntensitySet,
-    budget: EpsilonBudget | None,
-    mode: str,
-) -> CellBounds:
-    """Generalized decoy bounds for one (sender state, receiver outcome) cell.
-
-    Returns (lower0, lower1, upper1): a lower bound on the vacuum count,
-    and lower/upper bounds on the single-photon count, all restricted to
-    signal-intensity emissions within the cell.  The exact and fluct
-    modes differ only in which endpoints and mean estimators are used;
-    exact mode has lo == hi so the endpoint choice is vacuous there.
-    """
-    if mode not in ("exact", "fluct"):
-        raise ValueError(f"mode must be 'exact' or 'fluct', got {mode!r}")
-    a, y, b, y1 = cell
-    cell_id = f"{a}{y}{b}{y1}"
-    obs = {k: counts.cell(a, y, b, y1, k) for k in K_LABELS}
-    cap = obs["s"]
-    s, d1, d2 = intens.s, intens.d1, intens.d2
-
-    def mean(label: str, direction: str, est: str) -> tuple[float, float]:
-        name = f"cell.{cell_id}.{est}"
-        if mode == "exact":
-            return _mean_exact(
-                counts, budget, obs[label], sum(obs.values()), direction, name
-            )
-        trials = counts.config_trials(a, y, b)
-        return _mean_fluct(budget, obs[label], trials, direction, name)
-
-    c_d2_lo, f_d2_lo = mean("d2", "lower", "d2.lo")
-    c_d1_hi, f_d1_hi = mean("d1", "upper", "d1.hi")
-    c_d1_lo, f_d1_lo = mean("d1", "lower", "d1.lo")
-    c_d2_hi, f_d2_hi = mean("d2", "upper", "d2.hi")
-    c_s_hi, f_s_hi = mean("s", "upper", "s.hi")
-
-    p_vac = intens.p_s_and_vacuum_lo()
-    mu0 = (
-        p_vac
-        / (d1.lo - d2.hi)
-        * (
-            d1.lo * math.exp(d2.lo) / d2.prob * c_d2_lo
-            - d2.hi * math.exp(d1.hi) / d1.prob * c_d1_hi
-        )
-    )
-    low0 = min(max(0.0, mu0), cap)
-    lower0 = DecoyBound(
-        low0, f_d2_lo + f_d1_hi, BoundKind.VAC_LOWER, mu=low0,
-        mean_failure=f_d2_lo + f_d1_hi,
-    )
-
-    mu1 = (
-        intens.p_s_and_single_lo()
-        * s.lo
-        / ((d1.hi - d2.lo) * (s.lo - d1.hi - d2.lo))
-        * (
-            math.exp(d1.lo) / d1.prob * c_d1_lo
-            - math.exp(d2.hi) / d2.prob * c_d2_hi
-            + (d1.hi**2 - d2.lo**2)
-            / s.lo**2
-            * (lower0.value / p_vac - math.exp(s.hi) / s.prob * c_s_hi)
-        )
-    )
-    low1 = min(max(0.0, mu1), cap)
-    f_low1 = lower0.failure_prob + f_d1_lo + f_d2_hi + f_s_hi
-    lower1 = DecoyBound(
-        low1, f_low1, BoundKind.SINGLE_LOWER, mu=low1, mean_failure=f_low1
-    )
-
-    mu1_up = (
-        intens.p_s_and_single_hi()
-        / (d1.lo - d2.hi)
-        * (
-            math.exp(d1.hi) / d1.prob * c_d1_hi
-            - math.exp(d2.lo) / d2.prob * c_d2_lo
-        )
-    )
-    up1 = min(max(0.0, mu1_up), cap)
-    upper1 = DecoyBound(
-        up1, f_d1_hi + f_d2_lo, BoundKind.SINGLE_UPPER, mu=up1,
-        mean_failure=f_d1_hi + f_d2_lo,
-    )
-    return CellBounds(lower0, lower1, upper1)
-
-
-# ---------------------------------------------------------------------------
-# Batch path: the same bounds for many parameter points at once.
 
 
 def py_max(a, b):
@@ -671,19 +322,24 @@ class CountsBatch(NamedTuple):
 
 
 class BoundBatch(NamedTuple):
-    """A DecoyBound's value and failure probability per point, and per
-    cell where the arrays are (B, 16)."""
+    """A bound's value and accumulated failure probability per point, and
+    per cell where the arrays are (B, 16).
+
+    ``value`` is the count-level bound, clamped to [0, cap] where cap is
+    the observed signal-intensity total of the estimated population.
+    """
 
     value: np.ndarray
     failure_prob: np.ndarray
 
 
 class CellBoundsBatch(NamedTuple):
-    """The single-photon bounds of the sixteen cells, (B, 16) arrays.
+    """The vacuum and single-photon bounds of the sixteen cells, (B, 16)
+    arrays: lower bounds on the vacuum and single-photon counts and an
+    upper bound on the single-photon count, all restricted to
+    signal-intensity emissions within the cell."""
 
-    ``lower0`` only feeds ``lower1`` and is not kept.
-    """
-
+    lower0: BoundBatch
     lower1: BoundBatch
     upper1: BoundBatch
 
@@ -721,7 +377,7 @@ def _point_factors(intens: IntensityBatch) -> np.ndarray:
     """(B, 13) per-point factors of the closed forms.
 
     They are formed point by point in Python floats with ``math``, by the
-    expressions of the scalar functions (``np.exp`` may differ from
+    expressions of the scalar reference (``np.exp`` may differ from
     ``math.exp`` in the last ulp, and ``x**2`` is ``pow``, not ``x*x``).
     Points that share their intensities share the row.
     """
@@ -746,7 +402,7 @@ def _point_factors(intens: IntensityBatch) -> np.ndarray:
                 p_vac / (d1_lo - d2_hi),
                 d1_lo * math.exp(d2_lo) / d2_p,
                 d2_hi * math.exp(d1_hi) / d1_p,
-                # single-photon lower bound, and m1_lower_exact's prefactor
+                # single-photon lower bound, and exact-mode m1's prefactor
                 # p_s k_s^2 e^{-k_s} (equal in exact arithmetic, not in rounding)
                 p_single_lo * s_lo / sin_denom,
                 s_p * s_lo**2 * math.exp(-s_hi) / sin_denom,
@@ -770,8 +426,12 @@ def _mean_batch(
     size: np.ndarray,
     direction: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every ``_mean_exact`` (``size`` = total) or ``_mean_fluct``
-    (``size`` = trials) estimate of one direction, (B, rows, 17)."""
+    """Every mean estimate of one direction, (B, rows, 17).
+
+    Exact mode takes ``concentration.best_mean_bound`` against ``size``,
+    the population total; fluct mode an Azuma deviation over ``size``,
+    the trials.
+    """
     if budget is None:
         return observed, np.zeros(observed.shape)
     eps, log_inv = budget.alloc_table(_NAMES[direction])
@@ -803,12 +463,16 @@ def decoy_bounds_batch(
     budget: EpsilonBudget | None,
     mode: str,
 ) -> tuple[BoundBatch, BoundBatch, CellBoundsBatch]:
-    """m0, m1 and the sixteen cells' single-photon bounds, per point.
+    """m0, m1 and the sixteen cells' bounds, per point.
 
-    Equal, point by point, to ``m0_lower_<mode>``, ``m1_lower_<mode>``
-    and ``decoy_cell_bounds`` over CELLS.  In exact mode the means are
-    estimated against the Z total or the cell total; in fluct mode the
-    martingales run over N_z or the cell's configuration trials.
+    m0 and m1 lower-bound the vacuum and single-photon events of the
+    signal-intensity Z key: a mean-level bound, then the mean-to-count
+    deviation, capped at the signal Z count.  In exact mode the means
+    are estimated against the Z total or the cell total; in fluct mode
+    the martingales run over N_z or the cell's configuration trials.
+    The exact and fluct modes differ only in which endpoints and mean
+    estimators are used; exact mode has lo == hi, so the endpoint choice
+    is vacuous there.
     """
     if mode not in ("exact", "fluct"):
         raise ValueError(f"mode must be 'exact' or 'fluct', got {mode!r}")
@@ -834,8 +498,9 @@ def decoy_bounds_batch(
     low0 = py_min(py_max(0.0, vac_pref * (vac_d2 * c_d2_lo - vac_d1 * c_d1_hi)), cap)
     if mode == "exact":
         sin_pref = np.where(_AGGREGATE, m1_exact_pref, sin_pref)
-    # m1_lower_fluct writes the last term as - G (e c_s - vac/p): the same
-    # bits, since IEEE negation and rounding are symmetric
+    # the scalar reference's fluct-mode m1 writes the last term as
+    # - G (e c_s - vac/p): the same bits, since IEEE negation and rounding
+    # are symmetric
     single = sin_pref * (
         sin_d1 * c_d1_lo
         - sin_d2 * c_d2_hi
@@ -847,6 +512,7 @@ def decoy_bounds_batch(
     f_low1 = f_low0 + f_lo[:, 1] + f_hi[:, 0] + f_hi[:, 2]
     f_up1 = f_hi[:, 1] + f_lo[:, 0]
     cells = CellBoundsBatch(
+        lower0=BoundBatch(low0[:, 1:], f_low0[:, 1:]),
         lower1=BoundBatch(low1[:, 1:], f_low1[:, 1:]),
         upper1=BoundBatch(up1[:, 1:], f_up1[:, 1:]),
     )
@@ -858,8 +524,8 @@ def decoy_bounds_batch(
         return BoundBatch(mu[:, 0], zero), BoundBatch(mu[:, 1], zero), cells
     mean_failure = np.concatenate([f_low0[:, :1], f_low1[:, :1]], axis=1)
     eps_final, log_inv = budget.alloc_table(("m0.final", "m1.final"))
-    # _count_lower: the multiplicative deviation while the mean dominates,
-    # Hoeffding over N_z below that
+    # the multiplicative deviation sqrt(2 mu ln(1/eps)) while the mean
+    # dominates 2 ln(1/eps), Hoeffding over N_z below that
     dev = np.where(
         mu > 2.0 * log_inv,
         np.sqrt(2.0 * mu * log_inv),

@@ -5,7 +5,7 @@ privacy-amplification penalty of the phase-error bound, the secrecy and
 correctness log terms, and the error-correction leakage.  Passing
 ``budget=None`` drops the two log terms, which is the asymptotic limit
 used for cross-checks and optimizer seeding.  ``key_length_batch``
-applies ``key_length`` to a batch of points.
+computes the length for a batch of points; one point is a batch of one.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .budget import EpsilonBudget
-from .decoy import BoundBatch, DecoyBound
-from .phase_error import PhaseErrorBatch, PhaseErrorBound
+from .decoy import BoundBatch
+from .phase_error import PhaseErrorBatch
 
 __all__ = [
     "EpsilonBudget",
@@ -27,7 +27,6 @@ __all__ = [
     "KeyRateResult",
     "binary_entropy",
     "eph_threshold",
-    "key_length",
     "key_length_batch",
     "lambda_ec",
     "lambda_ec_batch",
@@ -123,63 +122,6 @@ def eph_threshold(
     return brentq(ell, 0.0, 0.5, xtol=1e-15, rtol=8.9e-16)
 
 
-def key_length(
-    m0: DecoyBound,
-    m1: DecoyBound,
-    eph: PhaseErrorBound,
-    lam_ec: float,
-    budget: EpsilonBudget | None,
-    *,
-    n_total: float,
-    e_z: float = 0.0,
-    z_ks_size: float = 0.0,
-) -> KeyRateResult:
-    """Extractable key length and rate for one protocol run.
-
-    Aborts are returned, never raised: an epsilon split with no secrecy
-    margin, a phase-error bound at or past the zero-key threshold, and a
-    nonpositive floored length all yield ell = 0 with a reason.
-    """
-    if n_total <= 0.0:
-        raise ValueError("n_total must be positive")
-
-    def result(ell: int, reason: str | None) -> KeyRateResult:
-        return KeyRateResult(
-            ell=ell,
-            rate=ell / n_total,
-            m0_l=m0.value,
-            m1_l=m1.value,
-            e_ph_u=eph.e_ph_upper,
-            lambda_ec=lam_ec,
-            e_z=e_z,
-            z_ks_size=z_ks_size,
-            aborted=ell == 0,
-            abort_reason=reason,
-        )
-
-    # failure probability actually consumed by the three estimates; the
-    # secrecy margin eps_s^2 must exceed it or no key can be claimed
-    eta_used = m0.failure_prob + m1.failure_prob + eph.failure_prob
-    if budget is not None and budget.eps_s**2 - eta_used <= 0.0:
-        return result(0, ABORT_EPS_BUDGET)
-    if m1.value <= 0.0:
-        return result(0, ABORT_COUNTS)
-
-    threshold = eph_threshold(m0.value, m1.value, lam_ec, budget, eta_used)
-    if threshold == 0.0:
-        # even a flawless phase-error estimate extracts nothing
-        return result(0, ABORT_COUNTS)
-    if threshold < 0.5 and eph.e_ph_upper >= threshold:
-        # at the 0.5 cap the length stays positive for every rate, so
-        # only an interior threshold can trigger the abort
-        return result(0, ABORT_PHASE)
-
-    logs = 0.0 if budget is None else _log_terms(budget, eta_used)
-    raw = m0.value + m1.value * (1.0 - _pa_penalty(eph.e_ph_upper)) - logs - lam_ec
-    ell = max(0, math.floor(raw))
-    return result(ell, ABORT_COUNTS if ell == 0 else None)
-
-
 class KeyRateBatch(NamedTuple):
     """KeyRateResult's fields for a batch of points, (B,) arrays.
 
@@ -239,7 +181,14 @@ def key_length_batch(
     e_z: np.ndarray,
     z_ks_size: np.ndarray,
 ) -> KeyRateBatch:
-    """``key_length`` for a batch of points, with the same lengths and aborts."""
+    """Extractable key length and rate per point.
+
+    Aborts are returned, never raised: an epsilon split with no secrecy
+    margin (the failure probability ``eta_used`` consumed by m0, m1 and
+    the phase estimate must stay below eps_s^2), a phase-error bound at
+    or past the zero-key threshold, and a nonpositive floored length all
+    yield ell = 0 with a reason.
+    """
     if n_total <= 0.0:
         raise ValueError("n_total must be positive")
     m0v, m1v, e_ph = m0.value, m1.value, eph.e_ph_upper
@@ -255,7 +204,7 @@ def key_length_batch(
         ])
     counted = budget_ok & ~(m1v <= 0.0)
     # the length at a zero, at a saturated and at the bounded phase-error
-    # rate, in eph_threshold's and key_length's arithmetic
+    # rate, in eph_threshold's arithmetic
     at_zero = m0v + m1v * (1.0 - 0.0) - logs - lam_ec
     at_half = m0v + m1v * (1.0 - 1.0) - logs - lam_ec
     penalty = np.array([

@@ -1,12 +1,14 @@
 """End-to-end rate evaluation: channel statistics to key length.
 
-This is the single code path shared by the sweep, the optimizer, and
-the validation suites, so every consumer agrees on how the pieces chain
-together.  The chain runs on batches of parameter points, with a leading
-batch axis: ``evaluate_batch`` evaluates many points at once (the
-optimizer's grid), and ``evaluate_rate`` is a batch of one.  The channel
-statistics default to the expected values of the system model; sampled
-counts can be substituted for coverage studies.
+This is the single code path shared by the sweep and the optimizer, so
+every consumer agrees on how the pieces chain together.  The chain
+(``decoy_bounds_batch``, ``n_ph_upper_batch``, ``key_length_batch``) runs
+on batches of parameter points, with a leading batch axis:
+``evaluate_batch`` evaluates many points at once (the optimizer's grid),
+and ``evaluate_rate`` is a batch of one.  The validation suites call the
+same batch functions.  The channel statistics default to the expected
+values of the system model; sampled counts can be substituted for
+coverage studies.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from .budget import EpsilonBudget
 from .channel import ChannelConfig, ChannelModel
 from .decoy import (
-    CELLS,
     CountsBatch,
     IntensityBatch,
     IntensitySet,
@@ -52,9 +53,6 @@ __all__ = [
 ]
 
 K_D2_DEFAULT = 2e-4
-
-# the cell order of the scalar chain, kept under its old name
-_CELLS = CELLS
 
 
 @dataclass(frozen=True)

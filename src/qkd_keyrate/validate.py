@@ -21,17 +21,15 @@ from .concentration import (
     mult_chernoff_devs,
 )
 from .decoy import (
-    IntensitySet,
-    ObservedCounts,
-    decoy_cell_bounds,
-    m0_lower_exact,
-    m0_lower_fluct,
-    m1_lower_exact,
-    m1_lower_fluct,
+    CELLS,
+    K_LABELS,
+    CountsBatch,
+    IntensityBatch,
+    decoy_bounds_batch,
     poisson_pk,
 )
-from .phase_error import n_ph_appendixE, n_ph_upper_general
-from .pipeline import ProtocolParams, build_source_model
+from .phase_error import n_ph_appendixE, n_ph_upper_batch, phase_terms
+from .pipeline import ParamBatch, ProtocolParams, build_source_model
 
 __all__ = [
     "coverage_suite",
@@ -40,10 +38,9 @@ __all__ = [
     "run_validation",
 ]
 
-_SENDER_STATES = (("Z", 0), ("Z", 1), ("X", 0))
-_CELLS = tuple(
-    (a, y, b, y1) for a, y in _SENDER_STATES for b in ("Z", "X") for y1 in (0, 1)
-)
+# the cells of the three sender states the protocol emits (no X1)
+_POPULATED = tuple(i for i, (a, y, _, _) in enumerate(CELLS) if (a, y) != ("X", 1))
+_ZZ = tuple(CELLS.index(("Z", y, "Z", y1)) for y in (0, 1) for y1 in (0, 1))
 
 
 def _record(bound: str, n: int, eps: float, side: str, violations: int,
@@ -161,108 +158,94 @@ def sandwich_suite(
     Synthetic expected statistics are produced from per-cell photon-number
     yield curves, so the true n-photon contributions are known exactly;
     every lower bound must sit below its truth and every upper bound above.
+    Each r is one batch over the distances.
     """
+    by_r = {r: _sandwich_points(distances, r) for r in rs}
+    points = [by_r[r][j] for j in range(len(distances)) for r in rs]
+    return {
+        "points": points,
+        "cells_per_point": len(_POPULATED),
+        "pass": all(pt["pass"] for pt in points),
+    }
+
+
+def _sandwich_points(distances: tuple[float, ...], r: float) -> list[dict]:
     p_z, p_ks, p_kd1 = 0.7, 0.6, 0.3
     k_s, k_d1, k_d2 = 0.5, 0.1, 2e-4
     n_total = 1e12
     max_n = 80
     p_label = {"s": p_ks, "d1": p_kd1, "d2": 1.0 - p_ks - p_kd1}
-
     state_prob = {("Z", 0): 0.5 * p_z, ("Z", 1): 0.5 * p_z, ("X", 0): 1.0 - p_z}
     basis_prob = {"Z": p_z, "X": 1.0 - p_z}
 
-    points = []
-    for dist in distances:
+    mode = "exact" if r == 0.0 else "fluct"
+    count = len(distances)
+    intens, _ = IntensityBatch.from_params(
+        mode, *(np.full(count, v) for v in (k_s, k_d1, k_d2, p_ks, p_kd1)), r
+    )
+    weights = {
+        lab: _photon_weights(k, r, max_n) for lab, k in zip(K_LABELS, (k_s, k_d1, k_d2))
+    }
+    cells = np.zeros((count, 3, 16))
+    trials = np.zeros((count, 16))
+    z_by_k = np.zeros((count, 3))
+    # per point and cell: the true vacuum and single-photon counts
+    truth = np.zeros((count, 2, 16))
+    for j, dist in enumerate(distances):
         eta = 0.15 * 10.0 ** (-0.2 * dist / 10.0)
         base = 1.0 - (1.0 - 5e-7) * (1.0 - eta) ** np.arange(max_n)
-        for r in rs:
-            mode = "exact" if r == 0.0 else "fluct"
-            if mode == "exact":
-                intens = IntensitySet.exact(
-                    k_s=k_s, k_d1=k_d1, k_d2=k_d2, p_s=p_ks, p_d1=p_kd1
-                )
-            else:
-                intens = IntensitySet.fluctuating(
-                    k_s=k_s, k_d1=k_d1, k_d2=k_d2, p_s=p_ks, p_d1=p_kd1, r=r
-                )
-            weights = {
-                lab: _photon_weights(getattr(intens, lab).nominal, r, max_n)
-                for lab in ("s", "d1", "d2")
-            }
+        for idx, i in enumerate(_POPULATED):
+            a, y, b, _ = CELLS[i]
+            n_ayb = n_total * state_prob[(a, y)] * basis_prob[b]
+            trials[j, i] = n_ayb
+            yields = (0.15 + 0.05 * idx) * base  # cell-to-cell spread
+            for li, lab in enumerate(K_LABELS):
+                cells[j, li, i] = n_ayb * p_label[lab] * float(weights[lab] @ yields)
+            for n in (0, 1):
+                truth[j, n, i] = n_ayb * p_label["s"] * weights["s"][n] * yields[n]
+        for li in range(3):
+            z_by_k[j, li] = sum(cells[j, li, i] for i in _ZZ)
+    counts = CountsBatch(
+        cells=cells,
+        trials=trials,
+        z_by_k=z_by_k,
+        z_tot=np.array([sum(row) for row in z_by_k.tolist()]),
+        n_z=np.full(count, n_total * p_z * p_z),
+    )
+    budget = EpsilonBudget.build(1e-10, 1e-15, mode)
+    m0, m1, bounds = decoy_bounds_batch(counts, intens, budget, mode)
 
-            cells: dict = {}
-            trials_by_config: dict = {}
-            truth = {}
-            for idx, (a, y, b, y1) in enumerate(_CELLS):
-                n_ayb = n_total * state_prob[(a, y)] * basis_prob[b]
-                trials_by_config[(a, y, b)] = n_ayb
-                yields = (0.15 + 0.05 * idx) * base  # cell-to-cell spread
-                for lab in ("s", "d1", "d2"):
-                    cells[(a, y, b, y1, lab)] = (
-                        n_ayb * p_label[lab] * float(weights[lab] @ yields)
-                    )
-                truth[(a, y, b, y1)] = (
-                    n_ayb * p_label["s"] * weights["s"][0] * yields[0],
-                    n_ayb * p_label["s"] * weights["s"][1] * yields[1],
-                )
-            z_by_k = {
-                lab: sum(
-                    cells[("Z", y, "Z", y1, lab)] for y in (0, 1) for y1 in (0, 1)
-                )
-                for lab in ("s", "d1", "d2")
-            }
-            counts = ObservedCounts(
-                z_by_k=z_by_k,
-                cells=cells,
-                n_z=n_total * p_z * p_z,
-                n_total=n_total,
-                trials_by_config=trials_by_config,
-            )
-            truth0_z = sum(truth[(("Z"), y, "Z", y1)][0] for y in (0, 1) for y1 in (0, 1))
-            truth1_z = sum(truth[(("Z"), y, "Z", y1)][1] for y in (0, 1) for y1 in (0, 1))
-
-            budget = EpsilonBudget.build(1e-10, 1e-15, mode)
-            if mode == "exact":
-                m0 = m0_lower_exact(counts, intens, budget)
-                m1 = m1_lower_exact(counts, intens, budget, m0)
-            else:
-                m0 = m0_lower_fluct(counts, intens, budget)
-                m1 = m1_lower_fluct(counts, intens, budget, m0)
-
-            slack = 1e-9 * n_total  # float roundoff on 1e12-scale counts
-            violations = []
-            if m0.value > truth0_z + slack:
-                violations.append("m0_lower")
-            if m1.value > truth1_z + slack:
-                violations.append("m1_lower")
-            margins = [truth0_z - m0.value, truth1_z - m1.value]
-            for cell4 in _CELLS:
-                cb = decoy_cell_bounds(cell4, counts, intens, budget, mode)
-                t0, t1 = truth[cell4]
-                label = "".join(str(part) for part in cell4)
-                if cb.lower0.value > t0 + slack:
-                    violations.append(f"cell.{label}.lower0")
-                if cb.lower1.value > t1 + slack:
-                    violations.append(f"cell.{label}.lower1")
-                if cb.upper1.value < t1 - slack:
-                    violations.append(f"cell.{label}.upper1")
-                margins.extend(
-                    [t0 - cb.lower0.value, t1 - cb.lower1.value,
-                     cb.upper1.value - t1]
-                )
-            points.append({
-                "distance_km": dist,
-                "r": r,
-                "violations": violations,
-                "min_margin": float(min(margins)),
-                "pass": not violations,
-            })
-
-    return {
-        "points": points,
-        "cells_per_point": len(_CELLS),
-        "pass": all(pt["pass"] for pt in points),
-    }
+    slack = 1e-9 * n_total  # float roundoff on 1e12-scale counts
+    points = []
+    for j, dist in enumerate(distances):
+        truth0_z = sum(truth[j, 0, i] for i in _ZZ)
+        truth1_z = sum(truth[j, 1, i] for i in _ZZ)
+        violations = []
+        if m0.value[j] > truth0_z + slack:
+            violations.append("m0_lower")
+        if m1.value[j] > truth1_z + slack:
+            violations.append("m1_lower")
+        margins = [truth0_z - m0.value[j], truth1_z - m1.value[j]]
+        for i in _POPULATED:
+            t0, t1 = truth[j, :, i]
+            low0, low1 = bounds.lower0.value[j, i], bounds.lower1.value[j, i]
+            up1 = bounds.upper1.value[j, i]
+            label = "".join(str(part) for part in CELLS[i])
+            if low0 > t0 + slack:
+                violations.append(f"cell.{label}.lower0")
+            if low1 > t1 + slack:
+                violations.append(f"cell.{label}.lower1")
+            if up1 < t1 - slack:
+                violations.append(f"cell.{label}.upper1")
+            margins.extend([t0 - low0, t1 - low1, up1 - t1])
+        points.append({
+            "distance_km": dist,
+            "r": r,
+            "violations": violations,
+            "min_margin": float(min(margins)),
+            "pass": not violations,
+        })
+    return points
 
 
 def crosscheck_suite(tolerance: float = 1e-9) -> dict:
@@ -270,43 +253,38 @@ def crosscheck_suite(tolerance: float = 1e-9) -> dict:
 
     The general coefficient path and the closed form are independent
     derivations of the same bound; any disagreement beyond roundoff
-    means one of them is wrong, so the tolerance is tight.
+    means one of them is wrong, so the tolerance is tight.  Each (xi,
+    distance) is one batch over p_z.
     """
     xis = (0.0, 0.03675, 0.0735, 0.11025, 0.147)
     pzs = (0.35, 0.5, 0.65, 0.8, 0.9)
     dists = (30.0, 90.0)
     budget = EpsilonBudget.build(1e-10, 1e-15, "exact")
     n_total = 1e12
+    params = ParamBatch.of([
+        ProtocolParams(p_z=p_z, p_ks=0.6, p_kd1=0.3, k_s=0.5, k_d1=0.1) for p_z in pzs
+    ])
+    intens, _ = params.intensities("exact", 0.0)
 
     points = []
     worst = 0.0
     for xi in xis:
+        terms = np.array([phase_terms(build_source_model(xi, p_z)) for p_z in pzs])
         for dist in dists:
             cfg = ChannelConfig(
                 distance_km=dist, det_eff=0.15, dark_prob=5e-7,
                 e_mis=0.01, fluct_r=0.0, xi=xi, atten_db_per_km=0.2,
             )
-            model = ChannelModel(cfg)
-            for p_z in pzs:
-                params = ProtocolParams(
-                    p_z=p_z, p_ks=0.6, p_kd1=0.3, k_s=0.5, k_d1=0.1
-                )
-                intens = params.intensities("exact", 0.0)
-                counts, _ = model.expected(intens, p_z, n_total)
-                cells = {
-                    cell: decoy_cell_bounds(cell, counts, intens, budget, "exact")
-                    for cell in _CELLS
-                }
-                m0 = m0_lower_exact(counts, intens, budget)
-                m1 = m1_lower_exact(counts, intens, budget, m0)
-                qm = build_source_model(xi, p_z)
-                general = n_ph_upper_general(qm, cells, m1, budget).n_ph_upper
-                closed = n_ph_appendixE(xi, p_z, cells, budget)
-                rel = float(abs(general - closed) / max(abs(closed), 1e-300))
-                worst = max(worst, rel)
+            counts, _ = ChannelModel(cfg).expected_batch(intens, params.p_z, n_total)
+            _, m1, cells = decoy_bounds_batch(counts, intens, budget, "exact")
+            general = n_ph_upper_batch(terms, cells, m1, budget).n_ph_upper
+            closed = n_ph_appendixE(xi, params.p_z, cells, budget)
+            rel = np.abs(general - closed) / np.maximum(np.abs(closed), 1e-300)
+            for p_z, rel_diff in zip(pzs, rel.tolist()):
+                worst = max(worst, rel_diff)
                 points.append({
                     "xi": xi, "p_z": p_z, "distance_km": dist,
-                    "rel_diff": rel, "pass": rel <= tolerance,
+                    "rel_diff": rel_diff, "pass": rel_diff <= tolerance,
                 })
     return {
         "points": points,

@@ -18,10 +18,7 @@ from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig
 from qkd_keyrate.cli import run_sweep
 from qkd_keyrate.config import parse_config, with_overrides
-from qkd_keyrate.decoy import BoundKind, DecoyBound
-from qkd_keyrate.key_length import key_length
 from qkd_keyrate.optimize import optimize_rate
-from qkd_keyrate.phase_error import PhaseErrorBound
 from qkd_keyrate.pipeline import ProtocolParams, build_source_model, evaluate_rate
 from qkd_keyrate.qubit_model import (
     EncodingFlawModel,
@@ -34,6 +31,8 @@ from qkd_keyrate.qubit_model import (
     virtual_state_coeffs,
 )
 from qkd_keyrate.validate import coverage_suite, crosscheck_suite, sandwich_suite
+
+from one_point import bound, key_length, phase
 
 SWEEP_TEMPLATE = """\
 [source]
@@ -251,11 +250,7 @@ def test_a8_algebraic_batteries():
 
     def ell(m0=1e4, m1=1e6, e_ph=0.05, lam=2e5):
         return key_length(
-            DecoyBound(m0, 0.0, BoundKind.VAC_LOWER, mu=m0),
-            DecoyBound(m1, 0.0, BoundKind.SINGLE_LOWER, mu=m1),
-            PhaseErrorBound(n_ph_upper=0.0, n1_upper=0.0, e_ph_upper=e_ph,
-                            failure_prob=0.0, term_log=()),
-            lam, budget, n_total=1e12,
+            bound(m0), bound(m1), phase(e_ph), lam, budget, n_total=1e12
         ).ell
 
     base = ell()

@@ -2,8 +2,9 @@
 
 ``scalar_rate`` is the one-point chain as ``evaluate_rate`` ran it before
 the batch path existed: the scalar decoy, phase-error and key-length
-functions, one call per cell.  The batch path must give the same key
-length and abort reason at every point, and bit-identical floats.
+functions of ``scalar_chain``, one call per cell.  The batch path must
+give the same key length and abort reason at every point, and
+bit-identical floats.
 """
 
 import dataclasses
@@ -13,21 +14,10 @@ import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig, ChannelModel
-from qkd_keyrate.decoy import (
-    CELLS,
-    BoundBatch,
-    BoundKind,
-    DecoyBound,
-    decoy_cell_bounds,
-    m0_lower_exact,
-    m0_lower_fluct,
-    m1_lower_exact,
-    m1_lower_fluct,
-)
+from qkd_keyrate.decoy import CELLS, BoundBatch
 from qkd_keyrate.key_length import (
     KeyRateResult,
     eph_threshold,
-    key_length,
     key_length_batch,
     lambda_ec,
 )
@@ -40,7 +30,20 @@ from qkd_keyrate.pipeline import (
     evaluate_rate,
     observed_error_rate,
 )
-from qkd_keyrate.phase_error import PhaseErrorBatch, PhaseErrorBound, n_ph_upper_general
+from qkd_keyrate.phase_error import PhaseErrorBatch
+
+from scalar_chain import (
+    BoundKind,
+    DecoyBound,
+    PhaseErrorBound,
+    decoy_cell_bounds,
+    key_length,
+    m0_lower_exact,
+    m0_lower_fluct,
+    m1_lower_exact,
+    m1_lower_fluct,
+    n_ph_upper_general,
+)
 
 REL = 1e-12
 FIELDS = ("rate", "m0_l", "m1_l", "e_ph_u", "lambda_ec", "e_z", "z_ks_size")

@@ -103,6 +103,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_removed_k_d2_key_exit_code(tmp_path, capsys):
+    # the weakest decoy intensity is pinned by the search space, not the config
+    ini = tmp_path / "k_d2.ini"
+    ini.write_text("[source]\nk_d2 = 1e-3\n")
+    assert main(["sweep", "--config", str(ini)]) == 1
+    assert "unknown key 'k_d2' in section [source]" in capsys.readouterr().err
+
+
 def test_validate_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "run_validation",

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkd_keyrate.concentration import (
-    DeviationRequest,
     Lemma,
     azuma_dev,
     best_mean_bound,
@@ -107,16 +106,6 @@ def test_mult_chernoff_validity_edges():
 def test_azuma_frozen_values():
     assert azuma_dev(1e6, 1e-10) == pytest.approx(CHERNOFF_LOWER_1E6, rel=REL)
     assert azuma_dev(0, 0.3) == 0.0
-
-
-def test_deviation_request_invariants():
-    DeviationRequest(5.0, 10, 0.1)
-    with pytest.raises(ValueError):
-        DeviationRequest(-1.0, 10, 0.1)
-    with pytest.raises(ValueError):
-        DeviationRequest(11.0, 10, 0.1)
-    with pytest.raises(ValueError):
-        DeviationRequest(5.0, 10, 0.0)
 
 
 def test_best_mean_bound_picks_hoeffding_for_dense_counts():

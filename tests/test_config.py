@@ -24,7 +24,6 @@ def test_defaults_from_empty_config():
     assert cfg.dark_prob == 5e-7
     assert cfg.e_mis == 0.01
     assert cfg.atten_db_per_km == 0.2
-    assert cfg.k_d2 == 2e-4
     assert (cfg.start_km, cfg.stop_km, cfg.step_km) == (0.0, 200.0, 10.0)
 
 
@@ -116,7 +115,7 @@ def test_run_rejects_non_finite(key, text):
 
 
 @pytest.mark.parametrize("text", NON_FINITE)
-@pytest.mark.parametrize("key", ["xi", "fluct_r", "k_d2"])
+@pytest.mark.parametrize("key", ["xi", "fluct_r"])
 def test_source_rejects_non_finite(key, text):
     with pytest.raises(ConfigError, match=f"source.{key} must be a finite number"):
         parse_config(f"[source]\n{key} = {text}\n")

@@ -12,16 +12,9 @@ import numpy as np
 import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
-from qkd_keyrate.decoy import (
-    IntensitySet,
-    ObservedCounts,
-    decoy_cell_bounds,
-    m0_lower_exact,
-    m0_lower_fluct,
-    m1_lower_exact,
-    m1_lower_fluct,
-    poisson_pk,
-)
+from qkd_keyrate.decoy import IntensitySet, ObservedCounts, poisson_pk
+
+from one_point import cell, decoy_bounds
 
 REL = 1e-12
 
@@ -48,6 +41,11 @@ def flat_yield_counts(n_z=1e10, y=1e-3):
         for lab in ("s", "d1", "d2")
     }
     return ObservedCounts(z_by_k=z, cells={}, n_z=n_z, n_total=n_z), intens
+
+
+def m0_m1(counts, intens, budget, mode="exact"):
+    m0, m1, _ = decoy_bounds(counts, intens, budget, mode)
+    return m0, m1
 
 
 def poisson_mixture_counts(yields, n_z=1e10, max_n=80):
@@ -118,15 +116,14 @@ def test_signal_joint_probabilities():
 def test_flat_yield_vacuum_ratio():
     counts, intens = flat_yield_counts()
     truth = counts.n_z * intens.s.prob * math.exp(-0.5) * 1e-3
-    m0 = m0_lower_exact(counts, intens, None)
+    m0, _ = m0_m1(counts, intens, None)
     assert m0.value / truth == pytest.approx(VACUUM_RATIO, rel=REL)
 
 
 def test_flat_yield_single_ratio():
     counts, intens = flat_yield_counts()
     truth = counts.n_z * intens.s.prob * POISSON_1_HALF * 1e-3
-    m0 = m0_lower_exact(counts, intens, None)
-    m1 = m1_lower_exact(counts, intens, None, m0)
+    _, m1 = m0_m1(counts, intens, None)
     assert m1.value / truth == pytest.approx(SINGLE_RATIO, rel=REL)
 
 
@@ -135,8 +132,7 @@ def test_poisson_mixture_sandwich(seed):
     rng = np.random.default_rng(seed)
     yields = rng.uniform(0.0, 1.0, size=30)
     counts, intens, truth0, truth1 = poisson_mixture_counts(yields)
-    m0 = m0_lower_exact(counts, intens, None)
-    m1 = m1_lower_exact(counts, intens, None, m0)
+    m0, m1 = m0_m1(counts, intens, None)
     assert m0.value <= truth0 * (1 + 1e-12)
     assert m1.value <= truth1 * (1 + 1e-12)
 
@@ -157,7 +153,7 @@ def test_cell_bound_sandwich(seed):
     truth0 = n_cfg * intens.s.prob * poisson_pk(0, 0.5) * yields[0]
     truth1 = n_cfg * intens.s.prob * poisson_pk(1, 0.5) * yields[1]
     for mode in ("exact", "fluct"):
-        cb = decoy_cell_bounds(("Z", 0, "X", 1), counts, intens, None, mode)
+        cb = cell(decoy_bounds(counts, intens, None, mode)[2], "Z", 0, "X", 1)
         assert cb.lower0.value <= truth0 * (1 + 1e-12)
         assert cb.lower1.value <= truth1 * (1 + 1e-12) <= max(cb.upper1.value, truth1)
         assert cb.upper1.value >= truth1 * (1 - 1e-12)
@@ -167,11 +163,9 @@ def test_fluct_reduces_to_exact_at_zero_width():
     counts, _ = flat_yield_counts()
     exact = make_intens()
     degenerate = make_intens(r=0.0)
-    m0e = m0_lower_exact(counts, exact, None)
-    m0f = m0_lower_fluct(counts, degenerate, None)
+    m0e, m1e = m0_m1(counts, exact, None, "exact")
+    m0f, m1f = m0_m1(counts, degenerate, None, "fluct")
     assert m0f.value == pytest.approx(m0e.value, rel=REL)
-    m1e = m1_lower_exact(counts, exact, None, m0e)
-    m1f = m1_lower_fluct(counts, degenerate, None, m0f)
     assert m1f.value == pytest.approx(m1e.value, rel=REL)
 
 
@@ -180,8 +174,7 @@ def test_fluct_bounds_weaken_with_width():
     values = []
     for r in (0.0, 0.02, 0.05, 0.1):
         intens = make_intens(r=r)
-        m0 = m0_lower_fluct(counts, intens, None)
-        m1 = m1_lower_fluct(counts, intens, None, m0)
+        m0, m1 = m0_m1(counts, intens, None, "fluct")
         values.append((m0.value, m1.value))
     for (a0, a1), (b0, b1) in zip(values, values[1:]):
         assert b0 <= a0 * (1 + 1e-12)
@@ -191,21 +184,19 @@ def test_fluct_bounds_weaken_with_width():
 def test_finite_budget_never_beats_asymptotic():
     counts, intens = flat_yield_counts()
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
-    m0a = m0_lower_exact(counts, intens, None)
-    m0f = m0_lower_exact(counts, intens, budget)
+    m0a, m1a = m0_m1(counts, intens, None)
+    m0f, m1f = m0_m1(counts, intens, budget)
     assert m0f.value <= m0a.value
-    m1a = m1_lower_exact(counts, intens, None, m0a)
-    m1f = m1_lower_exact(counts, intens, budget, m0f)
     assert m1f.value <= m1a.value
     assert 0.0 < m1f.failure_prob < budget.eta
-    assert m1f.failure_prob > m0f.mean_failure
+    # m1 reuses m0's mean estimates: m0's failure less its final step
+    assert m1f.failure_prob > m0f.failure_prob - budget.alloc("m0.final")
 
 
 def test_finite_cap_at_signal_count():
     counts, intens = flat_yield_counts()
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
-    m1 = m1_lower_exact(counts, intens, budget,
-                        m0_lower_exact(counts, intens, budget))
+    _, m1 = m0_m1(counts, intens, budget)
     assert m1.value <= counts.z_k("s")
 
 
@@ -215,11 +206,10 @@ def test_zero_counts():
                             cells={}, n_z=0.0, n_total=0.0)
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
     for b in (None, budget):
-        m0 = m0_lower_exact(counts, intens, b)
-        m1 = m1_lower_exact(counts, intens, b, m0)
+        m0, m1 = m0_m1(counts, intens, b)
         assert m0.value == 0.0
         assert m1.value == 0.0
-    cb = decoy_cell_bounds(("Z", 0, "X", 0), counts, intens, budget, "exact")
+    cb = cell(decoy_bounds(counts, intens, budget, "exact")[2], "Z", 0, "X", 0)
     assert cb.lower0.value == cb.lower1.value == cb.upper1.value == 0.0
 
 
@@ -235,4 +225,4 @@ def test_counts_validation():
 def test_cell_bounds_mode_validation():
     counts, intens = flat_yield_counts()
     with pytest.raises(ValueError):
-        decoy_cell_bounds(("Z", 0, "X", 0), counts, intens, None, "other")
+        decoy_bounds(counts, intens, None, "other")

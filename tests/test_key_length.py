@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qkd_keyrate.budget import EpsilonBudget
-from qkd_keyrate.decoy import BoundKind, DecoyBound
 from qkd_keyrate.key_length import (
     ABORT_COUNTS,
     ABORT_EPS_BUDGET,
@@ -18,10 +17,10 @@ from qkd_keyrate.key_length import (
     KeyRateResult,
     binary_entropy,
     eph_threshold,
-    key_length,
     lambda_ec,
 )
-from qkd_keyrate.phase_error import PhaseErrorBound
+
+from one_point import bound, key_length, phase
 
 H_011 = 0.499915958164528
 H_002 = 0.14144054254182065
@@ -29,15 +28,6 @@ H_025 = 0.81127812445913286
 LAMBDA_1E6 = 164071.02934851195  # 1.16e6 h(0.02)
 ELL_SPOT = 523484  # floor of the frozen spot formula below
 ELL_SPOT_HALF_ETA = 523483  # same with half the secrecy margin consumed
-
-
-def bound(v, failure=0.0):
-    return DecoyBound(v, failure, BoundKind.SINGLE_LOWER, mu=v)
-
-
-def phase(e, failure=0.0):
-    return PhaseErrorBound(n_ph_upper=0.0, n1_upper=0.0, e_ph_upper=e,
-                           failure_prob=failure, term_log=())
 
 
 def spot_budget():

@@ -5,27 +5,16 @@ the closed form for the proportional flaw model; the two derivations
 share no code path beyond the cell bounds, so agreement pins both.
 """
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig, expected_counts
-from qkd_keyrate.decoy import (
-    BoundKind,
-    CellBounds,
-    DecoyBound,
-    IntensitySet,
-    decoy_cell_bounds,
-    m0_lower_exact,
-    m1_lower_exact,
-)
-from qkd_keyrate.phase_error import (
-    n1_upper,
-    n_mxs,
-    n_ph_appendixE,
-    n_ph_upper_general,
-)
+from qkd_keyrate.decoy import CELLS, BoundBatch, CellBoundsBatch, IntensitySet
+from qkd_keyrate.phase_error import n_ph_appendixE, n_ph_upper_batch, phase_terms
 from qkd_keyrate.qubit_model import (
     EncodingFlawModel,
     THETA_0X,
@@ -36,6 +25,9 @@ from qkd_keyrate.qubit_model import (
     build_transmission_matrix,
     virtual_state_coeffs,
 )
+
+from one_point import bound as m1_bound
+from one_point import decoy_bounds, phase_bound
 
 
 def build_qm(xi, p_z, gamma=1.0):
@@ -52,12 +44,7 @@ def build_stats(xi, p_z, distance_km, budget, p_d=5e-7, e_mis=0.01, n=1e12):
                         e_mis=e_mis, fluct_r=0.0, xi=xi)
     intens = IntensitySet.exact(k_s=0.5, k_d1=0.1, k_d2=2e-4, p_s=0.6, p_d1=0.3)
     counts, _ = expected_counts(cfg, intens, p_z, n)
-    cells = {
-        (a, y, b, y1): decoy_cell_bounds((a, y, b, y1), counts, intens, budget, "exact")
-        for a in ("Z", "X") for y in (0, 1) for b in ("Z", "X") for y1 in (0, 1)
-    }
-    m0 = m0_lower_exact(counts, intens, budget)
-    m1 = m1_lower_exact(counts, intens, budget, m0)
+    _, m1, cells = decoy_bounds(counts, intens, budget, "exact")
     return cells, m1
 
 
@@ -69,8 +56,8 @@ def test_general_matches_closed_form(xi, distance, finite):
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact") if finite else None
     cells, m1 = build_stats(xi, p_z, distance, budget)
     qm = build_qm(xi, p_z)
-    general = n_ph_upper_general(qm, cells, m1, budget)
-    reduced = n_ph_appendixE(xi, p_z, cells, budget)
+    general = phase_bound(qm, cells, m1, budget)
+    reduced = n_ph_appendixE(xi, np.array([p_z]), cells, budget)
     assert general.n_ph_upper == pytest.approx(reduced, rel=1e-9)
 
 
@@ -87,19 +74,13 @@ def exact_single_photon_cells(p_z, eta):
         ("Z", 1, "X", 1): p_z * p_x / 2.0 * q_split,
         ("X", 0, "X", 0): p_x * p_x * (2.0 * p - p * p),
     }
-    cells = {}
-    for a in ("Z", "X"):
-        for y in (0, 1):
-            for b in ("Z", "X"):
-                for y1 in (0, 1):
-                    v = values.get((a, y, b, y1), 0.0)
-                    bound = DecoyBound(v, 0.0, BoundKind.SINGLE_LOWER, mu=v)
-                    cells[(a, y, b, y1)] = CellBounds(
-                        lower0=DecoyBound(0.0, 0.0, BoundKind.VAC_LOWER),
-                        lower1=bound,
-                        upper1=DecoyBound(v, 0.0, BoundKind.SINGLE_UPPER, mu=v),
-                    )
-    return cells
+    single = np.array([[values.get(c, 0.0) for c in CELLS]])
+    zero = np.zeros((1, 16))
+    return CellBoundsBatch(
+        lower0=BoundBatch(zero, zero),
+        lower1=BoundBatch(single, zero),
+        upper1=BoundBatch(single, zero),
+    )
 
 
 def test_ideal_source_has_no_phase_errors():
@@ -108,8 +89,7 @@ def test_ideal_source_has_no_phase_errors():
     # seen through decoy bounds is multi-photon contamination, not this
     cells = exact_single_photon_cells(0.5, 0.015)
     qm = build_qm(0.0, 0.5)
-    m1 = DecoyBound(1.0, 0.0, BoundKind.SINGLE_LOWER, mu=1.0)
-    bound = n_ph_upper_general(qm, cells, m1, None)
+    bound = phase_bound(qm, cells, m1_bound(1.0), None)
     assert bound.n1_upper > 0.0
     assert abs(bound.n_ph_upper) <= 1e-12 * bound.n1_upper
     assert bound.e_ph_upper <= 1e-12
@@ -119,23 +99,16 @@ def test_ideal_source_decoy_residual_is_moderate():
     # the decoy-estimated version keeps a multi-photon residual; it must
     # stay well below the abort threshold at metropolitan distances
     cells, m1 = build_stats(0.0, 0.5, 50.0, None, p_d=0.0, e_mis=0.0)
-    bound = n_ph_upper_general(build_qm(0.0, 0.5), cells, m1, None)
+    bound = phase_bound(build_qm(0.0, 0.5), cells, m1, None)
     assert 0.0 < bound.e_ph_upper < 0.12
 
 
 def test_n1_upper_sums_cells():
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
-    cells, _ = build_stats(0.147, 0.5, 50.0, budget)
-    total = sum(cb.upper1.value for cb in cells.values())
-    assert n1_upper(cells) == pytest.approx(total, rel=1e-14)
-
-
-def test_term_log_sums_to_bound():
-    budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
     cells, m1 = build_stats(0.147, 0.5, 50.0, budget)
-    bound = n_ph_upper_general(build_qm(0.147, 0.5), cells, m1, budget)
-    total = sum(t["contribution"] for t in bound.term_log)
-    assert bound.n_ph_upper == pytest.approx(total, rel=1e-12)
+    total = sum(cells.upper1.value[0].tolist())
+    n1 = phase_bound(build_qm(0.147, 0.5), cells, m1, budget).n1_upper
+    assert n1 == pytest.approx(total, rel=1e-14)
 
 
 def test_deviations_only_loosen():
@@ -143,8 +116,8 @@ def test_deviations_only_loosen():
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
     cells_f, m1_f = build_stats(0.147, 0.5, 80.0, budget)
     qm = build_qm(0.147, 0.5)
-    asym = n_ph_upper_general(qm, cells_a, m1_a, None)
-    fin = n_ph_upper_general(qm, cells_f, m1_f, budget)
+    asym = phase_bound(qm, cells_a, m1_a, None)
+    fin = phase_bound(qm, cells_f, m1_f, budget)
     assert fin.n_ph_upper >= asym.n_ph_upper
     assert fin.e_ph_upper >= asym.e_ph_upper
     assert asym.failure_prob == 0.0
@@ -152,37 +125,45 @@ def test_deviations_only_loosen():
 
 
 def test_upper_branch_dominates_lower():
+    # a single unit-weight term, outcome 3 of half 1 (cell Z0 -> X0): a
+    # positive coefficient takes the upper bound plus its deviation, a
+    # negative one the lower bound minus it, floored at zero; a zero
+    # coefficient leaves only the two tail deviations
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
-    cells, _ = build_stats(0.147, 0.5, 50.0, budget)
+    cells, m1 = build_stats(0.147, 0.5, 50.0, budget)
     q = 0.25 * 0.5
-    eps = budget.alloc("ph.az.0.3")
-    hi = n_mxs(3, 0, +1, cells, q, eps)
-    lo = n_mxs(3, 0, -1, cells, q, eps)
-    assert hi >= lo >= 0.0
+
+    def one_term(coef):
+        terms = np.zeros((1, 6, 3))
+        terms[:, :, 2] = 1.0
+        terms[0, 3] = (1.0, coef, q)
+        return n_ph_upper_batch(terms, cells, m1, budget).n_ph_upper
+
+    hi, lo, tails = one_term(+1.0), one_term(-1.0), one_term(0.0)
+    assert hi >= lo >= tails
 
 
-def test_n_mxs_validation():
-    cells, _ = build_stats(0.147, 0.5, 50.0, None)
-    with pytest.raises(ValueError):
-        n_mxs(2, 0, +1, cells, 0.1, None)
-    with pytest.raises(ValueError):
-        n_mxs(3, 2, +1, cells, 0.1, None)
-    with pytest.raises(ValueError):
-        n_mxs(3, 0, +1, cells, 0.0, None)
+def test_phase_terms_validation():
+    # every collective outcome with a nonzero coefficient needs a positive
+    # weight Q(omega)
+    qm = build_qm(0.147, 0.5)
+    for omega in (3, 4, 5):
+        with pytest.raises(ValueError):
+            phase_terms(dataclasses.replace(qm, q={**qm.q, omega: 0.0}))
 
 
 def test_empty_single_photon_bound_aborts():
     cells, _ = build_stats(0.147, 0.5, 50.0, None)
-    dead = DecoyBound(0.0, 0.0, BoundKind.SINGLE_LOWER, mu=0.0)
-    bound = n_ph_upper_general(build_qm(0.147, 0.5), cells, dead, None)
+    dead = m1_bound(0.0)
+    bound = phase_bound(build_qm(0.147, 0.5), cells, dead, None)
     assert bound.e_ph_upper == 1.0
 
 
 def test_error_rate_clamped_to_one():
     # a tiny single-photon floor forces the ratio past 1
     cells, _ = build_stats(0.147, 0.5, 50.0, None)
-    tiny = DecoyBound(1e-6, 0.0, BoundKind.SINGLE_LOWER, mu=1e-6)
-    bound = n_ph_upper_general(build_qm(0.147, 0.5), cells, tiny, None)
+    tiny = m1_bound(1e-6)
+    bound = phase_bound(build_qm(0.147, 0.5), cells, tiny, None)
     assert bound.e_ph_upper == 1.0
 
 
@@ -192,6 +173,6 @@ def test_unbalanced_source_still_bounded():
     qm = build_qm(0.147, 0.5, gamma=0.9)
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
     cells, m1 = build_stats(0.147, 0.5, 50.0, budget)
-    bound = n_ph_upper_general(qm, cells, m1, budget)
+    bound = phase_bound(qm, cells, m1, budget)
     assert bound.n_ph_upper >= 0.0
     assert 0.0 <= bound.e_ph_upper <= 1.0

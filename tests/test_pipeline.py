@@ -10,17 +10,9 @@ from hypothesis import strategies as st
 
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig, ChannelModel
-from qkd_keyrate.decoy import (
-    ObservedCounts,
-    decoy_cell_bounds,
-    m0_lower_exact,
-    m1_lower_exact,
-)
-from qkd_keyrate.key_length import key_length, lambda_ec
+from qkd_keyrate.decoy import ObservedCounts
 from qkd_keyrate.optimize import SearchSpace
-from qkd_keyrate.phase_error import n_ph_upper_general
 from qkd_keyrate.pipeline import (
-    _CELLS,
     ProtocolParams,
     _filtered_source,
     build_source_model,
@@ -49,28 +41,6 @@ def channel(dist=40.0, r=0.0, xi=0.147):
 
 def budget(mode="exact", eps_sec=1e-10):
     return EpsilonBudget.build(eps_sec, 1e-15, mode)
-
-
-def test_matches_manual_chain():
-    cfg = channel()
-    bud = budget()
-    intens = PARAMS.intensities("exact", 0.0)
-    model = ChannelModel(cfg)
-    counts, e_z = model.expected(intens, PARAMS.p_z, 1e12)
-
-    m0 = m0_lower_exact(counts, intens, bud)
-    m1 = m1_lower_exact(counts, intens, bud, m0)
-    cells = {c: decoy_cell_bounds(c, counts, intens, bud, "exact")
-             for c in _CELLS}
-    qm = build_source_model(cfg.xi, PARAMS.p_z)
-    eph = n_ph_upper_general(qm, cells, m1, bud)
-    z_ks = counts.z_k("s")
-    manual = key_length(m0, m1, eph, lambda_ec(z_ks, e_z, 1.16), bud,
-                        n_total=1e12, e_z=e_z, z_ks_size=z_ks)
-
-    res = evaluate_rate(cfg, PARAMS, bud, 1e12)
-    assert res == manual
-    assert res.ell > 0
 
 
 def test_asymptotic_dominates_finite():
@@ -201,12 +171,14 @@ MODES = {"exact": (0.0, 1e12), "fluct": (0.02, 1e14)}
 @given(
     mode=st.sampled_from(sorted(MODES)),
     distance=st.floats(0.0, 120.0),
+    further=st.floats(0.0, 80.0),
     u=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
 )
 @settings(max_examples=150, deadline=None)
-def test_feasible_points_evaluate(mode, distance, u):
+def test_feasible_points_evaluate(mode, distance, further, u):
     # every point params_at produces that passes the intensity checks
-    # evaluates, has a rate in [0, 1], and a tighter eps_sec costs key
+    # evaluates, has a rate in [0, 1], a tighter eps_sec costs key, and
+    # the same point keys no faster over a longer link
     r, n_total = MODES[mode]
     params = SearchSpace().params_at(np.array(u))
     try:
@@ -219,3 +191,6 @@ def test_feasible_points_evaluate(mode, distance, u):
     assert 0.0 <= loose.rate <= 1.0
     assert 0.0 <= tight.rate <= 1.0
     assert tight.ell <= loose.ell
+    far = evaluate_rate(channel(dist=distance + further, r=r), params,
+                        budget(mode, 1e-8), n_total, mode=mode)
+    assert far.rate <= loose.rate
