@@ -68,9 +68,9 @@ def _sweep_point(cfg: RunConfig, distance_km: float) -> dict:
 def run_sweep(cfg: RunConfig) -> list[dict]:
     """Optimized key-rate rows over the configured distance grid.
 
-    Rows come back in distance order and are deterministic for a fixed
-    seed whatever the worker count, since every distance is optimized
-    independently from the same seed.
+    Rows come back in distance order and are deterministic whatever the
+    worker count, since every distance is optimized independently by a
+    deterministic search; ``cfg.seed`` has no effect on them.
     """
     distances = cfg.distances()
     if not distances:
@@ -178,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--asymptotic", action="store_true",
         help="drop all statistical deviations",
     )
-    p_sweep.add_argument("--seed", type=int, help="optimizer seed override")
+    p_sweep.add_argument(
+        "--seed", type=int, help="optimizer seed override (accepted, no effect)"
+    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="statistical validation suites")

@@ -1,20 +1,27 @@
 """Rate maximization over the free protocol parameters.
 
 The objective is cheap but non-smooth at abort boundaries, so the
-search runs a coarse grid over a fixed box and polishes the best cell
-with Nelder-Mead.  Parameter combinations that violate the intensity
-ordering or the probability simplex score zero rather than erroring.
-The grid is evaluated as numpy batches of GRID_CHUNK points, which
-bounds the memory a batch takes whatever the grid size; the polish
-evaluates one point per step.
+search runs a coarse grid over a fixed box and polishes the best grid
+point with a compass search (the pattern search of Hooke and Jeeves,
+J. ACM 8, 212 (1961); Torczon, SIAM J. Optim. 7, 1 (1997) proves its
+convergence).  The polish polls the ten axis neighbours u +- step*e_i
+of the unit-box point, moves to the best one that strictly raises the
+rate, and halves the step when none does, until POLISH_HALVINGS
+halvings.  It runs one such track from each of POLISH_FIRST_STEPS (half
+and a quarter of a grid step) and polls both in one batch, since one
+track alone can settle in the lower of two local optima.  Parameter
+combinations that violate the intensity ordering or the probability
+simplex score zero rather than erroring.  Grid chunks and polls go
+through one evaluate_batch path; the grid in batches of GRID_CHUNK
+points, which bounds the memory a batch takes whatever the grid size.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .budget import EpsilonBudget
 from .channel import ChannelConfig, ChannelModel
@@ -25,7 +32,6 @@ from .pipeline import (
     ProtocolParams,
     build_source_model,
     evaluate_batch,
-    evaluate_rate,
 )
 
 __all__ = ["InfeasibleSearchError", "OptimizationResult", "SearchSpace", "optimize_rate"]
@@ -34,6 +40,16 @@ GRID_POINTS = 7
 # grid points per batch: large enough to amortize the per-batch Python
 # work, small enough that a batch's arrays stay well under a megabyte
 GRID_CHUNK = 256
+# first steps of the compass polish's tracks, in grid steps; one track
+# alone lands in the lower of two local optima at some distances (the
+# half step at 150 km for xi = 0, the quarter step at 40 km for r = 0.05)
+POLISH_FIRST_STEPS = (0.5, 0.25)
+# a track stops at its 12th step halving, so its last poll step is 2**-11
+# of its first; 8 halvings left a single track up to 4.7e-5 relative short
+# of the best known rates on the benchmark sweeps
+POLISH_HALVINGS = 12
+# the ten polling directions +- e_i of the compass
+_COMPASS = np.concatenate([np.eye(5), -np.eye(5)])
 
 
 class InfeasibleSearchError(ValueError):
@@ -95,9 +111,19 @@ class SearchSpace:
 
 @dataclass
 class OptimizationResult:
+    """Best point of one optimization, with its cost split by phase.
+
+    ``evaluations`` is ``grid_evaluations + polish_evaluations``; the
+    two times are wall seconds from ``time.perf_counter``.
+    """
+
     best_params: ProtocolParams
     best: KeyRateResult
     evaluations: int
+    grid_evaluations: int
+    polish_evaluations: int
+    grid_s: float
+    polish_s: float
     trace: tuple = field(default_factory=tuple)
 
 
@@ -114,22 +140,23 @@ def optimize_rate(
 ) -> OptimizationResult:
     """Best rate over the search box at one distance.
 
-    Deterministic for a fixed seed: the grid is fixed and the seed only
-    shapes the initial Nelder-Mead simplex.  When nothing in the box
-    extracts a key the grid-center abort result is returned with rate 0.
+    ``"grid"`` scores the grid alone; ``"grid+nm"`` (a name kept from
+    the Nelder-Mead polish it once ran) then polishes the best grid
+    point with the compass search.  Both are deterministic:
+    ``seed`` is accepted for config compatibility and has no effect.
+    When nothing in the box extracts a key the grid-center abort result
+    is returned with rate 0.
     """
     if strategy not in ("grid", "grid+nm"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if grid_points < 2:
-        # as RunConfig requires: the polish starts from a simplex half a
-        # grid step wide
+        # as RunConfig requires: the polish steps are fractions of a grid step
         raise ValueError(f"grid_points must be >= 2, got {grid_points!r}")
     if space is None:
         space = SearchSpace()
 
     model = ChannelModel(cfg)
     qm_cache: dict[float, object] = {}
-    evaluations = 0
     trace: list[tuple[ProtocolParams, float]] = []
 
     def source(p_z: float):
@@ -138,43 +165,36 @@ def optimize_rate(
             qm = qm_cache.setdefault(p_z, build_source_model(cfg.xi, p_z))
         return qm
 
-    def rate_at(u: np.ndarray):
-        nonlocal evaluations
-        params = space.params_at(u)
-        evaluations += 1
-        try:
-            res = evaluate_rate(
-                cfg, params, budget, n_total, mode=mode, f_ec=f_ec,
-                qm=source(params.p_z), model=model,
-            )
-        except ValueError:
-            return params, None
-        return params, res
-
-    ticks = np.linspace(0.0, 1.0, grid_points)
-    center = np.full((1, 5), 0.5)
-    best_u = center[0]
-    best_params, best_res = space.params_at(best_u), None
-    best_rate = -1.0
-    # point 0 is the grid centre, point i > 0 the (i-1)-th grid point in
-    # row-major order; a chunk's units are formed when it is evaluated
-    for start in range(0, 1 + grid_points**5, GRID_CHUNK):
-        flat = np.arange(max(start, 1), min(start + GRID_CHUNK, 1 + grid_points**5))
-        chunk = ticks[np.stack(np.unravel_index(flat - 1, (grid_points,) * 5), axis=1)]
-        if start == 0:
-            chunk = np.concatenate([center, chunk])
-        points = space.params_batch(chunk)
-        evaluations += len(chunk)
+    def score(units: np.ndarray):
+        """Parameters, rates (-inf where infeasible), results and each
+        point's row in the results for a (B, 5) array of unit vectors."""
+        points = space.params_batch(units)
+        rates = np.full(len(units), -np.inf)
         try:
             feasible, batch = evaluate_batch(
                 cfg, points, budget, n_total, mode=mode, f_ec=f_ec,
                 model=model, source=source,
             )
         except ValueError:
-            continue
-        rates = np.full(len(chunk), -np.inf)
+            return points, rates, None, None
         rates[feasible] = batch.rate
-        slot = np.cumsum(feasible) - 1
+        return points, rates, batch, np.cumsum(feasible) - 1
+
+    t0 = time.perf_counter()
+    ticks = np.linspace(0.0, 1.0, grid_points)
+    center = np.full((1, 5), 0.5)
+    best_u = center[0]
+    best_params, best_res = space.params_at(best_u), None
+    best_rate = -1.0
+    grid_evaluations = 1 + grid_points**5
+    # point 0 is the grid centre, point i > 0 the (i-1)-th grid point in
+    # row-major order; a chunk's units are formed when it is evaluated
+    for start in range(0, grid_evaluations, GRID_CHUNK):
+        flat = np.arange(max(start, 1), min(start + GRID_CHUNK, grid_evaluations))
+        chunk = ticks[np.stack(np.unravel_index(flat - 1, (grid_points,) * 5), axis=1)]
+        if start == 0:
+            chunk = np.concatenate([center, chunk])
+        points, rates, batch, slot = score(chunk)
         # a point enters the trace when it beats every earlier point
         before = np.maximum.accumulate(np.concatenate([[best_rate], rates[:-1]]))
         for i in np.flatnonzero(rates > before):
@@ -182,32 +202,34 @@ def optimize_rate(
             best_res = batch.result(slot[i])
             best_rate = best_res.rate
             trace.append((best_params, best_rate))
+    t1 = time.perf_counter()
 
+    polish_evaluations = 0
     if strategy == "grid+nm" and best_res is not None and best_rate > 0.0:
-        rng = np.random.default_rng(seed)
-        step = 0.5 / (grid_points - 1)
-
-        def objective(u: np.ndarray) -> float:
-            _, res = rate_at(u)
-            return 0.0 if res is None else -res.rate
-
-        simplex = np.clip(
-            best_u + rng.uniform(-step, step, size=(6, 5)), 0.0, 1.0
-        )
-        simplex[0] = best_u
-        out = minimize(
-            objective, best_u, method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "xatol": 1e-4, "fatol": best_rate * 1e-6,
-                "maxfev": 600,
-            },
-        )
-        params, res = rate_at(out.x)
-        if res is not None and res.rate > best_rate:
-            best_params, best_res = params, res
-            best_rate = res.rate
-            trace.append((params, res.rate))
+        # every track still polling contributes its ten neighbours to one
+        # batch; a track moves or halves on its own rate, not the best
+        steps = np.array(POLISH_FIRST_STEPS) / (grid_points - 1)
+        track_u = np.tile(best_u, (len(steps), 1))
+        track_rate = np.full(len(steps), best_rate)
+        halvings = np.zeros(len(steps), dtype=int)
+        while (live := np.flatnonzero(halvings < POLISH_HALVINGS)).size:
+            stencil = track_u[live, None] + steps[live, None, None] * _COMPASS
+            stencil = np.clip(stencil.reshape(-1, 5), 0.0, 1.0)
+            points, rates, batch, slot = score(stencil)
+            polish_evaluations += len(stencil)
+            polled = rates.reshape(len(live), len(_COMPASS))
+            for k, t in enumerate(live):
+                i = k * len(_COMPASS) + int(np.argmax(polled[k]))
+                if not rates[i] > track_rate[t]:
+                    steps[t] /= 2.0
+                    halvings[t] += 1
+                    continue
+                track_u[t], track_rate[t] = stencil[i], rates[i]
+                if rates[i] > best_rate:
+                    best_params, best_res = points.point(i), batch.result(slot[i])
+                    best_rate = best_res.rate
+                    trace.append((best_params, best_rate))
+    t2 = time.perf_counter()
 
     if best_res is None:
         # nothing feasible anywhere in the box: surface the center point
@@ -218,6 +240,10 @@ def optimize_rate(
     return OptimizationResult(
         best_params=best_params,
         best=best_res,
-        evaluations=evaluations,
+        evaluations=grid_evaluations + polish_evaluations,
+        grid_evaluations=grid_evaluations,
+        polish_evaluations=polish_evaluations,
+        grid_s=t1 - t0,
+        polish_s=t2 - t1,
         trace=tuple(trace),
     )

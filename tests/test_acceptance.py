@@ -5,7 +5,9 @@ figure-level distance sweep and its runtime, flaw insensitivity,
 the intensity-fluctuation regime contrast, the asymptotic fluctuation
 distance shifts, the closed-form phase-bound crosscheck, concentration
 coverage, the decoy sandwich, and the algebraic identity batteries.
-Run with ``pytest -v tests/test_acceptance.py`` for one line per check.
+A guard beside a1 holds the optimizer to the key lengths of the
+Nelder-Mead polish it replaced.  Run with
+``pytest -v tests/test_acceptance.py`` for one line per check.
 """
 
 import math
@@ -70,6 +72,33 @@ def test_a1_sweep_positive_at_150_zero_by_200(sweep_flawed, sweep_clean):
         assert rates[150.0] > 0.0
         assert rates[200.0] == 0.0
         assert elapsed <= 300.0
+
+
+# Key lengths of the a1 sweeps with the Nelder-Mead polish and seed 0, at
+# every distance that gives a key (commit 9c73a1b).
+NELDER_MEAD_ELL = {
+    "flawed": {
+        0: 20013412640, 10: 11920671774, 20: 7058887317, 30: 4164349144,
+        40: 2442756674, 50: 1421927449, 60: 819552069, 70: 466448982,
+        80: 261241279, 90: 123187935, 100: 76460189, 110: 39345617,
+        120: 19284829, 130: 8664275, 140: 3316568, 150: 933034, 160: 55601,
+    },
+    "clean": {
+        0: 22132372063, 10: 13143821556, 20: 7790986364, 30: 4600095044,
+        40: 2700531804, 50: 1573359690, 60: 907785917, 70: 517355950,
+        80: 290261560, 90: 159578565, 100: 86024249, 110: 44770109,
+        120: 22140125, 130: 10103919, 140: 3994878, 150: 1148869, 160: 127722,
+    },
+}
+
+
+def test_a1_polish_keeps_the_nelder_mead_rates(sweep_flawed, sweep_clean):
+    """The compass polish loses no key against the Nelder-Mead polish it
+    replaced, to the benchmark's OPTIMUM_REL (1e-6) and ELL_SLACK_BITS (2)."""
+    for name, (rows, _) in (("flawed", sweep_flawed), ("clean", sweep_clean)):
+        ell = {row["distance_km"]: row["ell"] for row in rows}
+        for d, ref in NELDER_MEAD_ELL[name].items():
+            assert ell[float(d)] >= ref * (1 - 1e-6) - 2, (name, d, ell[float(d)], ref)
 
 
 def test_a2_flaw_insensitivity_below_120km(sweep_flawed, sweep_clean):

@@ -8,6 +8,8 @@ bit-identical floats.
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,56 +210,12 @@ def test_grid_is_chunked():
                          EpsilonBudget.build(1e-10, 1e-15, "exact"), 1e12) == out.best
 
 
-# Recorded from the one-call-per-point optimizer before the grid was
-# batched: optimize_rate at 60 km, grid_points=3, seed 0.  The fluct
-# floats then moved by under 1e-14 relative when the click-table
-# quadrature was vectorized (a different summation order); its point,
-# key length and trace did not.
-GOLDEN = {
-    "exact": dict(
-        r=0.0, n_total=1e12,
-        params=(0.8494098034962159, 0.8835760597051541, 0.09347400089683994,
-                0.6273444437842309, 0.023143246395000563, 0.0002),
-        best=KeyRateResult(
-            ell=819552072, rate=0.000819552072, m0_l=259935.18998772526,
-            m1_l=1992936677.1727798, e_ph_u=0.0717532220606663,
-            lambda_ec=431409968.96517974, e_z=0.012752215880589387,
-            z_ks_size=3774505483.7770567, aborted=False, abort_reason=None,
-        ),
-        evaluations=547,
-        trace=[
-            ((0.625, 0.575, 0.21825, 0.525, 0.2025), 8.011818e-05),
-            ((0.3, 0.95, 0.034500000000000024, 0.525, 0.005), 8.7715802e-05),
-            ((0.625, 0.2, 0.36, 0.525, 0.005), 0.000122610213),
-            ((0.625, 0.2, 0.7, 0.525, 0.005), 0.000123461815),
-            ((0.625, 0.575, 0.02, 0.525, 0.005), 0.000226410182),
-            ((0.625, 0.575, 0.21825, 0.525, 0.005), 0.000344671066),
-            ((0.625, 0.95, 0.02, 0.525, 0.005), 0.000346351689),
-            ((0.625, 0.95, 0.034500000000000024, 0.525, 0.005), 0.000385691945),
-            ((0.8494098034962159, 0.8835760597051541, 0.09347400089683994,
-              0.6273444437842309, 0.023143246395000563), 0.000819552072),
-        ],
-    ),
-    "fluct": dict(
-        r=0.02, n_total=1e14,
-        params=(0.7299184665751876, 0.5105146440231872, 0.2474834917511725,
-                0.16170628631830808, 0.04555962563912346, 0.0002),
-        best=KeyRateResult(
-            ell=4274306568, rate=4.274306568e-05, m0_l=0.0,
-            m1_l=31758960623.161804, e_ph_u=0.1957522893958717,
-            lambda_ec=4829371076.041603, e_z=0.01299078359015472,
-            z_ks_size=41622311532.92772, aborted=False, abort_reason=None,
-        ),
-        evaluations=534,
-        trace=[
-            ((0.625, 0.575, 0.21825, 0.525, 0.2025), 0.0),
-            ((0.3, 0.2, 0.36, 0.05, 0.025000000000000005), 9.3820959e-07),
-            ((0.625, 0.2, 0.36, 0.05, 0.025000000000000005), 4.15473776e-06),
-            ((0.7299184665751876, 0.5105146440231872, 0.2474834917511725,
-              0.16170628631830808, 0.04555962563912346), 4.274306568e-05),
-        ],
-    ),
-}
+# Recorded from optimize_rate at 60 km, grid_points=3, seed 0, when the
+# Nelder-Mead polish was replaced by the batched compass search (the
+# seed has no effect since).  The grid part of each trace is the one
+# recorded from the one-call-per-point optimizer before the grid was
+# batched.
+GOLDEN = json.loads((Path(__file__).parent / "optimizer_golden.json").read_text())
 
 
 @pytest.mark.parametrize("mode", sorted(GOLDEN))
@@ -267,10 +225,11 @@ def test_optimizer_golden(mode):
                         EpsilonBudget.build(1e-10, 1e-15, mode), gold["n_total"],
                         seed=0, grid_points=3, mode=mode)
     assert out.best_params == ProtocolParams(*gold["params"])
+    best = KeyRateResult(**gold["best"])
     if mode == "exact":
-        assert out.best == gold["best"]
+        assert out.best == best
     else:
-        assert_same(out.best, gold["best"], rel=REL)
+        assert_same(out.best, best, rel=REL)
     assert out.evaluations == gold["evaluations"]
-    trace = [((p.p_z, p.p_ks, p.p_kd1, p.k_s, p.k_d1), rate) for p, rate in out.trace]
+    trace = [[[p.p_z, p.p_ks, p.p_kd1, p.k_s, p.k_d1], rate] for p, rate in out.trace]
     assert trace == gold["trace"]

@@ -4,15 +4,19 @@ Grid sizes are kept small here; the figure-level settings live in the
 acceptance tests.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig
-from qkd_keyrate.optimize import OptimizationResult, SearchSpace, optimize_rate
-from qkd_keyrate.pipeline import evaluate_rate
+from qkd_keyrate.optimize import (
+    POLISH_FIRST_STEPS,
+    POLISH_HALVINGS,
+    OptimizationResult,
+    SearchSpace,
+    optimize_rate,
+)
+from qkd_keyrate.pipeline import evaluate_batch, evaluate_rate
 
 
 def channel(dist=60.0, r=0.0, xi=0.147):
@@ -48,22 +52,26 @@ def test_params_at_always_feasible():
     assert corner.k_s > corner.k_d1
 
 
-def test_deterministic_per_seed():
-    a = optimize_rate(channel(), budget(), 1e12, seed=11, grid_points=3)
-    b = optimize_rate(channel(), budget(), 1e12, seed=11, grid_points=3)
+def test_deterministic():
+    a = optimize_rate(channel(), budget(), 1e12, grid_points=3)
+    b = optimize_rate(channel(), budget(), 1e12, grid_points=3)
     assert a.best == b.best
     assert a.best_params == b.best_params
     assert a.evaluations == b.evaluations
+    assert a.trace == b.trace
 
 
-def test_seeds_agree_on_the_optimum():
-    rates = [
-        optimize_rate(channel(), budget(), 1e12, seed=s, grid_points=3).best.rate
+def test_seed_has_no_effect():
+    runs = [
+        optimize_rate(channel(), budget(), 1e12, seed=s, grid_points=3)
         for s in (0, 1, 2)
     ]
-    assert all(r > 0.0 for r in rates)
-    spread = math.log10(max(rates)) - math.log10(min(rates))
-    assert spread < 0.05
+    assert runs[0].best.rate > 0.0
+    for other in runs[1:]:
+        assert other.best == runs[0].best
+        assert other.best_params == runs[0].best_params
+        assert other.evaluations == runs[0].evaluations
+        assert other.trace == runs[0].trace
 
 
 def test_trace_is_strictly_improving():
@@ -80,13 +88,54 @@ def test_best_point_reproduces():
     assert redone == out.best
 
 
-def test_nm_refinement_helps():
+def test_polish_refinement_helps():
     grid = optimize_rate(channel(), budget(), 1e12, strategy="grid",
                          seed=0, grid_points=3)
     refined = optimize_rate(channel(), budget(), 1e12, strategy="grid+nm",
                             seed=0, grid_points=3)
     assert refined.best.rate >= grid.best.rate
     assert refined.evaluations > grid.evaluations
+
+
+def unit_of(space, p):
+    """The unit-box vector that ``space.params_at`` maps to ``p``."""
+    frac = lambda v, lo, hi: (v - lo) / (hi - lo)
+    p_kd1_hi = min(0.98 * (1.0 - p.p_ks), space.p_kd1[1])
+    k_d1_hi = min(0.9 * p.k_s, space.k_d1[1])
+    return np.array([
+        frac(p.p_z, *space.p_z), frac(p.p_ks, *space.p_ks),
+        frac(p.p_kd1, space.p_kd1[0], p_kd1_hi), frac(p.k_s, *space.k_s),
+        frac(p.k_d1, space.k_d1[0], k_d1_hi),
+    ])
+
+
+def test_polish_stops_at_a_stencil_optimum():
+    grid_points = 3
+    out = optimize_rate(channel(), budget(), 1e12, grid_points=grid_points)
+    space = SearchSpace()
+    u = unit_of(space, out.best_params)
+    axes = np.concatenate([np.eye(5), -np.eye(5)])
+    # the returned point ends the track that found it, whose last poll,
+    # before its POLISH_HALVINGS-th halving, found no better neighbour
+    stencil_optimal = []
+    for first in POLISH_FIRST_STEPS:
+        step = first / (grid_points - 1) / 2.0 ** (POLISH_HALVINGS - 1)
+        stencil = np.clip(u + step * axes, 0.0, 1.0)
+        _, batch = evaluate_batch(channel(), space.params_batch(stencil),
+                                  budget(), 1e12)
+        stencil_optimal.append(not np.any(batch.rate > out.best.rate))
+    assert any(stencil_optimal)
+
+
+def test_phases_report_their_cost():
+    out = optimize_rate(channel(), budget(), 1e12, grid_points=3)
+    assert out.grid_evaluations == 1 + 3**5
+    assert out.polish_evaluations > 0
+    assert out.grid_evaluations + out.polish_evaluations == out.evaluations
+    assert out.grid_s > 0.0 and out.polish_s > 0.0
+    grid = optimize_rate(channel(), budget(), 1e12, strategy="grid", grid_points=3)
+    assert grid.polish_evaluations == 0
+    assert grid.evaluations == grid.grid_evaluations
 
 
 def test_hopeless_link_reports_zero():
@@ -104,7 +153,7 @@ def test_unknown_strategy_raises():
 
 @pytest.mark.parametrize("strategy", ["grid", "grid+nm"])
 def test_single_grid_point_raises(strategy):
-    # the polish's simplex is half a grid step wide, which one point lacks
+    # the polish's steps are fractions of a grid step, which one point lacks
     with pytest.raises(ValueError, match=r"grid_points must be >= 2"):
         optimize_rate(channel(dist=50.0), budget(), 1e12, strategy=strategy,
                       grid_points=1)
