@@ -28,6 +28,7 @@ from .decoy import (
     IntensityLevel,
     IntensitySet,
     ObservedCounts,
+    distinct,
 )
 
 __all__ = [
@@ -52,6 +53,8 @@ _CONFIGS = tuple((a, y, b) for a, y in _SENDER_STATES for b in ("Z", "X"))
 # weight (p_z or p_x), as columns of [0.5 p_z, p_x, p_z, 0]
 _CELL_STATE = np.repeat([0, 0, 1, 3], 4)
 _CELL_BASIS = np.tile([2, 2, 1, 1], 4)
+# the Z-sender, Z-receiver cells: Z0Z0, Z0Z1, Z1Z0, Z1Z1
+_ZZ_CELLS = np.array([0, 1, 4, 5])
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,10 @@ class ChannelConfig:
     atten_db_per_km: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.distance_km < 0:
-            raise ValueError("distance must be nonnegative")
+        if not (math.isfinite(self.distance_km) and self.distance_km >= 0):
+            raise ValueError(
+                f"distance must be finite and nonnegative, got {self.distance_km!r}"
+            )
         for name in ("det_eff", "dark_prob", "e_mis"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -234,10 +239,11 @@ def apply_misalignment(
 
 
 class ChannelModel:
-    """Click tables for one link, memoized per intensity level.
+    """Click tables for one link, memoized per nominal intensity.
 
     The per-configuration outcome probabilities depend only on the
-    channel parameters and the intensity, not on the basis or intensity
+    channel parameters and the nominal intensity (its fluctuation range
+    is the config's ``fluct_r``), not on the basis or intensity
     selection probabilities, so one table serves every (p_z, N) choice.
     """
 
@@ -247,9 +253,9 @@ class ChannelModel:
         self._fractions = tuple(
             f for a, y, b in _CONFIGS for f in _interference_factors(cfg.xi, a, y, b)
         )
-        self._tables: dict[tuple[float, float, float], dict] = {}
-        # per level: outcome probabilities along CELLS, and the Z error rate
-        self._rows: dict[tuple[float, float, float], tuple[list, float]] = {}
+        # per nominal intensity: the click table and, for batches, its
+        # outcome probabilities along CELLS followed by the Z error rate
+        self._tables: dict[float, tuple[dict, list[float]]] = {}
 
     def outcome_probs(self, level: IntensityLevel) -> dict:
         """Map (sender basis, sender bit, receiver basis) -> (P0, P1).
@@ -258,11 +264,14 @@ class ChannelModel:
         (exclusively, after random double-click assignment and, for
         like-basis configurations, misalignment).
         """
-        key = (level.nominal, level.lo, level.hi)
-        table = self._tables.get(key)
-        if table is not None:
-            return table
-        ports = _port_click_probs(self.cfg, level.nominal, self._fractions)
+        return self._entry(level.nominal)[0]
+
+    def _entry(self, nominal: float) -> tuple[dict, list[float]]:
+        """The click table at ``nominal`` and its row, built on first use."""
+        entry = self._tables.get(nominal)
+        if entry is not None:
+            return entry
+        ports = _port_click_probs(self.cfg, nominal, self._fractions)
         table = {}
         for (a, y, b), p0, p1 in zip(_CONFIGS, ports[0::2], ports[1::2]):
             q0 = resolve_double_clicks(p0, p1)
@@ -276,8 +285,10 @@ class ChannelModel:
                 else:
                     q1, q0 = apply_misalignment(q1, q0, self.cfg.e_mis)
             table[(a, y, b)] = (q0, q1)
-        self._tables[key] = table
-        return table
+        # the X1 sender cells are never sent
+        row = [p for c in _CONFIGS for p in table[c]] + [0.0] * 4
+        entry = self._tables[nominal] = (table, row + [_z_error_rate(table)])
+        return entry
 
     def expected(
         self, intens: IntensitySet, p_z: float, n_total: float
@@ -327,62 +338,33 @@ class ChannelModel:
     ) -> tuple[CountsBatch, np.ndarray]:
         """``expected`` for a batch of points: dense counts and e_z per point.
 
-        Each distinct intensity level is looked up once, and the counts
-        are multiplied in the order ``expected`` multiplies them, so every
-        point's numbers equal its scalar ones.
+        Each distinct nominal intensity of the batch is looked up once.
         """
         if n_total <= 0:
             raise ValueError("n_total must be positive")
-        if not np.all((0.0 < p_z) & (p_z < 1.0)):
+        if not ((0.0 < p_z) & (p_z < 1.0)).all():
             raise ValueError("p_z must lie in (0, 1)")
         # sender-state and receiver-basis weights along the CELLS axis; the
         # X1 state is never sent and weighs 0
         weights = np.array([0.5 * p_z, 1.0 - p_z, p_z, np.zeros(len(p_z))]).T
-        state = weights[:, _CELL_STATE]
-        basis = weights[:, _CELL_BASIS]
-        probs, e_z = self._cell_probs(intens)
-        n_k = n_total * np.array([lv.prob for lv in intens]).T
+        state = weights[:, None, _CELL_STATE]
+        basis = weights[:, None, _CELL_BASIS]
+        levels = np.array([(lv.nominal, lv.prob) for lv in intens]).T  # (B, 2, 3)
+        nominal, which = distinct(levels[:, 0])
+        rows = np.array([self._entry(k)[1] for k in nominal.tolist()])
+        rows = rows.reshape(-1, 17)[which]
         # N_k, then the state, the basis and the outcome, as in expected()
-        cells = n_k[:, :, None] * state[:, None, :]
-        cells *= basis[:, None, :]
-        cells *= probs
-        # Z sender, Z receiver: cells Z0Z0, Z0Z1, Z1Z0, Z1Z1, summed in order
-        z_by_k = ((cells[:, :, 0] + cells[:, :, 1]) + cells[:, :, 4]) + cells[:, :, 5]
+        cells = n_total * levels[:, 1, :, None] * state * basis * rows[:, :, :16]
+        z_by_k = cells[:, :, _ZZ_CELLS].sum(axis=2)
         counts = CountsBatch(
             cells=cells,
-            trials=n_total * state * basis,
+            trials=n_total * state[:, 0] * basis[:, 0],
             z_by_k=z_by_k,
-            z_tot=(z_by_k[:, 0] + z_by_k[:, 1]) + z_by_k[:, 2],
+            z_tot=z_by_k.sum(axis=1),
             n_z=n_total * p_z * p_z,
         )
-        return counts, e_z
-
-    def _cell_probs(self, intens: IntensityBatch) -> tuple[np.ndarray, np.ndarray]:
-        """Outcome probabilities along the CELLS axis per point and level,
-        (B, 3, 16), and the Z error rate of each point's signal level.
-
-        Each distinct level is looked up once, through ``outcome_probs``.
-        """
-        rows: list[tuple[list, float]] = []
-        slots: dict[tuple[float, float, float], int] = {}
-        index = np.empty((len(intens.s.prob), 3), dtype=np.intp)
-        for j, level in enumerate(intens):
-            prob = level.prob.tolist()
-            keys = zip(level.nominal.tolist(), level.lo.tolist(), level.hi.tolist())
-            for i, key in enumerate(keys):
-                slot = slots.get(key)
-                if slot is None:
-                    slot = slots[key] = len(rows)
-                    row = self._rows.get(key)
-                    if row is None:
-                        table = self.outcome_probs(IntensityLevel(*key, prob[i]))
-                        probs = [p for c in _CONFIGS for p in table[c]] + [0.0] * 4
-                        row = self._rows[key] = (probs, _z_error_rate(table))
-                    rows.append(row)
-                index[i, j] = slot
-        probs = np.array([r[0] for r in rows]).reshape(-1, 16)
-        e_z = np.array([r[1] for r in rows])
-        return probs[index], e_z[index[:, 0]]
+        # the Z error rate of each point's signal level
+        return counts, rows[:, 0, 16]
 
     def sample(
         self, intens: IntensitySet, p_z: float, n_total: int, seed: int

@@ -137,8 +137,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_optimize(args) -> int:
     cfg = load_config(args.config)
+    try:
+        channel = cfg.channel(args.distance)
+    except ValueError as exc:
+        raise ConfigError(f"--distance: {exc}") from None
     opt = optimize_rate(
-        cfg.channel(args.distance),
+        channel,
         cfg.budget(),
         cfg.n_total,
         strategy=cfg.strategy,

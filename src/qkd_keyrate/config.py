@@ -225,7 +225,9 @@ def _convert(section: str, key: str, raw: str, text: str):
 
 def parse_config(text: str) -> RunConfig:
     """RunConfig from INI text; unknown sections or keys are rejected."""
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=(";",)
+    )
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -14,12 +14,9 @@ are estimated without any independence assumption).
 a leading batch axis on every array; one point is a batch of one.  Every
 bound comes with its accumulated failure probability.  Passing
 ``budget=None`` zeroes all statistical deviations, which turns the
-bounds into their asymptotic (infinite-key) counterparts.
-
-Each point's bounds equal, bit for bit, those of the one-point functions
-the batch replaced (kept as the test reference in
-``tests/scalar_chain.py``): transcendental per-point factors go through
-``math``, and only the IEEE-exact ``+ - * / sqrt`` run in numpy.
+bounds into their asymptotic (infinite-key) counterparts.  The one-point
+functions the batch replaced are kept as the test reference in
+``tests/scalar_chain.py``; each point's bounds match them to rounding.
 """
 
 from __future__ import annotations
@@ -206,14 +203,18 @@ class ObservedCounts:
         return self.trials_by_config.get((a, y, b), 0.0)
 
 
-def py_max(a, b):
-    """Elementwise ``max(a, b)`` with Python's tie and NaN behaviour."""
-    return np.where(b > a, b, a)
+def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct entries of ``values`` and, per entry, its index
+    into them, an array of the shape of ``values``.
 
-
-def py_min(a, b):
-    """Elementwise ``min(a, b)`` with Python's tie and NaN behaviour."""
-    return np.where(b < a, b, a)
+    ``np.unique(..., return_inverse=True)`` gives the same at several
+    times the fixed cost per call, which a batch of one would pay.
+    """
+    ranked = np.sort(values, axis=None)
+    first = np.ones(ranked.shape, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    uniq = ranked[first]
+    return uniq, np.searchsorted(uniq, values)
 
 
 class LevelBatch(NamedTuple):
@@ -346,87 +347,86 @@ class CellBoundsBatch(NamedTuple):
 
 # A batch bounds 17 populations per point: population 0 is the aggregate
 # Z-basis population behind m0 and m1, populations 1..16 are the CELLS.
-# Both use the same closed forms; the aggregate has no cap and, in exact
-# mode, its own m1 prefactor.  The mean estimates run by direction, one
-# row per intensity label, with the allocation name of each (row,
-# population).
+# Both use the same closed forms; the aggregate has no cap.  Five mean
+# estimates per population feed them: lower ones of the d2 and d1
+# counts, then upper ones of the d2, d1 and s counts.  Per estimate: its
+# row of K_LABELS, the allocation name of the aggregate's and the suffix
+# of the cells'.
+_ESTIMATES = (
+    (2, "z.d2.vac.lo", "d2.lo"),
+    (1, "z.d1.sin.lo", "d1.lo"),
+    (2, "z.d2.sin.hi", "d2.hi"),
+    (1, "z.d1.vac.hi", "d1.hi"),
+    (0, "z.s.sin.hi", "s.hi"),
+)
+_ROWS = np.array([row for row, _, _ in _ESTIMATES])
+_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])[:, None]
 _CELL_IDS = tuple(f"{a}{y}{b}{y1}" for a, y, b, y1 in CELLS)
-# The rows follow the observed counts' label order d2, d1, s, so that
-# each direction's input is a slice of them.
-_ESTIMATES = {
-    "lower": (("d2", "z.d2.vac.lo", "d2.lo"), ("d1", "z.d1.sin.lo", "d1.lo")),
-    "upper": (
-        ("d2", "z.d2.sin.hi", "d2.hi"),
-        ("d1", "z.d1.vac.hi", "d1.hi"),
-        ("s", "z.s.sin.hi", "s.hi"),
-    ),
-}
-_NAMES = {
-    direction: tuple(
-        name
-        for _, aggregate, cell in rows
-        for name in (aggregate, *(f"cell.{cid}.{cell}" for cid in _CELL_IDS))
-    )
-    for direction, rows in _ESTIMATES.items()
-}
-_HELPER_NAMES = {d: tuple(n + ".H" for n in names) for d, names in _NAMES.items()}
-_AGGREGATE = np.arange(17) == 0
+_NAMES = tuple(
+    name
+    for _, aggregate, cell in _ESTIMATES
+    for name in (aggregate, *(f"cell.{cid}.{cell}" for cid in _CELL_IDS))
+)
+_HELPER_NAMES = tuple(n + ".H" for n in _NAMES)
+# the multiplicative-Chernoff deviation is sqrt(n (a ln(1/eps) + b)), with
+# a = 3, b = 0 below the mean and a = 8, b = 2 ln 16 above it
+_CHERNOFF_A = np.array([3.0, 3.0, 8.0, 8.0, 8.0])[:, None]
+_CHERNOFF_B = np.array([0.0, 0.0, 1.0, 1.0, 1.0])[:, None] * 2.0 * math.log(16.0)
+
+
+# the exponents of _point_factors' stacked arguments: k e^{-k} at the
+# signal's range ends and peak, then e^{k} at the ends of every range
+_EXP_SIGNS = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])[:, None]
 
 
 def _point_factors(intens: IntensityBatch) -> np.ndarray:
-    """(B, 13) per-point factors of the closed forms.
-
-    They are formed point by point in Python floats with ``math``, by the
-    expressions of the scalar reference (``np.exp`` may differ from
-    ``math.exp`` in the last ulp, and ``x**2`` is ``pow``, not ``x*x``).
-    Points that share their intensities share the row.
-    """
-    rows: dict[tuple, tuple] = {}
-    out = []
-    for key in zip(*(a.tolist() for lv in intens for a in lv[1:])):
-        row = rows.get(key)
-        if row is None:
-            s_lo, s_hi, s_p, d1_lo, d1_hi, d1_p, d2_lo, d2_hi, d2_p = key
-            # IntensitySet.p_s_and_vacuum_lo / single_lo / single_hi
-            p_vac = s_p * math.exp(-s_hi)
-            at_lo, at_hi = s_lo * math.exp(-s_lo), s_hi * math.exp(-s_hi)
-            p_single_lo = s_p * min(at_lo, at_hi)
-            if s_lo <= 1.0 <= s_hi:
-                p_single_hi = s_p * math.exp(-1.0)
-            else:
-                p_single_hi = s_p * max(at_lo, at_hi)
-            sin_denom = (d1_hi - d2_lo) * (s_lo - d1_hi - d2_lo)
-            row = rows[key] = (
-                p_vac,
-                # vacuum lower bound
-                p_vac / (d1_lo - d2_hi),
-                d1_lo * math.exp(d2_lo) / d2_p,
-                d2_hi * math.exp(d1_hi) / d1_p,
-                # single-photon lower bound, and exact-mode m1's prefactor
-                # p_s k_s^2 e^{-k_s} (equal in exact arithmetic, not in rounding)
-                p_single_lo * s_lo / sin_denom,
-                s_p * s_lo**2 * math.exp(-s_hi) / sin_denom,
-                math.exp(d1_lo) / d1_p,
-                math.exp(d2_hi) / d2_p,
-                (d1_hi**2 - d2_lo**2) / s_lo**2,
-                math.exp(s_hi) / s_p,
-                # single-photon upper bound
-                p_single_hi / (d1_lo - d2_hi),
-                math.exp(d1_hi) / d1_p,
-                math.exp(d2_lo) / d2_p,
-            )
-        out.append(row)
-    return np.array(out, dtype=float).reshape(-1, 13)
+    """(12, B, 1) per-point factors of the closed forms, ready to
+    broadcast over the populations."""
+    (_, s_lo, s_hi, s_p), (_, d1_lo, d1_hi, d1_p), (_, d2_lo, d2_hi, d2_p) = intens
+    # k e^{-k} is unimodal with its maximum at k = 1, so over the signal
+    # range its minimum sits at an endpoint and its maximum at 1 clipped
+    # into the range
+    peak = np.minimum(np.maximum(s_lo, 1.0), s_hi)
+    k = np.array([s_lo, s_hi, peak, d1_lo, d1_hi, d2_lo, d2_hi, s_hi])
+    exps = np.exp(_EXP_SIGNS * k)
+    at_lo, at_hi, at_peak = k[:3] * exps[:3]
+    # e^{k} / p of each level's intensity at either end of its range
+    e_d1_lo, e_d1_hi, e_d2_lo, e_d2_hi, e_s_hi = exps[3:] / np.array(
+        [d1_p, d1_p, d2_p, d2_p, s_p]
+    )
+    # IntensitySet.p_s_and_vacuum_lo / single_lo / single_hi
+    p_vac, p_single_lo, p_single_hi = s_p * np.array(
+        [exps[1], np.minimum(at_lo, at_hi), at_peak]
+    )
+    vac_denom = d1_lo - d2_hi
+    sin_span = d1_hi - d2_lo
+    return np.array([
+        p_vac,
+        # vacuum lower bound
+        p_vac / vac_denom,
+        d1_lo * e_d2_lo,
+        d2_hi * e_d1_hi,
+        # single-photon lower bound
+        p_single_lo * s_lo / (sin_span * (s_lo - d1_hi - d2_lo)),
+        e_d1_lo,
+        e_d2_hi,
+        sin_span * (d1_hi + d2_lo) / (s_lo * s_lo),
+        e_s_hi,
+        # single-photon upper bound
+        p_single_hi / vac_denom,
+        e_d1_hi,
+        e_d2_lo,
+    ])[:, :, None]
 
 
-def _mean_batch(
+def _mean_estimates(
     mode: str,
     budget: EpsilonBudget | None,
     observed: np.ndarray,
     size: np.ndarray,
-    direction: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every mean estimate of one direction, (B, rows, 17).
+    """The _ESTIMATES of every population and their failure
+    probabilities, (B, 5, 17) from the (B, 5, 17) ``observed`` counts.
 
     Exact mode takes ``concentration.best_mean_bound`` against ``size``,
     the population total; fluct mode an Azuma deviation over ``size``,
@@ -434,26 +434,21 @@ def _mean_batch(
     """
     if budget is None:
         return observed, np.zeros(observed.shape)
-    eps, log_inv = budget.alloc_table(_NAMES[direction])
-    eps, log_inv = eps.reshape(-1, 17), log_inv.reshape(-1, 17)
+    eps, log_inv = (a.reshape(5, 17) for a in budget.alloc_table(_NAMES))
     if mode == "fluct":
         dev = np.sqrt(2.0 * size * log_inv)
-        failure = eps + np.zeros(observed.shape)
+        failure = np.broadcast_to(eps, observed.shape)
     else:
         # the Hoeffding deviation, replaced by the multiplicative-Chernoff
         # one where that is smaller (in place: a batch's arrays are large)
         dev = np.sqrt(size / 2.0 * log_inv)
-        if direction == "lower":
-            dev_m = np.sqrt(3.0 * observed * log_inv)
-        else:
-            dev_m = np.sqrt(2.0 * observed * (4.0 * log_inv + math.log(16.0)))
+        dev_m = np.sqrt(observed * (_CHERNOFF_A * log_inv + _CHERNOFF_B))
         multiplicative = dev_m < dev
         np.copyto(dev, dev_m, where=multiplicative)
         del dev_m
-        helper = budget.alloc_table(_HELPER_NAMES[direction])[0].reshape(-1, 17)
+        helper = budget.alloc_table(_HELPER_NAMES)[0].reshape(5, 17)
         failure = np.where(multiplicative, eps + helper, eps)
-    if direction == "lower":
-        return np.subtract(observed, dev, out=dev), failure
+    dev *= _SIGNS
     return np.add(observed, dev, out=dev), failure
 
 
@@ -476,45 +471,39 @@ def decoy_bounds_batch(
     """
     if mode not in ("exact", "fluct"):
         raise ValueError(f"mode must be 'exact' or 'fluct', got {mode!r}")
-    (p_vac, vac_pref, vac_d2, vac_d1, sin_pref, m1_exact_pref, sin_d1, sin_d2,
-     sin_vac, sin_s, up_pref, up_d1, up_d2) = _point_factors(intens).T[:, :, None]
-    # (B, 3, 17): intensity label in the order d2, d1, s, then population
+    (p_vac, vac_pref, vac_d2, vac_d1, sin_pref, sin_d1, sin_d2, sin_vac, sin_s,
+     up_pref, up_d1, up_d2) = _point_factors(intens)
+    # (B, 5, 17): the counts behind each estimate, then population
     observed = np.concatenate(
-        [counts.z_by_k[:, ::-1, None], counts.cells[:, ::-1]], axis=2
+        [counts.z_by_k[:, _ROWS, None], counts.cells[:, _ROWS]], axis=2
     )
     if mode == "exact":
-        size = (observed[:, 2] + observed[:, 1]) + observed[:, 0]
-        size[:, 0] = counts.z_tot
+        size = [counts.z_tot[:, None], counts.cells.sum(axis=1)]
     else:
-        size = np.concatenate([counts.n_z[:, None], counts.trials], axis=1)
-    size = size[:, None, :]
-    lo, f_lo = _mean_batch(mode, budget, observed[:, :2], size, "lower")
-    hi, f_hi = _mean_batch(mode, budget, observed, size, "upper")
-    c_d2_lo, c_d1_lo = lo[:, 0], lo[:, 1]
-    c_d2_hi, c_d1_hi, c_s_hi = hi[:, 0], hi[:, 1], hi[:, 2]
-    cap = observed[:, 2].copy()
+        size = [counts.n_z[:, None], counts.trials]
+    size = np.concatenate(size, axis=1)[:, None, :]
+    est, failure = _mean_estimates(mode, budget, observed, size)
+    c_d2_lo, c_d1_lo, c_d2_hi, c_d1_hi, c_s_hi = est.transpose(1, 0, 2)
+    # a cell's bounds are capped at its signal count; the aggregate's are not
+    cap = observed[:, 4].copy()
     cap[:, 0] = np.inf
 
-    low0 = py_min(py_max(0.0, vac_pref * (vac_d2 * c_d2_lo - vac_d1 * c_d1_hi)), cap)
-    if mode == "exact":
-        sin_pref = np.where(_AGGREGATE, m1_exact_pref, sin_pref)
-    # the scalar reference's fluct-mode m1 writes the last term as
-    # - G (e c_s - vac/p): the same bits, since IEEE negation and rounding
-    # are symmetric
-    single = sin_pref * (
+    clamp = lambda bound: np.minimum(np.maximum(bound, 0.0), cap)
+    low0 = clamp(vac_pref * (vac_d2 * c_d2_lo - vac_d1 * c_d1_hi))
+    low1 = clamp(sin_pref * (
         sin_d1 * c_d1_lo
         - sin_d2 * c_d2_hi
         + sin_vac * (low0 / p_vac - sin_s * c_s_hi)
-    )
-    low1 = py_min(py_max(0.0, single), cap)
-    up1 = py_min(py_max(0.0, up_pref * (up_d1 * c_d1_hi - up_d2 * c_d2_lo)), cap)
-    f_low0 = f_lo[:, 0] + f_hi[:, 1]
-    f_low1 = f_low0 + f_lo[:, 1] + f_hi[:, 0] + f_hi[:, 2]
-    f_up1 = f_hi[:, 1] + f_lo[:, 0]
+    ))
+    up1 = clamp(up_pref * (up_d1 * c_d1_hi - up_d2 * c_d2_lo))
+    # the vacuum lower and the single-photon upper bound use the d2 lower
+    # and the d1 upper estimate, the single-photon lower bound all five
+    f_low0 = failure[:, 0] + failure[:, 3]
+    f_low1 = f_low0 + failure[:, 1] + failure[:, 2] + failure[:, 4]
     cells = CellBoundsBatch(
         lower0=BoundBatch(low0[:, 1:], f_low0[:, 1:]),
         lower1=BoundBatch(low1[:, 1:], f_low1[:, 1:]),
-        upper1=BoundBatch(up1[:, 1:], f_up1[:, 1:]),
+        upper1=BoundBatch(up1[:, 1:], f_low0[:, 1:]),
     )
 
     # population 0: the clamped means of m0 and m1 become count bounds
@@ -531,8 +520,7 @@ def decoy_bounds_batch(
         np.sqrt(2.0 * mu * log_inv),
         np.sqrt(counts.n_z[:, None] / 2.0 * log_inv),
     )
-    lower = np.where(mu <= 0.0, 0.0, py_max(0.0, mu - dev))
-    value = py_min(lower, counts.z_by_k[:, :1])
+    value = np.minimum(np.maximum(mu - dev, 0.0), counts.z_by_k[:, :1])
     failure = mean_failure + eps_final
     return (
         BoundBatch(value[:, 0], failure[:, 0]),

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import entr
 
 from .budget import EpsilonBudget
 from .decoy import BoundBatch
@@ -75,6 +76,12 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _entropy(x: np.ndarray) -> np.ndarray:
+    """``binary_entropy`` of an array with entries in [0, 1] (entr(x) is
+    -x ln x, and 0 at 0)."""
+    return (entr(x) + entr(1.0 - x)) / math.log(2.0)
+
+
 def lambda_ec(z_ks_size: float, e_z: float, f_ec: float = F_EC_DEFAULT) -> float:
     """Error-correction leakage f_EC |Z_ks| h(e_z) in bits."""
     if f_ec < 1.0:
@@ -125,7 +132,8 @@ def eph_threshold(
 class KeyRateBatch(NamedTuple):
     """KeyRateResult's fields for a batch of points, (B,) arrays.
 
-    ``ell`` holds integral floats; ``abort_reason`` is a list.
+    ``ell`` holds integral floats; ``abort_reason`` is an object array
+    of reasons and None.
     """
 
     ell: np.ndarray
@@ -136,7 +144,7 @@ class KeyRateBatch(NamedTuple):
     lambda_ec: np.ndarray
     e_z: np.ndarray
     z_ks_size: np.ndarray
-    abort_reason: list
+    abort_reason: np.ndarray
 
     def result(self, i: int) -> KeyRateResult:
         """The KeyRateResult of point ``i``."""
@@ -168,6 +176,8 @@ class KeyRateBatch(NamedTuple):
 # times the rounding error of f.  Only points in between run brentq.
 _ROUNDING_REL = 1e-12
 _SLOPE_REL = 1e-13
+# a batch's abort reasons, indexed by code
+_REASONS = np.array([None, ABORT_EPS_BUDGET, ABORT_PHASE, ABORT_COUNTS], dtype=object)
 
 
 def key_length_batch(
@@ -194,40 +204,33 @@ def key_length_batch(
     m0v, m1v, e_ph = m0.value, m1.value, eph.e_ph_upper
     eta_used = m0.failure_prob + m1.failure_prob + eph.failure_prob
     if budget is None:
-        budget_ok = np.ones(len(m0v), dtype=bool)
-        logs = np.zeros(len(m0v))
+        budget_ok, logs = True, 0.0
     else:
-        budget_ok = ~(budget.eps_s**2 - eta_used <= 0.0)
-        logs = np.array([
-            _log_terms(budget, eta) if ok else 0.0
-            for eta, ok in zip(eta_used.tolist(), budget_ok.tolist())
-        ])
-    counted = budget_ok & ~(m1v <= 0.0)
-    # the length at a zero, at a saturated and at the bounded phase-error
-    # rate, in eph_threshold's arithmetic
-    at_zero = m0v + m1v * (1.0 - 0.0) - logs - lam_ec
-    at_half = m0v + m1v * (1.0 - 1.0) - logs - lam_ec
-    penalty = np.array([
-        _pa_penalty(e) if ok else 1.0 for e, ok in zip(e_ph.tolist(), counted.tolist())
-    ])
-    raw = m0v + m1v * (1.0 - penalty) - logs - lam_ec
-    positive = counted & (at_zero > 0.0)
+        gap = budget.eps_s**2 - eta_used
+        budget_ok = gap > 0.0
+        # _log_terms where the secrecy margin is left
+        logs = np.log2(2.0 / np.where(budget_ok, gap, 1.0))
+        logs += math.log2(2.0 / budget.eps_c)
+    # the length at a saturated, at a zero and at the bounded phase-error
+    # rate (_pa_penalty: the entropy is 1 from 1/2 on)
+    at_half = m0v - logs - lam_ec
+    raw = at_half + m1v * (1.0 - _entropy(np.minimum(e_ph, 0.5)))
+    positive = budget_ok & (m1v > 0.0) & (at_half + m1v > 0.0)
     # an interior threshold exists where the saturated length is not positive
-    search = positive & ~(at_half > 0.0)
+    search = positive & (at_half <= 0.0)
     slack = 2.0 * _ROUNDING_REL * (m0v + m1v + logs + lam_ec) + _SLOPE_REL * m1v
-    phase = search & (raw < -slack)
-    for i in np.flatnonzero(search & ~(raw < -slack) & ~(raw > slack)):
+    decided = np.abs(raw) > slack
+    phase = search & decided & (raw < 0.0)
+    for i in np.flatnonzero(search & ~decided):
         threshold = eph_threshold(
             float(m0v[i]), float(m1v[i]), float(lam_ec[i]), budget, float(eta_used[i])
         )
         phase[i] = threshold < 0.5 and e_ph[i] >= threshold
     floor = np.floor(raw)
-    ell = np.where(positive & ~phase & (floor > 0.0), floor, 0.0)
-    reason = [
-        None if length > 0.0 else
-        ABORT_EPS_BUDGET if not ok else ABORT_PHASE if ph else ABORT_COUNTS
-        for length, ok, ph in zip(ell.tolist(), budget_ok.tolist(), phase.tolist())
-    ]
+    keyed = positive & ~phase & (floor > 0.0)
+    ell = np.where(keyed, floor, 0.0)
+    # the reason codes of _REASONS
+    reason = _REASONS[np.where(keyed, 0, np.where(budget_ok, 3 - phase, 1))]
     return KeyRateBatch(
         ell=ell,
         rate=ell / n_total,
@@ -247,7 +250,8 @@ def lambda_ec_batch(
     """``lambda_ec`` elementwise."""
     if f_ec < 1.0:
         raise ValueError("error-correction efficiency must be at least 1")
-    if np.any(z_ks_size < 0.0):
+    if (z_ks_size < 0.0).any():
         raise ValueError("block size must be nonnegative")
-    entropy = np.array([binary_entropy(e) for e in e_z.tolist()])
-    return f_ec * z_ks_size * entropy
+    if not ((0.0 <= e_z) & (e_z <= 1.0)).all():
+        raise ValueError(f"binary entropy needs x in [0, 1], got {e_z!r}")
+    return f_ec * z_ks_size * _entropy(e_z)

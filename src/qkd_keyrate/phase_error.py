@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .budget import EpsilonBudget
-from .decoy import CELLS, BoundBatch, CellBoundsBatch, py_max
+from .decoy import CELLS, BoundBatch, CellBoundsBatch
 from .qubit_model import VirtualStateCoeffs
 
 __all__ = [
@@ -55,21 +55,17 @@ class PhaseErrorBatch(NamedTuple):
     failure_prob: np.ndarray
 
 
-# (half s, collective outcome omega) in the order n_ph_upper_batch sums
-# them; after omega 5 of each half comes that half's tail deviation
+# (half s, collective outcome omega) of each term of the bound
 _TERMS = tuple((s, omega) for s in (0, 1) for omega in (3, 4, 5))
-# per term: its cell, and the allocation names of its deviation and of the
-# half's tail
+# per term its cell; the allocation names of the terms' deviations, then
+# of the two halves' tails
 _TERM_CELLS = np.array(
     [CELLS.index((*_OMEGA_CELL[omega], "X", s ^ 1)) for s, omega in _TERMS]
 )
-# columns of the running sums, in summation order.  n_ph: per half its
-# three terms, then its tail.  The failure: per term its allocation and
-# the failure of the cell bound it used, per half then the tail's allocation.
-_TERM_COLS, _TAIL_COLS = np.array([0, 1, 2, 4, 5, 6]), np.array([3, 7])
-_ALLOC_COLS, _TAIL_ALLOC_COLS = np.array([0, 2, 4, 7, 9, 11]), np.array([6, 13])
-_TERM_NAMES = tuple(f"ph.az.{s ^ 1}.{omega}" for s, omega in _TERMS)
-_TAIL_NAMES = tuple(f"ph.az.{s ^ 1}.{s + 1}" for s in (0, 1))
+_DEV_NAMES = (
+    *(f"ph.az.{s ^ 1}.{omega}" for s, omega in _TERMS),
+    *(f"ph.az.{s ^ 1}.{s + 1}" for s in (0, 1)),
+)
 
 
 def phase_terms(qm: VirtualStateCoeffs) -> tuple[tuple[float, float, float], ...]:
@@ -114,57 +110,42 @@ def n_ph_upper_batch(
     positive coefficient takes the upper decoy bound of its cell plus
     its Azuma deviation over N_1, a negative one the lower bound minus
     it (floored at zero, a count cannot be negative); each half then
-    adds its tail deviation.  The sums are running sums
-    (``np.add.accumulate``) in the order of the scalar reference, so
-    each point's numbers equal its scalar ones bit for bit; a term with
-    a zero coefficient adds an exact zero.
+    adds its tail deviation.  A term with a zero coefficient adds zero.
     """
     upper, lower = cells.upper1, cells.lower1
-    count = len(m1.value)
-    # running sums (0 + x = x for the nonnegative first summands)
-    n1 = np.add.accumulate(upper.value, axis=1)[:, -1]
+    n1 = upper.value.sum(axis=1)
     pc, coef, q = terms[:, :, 0], terms[:, :, 1], terms[:, :, 2]
     up = coef > 0.0
     used = coef != 0.0
     if budget is None:
         dev = tail = 0.0
     else:
-        eps, log_inv = budget.alloc_table(_TERM_NAMES)
-        tail_eps, tail_log_inv = budget.alloc_table(_TAIL_NAMES)
+        eps, log_inv = budget.alloc_table(_DEV_NAMES)
         dev = np.sqrt(2.0 * n1[:, None] * log_inv)
-        tail = np.sqrt(2.0 * n1[:, None] * tail_log_inv)
+        dev, tail = dev[:, :6], dev[:, 6] + dev[:, 7]
     value = np.where(
         up,
         (upper.value[:, _TERM_CELLS] + dev) / q,
-        py_max(0.0, lower.value[:, _TERM_CELLS] - dev) / q,
+        np.maximum(lower.value[:, _TERM_CELLS] - dev, 0.0) / q,
     )
-    summands = np.empty((count, 8))
-    summands[:, _TERM_COLS] = np.where(used, pc * value, 0.0)
-    summands[:, _TAIL_COLS] = tail
-    # a -0.0 first summand only changes the sign of a zero sum, which the
-    # clamp removes
-    n_ph = py_max(0.0, np.add.accumulate(summands, axis=1)[:, -1])
+    n_ph = np.maximum(np.where(used, pc * value, 0.0).sum(axis=1) + tail, 0.0)
     if budget is None:
-        failure = np.zeros(count)
+        failure = np.zeros(len(n1))
     else:
         cell_failure = np.where(
             up,
             upper.failure_prob[:, _TERM_CELLS],
             lower.failure_prob[:, _TERM_CELLS],
         )
-        summands = np.empty((count, 14))
-        summands[:, _ALLOC_COLS] = eps
-        summands[:, _ALLOC_COLS + 1] = np.where(used, cell_failure, 0.0)
-        summands[:, _TAIL_ALLOC_COLS] = tail_eps
-        failure = np.add.accumulate(summands, axis=1)[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = n_ph / m1.value
-    e_ph = np.where(m1.value <= 0.0, 1.0, np.where(ratio < 1.0, ratio, 1.0))
+        failure = np.where(used, cell_failure, 0.0).sum(axis=1) + eps.sum()
+    m1v = m1.value
+    # 1.0 where the single-photon bound is empty
+    ratio = np.divide(n_ph, m1v, out=np.ones(len(n1)), where=m1v > 0.0)
     return PhaseErrorBatch(
         n_ph_upper=n_ph,
         n1_upper=n1,
-        e_ph_upper=e_ph,
-        failure_prob=np.where(1.0 - 1e-300 < failure, 1.0 - 1e-300, failure),
+        e_ph_upper=np.minimum(ratio, 1.0),
+        failure_prob=np.minimum(failure, 1.0 - 1e-300),
     )
 
 
@@ -197,11 +178,9 @@ def n_ph_appendixE(
     if not np.all((0.0 < p_z) & (p_z < 1.0)):
         raise ValueError("p_z must lie strictly in (0, 1)")
     ratio = p_z / (1.0 - p_z)
-    half = (1.0 - math.sin(xi / 2.0)) / 2.0
-    # half ratio^2 per point in Python floats: ``x**2`` is ``pow``
-    half_r2 = np.array([half * r**2 for r in ratio.tolist()])
+    half_r2 = (1.0 - math.sin(xi / 2.0)) / 2.0 * ratio * ratio
     upper, lower = cells.upper1.value, cells.lower1.value
-    n1 = np.add.accumulate(upper, axis=1)[:, -1]
+    n1 = upper.sum(axis=1)
     if budget is None:
         d_x0x1 = d_z0x0 = d_z1x0 = d_x0x0 = tail_s0 = tail_s1 = 0.0
     else:
@@ -212,7 +191,7 @@ def n_ph_appendixE(
     return (
         half_r2 * (upper[:, _X0X1] + d_x0x1)
         + ratio * (upper[:, _Z0X0] + upper[:, _Z1X0] + d_z0x0 + d_z1x0)
-        - half_r2 * py_max(0.0, lower[:, _X0X0] - d_x0x0)
+        - half_r2 * np.maximum(lower[:, _X0X0] - d_x0x0, 0.0)
         + tail_s0
         + tail_s1
     )

@@ -27,6 +27,7 @@ from .decoy import (
     IntensitySet,
     ObservedCounts,
     decoy_bounds_batch,
+    distinct,
 )
 from .key_length import KeyRateBatch, KeyRateResult, key_length_batch, lambda_ec_batch
 from .phase_error import n_ph_upper_batch, phase_terms
@@ -180,24 +181,28 @@ def evaluate_batch(
     feasible &= (0.0 < params.p_z) & (params.p_z < 1.0)
     if source is None:
         source = lambda p_z: build_source_model(cfg.xi, p_z)
-    terms: dict[float, tuple | None] = {}
-    for p_z in params.p_z[feasible].tolist():
-        if p_z not in terms:
-            try:
-                terms[p_z] = phase_terms(source(p_z))
-            except ValueError:
-                terms[p_z] = None
-    feasible &= np.array([terms.get(p_z) is not None for p_z in params.p_z.tolist()])
-
     idx = np.flatnonzero(feasible)
+    # the phase-error terms once per distinct p_z; which[i] is the row of
+    # the feasible point idx[i]
+    p_z_values, which = distinct(params.p_z[idx])
+    terms = np.empty((len(p_z_values), 6, 3))
+    built = np.ones(len(p_z_values), dtype=bool)
+    for j, p_z in enumerate(p_z_values.tolist()):
+        try:
+            terms[j] = phase_terms(source(p_z))
+        except ValueError:
+            built[j] = False
+    if not built.all():
+        keep = built[which]
+        feasible[idx[~keep]] = False
+        idx, which = idx[keep], which[keep]
+
     intens = intens.take(idx)
-    p_z = params.p_z[idx]
     if model is None:
         model = ChannelModel(cfg)
-    counts, e_z = model.expected_batch(intens, p_z, n_total)
-    point_terms = np.array([terms[v] for v in p_z.tolist()]).reshape(-1, 6, 3)
+    counts, e_z = model.expected_batch(intens, params.p_z[idx], n_total)
     return feasible, _rate_batch(
-        counts, e_z, intens, point_terms, budget, n_total, mode, f_ec
+        counts, e_z, intens, terms[which], budget, n_total, mode, f_ec
     )
 
 

@@ -3,8 +3,9 @@
 ``scalar_rate`` is the one-point chain as ``evaluate_rate`` ran it before
 the batch path existed: the scalar decoy, phase-error and key-length
 functions of ``scalar_chain``, one call per cell.  The batch path must
-give the same key length and abort reason at every point, and
-bit-identical floats.
+give the same key length and abort reason at every point, and floats
+within REL relative: it forms its factors with numpy ufuncs and sums
+in numpy's order, where the reference uses ``math`` and Python's order.
 """
 
 import dataclasses
@@ -75,7 +76,7 @@ def scalar_rate(cfg, params, budget, n_total, mode, f_ec=1.16, counts=None):
                       n_total=n_total, e_z=e_z, z_ks_size=z_ks)
 
 
-def assert_same(res, ref, rel=0.0):
+def assert_same(res, ref, rel=REL):
     assert res.ell == ref.ell
     assert res.abort_reason == ref.abort_reason
     for name in FIELDS:
@@ -134,7 +135,7 @@ def test_single_point_is_a_batch_of_one():
     single = evaluate_rate(cfg, params, budget, 1e12)
     for i in range(3):
         assert batch.result(i) == single
-    assert single == scalar_rate(cfg, params, budget, 1e12, "exact")
+    assert_same(single, scalar_rate(cfg, params, budget, 1e12, "exact"))
 
 
 @pytest.mark.parametrize("mode, r", [("exact", 0.0), ("fluct", 0.05)])
@@ -225,11 +226,7 @@ def test_optimizer_golden(mode):
                         EpsilonBudget.build(1e-10, 1e-15, mode), gold["n_total"],
                         seed=0, grid_points=3, mode=mode)
     assert out.best_params == ProtocolParams(*gold["params"])
-    best = KeyRateResult(**gold["best"])
-    if mode == "exact":
-        assert out.best == best
-    else:
-        assert_same(out.best, best, rel=REL)
+    assert_same(out.best, KeyRateResult(**gold["best"]))
     assert out.evaluations == gold["evaluations"]
     trace = [[[p.p_z, p.p_ks, p.p_kd1, p.k_s, p.k_d1], rate] for p, rate in out.trace]
     assert trace == gold["trace"]

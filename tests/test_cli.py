@@ -162,6 +162,15 @@ def test_underflowing_secrecy_split_exit_code(tmp_path, capsys):
     assert "underflows" in _assert_clean_error(code, capsys)
 
 
+@pytest.mark.parametrize("distance", ["-5", "nan", "inf"])
+def test_bad_distance_exit_code(tmp_path, capsys, distance):
+    ini = tmp_path / "run.ini"
+    ini.write_text(FAST)
+    code = main(["optimize", "--config", str(ini), f"--distance={distance}"])
+    err = _assert_clean_error(code, capsys)
+    assert "distance must be finite and nonnegative" in err
+
+
 @pytest.mark.parametrize("command", ["sweep", "optimize"])
 def test_infeasible_search_box_exit_code(tmp_path, capsys, command):
     # at 95% fluctuation neighbouring intensity ranges always overlap

@@ -1,5 +1,7 @@
 """INI config parsing, defaults, and diagnostics."""
 
+from pathlib import Path
+
 import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
@@ -76,6 +78,16 @@ def test_diagnostics_carry_line_numbers():
         parse_config("[run]\nn_totl = 1e12\n")
     with pytest.raises(ConfigError, match="line 1"):
         parse_config("[rum]\nn_total = 1e12\n")
+
+
+def test_readme_config_block_parses():
+    # the README's example, inline ``;`` comments included
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block)
+    assert cfg.xi == 0.147
+    assert cfg.grid_points == 7
+    assert cfg.mode == "exact"
 
 
 def test_load_config_missing_file(tmp_path):

@@ -5,6 +5,7 @@ Frozen values from mpmath at 60 digits.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from qkd_keyrate.key_length import (
     binary_entropy,
     eph_threshold,
     lambda_ec,
+    lambda_ec_batch,
 )
 
 from one_point import bound, key_length, phase
@@ -63,6 +65,21 @@ def test_lambda_ec():
         lambda_ec(1e6, 0.02, f_ec=0.9)
     with pytest.raises(ValueError):
         lambda_ec(-1.0, 0.02)
+
+
+def test_lambda_ec_batch_matches_scalar():
+    e_z = np.array([0.0, 0.11, 0.5, 1.0])
+    z = np.array([1e6, 2.5e9, 3.0, 1e6])
+    batch = lambda_ec_batch(z, e_z, f_ec=1.16)
+    for i, e in enumerate(e_z.tolist()):
+        scalar = 1.16 * z[i] * binary_entropy(e)
+        assert batch[i] == pytest.approx(scalar, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan])
+def test_lambda_ec_batch_domain(bad):
+    with pytest.raises(ValueError):
+        lambda_ec_batch(np.array([1e6, 1e6]), np.array([0.02, bad]))
 
 
 def test_key_length_spot_value():
