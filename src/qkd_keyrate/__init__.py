@@ -7,7 +7,7 @@ The package is organised bottom-up:
 - ``qubit_model``: source characterisation (Bloch vectors, filtered states,
   basis-mismatch transmission coefficients).
 - ``channel``: lossy-channel click statistics used to generate expected or
-  sampled detection counts.
+  sampled detection counts, as a dense ``CountsBatch``.
 - ``decoy``: vacuum / single-photon count bounds from multi-intensity data.
 - ``phase_error``: upper bound on the phase-error count of the virtual
   protocol, with a reduced closed form for the symmetric source.
@@ -19,21 +19,15 @@ The package is organised bottom-up:
 """
 
 from .budget import EpsilonBudget
-from .channel import (
-    ChannelConfig,
-    ChannelModel,
-    expected_counts,
-    sample_counts,
-)
+from .channel import ChannelConfig, ChannelModel
 from .concentration import (
     azuma_dev,
-    best_mean_bound,
     chernoff_devs,
     hoeffding_dev,
     mult_chernoff_devs,
 )
 from .config import ConfigError, RunConfig, load_config
-from .decoy import IntensitySet, ObservedCounts
+from .decoy import CountsBatch, IntensitySet
 from .key_length import KeyRateResult, binary_entropy, eph_threshold, lambda_ec
 from .optimize import OptimizationResult, SearchSpace, optimize_rate
 from .phase_error import n_ph_appendixE
@@ -47,18 +41,15 @@ __all__ = [
     "EpsilonBudget",
     "ChannelConfig",
     "ChannelModel",
-    "expected_counts",
-    "sample_counts",
     "azuma_dev",
-    "best_mean_bound",
     "chernoff_devs",
     "hoeffding_dev",
     "mult_chernoff_devs",
     "ConfigError",
     "RunConfig",
     "load_config",
+    "CountsBatch",
     "IntensitySet",
-    "ObservedCounts",
     "KeyRateResult",
     "binary_entropy",
     "eph_threshold",

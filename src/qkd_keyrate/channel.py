@@ -1,12 +1,12 @@
-"""Fibre channel and threshold-detector model producing expected statistics.
+"""Fibre channel and threshold-detector model producing detection statistics.
 
 Models the full measured-click pipeline for the three-state source:
 fibre loss, detector efficiency, dark counts, intensity fluctuations
 drawn from a truncated Gaussian, random assignment of double clicks, and
-detector misalignment.  The output is the per-cell expected counts (or a
-seeded Monte-Carlo sample of them) in the ObservedCounts layout that the
-decoy and phase-error estimators consume, together with the Z-basis bit
-error rate.
+detector misalignment.  The output is a ``CountsBatch``, the dense
+per-cell counts that the decoy and phase-error estimators consume:
+expected values with the Z-basis bit error rate, or seeded Monte-Carlo
+draws.
 
 Counts follow the physical convention: a Z-basis cell with sender bit i
 carries the 1/2 probability of choosing that bit, so |Z_k| sums to
@@ -22,14 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import roots_legendre
 
-from .decoy import (
-    CountsBatch,
-    IntensityBatch,
-    IntensityLevel,
-    IntensitySet,
-    ObservedCounts,
-    distinct,
-)
+from .decoy import CountsBatch, IntensityBatch, IntensityLevel, distinct
 
 __all__ = [
     "ChannelConfig",
@@ -37,10 +30,9 @@ __all__ = [
     "FluctuationDensity",
     "apply_misalignment",
     "click_probs",
-    "expected_counts",
     "gauss_expect",
     "resolve_double_clicks",
-    "sample_counts",
+    "z_error_rate",
 ]
 
 _NODES, _WEIGHTS = roots_legendre(64)
@@ -253,26 +245,23 @@ class ChannelModel:
         self._fractions = tuple(
             f for a, y, b in _CONFIGS for f in _interference_factors(cfg.xi, a, y, b)
         )
-        # per nominal intensity: the click table and, for batches, its
-        # outcome probabilities along CELLS followed by the Z error rate
-        self._tables: dict[float, tuple[dict, list[float]]] = {}
+        # per nominal intensity: the click table as one row, its outcome
+        # probabilities along CELLS followed by the Z error rate
+        self._tables: dict[float, list[float]] = {}
 
-    def outcome_probs(self, level: IntensityLevel) -> dict:
-        """Map (sender basis, sender bit, receiver basis) -> (P0, P1).
+    def _entry(self, nominal: float) -> list[float]:
+        """The click table at ``nominal``, built on first use.
 
-        P_j is the probability that the receiver registers outcome j
-        (exclusively, after random double-click assignment and, for
-        like-basis configurations, misalignment).
+        Entry i is the probability that a pulse of CELLS[i]'s sender state
+        measured in its receiver basis gives its outcome (exclusively,
+        after random double-click assignment and, for like-basis
+        configurations, misalignment); entry 16 is the Z error rate.
         """
-        return self._entry(level.nominal)[0]
-
-    def _entry(self, nominal: float) -> tuple[dict, list[float]]:
-        """The click table at ``nominal`` and its row, built on first use."""
-        entry = self._tables.get(nominal)
-        if entry is not None:
-            return entry
+        row = self._tables.get(nominal)
+        if row is not None:
+            return row
         ports = _port_click_probs(self.cfg, nominal, self._fractions)
-        table = {}
+        row = []
         for (a, y, b), p0, p1 in zip(_CONFIGS, ports[0::2], ports[1::2]):
             q0 = resolve_double_clicks(p0, p1)
             q1 = resolve_double_clicks(p1, p0)
@@ -284,64 +273,22 @@ class ChannelModel:
                     q0, q1 = apply_misalignment(q0, q1, self.cfg.e_mis)
                 else:
                     q1, q0 = apply_misalignment(q1, q0, self.cfg.e_mis)
-            table[(a, y, b)] = (q0, q1)
+            row += (q0, q1)
         # the X1 sender cells are never sent
-        row = [p for c in _CONFIGS for p in table[c]] + [0.0] * 4
-        entry = self._tables[nominal] = (table, row + [_z_error_rate(table)])
-        return entry
+        row += [0.0] * 4
+        row.append(z_error_rate(row))
+        self._tables[nominal] = row
+        return row
 
-    def expected(
-        self, intens: IntensitySet, p_z: float, n_total: float
-    ) -> tuple[ObservedCounts, float]:
-        """Expected ObservedCounts and the Z-basis bit error rate."""
-        if n_total <= 0:
-            raise ValueError("n_total must be positive")
-        if not 0.0 < p_z < 1.0:
-            raise ValueError("p_z must lie in (0, 1)")
-        p_x = 1.0 - p_z
-        state_prob = {("Z", 0): 0.5 * p_z, ("Z", 1): 0.5 * p_z, ("X", 0): p_x}
-        basis_prob = {"Z": p_z, "X": p_x}
-        cells: dict = {}
-        z_by_k: dict = {}
-        trials: dict = {}
-        for a, y, b in _CONFIGS:
-            trials[(a, y, b)] = n_total * state_prob[(a, y)] * basis_prob[b]
-        for b in ("Z", "X"):
-            trials[("X", 1, b)] = 0.0
-        for label in ("s", "d1", "d2"):
-            level = intens.level(label)
-            table = self.outcome_probs(level)
-            n_k = n_total * level.prob
-            z_k = 0.0
-            for a, y, b in _CONFIGS:
-                probs = table[(a, y, b)]
-                for j in (0, 1):
-                    count = n_k * state_prob[(a, y)] * basis_prob[b] * probs[j]
-                    cells[(a, y, b, j, label)] = count
-                    if a == "Z" and b == "Z":
-                        z_k += count
-                for j in (0, 1):
-                    cells.setdefault(("X", 1, b, j, label), 0.0)
-            z_by_k[label] = z_k
-        e_z = _z_error_rate(self.outcome_probs(intens.s))
-        counts = ObservedCounts(
-            z_by_k=z_by_k,
-            cells=cells,
-            n_z=n_total * p_z * p_z,
-            n_total=n_total,
-            trials_by_config=trials,
-        )
-        return counts, e_z
-
-    def expected_batch(
-        self, intens: IntensityBatch, p_z: np.ndarray, n_total: float
-    ) -> tuple[CountsBatch, np.ndarray]:
-        """``expected`` for a batch of points: dense counts and e_z per point.
+    def _layout(
+        self, intens: IntensityBatch, p_z: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per point: the selection probability of each level (B, 3, 1),
+        the sender-state and receiver-basis weights along CELLS (B, 1, 16)
+        and the click tables of the levels (B, 3, 17).
 
         Each distinct nominal intensity of the batch is looked up once.
         """
-        if n_total <= 0:
-            raise ValueError("n_total must be positive")
         if not ((0.0 < p_z) & (p_z < 1.0)).all():
             raise ValueError("p_z must lie in (0, 1)")
         # sender-state and receiver-basis weights along the CELLS axis; the
@@ -351,10 +298,18 @@ class ChannelModel:
         basis = weights[:, None, _CELL_BASIS]
         levels = np.array([(lv.nominal, lv.prob) for lv in intens]).T  # (B, 2, 3)
         nominal, which = distinct(levels[:, 0])
-        rows = np.array([self._entry(k)[1] for k in nominal.tolist()])
-        rows = rows.reshape(-1, 17)[which]
-        # N_k, then the state, the basis and the outcome, as in expected()
-        cells = n_total * levels[:, 1, :, None] * state * basis * rows[:, :, :16]
+        rows = np.array([self._entry(k) for k in nominal.tolist()])
+        return levels[:, 1, :, None], state, basis, rows.reshape(-1, 17)[which]
+
+    def expected_batch(
+        self, intens: IntensityBatch, p_z: np.ndarray, n_total: float
+    ) -> tuple[CountsBatch, np.ndarray]:
+        """Expected counts of a batch of points and the Z-basis bit error
+        rate of each point's signal level."""
+        if n_total <= 0:
+            raise ValueError("n_total must be positive")
+        prob, state, basis, rows = self._layout(intens, p_z)
+        cells = n_total * prob * state * basis * rows[:, :, :16]
         z_by_k = cells[:, :, _ZZ_CELLS].sum(axis=2)
         counts = CountsBatch(
             cells=cells,
@@ -363,79 +318,47 @@ class ChannelModel:
             z_tot=z_by_k.sum(axis=1),
             n_z=n_total * p_z * p_z,
         )
-        # the Z error rate of each point's signal level
         return counts, rows[:, 0, 16]
 
     def sample(
-        self, intens: IntensitySet, p_z: float, n_total: int, seed: int
-    ) -> ObservedCounts:
-        """Monte-Carlo draw of ObservedCounts with integer cells.
+        self, intens: IntensityBatch, p_z: np.ndarray, n_total: int, seed: int
+    ) -> CountsBatch:
+        """Monte-Carlo counts with integer cells, one independent draw per
+        point; a point that appears twice is drawn twice.
 
-        Trials are split multinomially over (sender state, receiver
-        basis, intensity), then each group draws its two outcome counts.
+        Each point's trials are split multinomially over (intensity,
+        sender state, receiver basis), then each group draws its two
+        outcome counts.
         """
         if n_total < 0:
             raise ValueError("n_total must be nonnegative")
-        if not 0.0 < p_z < 1.0:
-            raise ValueError("p_z must lie in (0, 1)")
         rng = np.random.default_rng(seed)
-        p_x = 1.0 - p_z
-        state_prob = {("Z", 0): 0.5 * p_z, ("Z", 1): 0.5 * p_z, ("X", 0): p_x}
-        basis_prob = {"Z": p_z, "X": p_x}
-        combos = [
-            (a, y, b, label)
-            for a, y, b in _CONFIGS
-            for label in ("s", "d1", "d2")
-        ]
-        pvals = np.array(
-            [
-                state_prob[(a, y)] * basis_prob[b] * intens.level(label).prob
-                for a, y, b, label in combos
-            ]
-        )
-        pvals /= pvals.sum()
-        group_trials = rng.multinomial(n_total, pvals)
-        cells: dict = {}
-        trials: dict = {}
-        z_by_k = {label: 0 for label in ("s", "d1", "d2")}
-        n_z = 0
-        for (a, y, b, label), m in zip(combos, group_trials):
-            table = self.outcome_probs(intens.level(label))
-            q0, q1 = table[(a, y, b)]
-            c0, c1, _ = rng.multinomial(int(m), [q0, q1, max(0.0, 1.0 - q0 - q1)])
-            cells[(a, y, b, 0, label)] = int(c0)
-            cells[(a, y, b, 1, label)] = int(c1)
-            trials[(a, y, b)] = trials.get((a, y, b), 0) + int(m)
-            if a == "Z" and b == "Z":
-                z_by_k[label] += int(c0) + int(c1)
-                n_z += int(m)
-            for j in (0, 1):
-                cells.setdefault(("X", 1, b, j, label), 0)
-        for b in ("Z", "X"):
-            trials.setdefault(("X", 1, b), 0)
-        return ObservedCounts(
-            z_by_k=z_by_k,
+        prob, state, basis, rows = self._layout(intens, p_z)
+        # one group per (level, configuration): the configurations are the
+        # even CELLS entries, each followed by its other outcome
+        groups = (prob * state * basis)[:, :, ::2].reshape(len(p_z), 24)
+        groups /= groups.sum(axis=1, keepdims=True)
+        trials = rng.multinomial(n_total, groups).reshape(-1, 3, 8)
+        outcomes = rows[:, :, :16].reshape(-1, 3, 8, 2)
+        no_click = np.maximum(0.0, 1.0 - outcomes.sum(axis=3, keepdims=True))
+        clicks = rng.multinomial(trials, np.concatenate([outcomes, no_click], axis=3))
+        cells = clicks[..., :2].reshape(-1, 3, 16).astype(float)
+        config_trials = np.repeat(trials.sum(axis=1), 2, axis=1).astype(float)
+        z_by_k = cells[:, :, _ZZ_CELLS].sum(axis=2)
+        return CountsBatch(
             cells=cells,
-            n_z=n_z,
-            n_total=n_total,
-            trials_by_config=trials,
+            trials=config_trials,
+            z_by_k=z_by_k,
+            z_tot=z_by_k.sum(axis=1),
+            # the trials of the Z0 -> Z and Z1 -> Z configurations
+            n_z=config_trials[:, 0] + config_trials[:, 4],
         )
 
 
-def _z_error_rate(table: dict) -> float:
-    """Z-basis bit error rate of one intensity level's click table."""
-    err = table[("Z", 0, "Z")][1] + table[("Z", 1, "Z")][0]
-    gain = sum(table[("Z", y, "Z")][j] for y in (0, 1) for j in (0, 1))
-    return err / gain if gain > 0.0 else 0.0
-
-
-def expected_counts(
-    cfg: ChannelConfig, intens: IntensitySet, p_z: float, n_total: float
-) -> tuple[ObservedCounts, float]:
-    return ChannelModel(cfg).expected(intens, p_z, n_total)
-
-
-def sample_counts(
-    cfg: ChannelConfig, intens: IntensitySet, p_z: float, n_total: int, seed: int
-) -> ObservedCounts:
-    return ChannelModel(cfg).sample(intens, p_z, n_total, seed)
+def z_error_rate(cells: Sequence[float]) -> float:
+    """Z-basis bit error rate of one intensity level from its entries
+    along CELLS, outcome probabilities or counts: the Z0Z1 and Z1Z0
+    cells over the four Z-sender, Z-receiver cells, 0 where those are
+    all 0."""
+    gain = cells[0] + cells[1] + cells[4] + cells[5]
+    return (cells[1] + cells[4]) / gain if gain > 0.0 else 0.0

@@ -29,7 +29,6 @@ __all__ = [
     "hoeffding_dev",
     "mult_chernoff_devs",
     "azuma_dev",
-    "best_mean_bound",
 ]
 
 
@@ -138,41 +137,3 @@ def azuma_dev(trials: float, eps: float) -> float:
     _check_prob(eps)
     return math.sqrt(2.0 * trials * _log_inv(eps))
 
-
-def best_mean_bound(
-    observed: float,
-    total: float,
-    eps: float,
-    direction: str,
-    eps_h: float | None = None,
-) -> tuple[float, float]:
-    """Tightest available bound on the mean of a Bernoulli sum.
-
-    Compares the Hoeffding deviation over the total trial count (failure
-    ``eps``) against the multiplicative-Chernoff deviation built from the
-    observed count itself (failure ``eps + eps_h``) and returns ``(bound,
-    failure_prob)`` for the smaller of the two deviations.  The selection is
-    an unconditional magnitude min: the multiplicative form depends only on
-    the observed count, and the Hoeffding term is the always-valid backstop.
-    ``direction`` is "lower" for ``mean >= bound`` and "upper" for ``mean <=
-    bound``.  The returned bound is not clamped; a lower bound may be
-    negative for tiny counts.
-    """
-    if direction not in ("lower", "upper"):
-        raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
-    if observed < 0:
-        raise ValueError("observed must be nonnegative")
-    if eps_h is None:
-        eps_h = eps
-    dev_h = hoeffding_dev(total, eps)
-    log16 = math.log(16.0)
-    if direction == "lower":
-        dev_m = math.sqrt(3.0 * observed * _log_inv(eps))
-    else:
-        dev_m = math.sqrt(2.0 * observed * (4.0 * _log_inv(eps) + log16))
-    if dev_m < dev_h:
-        dev, failure = dev_m, eps + eps_h
-    else:
-        dev, failure = dev_h, eps
-    bound = observed - dev if direction == "lower" else observed + dev
-    return bound, failure

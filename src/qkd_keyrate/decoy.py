@@ -22,8 +22,8 @@ functions the batch replaced are kept as the test reference in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "IntensityBatch",
     "IntensityLevel",
     "IntensitySet",
-    "ObservedCounts",
     "decoy_bounds_batch",
     "poisson_pk",
 ]
@@ -54,11 +53,6 @@ CELLS = tuple(
     for b in ("Z", "X")
     for y1 in (0, 1)
 )
-
-# cell key: (sender basis, sender bit, receiver basis, receiver bit, intensity label)
-CellKey = tuple[str, int, str, int, str]
-# config key: (sender basis, sender bit, receiver basis)
-ConfigKey = tuple[str, int, str]
 
 
 def poisson_pk(n: int, k: float) -> float:
@@ -159,50 +153,6 @@ class IntensitySet:
         )
 
 
-@dataclass
-class ObservedCounts:
-    """Sifted detection statistics of one protocol run.
-
-    ``z_by_k`` holds the Z-basis coincidence counts per intensity label;
-    ``cells`` maps (sender basis, sender bit, receiver basis, receiver
-    bit, intensity label) to a count; ``trials_by_config`` maps (sender
-    basis, sender bit, receiver basis) to the number of trials with that
-    setting combination, which is what the martingale deviations range
-    over.  Counts may be real-valued (expected statistics) or integer
-    (sampled).
-    """
-
-    z_by_k: Mapping[str, float]
-    cells: Mapping[CellKey, float]
-    n_z: float
-    n_total: float
-    trials_by_config: Mapping[ConfigKey, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.n_z < 0 or self.n_total < 0 or self.n_z > self.n_total:
-            raise ValueError("need 0 <= n_z <= n_total")
-        for label, count in self.z_by_k.items():
-            if label not in K_LABELS:
-                raise ValueError(f"unknown intensity label {label!r}")
-            if count < 0:
-                raise ValueError("counts must be nonnegative")
-        if any(c < 0 for c in self.cells.values()):
-            raise ValueError("counts must be nonnegative")
-
-    @property
-    def z_tot(self) -> float:
-        return sum(self.z_by_k.values())
-
-    def z_k(self, label: str) -> float:
-        return self.z_by_k.get(label, 0.0)
-
-    def cell(self, a: str, y: int, b: str, y1: int, k: str) -> float:
-        return self.cells.get((a, y, b, y1, k), 0.0)
-
-    def config_trials(self, a: str, y: int, b: str) -> float:
-        return self.trials_by_config.get((a, y, b), 0.0)
-
-
 def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct entries of ``values`` and, per entry, its index
     into them, an array of the shape of ``values``.
@@ -293,12 +243,15 @@ class IntensityBatch(NamedTuple):
 
 
 class CountsBatch(NamedTuple):
-    """Detection statistics of a batch of runs, dense.
+    """Sifted detection statistics of a batch of runs, dense.
 
     ``cells`` is (B, 3, 16): the K_LABELS axis, then the CELLS axis.
     ``trials`` is (B, 16): the trials of each cell's (sender state,
-    receiver basis) configuration.  ``z_by_k`` is (B, 3); ``z_tot`` and
-    ``n_z`` are (B,).
+    receiver basis) configuration, which the martingale deviations range
+    over.  ``z_by_k`` is (B, 3), the Z-basis coincidence counts per
+    intensity; ``z_tot`` and ``n_z`` (the Z-basis trials) are (B,).
+    Counts are real-valued for expected statistics and integer-valued
+    for sampled ones.
     """
 
     cells: np.ndarray
@@ -306,20 +259,6 @@ class CountsBatch(NamedTuple):
     z_by_k: np.ndarray
     z_tot: np.ndarray
     n_z: np.ndarray
-
-    @classmethod
-    def of(cls, counts: ObservedCounts) -> "CountsBatch":
-        """Batch of one from ObservedCounts."""
-        cells = [[counts.cell(a, y, b, y1, k) for a, y, b, y1 in CELLS]
-                 for k in K_LABELS]
-        trials = [counts.config_trials(a, y, b) for a, y, b, _ in CELLS]
-        return cls(
-            cells=np.array([cells], dtype=float),
-            trials=np.array([trials], dtype=float),
-            z_by_k=np.array([[counts.z_k(k) for k in K_LABELS]], dtype=float),
-            z_tot=np.array([counts.z_tot], dtype=float),
-            n_z=np.array([counts.n_z], dtype=float),
-        )
 
 
 class BoundBatch(NamedTuple):
@@ -428,9 +367,12 @@ def _mean_estimates(
     """The _ESTIMATES of every population and their failure
     probabilities, (B, 5, 17) from the (B, 5, 17) ``observed`` counts.
 
-    Exact mode takes ``concentration.best_mean_bound`` against ``size``,
-    the population total; fluct mode an Azuma deviation over ``size``,
-    the trials.
+    Exact mode takes the Hoeffding deviation against ``size``, the
+    population total, or the multiplicative-Chernoff deviation of the
+    observed count where that is smaller, which also charges the
+    estimate's helper allocation; fluct mode takes an Azuma deviation
+    over ``size``, the trials.  This is the library's only choice
+    between the two mean bounds.
     """
     if budget is None:
         return observed, np.zeros(observed.shape)

@@ -7,8 +7,8 @@ on batches of parameter points, with a leading batch axis:
 ``evaluate_batch`` evaluates many points at once (the optimizer's grid),
 and ``evaluate_rate`` is a batch of one.  The validation suites call the
 same batch functions.  The channel statistics default to the expected
-values of the system model; sampled counts can be substituted for
-coverage studies.
+values of the system model; ``evaluate_rate`` also takes a one-row
+``CountsBatch`` from elsewhere, such as a ``ChannelModel.sample`` draw.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .budget import EpsilonBudget
-from .channel import ChannelConfig, ChannelModel
+from .channel import ChannelConfig, ChannelModel, z_error_rate
 from .decoy import (
     CountsBatch,
     IntensityBatch,
     IntensitySet,
-    ObservedCounts,
     decoy_bounds_batch,
     distinct,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "build_source_model",
     "evaluate_batch",
     "evaluate_rate",
-    "observed_error_rate",
 ]
 
 K_D2_DEFAULT = 2e-4
@@ -146,17 +144,6 @@ def _filtered_source(
     return filtered[0], filtered[1], a_inv
 
 
-def observed_error_rate(counts: ObservedCounts) -> float:
-    """Z-basis bit error rate of the signal intensity from raw cells."""
-    gain = sum(
-        counts.cell("Z", i, "Z", j, "s") for i in (0, 1) for j in (0, 1)
-    )
-    if gain <= 0.0:
-        return 0.0
-    err = counts.cell("Z", 0, "Z", 1, "s") + counts.cell("Z", 1, "Z", 0, "s")
-    return err / gain
-
-
 def evaluate_batch(
     cfg: ChannelConfig,
     params: ParamBatch,
@@ -233,36 +220,43 @@ def evaluate_rate(
     n_total: float,
     mode: str = "exact",
     f_ec: float = 1.16,
-    counts: ObservedCounts | None = None,
-    e_z: float | None = None,
-    qm: VirtualStateCoeffs | None = None,
-    model: ChannelModel | None = None,
+    counts: CountsBatch | None = None,
 ) -> KeyRateResult:
     """Secret-key result at one parameter point: a batch of one.
 
     Infeasible parameters (intensity ordering, probability simplex)
     raise ValueError; statistical aborts come back in the result.  A
-    precomputed ``counts`` (e.g. a Monte-Carlo draw) bypasses the
-    expected-statistics channel; ``qm`` can be supplied to amortize the
-    source characterisation across calls that share xi and p_z, and
-    ``model`` to share click tables across calls on the same link.
+    one-row ``counts`` (e.g. a ``ChannelModel.sample`` draw) replaces
+    the expected statistics, and the Z error rate is then read from its
+    signal-intensity Z cells; counts of the wrong shape, negative or
+    non-finite counts and n_z > n_total raise ValueError.
     """
     levels = IntensityBatch.of(params.intensities(mode, cfg.fluct_r))
     if counts is None:
-        if model is None:
-            model = ChannelModel(cfg)
-        batch, e_zs = model.expected_batch(
+        counts, e_z = ChannelModel(cfg).expected_batch(
             levels, np.array([params.p_z], dtype=float), n_total
         )
     else:
-        batch = CountsBatch.of(counts)
-        if e_z is None:
-            e_z = observed_error_rate(counts)
-        e_zs = np.array([e_z], dtype=float)
-    if qm is None:
-        qm = build_source_model(cfg.xi, params.p_z)
+        _check_counts(counts, n_total)
+        e_z = np.array([z_error_rate(counts.cells[0, 0].tolist())])
+    qm = build_source_model(cfg.xi, params.p_z)
     res = _rate_batch(
-        batch, e_zs, levels, np.array([phase_terms(qm)]),
+        counts, e_z, levels, np.array([phase_terms(qm)]),
         budget, n_total, mode, f_ec,
     )
     return res.result(0)
+
+
+# the shape of each CountsBatch field for one run
+_ONE_RUN = ((1, 3, 16), (1, 16), (1, 3), (1,), (1,))
+
+
+def _check_counts(counts: CountsBatch, n_total: float) -> None:
+    """Reject one-run counts that no protocol run could have produced."""
+    if tuple(np.shape(a) for a in counts) != _ONE_RUN:
+        raise ValueError(f"counts must hold one run: fields of shapes {_ONE_RUN}")
+    for name, a in zip(CountsBatch._fields, counts):
+        if not (np.isfinite(a) & (np.asarray(a) >= 0.0)).all():
+            raise ValueError(f"counts.{name} must be finite and nonnegative")
+    if not counts.n_z[0] <= n_total:
+        raise ValueError("counts.n_z must not exceed n_total")

@@ -6,6 +6,7 @@ the results chain into the next batch function unchanged.
 
 import numpy as np
 
+from qkd_keyrate.channel import ChannelModel
 from qkd_keyrate.decoy import (
     CELLS,
     BoundBatch,
@@ -32,11 +33,32 @@ def phase(e_ph, failure=0.0):
     return PhaseErrorBatch(one(0.0), one(0.0), one(e_ph), one(failure))
 
 
-def decoy_bounds(counts, intens, budget, mode):
-    """m0, m1 and the cell bounds of one ObservedCounts and IntensitySet."""
-    return decoy_bounds_batch(
-        CountsBatch.of(counts), IntensityBatch.of(intens), budget, mode
+def expected_counts(cfg, intens, p_z, n_total):
+    """The expected CountsBatch of one point on link ``cfg`` and its Z
+    error rate."""
+    counts, e_z = ChannelModel(cfg).expected_batch(
+        IntensityBatch.of(intens), one(p_z), n_total
     )
+    return counts, float(e_z[0])
+
+
+def counts(z_by_k=(0.0, 0.0, 0.0), n_z=0.0, cells=None, trials=None):
+    """The CountsBatch of one run: Z counts per K_LABELS entry, and
+    optionally (3, 16) cells and (16,) configuration trials, zero
+    otherwise."""
+    z_by_k = np.array([z_by_k], dtype=float)
+    return CountsBatch(
+        cells=np.zeros((1, 3, 16)) if cells is None else np.array([cells], dtype=float),
+        trials=np.zeros((1, 16)) if trials is None else np.array([trials], dtype=float),
+        z_by_k=z_by_k,
+        z_tot=z_by_k.sum(axis=1),
+        n_z=one(n_z),
+    )
+
+
+def decoy_bounds(counts, intens, budget, mode):
+    """m0, m1 and the cell bounds of one run's CountsBatch and IntensitySet."""
+    return decoy_bounds_batch(counts, IntensityBatch.of(intens), budget, mode)
 
 
 def cell(cells, a, y, b, y1):

@@ -2,21 +2,25 @@
 
 These are the one-point decoy, phase-error and key-length functions that
 ``evaluate_rate`` chained before the batch functions replaced them,
-copied unchanged apart from the imports.  ``tests/test_batch.py``
-asserts that the batch path reproduces them bit for bit.  Nothing in
-the library calls them.
+copied unchanged apart from the imports, together with the dict-keyed
+``ObservedCounts`` they read, the ``best_mean_bound`` and
+``observed_error_rate`` they called, and ``observed_counts``, which
+turns one row of a ``CountsBatch`` into ``ObservedCounts``.
+``tests/test_batch.py`` asserts that the batch path reproduces them
+(key length and abort reason exactly, floats to 1e-12 relative).
+Nothing in the library calls them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from qkd_keyrate.budget import EpsilonBudget
-from qkd_keyrate.concentration import azuma_dev, best_mean_bound, hoeffding_dev
-from qkd_keyrate.decoy import K_LABELS, IntensitySet, ObservedCounts
+from qkd_keyrate.concentration import _log_inv, azuma_dev, hoeffding_dev
+from qkd_keyrate.decoy import CELLS, K_LABELS, CountsBatch, IntensitySet
 from qkd_keyrate.key_length import (
     ABORT_COUNTS,
     ABORT_EPS_BUDGET,
@@ -27,6 +31,130 @@ from qkd_keyrate.key_length import (
     eph_threshold,
 )
 from qkd_keyrate.qubit_model import VirtualStateCoeffs
+
+# ---------------------------------------------------------------------------
+# the dict-keyed counts layout
+
+# cell key: (sender basis, sender bit, receiver basis, receiver bit, intensity label)
+CellKey = tuple[str, int, str, int, str]
+# config key: (sender basis, sender bit, receiver basis)
+ConfigKey = tuple[str, int, str]
+
+
+@dataclass
+class ObservedCounts:
+    """Sifted detection statistics of one protocol run.
+
+    ``z_by_k`` holds the Z-basis coincidence counts per intensity label;
+    ``cells`` maps (sender basis, sender bit, receiver basis, receiver
+    bit, intensity label) to a count; ``trials_by_config`` maps (sender
+    basis, sender bit, receiver basis) to the number of trials with that
+    setting combination, which is what the martingale deviations range
+    over.  Counts may be real-valued (expected statistics) or integer
+    (sampled).
+    """
+
+    z_by_k: Mapping[str, float]
+    cells: Mapping[CellKey, float]
+    n_z: float
+    n_total: float
+    trials_by_config: Mapping[ConfigKey, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.n_z < 0 or self.n_total < 0 or self.n_z > self.n_total:
+            raise ValueError("need 0 <= n_z <= n_total")
+        for label, count in self.z_by_k.items():
+            if label not in K_LABELS:
+                raise ValueError(f"unknown intensity label {label!r}")
+            if count < 0:
+                raise ValueError("counts must be nonnegative")
+        if any(c < 0 for c in self.cells.values()):
+            raise ValueError("counts must be nonnegative")
+
+    @property
+    def z_tot(self) -> float:
+        return sum(self.z_by_k.values())
+
+    def z_k(self, label: str) -> float:
+        return self.z_by_k.get(label, 0.0)
+
+    def cell(self, a: str, y: int, b: str, y1: int, k: str) -> float:
+        return self.cells.get((a, y, b, y1, k), 0.0)
+
+    def config_trials(self, a: str, y: int, b: str) -> float:
+        return self.trials_by_config.get((a, y, b), 0.0)
+
+
+def observed_counts(batch: CountsBatch, n_total: float, i: int = 0) -> ObservedCounts:
+    """Row ``i`` of a CountsBatch as ObservedCounts."""
+    cells = batch.cells[i].tolist()
+    trials = batch.trials[i].tolist()
+    return ObservedCounts(
+        z_by_k=dict(zip(K_LABELS, batch.z_by_k[i].tolist())),
+        cells={
+            (*cell, k): count
+            for k, row in zip(K_LABELS, cells)
+            for cell, count in zip(CELLS, row)
+        },
+        n_z=float(batch.n_z[i]),
+        n_total=n_total,
+        trials_by_config={(a, y, b): t for (a, y, b, _), t in zip(CELLS, trials)},
+    )
+
+
+def observed_error_rate(counts: ObservedCounts) -> float:
+    """Z-basis bit error rate of the signal intensity from raw cells."""
+    gain = sum(
+        counts.cell("Z", i, "Z", j, "s") for i in (0, 1) for j in (0, 1)
+    )
+    if gain <= 0.0:
+        return 0.0
+    err = counts.cell("Z", 0, "Z", 1, "s") + counts.cell("Z", 1, "Z", 0, "s")
+    return err / gain
+
+
+# ---------------------------------------------------------------------------
+# concentration.py
+
+
+def best_mean_bound(
+    observed: float,
+    total: float,
+    eps: float,
+    direction: str,
+    eps_h: float | None = None,
+) -> tuple[float, float]:
+    """Tightest available bound on the mean of a Bernoulli sum.
+
+    Compares the Hoeffding deviation over the total trial count (failure
+    ``eps``) against the multiplicative-Chernoff deviation built from the
+    observed count itself (failure ``eps + eps_h``) and returns ``(bound,
+    failure_prob)`` for the smaller of the two deviations.  The selection is
+    an unconditional magnitude min: the multiplicative form depends only on
+    the observed count, and the Hoeffding term is the always-valid backstop.
+    ``direction`` is "lower" for ``mean >= bound`` and "upper" for ``mean <=
+    bound``.  The returned bound is not clamped; a lower bound may be
+    negative for tiny counts.
+    """
+    if direction not in ("lower", "upper"):
+        raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
+    if observed < 0:
+        raise ValueError("observed must be nonnegative")
+    if eps_h is None:
+        eps_h = eps
+    dev_h = hoeffding_dev(total, eps)
+    log16 = math.log(16.0)
+    if direction == "lower":
+        dev_m = math.sqrt(3.0 * observed * _log_inv(eps))
+    else:
+        dev_m = math.sqrt(2.0 * observed * (4.0 * _log_inv(eps) + log16))
+    if dev_m < dev_h:
+        dev, failure = dev_m, eps + eps_h
+    else:
+        dev, failure = dev_h, eps
+    bound = observed - dev if direction == "lower" else observed + dev
+    return bound, failure
+
 
 # ---------------------------------------------------------------------------
 # decoy.py

@@ -17,7 +17,7 @@ import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig, ChannelModel
-from qkd_keyrate.decoy import CELLS, BoundBatch
+from qkd_keyrate.decoy import CELLS, BoundBatch, IntensityBatch
 from qkd_keyrate.key_length import (
     KeyRateResult,
     eph_threshold,
@@ -31,10 +31,10 @@ from qkd_keyrate.pipeline import (
     build_source_model,
     evaluate_batch,
     evaluate_rate,
-    observed_error_rate,
 )
 from qkd_keyrate.phase_error import PhaseErrorBatch
 
+from one_point import expected_counts
 from scalar_chain import (
     BoundKind,
     DecoyBound,
@@ -46,6 +46,8 @@ from scalar_chain import (
     m1_lower_exact,
     m1_lower_fluct,
     n_ph_upper_general,
+    observed_counts,
+    observed_error_rate,
 )
 
 REL = 1e-12
@@ -60,7 +62,8 @@ def channel(dist, r=0.0, xi=0.147):
 def scalar_rate(cfg, params, budget, n_total, mode, f_ec=1.16, counts=None):
     intens = params.intensities(mode, cfg.fluct_r)
     if counts is None:
-        counts, e_z = ChannelModel(cfg).expected(intens, params.p_z, n_total)
+        batch, e_z = expected_counts(cfg, intens, params.p_z, n_total)
+        counts = observed_counts(batch, n_total)
     else:
         e_z = observed_error_rate(counts)
     if mode == "exact":
@@ -140,15 +143,18 @@ def test_single_point_is_a_batch_of_one():
 
 @pytest.mark.parametrize("mode, r", [("exact", 0.0), ("fluct", 0.05)])
 def test_sampled_counts_match_scalar_chain(mode, r):
-    # integer Monte-Carlo counts take the ObservedCounts route of a batch of one
+    # integer Monte-Carlo counts, fed to a batch of one
     cfg = channel(25.0, r)
     budget = EpsilonBudget.build(1e-10, 1e-15, mode)
     params = ProtocolParams(p_z=0.85, p_ks=0.7, p_kd1=0.2, k_s=0.5, k_d1=0.1)
     intens = params.intensities(mode, r)
     for seed in range(5):
-        counts = ChannelModel(cfg).sample(intens, params.p_z, 10**10, seed)
+        counts = ChannelModel(cfg).sample(
+            IntensityBatch.of(intens), np.array([params.p_z]), 10**10, seed
+        )
         res = evaluate_rate(cfg, params, budget, 1e10, mode=mode, counts=counts)
-        assert_same(res, scalar_rate(cfg, params, budget, 1e10, mode, counts=counts))
+        ref = observed_counts(counts, 1e10)
+        assert_same(res, scalar_rate(cfg, params, budget, 1e10, mode, counts=ref))
 
 
 def test_infeasible_points_are_masked():

@@ -17,12 +17,12 @@ from qkd_keyrate.channel import (
     _interference_factors,
     apply_misalignment,
     click_probs,
-    expected_counts,
     gauss_expect,
     resolve_double_clicks,
-    sample_counts,
 )
-from qkd_keyrate.decoy import IntensitySet
+from qkd_keyrate.decoy import CELLS, K_LABELS, IntensityBatch, IntensitySet
+
+from one_point import expected_counts
 
 REL = 1e-12
 
@@ -40,6 +40,22 @@ def make_cfg(**kw):
 def make_intens(r=0.0):
     return IntensitySet.fluctuating(k_s=0.5, k_d1=0.1, k_d2=2e-4,
                                     p_s=0.6, p_d1=0.3, r=r)
+
+
+def sample_counts(cfg, intens, p_z, n_total, seed, draws=1):
+    """``draws`` Monte-Carlo draws of one point, one per row."""
+    batch = IntensityBatch.of(intens).take(np.zeros(draws, dtype=int))
+    return ChannelModel(cfg).sample(batch, np.full(draws, p_z), n_total, seed)
+
+
+def outcome_pairs(row):
+    """The (P0, P1) outcome probabilities of each configuration of a click
+    table row, in CELLS order."""
+    return list(zip(row[0:16:2], row[1:16:2]))
+
+
+# the Z-sender, Z-receiver cells
+ZZ = [CELLS.index(("Z", i, "Z", j)) for i in (0, 1) for j in (0, 1)]
 
 
 def test_attenuation():
@@ -104,8 +120,8 @@ def test_outcome_probs_are_probabilities(distance, xi, r):
     cfg = make_cfg(distance_km=distance, xi=xi, fluct_r=r)
     model = ChannelModel(cfg)
     intens = make_intens(r=r)
-    for lab in ("s", "d1", "d2"):
-        for (a, y, b), (p0, p1) in model.outcome_probs(intens.level(lab)).items():
+    for lab in K_LABELS:
+        for p0, p1 in outcome_pairs(model._entry(intens.level(lab).nominal)):
             assert 0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0
             assert p0 + p1 <= 1.0 + 1e-12
 
@@ -116,10 +132,8 @@ def test_expected_linearity():
     c1, ez1 = expected_counts(cfg, intens, 0.5, 1e8)
     c2, ez2 = expected_counts(cfg, intens, 0.5, 2e8)
     assert ez1 == ez2
-    for key, v in c1.cells.items():
-        assert c2.cells[key] == pytest.approx(2 * v, rel=1e-14)
-    for lab, v in c1.z_by_k.items():
-        assert c2.z_by_k[lab] == pytest.approx(2 * v, rel=1e-14)
+    assert c2.cells == pytest.approx(2 * c1.cells, rel=1e-14)
+    assert c2.z_by_k == pytest.approx(2 * c1.z_by_k, rel=1e-14)
 
 
 def test_count_bookkeeping():
@@ -127,19 +141,22 @@ def test_count_bookkeeping():
     n = 1e10
     p_z = 0.7
     counts, _ = expected_counts(cfg, make_intens(), p_z, n)
-    assert counts.n_z == pytest.approx(n * p_z**2, rel=REL)
-    assert counts.n_total == n
+    cells, trials = counts.cells[0], counts.trials[0]
+    assert counts.n_z[0] == pytest.approx(n * p_z**2, rel=REL)
+    # each configuration's trials sit at both of its outcome cells, and
+    # the configurations share all N trials
+    assert (trials[0::2] == trials[1::2]).all()
+    assert trials[0::2].sum() == pytest.approx(n, rel=REL)
     # Z aggregates are the ZZ cell totals
-    for lab in ("s", "d1", "d2"):
-        agg = sum(counts.cell("Z", i, "Z", j, lab) for i in (0, 1) for j in (0, 1))
-        assert counts.z_k(lab) == pytest.approx(agg, rel=REL)
+    for k in range(len(K_LABELS)):
+        assert counts.z_by_k[0, k] == pytest.approx(cells[k, ZZ].sum(), rel=REL)
+    assert counts.z_tot[0] == pytest.approx(counts.z_by_k[0].sum(), rel=REL)
     # the second X-basis sender state never fires
-    assert all(v == 0.0 for k, v in counts.cells.items() if k[0] == "X" and k[1] == 1)
+    x1 = [i for i, c in enumerate(CELLS) if c[:2] == ("X", 1)]
+    assert (cells[:, x1] == 0.0).all()
     # detections cannot exceed trials per configuration
-    for (a, y, b), trials in counts.trials_by_config.items():
-        det = sum(counts.cell(a, y, b, j, lab) for j in (0, 1)
-                  for lab in ("s", "d1", "d2"))
-        assert det <= trials * (1 + 1e-12)
+    det = cells.sum(axis=0)
+    assert (det[0::2] + det[1::2] <= trials[0::2] * (1 + 1e-12)).all()
 
 
 def test_error_rate_dominated_by_misalignment():
@@ -163,9 +180,9 @@ def test_fluctuation_continuity_at_zero_width():
     intens1 = make_intens(r=1e-6)
     c0, _ = expected_counts(make_cfg(), intens0, 0.5, 1e10)
     c1, _ = expected_counts(make_cfg(fluct_r=1e-6), intens1, 0.5, 1e10)
-    for key, v in c0.cells.items():
-        if v > 0:
-            assert c1.cells[key] == pytest.approx(v, rel=1e-8)
+    fired = c0.cells > 0
+    assert fired.any()
+    assert c1.cells[fired] == pytest.approx(c0.cells[fired], rel=1e-8)
 
 
 def test_sample_is_deterministic():
@@ -173,10 +190,10 @@ def test_sample_is_deterministic():
     intens = make_intens()
     s1 = sample_counts(cfg, intens, 0.5, 10**6, seed=7)
     s2 = sample_counts(cfg, intens, 0.5, 10**6, seed=7)
-    assert s1.cells == s2.cells
-    assert s1.z_by_k == s2.z_by_k
+    for a, b in zip(s1, s2):
+        assert (a == b).all()
     s3 = sample_counts(cfg, intens, 0.5, 10**6, seed=8)
-    assert s3.cells != s1.cells
+    assert (s3.cells != s1.cells).any()
 
 
 def test_sample_matches_expectation():
@@ -185,23 +202,40 @@ def test_sample_matches_expectation():
     n = 10**7
     exp, _ = expected_counts(cfg, intens, 0.5, float(n))
     samp = sample_counts(cfg, intens, 0.5, n, seed=123)
-    for key, mean in exp.cells.items():
-        if mean < 10.0:
-            continue
-        assert abs(samp.cells[key] - mean) <= 5.0 * math.sqrt(mean) + 1.0
+    mean = exp.cells[0]
+    big = mean >= 10.0
+    assert big.sum() >= 12
+    assert (np.abs(samp.cells[0] - mean)[big] <= 5.0 * np.sqrt(mean[big]) + 1.0).all()
 
 
 def test_sample_counts_are_integers():
     samp = sample_counts(make_cfg(), make_intens(), 0.5, 10**5, seed=1)
-    for v in samp.cells.values():
-        assert float(v).is_integer()
-    assert float(samp.n_z).is_integer()
+    for field in samp:
+        assert (field == np.round(field)).all()
+
+
+def test_sample_bookkeeping():
+    # a point that appears three times is drawn three times; every draw
+    # spends its N trials and keeps the aggregates of its own cells
+    n = 10**6
+    samp = sample_counts(make_cfg(xi=0.147), make_intens(), 0.7, n, seed=3, draws=3)
+    assert samp.cells.shape == (3, 3, 16)
+    assert (samp.cells[0] != samp.cells[1]).any()
+    assert (samp.cells[1] != samp.cells[2]).any()
+    assert (samp.trials[:, 0::2] == samp.trials[:, 1::2]).all()
+    assert (samp.trials[:, 0::2].sum(axis=1) == n).all()
+    assert (samp.z_by_k == samp.cells[:, :, ZZ].sum(axis=2)).all()
+    assert (samp.z_tot == samp.z_by_k.sum(axis=1)).all()
+    assert (samp.n_z == samp.trials[:, 0] + samp.trials[:, 4]).all()
+    det = samp.cells.sum(axis=1)
+    assert (det[:, 0::2] + det[:, 1::2] <= samp.trials[:, 0::2]).all()
 
 
 def test_sample_empty_run():
     samp = sample_counts(make_cfg(), make_intens(), 0.5, 0, seed=1)
-    assert samp.n_total == 0
-    assert all(v == 0 for v in samp.cells.values())
+    assert samp.n_z[0] == 0
+    assert (samp.trials == 0).all()
+    assert (samp.cells == 0).all()
 
 
 def test_expected_rejects_empty_run():
@@ -257,8 +291,11 @@ def test_table_matches_separate_click_probs(distance, r):
         intens = IntensitySet.fluctuating(k_s=k_s, k_d1=k_d1, k_d2=2e-4,
                                           p_s=0.6, p_d1=0.3, r=r)
         model = ChannelModel(cfg)
-        for lab in ("s", "d1", "d2"):
+        for lab in K_LABELS:
             level = intens.level(lab)
-            table = model.outcome_probs(level)
-            assert table == table_from_click_probs(cfg, level, click_probs_per_port)
-            assert table == table_from_click_probs(cfg, level, click_probs)
+            row = model._entry(level.nominal)
+            # the X1 sender state is never sent
+            assert row[12:16] == [0.0] * 4
+            for click in (click_probs_per_port, click_probs):
+                table = table_from_click_probs(cfg, level, click)
+                assert outcome_pairs(row)[:6] == [table[c] for c in CONFIGS]

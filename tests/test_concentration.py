@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from qkd_keyrate.concentration import (
     Lemma,
     azuma_dev,
-    best_mean_bound,
     chernoff_devs,
     hoeffding_dev,
     mult_chernoff_devs,
 )
+from qkd_keyrate.decoy import _mean_estimates
 
 # mpmath, 60 digits
 CHERNOFF_LOWER_1E6 = 6786.1404244151118  # sqrt(2e6 ln 1e10)
@@ -106,6 +106,32 @@ def test_mult_chernoff_validity_edges():
 def test_azuma_frozen_values():
     assert azuma_dev(1e6, 1e-10) == pytest.approx(CHERNOFF_LOWER_1E6, rel=REL)
     assert azuma_dev(0, 0.3) == 0.0
+
+
+class FlatBudget:
+    """An epsilon budget that allocates ``eps`` to every name."""
+
+    def __init__(self, eps):
+        self.eps = eps
+
+    def alloc_table(self, names):
+        n = len(names)
+        return np.full(n, self.eps), np.full(n, -math.log(self.eps))
+
+
+def best_mean_bound(observed, total, eps, direction):
+    """(bound, failure) of the exact-mode mean estimate that
+    ``decoy._mean_estimates`` picks: Hoeffding over ``total`` or the
+    multiplicative Chernoff bound of ``observed``, whichever is tighter.
+    Every estimate and population is given the same counts; rows 0 and 2
+    are the first lower and the first upper estimate."""
+    est, failure = _mean_estimates(
+        "exact", FlatBudget(eps),
+        np.full((1, 5, 17), observed), np.full((1, 1, 17), total),
+    )
+    row = 0 if direction == "lower" else 2
+    assert (est[0, row] == est[0, row, 0]).all()
+    return est[0, row, 0], failure[0, row, 0]
 
 
 def test_best_mean_bound_picks_hoeffding_for_dense_counts():

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
-from qkd_keyrate.decoy import IntensitySet, ObservedCounts, poisson_pk
+from qkd_keyrate.decoy import CELLS, K_LABELS, IntensitySet, poisson_pk
 
-from one_point import cell, decoy_bounds
+from one_point import cell, counts as one_run, decoy_bounds
 
 REL = 1e-12
 
@@ -36,11 +36,8 @@ def make_intens(r=None):
 
 def flat_yield_counts(n_z=1e10, y=1e-3):
     intens = make_intens()
-    z = {
-        lab: n_z * intens.level(lab).prob * y
-        for lab in ("s", "d1", "d2")
-    }
-    return ObservedCounts(z_by_k=z, cells={}, n_z=n_z, n_total=n_z), intens
+    z = [n_z * intens.level(lab).prob * y for lab in K_LABELS]
+    return one_run(z, n_z=n_z), intens
 
 
 def m0_m1(counts, intens, budget, mode="exact"):
@@ -51,15 +48,15 @@ def m0_m1(counts, intens, budget, mode="exact"):
 def poisson_mixture_counts(yields, n_z=1e10, max_n=80):
     """Aggregate Z counts from per-photon-number yields (index = n)."""
     intens = make_intens()
-    z = {}
-    for lab in ("s", "d1", "d2"):
+    z = []
+    for lab in K_LABELS:
         lv = intens.level(lab)
         gain = sum(poisson_pk(n, lv.nominal) * yields[min(n, len(yields) - 1)]
                    for n in range(max_n))
-        z[lab] = n_z * lv.prob * gain
+        z.append(n_z * lv.prob * gain)
     truth0 = n_z * intens.s.prob * poisson_pk(0, 0.5) * yields[0]
     truth1 = n_z * intens.s.prob * poisson_pk(1, 0.5) * yields[1]
-    return ObservedCounts(z_by_k=z, cells={}, n_z=n_z, n_total=n_z), intens, truth0, truth1
+    return one_run(z, n_z=n_z), intens, truth0, truth1
 
 
 def test_poisson_pk_frozen():
@@ -115,14 +112,14 @@ def test_signal_joint_probabilities():
 
 def test_flat_yield_vacuum_ratio():
     counts, intens = flat_yield_counts()
-    truth = counts.n_z * intens.s.prob * math.exp(-0.5) * 1e-3
+    truth = counts.n_z[0] * intens.s.prob * math.exp(-0.5) * 1e-3
     m0, _ = m0_m1(counts, intens, None)
     assert m0.value / truth == pytest.approx(VACUUM_RATIO, rel=REL)
 
 
 def test_flat_yield_single_ratio():
     counts, intens = flat_yield_counts()
-    truth = counts.n_z * intens.s.prob * POISSON_1_HALF * 1e-3
+    truth = counts.n_z[0] * intens.s.prob * POISSON_1_HALF * 1e-3
     _, m1 = m0_m1(counts, intens, None)
     assert m1.value / truth == pytest.approx(SINGLE_RATIO, rel=REL)
 
@@ -143,13 +140,16 @@ def test_cell_bound_sandwich(seed):
     yields = rng.uniform(0.0, 1.0, size=30)
     intens = make_intens()
     n_cfg = 1e9
-    cells = {}
-    for lab in ("s", "d1", "d2"):
+    # the Z0 -> X configuration's cells are Z0X0 and Z0X1
+    z0x1 = CELLS.index(("Z", 0, "X", 1))
+    cells = np.zeros((3, 16))
+    trials = np.zeros(16)
+    trials[z0x1 - 1:z0x1 + 1] = n_cfg
+    for i, lab in enumerate(K_LABELS):
         lv = intens.level(lab)
         gain = sum(poisson_pk(n, lv.nominal) * yields[min(n, 29)] for n in range(80))
-        cells[("Z", 0, "X", 1, lab)] = n_cfg * lv.prob * gain
-    counts = ObservedCounts(z_by_k={}, cells=cells, n_z=0.0, n_total=n_cfg,
-                            trials_by_config={("Z", 0, "X"): n_cfg})
+        cells[i, z0x1] = n_cfg * lv.prob * gain
+    counts = one_run(cells=cells, trials=trials)
     truth0 = n_cfg * intens.s.prob * poisson_pk(0, 0.5) * yields[0]
     truth1 = n_cfg * intens.s.prob * poisson_pk(1, 0.5) * yields[1]
     for mode in ("exact", "fluct"):
@@ -197,13 +197,12 @@ def test_finite_cap_at_signal_count():
     counts, intens = flat_yield_counts()
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
     _, m1 = m0_m1(counts, intens, budget)
-    assert m1.value <= counts.z_k("s")
+    assert m1.value <= counts.z_by_k[0, 0]
 
 
 def test_zero_counts():
     intens = make_intens()
-    counts = ObservedCounts(z_by_k={"s": 0.0, "d1": 0.0, "d2": 0.0},
-                            cells={}, n_z=0.0, n_total=0.0)
+    counts = one_run()
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
     for b in (None, budget):
         m0, m1 = m0_m1(counts, intens, b)
@@ -211,15 +210,6 @@ def test_zero_counts():
         assert m1.value == 0.0
     cb = cell(decoy_bounds(counts, intens, budget, "exact")[2], "Z", 0, "X", 0)
     assert cb.lower0.value == cb.lower1.value == cb.upper1.value == 0.0
-
-
-def test_counts_validation():
-    with pytest.raises(ValueError):
-        ObservedCounts(z_by_k={"s": -1.0}, cells={}, n_z=0.0, n_total=1.0)
-    with pytest.raises(ValueError):
-        ObservedCounts(z_by_k={"weird": 1.0}, cells={}, n_z=0.0, n_total=1.0)
-    with pytest.raises(ValueError):
-        ObservedCounts(z_by_k={}, cells={}, n_z=2.0, n_total=1.0)
 
 
 def test_cell_bounds_mode_validation():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
-from qkd_keyrate.channel import ChannelConfig, expected_counts
+from qkd_keyrate.channel import ChannelConfig
 from qkd_keyrate.decoy import CELLS, BoundBatch, CellBoundsBatch, IntensitySet
 from qkd_keyrate.phase_error import n_ph_appendixE, n_ph_upper_batch, phase_terms
 from qkd_keyrate.qubit_model import (
@@ -27,7 +27,7 @@ from qkd_keyrate.qubit_model import (
 )
 
 from one_point import bound as m1_bound
-from one_point import decoy_bounds, phase_bound
+from one_point import decoy_bounds, expected_counts, phase_bound
 
 
 def build_qm(xi, p_z, gamma=1.0):

@@ -9,15 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qkd_keyrate.budget import EpsilonBudget
-from qkd_keyrate.channel import ChannelConfig, ChannelModel
-from qkd_keyrate.decoy import ObservedCounts
+from qkd_keyrate.channel import ChannelConfig
+from qkd_keyrate.decoy import CELLS, CountsBatch
 from qkd_keyrate.optimize import SearchSpace
 from qkd_keyrate.pipeline import (
     ProtocolParams,
     _filtered_source,
     build_source_model,
     evaluate_rate,
-    observed_error_rate,
 )
 from qkd_keyrate.qubit_model import (
     THETA_0X,
@@ -30,6 +29,8 @@ from qkd_keyrate.qubit_model import (
     build_transmission_matrix,
     virtual_state_coeffs,
 )
+
+from one_point import expected_counts
 
 PARAMS = ProtocolParams(p_z=0.88, p_ks=0.8, p_kd1=0.12, k_s=0.46, k_d1=0.11)
 
@@ -62,26 +63,11 @@ def test_fluct_bounds_cost_rate():
 def test_precomputed_counts_short_circuit():
     cfg = channel()
     bud = budget()
-    intens = PARAMS.intensities("exact", 0.0)
-    counts, e_z = ChannelModel(cfg).expected(intens, PARAMS.p_z, 1e12)
     direct = evaluate_rate(cfg, PARAMS, bud, 1e12)
-    fed = evaluate_rate(cfg, PARAMS, bud, 1e12, counts=counts, e_z=e_z)
+    # the Z error rate is recovered from the raw cells
+    counts, _ = expected_counts(cfg, PARAMS.intensities("exact", 0.0), PARAMS.p_z, 1e12)
+    fed = evaluate_rate(cfg, PARAMS, bud, 1e12, counts=counts)
     assert fed == direct
-    # without e_z the rate is recovered from the raw cells
-    refed = evaluate_rate(cfg, PARAMS, bud, 1e12, counts=counts)
-    assert refed == direct
-
-
-def test_shared_model_and_source_amortization():
-    cfg = channel()
-    bud = budget()
-    direct = evaluate_rate(cfg, PARAMS, bud, 1e12)
-    shared = evaluate_rate(
-        cfg, PARAMS, bud, 1e12,
-        qm=build_source_model(cfg.xi, PARAMS.p_z),
-        model=ChannelModel(cfg),
-    )
-    assert shared == direct
 
 
 def test_infeasible_params_raise():
@@ -99,18 +85,63 @@ def test_infeasible_params_raise():
         evaluate_rate(channel(), PARAMS, budget(), 1e12, mode="bogus")
 
 
+def one_run(signal_cells=None, z_s=0.0, n_z=0.0):
+    """The CountsBatch of one run with the given signal-intensity cells,
+    keyed by CELLS entry; every other count is 0."""
+    cells = np.zeros((1, 3, 16))
+    for cell, count in (signal_cells or {}).items():
+        cells[0, 0, CELLS.index(cell)] = count
+    return CountsBatch(cells=cells, trials=np.zeros((1, 16)),
+                       z_by_k=np.array([[z_s, 0.0, 0.0]]), z_tot=np.array([z_s]),
+                       n_z=np.array([n_z]))
+
+
 def test_observed_error_rate():
     cells = {
-        ("Z", 0, "Z", 0, "s"): 480.0,
-        ("Z", 1, "Z", 1, "s"): 500.0,
-        ("Z", 0, "Z", 1, "s"): 12.0,
-        ("Z", 1, "Z", 0, "s"): 8.0,
+        ("Z", 0, "Z", 0): 480.0,
+        ("Z", 1, "Z", 1): 500.0,
+        ("Z", 0, "Z", 1): 12.0,
+        ("Z", 1, "Z", 0): 8.0,
     }
-    counts = ObservedCounts(z_by_k={"s": 1000.0}, cells=cells,
-                            n_z=1e6, n_total=1e7)
-    assert observed_error_rate(counts) == pytest.approx(20.0 / 1000.0)
-    empty = ObservedCounts(z_by_k={}, cells={}, n_z=0.0, n_total=1e7)
-    assert observed_error_rate(empty) == 0.0
+    counts = one_run(cells, z_s=1000.0, n_z=1e6)
+    res = evaluate_rate(channel(), PARAMS, budget(), 1e7, counts=counts)
+    assert res.e_z == pytest.approx(20.0 / 1000.0)
+    empty = evaluate_rate(channel(), PARAMS, budget(), 1e7, counts=one_run())
+    assert empty.e_z == 0.0
+
+
+def test_counts_validation():
+    cfg, bud = channel(), budget()
+    good, _ = expected_counts(cfg, PARAMS.intensities("exact", 0.0), PARAMS.p_z, 1e12)
+    evaluate_rate(cfg, PARAMS, bud, 1e12, counts=good)
+    negative = good._replace(z_by_k=good.z_by_k * np.array([[1.0, 1.0, -1.0]]))
+    two_runs = good._replace(cells=np.concatenate([good.cells, good.cells]))
+    flat = good._replace(cells=good.cells.reshape(1, 48))
+    for bad in (negative, two_runs, flat):
+        with pytest.raises(ValueError):
+            evaluate_rate(cfg, PARAMS, bud, 1e12, counts=bad)
+    with pytest.raises(ValueError):
+        evaluate_rate(cfg, PARAMS, bud, 1e12, counts=good._replace(n_z=np.array([2e12])))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_counts_rejected(value):
+    # unchecked, a NaN cell gives a NaN phase-error bound and an inf cell
+    # a key
+    cfg = channel(20.0)
+    params = ProtocolParams(p_z=0.9, p_ks=0.8, p_kd1=0.12, k_s=0.46, k_d1=0.11)
+    good, _ = expected_counts(cfg, params.intensities("exact", 0.0), params.p_z, 1e12)
+    for field in CountsBatch._fields:
+        bad = getattr(good, field).copy()
+        bad.flat[-1] = value
+        bad = good._replace(**{field: bad})
+        with pytest.raises(ValueError, match=field):
+            evaluate_rate(cfg, params, budget(), 1e12, counts=bad)
+    # the Z0 -> X1 cell at the first decoy intensity, d1
+    cells = good.cells.copy()
+    cells[0, 1, CELLS.index(("Z", 0, "X", 1))] = value
+    with pytest.raises(ValueError):
+        evaluate_rate(cfg, params, budget(), 1e12, counts=good._replace(cells=cells))
 
 
 def test_flaw_tolerance_at_fixed_point():
