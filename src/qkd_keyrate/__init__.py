@@ -11,7 +11,8 @@ The package is organised bottom-up:
 - ``decoy``: vacuum / single-photon count bounds from multi-intensity data.
 - ``phase_error``: upper bound on the phase-error count of the virtual
   protocol, with a reduced closed form for the symmetric source.
-- ``key_length``: epsilon bookkeeping and the extractable key-length formula.
+- ``budget``: the static epsilon split, charged once in the key length.
+- ``key_length``: the extractable key-length formula.
 - ``pipeline``: one-call rate evaluation wiring the stages together.
 - ``optimize``: rate maximisation over source parameters.
 - ``validate``: Monte-Carlo and algebraic self-checks.

@@ -1,11 +1,13 @@
 """Failure-probability bookkeeping for the composable security claim.
 
 The secrecy parameter splits as eps_sec = eps_c + eps_s, and the smoothing
-slice eta < eps_s^2 is treated as a fixed budget that the many statistical
-estimates spend.  By default eta = eps_s^2 / 2 (so the secrecy log term
-becomes log2(4/eps_s^2)) and is divided equally over a static list of named
+slice eta = eps_s^2 / 2 is divided equally over a static list of named
 allocations that depends only on the intensity-control mode, keeping the
-deviation terms independent of the observed data.
+deviation terms independent of the observed data.  Each statistical
+estimate takes its deviation from its own allocation; the key length
+charges the whole committed eta once, in the secrecy log term
+log2(2/(eps_s^2 - eta)) = log2(4/eps_s^2), whichever estimates a run
+ends up using.
 
 Allocation names:
 
@@ -34,6 +36,7 @@ __all__ = ["CELL_IDS", "EpsilonBudget", "allocation_names"]
 
 SENDER_LABELS = ("Z0", "Z1", "X0", "X1")
 RECEIVER_LABELS = ("Z0", "Z1", "X0", "X1")
+# the cell ids like "Z0X1", in the order of decoy.CELLS
 CELL_IDS = tuple(s + r for s in SENDER_LABELS for r in RECEIVER_LABELS)
 
 _AGGREGATE = (
@@ -50,9 +53,12 @@ _CELL_ESTIMATES = ("d1.lo", "d1.hi", "d2.lo", "d2.hi", "s.hi")
 def allocation_names(mode: str) -> tuple[str, ...]:
     """Static allocation list for ``mode`` in {"exact", "fluct"}.
 
-    Exact mode pairs every mean estimate with a Hoeffding helper epsilon
-    (the multiplicative-Chernoff route may consume it); fluctuation mode
-    uses martingale bounds that need no helper.
+    Exact mode pairs every mean estimate with a Hoeffding helper epsilon,
+    for the multiplicative-Chernoff route whose validity rests on a
+    Hoeffding event; fluctuation mode uses martingale bounds that need
+    no helper.  The X1-sender cells, which are always empty, keep their
+    allocations too: the equal split, and so every deviation, depends
+    on the number of names.
     """
     if mode not in ("exact", "fluct"):
         raise ValueError(f"mode must be 'exact' or 'fluct', got {mode!r}")
@@ -99,58 +105,39 @@ class EpsilonBudget:
             raise ValueError("allocations must sum to eta")
 
     @classmethod
-    def build(
-        cls,
-        eps_sec: float,
-        eps_c: float,
-        mode: str,
-        eta_frac: float = 0.5,
-        overrides: Mapping[str, float] | None = None,
-    ) -> "EpsilonBudget":
-        """Equal split of eta = eta_frac * eps_s^2 over the static names.
-
-        ``overrides`` replaces individual allocations by name; eta is then
-        the sum of the final values and must stay below eps_s^2.
-        """
-        if not (0.0 < eta_frac < 1.0):
-            raise ValueError("eta_frac must lie in (0, 1)")
+    def build(cls, eps_sec: float, eps_c: float, mode: str) -> "EpsilonBudget":
+        """Equal split of eta = eps_s^2 / 2 over the static names."""
         eps_s = eps_sec - eps_c
         if eps_s <= 0:
             raise ValueError("eps_sec must exceed eps_c")
         names = allocation_names(mode)
-        eta = eta_frac * eps_s * eps_s
-        alloc = {name: eta / len(names) for name in names}
-        if overrides:
-            unknown = set(overrides) - set(names)
-            if unknown:
-                raise ValueError(f"unknown allocation names: {sorted(unknown)}")
-            for name, value in overrides.items():
-                if value <= 0:
-                    raise ValueError("allocations must be positive")
-                alloc[name] = value
-            eta = sum(alloc.values())
+        eta = 0.5 * eps_s * eps_s
         return cls(
             eps_sec=eps_sec,
             eps_c=eps_c,
             eps_s=eps_s,
             eta=eta,
-            allocations=MappingProxyType(alloc),
+            allocations=MappingProxyType({name: eta / len(names) for name in names}),
         )
+
+    @property
+    def log_terms(self) -> float:
+        """The secrecy and correctness terms of the key length in bits,
+        log2(2/(eps_s^2 - eta)) + log2(2/eps_c): the one charge of eta."""
+        return math.log2(2.0 / (self.eps_s**2 - self.eta)) + math.log2(2.0 / self.eps_c)
 
     def alloc(self, name: str) -> float:
         """Allocation for ``name``; unknown names are a programming error."""
         return self.allocations[name]
 
-    def alloc_table(self, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Allocations for ``names`` and their ln(1/eps), as arrays.
+    def log_inv(self, names: tuple[str, ...]) -> np.ndarray:
+        """ln(1/eps) of the allocations of ``names``, as an array.
 
         Memoized per name tuple, since the batch estimators ask for the
-        same tuples at every evaluation.  ln(1/eps) is formed with
-        ``math``, as the scalar deviation functions form it.
+        same tuples at every evaluation.
         """
         table = self._tables.get(names)
         if table is None:
-            eps = [self.alloc(name) for name in names]
-            table = (np.array(eps), np.array([-math.log(e) for e in eps]))
+            table = np.array([-math.log(self.alloc(name)) for name in names])
             self._tables[names] = table
         return table

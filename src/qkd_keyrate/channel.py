@@ -46,7 +46,7 @@ _CONFIGS = tuple((a, y, b) for a, y in _SENDER_STATES for b in ("Z", "X"))
 _CELL_STATE = np.repeat([0, 0, 1, 3], 4)
 _CELL_BASIS = np.tile([2, 2, 1, 1], 4)
 # the Z-sender, Z-receiver cells: Z0Z0, Z0Z1, Z1Z0, Z1Z1
-_ZZ_CELLS = np.array([0, 1, 4, 5])
+ZZ_CELLS = np.array([0, 1, 4, 5])
 
 
 @dataclass(frozen=True)
@@ -310,7 +310,7 @@ class ChannelModel:
             raise ValueError("n_total must be positive")
         prob, state, basis, rows = self._layout(intens, p_z)
         cells = n_total * prob * state * basis * rows[:, :, :16]
-        z_by_k = cells[:, :, _ZZ_CELLS].sum(axis=2)
+        z_by_k = cells[:, :, ZZ_CELLS].sum(axis=2)
         counts = CountsBatch(
             cells=cells,
             trials=n_total * state[:, 0] * basis[:, 0],
@@ -330,8 +330,12 @@ class ChannelModel:
         sender state, receiver basis), then each group draws its two
         outcome counts.
         """
-        if n_total < 0:
-            raise ValueError("n_total must be nonnegative")
+        # numpy's multinomial takes a C long and truncates a fraction
+        if not (0 <= n_total < 2**63 and n_total == math.floor(n_total)):
+            raise ValueError(
+                f"n_total must be a whole number in [0, 2**63), got {n_total!r}"
+            )
+        n_total = int(n_total)
         rng = np.random.default_rng(seed)
         prob, state, basis, rows = self._layout(intens, p_z)
         # one group per (level, configuration): the configurations are the
@@ -344,7 +348,7 @@ class ChannelModel:
         clicks = rng.multinomial(trials, np.concatenate([outcomes, no_click], axis=3))
         cells = clicks[..., :2].reshape(-1, 3, 16).astype(float)
         config_trials = np.repeat(trials.sum(axis=1), 2, axis=1).astype(float)
-        z_by_k = cells[:, :, _ZZ_CELLS].sum(axis=2)
+        z_by_k = cells[:, :, ZZ_CELLS].sum(axis=2)
         return CountsBatch(
             cells=cells,
             trials=config_trials,

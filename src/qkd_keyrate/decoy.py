@@ -11,8 +11,9 @@ every inequality is evaluated at its worst-case endpoint and mean values
 are estimated without any independence assumption).
 
 ``decoy_bounds_batch`` bounds a batch of parameter points at once, with
-a leading batch axis on every array; one point is a batch of one.  Every
-bound comes with its accumulated failure probability.  Passing
+a leading batch axis on every array; one point is a batch of one.  Each
+mean estimate takes its deviation from its own allocation of the static
+budget, which the key length charges as a whole.  Passing
 ``budget=None`` zeroes all statistical deviations, which turns the
 bounds into their asymptotic (infinite-key) counterparts.  The one-point
 functions the batch replaced are kept as the test reference in
@@ -27,12 +28,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import EpsilonBudget
+from .budget import CELL_IDS, EpsilonBudget
 
 __all__ = [
     "CELLS",
     "K_LABELS",
-    "BoundBatch",
     "CellBoundsBatch",
     "CountsBatch",
     "IntensityBatch",
@@ -261,27 +261,16 @@ class CountsBatch(NamedTuple):
     n_z: np.ndarray
 
 
-class BoundBatch(NamedTuple):
-    """A bound's value and accumulated failure probability per point, and
-    per cell where the arrays are (B, 16).
-
-    ``value`` is the count-level bound, clamped to [0, cap] where cap is
-    the observed signal-intensity total of the estimated population.
-    """
-
-    value: np.ndarray
-    failure_prob: np.ndarray
-
-
 class CellBoundsBatch(NamedTuple):
     """The vacuum and single-photon bounds of the sixteen cells, (B, 16)
     arrays: lower bounds on the vacuum and single-photon counts and an
     upper bound on the single-photon count, all restricted to
-    signal-intensity emissions within the cell."""
+    signal-intensity emissions within the cell and clamped to [0, the
+    cell's signal count]."""
 
-    lower0: BoundBatch
-    lower1: BoundBatch
-    upper1: BoundBatch
+    lower0: np.ndarray
+    lower1: np.ndarray
+    upper1: np.ndarray
 
 
 # A batch bounds 17 populations per point: population 0 is the aggregate
@@ -300,13 +289,11 @@ _ESTIMATES = (
 )
 _ROWS = np.array([row for row, _, _ in _ESTIMATES])
 _SIGNS = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])[:, None]
-_CELL_IDS = tuple(f"{a}{y}{b}{y1}" for a, y, b, y1 in CELLS)
 _NAMES = tuple(
     name
     for _, aggregate, cell in _ESTIMATES
-    for name in (aggregate, *(f"cell.{cid}.{cell}" for cid in _CELL_IDS))
+    for name in (aggregate, *(f"cell.{cid}.{cell}" for cid in CELL_IDS))
 )
-_HELPER_NAMES = tuple(n + ".H" for n in _NAMES)
 # the multiplicative-Chernoff deviation is sqrt(n (a ln(1/eps) + b)), with
 # a = 3, b = 0 below the mean and a = 8, b = 2 ln 16 above it
 _CHERNOFF_A = np.array([3.0, 3.0, 8.0, 8.0, 8.0])[:, None]
@@ -363,23 +350,22 @@ def _mean_estimates(
     budget: EpsilonBudget | None,
     observed: np.ndarray,
     size: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The _ESTIMATES of every population and their failure
-    probabilities, (B, 5, 17) from the (B, 5, 17) ``observed`` counts.
+) -> np.ndarray:
+    """The _ESTIMATES of every population, (B, 5, 17) from the (B, 5, 17)
+    ``observed`` counts.
 
     Exact mode takes the Hoeffding deviation against ``size``, the
     population total, or the multiplicative-Chernoff deviation of the
-    observed count where that is smaller, which also charges the
-    estimate's helper allocation; fluct mode takes an Azuma deviation
-    over ``size``, the trials.  This is the library's only choice
-    between the two mean bounds.
+    observed count where that is smaller (its validity rests on a
+    Hoeffding event, which the estimate's ``.H`` allocation covers);
+    fluct mode takes an Azuma deviation over ``size``, the trials.  This
+    is the library's only choice between the two mean bounds.
     """
     if budget is None:
-        return observed, np.zeros(observed.shape)
-    eps, log_inv = (a.reshape(5, 17) for a in budget.alloc_table(_NAMES))
+        return observed
+    log_inv = budget.log_inv(_NAMES).reshape(5, 17)
     if mode == "fluct":
         dev = np.sqrt(2.0 * size * log_inv)
-        failure = np.broadcast_to(eps, observed.shape)
     else:
         # the Hoeffding deviation, replaced by the multiplicative-Chernoff
         # one where that is smaller (in place: a batch's arrays are large)
@@ -388,10 +374,8 @@ def _mean_estimates(
         multiplicative = dev_m < dev
         np.copyto(dev, dev_m, where=multiplicative)
         del dev_m
-        helper = budget.alloc_table(_HELPER_NAMES)[0].reshape(5, 17)
-        failure = np.where(multiplicative, eps + helper, eps)
     dev *= _SIGNS
-    return np.add(observed, dev, out=dev), failure
+    return np.add(observed, dev, out=dev)
 
 
 def decoy_bounds_batch(
@@ -399,8 +383,8 @@ def decoy_bounds_batch(
     intens: IntensityBatch,
     budget: EpsilonBudget | None,
     mode: str,
-) -> tuple[BoundBatch, BoundBatch, CellBoundsBatch]:
-    """m0, m1 and the sixteen cells' bounds, per point.
+) -> tuple[np.ndarray, np.ndarray, CellBoundsBatch]:
+    """m0, m1 ((B,) arrays) and the sixteen cells' bounds, per point.
 
     m0 and m1 lower-bound the vacuum and single-photon events of the
     signal-intensity Z key: a mean-level bound, then the mean-to-count
@@ -424,7 +408,7 @@ def decoy_bounds_batch(
     else:
         size = [counts.n_z[:, None], counts.trials]
     size = np.concatenate(size, axis=1)[:, None, :]
-    est, failure = _mean_estimates(mode, budget, observed, size)
+    est = _mean_estimates(mode, budget, observed, size)
     c_d2_lo, c_d1_lo, c_d2_hi, c_d1_hi, c_s_hi = est.transpose(1, 0, 2)
     # a cell's bounds are capped at its signal count; the aggregate's are not
     cap = observed[:, 4].copy()
@@ -438,23 +422,13 @@ def decoy_bounds_batch(
         + sin_vac * (low0 / p_vac - sin_s * c_s_hi)
     ))
     up1 = clamp(up_pref * (up_d1 * c_d1_hi - up_d2 * c_d2_lo))
-    # the vacuum lower and the single-photon upper bound use the d2 lower
-    # and the d1 upper estimate, the single-photon lower bound all five
-    f_low0 = failure[:, 0] + failure[:, 3]
-    f_low1 = f_low0 + failure[:, 1] + failure[:, 2] + failure[:, 4]
-    cells = CellBoundsBatch(
-        lower0=BoundBatch(low0[:, 1:], f_low0[:, 1:]),
-        lower1=BoundBatch(low1[:, 1:], f_low1[:, 1:]),
-        upper1=BoundBatch(up1[:, 1:], f_low0[:, 1:]),
-    )
+    cells = CellBoundsBatch(low0[:, 1:], low1[:, 1:], up1[:, 1:])
 
     # population 0: the clamped means of m0 and m1 become count bounds
-    mu = np.concatenate([low0[:, :1], low1[:, :1]], axis=1)
     if budget is None:
-        zero = np.zeros(len(mu))
-        return BoundBatch(mu[:, 0], zero), BoundBatch(mu[:, 1], zero), cells
-    mean_failure = np.concatenate([f_low0[:, :1], f_low1[:, :1]], axis=1)
-    eps_final, log_inv = budget.alloc_table(("m0.final", "m1.final"))
+        return low0[:, 0], low1[:, 0], cells
+    mu = np.concatenate([low0[:, :1], low1[:, :1]], axis=1)
+    log_inv = budget.log_inv(("m0.final", "m1.final"))
     # the multiplicative deviation sqrt(2 mu ln(1/eps)) while the mean
     # dominates 2 ln(1/eps), Hoeffding over N_z below that
     dev = np.where(
@@ -463,9 +437,4 @@ def decoy_bounds_batch(
         np.sqrt(counts.n_z[:, None] / 2.0 * log_inv),
     )
     value = np.minimum(np.maximum(mu - dev, 0.0), counts.z_by_k[:, :1])
-    failure = mean_failure + eps_final
-    return (
-        BoundBatch(value[:, 0], failure[:, 0]),
-        BoundBatch(value[:, 1], failure[:, 1]),
-        cells,
-    )
+    return value[:, 0], value[:, 1], cells

@@ -2,10 +2,13 @@
 
 The length combines the vacuum and single-photon lower bounds with the
 privacy-amplification penalty of the phase-error bound, the secrecy and
-correctness log terms, and the error-correction leakage.  Passing
-``budget=None`` drops the two log terms, which is the asymptotic limit
-used for cross-checks and optimizer seeding.  ``key_length_batch``
-computes the length for a batch of points; one point is a batch of one.
+correctness log terms, and the error-correction leakage.  The log terms
+are ``EpsilonBudget.log_terms``: the budget is static, so its whole eta
+is charged once, log2(2/(eps_s^2 - eta)) + log2(2/eps_c), whatever the
+observed data.  Passing ``budget=None`` drops the two log terms, which
+is the asymptotic limit used for cross-checks and optimizer seeding.
+``key_length_batch`` computes the length for a batch of points; one
+point is a batch of one.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ from scipy.optimize import brentq
 from scipy.special import entr
 
 from .budget import EpsilonBudget
-from .decoy import BoundBatch
-from .phase_error import PhaseErrorBatch
 
 __all__ = [
     "EpsilonBudget",
@@ -35,7 +36,6 @@ __all__ = [
 
 F_EC_DEFAULT = 1.16
 
-ABORT_EPS_BUDGET = "eps_budget_infeasible"
 ABORT_COUNTS = "insufficient_counts"
 ABORT_PHASE = "phase_error_threshold"
 
@@ -45,8 +45,8 @@ class KeyRateResult:
     """Key length, rate, and the inputs that produced them.
 
     ``aborted`` is true exactly when no key can be extracted; the reason
-    distinguishes an infeasible epsilon split, counts too small for a
-    positive length, and a phase-error bound past the abort threshold.
+    distinguishes counts too small for a positive length from a
+    phase-error bound past the abort threshold.
     """
 
     ell: int
@@ -97,29 +97,17 @@ def _pa_penalty(e_ph: float) -> float:
     return 1.0 if e_ph >= 0.5 else binary_entropy(e_ph)
 
 
-def _log_terms(budget: EpsilonBudget, eta_used: float) -> float:
-    gap = budget.eps_s**2 - eta_used
-    if gap <= 0.0:
-        raise ValueError("accumulated failure must stay below eps_s^2")
-    return math.log2(2.0 / gap) + math.log2(2.0 / budget.eps_c)
-
-
 def eph_threshold(
-    m0: float,
-    m1: float,
-    lam_ec: float,
-    budget: EpsilonBudget | None,
-    eta_used: float = 0.0,
+    m0: float, m1: float, lam_ec: float, budget: EpsilonBudget | None
 ) -> float:
     """Phase-error rate at which the key length crosses zero.
 
-    ``eta_used`` is the failure probability already spent on the m0, m1,
-    and phase estimates; it tightens the secrecy log term.  Returns 0
-    when even a zero phase-error rate yields nothing, and 1/2 when the
-    length stays positive at saturated entropy (the formula is constant
-    beyond 1/2, so no larger rate can force an abort).
+    The length charges ``budget.log_terms``.  Returns 0 when even a zero
+    phase-error rate yields nothing, and 1/2 when the length stays
+    positive at saturated entropy (the formula is constant beyond 1/2,
+    so no larger rate can force an abort).
     """
-    logs = 0.0 if budget is None else _log_terms(budget, eta_used)
+    logs = 0.0 if budget is None else budget.log_terms
     ell = lambda e: m0 + m1 * (1.0 - _pa_penalty(e)) - logs - lam_ec
 
     if ell(0.0) <= 0.0:
@@ -177,13 +165,13 @@ class KeyRateBatch(NamedTuple):
 _ROUNDING_REL = 1e-12
 _SLOPE_REL = 1e-13
 # a batch's abort reasons, indexed by code
-_REASONS = np.array([None, ABORT_EPS_BUDGET, ABORT_PHASE, ABORT_COUNTS], dtype=object)
+_REASONS = np.array([None, ABORT_PHASE, ABORT_COUNTS], dtype=object)
 
 
 def key_length_batch(
-    m0: BoundBatch,
-    m1: BoundBatch,
-    eph: PhaseErrorBatch,
+    m0: np.ndarray,
+    m1: np.ndarray,
+    e_ph: np.ndarray,
     lam_ec: np.ndarray,
     budget: EpsilonBudget | None,
     *,
@@ -191,51 +179,39 @@ def key_length_batch(
     e_z: np.ndarray,
     z_ks_size: np.ndarray,
 ) -> KeyRateBatch:
-    """Extractable key length and rate per point.
+    """Extractable key length and rate per point, from the m0 and m1
+    bounds and the phase-error rate bound ``e_ph``.
 
-    Aborts are returned, never raised: an epsilon split with no secrecy
-    margin (the failure probability ``eta_used`` consumed by m0, m1 and
-    the phase estimate must stay below eps_s^2), a phase-error bound at
-    or past the zero-key threshold, and a nonpositive floored length all
-    yield ell = 0 with a reason.
+    Aborts are returned, never raised: a phase-error bound at or past
+    the zero-key threshold and a nonpositive floored length yield
+    ell = 0 with a reason.
     """
     if n_total <= 0.0:
         raise ValueError("n_total must be positive")
-    m0v, m1v, e_ph = m0.value, m1.value, eph.e_ph_upper
-    eta_used = m0.failure_prob + m1.failure_prob + eph.failure_prob
-    if budget is None:
-        budget_ok, logs = True, 0.0
-    else:
-        gap = budget.eps_s**2 - eta_used
-        budget_ok = gap > 0.0
-        # _log_terms where the secrecy margin is left
-        logs = np.log2(2.0 / np.where(budget_ok, gap, 1.0))
-        logs += math.log2(2.0 / budget.eps_c)
+    logs = 0.0 if budget is None else budget.log_terms
     # the length at a saturated, at a zero and at the bounded phase-error
     # rate (_pa_penalty: the entropy is 1 from 1/2 on)
-    at_half = m0v - logs - lam_ec
-    raw = at_half + m1v * (1.0 - _entropy(np.minimum(e_ph, 0.5)))
-    positive = budget_ok & (m1v > 0.0) & (at_half + m1v > 0.0)
+    at_half = m0 - logs - lam_ec
+    raw = at_half + m1 * (1.0 - _entropy(np.minimum(e_ph, 0.5)))
+    positive = (m1 > 0.0) & (at_half + m1 > 0.0)
     # an interior threshold exists where the saturated length is not positive
     search = positive & (at_half <= 0.0)
-    slack = 2.0 * _ROUNDING_REL * (m0v + m1v + logs + lam_ec) + _SLOPE_REL * m1v
+    slack = 2.0 * _ROUNDING_REL * (m0 + m1 + logs + lam_ec) + _SLOPE_REL * m1
     decided = np.abs(raw) > slack
     phase = search & decided & (raw < 0.0)
     for i in np.flatnonzero(search & ~decided):
-        threshold = eph_threshold(
-            float(m0v[i]), float(m1v[i]), float(lam_ec[i]), budget, float(eta_used[i])
-        )
+        threshold = eph_threshold(float(m0[i]), float(m1[i]), float(lam_ec[i]), budget)
         phase[i] = threshold < 0.5 and e_ph[i] >= threshold
     floor = np.floor(raw)
     keyed = positive & ~phase & (floor > 0.0)
     ell = np.where(keyed, floor, 0.0)
     # the reason codes of _REASONS
-    reason = _REASONS[np.where(keyed, 0, np.where(budget_ok, 3 - phase, 1))]
+    reason = _REASONS[np.where(keyed, 0, 2 - phase)]
     return KeyRateBatch(
         ell=ell,
         rate=ell / n_total,
-        m0_l=m0v,
-        m1_l=m1v,
+        m0_l=m0,
+        m1_l=m1,
         e_ph_u=e_ph,
         lambda_ec=lam_ec,
         e_z=e_z,

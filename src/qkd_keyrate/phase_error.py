@@ -9,6 +9,9 @@ martingale deviation over N_1.  N_1 is not the number of signal
 single-photon emissions: it is the sum of the per-cell ``upper1``
 bounds, an upper bound on the detected signal-intensity single-photon
 events summed over the sixteen (sender state, receiver outcome) cells.
+Each deviation takes its own ``ph.az`` allocation.  N_1 rests on the
+mean estimates of all sixteen cells, so no per-estimate failure sum is
+kept: the key length charges the budget's whole eta once.
 
 Two implementations are provided: ``n_ph_upper_batch``, the general path
 driven by the source-characterisation coefficients, and
@@ -26,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .budget import EpsilonBudget
-from .decoy import CELLS, BoundBatch, CellBoundsBatch
+from .decoy import CELLS, CellBoundsBatch
 from .qubit_model import VirtualStateCoeffs
 
 __all__ = [
@@ -52,7 +55,6 @@ class PhaseErrorBatch(NamedTuple):
     n_ph_upper: np.ndarray
     n1_upper: np.ndarray
     e_ph_upper: np.ndarray
-    failure_prob: np.ndarray
 
 
 # (half s, collective outcome omega) of each term of the bound
@@ -101,7 +103,7 @@ def phase_terms(qm: VirtualStateCoeffs) -> tuple[tuple[float, float, float], ...
 def n_ph_upper_batch(
     terms: np.ndarray,
     cells: CellBoundsBatch,
-    m1: BoundBatch,
+    m1: np.ndarray,
     budget: EpsilonBudget | None,
 ) -> PhaseErrorBatch:
     """Phase-error bound for an arbitrary characterised source, per point.
@@ -113,39 +115,25 @@ def n_ph_upper_batch(
     adds its tail deviation.  A term with a zero coefficient adds zero.
     """
     upper, lower = cells.upper1, cells.lower1
-    n1 = upper.value.sum(axis=1)
+    n1 = upper.sum(axis=1)
     pc, coef, q = terms[:, :, 0], terms[:, :, 1], terms[:, :, 2]
     up = coef > 0.0
     used = coef != 0.0
     if budget is None:
         dev = tail = 0.0
     else:
-        eps, log_inv = budget.alloc_table(_DEV_NAMES)
-        dev = np.sqrt(2.0 * n1[:, None] * log_inv)
+        dev = np.sqrt(2.0 * n1[:, None] * budget.log_inv(_DEV_NAMES))
         dev, tail = dev[:, :6], dev[:, 6] + dev[:, 7]
     value = np.where(
         up,
-        (upper.value[:, _TERM_CELLS] + dev) / q,
-        np.maximum(lower.value[:, _TERM_CELLS] - dev, 0.0) / q,
+        (upper[:, _TERM_CELLS] + dev) / q,
+        np.maximum(lower[:, _TERM_CELLS] - dev, 0.0) / q,
     )
     n_ph = np.maximum(np.where(used, pc * value, 0.0).sum(axis=1) + tail, 0.0)
-    if budget is None:
-        failure = np.zeros(len(n1))
-    else:
-        cell_failure = np.where(
-            up,
-            upper.failure_prob[:, _TERM_CELLS],
-            lower.failure_prob[:, _TERM_CELLS],
-        )
-        failure = np.where(used, cell_failure, 0.0).sum(axis=1) + eps.sum()
-    m1v = m1.value
     # 1.0 where the single-photon bound is empty
-    ratio = np.divide(n_ph, m1v, out=np.ones(len(n1)), where=m1v > 0.0)
+    ratio = np.divide(n_ph, m1, out=np.ones(len(n1)), where=m1 > 0.0)
     return PhaseErrorBatch(
-        n_ph_upper=n_ph,
-        n1_upper=n1,
-        e_ph_upper=np.minimum(ratio, 1.0),
-        failure_prob=np.minimum(failure, 1.0 - 1e-300),
+        n_ph_upper=n_ph, n1_upper=n1, e_ph_upper=np.minimum(ratio, 1.0)
     )
 
 
@@ -179,12 +167,12 @@ def n_ph_appendixE(
         raise ValueError("p_z must lie strictly in (0, 1)")
     ratio = p_z / (1.0 - p_z)
     half_r2 = (1.0 - math.sin(xi / 2.0)) / 2.0 * ratio * ratio
-    upper, lower = cells.upper1.value, cells.lower1.value
+    upper, lower = cells.upper1, cells.lower1
     n1 = upper.sum(axis=1)
     if budget is None:
         d_x0x1 = d_z0x0 = d_z1x0 = d_x0x0 = tail_s0 = tail_s1 = 0.0
     else:
-        log_inv = budget.alloc_table(_APPENDIX_E_NAMES)[1]
+        log_inv = budget.log_inv(_APPENDIX_E_NAMES)
         d_x0x1, d_z0x0, d_z1x0, d_x0x0, tail_s0, tail_s1 = np.sqrt(
             2.0 * n1 * log_inv[:, None]
         )

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .budget import EpsilonBudget
-from .channel import ChannelConfig, ChannelModel, z_error_rate
+from .channel import ZZ_CELLS, ChannelConfig, ChannelModel, z_error_rate
 from .decoy import (
     CountsBatch,
     IntensityBatch,
@@ -209,7 +209,7 @@ def _rate_batch(
     z_ks = counts.z_by_k[:, 0]
     lam = lambda_ec_batch(z_ks, e_z, f_ec)
     return key_length_batch(
-        m0, m1, eph, lam, budget, n_total=n_total, e_z=e_z, z_ks_size=z_ks
+        m0, m1, eph.e_ph_upper, lam, budget, n_total=n_total, e_z=e_z, z_ks_size=z_ks
     )
 
 
@@ -229,7 +229,9 @@ def evaluate_rate(
     one-row ``counts`` (e.g. a ``ChannelModel.sample`` draw) replaces
     the expected statistics, and the Z error rate is then read from its
     signal-intensity Z cells; counts of the wrong shape, negative or
-    non-finite counts and n_z > n_total raise ValueError.
+    non-finite counts, n_z > n_total, Z totals that are not the sums of
+    their cells and cells above their configuration's trials raise
+    ValueError.
     """
     levels = IntensityBatch.of(params.intensities(mode, cfg.fluct_r))
     if counts is None:
@@ -249,6 +251,8 @@ def evaluate_rate(
 
 # the shape of each CountsBatch field for one run
 _ONE_RUN = ((1, 3, 16), (1, 16), (1, 3), (1,), (1,))
+# the rounding a float count's totals may carry
+_COUNT_REL = 1e-12
 
 
 def _check_counts(counts: CountsBatch, n_total: float) -> None:
@@ -260,3 +264,11 @@ def _check_counts(counts: CountsBatch, n_total: float) -> None:
             raise ValueError(f"counts.{name} must be finite and nonnegative")
     if not counts.n_z[0] <= n_total:
         raise ValueError("counts.n_z must not exceed n_total")
+    zz = counts.cells[:, :, ZZ_CELLS].sum(axis=2)
+    if not np.allclose(counts.z_by_k, zz, rtol=_COUNT_REL, atol=0.0):
+        raise ValueError("counts.z_by_k must total the Z-sender, Z-receiver cells")
+    z_tot = counts.z_by_k.sum(axis=1)
+    if not np.allclose(counts.z_tot, z_tot, rtol=_COUNT_REL, atol=0.0):
+        raise ValueError("counts.z_tot must total counts.z_by_k")
+    if (counts.cells.sum(axis=1) > counts.trials * (1.0 + _COUNT_REL)).any():
+        raise ValueError("a cell must not count more than its configuration's trials")

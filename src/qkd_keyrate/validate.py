@@ -221,15 +221,15 @@ def _sandwich_points(distances: tuple[float, ...], r: float) -> list[dict]:
         truth0_z = sum(truth[j, 0, i] for i in _ZZ)
         truth1_z = sum(truth[j, 1, i] for i in _ZZ)
         violations = []
-        if m0.value[j] > truth0_z + slack:
+        if m0[j] > truth0_z + slack:
             violations.append("m0_lower")
-        if m1.value[j] > truth1_z + slack:
+        if m1[j] > truth1_z + slack:
             violations.append("m1_lower")
-        margins = [truth0_z - m0.value[j], truth1_z - m1.value[j]]
+        margins = [truth0_z - m0[j], truth1_z - m1[j]]
         for i in _POPULATED:
             t0, t1 = truth[j, :, i]
-            low0, low1 = bounds.lower0.value[j, i], bounds.lower1.value[j, i]
-            up1 = bounds.upper1.value[j, i]
+            low0, low1 = bounds.lower0[j, i], bounds.lower1[j, i]
+            up1 = bounds.upper1[j, i]
             label = "".join(str(part) for part in CELLS[i])
             if low0 > t0 + slack:
                 violations.append(f"cell.{label}.lower0")

@@ -9,28 +9,21 @@ import numpy as np
 from qkd_keyrate.channel import ChannelModel
 from qkd_keyrate.decoy import (
     CELLS,
-    BoundBatch,
     CellBoundsBatch,
     CountsBatch,
     IntensityBatch,
     decoy_bounds_batch,
 )
 from qkd_keyrate.key_length import key_length_batch
-from qkd_keyrate.phase_error import PhaseErrorBatch, n_ph_upper_batch, phase_terms
+from qkd_keyrate.phase_error import n_ph_upper_batch, phase_terms
 
 
 def one(value):
     return np.array([value], dtype=float)
 
 
-def bound(value, failure=0.0):
-    """A decoy bound of one point."""
-    return BoundBatch(one(value), one(failure))
-
-
-def phase(e_ph, failure=0.0):
-    """A phase-error bound of one point with rate ``e_ph``."""
-    return PhaseErrorBatch(one(0.0), one(0.0), one(e_ph), one(failure))
+# an m0 or m1 bound, and a phase-error rate bound, of one point
+bound = phase = one
 
 
 def expected_counts(cfg, intens, p_z, n_total):
@@ -64,9 +57,7 @@ def decoy_bounds(counts, intens, budget, mode):
 def cell(cells, a, y, b, y1):
     """The lower0, lower1 and upper1 bounds of one cell, (B,) arrays."""
     i = CELLS.index((a, y, b, y1))
-    return CellBoundsBatch(
-        *(BoundBatch(part.value[:, i], part.failure_prob[:, i]) for part in cells)
-    )
+    return CellBoundsBatch(*(part[:, i] for part in cells))
 
 
 def phase_bound(qm, cells, m1, budget):
@@ -74,9 +65,9 @@ def phase_bound(qm, cells, m1, budget):
     return n_ph_upper_batch(np.array([phase_terms(qm)]), cells, m1, budget)
 
 
-def key_length(m0, m1, eph, lam_ec, budget, *, n_total, e_z=0.0, z_ks_size=0.0):
+def key_length(m0, m1, e_ph, lam_ec, budget, *, n_total, e_z=0.0, z_ks_size=0.0):
     """The key length of one point, as a KeyRateResult."""
     return key_length_batch(
-        m0, m1, eph, one(lam_ec), budget,
+        m0, m1, e_ph, one(lam_ec), budget,
         n_total=n_total, e_z=one(e_z), z_ks_size=one(z_ks_size),
     ).result(0)

@@ -2,7 +2,8 @@
 
 These are the one-point decoy, phase-error and key-length functions that
 ``evaluate_rate`` chained before the batch functions replaced them,
-copied unchanged apart from the imports, together with the dict-keyed
+copied unchanged apart from the imports and the key length's log term,
+which charges the budget's static eta once, together with the dict-keyed
 ``ObservedCounts`` they read, the ``best_mean_bound`` and
 ``observed_error_rate`` they called, and ``observed_counts``, which
 turns one row of a ``CountsBatch`` into ``ObservedCounts``.
@@ -23,10 +24,8 @@ from qkd_keyrate.concentration import _log_inv, azuma_dev, hoeffding_dev
 from qkd_keyrate.decoy import CELLS, K_LABELS, CountsBatch, IntensitySet
 from qkd_keyrate.key_length import (
     ABORT_COUNTS,
-    ABORT_EPS_BUDGET,
     ABORT_PHASE,
     KeyRateResult,
-    _log_terms,
     _pa_penalty,
     eph_threshold,
 )
@@ -681,9 +680,9 @@ def key_length(
 ) -> KeyRateResult:
     """Extractable key length and rate for one protocol run.
 
-    Aborts are returned, never raised: an epsilon split with no secrecy
-    margin, a phase-error bound at or past the zero-key threshold, and a
-    nonpositive floored length all yield ell = 0 with a reason.
+    Aborts are returned, never raised: a phase-error bound at or past the
+    zero-key threshold and a nonpositive floored length yield ell = 0 with
+    a reason.  The log terms charge the budget's whole eta once.
     """
     if n_total <= 0.0:
         raise ValueError("n_total must be positive")
@@ -702,15 +701,10 @@ def key_length(
             abort_reason=reason,
         )
 
-    # failure probability actually consumed by the three estimates; the
-    # secrecy margin eps_s^2 must exceed it or no key can be claimed
-    eta_used = m0.failure_prob + m1.failure_prob + eph.failure_prob
-    if budget is not None and budget.eps_s**2 - eta_used <= 0.0:
-        return result(0, ABORT_EPS_BUDGET)
     if m1.value <= 0.0:
         return result(0, ABORT_COUNTS)
 
-    threshold = eph_threshold(m0.value, m1.value, lam_ec, budget, eta_used)
+    threshold = eph_threshold(m0.value, m1.value, lam_ec, budget)
     if threshold == 0.0:
         # even a flawless phase-error estimate extracts nothing
         return result(0, ABORT_COUNTS)
@@ -719,7 +713,7 @@ def key_length(
         # only an interior threshold can trigger the abort
         return result(0, ABORT_PHASE)
 
-    logs = 0.0 if budget is None else _log_terms(budget, eta_used)
+    logs = 0.0 if budget is None else budget.log_terms
     raw = m0.value + m1.value * (1.0 - _pa_penalty(eph.e_ph_upper)) - logs - lam_ec
     ell = max(0, math.floor(raw))
     return result(ell, ABORT_COUNTS if ell == 0 else None)

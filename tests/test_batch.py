@@ -17,7 +17,7 @@ import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig, ChannelModel
-from qkd_keyrate.decoy import CELLS, BoundBatch, IntensityBatch
+from qkd_keyrate.decoy import CELLS, IntensityBatch
 from qkd_keyrate.key_length import (
     KeyRateResult,
     eph_threshold,
@@ -32,7 +32,6 @@ from qkd_keyrate.pipeline import (
     evaluate_batch,
     evaluate_rate,
 )
-from qkd_keyrate.phase_error import PhaseErrorBatch
 
 from one_point import expected_counts
 from scalar_chain import (
@@ -181,24 +180,21 @@ def test_key_length_at_the_phase_threshold(asymptotic):
     # phase-error rates around the zero-key threshold, where the batch
     # must fall back on the root search: same length and abort reason
     budget = None if asymptotic else EpsilonBudget.build(1e-10, 1e-15, "exact")
-    fail = 0.0 if asymptotic else budget.eta / 10.0
     cases = []
     for m0, m1, lam in ((2.6e5, 2.0e9, 4.3e8), (0.0, 3.2e10, 4.8e9), (12.0, 900.0, 80.0)):
-        root = eph_threshold(m0, m1, lam, budget, 3 * fail)
+        root = eph_threshold(m0, m1, lam, budget)
         for e_ph in (root, *np.nextafter(root, [0.0, 1.0]), root * (1 - 1e-14),
                      root * (1 + 1e-14), root * 0.9, min(0.5, root * 1.1), 0.7):
             cases.append((m0, m1, lam, float(e_ph)))
-    bound = lambda v: DecoyBound(v, fail, BoundKind.SINGLE_LOWER)
+    bound = lambda v: DecoyBound(v, 0.0, BoundKind.SINGLE_LOWER)
     ref = [
-        key_length(bound(m0), bound(m1), PhaseErrorBound(0.0, 0.0, e, fail, ()), lam,
+        key_length(bound(m0), bound(m1), PhaseErrorBound(0.0, 0.0, e, 0.0, ()), lam,
                    budget, n_total=1e12)
         for m0, m1, lam, e in cases
     ]
     m0, m1, lam, e_ph = (np.array(col) for col in zip(*cases))
-    fails = np.full(len(cases), fail)
     batch = key_length_batch(
-        BoundBatch(m0, fails), BoundBatch(m1, fails),
-        PhaseErrorBatch(None, None, e_ph, fails), lam, budget,
+        m0, m1, e_ph, lam, budget,
         n_total=1e12, e_z=np.zeros(len(cases)), z_ks_size=np.zeros(len(cases)),
     )
     for i, r in enumerate(ref):

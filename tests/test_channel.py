@@ -231,6 +231,18 @@ def test_sample_bookkeeping():
     assert (det[:, 0::2] + det[:, 1::2] <= samp.trials[:, 0::2]).all()
 
 
+@pytest.mark.parametrize("n_total", [10**19, 2**63, 2.0**63, 1.5, -1, math.inf, math.nan])
+def test_sample_rejects_bad_trial_counts(n_total):
+    # numpy's multinomial overflows past a C long and truncates fractions
+    with pytest.raises(ValueError, match="n_total"):
+        sample_counts(make_cfg(), make_intens(), 0.5, n_total, seed=1)
+
+
+def test_sample_accepts_integral_floats():
+    samp = sample_counts(make_cfg(), make_intens(), 0.5, 1e12, seed=1)
+    assert (samp.trials[:, 0::2].sum(axis=1) == 10**12).all()
+
+
 def test_sample_empty_run():
     samp = sample_counts(make_cfg(), make_intens(), 0.5, 0, seed=1)
     assert samp.n_z[0] == 0

@@ -18,7 +18,8 @@ from qkd_keyrate.concentration import (
     hoeffding_dev,
     mult_chernoff_devs,
 )
-from qkd_keyrate.decoy import _mean_estimates
+from qkd_keyrate.budget import allocation_names
+from qkd_keyrate.decoy import _NAMES, _mean_estimates
 
 # mpmath, 60 digits
 CHERNOFF_LOWER_1E6 = 6786.1404244151118  # sqrt(2e6 ln 1e10)
@@ -114,48 +115,51 @@ class FlatBudget:
     def __init__(self, eps):
         self.eps = eps
 
-    def alloc_table(self, names):
-        n = len(names)
-        return np.full(n, self.eps), np.full(n, -math.log(self.eps))
+    def log_inv(self, names):
+        return np.full(len(names), -math.log(self.eps))
 
 
 def best_mean_bound(observed, total, eps, direction):
-    """(bound, failure) of the exact-mode mean estimate that
-    ``decoy._mean_estimates`` picks: Hoeffding over ``total`` or the
-    multiplicative Chernoff bound of ``observed``, whichever is tighter.
-    Every estimate and population is given the same counts; rows 0 and 2
-    are the first lower and the first upper estimate."""
-    est, failure = _mean_estimates(
+    """The exact-mode mean estimate that ``decoy._mean_estimates``
+    picks: Hoeffding over ``total`` or the multiplicative Chernoff bound
+    of ``observed``, whichever is tighter.  Every estimate and population
+    is given the same counts; rows 0 and 2 are the first lower and the
+    first upper estimate."""
+    est = _mean_estimates(
         "exact", FlatBudget(eps),
         np.full((1, 5, 17), observed), np.full((1, 1, 17), total),
     )
     row = 0 if direction == "lower" else 2
     assert (est[0, row] == est[0, row, 0]).all()
-    return est[0, row, 0], failure[0, row, 0]
+    return est[0, row, 0]
 
 
 def test_best_mean_bound_picks_hoeffding_for_dense_counts():
-    bound, failure = best_mean_bound(1e6, 1e6, 1e-10, "lower")
+    bound = best_mean_bound(1e6, 1e6, 1e-10, "lower")
     assert bound == pytest.approx(1e6 - HOEFFDING_1E6, rel=REL)
-    assert failure == pytest.approx(1e-10)
+    # the multiplicative route would have been looser
+    assert bound > 1e6 - MC_LOWER_1E6
 
 
 def test_best_mean_bound_picks_mult_chernoff_for_sparse_counts():
-    bound, failure = best_mean_bound(1e3, 1e9, 1e-10, "lower")
+    bound = best_mean_bound(1e3, 1e9, 1e-10, "lower")
     assert bound == pytest.approx(1e3 - MC_LOWER_1E3, rel=REL)
-    assert failure == pytest.approx(2e-10)
+    assert bound > 1e3 - HOEFFDING_1E9
+    # the route rests on a Hoeffding event too: every estimate the choice
+    # is made for has its helper allocation in the exact-mode budget
+    assert {name + ".H" for name in _NAMES} <= set(allocation_names("exact"))
 
 
 def test_best_mean_bound_zero_observed():
     # at zero observed the multiplicative deviation is itself zero, so the
     # min yields the (vacuously valid) lower bound 0; downstream consumers
     # clamp at zero either way
-    bound, _ = best_mean_bound(0.0, 1e6, 1e-10, "lower")
+    bound = best_mean_bound(0.0, 1e6, 1e-10, "lower")
     assert bound == 0.0
 
 
 def test_best_mean_bound_upper_direction():
-    bound, _ = best_mean_bound(1e3, 1e9, 1e-10, "upper")
+    bound = best_mean_bound(1e3, 1e9, 1e-10, "upper")
     mc = mult_chernoff_devs(1e3, 1e9, 1e-10, 1e-10, 1e-10)
     assert bound == pytest.approx(1e3 + min(mc.upper_dev, HOEFFDING_1E9), rel=REL)
 

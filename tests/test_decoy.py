@@ -114,14 +114,14 @@ def test_flat_yield_vacuum_ratio():
     counts, intens = flat_yield_counts()
     truth = counts.n_z[0] * intens.s.prob * math.exp(-0.5) * 1e-3
     m0, _ = m0_m1(counts, intens, None)
-    assert m0.value / truth == pytest.approx(VACUUM_RATIO, rel=REL)
+    assert m0 / truth == pytest.approx(VACUUM_RATIO, rel=REL)
 
 
 def test_flat_yield_single_ratio():
     counts, intens = flat_yield_counts()
     truth = counts.n_z[0] * intens.s.prob * POISSON_1_HALF * 1e-3
     _, m1 = m0_m1(counts, intens, None)
-    assert m1.value / truth == pytest.approx(SINGLE_RATIO, rel=REL)
+    assert m1 / truth == pytest.approx(SINGLE_RATIO, rel=REL)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -130,8 +130,8 @@ def test_poisson_mixture_sandwich(seed):
     yields = rng.uniform(0.0, 1.0, size=30)
     counts, intens, truth0, truth1 = poisson_mixture_counts(yields)
     m0, m1 = m0_m1(counts, intens, None)
-    assert m0.value <= truth0 * (1 + 1e-12)
-    assert m1.value <= truth1 * (1 + 1e-12)
+    assert m0 <= truth0 * (1 + 1e-12)
+    assert m1 <= truth1 * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -154,9 +154,9 @@ def test_cell_bound_sandwich(seed):
     truth1 = n_cfg * intens.s.prob * poisson_pk(1, 0.5) * yields[1]
     for mode in ("exact", "fluct"):
         cb = cell(decoy_bounds(counts, intens, None, mode)[2], "Z", 0, "X", 1)
-        assert cb.lower0.value <= truth0 * (1 + 1e-12)
-        assert cb.lower1.value <= truth1 * (1 + 1e-12) <= max(cb.upper1.value, truth1)
-        assert cb.upper1.value >= truth1 * (1 - 1e-12)
+        assert cb.lower0 <= truth0 * (1 + 1e-12)
+        assert cb.lower1 <= truth1 * (1 + 1e-12) <= max(cb.upper1, truth1)
+        assert cb.upper1 >= truth1 * (1 - 1e-12)
 
 
 def test_fluct_reduces_to_exact_at_zero_width():
@@ -165,8 +165,8 @@ def test_fluct_reduces_to_exact_at_zero_width():
     degenerate = make_intens(r=0.0)
     m0e, m1e = m0_m1(counts, exact, None, "exact")
     m0f, m1f = m0_m1(counts, degenerate, None, "fluct")
-    assert m0f.value == pytest.approx(m0e.value, rel=REL)
-    assert m1f.value == pytest.approx(m1e.value, rel=REL)
+    assert m0f == pytest.approx(m0e, rel=REL)
+    assert m1f == pytest.approx(m1e, rel=REL)
 
 
 def test_fluct_bounds_weaken_with_width():
@@ -175,7 +175,7 @@ def test_fluct_bounds_weaken_with_width():
     for r in (0.0, 0.02, 0.05, 0.1):
         intens = make_intens(r=r)
         m0, m1 = m0_m1(counts, intens, None, "fluct")
-        values.append((m0.value, m1.value))
+        values.append((m0, m1))
     for (a0, a1), (b0, b1) in zip(values, values[1:]):
         assert b0 <= a0 * (1 + 1e-12)
         assert b1 <= a1 * (1 + 1e-12)
@@ -183,21 +183,22 @@ def test_fluct_bounds_weaken_with_width():
 
 def test_finite_budget_never_beats_asymptotic():
     counts, intens = flat_yield_counts()
-    budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
+    loose = EpsilonBudget.build(1e-6, 1e-15, mode="exact")
+    tight = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
     m0a, m1a = m0_m1(counts, intens, None)
-    m0f, m1f = m0_m1(counts, intens, budget)
-    assert m0f.value <= m0a.value
-    assert m1f.value <= m1a.value
-    assert 0.0 < m1f.failure_prob < budget.eta
-    # m1 reuses m0's mean estimates: m0's failure less its final step
-    assert m1f.failure_prob > m0f.failure_prob - budget.alloc("m0.final")
+    m0l, m1l = m0_m1(counts, intens, loose)
+    m0t, m1t = m0_m1(counts, intens, tight)
+    # the deviations come from the static allocations, so a smaller
+    # failure probability per estimate only loosens the bounds
+    assert 0.0 < m0t < m0l < m0a
+    assert 0.0 < m1t < m1l < m1a
 
 
 def test_finite_cap_at_signal_count():
     counts, intens = flat_yield_counts()
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
     _, m1 = m0_m1(counts, intens, budget)
-    assert m1.value <= counts.z_by_k[0, 0]
+    assert m1 <= counts.z_by_k[0, 0]
 
 
 def test_zero_counts():
@@ -206,10 +207,10 @@ def test_zero_counts():
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
     for b in (None, budget):
         m0, m1 = m0_m1(counts, intens, b)
-        assert m0.value == 0.0
-        assert m1.value == 0.0
+        assert m0 == 0.0
+        assert m1 == 0.0
     cb = cell(decoy_bounds(counts, intens, budget, "exact")[2], "Z", 0, "X", 0)
-    assert cb.lower0.value == cb.lower1.value == cb.upper1.value == 0.0
+    assert cb.lower0 == cb.lower1 == cb.upper1 == 0.0
 
 
 def test_cell_bounds_mode_validation():

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.key_length import (
     ABORT_COUNTS,
-    ABORT_EPS_BUDGET,
     ABORT_PHASE,
     KeyRateResult,
     binary_entropy,
@@ -28,12 +27,17 @@ H_011 = 0.499915958164528
 H_002 = 0.14144054254182065
 H_025 = 0.81127812445913286
 LAMBDA_1E6 = 164071.02934851195  # 1.16e6 h(0.02)
-ELL_SPOT = 523484  # floor of the frozen spot formula below
-ELL_SPOT_HALF_ETA = 523483  # same with half the secrecy margin consumed
+ELL_SPOT = 523483  # floor of the frozen spot formula below
 
 
 def spot_budget():
     return EpsilonBudget.build(1e-10 + 1e-15, 1e-15, mode="exact")
+
+
+def budget_with_eta(eta):
+    """The spot budget's epsilons with a single allocation of ``eta``."""
+    b = spot_budget()
+    return EpsilonBudget(b.eps_sec, b.eps_c, b.eps_s, eta, {"all": eta})
 
 
 def test_entropy_frozen_values():
@@ -83,9 +87,10 @@ def test_lambda_ec_batch_domain(bad):
 
 
 def test_key_length_spot_value():
-    # m0 = 1e4, m1 = 1e6, e_ph = 0.05, lam = 2e5, synthetic bounds with
-    # zero consumed failure:
-    # ell = floor(m0 + m1 (1 - h(0.05)) - log2(2/eps_s^2) - lam - log2(2/eps_c))
+    # m0 = 1e4, m1 = 1e6, e_ph = 0.05, lam = 2e5, and the budget's
+    # eta = eps_s^2 / 2 charged once:
+    # ell = floor(m0 + m1 (1 - h(0.05)) - log2(2/(eps_s^2 - eta)) - lam
+    #             - log2(2/eps_c))
     res = key_length(bound(1e4), bound(1e6), phase(0.05), 2e5,
                      spot_budget(), n_total=1e12)
     assert not res.aborted
@@ -95,22 +100,19 @@ def test_key_length_spot_value():
 
 
 def test_consumed_failure_tightens_log_term():
-    # splitting half of eps_s^2 across the three estimates narrows the
-    # secrecy gap by a factor 2, costing exactly one bit here
+    # the whole committed eta is charged, whatever the estimates use:
+    # eta -> 0 leaves log2(2/eps_s^2), and each halving of the secrecy
+    # gap eps_s^2 - eta costs one bit here
     budget = spot_budget()
-    half = budget.eps_s**2 / 2.0
-    res = key_length(bound(1e4, half / 4), bound(1e6, half / 4),
-                     phase(0.05, half / 2), 2e5, budget, n_total=1e12)
-    assert not res.aborted
-    assert res.ell == ELL_SPOT_HALF_ETA
-
-
-def test_consumed_failure_over_margin_aborts():
-    budget = spot_budget()
-    res = key_length(bound(1e4, budget.eps_s**2), bound(1e6), phase(0.05),
-                     2e5, budget, n_total=1e12)
-    assert res.aborted
-    assert res.abort_reason == ABORT_EPS_BUDGET
+    eps_s2 = budget.eps_s**2
+    assert budget.log_terms == pytest.approx(
+        math.log2(4.0 / eps_s2) + math.log2(2.0 / budget.eps_c), rel=1e-15
+    )
+    for frac, ell in ((1e-9, ELL_SPOT + 1), (0.5, ELL_SPOT), (0.75, ELL_SPOT - 1)):
+        res = key_length(bound(1e4), bound(1e6), phase(0.05), 2e5,
+                         budget_with_eta(frac * eps_s2), n_total=1e12)
+        assert not res.aborted
+        assert res.ell == ell
 
 
 def test_zero_counts_abort():

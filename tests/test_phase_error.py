@@ -13,7 +13,7 @@ import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig
-from qkd_keyrate.decoy import CELLS, BoundBatch, CellBoundsBatch, IntensitySet
+from qkd_keyrate.decoy import CELLS, CellBoundsBatch, IntensitySet
 from qkd_keyrate.phase_error import n_ph_appendixE, n_ph_upper_batch, phase_terms
 from qkd_keyrate.qubit_model import (
     EncodingFlawModel,
@@ -76,11 +76,7 @@ def exact_single_photon_cells(p_z, eta):
     }
     single = np.array([[values.get(c, 0.0) for c in CELLS]])
     zero = np.zeros((1, 16))
-    return CellBoundsBatch(
-        lower0=BoundBatch(zero, zero),
-        lower1=BoundBatch(single, zero),
-        upper1=BoundBatch(single, zero),
-    )
+    return CellBoundsBatch(lower0=zero, lower1=single, upper1=single)
 
 
 def test_ideal_source_has_no_phase_errors():
@@ -106,22 +102,22 @@ def test_ideal_source_decoy_residual_is_moderate():
 def test_n1_upper_sums_cells():
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
     cells, m1 = build_stats(0.147, 0.5, 50.0, budget)
-    total = sum(cells.upper1.value[0].tolist())
+    total = sum(cells.upper1[0].tolist())
     n1 = phase_bound(build_qm(0.147, 0.5), cells, m1, budget).n1_upper
     assert n1 == pytest.approx(total, rel=1e-14)
 
 
 def test_deviations_only_loosen():
-    cells_a, m1_a = build_stats(0.147, 0.5, 80.0, None)
-    budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
-    cells_f, m1_f = build_stats(0.147, 0.5, 80.0, budget)
     qm = build_qm(0.147, 0.5)
-    asym = phase_bound(qm, cells_a, m1_a, None)
-    fin = phase_bound(qm, cells_f, m1_f, budget)
-    assert fin.n_ph_upper >= asym.n_ph_upper
-    assert fin.e_ph_upper >= asym.e_ph_upper
-    assert asym.failure_prob == 0.0
-    assert 0.0 < fin.failure_prob < 1.0
+    bounds = []
+    # asymptotic, then ever smaller allocations per estimate
+    for budget in (None, *(EpsilonBudget.build(eps, 1e-15, mode="exact")
+                           for eps in (1e-6, 1e-10))):
+        cells, m1 = build_stats(0.147, 0.5, 80.0, budget)
+        bounds.append(phase_bound(qm, cells, m1, budget))
+    for looser, tighter in zip(bounds, bounds[1:]):
+        assert tighter.n_ph_upper > looser.n_ph_upper
+        assert tighter.e_ph_upper > looser.e_ph_upper
 
 
 def test_upper_branch_dominates_lower():

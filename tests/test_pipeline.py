@@ -87,11 +87,14 @@ def test_infeasible_params_raise():
 
 def one_run(signal_cells=None, z_s=0.0, n_z=0.0):
     """The CountsBatch of one run with the given signal-intensity cells,
-    keyed by CELLS entry; every other count is 0."""
+    keyed by CELLS entry, and n_z / 2 trials in each of the Z0 -> Z and
+    Z1 -> Z configurations; every other count is 0."""
     cells = np.zeros((1, 3, 16))
     for cell, count in (signal_cells or {}).items():
         cells[0, 0, CELLS.index(cell)] = count
-    return CountsBatch(cells=cells, trials=np.zeros((1, 16)),
+    trials = np.zeros((1, 16))
+    trials[0, [0, 1, 4, 5]] = n_z / 2.0
+    return CountsBatch(cells=cells, trials=trials,
                        z_by_k=np.array([[z_s, 0.0, 0.0]]), z_tot=np.array([z_s]),
                        n_z=np.array([n_z]))
 
@@ -122,6 +125,30 @@ def test_counts_validation():
             evaluate_rate(cfg, PARAMS, bud, 1e12, counts=bad)
     with pytest.raises(ValueError):
         evaluate_rate(cfg, PARAMS, bud, 1e12, counts=good._replace(n_z=np.array([2e12])))
+
+
+def test_counts_must_agree_with_themselves():
+    # the decoy bounds read z_by_k and e_z reads the cells: unchecked,
+    # doubling the Z totals of the expected counts at 80 km raised the
+    # key length from 123,285,532 to 564,549,832
+    cfg, bud = channel(80.0), budget()
+    params = ProtocolParams(p_z=0.9, p_ks=0.8, p_kd1=0.12, k_s=0.46, k_d1=0.11)
+    good, _ = expected_counts(cfg, params.intensities("exact", 0.0), params.p_z, 1e12)
+    evaluate_rate(cfg, params, bud, 1e12, counts=good)
+    # float counts may carry rounding in their totals
+    evaluate_rate(cfg, params, bud, 1e12,
+                  counts=good._replace(z_tot=good.z_tot * (1.0 + 1e-13)))
+    doubled = good._replace(z_by_k=2.0 * good.z_by_k, z_tot=2.0 * good.z_tot)
+    z_tot = good._replace(z_tot=good.z_tot * (1.0 + 1e-9))
+    # the X0X1 signal count alone takes all of its configuration's
+    # trials, and its decoy counts add to that
+    x0x1 = CELLS.index(("X", 0, "X", 1))
+    cells = good.cells.copy()
+    cells[0, 0, x0x1] = good.trials[0, x0x1]
+    crowded = good._replace(cells=cells)
+    for bad, match in ((doubled, "z_by_k"), (z_tot, "z_tot"), (crowded, "trials")):
+        with pytest.raises(ValueError, match=match):
+            evaluate_rate(cfg, params, bud, 1e12, counts=bad)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
