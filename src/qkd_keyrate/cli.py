@@ -153,6 +153,7 @@ def _cmd_optimize(args) -> int:
     )
     print(f"distance_km = {_fmt(float(args.distance))}")
     print(f"evaluations = {opt.evaluations}")
+    print(f"grid_screened = {opt.grid_screened}")
     print("trace (improvements):")
     for par, rate in opt.trace:
         print(

@@ -11,7 +11,10 @@ every inequality is evaluated at its worst-case endpoint and mean values
 are estimated without any independence assumption).
 
 ``decoy_bounds_batch`` bounds a batch of parameter points at once, with
-a leading batch axis on every array; one point is a batch of one.  Each
+a leading batch axis on every array; one point is a batch of one.  It
+is ``aggregate_bounds`` (m0 and m1) followed by ``cell_bounds`` (the
+sixteen cells), both on the per-point factors of ``decoy_factors``, so
+a caller can stop after m0 and m1.  Each
 mean estimate takes its deviation from its own allocation of the static
 budget, which the key length charges as a whole.  Passing
 ``budget=None`` zeroes all statistical deviations, which turns the
@@ -38,7 +41,10 @@ __all__ = [
     "IntensityBatch",
     "IntensityLevel",
     "IntensitySet",
+    "aggregate_bounds",
+    "cell_bounds",
     "decoy_bounds_batch",
+    "decoy_factors",
     "poisson_pk",
 ]
 
@@ -300,12 +306,12 @@ _CHERNOFF_A = np.array([3.0, 3.0, 8.0, 8.0, 8.0])[:, None]
 _CHERNOFF_B = np.array([0.0, 0.0, 1.0, 1.0, 1.0])[:, None] * 2.0 * math.log(16.0)
 
 
-# the exponents of _point_factors' stacked arguments: k e^{-k} at the
+# the exponents of decoy_factors' stacked arguments: k e^{-k} at the
 # signal's range ends and peak, then e^{k} at the ends of every range
 _EXP_SIGNS = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])[:, None]
 
 
-def _point_factors(intens: IntensityBatch) -> np.ndarray:
+def decoy_factors(intens: IntensityBatch) -> np.ndarray:
     """(12, B, 1) per-point factors of the closed forms, ready to
     broadcast over the populations."""
     (_, s_lo, s_hi, s_p), (_, d1_lo, d1_hi, d1_p), (_, d2_lo, d2_hi, d2_p) = intens
@@ -345,14 +351,19 @@ def _point_factors(intens: IntensityBatch) -> np.ndarray:
     ])[:, :, None]
 
 
+# the aggregate's column and the cells' columns of the 17 populations
+_AGGREGATE, _CELL_POPULATIONS = slice(0, 1), slice(1, 17)
+
+
 def _mean_estimates(
     mode: str,
     budget: EpsilonBudget | None,
     observed: np.ndarray,
     size: np.ndarray,
+    populations: slice = slice(None),
 ) -> np.ndarray:
-    """The _ESTIMATES of every population, (B, 5, 17) from the (B, 5, 17)
-    ``observed`` counts.
+    """The _ESTIMATES of the given populations, (B, 5, P) from the
+    (B, 5, P) ``observed`` counts.
 
     Exact mode takes the Hoeffding deviation against ``size``, the
     population total, or the multiplicative-Chernoff deviation of the
@@ -363,7 +374,7 @@ def _mean_estimates(
     """
     if budget is None:
         return observed
-    log_inv = budget.log_inv(_NAMES).reshape(5, 17)
+    log_inv = budget.log_inv(_NAMES).reshape(5, 17)[:, populations]
     if mode == "fluct":
         dev = np.sqrt(2.0 * size * log_inv)
     else:
@@ -378,56 +389,42 @@ def _mean_estimates(
     return np.add(observed, dev, out=dev)
 
 
-def decoy_bounds_batch(
-    counts: CountsBatch,
-    intens: IntensityBatch,
-    budget: EpsilonBudget | None,
-    mode: str,
-) -> tuple[np.ndarray, np.ndarray, CellBoundsBatch]:
-    """m0, m1 ((B,) arrays) and the sixteen cells' bounds, per point.
-
-    m0 and m1 lower-bound the vacuum and single-photon events of the
-    signal-intensity Z key: a mean-level bound, then the mean-to-count
-    deviation, capped at the signal Z count.  In exact mode the means
-    are estimated against the Z total or the cell total; in fluct mode
-    the martingales run over N_z or the cell's configuration trials.
-    The exact and fluct modes differ only in which endpoints and mean
-    estimators are used; exact mode has lo == hi, so the endpoint choice
-    is vacuous there.
-    """
+def _check_mode(mode: str) -> None:
     if mode not in ("exact", "fluct"):
         raise ValueError(f"mode must be 'exact' or 'fluct', got {mode!r}")
-    (p_vac, vac_pref, vac_d2, vac_d1, sin_pref, sin_d1, sin_d2, sin_vac, sin_s,
-     up_pref, up_d1, up_d2) = _point_factors(intens)
-    # (B, 5, 17): the counts behind each estimate, then population
-    observed = np.concatenate(
-        [counts.z_by_k[:, _ROWS, None], counts.cells[:, _ROWS]], axis=2
-    )
-    if mode == "exact":
-        size = [counts.z_tot[:, None], counts.cells.sum(axis=1)]
-    else:
-        size = [counts.n_z[:, None], counts.trials]
-    size = np.concatenate(size, axis=1)[:, None, :]
-    est = _mean_estimates(mode, budget, observed, size)
-    c_d2_lo, c_d1_lo, c_d2_hi, c_d1_hi, c_s_hi = est.transpose(1, 0, 2)
-    # a cell's bounds are capped at its signal count; the aggregate's are not
-    cap = observed[:, 4].copy()
-    cap[:, 0] = np.inf
 
-    clamp = lambda bound: np.minimum(np.maximum(bound, 0.0), cap)
+
+def _lower_bounds(
+    est: np.ndarray, factors: np.ndarray, clamp
+) -> tuple[np.ndarray, np.ndarray]:
+    """The closed forms' vacuum and single-photon lower bounds, (B, P)
+    mean-level arrays from the (B, 5, P) mean estimates ``est``, each
+    passed through ``clamp``.  ``factors`` is ``decoy_factors`` of the
+    points' intensities."""
+    p_vac, vac_pref, vac_d2, vac_d1, sin_pref, sin_d1, sin_d2, sin_vac, sin_s = (
+        factors[:9]
+    )
+    c_d2_lo, c_d1_lo, c_d2_hi, c_d1_hi, c_s_hi = est.transpose(1, 0, 2)
     low0 = clamp(vac_pref * (vac_d2 * c_d2_lo - vac_d1 * c_d1_hi))
     low1 = clamp(sin_pref * (
         sin_d1 * c_d1_lo
         - sin_d2 * c_d2_hi
         + sin_vac * (low0 / p_vac - sin_s * c_s_hi)
     ))
-    up1 = clamp(up_pref * (up_d1 * c_d1_hi - up_d2 * c_d2_lo))
-    cells = CellBoundsBatch(low0[:, 1:], low1[:, 1:], up1[:, 1:])
+    return low0, low1
 
-    # population 0: the clamped means of m0 and m1 become count bounds
+
+def _count_bounds(
+    low0: np.ndarray,
+    low1: np.ndarray,
+    counts: CountsBatch,
+    budget: EpsilonBudget | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """m0 and m1, (B,), from population 0's (B, 1) mean-level bounds: the
+    mean-to-count deviation, capped at the signal Z count."""
     if budget is None:
-        return low0[:, 0], low1[:, 0], cells
-    mu = np.concatenate([low0[:, :1], low1[:, :1]], axis=1)
+        return low0[:, 0], low1[:, 0]
+    mu = np.concatenate([low0, low1], axis=1)
     log_inv = budget.log_inv(("m0.final", "m1.final"))
     # the multiplicative deviation sqrt(2 mu ln(1/eps)) while the mean
     # dominates 2 ln(1/eps), Hoeffding over N_z below that
@@ -437,4 +434,72 @@ def decoy_bounds_batch(
         np.sqrt(counts.n_z[:, None] / 2.0 * log_inv),
     )
     value = np.minimum(np.maximum(mu - dev, 0.0), counts.z_by_k[:, :1])
-    return value[:, 0], value[:, 1], cells
+    return value[:, 0], value[:, 1]
+
+
+def aggregate_bounds(
+    counts: CountsBatch,
+    factors: np.ndarray,
+    budget: EpsilonBudget | None,
+    mode: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """m0 and m1, (B,) arrays: population 0 of the closed forms alone.
+
+    m0 and m1 lower-bound the vacuum and single-photon events of the
+    signal-intensity Z key.  In exact mode the means are estimated
+    against the Z total, in fluct mode the martingales run over N_z.
+    ``factors`` is ``decoy_factors`` of the points' intensities.
+    """
+    _check_mode(mode)
+    # (B, 5, 1): the counts behind each estimate
+    observed = counts.z_by_k[:, _ROWS, None]
+    size = (counts.z_tot if mode == "exact" else counts.n_z)[:, None, None]
+    est = _mean_estimates(mode, budget, observed, size, _AGGREGATE)
+    # unlike a cell's, the aggregate's bounds are not capped
+    low0, low1 = _lower_bounds(est, factors, lambda bound: np.maximum(bound, 0.0))
+    return _count_bounds(low0, low1, counts, budget)
+
+
+def cell_bounds(
+    counts: CountsBatch,
+    factors: np.ndarray,
+    budget: EpsilonBudget | None,
+    mode: str,
+) -> CellBoundsBatch:
+    """The sixteen cells' bounds: populations 1..16 of the closed forms.
+
+    In exact mode the means are estimated against the cell total, in
+    fluct mode the martingales run over the cell's configuration trials.
+    ``factors`` is ``decoy_factors`` of the points' intensities.
+    """
+    _check_mode(mode)
+    # (B, 5, 16): the counts behind each estimate, then cell
+    observed = counts.cells[:, _ROWS]
+    size = counts.cells.sum(axis=1) if mode == "exact" else counts.trials
+    est = _mean_estimates(mode, budget, observed, size[:, None, :], _CELL_POPULATIONS)
+    # a cell's bounds are capped at its signal count
+    cap = observed[:, 4]
+    clamp = lambda bound: np.minimum(np.maximum(bound, 0.0), cap)
+    low0, low1 = _lower_bounds(est, factors, clamp)
+    up_pref, up_d1, up_d2 = factors[9:]
+    c_d2_lo, c_d1_hi = est[:, 0], est[:, 3]
+    up1 = clamp(up_pref * (up_d1 * c_d1_hi - up_d2 * c_d2_lo))
+    return CellBoundsBatch(low0, low1, up1)
+
+
+def decoy_bounds_batch(
+    counts: CountsBatch,
+    intens: IntensityBatch,
+    budget: EpsilonBudget | None,
+    mode: str,
+) -> tuple[np.ndarray, np.ndarray, CellBoundsBatch]:
+    """m0, m1 ((B,) arrays) and the sixteen cells' bounds, per point:
+    ``aggregate_bounds`` and ``cell_bounds`` on the same factors.
+
+    The exact and fluct modes differ only in which endpoints and mean
+    estimators are used; exact mode has lo == hi, so the endpoint choice
+    is vacuous there.
+    """
+    factors = decoy_factors(intens)
+    m0, m1 = aggregate_bounds(counts, factors, budget, mode)
+    return m0, m1, cell_bounds(counts, factors, budget, mode)

@@ -30,6 +30,7 @@ __all__ = [
     "binary_entropy",
     "eph_threshold",
     "key_length_batch",
+    "key_length_bound",
     "lambda_ec",
     "lambda_ec_batch",
 ]
@@ -134,6 +135,12 @@ class KeyRateBatch(NamedTuple):
     z_ks_size: np.ndarray
     abort_reason: np.ndarray
 
+    @classmethod
+    def empty(cls) -> "KeyRateBatch":
+        """The results of no point."""
+        none = np.empty(0)
+        return cls(*(none,) * 8, abort_reason=np.empty(0, dtype=object))
+
     def result(self, i: int) -> KeyRateResult:
         """The KeyRateResult of point ``i``."""
         ell = int(self.ell[i])
@@ -190,7 +197,8 @@ def key_length_batch(
         raise ValueError("n_total must be positive")
     logs = 0.0 if budget is None else budget.log_terms
     # the length at a saturated, at a zero and at the bounded phase-error
-    # rate (_pa_penalty: the entropy is 1 from 1/2 on)
+    # rate (_pa_penalty: the entropy is 1 from 1/2 on); the zero-rate one
+    # is key_length_bound, by the same operations
     at_half = m0 - logs - lam_ec
     raw = at_half + m1 * (1.0 - _entropy(np.minimum(e_ph, 0.5)))
     positive = (m1 > 0.0) & (at_half + m1 > 0.0)
@@ -218,6 +226,25 @@ def key_length_batch(
         z_ks_size=z_ks_size,
         abort_reason=reason,
     )
+
+
+def key_length_bound(
+    m0: np.ndarray,
+    m1: np.ndarray,
+    lam_ec: np.ndarray,
+    budget: EpsilonBudget | None,
+) -> np.ndarray:
+    """The key length at a zero phase-error rate, m0 + m1 - logs - lam_ec,
+    per point: no phase-error bound can give more.
+
+    It is computed by the operations ``key_length_batch`` uses for its
+    raw length, with m1 (1 - h(e_ph)) replaced by m1.  As computed,
+    1 - h is at most 1 (h >= 0), and rounding is monotone, so the raw
+    length never exceeds this bound, nor does the floored key length,
+    nor its rate the bound over n_total.
+    """
+    logs = 0.0 if budget is None else budget.log_terms
+    return m0 - logs - lam_ec + m1
 
 
 def lambda_ec_batch(

@@ -12,12 +12,17 @@ and a quarter of a grid step) and polls both in one batch, since one
 track alone can settle in the lower of two local optima.  Parameter
 combinations that violate the intensity ordering or the probability
 simplex score zero rather than erroring.  Grid chunks and polls go
-through one evaluate_batch path; the grid in batches of GRID_CHUNK
+through one screen_batch path; the grid in batches of GRID_CHUNK
 points, which bounds the memory a batch takes whatever the grid size.
+Each grid chunk passes the best rate so far as the screen's floor, so
+its points that cannot beat it skip the cell and phase-error bounds; the
+polls pass none, since a neighbour of the best point almost never falls
+below it by the margin m1 h(e_ph) the screen needs.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -31,7 +36,7 @@ from .pipeline import (
     ParamBatch,
     ProtocolParams,
     build_source_model,
-    evaluate_batch,
+    screen_batch,
 )
 
 __all__ = ["InfeasibleSearchError", "OptimizationResult", "SearchSpace", "optimize_rate"]
@@ -115,6 +120,9 @@ class OptimizationResult:
 
     ``evaluations`` is ``grid_evaluations + polish_evaluations``; the
     two times are wall seconds from ``time.perf_counter``.
+    ``grid_screened`` counts the grid points the screen stopped after
+    m0, m1 and the EC leakage, because they could not beat the best rate
+    so far; they count as evaluations too.
     """
 
     best_params: ProtocolParams
@@ -124,7 +132,33 @@ class OptimizationResult:
     polish_evaluations: int
     grid_s: float
     polish_s: float
+    grid_screened: int
     trace: tuple = field(default_factory=tuple)
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_chunks(
+    space: SearchSpace, grid_points: int
+) -> tuple[tuple[np.ndarray, ParamBatch], ...]:
+    """The grid's batches of unit vectors and their parameters.
+
+    The grid centre comes first, then the grid points in row-major
+    order, GRID_CHUNK of them per batch; the first batch also takes the
+    centre.  The grid does not depend on the link, so a sweep forms it
+    once; its arrays are read-only.
+    """
+    ticks = np.linspace(0.0, 1.0, grid_points)
+    chunks = []
+    for start in range(0, grid_points**5, GRID_CHUNK):
+        flat = np.arange(start, min(start + GRID_CHUNK, grid_points**5))
+        units = ticks[np.stack(np.unravel_index(flat, (grid_points,) * 5), axis=1)]
+        if start == 0:
+            units = np.concatenate([np.full((1, 5), 0.5), units])
+        params = space.params_batch(units)
+        for a in (units, *params):
+            a.setflags(write=False)
+        chunks.append((units, params))
+    return tuple(chunks)
 
 
 def optimize_rate(
@@ -165,36 +199,44 @@ def optimize_rate(
             qm = qm_cache.setdefault(p_z, build_source_model(cfg.xi, p_z))
         return qm
 
-    def score(units: np.ndarray):
-        """Parameters, rates (-inf where infeasible), results and each
-        point's row in the results for a (B, 5) array of unit vectors."""
-        points = space.params_batch(units)
-        rates = np.full(len(units), -np.inf)
+    def score(points: ParamBatch, floor: float | None = None):
+        """Rates (-inf where infeasible or screened), results, each
+        point's row in the results and the mask of screened points for a
+        batch of parameters."""
+        rates = np.full(len(points.p_z), -np.inf)
         try:
-            feasible, batch = evaluate_batch(
-                cfg, points, budget, n_total, mode=mode, f_ec=f_ec,
+            feasible, screened, batch = screen_batch(
+                cfg, points, budget, n_total, floor, mode=mode, f_ec=f_ec,
                 model=model, source=source,
             )
         except ValueError:
-            return points, rates, None, None
-        rates[feasible] = batch.rate
-        return points, rates, batch, np.cumsum(feasible) - 1
+            return rates, None, None, np.zeros(len(rates), dtype=bool)
+        scored = feasible & ~screened
+        rates[scored] = batch.rate
+        return rates, batch, np.cumsum(scored) - 1, screened
 
     t0 = time.perf_counter()
-    ticks = np.linspace(0.0, 1.0, grid_points)
-    center = np.full((1, 5), 0.5)
-    best_u = center[0]
-    best_params, best_res = space.params_at(best_u), None
+    best_u = best_params = best_res = None
     best_rate = -1.0
     grid_evaluations = 1 + grid_points**5
-    # point 0 is the grid centre, point i > 0 the (i-1)-th grid point in
-    # row-major order; a chunk's units are formed when it is evaluated
-    for start in range(0, grid_evaluations, GRID_CHUNK):
-        flat = np.arange(max(start, 1), min(start + GRID_CHUNK, grid_evaluations))
-        chunk = ticks[np.stack(np.unravel_index(flat - 1, (grid_points,) * 5), axis=1)]
-        if start == 0:
-            chunk = np.concatenate([center, chunk])
-        points, rates, batch, slot = score(chunk)
+    grid_screened = 0
+    for chunk, points in _grid_chunks(space, grid_points):
+        # a point that cannot beat the best rate so far (or 0) cannot
+        # enter the trace: the screen stops it before its cell and
+        # phase-error bounds
+        rates, batch, slot, screened = score(points, max(best_rate, 0.0))
+        grid_screened += int(screened.sum())
+        if best_res is None and screened.any():
+            # but the first feasible point enters it whatever its rate: if
+            # the screen stopped it, it is scored again in full
+            first = int(np.argmax(np.isfinite(rates) | screened))
+            if screened[first]:
+                best_u, best_params = chunk[first], points.point(first)
+                _, again, _, _ = score(ParamBatch.of([best_params]))
+                best_res = again.result(0)
+                best_rate = best_res.rate
+                trace.append((best_params, best_rate))
+                grid_screened -= 1
         # a point enters the trace when it beats every earlier point
         before = np.maximum.accumulate(np.concatenate([[best_rate], rates[:-1]]))
         for i in np.flatnonzero(rates > before):
@@ -215,7 +257,8 @@ def optimize_rate(
         while (live := np.flatnonzero(halvings < POLISH_HALVINGS)).size:
             stencil = track_u[live, None] + steps[live, None, None] * _COMPASS
             stencil = np.clip(stencil.reshape(-1, 5), 0.0, 1.0)
-            points, rates, batch, slot = score(stencil)
+            points = space.params_batch(stencil)
+            rates, batch, slot, _ = score(points)
             polish_evaluations += len(stencil)
             polled = rates.reshape(len(live), len(_COMPASS))
             for k, t in enumerate(live):
@@ -245,5 +288,6 @@ def optimize_rate(
         polish_evaluations=polish_evaluations,
         grid_s=t1 - t0,
         polish_s=t2 - t1,
+        grid_screened=grid_screened,
         trace=tuple(trace),
     )

@@ -1,14 +1,18 @@
 """End-to-end rate evaluation: channel statistics to key length.
 
 This is the single code path shared by the sweep and the optimizer, so
-every consumer agrees on how the pieces chain together.  The chain
-(``decoy_bounds_batch``, ``n_ph_upper_batch``, ``key_length_batch``) runs
-on batches of parameter points, with a leading batch axis:
-``evaluate_batch`` evaluates many points at once (the optimizer's grid),
-and ``evaluate_rate`` is a batch of one.  The validation suites call the
-same batch functions.  The channel statistics default to the expected
-values of the system model; ``evaluate_rate`` also takes a one-row
-``CountsBatch`` from elsewhere, such as a ``ChannelModel.sample`` draw.
+every consumer agrees on how the pieces chain together.  The chain runs
+on batches of parameter points, with a leading batch axis, in two
+stages: m0, m1 (``aggregate_bounds``) and the EC leakage, then the cell
+bounds (``cell_bounds``), ``n_ph_upper_batch`` and ``key_length_batch``.
+``evaluate_batch`` evaluates many points at once, and ``evaluate_rate``
+is a batch of one.  ``screen_batch``, which the optimizer's grid uses,
+stops after stage 1 the points whose ``key_length_bound``, the length
+at a zero phase-error rate, cannot beat a given rate.  The validation
+suites call the same batch functions.  The channel statistics default
+to the expected values of the system model; ``evaluate_rate`` also
+takes a one-row ``CountsBatch`` from elsewhere, such as a
+``ChannelModel.sample`` draw.
 """
 
 from __future__ import annotations
@@ -25,10 +29,18 @@ from .decoy import (
     CountsBatch,
     IntensityBatch,
     IntensitySet,
-    decoy_bounds_batch,
+    aggregate_bounds,
+    cell_bounds,
+    decoy_factors,
     distinct,
 )
-from .key_length import KeyRateBatch, KeyRateResult, key_length_batch, lambda_ec_batch
+from .key_length import (
+    KeyRateBatch,
+    KeyRateResult,
+    key_length_batch,
+    key_length_bound,
+    lambda_ec_batch,
+)
 from .phase_error import n_ph_upper_batch, phase_terms
 from .qubit_model import (
     EncodingFlawModel,
@@ -49,6 +61,7 @@ __all__ = [
     "build_source_model",
     "evaluate_batch",
     "evaluate_rate",
+    "screen_batch",
 ]
 
 K_D2_DEFAULT = 2e-4
@@ -164,6 +177,33 @@ def evaluate_batch(
     ``source`` maps p_z to the source characterisation, for callers that
     cache it; ``model`` shares click tables across calls on one link.
     """
+    feasible, _, batch = screen_batch(
+        cfg, params, budget, n_total, None, mode, f_ec, model, source
+    )
+    return feasible, batch
+
+
+def screen_batch(
+    cfg: ChannelConfig,
+    params: ParamBatch,
+    budget: EpsilonBudget | None,
+    n_total: float,
+    floor: float | None,
+    mode: str = "exact",
+    f_ec: float = 1.16,
+    model: ChannelModel | None = None,
+    source: Callable[[float], VirtualStateCoeffs] | None = None,
+) -> tuple[np.ndarray, np.ndarray, KeyRateBatch]:
+    """``evaluate_batch`` for callers that need a rate above ``floor``.
+
+    ``floor`` is a rate of at least 0.  A feasible point is screened
+    where its m1 is 0 or its ``key_length_bound`` over n_total does not
+    exceed the floor: its rate cannot exceed the floor either, and the
+    chain stops for it after m0, m1 and the EC leakage.  Returns the
+    mask of feasible points, the mask of the screened ones among them,
+    and the results of the other feasible points, in order.  With
+    ``floor`` None no point is screened.
+    """
     intens, feasible = params.intensities(mode, cfg.fluct_r)
     feasible &= (0.0 < params.p_z) & (params.p_z < 1.0)
     if source is None:
@@ -188,9 +228,13 @@ def evaluate_batch(
     if model is None:
         model = ChannelModel(cfg)
     counts, e_z = model.expected_batch(intens, params.p_z[idx], n_total)
-    return feasible, _rate_batch(
-        counts, e_z, intens, terms[which], budget, n_total, mode, f_ec
+    passed, batch = _rate_batch(
+        counts, e_z, intens, terms[which], budget, n_total, mode, f_ec, floor
     )
+    screened = np.zeros_like(feasible)
+    if passed is not None:
+        screened[idx[~passed]] = True
+    return feasible, screened, batch
 
 
 def _rate_batch(
@@ -202,13 +246,40 @@ def _rate_batch(
     n_total: float,
     mode: str,
     f_ec: float,
-) -> KeyRateBatch:
-    """Decoy bounds, phase-error bound and key length from batch counts."""
-    m0, m1, cells = decoy_bounds_batch(counts, intens, budget, mode)
-    eph = n_ph_upper_batch(terms, cells, m1, budget)
+    floor: float | None = None,
+) -> tuple[np.ndarray | None, KeyRateBatch]:
+    """Decoy bounds, phase-error bound and key length from batch counts,
+    in two stages with ``screen_batch``'s screen between them.
+
+    Stage 1 bounds m0, m1 and the EC leakage of every point; stage 2
+    (the sixteen cell bounds, the phase-error bound and the key length)
+    runs on the points that pass the screen, every point when ``floor``
+    is None.  Returns the mask of those, None when every point passes,
+    and their results.
+    """
+    factors = decoy_factors(intens)
+    m0, m1 = aggregate_bounds(counts, factors, budget, mode)
     z_ks = counts.z_by_k[:, 0]
     lam = lambda_ec_batch(z_ks, e_z, f_ec)
-    return key_length_batch(
+    passed = None
+    if floor is not None:
+        bound = key_length_bound(m0, m1, lam, budget)
+        passed = (m1 > 0.0) & (bound / n_total > floor)
+        if not passed.any():
+            return passed, KeyRateBatch.empty()
+        if passed.all():
+            passed = None
+        else:
+            # stage 2 takes the passing points' rows of stage 1's arrays
+            idx = np.flatnonzero(passed)
+            counts = CountsBatch(*(a[idx] for a in counts))
+            factors = factors[:, idx]
+            terms, e_z, m0, m1, lam, z_ks = (
+                a[idx] for a in (terms, e_z, m0, m1, lam, z_ks)
+            )
+    cells = cell_bounds(counts, factors, budget, mode)
+    eph = n_ph_upper_batch(terms, cells, m1, budget)
+    return passed, key_length_batch(
         m0, m1, eph.e_ph_upper, lam, budget, n_total=n_total, e_z=e_z, z_ks_size=z_ks
     )
 
@@ -230,8 +301,9 @@ def evaluate_rate(
     the expected statistics, and the Z error rate is then read from its
     signal-intensity Z cells; counts of the wrong shape, negative or
     non-finite counts, n_z > n_total, Z totals that are not the sums of
-    their cells and cells above their configuration's trials raise
-    ValueError.
+    their cells, an n_z that is not the trials of the Z0 -> Z and
+    Z1 -> Z configurations, and outcome cells above their
+    configuration's trials raise ValueError.
     """
     levels = IntensityBatch.of(params.intensities(mode, cfg.fluct_r))
     if counts is None:
@@ -242,7 +314,7 @@ def evaluate_rate(
         _check_counts(counts, n_total)
         e_z = np.array([z_error_rate(counts.cells[0, 0].tolist())])
     qm = build_source_model(cfg.xi, params.p_z)
-    res = _rate_batch(
+    _, res = _rate_batch(
         counts, e_z, levels, np.array([phase_terms(qm)]),
         budget, n_total, mode, f_ec,
     )
@@ -270,5 +342,13 @@ def _check_counts(counts: CountsBatch, n_total: float) -> None:
     z_tot = counts.z_by_k.sum(axis=1)
     if not np.allclose(counts.z_tot, z_tot, rtol=_COUNT_REL, atol=0.0):
         raise ValueError("counts.z_tot must total counts.z_by_k")
-    if (counts.cells.sum(axis=1) > counts.trials * (1.0 + _COUNT_REL)).any():
-        raise ValueError("a cell must not count more than its configuration's trials")
+    # the trials of the Z0 -> Z and Z1 -> Z configurations
+    z_trials = counts.trials[:, 0] + counts.trials[:, 4]
+    if not np.allclose(counts.n_z, z_trials, rtol=_COUNT_REL, atol=0.0):
+        raise ValueError("counts.n_z must equal the Z-sender, Z-receiver trials")
+    # a configuration's two outcome cells, over the intensities
+    outcomes = counts.cells.sum(axis=1).reshape(1, 8, 2).sum(axis=2)
+    if (outcomes > counts.trials[:, ::2] * (1.0 + _COUNT_REL)).any():
+        raise ValueError(
+            "a configuration's outcome cells must not count more than its trials"
+        )

@@ -24,6 +24,7 @@ from qkd_keyrate.key_length import (
     key_length_batch,
     lambda_ec,
 )
+from qkd_keyrate import optimize
 from qkd_keyrate.optimize import GRID_CHUNK, SearchSpace, optimize_rate
 from qkd_keyrate.pipeline import (
     ParamBatch,
@@ -31,6 +32,7 @@ from qkd_keyrate.pipeline import (
     build_source_model,
     evaluate_batch,
     evaluate_rate,
+    screen_batch,
 )
 
 from one_point import expected_counts
@@ -203,11 +205,20 @@ def test_key_length_at_the_phase_threshold(asymptotic):
     assert reasons >= {None, "phase_error_threshold"}
 
 
-def test_grid_is_chunked():
+def test_grid_is_chunked(monkeypatch):
     assert GRID_CHUNK == 256
-    # grid_points=4 gives 1 + 4**5 = 1025 points, five chunks
+    # grid_points=4 gives 1 + 4**5 = 1025 points; the centre rides in the
+    # first chunk, so four chunks, the first of 257 points
+    sizes = []
+
+    def counted(cfg, params, *args, **kwargs):
+        sizes.append(len(params.p_z))
+        return screen_batch(cfg, params, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "screen_batch", counted)
     out = optimize_rate(channel(60.0), EpsilonBudget.build(1e-10, 1e-15, "exact"),
                         1e12, strategy="grid", grid_points=4)
+    assert sizes == [257, 256, 256, 256]
     assert out.evaluations == 1 + 4**5
     assert evaluate_rate(channel(60.0), out.best_params,
                          EpsilonBudget.build(1e-10, 1e-15, "exact"), 1e12) == out.best

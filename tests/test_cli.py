@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,7 @@ def test_optimize_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "best rate" in out
     assert format(40.0, ".12e") in out
+    assert "grid_screened = " in out
 
 
 def _assert_clean_error(code, capsys):
@@ -182,3 +187,13 @@ def test_infeasible_search_box_exit_code(tmp_path, capsys, command):
     args += ["--out", str(tmp_path / "r.csv")] if command == "sweep" else ["--distance", "10"]
     code = main([command, *args])
     assert "no feasible parameter point" in _assert_clean_error(code, capsys)
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    # python -m qkd_keyrate, with only src/ on the path
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-m", "qkd_keyrate", "--help"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "sweep" in out.stdout and "optimize" in out.stdout

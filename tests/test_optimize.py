@@ -136,6 +136,14 @@ def test_phases_report_their_cost():
     grid = optimize_rate(channel(), budget(), 1e12, strategy="grid", grid_points=3)
     assert grid.polish_evaluations == 0
     assert grid.evaluations == grid.grid_evaluations
+    # the screen's stops count among the grid evaluations; at a distance
+    # with no key it stops every grid point but the centre, whose full
+    # result is reported
+    assert 0 <= out.grid_screened < out.grid_evaluations
+    dead = optimize_rate(channel(dist=250.0), budget(), 1e9, grid_points=3)
+    assert dead.best.ell == 0
+    assert dead.grid_screened == dead.grid_evaluations - 1
+    assert dead.best_params == SearchSpace().params_at(np.full(5, 0.5))
 
 
 def test_hopeless_link_reports_zero():

@@ -151,6 +151,29 @@ def test_counts_must_agree_with_themselves():
             evaluate_rate(cfg, params, bud, 1e12, counts=bad)
 
 
+def test_counts_must_agree_with_their_trials():
+    # the fluct-mode aggregate deviations run over n_z: unchecked,
+    # replacing n_z by z_tot raised the key length from 82,454,801,863
+    # to 85,734,037,282 (sampled counts pass: test_batch feeds them in)
+    cfg, bud = channel(20.0, r=0.05), budget("fluct")
+    params = ProtocolParams(p_z=0.8, p_ks=0.6, p_kd1=0.2, k_s=0.55, k_d1=0.03)
+    levels = params.intensities("fluct", 0.05)
+    good, _ = expected_counts(cfg, levels, params.p_z, 1e14)
+    fed = evaluate_rate(cfg, params, bud, 1e14, mode="fluct", counts=good)
+    assert fed.ell == 82_454_801_863
+    with pytest.raises(ValueError, match="n_z"):
+        evaluate_rate(cfg, params, bud, 1e14, mode="fluct",
+                      counts=good._replace(n_z=good.z_tot))
+    # each Z0 -> X outcome cell stays below the configuration's trials,
+    # but the two together exceed them
+    z0x0, z0x1 = CELLS.index(("Z", 0, "X", 0)), CELLS.index(("Z", 0, "X", 1))
+    cells = good.cells.copy()
+    cells[0, 0, [z0x0, z0x1]] = 0.6 * good.trials[0, z0x0]
+    with pytest.raises(ValueError, match="trials"):
+        evaluate_rate(cfg, params, bud, 1e14, mode="fluct",
+                      counts=good._replace(cells=cells))
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_counts_rejected(value):
     # unchecked, a NaN cell gives a NaN phase-error bound and an inf cell
