@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import entr
 
 from .budget import EpsilonBudget
 
@@ -77,10 +75,17 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _entr(x: np.ndarray) -> np.ndarray:
+    """-x ln x elementwise, and +0 at 0."""
+    # the smallest subnormal stands in for 0 inside the log, so 0 ln 0
+    # raises no warning and gives -0 * ln(5e-324) = +0; it is below every
+    # other entry, so it changes no other value
+    return -x * np.log(np.maximum(x, 5e-324))
+
+
 def _entropy(x: np.ndarray) -> np.ndarray:
-    """``binary_entropy`` of an array with entries in [0, 1] (entr(x) is
-    -x ln x, and 0 at 0)."""
-    return (entr(x) + entr(1.0 - x)) / math.log(2.0)
+    """``binary_entropy`` of an array with entries in [0, 1]."""
+    return (_entr(x) + _entr(1.0 - x)) / math.log(2.0)
 
 
 def lambda_ec(z_ks_size: float, e_z: float, f_ec: float = F_EC_DEFAULT) -> float:
@@ -115,7 +120,16 @@ def eph_threshold(
         return 0.0
     if ell(0.5) > 0.0:
         return 0.5
-    return brentq(ell, 0.0, 0.5, xtol=1e-15, rtol=8.9e-16)
+    # bisection keeps ell(lo) > 0 >= ell(hi), down to the bracket width
+    # that the comment above _ROUNDING_REL relies on
+    lo, hi = 0.0, 0.5
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if ell(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class KeyRateBatch(NamedTuple):
@@ -159,16 +173,19 @@ class KeyRateBatch(NamedTuple):
 
 
 # The root search behind a batch's phase-error aborts is skipped where
-# its outcome is certain.  brentq (xtol 1e-15, rtol 8.9e-16 on [0, 1/2])
-# returns a point within 1.5e-15 of a sign change of the computed length
-# f(e).  f is within E of the exact length g(e) = m0 + m1 (1 - h(e)) -
-# logs - lam, which does not increase in e and moves by at most
-# m1 h(1.5e-15) < 1e-13 m1 over 1.5e-15 (h is concave with h(0) = 0).
+# its outcome is certain.  eph_threshold bisects [0, 1/2], keeping the
+# computed length f(e) positive at lo and not positive at hi, until
+# hi - lo <= 1e-15 (every halving shrinks the bracket: no float in
+# [0, 1/2] has an ulp above 1.2e-16), and returns the midpoint.  So the
+# threshold lies within 1.5e-15 of a sign change of f.  f is within E of
+# the exact length g(e) = m0 + m1 (1 - h(e)) - logs - lam, which does not
+# increase in e and moves by at most m1 h(1.5e-15) < 1e-13 m1 over
+# 1.5e-15 (h is concave with h(0) = 0).
 # So where f(e_ph) > 2E + 1e-13 m1 every sign change of f lies above
 # e_ph, and so does the threshold: no phase abort.  Where f(e_ph) is
 # below minus that, the threshold lies below e_ph and below 1/2: a phase
 # abort.  E is taken as 1e-12 (m0 + m1 + logs + lam), some hundreds of
-# times the rounding error of f.  Only points in between run brentq.
+# times the rounding error of f.  Only points in between run the search.
 _ROUNDING_REL = 1e-12
 _SLOPE_REL = 1e-13
 # a batch's abort reasons, indexed by code

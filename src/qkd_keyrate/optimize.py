@@ -35,7 +35,6 @@ from .pipeline import (
     K_D2_DEFAULT,
     ParamBatch,
     ProtocolParams,
-    build_source_model,
     screen_batch,
 )
 
@@ -45,6 +44,14 @@ GRID_POINTS = 7
 # grid points per batch: large enough to amortize the per-batch Python
 # work, small enough that a batch's arrays stay well under a megabyte
 GRID_CHUNK = 256
+# glibc's malloc serves a block above its mmap threshold (128 KB at start)
+# with a fresh mapping and unmaps it when freed, so a batch's larger
+# temporaries (a (256, 5, 17) float array is 174 KB) would fault their
+# pages in again in every chunk: about 5,000 minor faults and 8% of the
+# wall time of a 50 km-step exact sweep.  Freeing one mapped block raises
+# the threshold to that block's size, and the heap's trim threshold to
+# twice it.  The block is never written, so it takes no resident memory.
+np.empty(1 << 18)
 # first steps of the compass polish's tracks, in grid steps; one track
 # alone lands in the lower of two local optima at some distances (the
 # half step at 150 km for xi = 0, the quarter step at 40 km for r = 0.05)
@@ -190,14 +197,7 @@ def optimize_rate(
         space = SearchSpace()
 
     model = ChannelModel(cfg)
-    qm_cache: dict[float, object] = {}
     trace: list[tuple[ProtocolParams, float]] = []
-
-    def source(p_z: float):
-        qm = qm_cache.get(p_z)
-        if qm is None:
-            qm = qm_cache.setdefault(p_z, build_source_model(cfg.xi, p_z))
-        return qm
 
     def score(points: ParamBatch, floor: float | None = None):
         """Rates (-inf where infeasible or screened), results, each
@@ -207,7 +207,7 @@ def optimize_rate(
         try:
             feasible, screened, batch = screen_batch(
                 cfg, points, budget, n_total, floor, mode=mode, f_ec=f_ec,
-                model=model, source=source,
+                model=model,
             )
         except ValueError:
             return rates, None, None, np.zeros(len(rates), dtype=bool)

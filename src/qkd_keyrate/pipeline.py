@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,12 +124,22 @@ class ParamBatch(NamedTuple):
         )
 
 
+# a sweep scores the same grid p_z values at every distance, and a polish
+# track polls its own p_z again at every step; a distance of the README or
+# benchmark sweeps builds under 50 distinct p_z, so the slots hold several
+@functools.lru_cache(maxsize=256)
 def build_source_model(
     xi: float, p_z: float, gamma: float = 1.0
 ) -> VirtualStateCoeffs:
-    """Virtual-state coefficients for the proportional flaw model."""
+    """Virtual-state coefficients for the proportional flaw model.
+
+    Memoized per (xi, p_z, gamma): the result is shared by every caller,
+    and its ``c`` is read-only.
+    """
     s0z, s1z, a_inv = _filtered_source(xi, gamma)
-    return virtual_state_coeffs(s0z, s1z, a_inv, p_z)
+    qm = virtual_state_coeffs(s0z, s1z, a_inv, p_z)
+    qm.c.setflags(write=False)
+    return qm
 
 
 # a sweep or an optimization uses one xi; a few slots cover callers that
@@ -165,7 +175,6 @@ def evaluate_batch(
     mode: str = "exact",
     f_ec: float = 1.16,
     model: ChannelModel | None = None,
-    source: Callable[[float], VirtualStateCoeffs] | None = None,
 ) -> tuple[np.ndarray, KeyRateBatch]:
     """Secret-key results at a batch of parameter points.
 
@@ -174,11 +183,10 @@ def evaluate_batch(
     raise ValueError for it alone: intensity ordering, probability
     simplex, p_z outside (0, 1) or a source model that cannot be built.
     Settings that concern every point (mode, n_total, f_ec) raise.
-    ``source`` maps p_z to the source characterisation, for callers that
-    cache it; ``model`` shares click tables across calls on one link.
+    ``model`` shares click tables across calls on one link.
     """
     feasible, _, batch = screen_batch(
-        cfg, params, budget, n_total, None, mode, f_ec, model, source
+        cfg, params, budget, n_total, None, mode, f_ec, model
     )
     return feasible, batch
 
@@ -192,7 +200,6 @@ def screen_batch(
     mode: str = "exact",
     f_ec: float = 1.16,
     model: ChannelModel | None = None,
-    source: Callable[[float], VirtualStateCoeffs] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, KeyRateBatch]:
     """``evaluate_batch`` for callers that need a rate above ``floor``.
 
@@ -206,8 +213,6 @@ def screen_batch(
     """
     intens, feasible = params.intensities(mode, cfg.fluct_r)
     feasible &= (0.0 < params.p_z) & (params.p_z < 1.0)
-    if source is None:
-        source = lambda p_z: build_source_model(cfg.xi, p_z)
     idx = np.flatnonzero(feasible)
     # the phase-error terms once per distinct p_z; which[i] is the row of
     # the feasible point idx[i]
@@ -216,7 +221,7 @@ def screen_batch(
     built = np.ones(len(p_z_values), dtype=bool)
     for j, p_z in enumerate(p_z_values.tolist()):
         try:
-            terms[j] = phase_terms(source(p_z))
+            terms[j] = phase_terms(build_source_model(cfg.xi, p_z))
         except ValueError:
             built[j] = False
     if not built.all():

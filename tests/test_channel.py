@@ -14,6 +14,8 @@ from qkd_keyrate.channel import (
     ChannelConfig,
     ChannelModel,
     FluctuationDensity,
+    _NODES,
+    _WEIGHTS,
     _interference_factors,
     apply_misalignment,
     click_probs,
@@ -96,6 +98,14 @@ def test_gauss_expect_matches_quad():
         dens.lo, dens.hi, epsabs=1e-14, epsrel=1e-13,
     )
     assert gauss_expect(f, dens) == pytest.approx(num, rel=1e-9)
+
+
+def test_quadrature_literals_are_roots_legendre():
+    # the mirrored literals are scipy's 64-node rule bit for bit
+    special = pytest.importorskip("scipy.special")
+    nodes, weights = special.roots_legendre(64)
+    assert _NODES.dtype == nodes.dtype and _NODES.tobytes() == nodes.tobytes()
+    assert _WEIGHTS.dtype == weights.dtype and _WEIGHTS.tobytes() == weights.tobytes()
 
 
 def test_gauss_expect_point_mass():

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qkd_keyrate.budget import EpsilonBudget
@@ -15,6 +15,7 @@ from qkd_keyrate.key_length import (
     ABORT_COUNTS,
     ABORT_PHASE,
     KeyRateResult,
+    _entropy,
     binary_entropy,
     eph_threshold,
     lambda_ec,
@@ -59,6 +60,20 @@ def test_entropy_domain():
 def test_entropy_symmetry(x):
     assert binary_entropy(x) == pytest.approx(binary_entropy(1.0 - x), rel=1e-10)
     assert 0.0 < binary_entropy(x) <= 1.0
+
+
+def test_entropy_batch_edges():
+    got = _entropy(np.array([0.0, 1.0, 0.5]))
+    assert got.tolist() == [0.0, 0.0, 1.0]
+    assert not np.signbit(got).any()
+
+
+@given(st.floats(min_value=0.0, max_value=1.0))
+def test_entropy_batch_matches_scipy_entr(x):
+    special = pytest.importorskip("scipy.special")
+    xs = np.array([x])
+    want = float((special.entr(xs) + special.entr(1.0 - xs))[0] / math.log(2.0))
+    assert float(_entropy(xs)[0]) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_lambda_ec():
@@ -152,6 +167,25 @@ def test_threshold_is_the_zero_crossing():
                        budget, n_total=1e12)
     assert not below.aborted
     assert above.aborted and above.abort_reason == ABORT_PHASE
+
+
+@given(
+    m1=st.floats(min_value=1.0, max_value=1e12),
+    m0_share=st.floats(min_value=0.0, max_value=1.0),
+    root=st.floats(min_value=1e-6, max_value=0.4),
+)
+def test_threshold_matches_brentq(m1, m0_share, root):
+    # The roots stay at or below 0.4 and m0 at or below m1, where the
+    # computed length falls by many roundings over 1e-15.  Near 1/2 the
+    # entropy's slope vanishes and the length is flat to rounding over far
+    # more than 1e-15, so no search pins a root there.
+    optimize = pytest.importorskip("scipy.optimize")
+    m0 = m0_share * m1
+    lam = m0 + m1 * (1.0 - binary_entropy(root))
+    ell = lambda e: m0 + m1 * (1.0 - binary_entropy(e)) - lam
+    assume(ell(0.0) > 0.0 and ell(0.5) <= 0.0)
+    want = optimize.brentq(ell, 0.0, 0.5, xtol=1e-15, rtol=8.9e-16)
+    assert abs(eph_threshold(m0, m1, lam, None) - want) <= 1.5e-15
 
 
 def test_threshold_edges():

@@ -234,6 +234,13 @@ def test_cached_a_inv_is_read_only():
         a_inv[0, 0] = 1.0
 
 
+def test_source_model_is_memoized_read_only():
+    qm = build_source_model(0.147, 0.61)
+    assert build_source_model(0.147, 0.61) is qm
+    with pytest.raises(ValueError):
+        qm.c[0, 0] = 1.0
+
+
 def test_degenerate_source_is_not_cached():
     # at xi = pi the Z1 state lands on Z0 and all three filtered states
     # are collinear; every call must raise again, not find a stored result
