@@ -205,7 +205,7 @@ def test_flaw_tolerance_at_fixed_point():
 
 
 def uncached_source_model(xi, p_z, gamma=1.0):
-    """build_source_model without the per-xi memo."""
+    """build_source_model without its memos."""
     flaw = EncodingFlawModel(model_xi=xi) if xi != 0.0 else EncodingFlawModel.exact()
     filtered = [apply_filter(bloch_of_state(theta, flaw, gamma))
                 for theta in (THETA_0Z, THETA_1Z, THETA_0X)]
