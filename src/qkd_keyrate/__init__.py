@@ -29,7 +29,7 @@ from .concentration import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .decoy import CountsBatch, IntensitySet
-from .key_length import KeyRateResult, binary_entropy, eph_threshold, lambda_ec
+from .key_length import KeyRateResult, binary_entropy, eph_threshold
 from .optimize import OptimizationResult, SearchSpace, optimize_rate
 from .phase_error import n_ph_appendixE
 from .pipeline import ProtocolParams, build_source_model, evaluate_rate
@@ -54,7 +54,6 @@ __all__ = [
     "KeyRateResult",
     "binary_entropy",
     "eph_threshold",
-    "lambda_ec",
     "OptimizationResult",
     "SearchSpace",
     "optimize_rate",

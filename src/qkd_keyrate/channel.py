@@ -21,16 +21,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .decoy import CountsBatch, IntensityBatch, IntensityLevel, distinct
+from .decoy import CountsBatch, IntensityBatch, distinct
 
 __all__ = [
     "ChannelConfig",
     "ChannelModel",
     "FluctuationDensity",
-    "apply_misalignment",
-    "click_probs",
     "gauss_expect",
-    "resolve_double_clicks",
     "z_error_rate",
 ]
 
@@ -101,6 +98,13 @@ class ChannelConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if not 0.0 <= self.fluct_r < 1.0:
             raise ValueError("fluct_r must lie in [0, 1)")
+        if not math.isfinite(self.xi):
+            raise ValueError(f"xi must be finite, got {self.xi!r}")
+        if not (math.isfinite(self.atten_db_per_km) and self.atten_db_per_km >= 0):
+            raise ValueError(
+                "atten_db_per_km must be finite and nonnegative, "
+                f"got {self.atten_db_per_km!r}"
+            )
 
     @property
     def eta_ch(self) -> float:
@@ -146,20 +150,16 @@ class FluctuationDensity:
         return cls(mean, lo, hi, sigma2, 1.0 / mass)
 
 
-def gauss_expect(
-    f: Callable, dens: FluctuationDensity, vectorized: bool = False
-) -> float:
+def gauss_expect(f: Callable, dens: FluctuationDensity) -> float:
     """Expectation of f under the truncated-Gaussian intensity density.
 
-    Fixed 64-node Gauss-Legendre quadrature; a point-mass density simply
-    evaluates f at the mean.  With ``vectorized`` f is called once on the
-    array of all nodes, otherwise once per node.
+    Fixed 64-node Gauss-Legendre quadrature, calling f once per node; a
+    point-mass density simply evaluates f at the mean.
     """
     if dens.lo == dens.hi:
         return f(dens.mean)
     k, weight, half = _quadrature(dens)
-    values = f(k) if vectorized else np.array([f(x) for x in k.tolist()])
-    return float(weight @ values) * half
+    return float(weight @ np.array([f(x) for x in k.tolist()])) * half
 
 
 def _quadrature(dens: FluctuationDensity) -> tuple[np.ndarray, np.ndarray, float]:
@@ -174,51 +174,25 @@ def _quadrature(dens: FluctuationDensity) -> tuple[np.ndarray, np.ndarray, float
     return k, weight, half
 
 
-def _interference_factors(xi: float, a: str, y: int, b: str) -> tuple[float, float]:
-    """Fraction of the pulse reaching Bob's port 0 and port 1.
+def _overlaps(xi: float) -> tuple[float, ...]:
+    """The overlap of each configuration of _CONFIGS: a pulse sends the
+    fraction (1 + overlap)/2 to Bob's port 0 and (1 - overlap)/2 to
+    port 1.
 
     Encoding flaws rotate the sender state by y*xi (Z basis) or xi/2 (X
     basis), and the receiver's modulation error moves in the opposite
     direction, which is where the sin(xi/2) and sin(3 xi/2) cross-basis
-    terms come from.
+    terms come from.  The X -> Z overlap is never used by any bound; it
+    mirrors the Z -> X one for sifting completeness.
     """
-    if a == "X" and y != 0:
-        raise ValueError("the X basis only encodes bit 0")
-    if (a, y, b) == ("Z", 0, "Z"):
-        overlap = 1.0
-    elif (a, y, b) == ("Z", 1, "Z"):
-        overlap = -math.cos(xi)
-    elif (a, y, b) == ("X", 0, "X"):
-        overlap = math.cos(xi)
-    elif (a, y, b) == ("Z", 0, "X"):
-        overlap = math.sin(xi / 2.0)
-    elif (a, y, b) == ("Z", 1, "X"):
-        overlap = -math.sin(3.0 * xi / 2.0)
-    elif (a, y, b) == ("X", 0, "Z"):
-        # sender X, receiver Z: never used by any bound, kept for sifting
-        # completeness by symmetry with the Z -> X case
-        overlap = -math.sin(xi / 2.0)
-    else:
-        raise ValueError(f"unknown configuration {(a, y, b)!r}")
-    return (1.0 + overlap) / 2.0, (1.0 - overlap) / 2.0
-
-
-def click_probs(
-    cfg: ChannelConfig,
-    level: IntensityLevel,
-    basis_pair: tuple[str, str],
-    bit_in: int,
-) -> tuple[float, float]:
-    """Raw click probabilities (port 0, port 1) before double-click handling.
-
-    Each port clicks unless neither the attenuated pulse fraction routed
-    to it nor a dark count fires:
-    p_j = E_k[1 - (1 - p_d) exp(-eta_sy k f_j)].
-    """
-    a, b = basis_pair
-    fracs = _interference_factors(cfg.xi, a, bit_in, b)
-    p0, p1 = _port_click_probs(cfg, level.nominal, fracs)
-    return p0, p1
+    return (
+        1.0,
+        math.sin(xi / 2.0),
+        -math.cos(xi),
+        -math.sin(3.0 * xi / 2.0),
+        -math.sin(xi / 2.0),
+        math.cos(xi),
+    )
 
 
 def _port_click_probs(
@@ -227,9 +201,11 @@ def _port_click_probs(
     """Click probability of each port that receives the fraction
     ``fracs[i]`` of a pulse of nominal intensity ``nominal``.
 
+    Each port clicks unless neither its share of the attenuated pulse
+    nor a dark count fires: p = E_k[1 - (1 - p_d) exp(-eta_sy k f)].
     All ports share one density and one set of quadrature weights, and
     one np.exp runs over the (ports, nodes) array.  Every port's number
-    equals ``gauss_expect`` of its own integrand bit for bit: the
+    equals a separate quadrature of its own integrand bit for bit: the
     elementwise products are the same, and each port is one dot product
     with the weights.
     """
@@ -241,22 +217,6 @@ def _port_click_probs(
     k, weight, half = _quadrature(dens)
     values = 1.0 - (1.0 - pd) * np.exp(np.multiply.outer(fracs, -eta * k))
     return [float(weight @ row) * half for row in values]
-
-
-def resolve_double_clicks(p_j: float, p_jother: float) -> float:
-    """P(outcome j and not the other) with double clicks split at random."""
-    if not (0.0 <= p_j <= 1.0 and 0.0 <= p_jother <= 1.0):
-        raise ValueError("click probabilities must lie in [0, 1]")
-    return p_j * (1.0 - p_jother) + 0.5 * p_j * p_jother
-
-
-def apply_misalignment(
-    p_correct: float, p_wrong: float, e_mis: float
-) -> tuple[float, float]:
-    """Leak a fraction e_mis of the correct-outcome mass into the wrong one."""
-    if not 0.0 <= e_mis <= 1.0:
-        raise ValueError("e_mis must lie in [0, 1]")
-    return p_correct * (1.0 - e_mis), p_correct * e_mis + p_wrong
 
 
 class ChannelModel:
@@ -272,7 +232,7 @@ class ChannelModel:
         self.cfg = cfg
         # port 0 and port 1 fractions of every configuration, in _CONFIGS order
         self._fractions = tuple(
-            f for a, y, b in _CONFIGS for f in _interference_factors(cfg.xi, a, y, b)
+            f for o in _overlaps(cfg.xi) for f in ((1.0 + o) / 2.0, (1.0 - o) / 2.0)
         )
         # per nominal intensity: the click table as one row, its outcome
         # probabilities along CELLS followed by the Z error rate
@@ -290,18 +250,20 @@ class ChannelModel:
         if row is not None:
             return row
         ports = _port_click_probs(self.cfg, nominal, self._fractions)
+        e_mis = self.cfg.e_mis
         row = []
         for (a, y, b), p0, p1 in zip(_CONFIGS, ports[0::2], ports[1::2]):
-            q0 = resolve_double_clicks(p0, p1)
-            q1 = resolve_double_clicks(p1, p0)
+            # each outcome alone, and half of the double clicks
+            q0 = p0 * (1.0 - p1) + 0.5 * p0 * p1
+            q1 = p1 * (1.0 - p0) + 0.5 * p1 * p0
             if a == b:
-                # misalignment flips a fraction of the otherwise correct
-                # outcomes; cross-basis outcomes are already error-like
-                correct = y if a == "Z" else 0
-                if correct == 0:
-                    q0, q1 = apply_misalignment(q0, q1, self.cfg.e_mis)
+                # misalignment leaks a fraction e_mis of the correct
+                # outcome (bit y; the X basis only sends 0) into the
+                # wrong one; cross-basis outcomes are already error-like
+                if y == 0:
+                    q0, q1 = q0 * (1.0 - e_mis), q0 * e_mis + q1
                 else:
-                    q1, q0 = apply_misalignment(q1, q0, self.cfg.e_mis)
+                    q1, q0 = q1 * (1.0 - e_mis), q1 * e_mis + q0
             row += (q0, q1)
         # the X1 sender cells are never sent
         row += [0.0] * 4
@@ -335,8 +297,8 @@ class ChannelModel:
     ) -> tuple[CountsBatch, np.ndarray]:
         """Expected counts of a batch of points and the Z-basis bit error
         rate of each point's signal level."""
-        if n_total <= 0:
-            raise ValueError("n_total must be positive")
+        if not (math.isfinite(n_total) and n_total > 0):
+            raise ValueError(f"n_total must be finite and positive, got {n_total!r}")
         prob, state, basis, rows = self._layout(intens, p_z)
         cells = n_total * prob * state * basis * rows[:, :, :16]
         z_by_k = cells[:, :, ZZ_CELLS].sum(axis=2)

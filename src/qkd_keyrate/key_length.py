@@ -29,7 +29,6 @@ __all__ = [
     "eph_threshold",
     "key_length_batch",
     "key_length_bound",
-    "lambda_ec",
     "lambda_ec_batch",
 ]
 
@@ -86,15 +85,6 @@ def _entr(x: np.ndarray) -> np.ndarray:
 def _entropy(x: np.ndarray) -> np.ndarray:
     """``binary_entropy`` of an array with entries in [0, 1]."""
     return (_entr(x) + _entr(1.0 - x)) / math.log(2.0)
-
-
-def lambda_ec(z_ks_size: float, e_z: float, f_ec: float = F_EC_DEFAULT) -> float:
-    """Error-correction leakage f_EC |Z_ks| h(e_z) in bits."""
-    if f_ec < 1.0:
-        raise ValueError("error-correction efficiency must be at least 1")
-    if z_ks_size < 0.0:
-        raise ValueError("block size must be nonnegative")
-    return f_ec * z_ks_size * binary_entropy(e_z)
 
 
 def _pa_penalty(e_ph: float) -> float:
@@ -267,9 +257,9 @@ def key_length_bound(
 def lambda_ec_batch(
     z_ks_size: np.ndarray, e_z: np.ndarray, f_ec: float = F_EC_DEFAULT
 ) -> np.ndarray:
-    """``lambda_ec`` elementwise."""
-    if f_ec < 1.0:
-        raise ValueError("error-correction efficiency must be at least 1")
+    """Error-correction leakage f_EC |Z_ks| h(e_z) in bits, per point."""
+    if not f_ec >= 1.0:
+        raise ValueError(f"f_ec must be at least 1, got {f_ec!r}")
     if (z_ks_size < 0.0).any():
         raise ValueError("block size must be nonnegative")
     if not ((0.0 <= e_z) & (e_z <= 1.0)).all():

@@ -186,7 +186,10 @@ def optimize_rate(
     point with the compass search.  Both are deterministic:
     ``seed`` is accepted for config compatibility and has no effect.
     When nothing in the box extracts a key the grid-center abort result
-    is returned with rate 0.
+    is returned with rate 0.  Settings that concern every point (mode,
+    n_total, f_ec, a degenerate source) raise ``evaluate_batch``'s
+    ValueError; InfeasibleSearchError means that no point of the box is
+    feasible.
     """
     if strategy not in ("grid", "grid+nm"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -203,14 +206,10 @@ def optimize_rate(
         """Rates (-inf where infeasible or screened), results, each
         point's row in the results and the mask of screened points for a
         batch of parameters."""
+        feasible, screened, batch = screen_batch(
+            cfg, points, budget, n_total, floor, mode=mode, f_ec=f_ec, model=model
+        )
         rates = np.full(len(points.p_z), -np.inf)
-        try:
-            feasible, screened, batch = screen_batch(
-                cfg, points, budget, n_total, floor, mode=mode, f_ec=f_ec,
-                model=model,
-            )
-        except ValueError:
-            return rates, None, None, np.zeros(len(rates), dtype=bool)
         scored = feasible & ~screened
         rates[scored] = batch.rate
         return rates, batch, np.cumsum(scored) - 1, screened

@@ -181,9 +181,11 @@ def evaluate_batch(
     Returns the mask of feasible points and the results of the feasible
     ones, in order.  A point is infeasible where ``evaluate_rate`` would
     raise ValueError for it alone: intensity ordering, probability
-    simplex, p_z outside (0, 1) or a source model that cannot be built.
-    Settings that concern every point (mode, n_total, f_ec) raise.
-    ``model`` shares click tables across calls on one link.
+    simplex or p_z outside (0, 1).  Settings that concern every point
+    raise ValueError: mode, n_total, f_ec, and a source that cannot be
+    built (``DegenerateStatesError``), which depends on xi alone and so
+    fails at every p_z in (0, 1) or at none.  ``model`` shares click
+    tables across calls on one link.
     """
     feasible, _, batch = screen_batch(
         cfg, params, budget, n_total, None, mode, f_ec, model
@@ -209,7 +211,8 @@ def screen_batch(
     chain stops for it after m0, m1 and the EC leakage.  Returns the
     mask of feasible points, the mask of the screened ones among them,
     and the results of the other feasible points, in order.  With
-    ``floor`` None no point is screened.
+    ``floor`` None no point is screened.  Infeasible points and errors
+    are those of ``evaluate_batch``.
     """
     intens, feasible = params.intensities(mode, cfg.fluct_r)
     feasible &= (0.0 < params.p_z) & (params.p_z < 1.0)
@@ -218,16 +221,8 @@ def screen_batch(
     # the feasible point idx[i]
     p_z_values, which = distinct(params.p_z[idx])
     terms = np.empty((len(p_z_values), 6, 3))
-    built = np.ones(len(p_z_values), dtype=bool)
     for j, p_z in enumerate(p_z_values.tolist()):
-        try:
-            terms[j] = phase_terms(build_source_model(cfg.xi, p_z))
-        except ValueError:
-            built[j] = False
-    if not built.all():
-        keep = built[which]
-        feasible[idx[~keep]] = False
-        idx, which = idx[keep], which[keep]
+        terms[j] = phase_terms(build_source_model(cfg.xi, p_z))
 
     intens = intens.take(idx)
     if model is None:

@@ -1,11 +1,11 @@
 """The scalar estimation chain, frozen as the reference for the batch path.
 
-These are the one-point decoy, phase-error and key-length functions that
-``evaluate_rate`` chained before the batch functions replaced them,
-copied unchanged apart from the imports and the key length's log term,
-which charges the budget's static eta once, together with the dict-keyed
-``ObservedCounts`` they read, the ``best_mean_bound`` and
-``observed_error_rate`` they called, and ``observed_counts``, which
+These are the one-point decoy, phase-error, EC-leakage and key-length
+functions that ``evaluate_rate`` chained before the batch functions
+replaced them, copied unchanged apart from the imports and the key
+length's log term, which charges the budget's static eta once, together
+with the dict-keyed ``ObservedCounts`` they read, the ``best_mean_bound``
+and ``observed_error_rate`` they called, and ``observed_counts``, which
 turns one row of a ``CountsBatch`` into ``ObservedCounts``.
 ``tests/test_batch.py`` asserts that the batch path reproduces them
 (key length and abort reason exactly, floats to 1e-12 relative).
@@ -25,8 +25,10 @@ from qkd_keyrate.decoy import CELLS, K_LABELS, CountsBatch, IntensitySet
 from qkd_keyrate.key_length import (
     ABORT_COUNTS,
     ABORT_PHASE,
+    F_EC_DEFAULT,
     KeyRateResult,
     _pa_penalty,
+    binary_entropy,
     eph_threshold,
 )
 from qkd_keyrate.qubit_model import VirtualStateCoeffs
@@ -665,6 +667,15 @@ def n_ph_upper_general(
 
 # ---------------------------------------------------------------------------
 # key_length.py
+
+
+def lambda_ec(z_ks_size: float, e_z: float, f_ec: float = F_EC_DEFAULT) -> float:
+    """Error-correction leakage f_EC |Z_ks| h(e_z) in bits."""
+    if f_ec < 1.0:
+        raise ValueError("error-correction efficiency must be at least 1")
+    if z_ks_size < 0.0:
+        raise ValueError("block size must be nonnegative")
+    return f_ec * z_ks_size * binary_entropy(e_z)
 
 
 def key_length(

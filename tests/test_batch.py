@@ -18,12 +18,7 @@ import pytest
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig, ChannelModel
 from qkd_keyrate.decoy import CELLS, IntensityBatch
-from qkd_keyrate.key_length import (
-    KeyRateResult,
-    eph_threshold,
-    key_length_batch,
-    lambda_ec,
-)
+from qkd_keyrate.key_length import KeyRateResult, eph_threshold, key_length_batch
 from qkd_keyrate import optimize
 from qkd_keyrate.optimize import GRID_CHUNK, SearchSpace, optimize_rate
 from qkd_keyrate.pipeline import (
@@ -42,6 +37,7 @@ from scalar_chain import (
     PhaseErrorBound,
     decoy_cell_bounds,
     key_length,
+    lambda_ec,
     m0_lower_exact,
     m0_lower_fluct,
     m1_lower_exact,

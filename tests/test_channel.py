@@ -10,17 +10,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from qkd_keyrate import channel
 from qkd_keyrate.channel import (
     ChannelConfig,
     ChannelModel,
     FluctuationDensity,
     _NODES,
     _WEIGHTS,
-    _interference_factors,
-    apply_misalignment,
-    click_probs,
+    _port_click_probs,
+    _quadrature,
     gauss_expect,
-    resolve_double_clicks,
 )
 from qkd_keyrate.decoy import CELLS, K_LABELS, IntensityBatch, IntensitySet
 
@@ -66,27 +65,54 @@ def test_attenuation():
     assert cfg.eta_sy == pytest.approx(0.015, rel=REL)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("xi", math.nan), ("xi", math.inf), ("xi", -math.inf),
+    ("atten_db_per_km", math.nan), ("atten_db_per_km", math.inf),
+    ("atten_db_per_km", -0.2),
+])
+def test_config_rejects_bad_link(name, value):
+    with pytest.raises(ValueError, match=name):
+        make_cfg(**{name: value})
+
+
 def test_click_prob_frozen():
-    cfg = make_cfg()
-    p0, p1 = click_probs(cfg, make_intens().s, ("Z", "Z"), 0)
-    # constructive port sees the full pulse, the empty port only darks
+    # Z0 sent, Z measured at xi = 0: the constructive port sees the full
+    # pulse, the empty port only darks
+    p0, p1 = _port_click_probs(make_cfg(), make_intens().s.nominal, (1.0, 0.0))
     assert p0 == pytest.approx(P_CLICK_SIGNAL_50KM, rel=REL)
     assert p1 == pytest.approx(5e-7, rel=REL)
 
 
-def test_double_click_resolution():
-    assert resolve_double_clicks(0.2, 0.3) == pytest.approx(0.17, rel=REL)
-    assert resolve_double_clicks(0.3, 0.2) == pytest.approx(0.27, rel=REL)
+def pairs_with_ports(monkeypatch, p0, p1):
+    """The outcome pairs of the click table that ``_entry`` builds (at
+    e_mis = 0.01) when port 0 of every configuration clicks with
+    probability p0 and port 1 with p1."""
+    monkeypatch.setattr(channel, "_port_click_probs", lambda *_: [p0, p1] * 6)
+    return outcome_pairs(ChannelModel(make_cfg(e_mis=0.01))._entry(0.5))
+
+
+def test_double_click_resolution(monkeypatch):
+    # Z0 sent, X measured: a cross-basis configuration, not misaligned
+    q0, q1 = pairs_with_ports(monkeypatch, 0.2, 0.3)[1]
+    assert q0 == pytest.approx(0.17, rel=REL)
+    assert q1 == pytest.approx(0.27, rel=REL)
     # the two exclusive outcomes and the no-click event partition unit mass
-    total = resolve_double_clicks(0.2, 0.3) + resolve_double_clicks(0.3, 0.2)
-    assert total + (1 - 0.2) * (1 - 0.3) == pytest.approx(1.0, rel=REL)
+    assert q0 + q1 + (1 - 0.2) * (1 - 0.3) == pytest.approx(1.0, rel=REL)
 
 
-def test_misalignment():
-    pc, pw = apply_misalignment(0.5, 0.1, 0.01)
-    assert pc == pytest.approx(0.495, rel=REL)
-    assert pw == pytest.approx(0.105, rel=REL)
-    assert pc + pw == pytest.approx(0.6, rel=REL)
+def test_misalignment(monkeypatch):
+    # ports whose exclusive outcomes are (0.5, 0.1): p0 - p0 p1 / 2 = 0.5
+    # and p1 - p0 p1 / 2 = 0.1, so p0 = p1 + 0.4 and p1^2 - 1.6 p1 + 0.2 = 0
+    p1 = 0.8 - math.sqrt(0.44)
+    pairs = pairs_with_ports(monkeypatch, p1 + 0.4, p1)
+    assert pairs[1] == pytest.approx((0.5, 0.1), rel=REL)
+    # Z0 -> Z and X0 -> X leak 1% of outcome 0 into outcome 1
+    for pc, pw in (pairs[0], pairs[5]):
+        assert pc == pytest.approx(0.495, rel=REL)
+        assert pw == pytest.approx(0.105, rel=REL)
+        assert pc + pw == pytest.approx(0.6, rel=REL)
+    # Z1 -> Z leaks 1% of outcome 1 into outcome 0
+    assert pairs[2] == pytest.approx((0.501, 0.099), rel=REL)
 
 
 def test_gauss_expect_matches_quad():
@@ -270,9 +296,48 @@ CONFIGS = (("Z", 0, "Z"), ("Z", 0, "X"), ("Z", 1, "Z"), ("Z", 1, "X"),
            ("X", 0, "Z"), ("X", 0, "X"))
 
 
+# frozen copies of the scalar helpers the click tables were once built
+# from, kept as the reference for _entry
+
+
+def interference_factors(xi, a, y, b):
+    """Fraction of the pulse reaching Bob's port 0 and port 1."""
+    if a == "X" and y != 0:
+        raise ValueError("the X basis only encodes bit 0")
+    if (a, y, b) == ("Z", 0, "Z"):
+        overlap = 1.0
+    elif (a, y, b) == ("Z", 1, "Z"):
+        overlap = -math.cos(xi)
+    elif (a, y, b) == ("X", 0, "X"):
+        overlap = math.cos(xi)
+    elif (a, y, b) == ("Z", 0, "X"):
+        overlap = math.sin(xi / 2.0)
+    elif (a, y, b) == ("Z", 1, "X"):
+        overlap = -math.sin(3.0 * xi / 2.0)
+    elif (a, y, b) == ("X", 0, "Z"):
+        overlap = -math.sin(xi / 2.0)
+    else:
+        raise ValueError(f"unknown configuration {(a, y, b)!r}")
+    return (1.0 + overlap) / 2.0, (1.0 - overlap) / 2.0
+
+
+def resolve_double_clicks(p_j, p_jother):
+    """P(outcome j and not the other) with double clicks split at random."""
+    if not (0.0 <= p_j <= 1.0 and 0.0 <= p_jother <= 1.0):
+        raise ValueError("click probabilities must lie in [0, 1]")
+    return p_j * (1.0 - p_jother) + 0.5 * p_j * p_jother
+
+
+def apply_misalignment(p_correct, p_wrong, e_mis):
+    """Leak a fraction e_mis of the correct-outcome mass into the wrong one."""
+    if not 0.0 <= e_mis <= 1.0:
+        raise ValueError("e_mis must lie in [0, 1]")
+    return p_correct * (1.0 - e_mis), p_correct * e_mis + p_wrong
+
+
 def click_probs_per_port(cfg, level, basis_pair, bit_in):
-    """click_probs as one gauss_expect per port, the reference for the
-    shared quadrature."""
+    """The two ports' click probabilities as one quadrature per port, the
+    reference for the shared quadrature."""
     a, b = basis_pair
     dens = FluctuationDensity.for_intensity(level.nominal, cfg.fluct_r)
     eta, pd = cfg.eta_sy, cfg.dark_prob
@@ -280,12 +345,19 @@ def click_probs_per_port(cfg, level, basis_pair, bit_in):
     def port(frac):
         if dens.lo == dens.hi:
             return 1.0 - (1.0 - pd) * math.exp(-eta * dens.mean * frac)
-        return gauss_expect(
-            lambda k: 1.0 - (1.0 - pd) * np.exp(-eta * k * frac), dens, vectorized=True
-        )
+        k, weight, half = _quadrature(dens)
+        return float(weight @ (1.0 - (1.0 - pd) * np.exp(-eta * k * frac))) * half
 
-    f0, f1 = _interference_factors(cfg.xi, a, bit_in, b)
+    f0, f1 = interference_factors(cfg.xi, a, bit_in, b)
     return port(f0), port(f1)
+
+
+def click_probs_per_config(cfg, level, basis_pair, bit_in):
+    """The two ports' click probabilities from one shared quadrature per
+    configuration."""
+    a, b = basis_pair
+    fracs = interference_factors(cfg.xi, a, bit_in, b)
+    return tuple(_port_click_probs(cfg, level.nominal, fracs))
 
 
 def table_from_click_probs(cfg, level, click):
@@ -318,6 +390,6 @@ def test_table_matches_separate_click_probs(distance, r):
             row = model._entry(level.nominal)
             # the X1 sender state is never sent
             assert row[12:16] == [0.0] * 4
-            for click in (click_probs_per_port, click_probs):
+            for click in (click_probs_per_port, click_probs_per_config):
                 table = table_from_click_probs(cfg, level, click)
                 assert outcome_pairs(row)[:6] == [table[c] for c in CONFIGS]

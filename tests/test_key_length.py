@@ -18,11 +18,19 @@ from qkd_keyrate.key_length import (
     _entropy,
     binary_entropy,
     eph_threshold,
-    lambda_ec,
     lambda_ec_batch,
 )
 
 from one_point import bound, key_length, phase
+
+# scipy is a test-extra oracle; imported once here, since importing it
+# inside a hypothesis example would count against that example's deadline
+try:
+    from scipy.optimize import brentq
+    from scipy.special import entr
+except ImportError:
+    brentq = entr = None
+needs_scipy = pytest.mark.skipif(entr is None, reason="scipy is not installed")
 
 H_011 = 0.499915958164528
 H_002 = 0.14144054254182065
@@ -68,22 +76,23 @@ def test_entropy_batch_edges():
     assert not np.signbit(got).any()
 
 
+@needs_scipy
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_entropy_batch_matches_scipy_entr(x):
-    special = pytest.importorskip("scipy.special")
     xs = np.array([x])
-    want = float((special.entr(xs) + special.entr(1.0 - xs))[0] / math.log(2.0))
+    want = float((entr(xs) + entr(1.0 - xs))[0] / math.log(2.0))
     assert float(_entropy(xs)[0]) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_lambda_ec():
-    assert lambda_ec(1e6, 0.0) == 0.0
-    assert lambda_ec(1e6, 0.02) == pytest.approx(LAMBDA_1E6, rel=1e-12)
-    assert lambda_ec(1e6, 0.02, f_ec=1.0) == pytest.approx(1e6 * H_002, rel=1e-12)
+    lam = lambda z, e, **kw: lambda_ec_batch(np.array([z]), np.array([e]), **kw)[0]
+    assert lam(1e6, 0.0) == 0.0
+    assert lam(1e6, 0.02) == pytest.approx(LAMBDA_1E6, rel=1e-12)
+    assert lam(1e6, 0.02, f_ec=1.0) == pytest.approx(1e6 * H_002, rel=1e-12)
     with pytest.raises(ValueError):
-        lambda_ec(1e6, 0.02, f_ec=0.9)
+        lam(1e6, 0.02, f_ec=0.9)
     with pytest.raises(ValueError):
-        lambda_ec(-1.0, 0.02)
+        lam(-1.0, 0.02)
 
 
 def test_lambda_ec_batch_matches_scalar():
@@ -169,6 +178,7 @@ def test_threshold_is_the_zero_crossing():
     assert above.aborted and above.abort_reason == ABORT_PHASE
 
 
+@needs_scipy
 @given(
     m1=st.floats(min_value=1.0, max_value=1e12),
     m0_share=st.floats(min_value=0.0, max_value=1.0),
@@ -179,12 +189,11 @@ def test_threshold_matches_brentq(m1, m0_share, root):
     # computed length falls by many roundings over 1e-15.  Near 1/2 the
     # entropy's slope vanishes and the length is flat to rounding over far
     # more than 1e-15, so no search pins a root there.
-    optimize = pytest.importorskip("scipy.optimize")
     m0 = m0_share * m1
     lam = m0 + m1 * (1.0 - binary_entropy(root))
     ell = lambda e: m0 + m1 * (1.0 - binary_entropy(e)) - lam
     assume(ell(0.0) > 0.0 and ell(0.5) <= 0.0)
-    want = optimize.brentq(ell, 0.0, 0.5, xtol=1e-15, rtol=8.9e-16)
+    want = brentq(ell, 0.0, 0.5, xtol=1e-15, rtol=8.9e-16)
     assert abs(eph_threshold(m0, m1, lam, None) - want) <= 1.5e-15
 
 

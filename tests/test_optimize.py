@@ -4,6 +4,8 @@ Grid sizes are kept small here; the figure-level settings live in the
 acceptance tests.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from qkd_keyrate.channel import ChannelConfig
 from qkd_keyrate.optimize import (
     POLISH_FIRST_STEPS,
     POLISH_HALVINGS,
+    InfeasibleSearchError,
     OptimizationResult,
     SearchSpace,
     optimize_rate,
@@ -152,6 +155,19 @@ def test_hopeless_link_reports_zero():
     assert isinstance(out, OptimizationResult)
     assert out.best.rate == 0.0
     assert out.best.aborted
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("mode", "bogus"), ("f_ec", 0.5), ("f_ec", math.nan),
+    ("n_total", -1.0), ("n_total", math.nan), ("n_total", math.inf),
+])
+def test_batch_settings_reach_the_caller(setting, value):
+    # a setting that concerns every point raises with its own message,
+    # not as an empty search box
+    kwargs = {"n_total": 1e12, setting: value}
+    with pytest.raises(ValueError, match=setting) as info:
+        optimize_rate(channel(), budget(), grid_points=2, **kwargs)
+    assert not isinstance(info.value, InfeasibleSearchError)
 
 
 def test_unknown_strategy_raises():

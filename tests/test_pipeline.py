@@ -13,9 +13,11 @@ from qkd_keyrate.channel import ChannelConfig
 from qkd_keyrate.decoy import CELLS, CountsBatch
 from qkd_keyrate.optimize import SearchSpace
 from qkd_keyrate.pipeline import (
+    ParamBatch,
     ProtocolParams,
     _filtered_source,
     build_source_model,
+    evaluate_batch,
     evaluate_rate,
 )
 from qkd_keyrate.qubit_model import (
@@ -249,6 +251,13 @@ def test_degenerate_source_is_not_cached():
         with pytest.raises(DegenerateStatesError):
             build_source_model(math.pi, 0.5)
         assert _filtered_source.cache_info().misses == misses + 1
+
+
+def test_degenerate_source_raises_for_the_batch():
+    # the source depends on xi alone, so it fails for every point at once
+    points = ParamBatch.of([PARAMS, dataclasses.replace(PARAMS, p_z=0.5)])
+    with pytest.raises(DegenerateStatesError):
+        evaluate_batch(channel(xi=math.pi), points, budget(), 1e12)
 
 
 # (fluct_r, N) per mode; with distances up to 120 km about two thirds of
