@@ -28,7 +28,7 @@ from .concentration import (
     mult_chernoff_devs,
 )
 from .config import ConfigError, RunConfig, load_config
-from .decoy import CountsBatch, IntensitySet
+from .decoy import CountsBatch
 from .key_length import KeyRateResult, binary_entropy, eph_threshold
 from .optimize import OptimizationResult, SearchSpace, optimize_rate
 from .phase_error import n_ph_appendixE
@@ -50,7 +50,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "CountsBatch",
-    "IntensitySet",
     "KeyRateResult",
     "binary_entropy",
     "eph_threshold",

@@ -26,7 +26,6 @@ functions the batch replaced are kept as the test reference in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,8 +38,6 @@ __all__ = [
     "CellBoundsBatch",
     "CountsBatch",
     "IntensityBatch",
-    "IntensityLevel",
-    "IntensitySet",
     "aggregate_bounds",
     "cell_bounds",
     "decoy_bounds_batch",
@@ -72,93 +69,6 @@ def poisson_pk(n: int, k: float) -> float:
     return math.exp(-k + n * math.log(k) - math.lgamma(n + 1))
 
 
-@dataclass(frozen=True)
-class IntensityLevel:
-    """One intensity setting: nominal value, known range and selection probability."""
-
-    nominal: float
-    lo: float
-    hi: float
-    prob: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.lo <= self.nominal <= self.hi):
-            raise ValueError("need 0 <= lo <= nominal <= hi")
-        if not (0.0 < self.prob < 1.0):
-            raise ValueError("selection probability must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class IntensitySet:
-    """The three intensity settings with their ordering constraints.
-
-    The closed-form bounds require k_d1^- > k_d2^+ and
-    k_s^- > k_d1^+ + k_d2^-; violating either makes a denominator vanish
-    or flip sign, so both are enforced at construction.
-    """
-
-    s: IntensityLevel
-    d1: IntensityLevel
-    d2: IntensityLevel
-
-    def __post_init__(self) -> None:
-        total = self.s.prob + self.d1.prob + self.d2.prob
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("selection probabilities must sum to 1")
-        if not self.d1.lo > self.d2.hi:
-            raise ValueError("need k_d1^- > k_d2^+")
-        if not self.s.lo > self.d1.hi + self.d2.lo:
-            raise ValueError("need k_s^- > k_d1^+ + k_d2^-")
-
-    @classmethod
-    def exact(
-        cls, k_s: float, k_d1: float, k_d2: float, p_s: float, p_d1: float
-    ) -> "IntensitySet":
-        p_d2 = 1.0 - p_s - p_d1
-        return cls(
-            s=IntensityLevel(k_s, k_s, k_s, p_s),
-            d1=IntensityLevel(k_d1, k_d1, k_d1, p_d1),
-            d2=IntensityLevel(k_d2, k_d2, k_d2, p_d2),
-        )
-
-    @classmethod
-    def fluctuating(
-        cls, k_s: float, k_d1: float, k_d2: float, p_s: float, p_d1: float, r: float
-    ) -> "IntensitySet":
-        """Symmetric relative ranges [(1-r)k, (1+r)k]; r=0 recovers exact()."""
-        if not (0.0 <= r < 1.0):
-            raise ValueError("relative fluctuation r must lie in [0, 1)")
-        p_d2 = 1.0 - p_s - p_d1
-        return cls(
-            s=IntensityLevel(k_s, (1 - r) * k_s, (1 + r) * k_s, p_s),
-            d1=IntensityLevel(k_d1, (1 - r) * k_d1, (1 + r) * k_d1, p_d1),
-            d2=IntensityLevel(k_d2, (1 - r) * k_d2, (1 + r) * k_d2, p_d2),
-        )
-
-    def level(self, label: str) -> IntensityLevel:
-        if label not in K_LABELS:
-            raise KeyError(label)
-        return getattr(self, label)
-
-    def p_s_and_vacuum_lo(self) -> float:
-        # p^-(k_s AND 0 photons) = p_s e^{-k_s^+}
-        return self.s.prob * math.exp(-self.s.hi)
-
-    def p_s_and_single_lo(self) -> float:
-        # k e^{-k} is unimodal with its maximum at k=1, so the minimum over
-        # the range sits at an endpoint
-        return self.s.prob * min(
-            self.s.lo * math.exp(-self.s.lo), self.s.hi * math.exp(-self.s.hi)
-        )
-
-    def p_s_and_single_hi(self) -> float:
-        if self.s.lo <= 1.0 <= self.s.hi:
-            return self.s.prob * math.exp(-1.0)
-        return self.s.prob * max(
-            self.s.lo * math.exp(-self.s.lo), self.s.hi * math.exp(-self.s.hi)
-        )
-
-
 def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct entries of ``values`` and, per entry, its index
     into them, an array of the shape of ``values``.
@@ -173,8 +83,15 @@ def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq, np.searchsorted(uniq, values)
 
 
+# every range end k+ stays below this: the closed forms take e^{k+}, which
+# is about 1e304 here and overflows a float past 709.78
+K_HI_CAP = 700.0
+
+
 class LevelBatch(NamedTuple):
-    """One intensity setting over a batch: (B,) arrays as in IntensityLevel."""
+    """One intensity setting over a batch, (B,) arrays (floats where
+    ``from_params`` runs on one point): the nominal intensity, the ends
+    [k-, k+] of its known range and its selection probability."""
 
     nominal: np.ndarray
     lo: np.ndarray
@@ -196,18 +113,25 @@ class IntensityBatch(NamedTuple):
     def from_params(
         cls,
         mode: str,
+        r: float,
+        p_z: np.ndarray,
+        p_s: np.ndarray,
+        p_d1: np.ndarray,
         k_s: np.ndarray,
         k_d1: np.ndarray,
         k_d2: np.ndarray,
-        p_s: np.ndarray,
-        p_d1: np.ndarray,
-        r: float,
     ) -> tuple["IntensityBatch", np.ndarray]:
-        """Levels for ``mode`` and the mask of points IntensitySet accepts.
+        """Levels for ``mode`` and the mask of feasible points.
 
-        The mask applies the IntensityLevel and IntensitySet checks point
-        by point; an unknown mode or a bad ``r`` concerns the whole batch
-        and raises ValueError as the scalar constructors do.
+        This is the one feasibility rule, for a point and a batch alike:
+        it takes floats or (B,) arrays and gives levels and a mask of the
+        same kind.  A point is feasible where 0 < p_z < 1, every level has
+        0 <= k- <= k <= k+ < K_HI_CAP and a selection probability in
+        (0, 1), with p_d2 = 1 - p_s - p_d1, and the ranges are ordered as
+        the closed forms need, k_d1- > k_d2+ and k_s- > k_d1+ + k_d2-.  An
+        unknown mode or a bad ``r`` concerns every point and raises
+        ValueError.  On arrays, a row with infinite fields may form
+        inf - inf, which numpy warns about; the row is rejected anyway.
         """
         if mode == "exact":
             ranges = [(k, k) for k in (k_s, k_d1, k_d2)]
@@ -218,31 +142,18 @@ class IntensityBatch(NamedTuple):
         else:
             raise ValueError(f"mode must be 'exact' or 'fluct', got {mode!r}")
         probs = (p_s, p_d1, 1.0 - p_s - p_d1)
-        levels = [
+        s, d1, d2 = levels = [
             LevelBatch(k, lo, hi, p)
             for k, (lo, hi), p in zip((k_s, k_d1, k_d2), ranges, probs)
         ]
-        ok = np.ones(k_s.shape, dtype=bool)
+        # & acts alike on floats and arrays
+        ok = (0.0 < p_z) & (p_z < 1.0)
         for lv in levels:
             ok &= (0.0 <= lv.lo) & (lv.lo <= lv.nominal) & (lv.nominal <= lv.hi)
-            ok &= (0.0 < lv.prob) & (lv.prob < 1.0)
-        s, d1, d2 = levels
-        total = s.prob + d1.prob + d2.prob
-        ok &= ~(np.abs(total - 1.0) > 1e-9)
+            ok &= (lv.hi < K_HI_CAP) & (0.0 < lv.prob) & (lv.prob < 1.0)
         ok &= d1.lo > d2.hi
         ok &= s.lo > d1.hi + d2.lo
         return cls(s, d1, d2), ok
-
-    @classmethod
-    def of(cls, intens: IntensitySet) -> "IntensityBatch":
-        """Batch of one from an already validated IntensitySet."""
-        def level(lv: IntensityLevel) -> LevelBatch:
-            return LevelBatch(
-                np.array([lv.nominal], dtype=float), np.array([lv.lo], dtype=float),
-                np.array([lv.hi], dtype=float), np.array([lv.prob], dtype=float),
-            )
-
-        return cls(level(intens.s), level(intens.d1), level(intens.d2))
 
     def take(self, idx: np.ndarray) -> "IntensityBatch":
         return IntensityBatch(*(lv.take(idx) for lv in self))
@@ -326,7 +237,8 @@ def decoy_factors(intens: IntensityBatch) -> np.ndarray:
     e_d1_lo, e_d1_hi, e_d2_lo, e_d2_hi, e_s_hi = exps[3:] / np.array(
         [d1_p, d1_p, d2_p, d2_p, s_p]
     )
-    # IntensitySet.p_s_and_vacuum_lo / single_lo / single_hi
+    # p_s times the least e^{-k} and the least and most k e^{-k} over
+    # the signal range
     p_vac, p_single_lo, p_single_hi = s_p * np.array(
         [exps[1], np.minimum(at_lo, at_hi), at_peak]
     )

@@ -23,6 +23,7 @@ below it by the margin m1 h(e_ph) the screen needs.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -82,12 +83,16 @@ class SearchSpace:
     def __post_init__(self) -> None:
         for name in ("p_z", "p_ks", "p_kd1", "k_s", "k_d1"):
             lo, hi = getattr(self, name)
-            if not 0.0 < lo < hi:
+            top = 1.0 if name.startswith("p_") else math.inf
+            if not 0.0 < lo < hi < top:
                 raise ValueError(f"bad bounds for {name}: {(lo, hi)!r}")
         if self.k_s[1] > 1.0:
             raise ValueError("k_s is capped at one photon on average")
-        if self.k_d1[0] <= self.k_d2:
-            raise ValueError("k_d1 must stay above the fixed k_d2")
+        if not 0.0 <= self.k_d2 < self.k_d1[0]:
+            raise ValueError(
+                "k_d2 must be finite, nonnegative and below k_d1's lower bound: "
+                f"{self.k_d2!r}"
+            )
 
     def params_at(self, u: np.ndarray) -> ProtocolParams:
         """Map a unit-box vector to parameters.

@@ -28,7 +28,7 @@ from .channel import ZZ_CELLS, ChannelConfig, ChannelModel, z_error_rate
 from .decoy import (
     CountsBatch,
     IntensityBatch,
-    IntensitySet,
+    LevelBatch,
     aggregate_bounds,
     cell_bounds,
     decoy_factors,
@@ -78,19 +78,17 @@ class ProtocolParams:
     k_d1: float
     k_d2: float = K_D2_DEFAULT
 
-    def intensities(self, mode: str, r: float) -> IntensitySet:
-        """Intensity levels for ``mode``; raises ValueError if infeasible."""
-        if mode == "exact":
-            return IntensitySet.exact(
-                k_s=self.k_s, k_d1=self.k_d1, k_d2=self.k_d2,
-                p_s=self.p_ks, p_d1=self.p_kd1,
-            )
-        if mode == "fluct":
-            return IntensitySet.fluctuating(
-                k_s=self.k_s, k_d1=self.k_d1, k_d2=self.k_d2,
-                p_s=self.p_ks, p_d1=self.p_kd1, r=r,
-            )
-        raise ValueError(f"mode must be 'exact' or 'fluct', got {mode!r}")
+    def intensities(self, mode: str, r: float) -> IntensityBatch:
+        """This point's levels for ``mode``, a batch of one; raises
+        ValueError where ``IntensityBatch.from_params`` rejects it."""
+        levels, ok = IntensityBatch.from_params(
+            mode, r, self.p_z, self.p_ks, self.p_kd1, self.k_s, self.k_d1, self.k_d2
+        )
+        if not ok:
+            raise ValueError(f"infeasible parameter point in {mode} mode: {self}")
+        # twelve (1,) rows of one array: list() forms their views in C
+        rows = list(np.array(levels, dtype=float).reshape(12, 1))
+        return IntensityBatch(*(LevelBatch(*rows[i:i + 4]) for i in (0, 4, 8)))
 
 
 class ParamBatch(NamedTuple):
@@ -119,24 +117,23 @@ class ParamBatch(NamedTuple):
 
     def intensities(self, mode: str, r: float) -> tuple[IntensityBatch, np.ndarray]:
         """Intensity levels for ``mode`` and the mask of feasible points."""
-        return IntensityBatch.from_params(
-            mode, self.k_s, self.k_d1, self.k_d2, self.p_ks, self.p_kd1, r
-        )
+        # a row with infinite fields may form inf - inf; it is rejected
+        with np.errstate(invalid="ignore", over="ignore"):
+            return IntensityBatch.from_params(mode, r, *self)
 
 
 # a sweep scores the same grid p_z values at every distance, and a polish
 # track polls its own p_z again at every step; a distance of the README or
 # benchmark sweeps builds under 50 distinct p_z, so the slots hold several
 @functools.lru_cache(maxsize=256)
-def build_source_model(
-    xi: float, p_z: float, gamma: float = 1.0
-) -> VirtualStateCoeffs:
-    """Virtual-state coefficients for the proportional flaw model.
+def build_source_model(xi: float, p_z: float) -> VirtualStateCoeffs:
+    """Virtual-state coefficients for the proportional flaw model with
+    balanced pulses, the only source the channel's overlaps describe.
 
-    Memoized per (xi, p_z, gamma): the result is shared by every caller,
+    Memoized per (xi, p_z): the result is shared by every caller,
     and its ``c`` is read-only.
     """
-    s0z, s1z, a_inv = _filtered_source(xi, gamma)
+    s0z, s1z, a_inv = _filtered_source(xi)
     qm = virtual_state_coeffs(s0z, s1z, a_inv, p_z)
     qm.c.setflags(write=False)
     return qm
@@ -145,13 +142,11 @@ def build_source_model(
 # a sweep or an optimization uses one xi; a few slots cover callers that
 # alternate between flaw settings
 @functools.lru_cache(maxsize=8)
-def _filtered_source(
-    xi: float, gamma: float
-) -> tuple[FilteredQubit, FilteredQubit, np.ndarray]:
+def _filtered_source(xi: float) -> tuple[FilteredQubit, FilteredQubit, np.ndarray]:
     """The filtered Z states and the inverse transmission matrix at xi.
 
     Only the virtual-state coefficients depend on p_z, so this part is
-    memoized per (xi, gamma).  ``a_inv`` is shared by every caller and is
+    memoized per xi.  ``a_inv`` is shared by every caller and is
     read-only.  A degenerate setting raises, and raises again on the next
     call: lru_cache stores only results.
     """
@@ -159,7 +154,7 @@ def _filtered_source(
         EncodingFlawModel(model_xi=xi) if xi != 0.0 else EncodingFlawModel.exact()
     )
     filtered = [
-        apply_filter(bloch_of_state(theta, flaw, gamma))
+        apply_filter(bloch_of_state(theta, flaw))
         for theta in (THETA_0Z, THETA_1Z, THETA_0X)
     ]
     a_inv = build_transmission_matrix(*filtered).a_inv
@@ -179,9 +174,9 @@ def evaluate_batch(
     """Secret-key results at a batch of parameter points.
 
     Returns the mask of feasible points and the results of the feasible
-    ones, in order.  A point is infeasible where ``evaluate_rate`` would
-    raise ValueError for it alone: intensity ordering, probability
-    simplex or p_z outside (0, 1).  Settings that concern every point
+    ones, in order.  A point is infeasible where
+    ``IntensityBatch.from_params`` rejects it, the rule under which
+    ``evaluate_rate`` raises ValueError.  Settings that concern every point
     raise ValueError: mode, n_total, f_ec, and a source that cannot be
     built (``DegenerateStatesError``), which depends on xi alone and so
     fails at every p_z in (0, 1) or at none.  ``model`` shares click
@@ -215,7 +210,6 @@ def screen_batch(
     are those of ``evaluate_batch``.
     """
     intens, feasible = params.intensities(mode, cfg.fluct_r)
-    feasible &= (0.0 < params.p_z) & (params.p_z < 1.0)
     idx = np.flatnonzero(feasible)
     # the phase-error terms once per distinct p_z; which[i] is the row of
     # the feasible point idx[i]
@@ -295,8 +289,8 @@ def evaluate_rate(
 ) -> KeyRateResult:
     """Secret-key result at one parameter point: a batch of one.
 
-    Infeasible parameters (intensity ordering, probability simplex)
-    raise ValueError; statistical aborts come back in the result.  A
+    A point that ``IntensityBatch.from_params`` rejects raises
+    ValueError; statistical aborts come back in the result.  A
     one-row ``counts`` (e.g. a ``ChannelModel.sample`` draw) replaces
     the expected statistics, and the Z error rate is then read from its
     signal-intensity Z cells; counts of the wrong shape, negative or
@@ -305,7 +299,7 @@ def evaluate_rate(
     Z1 -> Z configurations, and outcome cells above their
     configuration's trials raise ValueError.
     """
-    levels = IntensityBatch.of(params.intensities(mode, cfg.fluct_r))
+    levels = params.intensities(mode, cfg.fluct_r)
     if counts is None:
         counts, e_z = ChannelModel(cfg).expected_batch(
             levels, np.array([params.p_z], dtype=float), n_total

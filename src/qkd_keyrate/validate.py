@@ -181,7 +181,7 @@ def _sandwich_points(distances: tuple[float, ...], r: float) -> list[dict]:
     mode = "exact" if r == 0.0 else "fluct"
     count = len(distances)
     intens, _ = IntensityBatch.from_params(
-        mode, *(np.full(count, v) for v in (k_s, k_d1, k_d2, p_ks, p_kd1)), r
+        mode, r, *(np.full(count, v) for v in (p_z, p_ks, p_kd1, k_s, k_d1, k_d2))
     )
     weights = {
         lab: _photon_weights(k, r, max_n) for lab, k in zip(K_LABELS, (k_s, k_d1, k_d2))

@@ -11,7 +11,6 @@ from qkd_keyrate.decoy import (
     CELLS,
     CellBoundsBatch,
     CountsBatch,
-    IntensityBatch,
     decoy_bounds_batch,
 )
 from qkd_keyrate.key_length import key_length_batch
@@ -27,11 +26,9 @@ bound = phase = one
 
 
 def expected_counts(cfg, intens, p_z, n_total):
-    """The expected CountsBatch of one point on link ``cfg`` and its Z
-    error rate."""
-    counts, e_z = ChannelModel(cfg).expected_batch(
-        IntensityBatch.of(intens), one(p_z), n_total
-    )
+    """The expected CountsBatch of one point on link ``cfg``, given its
+    one-row IntensityBatch, and its Z error rate."""
+    counts, e_z = ChannelModel(cfg).expected_batch(intens, one(p_z), n_total)
     return counts, float(e_z[0])
 
 
@@ -50,8 +47,9 @@ def counts(z_by_k=(0.0, 0.0, 0.0), n_z=0.0, cells=None, trials=None):
 
 
 def decoy_bounds(counts, intens, budget, mode):
-    """m0, m1 and the cell bounds of one run's CountsBatch and IntensitySet."""
-    return decoy_bounds_batch(counts, IntensityBatch.of(intens), budget, mode)
+    """m0, m1 and the cell bounds of one run's CountsBatch and one-row
+    IntensityBatch."""
+    return decoy_bounds_batch(counts, intens, budget, mode)
 
 
 def cell(cells, a, y, b, y1):

@@ -6,7 +6,11 @@ replaced them, copied unchanged apart from the imports and the key
 length's log term, which charges the budget's static eta once, together
 with the dict-keyed ``ObservedCounts`` they read, the ``best_mean_bound``
 and ``observed_error_rate`` they called, and ``observed_counts``, which
-turns one row of a ``CountsBatch`` into ``ObservedCounts``.
+turns one row of a ``CountsBatch`` into ``ObservedCounts``.  The scalar
+``IntensitySet`` they read is frozen here too, with the mode dispatch
+that built it from a ``ProtocolParams`` (``intensity_set``) and its
+conversion to a one-row ``IntensityBatch`` (``level_batch``), so its
+feasibility checks stay an independent rule for the batch mask.
 ``tests/test_batch.py`` asserts that the batch path reproduces them
 (key length and abort reason exactly, floats to 1e-12 relative).
 Nothing in the library calls them.
@@ -21,7 +25,9 @@ from typing import Mapping
 
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.concentration import _log_inv, azuma_dev, hoeffding_dev
-from qkd_keyrate.decoy import CELLS, K_LABELS, CountsBatch, IntensitySet
+import numpy as np
+
+from qkd_keyrate.decoy import CELLS, K_LABELS, CountsBatch, IntensityBatch, LevelBatch
 from qkd_keyrate.key_length import (
     ABORT_COUNTS,
     ABORT_PHASE,
@@ -32,6 +38,124 @@ from qkd_keyrate.key_length import (
     eph_threshold,
 )
 from qkd_keyrate.qubit_model import VirtualStateCoeffs
+
+# ---------------------------------------------------------------------------
+# the scalar intensity settings
+
+
+@dataclass(frozen=True)
+class IntensityLevel:
+    """One intensity setting: nominal value, known range and selection probability."""
+
+    nominal: float
+    lo: float
+    hi: float
+    prob: float
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.lo <= self.nominal <= self.hi):
+            raise ValueError("need 0 <= lo <= nominal <= hi")
+        if not (0.0 < self.prob < 1.0):
+            raise ValueError("selection probability must lie in (0, 1)")
+
+
+@dataclass(frozen=True)
+class IntensitySet:
+    """The three intensity settings with their ordering constraints.
+
+    The closed-form bounds require k_d1^- > k_d2^+ and
+    k_s^- > k_d1^+ + k_d2^-; violating either makes a denominator vanish
+    or flip sign, so both are enforced at construction.
+    """
+
+    s: IntensityLevel
+    d1: IntensityLevel
+    d2: IntensityLevel
+
+    def __post_init__(self) -> None:
+        total = self.s.prob + self.d1.prob + self.d2.prob
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError("selection probabilities must sum to 1")
+        if not self.d1.lo > self.d2.hi:
+            raise ValueError("need k_d1^- > k_d2^+")
+        if not self.s.lo > self.d1.hi + self.d2.lo:
+            raise ValueError("need k_s^- > k_d1^+ + k_d2^-")
+
+    @classmethod
+    def exact(
+        cls, k_s: float, k_d1: float, k_d2: float, p_s: float, p_d1: float
+    ) -> "IntensitySet":
+        p_d2 = 1.0 - p_s - p_d1
+        return cls(
+            s=IntensityLevel(k_s, k_s, k_s, p_s),
+            d1=IntensityLevel(k_d1, k_d1, k_d1, p_d1),
+            d2=IntensityLevel(k_d2, k_d2, k_d2, p_d2),
+        )
+
+    @classmethod
+    def fluctuating(
+        cls, k_s: float, k_d1: float, k_d2: float, p_s: float, p_d1: float, r: float
+    ) -> "IntensitySet":
+        """Symmetric relative ranges [(1-r)k, (1+r)k]; r=0 recovers exact()."""
+        if not (0.0 <= r < 1.0):
+            raise ValueError("relative fluctuation r must lie in [0, 1)")
+        p_d2 = 1.0 - p_s - p_d1
+        return cls(
+            s=IntensityLevel(k_s, (1 - r) * k_s, (1 + r) * k_s, p_s),
+            d1=IntensityLevel(k_d1, (1 - r) * k_d1, (1 + r) * k_d1, p_d1),
+            d2=IntensityLevel(k_d2, (1 - r) * k_d2, (1 + r) * k_d2, p_d2),
+        )
+
+    def level(self, label: str) -> IntensityLevel:
+        if label not in K_LABELS:
+            raise KeyError(label)
+        return getattr(self, label)
+
+    def p_s_and_vacuum_lo(self) -> float:
+        # p^-(k_s AND 0 photons) = p_s e^{-k_s^+}
+        return self.s.prob * math.exp(-self.s.hi)
+
+    def p_s_and_single_lo(self) -> float:
+        # k e^{-k} is unimodal with its maximum at k=1, so the minimum over
+        # the range sits at an endpoint
+        return self.s.prob * min(
+            self.s.lo * math.exp(-self.s.lo), self.s.hi * math.exp(-self.s.hi)
+        )
+
+    def p_s_and_single_hi(self) -> float:
+        if self.s.lo <= 1.0 <= self.s.hi:
+            return self.s.prob * math.exp(-1.0)
+        return self.s.prob * max(
+            self.s.lo * math.exp(-self.s.lo), self.s.hi * math.exp(-self.s.hi)
+        )
+
+
+def intensity_set(params, mode: str, r: float) -> IntensitySet:
+    """The IntensitySet of a ``ProtocolParams`` for ``mode``; raises
+    ValueError if infeasible."""
+    if mode == "exact":
+        return IntensitySet.exact(
+            k_s=params.k_s, k_d1=params.k_d1, k_d2=params.k_d2,
+            p_s=params.p_ks, p_d1=params.p_kd1,
+        )
+    if mode == "fluct":
+        return IntensitySet.fluctuating(
+            k_s=params.k_s, k_d1=params.k_d1, k_d2=params.k_d2,
+            p_s=params.p_ks, p_d1=params.p_kd1, r=r,
+        )
+    raise ValueError(f"mode must be 'exact' or 'fluct', got {mode!r}")
+
+
+def level_batch(intens: IntensitySet) -> IntensityBatch:
+    """Batch of one from an already validated IntensitySet."""
+    def level(lv: IntensityLevel) -> LevelBatch:
+        return LevelBatch(
+            np.array([lv.nominal], dtype=float), np.array([lv.lo], dtype=float),
+            np.array([lv.hi], dtype=float), np.array([lv.prob], dtype=float),
+        )
+
+    return IntensityBatch(level(intens.s), level(intens.d1), level(intens.d2))
+
 
 # ---------------------------------------------------------------------------
 # the dict-keyed counts layout

@@ -17,7 +17,7 @@ import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig, ChannelModel
-from qkd_keyrate.decoy import CELLS, IntensityBatch
+from qkd_keyrate.decoy import CELLS
 from qkd_keyrate.key_length import KeyRateResult, eph_threshold, key_length_batch
 from qkd_keyrate import optimize
 from qkd_keyrate.optimize import GRID_CHUNK, SearchSpace, optimize_rate
@@ -36,8 +36,10 @@ from scalar_chain import (
     DecoyBound,
     PhaseErrorBound,
     decoy_cell_bounds,
+    intensity_set,
     key_length,
     lambda_ec,
+    level_batch,
     m0_lower_exact,
     m0_lower_fluct,
     m1_lower_exact,
@@ -57,9 +59,9 @@ def channel(dist, r=0.0, xi=0.147):
 
 
 def scalar_rate(cfg, params, budget, n_total, mode, f_ec=1.16, counts=None):
-    intens = params.intensities(mode, cfg.fluct_r)
+    intens = intensity_set(params, mode, cfg.fluct_r)
     if counts is None:
-        batch, e_z = expected_counts(cfg, intens, params.p_z, n_total)
+        batch, e_z = expected_counts(cfg, level_batch(intens), params.p_z, n_total)
         counts = observed_counts(batch, n_total)
     else:
         e_z = observed_error_rate(counts)
@@ -126,16 +128,20 @@ def test_batch_matches_scalar_chain(population):
     assert None in reasons and len(reasons) >= 2
 
 
-def test_single_point_is_a_batch_of_one():
-    cfg = channel(80.0)
-    budget = EpsilonBudget.build(1e-10, 1e-15, "exact")
+@pytest.mark.parametrize("population", sorted(POPULATIONS))
+def test_single_point_is_a_batch_of_one(population):
+    mode, r, n_total, budget_mode = POPULATIONS[population]
+    budget = None if budget_mode is None else EpsilonBudget.build(1e-10, 1e-15, budget_mode)
+    cfg = channel(80.0, r)
     params = ProtocolParams(p_z=0.9, p_ks=0.8, p_kd1=0.12, k_s=0.46, k_d1=0.11)
-    feasible, batch = evaluate_batch(cfg, ParamBatch.of([params] * 3), budget, 1e12)
+    feasible, batch = evaluate_batch(
+        cfg, ParamBatch.of([params] * 3), budget, n_total, mode=mode
+    )
     assert feasible.tolist() == [True] * 3
-    single = evaluate_rate(cfg, params, budget, 1e12)
+    single = evaluate_rate(cfg, params, budget, n_total, mode=mode)
     for i in range(3):
         assert batch.result(i) == single
-    assert_same(single, scalar_rate(cfg, params, budget, 1e12, "exact"))
+    assert_same(single, scalar_rate(cfg, params, budget, n_total, mode))
 
 
 @pytest.mark.parametrize("mode, r", [("exact", 0.0), ("fluct", 0.05)])
@@ -146,9 +152,7 @@ def test_sampled_counts_match_scalar_chain(mode, r):
     params = ProtocolParams(p_z=0.85, p_ks=0.7, p_kd1=0.2, k_s=0.5, k_d1=0.1)
     intens = params.intensities(mode, r)
     for seed in range(5):
-        counts = ChannelModel(cfg).sample(
-            IntensityBatch.of(intens), np.array([params.p_z]), 10**10, seed
-        )
+        counts = ChannelModel(cfg).sample(intens, np.array([params.p_z]), 10**10, seed)
         res = evaluate_rate(cfg, params, budget, 1e10, mode=mode, counts=counts)
         ref = observed_counts(counts, 1e10)
         assert_same(res, scalar_rate(cfg, params, budget, 1e10, mode, counts=ref))

@@ -21,9 +21,11 @@ from qkd_keyrate.channel import (
     _quadrature,
     gauss_expect,
 )
-from qkd_keyrate.decoy import CELLS, K_LABELS, IntensityBatch, IntensitySet
+from qkd_keyrate.decoy import CELLS, K_LABELS
+from qkd_keyrate.pipeline import ProtocolParams
 
 from one_point import expected_counts
+from scalar_chain import IntensitySet
 
 REL = 1e-12
 
@@ -39,13 +41,13 @@ def make_cfg(**kw):
 
 
 def make_intens(r=0.0):
-    return IntensitySet.fluctuating(k_s=0.5, k_d1=0.1, k_d2=2e-4,
-                                    p_s=0.6, p_d1=0.3, r=r)
+    params = ProtocolParams(p_z=0.5, p_ks=0.6, p_kd1=0.3, k_s=0.5, k_d1=0.1, k_d2=2e-4)
+    return params.intensities("fluct", r)
 
 
 def sample_counts(cfg, intens, p_z, n_total, seed, draws=1):
     """``draws`` Monte-Carlo draws of one point, one per row."""
-    batch = IntensityBatch.of(intens).take(np.zeros(draws, dtype=int))
+    batch = intens.take(np.zeros(draws, dtype=int))
     return ChannelModel(cfg).sample(batch, np.full(draws, p_z), n_total, seed)
 
 
@@ -78,7 +80,7 @@ def test_config_rejects_bad_link(name, value):
 def test_click_prob_frozen():
     # Z0 sent, Z measured at xi = 0: the constructive port sees the full
     # pulse, the empty port only darks
-    p0, p1 = _port_click_probs(make_cfg(), make_intens().s.nominal, (1.0, 0.0))
+    p0, p1 = _port_click_probs(make_cfg(), make_intens().s.nominal[0], (1.0, 0.0))
     assert p0 == pytest.approx(P_CLICK_SIGNAL_50KM, rel=REL)
     assert p1 == pytest.approx(5e-7, rel=REL)
 
@@ -156,8 +158,8 @@ def test_outcome_probs_are_probabilities(distance, xi, r):
     cfg = make_cfg(distance_km=distance, xi=xi, fluct_r=r)
     model = ChannelModel(cfg)
     intens = make_intens(r=r)
-    for lab in K_LABELS:
-        for p0, p1 in outcome_pairs(model._entry(intens.level(lab).nominal)):
+    for lv in intens:
+        for p0, p1 in outcome_pairs(model._entry(lv.nominal.item())):
             assert 0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0
             assert p0 + p1 <= 1.0 + 1e-12
 

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
-from qkd_keyrate.decoy import CELLS, K_LABELS, IntensitySet, poisson_pk
+from qkd_keyrate.decoy import CELLS, poisson_pk
+from qkd_keyrate.pipeline import ProtocolParams
 
 from one_point import cell, counts as one_run, decoy_bounds
+from scalar_chain import IntensitySet
 
 REL = 1e-12
 
@@ -27,16 +29,19 @@ POISSON_1_HALF = 0.30326532985631671  # 0.5 e^{-0.5}
 POISSON_0_WEAK = 0.99980001999866673  # e^{-2e-4}
 
 
-def make_intens(r=None):
-    kw = dict(k_s=0.5, k_d1=0.1, k_d2=2e-4, p_s=0.6, p_d1=0.3)
+def make_intens(r=None, **kw):
+    """The one-row levels of k_s=0.5, k_d1=0.1, k_d2=2e-4, p_s=0.6,
+    p_d1=0.3 with the fields ``kw`` replaced: exact, or fluctuating by r."""
+    point = dict(p_z=0.5, p_ks=0.6, p_kd1=0.3, k_s=0.5, k_d1=0.1, k_d2=2e-4)
+    params = ProtocolParams(**{**point, **kw})
     if r is None:
-        return IntensitySet.exact(**kw)
-    return IntensitySet.fluctuating(**kw, r=r)
+        return params.intensities("exact", 0.0)
+    return params.intensities("fluct", r)
 
 
 def flat_yield_counts(n_z=1e10, y=1e-3):
     intens = make_intens()
-    z = [n_z * intens.level(lab).prob * y for lab in K_LABELS]
+    z = [n_z * lv.prob[0] * y for lv in intens]
     return one_run(z, n_z=n_z), intens
 
 
@@ -49,13 +54,12 @@ def poisson_mixture_counts(yields, n_z=1e10, max_n=80):
     """Aggregate Z counts from per-photon-number yields (index = n)."""
     intens = make_intens()
     z = []
-    for lab in K_LABELS:
-        lv = intens.level(lab)
-        gain = sum(poisson_pk(n, lv.nominal) * yields[min(n, len(yields) - 1)]
+    for lv in intens:
+        gain = sum(poisson_pk(n, lv.nominal[0]) * yields[min(n, len(yields) - 1)]
                    for n in range(max_n))
-        z.append(n_z * lv.prob * gain)
-    truth0 = n_z * intens.s.prob * poisson_pk(0, 0.5) * yields[0]
-    truth1 = n_z * intens.s.prob * poisson_pk(1, 0.5) * yields[1]
+        z.append(n_z * lv.prob[0] * gain)
+    truth0 = n_z * intens.s.prob[0] * poisson_pk(0, 0.5) * yields[0]
+    truth1 = n_z * intens.s.prob[0] * poisson_pk(1, 0.5) * yields[1]
     return one_run(z, n_z=n_z), intens, truth0, truth1
 
 
@@ -74,13 +78,13 @@ def test_poisson_pk_normalised():
 def test_intensity_set_invariants():
     with pytest.raises(ValueError):
         # decoy levels out of order
-        IntensitySet.exact(k_s=0.5, k_d1=1e-4, k_d2=2e-4, p_s=0.6, p_d1=0.3)
+        make_intens(k_d1=1e-4)
     with pytest.raises(ValueError):
         # k_s <= k_d1 + k_d2
-        IntensitySet.exact(k_s=0.1, k_d1=0.1, k_d2=2e-4, p_s=0.6, p_d1=0.3)
+        make_intens(k_s=0.1)
     with pytest.raises(ValueError):
         # probabilities exceed 1
-        IntensitySet.exact(k_s=0.5, k_d1=0.1, k_d2=2e-4, p_s=0.8, p_d1=0.3)
+        make_intens(p_ks=0.8)
     # fluctuation ranges must stay ordered too: 10% around these levels is fine
     make_intens(r=0.1)
 
@@ -93,7 +97,10 @@ def test_fluctuating_endpoints():
 
 
 def test_signal_joint_probabilities():
-    intens = make_intens(r=0.1)
+    # the scalar reference's joint probabilities, which test_batch holds
+    # the batch factors to
+    intens = IntensitySet.fluctuating(k_s=0.5, k_d1=0.1, k_d2=2e-4,
+                                      p_s=0.6, p_d1=0.3, r=0.1)
     assert intens.p_s_and_vacuum_lo() == pytest.approx(
         0.6 * math.exp(-0.55), rel=REL
     )
@@ -112,14 +119,14 @@ def test_signal_joint_probabilities():
 
 def test_flat_yield_vacuum_ratio():
     counts, intens = flat_yield_counts()
-    truth = counts.n_z[0] * intens.s.prob * math.exp(-0.5) * 1e-3
+    truth = counts.n_z[0] * intens.s.prob[0] * math.exp(-0.5) * 1e-3
     m0, _ = m0_m1(counts, intens, None)
     assert m0 / truth == pytest.approx(VACUUM_RATIO, rel=REL)
 
 
 def test_flat_yield_single_ratio():
     counts, intens = flat_yield_counts()
-    truth = counts.n_z[0] * intens.s.prob * POISSON_1_HALF * 1e-3
+    truth = counts.n_z[0] * intens.s.prob[0] * POISSON_1_HALF * 1e-3
     _, m1 = m0_m1(counts, intens, None)
     assert m1 / truth == pytest.approx(SINGLE_RATIO, rel=REL)
 
@@ -145,13 +152,12 @@ def test_cell_bound_sandwich(seed):
     cells = np.zeros((3, 16))
     trials = np.zeros(16)
     trials[z0x1 - 1:z0x1 + 1] = n_cfg
-    for i, lab in enumerate(K_LABELS):
-        lv = intens.level(lab)
-        gain = sum(poisson_pk(n, lv.nominal) * yields[min(n, 29)] for n in range(80))
-        cells[i, z0x1] = n_cfg * lv.prob * gain
+    for i, lv in enumerate(intens):
+        gain = sum(poisson_pk(n, lv.nominal[0]) * yields[min(n, 29)] for n in range(80))
+        cells[i, z0x1] = n_cfg * lv.prob[0] * gain
     counts = one_run(cells=cells, trials=trials)
-    truth0 = n_cfg * intens.s.prob * poisson_pk(0, 0.5) * yields[0]
-    truth1 = n_cfg * intens.s.prob * poisson_pk(1, 0.5) * yields[1]
+    truth0 = n_cfg * intens.s.prob[0] * poisson_pk(0, 0.5) * yields[0]
+    truth1 = n_cfg * intens.s.prob[0] * poisson_pk(1, 0.5) * yields[1]
     for mode in ("exact", "fluct"):
         cb = cell(decoy_bounds(counts, intens, None, mode)[2], "Z", 0, "X", 1)
         assert cb.lower0 <= truth0 * (1 + 1e-12)

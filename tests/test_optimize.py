@@ -42,6 +42,23 @@ def test_space_validation():
         SearchSpace(k_d1=(1e-4, 0.4))  # below the pinned k_d2
 
 
+@pytest.mark.parametrize("field, bounds", [
+    ("p_z", (0.3, 1.5)),
+    ("p_ks", (0.2, 3.0)),
+    ("p_kd1", (0.02, 1.0)),
+    ("p_z", (math.nan, 0.9)),
+    ("k_s", (0.05, math.nan)),
+    ("k_d1", (0.005, math.inf)),
+    ("k_d2", math.nan),
+    ("k_d2", math.inf),
+    ("k_d2", -1e-4),
+])
+def test_space_rejects_boxes_without_feasible_points(field, bounds):
+    # no point of these boxes is feasible, or a bound is not a number
+    with pytest.raises(ValueError, match=field):
+        SearchSpace(**{field: bounds})
+
+
 def test_params_at_always_feasible():
     space = SearchSpace()
     rng = np.random.default_rng(7)

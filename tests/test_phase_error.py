@@ -13,8 +13,9 @@ import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig
-from qkd_keyrate.decoy import CELLS, CellBoundsBatch, IntensitySet
+from qkd_keyrate.decoy import CELLS, CellBoundsBatch
 from qkd_keyrate.phase_error import n_ph_appendixE, n_ph_upper_batch, phase_terms
+from qkd_keyrate.pipeline import ProtocolParams
 from qkd_keyrate.qubit_model import (
     EncodingFlawModel,
     THETA_0X,
@@ -42,7 +43,8 @@ def build_qm(xi, p_z, gamma=1.0):
 def build_stats(xi, p_z, distance_km, budget, p_d=5e-7, e_mis=0.01, n=1e12):
     cfg = ChannelConfig(distance_km=distance_km, det_eff=0.15, dark_prob=p_d,
                         e_mis=e_mis, fluct_r=0.0, xi=xi)
-    intens = IntensitySet.exact(k_s=0.5, k_d1=0.1, k_d2=2e-4, p_s=0.6, p_d1=0.3)
+    params = ProtocolParams(p_z=p_z, p_ks=0.6, p_kd1=0.3, k_s=0.5, k_d1=0.1, k_d2=2e-4)
+    intens = params.intensities("exact", 0.0)
     counts, _ = expected_counts(cfg, intens, p_z, n)
     _, m1, cells = decoy_bounds(counts, intens, budget, "exact")
     return cells, m1

@@ -87,6 +87,57 @@ def test_infeasible_params_raise():
         evaluate_rate(channel(), PARAMS, budget(), 1e12, mode="bogus")
 
 
+# an infinite k_s, and k_s^+ = 756 at r = 0.05, where e^{k+} overflows:
+# both gave NaN bounds, and the batch kept them as feasible points
+OVERFLOWING = {
+    "exact-inf": ("exact", 0.0, math.inf),
+    "fluct-720": ("fluct", 0.05, 720.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+def test_overflowing_intensities_are_infeasible(case):
+    mode, r, k_s = OVERFLOWING[case]
+    cfg = channel(50.0, r)
+    params = ProtocolParams(p_z=0.9, p_ks=0.8, p_kd1=0.12, k_s=k_s, k_d1=0.11)
+    with pytest.raises(ValueError):
+        evaluate_rate(cfg, params, budget(mode), 1e12, mode=mode)
+    feasible, batch = evaluate_batch(
+        cfg, ParamBatch.of([params]), budget(mode), 1e12, mode=mode
+    )
+    assert feasible.tolist() == [False] and len(batch.ell) == 0
+
+
+FIELDS = ("p_z", "p_ks", "p_kd1", "k_s", "k_d1", "k_d2")
+ODD_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.1, 0.0, 1.0, 1.5, 699.0, 700.0, 800.0]
+)
+
+
+@given(
+    mode=st.sampled_from([("exact", 0.0), ("fluct", 0.05), ("fluct", 0.3)]),
+    u=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+    moved=st.dictionaries(
+        st.sampled_from(FIELDS), st.one_of(ODD_VALUES, st.floats(-1.0, 2.0)), max_size=3
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_point_and_batch_share_the_rule(mode, u, moved):
+    # a point of the search box, with up to three fields moved anywhere
+    mode, r = mode
+    params = dataclasses.replace(SearchSpace().params_at(np.array(u)), **moved)
+    try:
+        one = params.intensities(mode, r)
+    except ValueError:
+        one = None
+    levels, feasible = ParamBatch.of([PARAMS, params]).intensities(mode, r)
+    assert feasible.tolist() == [True, one is not None]
+    if one is not None:
+        for got, want in zip(one, levels):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b[1:].tobytes()
+
+
 def one_run(signal_cells=None, z_s=0.0, n_z=0.0):
     """The CountsBatch of one run with the given signal-intensity cells,
     keyed by CELLS entry, and n_z / 2 trials in each of the Z0 -> Z and
@@ -231,7 +282,7 @@ def test_cached_source_model_matches_uncached():
 
 def test_cached_a_inv_is_read_only():
     build_source_model(0.147, 0.5)
-    _, _, a_inv = _filtered_source(0.147, 1.0)
+    _, _, a_inv = _filtered_source(0.147)
     with pytest.raises(ValueError):
         a_inv[0, 0] = 1.0
 

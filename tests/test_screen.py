@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qkd_keyrate import optimize
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig, ChannelModel
-from qkd_keyrate.decoy import IntensityBatch, aggregate_bounds, decoy_factors
+from qkd_keyrate.decoy import aggregate_bounds, decoy_factors
 from qkd_keyrate.key_length import key_length_bound, lambda_ec_batch
 from qkd_keyrate.optimize import SearchSpace, optimize_rate
 from qkd_keyrate.pipeline import ParamBatch, evaluate_batch, evaluate_rate, screen_batch
@@ -37,7 +37,7 @@ def budget(mode, eps_sec=1e-10):
 def stage_one(cfg, params, bud, n_total, mode):
     """m0, m1 and the zero-phase-error bound of one point, as the
     screen computes them."""
-    intens = IntensityBatch.of(params.intensities(mode, cfg.fluct_r))
+    intens = params.intensities(mode, cfg.fluct_r)
     counts, e_z = ChannelModel(cfg).expected_batch(intens, np.array([params.p_z]), n_total)
     m0, m1 = aggregate_bounds(counts, decoy_factors(intens), bud, mode)
     lam = lambda_ec_batch(counts.z_by_k[:, 0], e_z)
@@ -98,9 +98,9 @@ def unscreened(monkeypatch):
     monkeypatch.setattr(optimize, "screen_batch", no_floor)
 
 
-# the centre of these boxes is infeasible: p_z = 1 in the first, k_s^-
-# below k_d1^+ + k_d2^- at r = 0.2 in the second
-P_Z_PAST_ONE = SearchSpace(p_z=(0.5, 1.5))
+# the centre of these boxes is infeasible: k_d1 above k_s in the first,
+# k_s^- below k_d1^+ + k_d2^- at r = 0.2 in the second
+DECOY_PAST_SIGNAL = SearchSpace(k_d1=(0.6, 0.7))
 CROWDED_DECOYS = SearchSpace(k_s=(0.3, 0.5), k_d1=(0.2, 0.4))
 
 CASES = {
@@ -110,7 +110,7 @@ CASES = {
     "asymptotic-key": ("exact", 0.0, 1e12, None, 100.0, 4, None, True),
     "fluct-key": ("fluct", 0.05, 1e14, 1e-8, 40.0, 4, None, True),
     "fluct-dead": ("fluct", 0.05, 1e14, 1e-8, 120.0, 4, None, False),
-    "centre-infeasible-key": ("exact", 0.0, 1e12, 1e-10, 60.0, 4, P_Z_PAST_ONE, True),
+    "centre-infeasible-key": ("exact", 0.0, 1e12, 1e-10, 60.0, 4, DECOY_PAST_SIGNAL, True),
     "centre-infeasible-dead": ("fluct", 0.2, 1e14, 1e-10, 40.0, 3, CROWDED_DECOYS, False),
 }
 
