@@ -32,7 +32,7 @@ from .decoy import CountsBatch
 from .key_length import KeyRateResult, binary_entropy, eph_threshold
 from .optimize import OptimizationResult, SearchSpace, optimize_rate
 from .phase_error import n_ph_appendixE
-from .pipeline import ProtocolParams, build_source_model, evaluate_rate
+from .pipeline import ProtocolParams, evaluate_rate
 from .validate import run_validation
 
 __version__ = "0.1.0"
@@ -58,7 +58,6 @@ __all__ = [
     "optimize_rate",
     "n_ph_appendixE",
     "ProtocolParams",
-    "build_source_model",
     "evaluate_rate",
     "run_validation",
 ]

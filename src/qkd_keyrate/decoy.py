@@ -83,8 +83,9 @@ def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq, np.searchsorted(uniq, values)
 
 
-# every range end k+ stays below this: the closed forms take e^{k+}, which
-# is about 1e304 here and overflows a float past 709.78
+# the closed forms take e^{k+}/p of every level; the feasibility rule
+# keeps it below e^{K_HI_CAP}, about 1e304 (a float overflows past
+# e^{709.78})
 K_HI_CAP = 700.0
 
 
@@ -125,9 +126,10 @@ class IntensityBatch(NamedTuple):
 
         This is the one feasibility rule, for a point and a batch alike:
         it takes floats or (B,) arrays and gives levels and a mask of the
-        same kind.  A point is feasible where 0 < p_z < 1, every level has
-        0 <= k- <= k <= k+ < K_HI_CAP and a selection probability in
-        (0, 1), with p_d2 = 1 - p_s - p_d1, and the ranges are ordered as
+        same kind.  A point is feasible where 0 < p_z < 1; every level has
+        0 <= k- <= k <= k+ and a selection probability p in (0, 1), with
+        p_d2 = 1 - p_s - p_d1, and k+ - ln p < K_HI_CAP, so that the closed
+        forms' factor e^{k+}/p stays finite; and the ranges are ordered as
         the closed forms need, k_d1- > k_d2+ and k_s- > k_d1+ + k_d2-.  An
         unknown mode or a bad ``r`` concerns every point and raises
         ValueError.  On arrays, a row with infinite fields may form
@@ -150,7 +152,10 @@ class IntensityBatch(NamedTuple):
         ok = (0.0 < p_z) & (p_z < 1.0)
         for lv in levels:
             ok &= (0.0 <= lv.lo) & (lv.lo <= lv.nominal) & (lv.nominal <= lv.hi)
-            ok &= (lv.hi < K_HI_CAP) & (0.0 < lv.prob) & (lv.prob < 1.0)
+            ok &= (0.0 < lv.prob) & (lv.prob < 1.0)
+            # ln p where p > 0; a row with p <= 0 is rejected above
+            log_p = np.log(np.where(lv.prob > 0.0, lv.prob, 1.0))
+            ok &= lv.hi < K_HI_CAP + log_p
         ok &= d1.lo > d2.hi
         ok &= s.lo > d1.hi + d2.lo
         return cls(s, d1, d2), ok

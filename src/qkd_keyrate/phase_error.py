@@ -3,7 +3,7 @@
 The estimator reconstructs the two virtual-state detection counts from
 observable X-basis statistics.  Each of the two halves (indexed by the
 virtual bit s) combines three collective-measurement outcomes; the
-coefficient of each outcome decides whether the worst case takes the
+sign of each outcome's weight decides whether the worst case takes the
 upper or the lower decoy bound of the matching cell, shifted by a
 martingale deviation over N_1.  N_1 is not the number of signal
 single-photon emissions: it is the sum of the per-cell ``upper1``
@@ -13,12 +13,14 @@ Each deviation takes its own ``ph.az`` allocation.  N_1 rests on the
 mean estimates of all sixteen cells, so no per-estimate failure sum is
 kept: the key length charges the budget's whole eta once.
 
-Two implementations are provided: ``n_ph_upper_batch``, the general path
-driven by the source-characterisation coefficients, and
-``n_ph_appendixE``, the closed form valid for the proportional flaw
+Two implementations are provided: ``n_ph_upper_batch``, the general path,
+and ``n_ph_appendixE``, the closed form valid for the proportional flaw
 model with equal signal/reference intensities.  They agree to float
 accuracy and serve as mutual cross-checks.  Both take a batch of points
-with a leading batch axis; one point is a batch of one.
+with a leading batch axis; one point is a batch of one.  The general
+path weights six cell bounds by ``phase_weights``: each term's source
+coefficient (``term_coeffs``, which depends on the source alone) times a
+closed form in p_z.
 """
 
 from __future__ import annotations
@@ -30,13 +32,11 @@ import numpy as np
 
 from .budget import EpsilonBudget
 from .decoy import CELLS, CellBoundsBatch
-from .qubit_model import VirtualStateCoeffs
 
 __all__ = [
     "PhaseErrorBatch",
     "n_ph_appendixE",
     "n_ph_upper_batch",
-    "phase_terms",
 ]
 
 # collective outcome -> (sender basis, sender bit); the receiver side is
@@ -70,66 +70,62 @@ _DEV_NAMES = (
 )
 
 
-def phase_terms(qm: VirtualStateCoeffs) -> tuple[tuple[float, float, float], ...]:
-    """Per term of _TERMS: (prefactor times coefficient, coefficient, Q(omega)).
+def term_coeffs(c: np.ndarray, w: tuple[float, float]) -> np.ndarray:
+    """Per term of _TERMS its source coefficient, (6,), from the ``c`` and
+    ``w`` of ``VirtualStateCoeffs``.
 
     For each half s the coefficients of the three collective outcomes
     are 1 + (-1)^s sum_t w_t C_{t,0}, 1 + (-1)^s sum_t w_t C_{t,1} and
-    (-1)^s sum_t w_t C_{t,2}; the prefactor P(s+1)/(2(1 +- overlap))
-    reduces algebraically to p_z^2/4.  The receiver outcome feeding half
-    s is s XOR 1, which also tags the deviation epsilons.  These depend
-    on the source alone, so a batch forms them once per distinct source.
-    A term with a nonzero coefficient needs a positive Q(omega).
+    (-1)^s sum_t w_t C_{t,2}.  They depend on the source alone, not on
+    p_z.
     """
-    sums = [
-        qm.w[0] * qm.c[0, l] + qm.w[1] * qm.c[1, l] for l in range(3)
-    ]
-    out = []
-    for s, omega in _TERMS:
-        sgn = 1.0 if s == 0 else -1.0
-        denom = 2.0 * (1.0 + sgn * qm.overlap)
-        if abs(denom) > 1e-12:
-            pref = qm.probs[s + 1] / denom
-        else:
-            # both virtual states collapse onto one; the ratio's limit
-            pref = (qm.probs[1] + qm.probs[2]) / 4.0
-        coef = {3: 1.0 + sgn * sums[0], 4: 1.0 + sgn * sums[1], 5: sgn * sums[2]}[omega]
-        if coef != 0.0 and qm.q[omega] <= 0.0:
-            raise ValueError("outcome weight q must be positive")
-        out.append((float(pref * coef), float(coef), float(qm.q[omega])))
-    return tuple(out)
+    z0, z1, x = w[0] * c[0] + w[1] * c[1]
+    return np.array([1.0 + z0, 1.0 + z1, x, 1.0 - z0, 1.0 - z1, -x])
+
+
+def phase_weights(coeffs: np.ndarray, p_z: np.ndarray) -> np.ndarray:
+    """(B, 6) weights of the terms' cell bounds at each point's p_z.
+
+    A term's weight is its prefactor P(s+1)/(2(1 +- overlap)) times its
+    coefficient over the outcome weight Q(omega).  The prefactor reduces
+    to p_z^2/4, and Q(omega) is p_z(1-p_z)/2 for omega = 3, 4 and
+    (1-p_z)^2 for omega = 5.  So with r = p_z/(1-p_z), the ratio of the
+    closed form, the weight is the coefficient times r/2, and times
+    (r/2)^2 for omega = 5.  The receiver outcome feeding half s is
+    s XOR 1, which also tags the deviation epsilons.
+    """
+    half = p_z / (1.0 - p_z) / 2.0
+    sq = half * half
+    return coeffs * np.array([half, half, sq, half, half, sq]).T
 
 
 def n_ph_upper_batch(
-    terms: np.ndarray,
+    weights: np.ndarray,
     cells: CellBoundsBatch,
     m1: np.ndarray,
     budget: EpsilonBudget | None,
 ) -> PhaseErrorBatch:
     """Phase-error bound for an arbitrary characterised source, per point.
 
-    ``terms`` is (B, 6, 3): ``phase_terms`` of each point's source.  A
-    positive coefficient takes the upper decoy bound of its cell plus
-    its Azuma deviation over N_1, a negative one the lower bound minus
-    it (floored at zero, a count cannot be negative); each half then
-    adds its tail deviation.  A term with a zero coefficient adds zero.
+    ``weights`` is (B, 6): ``phase_weights`` of each point.  A term with
+    a positive weight takes the upper decoy bound of its cell plus its
+    Azuma deviation over N_1, any other the lower bound minus it
+    (floored at zero, a count cannot be negative); each half then adds
+    its tail deviation.  A term with a zero weight adds zero.
     """
     upper, lower = cells.upper1, cells.lower1
     n1 = upper.sum(axis=1)
-    pc, coef, q = terms[:, :, 0], terms[:, :, 1], terms[:, :, 2]
-    up = coef > 0.0
-    used = coef != 0.0
     if budget is None:
         dev = tail = 0.0
     else:
         dev = np.sqrt(2.0 * n1[:, None] * budget.log_inv(_DEV_NAMES))
         dev, tail = dev[:, :6], dev[:, 6] + dev[:, 7]
     value = np.where(
-        up,
-        (upper[:, _TERM_CELLS] + dev) / q,
-        np.maximum(lower[:, _TERM_CELLS] - dev, 0.0) / q,
+        weights > 0.0,
+        upper[:, _TERM_CELLS] + dev,
+        np.maximum(lower[:, _TERM_CELLS] - dev, 0.0),
     )
-    n_ph = np.maximum(np.where(used, pc * value, 0.0).sum(axis=1) + tail, 0.0)
+    n_ph = np.maximum((weights * value).sum(axis=1) + tail, 0.0)
     # 1.0 where the single-photon bound is empty
     ratio = np.divide(n_ph, m1, out=np.ones(len(n1)), where=m1 > 0.0)
     return PhaseErrorBatch(

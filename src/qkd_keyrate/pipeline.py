@@ -4,7 +4,9 @@ This is the single code path shared by the sweep and the optimizer, so
 every consumer agrees on how the pieces chain together.  The chain runs
 on batches of parameter points, with a leading batch axis, in two
 stages: m0, m1 (``aggregate_bounds``) and the EC leakage, then the cell
-bounds (``cell_bounds``), ``n_ph_upper_batch`` and ``key_length_batch``.
+bounds (``cell_bounds``), the phase-error weights at the points' p_z
+(``phase_weights`` of the per-xi ``source_coeffs``), ``n_ph_upper_batch``
+and ``key_length_batch``.
 ``evaluate_batch`` evaluates many points at once, and ``evaluate_rate``
 is a batch of one.  ``screen_batch``, which the optimizer's grid uses,
 stops after stage 1 the points whose ``key_length_bound``, the length
@@ -32,7 +34,6 @@ from .decoy import (
     aggregate_bounds,
     cell_bounds,
     decoy_factors,
-    distinct,
 )
 from .key_length import (
     KeyRateBatch,
@@ -41,24 +42,21 @@ from .key_length import (
     key_length_bound,
     lambda_ec_batch,
 )
-from .phase_error import n_ph_upper_batch, phase_terms
+from .phase_error import n_ph_upper_batch, phase_weights, term_coeffs
 from .qubit_model import (
     EncodingFlawModel,
-    FilteredQubit,
     THETA_0X,
     THETA_0Z,
     THETA_1Z,
-    VirtualStateCoeffs,
     apply_filter,
     bloch_of_state,
     build_transmission_matrix,
-    virtual_state_coeffs,
+    pair_coeffs,
 )
 
 __all__ = [
     "ParamBatch",
     "ProtocolParams",
-    "build_source_model",
     "evaluate_batch",
     "evaluate_rate",
     "screen_batch",
@@ -122,44 +120,31 @@ class ParamBatch(NamedTuple):
             return IntensityBatch.from_params(mode, r, *self)
 
 
-# a sweep scores the same grid p_z values at every distance, and a polish
-# track polls its own p_z again at every step; a distance of the README or
-# benchmark sweeps builds under 50 distinct p_z, so the slots hold several
-@functools.lru_cache(maxsize=256)
-def build_source_model(xi: float, p_z: float) -> VirtualStateCoeffs:
-    """Virtual-state coefficients for the proportional flaw model with
-    balanced pulses, the only source the channel's overlaps describe.
-
-    Memoized per (xi, p_z): the result is shared by every caller,
-    and its ``c`` is read-only.
-    """
-    s0z, s1z, a_inv = _filtered_source(xi)
-    qm = virtual_state_coeffs(s0z, s1z, a_inv, p_z)
-    qm.c.setflags(write=False)
-    return qm
-
-
 # a sweep or an optimization uses one xi; a few slots cover callers that
 # alternate between flaw settings
 @functools.lru_cache(maxsize=8)
-def _filtered_source(xi: float) -> tuple[FilteredQubit, FilteredQubit, np.ndarray]:
-    """The filtered Z states and the inverse transmission matrix at xi.
+def source_coeffs(xi: float) -> np.ndarray:
+    """The six ``term_coeffs`` of the proportional flaw model with
+    balanced pulses at xi, the only source the channel's overlaps
+    describe.
 
-    Only the virtual-state coefficients depend on p_z, so this part is
-    memoized per xi.  ``a_inv`` is shared by every caller and is
-    read-only.  A degenerate setting raises, and raises again on the next
-    call: lru_cache stores only results.
+    They do not depend on p_z, so they are memoized per xi; the array
+    is shared by every caller and is read-only.  A degenerate setting
+    raises, and raises again on the next call: lru_cache stores only
+    results.
     """
     flaw = (
         EncodingFlawModel(model_xi=xi) if xi != 0.0 else EncodingFlawModel.exact()
     )
-    filtered = [
+    s0z, s1z, s0x = (
         apply_filter(bloch_of_state(theta, flaw))
         for theta in (THETA_0Z, THETA_1Z, THETA_0X)
-    ]
-    a_inv = build_transmission_matrix(*filtered).a_inv
-    a_inv.setflags(write=False)
-    return filtered[0], filtered[1], a_inv
+    )
+    a_inv = build_transmission_matrix(s0z, s1z, s0x).a_inv
+    _, c, w = pair_coeffs(s0z, s1z, a_inv)
+    coeffs = term_coeffs(c, w)
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def evaluate_batch(
@@ -211,19 +196,12 @@ def screen_batch(
     """
     intens, feasible = params.intensities(mode, cfg.fluct_r)
     idx = np.flatnonzero(feasible)
-    # the phase-error terms once per distinct p_z; which[i] is the row of
-    # the feasible point idx[i]
-    p_z_values, which = distinct(params.p_z[idx])
-    terms = np.empty((len(p_z_values), 6, 3))
-    for j, p_z in enumerate(p_z_values.tolist()):
-        terms[j] = phase_terms(build_source_model(cfg.xi, p_z))
-
-    intens = intens.take(idx)
+    intens, p_z = intens.take(idx), params.p_z[idx]
     if model is None:
         model = ChannelModel(cfg)
-    counts, e_z = model.expected_batch(intens, params.p_z[idx], n_total)
+    counts, e_z = model.expected_batch(intens, p_z, n_total)
     passed, batch = _rate_batch(
-        counts, e_z, intens, terms[which], budget, n_total, mode, f_ec, floor
+        counts, e_z, intens, cfg.xi, p_z, budget, n_total, mode, f_ec, floor
     )
     screened = np.zeros_like(feasible)
     if passed is not None:
@@ -235,7 +213,8 @@ def _rate_batch(
     counts: CountsBatch,
     e_z: np.ndarray,
     intens: IntensityBatch,
-    terms: np.ndarray,
+    xi: float,
+    p_z: np.ndarray,
     budget: EpsilonBudget | None,
     n_total: float,
     mode: str,
@@ -246,11 +225,14 @@ def _rate_batch(
     in two stages with ``screen_batch``'s screen between them.
 
     Stage 1 bounds m0, m1 and the EC leakage of every point; stage 2
-    (the sixteen cell bounds, the phase-error bound and the key length)
-    runs on the points that pass the screen, every point when ``floor``
-    is None.  Returns the mask of those, None when every point passes,
-    and their results.
+    (the sixteen cell bounds, the phase-error weights at the points'
+    ``p_z``, the phase-error bound and the key length) runs on the
+    points that pass the screen, every point when ``floor`` is None.
+    Returns the mask of those, None when every point passes, and their
+    results.  The source at ``xi`` is built first, so a degenerate one
+    raises whatever the screen keeps.
     """
+    coeffs = source_coeffs(xi)
     factors = decoy_factors(intens)
     m0, m1 = aggregate_bounds(counts, factors, budget, mode)
     z_ks = counts.z_by_k[:, 0]
@@ -268,11 +250,11 @@ def _rate_batch(
             idx = np.flatnonzero(passed)
             counts = CountsBatch(*(a[idx] for a in counts))
             factors = factors[:, idx]
-            terms, e_z, m0, m1, lam, z_ks = (
-                a[idx] for a in (terms, e_z, m0, m1, lam, z_ks)
+            p_z, e_z, m0, m1, lam, z_ks = (
+                a[idx] for a in (p_z, e_z, m0, m1, lam, z_ks)
             )
     cells = cell_bounds(counts, factors, budget, mode)
-    eph = n_ph_upper_batch(terms, cells, m1, budget)
+    eph = n_ph_upper_batch(phase_weights(coeffs, p_z), cells, m1, budget)
     return passed, key_length_batch(
         m0, m1, eph.e_ph_upper, lam, budget, n_total=n_total, e_z=e_z, z_ks_size=z_ks
     )
@@ -300,17 +282,14 @@ def evaluate_rate(
     configuration's trials raise ValueError.
     """
     levels = params.intensities(mode, cfg.fluct_r)
+    p_z = np.array([params.p_z], dtype=float)
     if counts is None:
-        counts, e_z = ChannelModel(cfg).expected_batch(
-            levels, np.array([params.p_z], dtype=float), n_total
-        )
+        counts, e_z = ChannelModel(cfg).expected_batch(levels, p_z, n_total)
     else:
         _check_counts(counts, n_total)
         e_z = np.array([z_error_rate(counts.cells[0, 0].tolist())])
-    qm = build_source_model(cfg.xi, params.p_z)
     _, res = _rate_batch(
-        counts, e_z, levels, np.array([phase_terms(qm)]),
-        budget, n_total, mode, f_ec,
+        counts, e_z, levels, cfg.xi, p_z, budget, n_total, mode, f_ec
     )
     return res.result(0)
 

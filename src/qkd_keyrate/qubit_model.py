@@ -251,15 +251,11 @@ class VirtualStateCoeffs:
     q: dict[int, float]
 
 
-def virtual_state_coeffs(
-    s0z: FilteredQubit,
-    s1z: FilteredQubit,
-    a_inv: np.ndarray,
-    p_z: float,
-) -> VirtualStateCoeffs:
-    if not (0.0 < p_z < 1.0):
-        raise ValueError("p_z must lie strictly in (0, 1)")
-    p_x = 1.0 - p_z
+def pair_coeffs(
+    s0z: FilteredQubit, s1z: FilteredQubit, a_inv: np.ndarray
+) -> tuple[float, np.ndarray, tuple[float, float]]:
+    """The part of ``virtual_state_coeffs`` that does not depend on p_z:
+    ``overlap``, ``c`` and ``w`` of the two filtered Z states."""
     pairs = [
         (s0z.a0, s0z.b0, s1z.a0, s1z.b0, s0z.p0, s1z.p0),
         (s0z.a1, s0z.b1, s1z.a1, s1z.b1, s0z.p1, s1z.p1),
@@ -276,6 +272,19 @@ def virtual_state_coeffs(
                 + (a * bp + b * ap) * a_inv[1, l]
                 + (a * ap - b * bp) * a_inv[2, l]
             )
+    return overlap, c, (w[0], w[1])
+
+
+def virtual_state_coeffs(
+    s0z: FilteredQubit,
+    s1z: FilteredQubit,
+    a_inv: np.ndarray,
+    p_z: float,
+) -> VirtualStateCoeffs:
+    if not (0.0 < p_z < 1.0):
+        raise ValueError("p_z must lie strictly in (0, 1)")
+    p_x = 1.0 - p_z
+    overlap, c, w = pair_coeffs(s0z, s1z, a_inv)
     probs = {
         1: p_z**2 * (1.0 + overlap) / 2.0,
         2: p_z**2 * (1.0 - overlap) / 2.0,
@@ -291,4 +300,4 @@ def virtual_state_coeffs(
         5: p_x * probs[5],
         6: p_z * probs[5],
     }
-    return VirtualStateCoeffs(overlap=overlap, c=c, w=(w[0], w[1]), probs=probs, q=q)
+    return VirtualStateCoeffs(overlap=overlap, c=c, w=w, probs=probs, q=q)

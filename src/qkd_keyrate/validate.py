@@ -28,8 +28,8 @@ from .decoy import (
     decoy_bounds_batch,
     poisson_pk,
 )
-from .phase_error import n_ph_appendixE, n_ph_upper_batch, phase_terms
-from .pipeline import ParamBatch, ProtocolParams, build_source_model
+from .phase_error import n_ph_appendixE, n_ph_upper_batch, phase_weights
+from .pipeline import ParamBatch, ProtocolParams, source_coeffs
 
 __all__ = [
     "coverage_suite",
@@ -269,7 +269,7 @@ def crosscheck_suite(tolerance: float = 1e-9) -> dict:
     points = []
     worst = 0.0
     for xi in xis:
-        terms = np.array([phase_terms(build_source_model(xi, p_z)) for p_z in pzs])
+        weights = phase_weights(source_coeffs(xi), params.p_z)
         for dist in dists:
             cfg = ChannelConfig(
                 distance_km=dist, det_eff=0.15, dark_prob=5e-7,
@@ -277,7 +277,7 @@ def crosscheck_suite(tolerance: float = 1e-9) -> dict:
             )
             counts, _ = ChannelModel(cfg).expected_batch(intens, params.p_z, n_total)
             _, m1, cells = decoy_bounds_batch(counts, intens, budget, "exact")
-            general = n_ph_upper_batch(terms, cells, m1, budget).n_ph_upper
+            general = n_ph_upper_batch(weights, cells, m1, budget).n_ph_upper
             closed = n_ph_appendixE(xi, params.p_z, cells, budget)
             rel = np.abs(general - closed) / np.maximum(np.abs(closed), 1e-300)
             for p_z, rel_diff in zip(pzs, rel.tolist()):

@@ -14,7 +14,17 @@ from qkd_keyrate.decoy import (
     decoy_bounds_batch,
 )
 from qkd_keyrate.key_length import key_length_batch
-from qkd_keyrate.phase_error import n_ph_upper_batch, phase_terms
+from qkd_keyrate.phase_error import n_ph_upper_batch, phase_weights, term_coeffs
+from qkd_keyrate.qubit_model import (
+    THETA_0X,
+    THETA_0Z,
+    THETA_1Z,
+    EncodingFlawModel,
+    apply_filter,
+    bloch_of_state,
+    build_transmission_matrix,
+    virtual_state_coeffs,
+)
 
 
 def one(value):
@@ -58,9 +68,23 @@ def cell(cells, a, y, b, y1):
     return CellBoundsBatch(*(part[:, i] for part in cells))
 
 
-def phase_bound(qm, cells, m1, budget):
-    """The phase-error bound of one point with source ``qm``."""
-    return n_ph_upper_batch(np.array([phase_terms(qm)]), cells, m1, budget)
+def source_model(xi, p_z, gamma=1.0):
+    """The VirtualStateCoeffs of the proportional flaw model at (xi, p_z),
+    built without the library's memo; ``gamma`` is the amplitude ratio of
+    the two pulses, 1 for the balanced source the library builds."""
+    flaw = EncodingFlawModel(model_xi=xi) if xi != 0.0 else EncodingFlawModel.exact()
+    s0z, s1z, s0x = (apply_filter(bloch_of_state(theta, flaw, gamma))
+                     for theta in (THETA_0Z, THETA_1Z, THETA_0X))
+    a_inv = build_transmission_matrix(s0z, s1z, s0x).a_inv
+    return virtual_state_coeffs(s0z, s1z, a_inv, p_z)
+
+
+def phase_bound(xi, p_z, cells, m1, budget, gamma=1.0):
+    """The phase-error bound of one point with the ``source_model`` at
+    (xi, p_z, gamma)."""
+    qm = source_model(xi, p_z, gamma)
+    weights = phase_weights(term_coeffs(qm.c, qm.w), one(p_z))
+    return n_ph_upper_batch(weights, cells, m1, budget)
 
 
 def key_length(m0, m1, e_ph, lam_ec, budget, *, n_total, e_z=0.0, z_ks_size=0.0):

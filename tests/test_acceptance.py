@@ -21,7 +21,7 @@ from qkd_keyrate.channel import ChannelConfig
 from qkd_keyrate.cli import run_sweep
 from qkd_keyrate.config import parse_config, with_overrides
 from qkd_keyrate.optimize import optimize_rate
-from qkd_keyrate.pipeline import ProtocolParams, build_source_model, evaluate_rate
+from qkd_keyrate.pipeline import ProtocolParams, evaluate_rate
 from qkd_keyrate.qubit_model import (
     EncodingFlawModel,
     THETA_0X,

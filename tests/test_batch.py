@@ -24,13 +24,12 @@ from qkd_keyrate.optimize import GRID_CHUNK, SearchSpace, optimize_rate
 from qkd_keyrate.pipeline import (
     ParamBatch,
     ProtocolParams,
-    build_source_model,
     evaluate_batch,
     evaluate_rate,
     screen_batch,
 )
 
-from one_point import expected_counts
+from one_point import expected_counts, source_model
 from scalar_chain import (
     BoundKind,
     DecoyBound,
@@ -72,7 +71,7 @@ def scalar_rate(cfg, params, budget, n_total, mode, f_ec=1.16, counts=None):
         m0 = m0_lower_fluct(counts, intens, budget)
         m1 = m1_lower_fluct(counts, intens, budget, m0)
     cells = {c: decoy_cell_bounds(c, counts, intens, budget, mode) for c in CELLS}
-    eph = n_ph_upper_general(build_source_model(cfg.xi, params.p_z), cells, m1, budget)
+    eph = n_ph_upper_general(source_model(cfg.xi, params.p_z), cells, m1, budget)
     z_ks = counts.z_k("s")
     return key_length(m0, m1, eph, lambda_ec(z_ks, e_z, f_ec), budget,
                       n_total=n_total, e_z=e_z, z_ks_size=z_ks)

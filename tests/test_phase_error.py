@@ -1,11 +1,10 @@
 """Tests for the phase-error upper bound.
 
-The central check plays the general coefficient-driven estimator against
+The central check plays the general weight-driven estimator against
 the closed form for the proportional flaw model; the two derivations
 share no code path beyond the cell bounds, so agreement pins both.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -14,30 +13,17 @@ import pytest
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig
 from qkd_keyrate.decoy import CELLS, CellBoundsBatch
-from qkd_keyrate.phase_error import n_ph_appendixE, n_ph_upper_batch, phase_terms
-from qkd_keyrate.pipeline import ProtocolParams
-from qkd_keyrate.qubit_model import (
-    EncodingFlawModel,
-    THETA_0X,
-    THETA_0Z,
-    THETA_1Z,
-    apply_filter,
-    bloch_of_state,
-    build_transmission_matrix,
-    virtual_state_coeffs,
+from qkd_keyrate.key_length import ABORT_COUNTS
+from qkd_keyrate.phase_error import (
+    n_ph_appendixE,
+    n_ph_upper_batch,
+    phase_weights,
+    term_coeffs,
 )
+from qkd_keyrate.pipeline import ProtocolParams, evaluate_rate
 
 from one_point import bound as m1_bound
-from one_point import decoy_bounds, expected_counts, phase_bound
-
-
-def build_qm(xi, p_z, gamma=1.0):
-    flaw = EncodingFlawModel(model_xi=xi) if xi else EncodingFlawModel.exact()
-    states = {}
-    for name, theta in (("0z", THETA_0Z), ("1z", THETA_1Z), ("0x", THETA_0X)):
-        states[name] = apply_filter(bloch_of_state(theta, flaw, gamma))
-    tm = build_transmission_matrix(states["0z"], states["1z"], states["0x"])
-    return virtual_state_coeffs(states["0z"], states["1z"], tm.a_inv, p_z)
+from one_point import decoy_bounds, expected_counts, phase_bound, source_model
 
 
 def build_stats(xi, p_z, distance_km, budget, p_d=5e-7, e_mis=0.01, n=1e12):
@@ -57,8 +43,7 @@ def test_general_matches_closed_form(xi, distance, finite):
     p_z = 0.5
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact") if finite else None
     cells, m1 = build_stats(xi, p_z, distance, budget)
-    qm = build_qm(xi, p_z)
-    general = phase_bound(qm, cells, m1, budget)
+    general = phase_bound(xi, p_z, cells, m1, budget)
     reduced = n_ph_appendixE(xi, np.array([p_z]), cells, budget)
     assert general.n_ph_upper == pytest.approx(reduced, rel=1e-9)
 
@@ -86,8 +71,7 @@ def test_ideal_source_has_no_phase_errors():
     # and negative halves of the estimator cancel exactly; the residual
     # seen through decoy bounds is multi-photon contamination, not this
     cells = exact_single_photon_cells(0.5, 0.015)
-    qm = build_qm(0.0, 0.5)
-    bound = phase_bound(qm, cells, m1_bound(1.0), None)
+    bound = phase_bound(0.0, 0.5, cells, m1_bound(1.0), None)
     assert bound.n1_upper > 0.0
     assert abs(bound.n_ph_upper) <= 1e-12 * bound.n1_upper
     assert bound.e_ph_upper <= 1e-12
@@ -97,7 +81,7 @@ def test_ideal_source_decoy_residual_is_moderate():
     # the decoy-estimated version keeps a multi-photon residual; it must
     # stay well below the abort threshold at metropolitan distances
     cells, m1 = build_stats(0.0, 0.5, 50.0, None, p_d=0.0, e_mis=0.0)
-    bound = phase_bound(build_qm(0.0, 0.5), cells, m1, None)
+    bound = phase_bound(0.0, 0.5, cells, m1, None)
     assert 0.0 < bound.e_ph_upper < 0.12
 
 
@@ -105,55 +89,94 @@ def test_n1_upper_sums_cells():
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
     cells, m1 = build_stats(0.147, 0.5, 50.0, budget)
     total = sum(cells.upper1[0].tolist())
-    n1 = phase_bound(build_qm(0.147, 0.5), cells, m1, budget).n1_upper
+    n1 = phase_bound(0.147, 0.5, cells, m1, budget).n1_upper
     assert n1 == pytest.approx(total, rel=1e-14)
 
 
 def test_deviations_only_loosen():
-    qm = build_qm(0.147, 0.5)
     bounds = []
     # asymptotic, then ever smaller allocations per estimate
     for budget in (None, *(EpsilonBudget.build(eps, 1e-15, mode="exact")
                            for eps in (1e-6, 1e-10))):
         cells, m1 = build_stats(0.147, 0.5, 80.0, budget)
-        bounds.append(phase_bound(qm, cells, m1, budget))
+        bounds.append(phase_bound(0.147, 0.5, cells, m1, budget))
     for looser, tighter in zip(bounds, bounds[1:]):
         assert tighter.n_ph_upper > looser.n_ph_upper
         assert tighter.e_ph_upper > looser.e_ph_upper
 
 
 def test_upper_branch_dominates_lower():
-    # a single unit-weight term, outcome 3 of half 1 (cell Z0 -> X0): a
-    # positive coefficient takes the upper bound plus its deviation, a
-    # negative one the lower bound minus it, floored at zero; a zero
-    # coefficient leaves only the two tail deviations
-    budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
-    cells, m1 = build_stats(0.147, 0.5, 50.0, budget)
-    q = 0.25 * 0.5
+    # a single term, outcome 3 of half 1 (cell Z0 -> X0): a positive
+    # weight takes the upper bound plus its deviation, a negative one the
+    # lower bound minus it, floored at zero; a zero weight leaves only the
+    # two tail deviations, and without a budget nothing at all
+    cell = CELLS.index(("Z", 0, "X", 0))
+    for budget in (EpsilonBudget.build(1e-10, 1e-15, mode="exact"), None):
+        cells, m1 = build_stats(0.147, 0.5, 50.0, budget)
 
-    def one_term(coef):
-        terms = np.zeros((1, 6, 3))
-        terms[:, :, 2] = 1.0
-        terms[0, 3] = (1.0, coef, q)
-        return n_ph_upper_batch(terms, cells, m1, budget).n_ph_upper
+        def one_term(weight):
+            weights = np.zeros((1, 6))
+            weights[0, 3] = weight
+            return n_ph_upper_batch(weights, cells, m1, budget).n_ph_upper[0]
 
-    hi, lo, tails = one_term(+1.0), one_term(-1.0), one_term(0.0)
-    assert hi >= lo >= tails
+        hi, lo, tails = one_term(+2.0), one_term(-2.0), one_term(0.0)
+        assert hi > tails >= lo
+    assert tails == lo == 0.0
+    assert hi == 2.0 * cells.upper1[0, cell]
 
 
-def test_phase_terms_validation():
-    # every collective outcome with a nonzero coefficient needs a positive
-    # weight Q(omega)
-    qm = build_qm(0.147, 0.5)
-    for omega in (3, 4, 5):
-        with pytest.raises(ValueError):
-            phase_terms(dataclasses.replace(qm, q={**qm.q, omega: 0.0}))
+# (half s, collective outcome omega) of each term, in phase_weights' order
+TERMS = tuple((s, omega) for s in (0, 1) for omega in (3, 4, 5))
+
+
+def per_source_weights(qm):
+    """pref * coef / Q(omega) per term, formed from one source's
+    VirtualStateCoeffs as the bound formed them before its weights took
+    a closed form in p_z."""
+    sums = [qm.w[0] * qm.c[0, l] + qm.w[1] * qm.c[1, l] for l in range(3)]
+    out = []
+    for s, omega in TERMS:
+        sgn = 1.0 if s == 0 else -1.0
+        denom = 2.0 * (1.0 + sgn * qm.overlap)
+        if abs(denom) > 1e-12:
+            pref = qm.probs[s + 1] / denom
+        else:
+            # both virtual states collapse onto one; the ratio's limit
+            pref = (qm.probs[1] + qm.probs[2]) / 4.0
+        coef = {3: 1.0 + sgn * sums[0], 4: 1.0 + sgn * sums[1], 5: sgn * sums[2]}[omega]
+        out.append(pref * coef / qm.q[omega])
+    return out
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.147, 1.0, 1.5])
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+def test_weights_match_per_source_algebra(xi, gamma):
+    p_z = np.array([1e-3, 0.3, 0.5, 0.95, 0.999])
+    qm = source_model(xi, 0.5, gamma)
+    weights = phase_weights(term_coeffs(qm.c, qm.w), p_z)
+    assert weights.shape == (len(p_z), 6)
+    for row, pz in zip(weights.tolist(), p_z.tolist()):
+        ref = per_source_weights(source_model(xi, pz, gamma))
+        for a, b in zip(row, ref):
+            assert a == b or abs(a - b) <= 1e-15 * abs(b), (pz, a, b)
+
+
+@pytest.mark.parametrize("p_z", [5e-324, 1e-310])
+def test_tiny_p_z_aborts_for_counts(p_z):
+    # Q(omega) of such a p_z is 0 or subnormal, but the weights divide by
+    # nothing: the point aborts for its empty key, with no RuntimeWarning
+    cfg = ChannelConfig(distance_km=50.0, det_eff=0.15, dark_prob=5e-7,
+                        e_mis=0.01, fluct_r=0.0, xi=0.147)
+    params = ProtocolParams(p_z=p_z, p_ks=0.6, p_kd1=0.3, k_s=0.5, k_d1=0.1)
+    res = evaluate_rate(cfg, params, EpsilonBudget.build(1e-10, 1e-15, "exact"), 1e12)
+    assert res.aborted and res.abort_reason == ABORT_COUNTS and res.ell == 0
+    assert all(math.isfinite(v) for v in (res.rate, res.m0_l, res.m1_l, res.e_ph_u))
 
 
 def test_empty_single_photon_bound_aborts():
     cells, _ = build_stats(0.147, 0.5, 50.0, None)
     dead = m1_bound(0.0)
-    bound = phase_bound(build_qm(0.147, 0.5), cells, dead, None)
+    bound = phase_bound(0.147, 0.5, cells, dead, None)
     assert bound.e_ph_upper == 1.0
 
 
@@ -161,16 +184,15 @@ def test_error_rate_clamped_to_one():
     # a tiny single-photon floor forces the ratio past 1
     cells, _ = build_stats(0.147, 0.5, 50.0, None)
     tiny = m1_bound(1e-6)
-    bound = phase_bound(build_qm(0.147, 0.5), cells, tiny, None)
+    bound = phase_bound(0.147, 0.5, cells, tiny, None)
     assert bound.e_ph_upper == 1.0
 
 
 def test_unbalanced_source_still_bounded():
     # gamma != 1 leaves the closed form's domain but the general path
     # must still produce a sane bound
-    qm = build_qm(0.147, 0.5, gamma=0.9)
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
     cells, m1 = build_stats(0.147, 0.5, 50.0, budget)
-    bound = phase_bound(qm, cells, m1, budget)
+    bound = phase_bound(0.147, 0.5, cells, m1, budget, gamma=0.9)
     assert bound.n_ph_upper >= 0.0
     assert 0.0 <= bound.e_ph_upper <= 1.0

@@ -12,27 +12,17 @@ from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig
 from qkd_keyrate.decoy import CELLS, CountsBatch
 from qkd_keyrate.optimize import SearchSpace
+from qkd_keyrate.phase_error import term_coeffs
 from qkd_keyrate.pipeline import (
     ParamBatch,
     ProtocolParams,
-    _filtered_source,
-    build_source_model,
     evaluate_batch,
     evaluate_rate,
+    source_coeffs,
 )
-from qkd_keyrate.qubit_model import (
-    THETA_0X,
-    THETA_0Z,
-    THETA_1Z,
-    DegenerateStatesError,
-    EncodingFlawModel,
-    apply_filter,
-    bloch_of_state,
-    build_transmission_matrix,
-    virtual_state_coeffs,
-)
+from qkd_keyrate.qubit_model import DegenerateStatesError
 
-from one_point import expected_counts
+from one_point import expected_counts, source_model
 
 PARAMS = ProtocolParams(p_z=0.88, p_ks=0.8, p_kd1=0.12, k_s=0.46, k_d1=0.11)
 
@@ -88,18 +78,21 @@ def test_infeasible_params_raise():
 
 
 # an infinite k_s, and k_s^+ = 756 at r = 0.05, where e^{k+} overflows:
-# both gave NaN bounds, and the batch kept them as feasible points
+# both gave NaN bounds, and the batch kept them as feasible points.  A
+# k+ near 690 with a selection probability of 1e-12 kept e^{k+} finite,
+# but e^{k+}/p overflowed and warned, on the signal or on a decoy
 OVERFLOWING = {
-    "exact-inf": ("exact", 0.0, math.inf),
-    "fluct-720": ("fluct", 0.05, 720.0),
+    "exact-inf": ("exact", 0.0, ProtocolParams(0.9, 0.8, 0.12, math.inf, 0.11)),
+    "fluct-720": ("fluct", 0.05, ProtocolParams(0.9, 0.8, 0.12, 720.0, 0.11)),
+    "exact-rare-signal": ("exact", 0.0, ProtocolParams(0.7, 1e-12, 0.5, 690.0, 0.1)),
+    "exact-rare-decoy": ("exact", 0.0, ProtocolParams(0.7, 0.6, 1e-12, 695.0, 690.0)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OVERFLOWING))
 def test_overflowing_intensities_are_infeasible(case):
-    mode, r, k_s = OVERFLOWING[case]
+    mode, r, params = OVERFLOWING[case]
     cfg = channel(50.0, r)
-    params = ProtocolParams(p_z=0.9, p_ks=0.8, p_kd1=0.12, k_s=k_s, k_d1=0.11)
     with pytest.raises(ValueError):
         evaluate_rate(cfg, params, budget(mode), 1e12, mode=mode)
     feasible, batch = evaluate_batch(
@@ -110,7 +103,8 @@ def test_overflowing_intensities_are_infeasible(case):
 
 FIELDS = ("p_z", "p_ks", "p_kd1", "k_s", "k_d1", "k_d2")
 ODD_VALUES = st.sampled_from(
-    [math.nan, math.inf, -math.inf, -0.1, 0.0, 1.0, 1.5, 699.0, 700.0, 800.0]
+    [math.nan, math.inf, -math.inf, -0.1, 0.0, 1e-12, 1.0, 1.5, 690.0, 699.0,
+     700.0, 800.0]
 )
 
 
@@ -257,51 +251,30 @@ def test_flaw_tolerance_at_fixed_point():
     assert flawed.rate > 0.5 * clean.rate
 
 
-def uncached_source_model(xi, p_z, gamma=1.0):
-    """build_source_model without its memos."""
-    flaw = EncodingFlawModel(model_xi=xi) if xi != 0.0 else EncodingFlawModel.exact()
-    filtered = [apply_filter(bloch_of_state(theta, flaw, gamma))
-                for theta in (THETA_0Z, THETA_1Z, THETA_0X)]
-    tm = build_transmission_matrix(*filtered)
-    return virtual_state_coeffs(filtered[0], filtered[1], tm.a_inv, p_z)
-
-
 def test_cached_source_model_matches_uncached():
     # xi changes between calls, so each xi is read back after another one
     for xi in (0.0, 0.05, 0.147, 0.05, 0.0, 0.147):
-        for p_z in (0.3, 0.5, 0.88, 0.95):
-            got = build_source_model(xi, p_z)
-            want = uncached_source_model(xi, p_z)
-            for field in dataclasses.fields(got):
-                a, b = getattr(got, field.name), getattr(want, field.name)
-                if isinstance(a, np.ndarray):
-                    assert a.dtype == b.dtype and (a == b).all(), field.name
-                else:
-                    assert a == b, field.name
-
-
-def test_cached_a_inv_is_read_only():
-    build_source_model(0.147, 0.5)
-    _, _, a_inv = _filtered_source(0.147)
-    with pytest.raises(ValueError):
-        a_inv[0, 0] = 1.0
+        got = source_coeffs(xi)
+        qm = source_model(xi, 0.5)
+        want = term_coeffs(qm.c, qm.w)
+        assert got.dtype == want.dtype and (got == want).all(), xi
 
 
 def test_source_model_is_memoized_read_only():
-    qm = build_source_model(0.147, 0.61)
-    assert build_source_model(0.147, 0.61) is qm
+    coeffs = source_coeffs(0.147)
+    assert source_coeffs(0.147) is coeffs
     with pytest.raises(ValueError):
-        qm.c[0, 0] = 1.0
+        coeffs[0] = 1.0
 
 
 def test_degenerate_source_is_not_cached():
     # at xi = pi the Z1 state lands on Z0 and all three filtered states
     # are collinear; every call must raise again, not find a stored result
     for _ in range(2):
-        misses = _filtered_source.cache_info().misses
+        misses = source_coeffs.cache_info().misses
         with pytest.raises(DegenerateStatesError):
-            build_source_model(math.pi, 0.5)
-        assert _filtered_source.cache_info().misses == misses + 1
+            source_coeffs(math.pi)
+        assert source_coeffs.cache_info().misses == misses + 1
 
 
 def test_degenerate_source_raises_for_the_batch():
