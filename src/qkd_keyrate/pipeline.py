@@ -144,7 +144,8 @@ def source_coeffs(xi: float) -> np.ndarray:
     _, c, w = pair_coeffs(s0z, s1z, a_inv)
     coeffs = term_coeffs(c, w)
     coeffs.setflags(write=False)
-    return coeffs
+    # a view of a read-only base cannot be flagged writable again
+    return coeffs[:]
 
 
 def evaluate_batch(

@@ -267,6 +267,16 @@ def test_source_model_is_memoized_read_only():
         coeffs[0] = 1.0
 
 
+def test_cached_a_inv_is_read_only():
+    # the memo holds the coefficients formed from a_inv; a caller can
+    # neither write them nor turn their write flag back on
+    coeffs = source_coeffs(0.147)
+    with pytest.raises(ValueError):
+        coeffs.setflags(write=True)
+    with pytest.raises(ValueError):
+        coeffs[:] = 0.0
+
+
 def test_degenerate_source_is_not_cached():
     # at xi = pi the Z1 state lands on Z0 and all three filtered states
     # are collinear; every call must raise again, not find a stored result
