@@ -3,7 +3,8 @@ with imperfectly encoded states and intensity-fluctuating light sources.
 
 The package is organised bottom-up:
 
-- ``concentration``: the four tail bounds every estimator rests on.
+- ``concentration``: the four tail bounds every estimator rests on, as
+  functions of ln(1/eps) (``qkd_keyrate.concentration``; not re-exported).
 - ``qubit_model``: source characterisation (Bloch vectors, filtered states,
   basis-mismatch transmission coefficients).
 - ``channel``: lossy-channel click statistics used to generate expected or
@@ -21,12 +22,6 @@ The package is organised bottom-up:
 
 from .budget import EpsilonBudget
 from .channel import ChannelConfig, ChannelModel
-from .concentration import (
-    azuma_dev,
-    chernoff_devs,
-    hoeffding_dev,
-    mult_chernoff_devs,
-)
 from .config import ConfigError, RunConfig, load_config
 from .decoy import CountsBatch
 from .key_length import KeyRateResult, binary_entropy, eph_threshold
@@ -42,10 +37,6 @@ __all__ = [
     "EpsilonBudget",
     "ChannelConfig",
     "ChannelModel",
-    "azuma_dev",
-    "chernoff_devs",
-    "hoeffding_dev",
-    "mult_chernoff_devs",
     "ConfigError",
     "RunConfig",
     "load_config",

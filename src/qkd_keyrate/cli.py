@@ -120,6 +120,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     report = run_validation(seed=args.seed)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

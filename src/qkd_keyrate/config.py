@@ -34,6 +34,10 @@ DEFAULT_SECTIONS = {
 
 _MODES = ("exact", "fluctuating")
 _STRATEGIES = ("grid", "grid+nm")
+# the most distances one sweep may have
+MAX_DISTANCES = 10_000
+# absorbs accumulated float error at the sweep's stop endpoint
+_STOP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,14 @@ class RunConfig:
                 "need 0 <= sweep.start_km <= sweep.stop_km, got "
                 f"start={self.start_km!r} stop={self.stop_km!r}"
             )
+        # distances() gives floor(span / step) + 1 points; counted here
+        # without building them
+        if (self.stop_km + _STOP_TOL - self.start_km) / self.step_km >= MAX_DISTANCES:
+            raise ConfigError(
+                f"sweep.step_km = {self.step_km!r} gives more than "
+                f"{MAX_DISTANCES} distances from {self.start_km!r} to "
+                f"{self.stop_km!r} km"
+            )
         if self.strategy not in _STRATEGIES:
             raise ConfigError(
                 f"optimizer.strategy must be one of {_STRATEGIES}, "
@@ -149,8 +161,7 @@ class RunConfig:
         """Sweep grid start, start+step, ... up to and including stop."""
         out = []
         i = 0
-        # tolerance absorbs accumulated float error at the stop endpoint
-        while (d := self.start_km + i * self.step_km) <= self.stop_km + 1e-9:
+        while (d := self.start_km + i * self.step_km) <= self.stop_km + _STOP_TOL:
             out.append(d)
             i += 1
         return tuple(out)

@@ -15,8 +15,9 @@ a leading batch axis on every array; one point is a batch of one.  It
 is ``aggregate_bounds`` (m0 and m1) followed by ``cell_bounds`` (the
 sixteen cells), both on the per-point factors of ``decoy_factors``, so
 a caller can stop after m0 and m1.  Each
-mean estimate takes its deviation from its own allocation of the static
-budget, which the key length charges as a whole.  Passing
+mean estimate takes its deviation, a ``concentration`` function, from
+its own allocation of the static budget, which the key length charges
+as a whole.  Passing
 ``budget=None`` zeroes all statistical deviations, which turns the
 bounds into their asymptotic (infinite-key) counterparts.  The one-point
 functions the batch replaced are kept as the test reference in
@@ -31,6 +32,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .budget import CELL_IDS, EpsilonBudget
+from .concentration import (
+    azuma_dev,
+    chernoff_dev,
+    chernoff_valid,
+    hoeffding_dev,
+    mult_chernoff_dev,
+)
 
 __all__ = [
     "CELLS",
@@ -210,16 +218,14 @@ _ESTIMATES = (
     (0, "z.s.sin.hi", "s.hi"),
 )
 _ROWS = np.array([row for row, _, _ in _ESTIMATES])
-_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])[:, None]
+# which estimates bound the mean from above, and their deviations' signs
+_ABOVE = np.array([False, False, True, True, True])[:, None]
+_SIGNS = np.where(_ABOVE, 1.0, -1.0)
 _NAMES = tuple(
     name
     for _, aggregate, cell in _ESTIMATES
     for name in (aggregate, *(f"cell.{cid}.{cell}" for cid in CELL_IDS))
 )
-# the multiplicative-Chernoff deviation is sqrt(n (a ln(1/eps) + b)), with
-# a = 3, b = 0 below the mean and a = 8, b = 2 ln 16 above it
-_CHERNOFF_A = np.array([3.0, 3.0, 8.0, 8.0, 8.0])[:, None]
-_CHERNOFF_B = np.array([0.0, 0.0, 1.0, 1.0, 1.0])[:, None] * 2.0 * math.log(16.0)
 
 
 # the exponents of decoy_factors' stacked arguments: k e^{-k} at the
@@ -285,7 +291,9 @@ def _mean_estimates(
     Exact mode takes the Hoeffding deviation against ``size``, the
     population total, or the multiplicative-Chernoff deviation of the
     observed count where that is smaller (its validity rests on a
-    Hoeffding event, which the estimate's ``.H`` allocation covers);
+    Hoeffding event, which the estimate's ``.H`` allocation covers;
+    ``concentration.mult_chernoff_valid`` is not applied yet, see
+    ROADMAP open item 4);
     fluct mode takes an Azuma deviation over ``size``, the trials.  This
     is the library's only choice between the two mean bounds.
     """
@@ -293,12 +301,12 @@ def _mean_estimates(
         return observed
     log_inv = budget.log_inv(_NAMES).reshape(5, 17)[:, populations]
     if mode == "fluct":
-        dev = np.sqrt(2.0 * size * log_inv)
+        dev = azuma_dev(size, log_inv)
     else:
         # the Hoeffding deviation, replaced by the multiplicative-Chernoff
         # one where that is smaller (in place: a batch's arrays are large)
-        dev = np.sqrt(size / 2.0 * log_inv)
-        dev_m = np.sqrt(observed * (_CHERNOFF_A * log_inv + _CHERNOFF_B))
+        dev = hoeffding_dev(size, log_inv)
+        dev_m = mult_chernoff_dev(observed, log_inv, _ABOVE)
         multiplicative = dev_m < dev
         np.copyto(dev, dev_m, where=multiplicative)
         del dev_m
@@ -343,12 +351,12 @@ def _count_bounds(
         return low0[:, 0], low1[:, 0]
     mu = np.concatenate([low0, low1], axis=1)
     log_inv = budget.log_inv(("m0.final", "m1.final"))
-    # the multiplicative deviation sqrt(2 mu ln(1/eps)) while the mean
-    # dominates 2 ln(1/eps), Hoeffding over N_z below that
+    # the lower Chernoff deviation where it is valid, Hoeffding over N_z
+    # elsewhere
     dev = np.where(
-        mu > 2.0 * log_inv,
-        np.sqrt(2.0 * mu * log_inv),
-        np.sqrt(counts.n_z[:, None] / 2.0 * log_inv),
+        chernoff_valid(mu, log_inv, False),
+        chernoff_dev(mu, log_inv, False),
+        hoeffding_dev(counts.n_z[:, None], log_inv),
     )
     value = np.minimum(np.maximum(mu - dev, 0.0), counts.z_by_k[:, :1])
     return value[:, 0], value[:, 1]

@@ -190,11 +190,12 @@ def optimize_rate(
     the Nelder-Mead polish it once ran) then polishes the best grid
     point with the compass search.  Both are deterministic:
     ``seed`` is accepted for config compatibility and has no effect.
-    When nothing in the box extracts a key the grid-center abort result
-    is returned with rate 0.  Settings that concern every point (mode,
-    n_total, f_ec, a degenerate source) raise ``evaluate_batch``'s
-    ValueError; InfeasibleSearchError means that no point of the box is
-    feasible.
+    When nothing in the box extracts a key, the full result of the
+    first feasible grid point (the grid centre only when the centre is
+    feasible) is returned, with rate 0.  Settings that concern every
+    point (mode, n_total, f_ec, a degenerate source) raise
+    ``evaluate_batch``'s ValueError; InfeasibleSearchError means that no
+    point of the box is feasible.
     """
     if strategy not in ("grid", "grid+nm"):
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .budget import EpsilonBudget
+from .concentration import azuma_dev
 from .decoy import CELLS, CellBoundsBatch
 
 __all__ = [
@@ -118,7 +119,7 @@ def n_ph_upper_batch(
     if budget is None:
         dev = tail = 0.0
     else:
-        dev = np.sqrt(2.0 * n1[:, None] * budget.log_inv(_DEV_NAMES))
+        dev = azuma_dev(n1[:, None], budget.log_inv(_DEV_NAMES))
         dev, tail = dev[:, :6], dev[:, 6] + dev[:, 7]
     value = np.where(
         weights > 0.0,
@@ -169,8 +170,8 @@ def n_ph_appendixE(
         d_x0x1 = d_z0x0 = d_z1x0 = d_x0x0 = tail_s0 = tail_s1 = 0.0
     else:
         log_inv = budget.log_inv(_APPENDIX_E_NAMES)
-        d_x0x1, d_z0x0, d_z1x0, d_x0x0, tail_s0, tail_s1 = np.sqrt(
-            2.0 * n1 * log_inv[:, None]
+        d_x0x1, d_z0x0, d_z1x0, d_x0x0, tail_s0, tail_s1 = azuma_dev(
+            n1, log_inv[:, None]
         )
     return (
         half_r2 * (upper[:, _X0X1] + d_x0x1)

@@ -10,9 +10,12 @@ turns one row of a ``CountsBatch`` into ``ObservedCounts``.  The scalar
 ``IntensitySet`` they read is frozen here too, with the mode dispatch
 that built it from a ``ProtocolParams`` (``intensity_set``) and its
 conversion to a one-row ``IntensityBatch`` (``level_batch``), so its
-feasibility checks stay an independent rule for the batch mask.
-``tests/test_batch.py`` asserts that the batch path reproduces them
-(key length and abort reason exactly, floats to 1e-12 relative).
+feasibility checks stay an independent rule for the batch mask.  So
+are the scalar ``hoeffding_dev`` and ``azuma_dev`` of an epsilon that
+they called, so that the reference does not follow the library's
+``concentration``.  ``tests/test_batch.py`` asserts that the batch path
+reproduces them (key length and abort reason exactly, floats to 1e-12
+relative).
 Nothing in the library calls them.
 """
 
@@ -23,10 +26,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from qkd_keyrate.budget import EpsilonBudget
-from qkd_keyrate.concentration import _log_inv, azuma_dev, hoeffding_dev
 import numpy as np
 
+from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.decoy import CELLS, K_LABELS, CountsBatch, IntensityBatch, LevelBatch
 from qkd_keyrate.key_length import (
     ABORT_COUNTS,
@@ -240,6 +242,32 @@ def observed_error_rate(counts: ObservedCounts) -> float:
 
 # ---------------------------------------------------------------------------
 # concentration.py
+
+
+def _check_prob(eps: float, name: str = "eps") -> None:
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"{name} must lie strictly in (0, 1), got {eps!r}")
+
+
+def _log_inv(eps: float) -> float:
+    # ln(1/eps) without forming 1/eps
+    return -math.log(eps)
+
+
+def hoeffding_dev(trials: float, eps: float) -> float:
+    """Hoeffding deviation ``sqrt(trials/2 ln(1/eps))``; always valid."""
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
+    _check_prob(eps)
+    return math.sqrt(trials / 2.0 * _log_inv(eps))
+
+
+def azuma_dev(trials: float, eps: float) -> float:
+    """Azuma deviation ``sqrt(2 trials ln(1/eps))`` for unit-bounded martingales."""
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
+    _check_prob(eps)
+    return math.sqrt(2.0 * trials * _log_inv(eps))
 
 
 def best_mean_bound(

@@ -150,6 +150,13 @@ def _assert_clean_error(code, capsys):
     return err
 
 
+def test_negative_validate_seed_exit_code(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["validate", "--seed", "-1", "--out", str(out)])
+    assert "--seed must be >= 0" in _assert_clean_error(code, capsys)
+    assert not out.exists()
+
+
 def test_non_finite_config_exit_code(tmp_path, capsys):
     ini = tmp_path / "nan.ini"
     ini.write_text("[run]\nn_total = nan\n[sweep]\nstart_km = 0\nstop_km = 0\n")

@@ -1,10 +1,13 @@
 """Tests for the concentration-bound primitives.
 
 Frozen reference values were computed with mpmath at 60 decimal digits,
-independently of the implementation.
+independently of the implementation.  Every bound takes ln(1/eps), the
+``L`` of each test.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkd_keyrate.concentration import (
-    Lemma,
     azuma_dev,
-    chernoff_devs,
+    chernoff_dev,
+    chernoff_valid,
     hoeffding_dev,
-    mult_chernoff_devs,
+    mult_chernoff_dev,
+    mult_chernoff_valid,
 )
 from qkd_keyrate.budget import allocation_names
 from qkd_keyrate.decoy import _NAMES, _mean_estimates
@@ -35,78 +39,96 @@ CHERNOFF_HI_THRESHOLD = 69.077552789821371  # 3 ln 1e10
 REL = 1e-12
 
 
+def L(eps):
+    """ln(1/eps), the argument every bound takes."""
+    return -math.log(eps)
+
+
 def test_chernoff_frozen_values():
-    res = chernoff_devs(1e6, 1e-10, 1e-10)
-    assert res.lower_dev == pytest.approx(CHERNOFF_LOWER_1E6, rel=REL)
-    assert res.upper_dev == pytest.approx(CHERNOFF_UPPER_1E6, rel=REL)
-    assert res.valid
-    assert res.lemma_used is Lemma.CHERNOFF
+    assert chernoff_dev(1e6, L(1e-10), False) == pytest.approx(CHERNOFF_LOWER_1E6, rel=REL)
+    assert chernoff_dev(1e6, L(1e-10), True) == pytest.approx(CHERNOFF_UPPER_1E6, rel=REL)
+    assert chernoff_valid(1e6, L(1e-10), False)
+    assert chernoff_valid(1e6, L(1e-10), True)
 
 
 def test_chernoff_zero_mean():
-    res = chernoff_devs(0.0, 0.5, 0.5)
-    assert res.lower_dev == 0.0
-    assert res.upper_dev == 0.0
-    assert not res.valid
+    assert chernoff_dev(0.0, L(0.5), False) == 0.0
+    assert chernoff_dev(0.0, L(0.5), True) == 0.0
+    assert not chernoff_valid(0.0, L(0.5), False)
+    assert not chernoff_valid(0.0, L(0.5), True)
 
 
 def test_chernoff_validity_threshold():
-    # valid iff mean exceeds both 2 ln(1/eps_lo) and 3 ln(1/eps_hi)
-    assert not chernoff_devs(CHERNOFF_HI_THRESHOLD - 0.1, 1e-10, 1e-10).valid
-    assert chernoff_devs(CHERNOFF_HI_THRESHOLD + 0.1, 1e-10, 1e-10).valid
-    # lower-side condition alone can also fail
-    assert not chernoff_devs(CHERNOFF_LO_THRESHOLD - 0.1, 1e-10, 0.5).valid
+    # valid above the mean iff the mean exceeds 3 ln(1/eps), below it iff
+    # the mean exceeds 2 ln(1/eps)
+    assert not chernoff_valid(CHERNOFF_HI_THRESHOLD - 0.1, L(1e-10), True)
+    assert chernoff_valid(CHERNOFF_HI_THRESHOLD + 0.1, L(1e-10), True)
+    assert chernoff_valid(CHERNOFF_HI_THRESHOLD - 0.1, L(1e-10), False)
+    assert not chernoff_valid(CHERNOFF_LO_THRESHOLD - 0.1, L(1e-10), False)
+    assert chernoff_valid(CHERNOFF_LO_THRESHOLD + 0.1, L(1e-10), False)
 
 
-def test_chernoff_domain_errors():
-    with pytest.raises(ValueError):
-        chernoff_devs(-1.0, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        chernoff_devs(10.0, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        chernoff_devs(10.0, 0.1, 1.0)
+def test_chernoff_validity_on_arrays():
+    mean = np.array([CHERNOFF_LO_THRESHOLD - 0.1, CHERNOFF_LO_THRESHOLD + 0.1,
+                     CHERNOFF_HI_THRESHOLD + 0.1])
+    assert chernoff_valid(mean, L(1e-10), False).tolist() == [False, True, True]
+    assert chernoff_valid(mean, L(1e-10), True).tolist() == [False, False, True]
 
 
 def test_hoeffding_frozen_values():
-    assert hoeffding_dev(1e6, 1e-10) == pytest.approx(HOEFFDING_1E6, rel=REL)
-    assert hoeffding_dev(1e9, 1e-10) == pytest.approx(HOEFFDING_1E9, rel=REL)
-    assert hoeffding_dev(0, 0.1) == 0.0
+    assert hoeffding_dev(1e6, L(1e-10)) == pytest.approx(HOEFFDING_1E6, rel=REL)
+    assert hoeffding_dev(1e9, L(1e-10)) == pytest.approx(HOEFFDING_1E9, rel=REL)
+    assert hoeffding_dev(0, L(0.1)) == 0.0
 
 
 def test_hoeffding_eps_to_one_limit():
-    assert hoeffding_dev(1e6, 1.0 - 1e-15) == pytest.approx(0.0, abs=1e-3)
-    with pytest.raises(ValueError):
-        hoeffding_dev(1e6, 1.0)
+    assert hoeffding_dev(1e6, L(1.0 - 1e-15)) == pytest.approx(0.0, abs=1e-3)
 
 
 def test_mult_chernoff_frozen_values():
-    res = mult_chernoff_devs(1e6, 1e9, 1e-10, 1e-10, 1e-10)
-    assert res.lower_dev == pytest.approx(MC_LOWER_1E6, rel=REL)
-    assert res.upper_dev == pytest.approx(MC_UPPER_1E6, rel=REL)
-    assert res.valid
-    assert res.lemma_used is Lemma.MULT_CHERNOFF
-    small = mult_chernoff_devs(1e3, 1e9, 1e-10, 1e-10, 1e-10)
-    assert small.lower_dev == pytest.approx(MC_LOWER_1E3, rel=REL)
+    lg = L(1e-10)
+    assert mult_chernoff_dev(1e6, lg, False) == pytest.approx(MC_LOWER_1E6, rel=REL)
+    assert mult_chernoff_dev(1e6, lg, True) == pytest.approx(MC_UPPER_1E6, rel=REL)
+    assert mult_chernoff_valid(1e6, 1e9, lg, lg, False)
+    assert mult_chernoff_valid(1e6, 1e9, lg, lg, True)
+    assert mult_chernoff_dev(1e3, lg, False) == pytest.approx(MC_LOWER_1E3, rel=REL)
+
+
+def test_mult_chernoff_selector_takes_rows():
+    # one call serves rows of either side, as the decoy mean estimates use it
+    lg = np.array([L(1e-10), L(1e-12)])
+    above = np.array([[False], [True]])
+    got = mult_chernoff_dev(np.array([[1e6], [1e3]]), lg, above)
+    assert got.shape == (2, 2)
+    for row, side in enumerate((False, True)):
+        for col in range(2):
+            assert got[row, col] == mult_chernoff_dev((1e6, 1e3)[row], lg[col], side)
 
 
 def test_mult_chernoff_invalid_for_tiny_counts():
-    assert not mult_chernoff_devs(5, 10, 0.1, 0.1, 0.1).valid
-    # mu_L <= 0: observed smaller than the Hoeffding dev of the trials
-    assert not mult_chernoff_devs(10, 1e6, 1e-10, 1e-10, 1e-10).valid
+    for above in (False, True):
+        assert not mult_chernoff_valid(5, 10, L(0.1), L(0.1), above)
+        # mu_L <= 0: observed smaller than the Hoeffding dev of the trials
+        assert not mult_chernoff_valid(10, 1e6, L(1e-10), L(1e-10), above)
 
 
 def test_mult_chernoff_validity_edges():
     # ln(2/eps_hat)/mu_L flips at 9/32 as eps_hat shrinks
     observed, trials = 100.0, 100.0
-    mu_l = observed - hoeffding_dev(trials, 0.5)
+    mu_l = observed - hoeffding_dev(trials, L(0.5))
     eps_edge = 2.0 * math.exp(-mu_l * 9.0 / 32.0)
-    assert mult_chernoff_devs(observed, trials, 0.5, 0.5, eps_edge * 1.01).valid
-    assert not mult_chernoff_devs(observed, trials, 0.5, 0.5, eps_edge * 0.99).valid
+    assert mult_chernoff_valid(observed, trials, L(0.5), L(0.5), False)
+    assert mult_chernoff_valid(observed, trials, L(0.5), L(eps_edge * 1.01), True)
+    assert not mult_chernoff_valid(observed, trials, L(0.5), L(eps_edge * 0.99), True)
+    # ln(1/eps)/mu_L flips at 1/3 below the mean
+    eps_edge = math.exp(-mu_l / 3.0)
+    assert mult_chernoff_valid(observed, trials, L(0.5), L(eps_edge * 1.01), False)
+    assert not mult_chernoff_valid(observed, trials, L(0.5), L(eps_edge * 0.99), False)
 
 
 def test_azuma_frozen_values():
-    assert azuma_dev(1e6, 1e-10) == pytest.approx(CHERNOFF_LOWER_1E6, rel=REL)
-    assert azuma_dev(0, 0.3) == 0.0
+    assert azuma_dev(1e6, L(1e-10)) == pytest.approx(CHERNOFF_LOWER_1E6, rel=REL)
+    assert azuma_dev(0, L(0.3)) == 0.0
 
 
 class FlatBudget:
@@ -160,8 +182,8 @@ def test_best_mean_bound_zero_observed():
 
 def test_best_mean_bound_upper_direction():
     bound = best_mean_bound(1e3, 1e9, 1e-10, "upper")
-    mc = mult_chernoff_devs(1e3, 1e9, 1e-10, 1e-10, 1e-10)
-    assert bound == pytest.approx(1e3 + min(mc.upper_dev, HOEFFDING_1E9), rel=REL)
+    mc = mult_chernoff_dev(1e3, L(1e-10), True)
+    assert bound == pytest.approx(1e3 + min(mc, HOEFFDING_1E9), rel=REL)
 
 
 @given(
@@ -172,11 +194,14 @@ def test_best_mean_bound_upper_direction():
 def test_same_base_form_across_lemmas(x, eps):
     # Chernoff lower, Azuma, and the multiplicative-Chernoff deviations all
     # evaluate the same sqrt(2 x ln(1/y)) base form.
-    lo = chernoff_devs(x, eps, eps).lower_dev
-    assert lo == pytest.approx(azuma_dev(x, eps), rel=1e-12)
-    mc = mult_chernoff_devs(x, 1e15, 0.5, eps, eps)
-    assert mc.lower_dev == pytest.approx(azuma_dev(x, eps**1.5), rel=1e-9)
-    assert mc.upper_dev == pytest.approx(azuma_dev(x, eps**4 / 16.0), rel=1e-9)
+    lo = chernoff_dev(x, L(eps), False)
+    assert lo == pytest.approx(azuma_dev(x, L(eps)), rel=1e-12)
+    assert mult_chernoff_dev(x, L(eps), False) == pytest.approx(
+        azuma_dev(x, L(eps**1.5)), rel=1e-9
+    )
+    assert mult_chernoff_dev(x, L(eps), True) == pytest.approx(
+        azuma_dev(x, L(eps**4 / 16.0)), rel=1e-9
+    )
 
 
 @given(
@@ -190,13 +215,13 @@ def test_monotonicity(x1, x2, e1, e2):
     xa, xb = sorted((x1, x2))
     ea, eb = sorted((e1, e2))
     # nondecreasing in the count argument
-    assert hoeffding_dev(xa, e1) <= hoeffding_dev(xb, e1)
-    assert azuma_dev(xa, e1) <= azuma_dev(xb, e1)
-    assert chernoff_devs(xa, e1, e1).lower_dev <= chernoff_devs(xb, e1, e1).lower_dev
+    assert hoeffding_dev(xa, L(e1)) <= hoeffding_dev(xb, L(e1))
+    assert azuma_dev(xa, L(e1)) <= azuma_dev(xb, L(e1))
+    assert chernoff_dev(xa, L(e1), False) <= chernoff_dev(xb, L(e1), False)
     # nonincreasing in eps
-    assert hoeffding_dev(x1, ea) >= hoeffding_dev(x1, eb)
-    assert azuma_dev(x1, ea) >= azuma_dev(x1, eb)
-    assert chernoff_devs(x1, ea, ea).upper_dev >= chernoff_devs(x1, eb, eb).upper_dev
+    assert hoeffding_dev(x1, L(ea)) >= hoeffding_dev(x1, L(eb))
+    assert azuma_dev(x1, L(ea)) >= azuma_dev(x1, L(eb))
+    assert chernoff_dev(x1, L(ea), True) >= chernoff_dev(x1, L(eb), True)
 
 
 def _coverage_two_sided(mu, lower, upper, samples):
@@ -212,24 +237,44 @@ def test_monte_carlo_coverage_iid_bounds():
     x = rng.binomial(n, p, size=reps).astype(float)
     mu = n * p
 
-    res = chernoff_devs(mu, eps, eps)
-    assert res.valid
-    below, above = _coverage_two_sided(mu, res.lower_dev, res.upper_dev, x)
+    assert chernoff_valid(mu, L(eps), False) and chernoff_valid(mu, L(eps), True)
+    below, above = _coverage_two_sided(
+        mu, chernoff_dev(mu, L(eps), False), chernoff_dev(mu, L(eps), True), x
+    )
     slack = 4.0 * math.sqrt(eps * (1 - eps) / reps)
     assert below <= eps + slack
     assert above <= eps + slack
 
-    dev_h = hoeffding_dev(n, eps)
+    dev_h = hoeffding_dev(n, L(eps))
     assert np.mean(mu < x - dev_h) <= eps + slack
     assert np.mean(mu > x + dev_h) <= eps + slack
 
     # joint multiplicative-Chernoff coverage at eps_h + eps_m + eps_m_hat
-    devs = [mult_chernoff_devs(xi, n, eps, eps, eps) for xi in x[:5000]]
-    assert all(d.valid for d in devs)
-    miss = sum(
-        1 for xi, d in zip(x[:5000], devs) if not (xi - d.lower_dev <= mu <= xi + d.upper_dev)
-    )
+    xs = x[:5000]
+    for above in (False, True):
+        assert mult_chernoff_valid(xs, n, L(eps), L(eps), above).all()
+    lower = xs - mult_chernoff_dev(xs, L(eps), False)
+    upper = xs + mult_chernoff_dev(xs, L(eps), True)
+    miss = np.sum(~((lower <= mu) & (mu <= upper)))
     assert miss / 5000 <= 3 * eps + 4.0 * math.sqrt(3 * eps / 5000)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect, ROADMAP open item 4: the decoy mean estimates take "
+    "the multiplicative-Chernoff deviation without its validity condition, "
+    "and at a mean of 5 the upper form fails about 7x more often than eps",
+)
+def test_mult_chernoff_upper_fails_where_invalid():
+    rng = np.random.default_rng(20140)
+    n, mean, eps, reps = 10**6, 5.0, 1e-3, 200_000
+    x = rng.binomial(n, mean / n, size=reps)
+    # the condition the chain does not apply rules this regime out ...
+    assert not mult_chernoff_valid(x, n, L(eps), L(eps), True).any()
+    # ... and without it the upper bound misses the mean too often
+    # (every x = 0 draw, with probability e^-5 = 6.7e-3, misses it)
+    miss = np.mean(mean > x + mult_chernoff_dev(x, L(eps), True))
+    assert miss <= eps + 4.0 * math.sqrt(eps * (1 - eps) / reps)
 
 
 def test_monte_carlo_coverage_adaptive_martingale():
@@ -242,7 +287,25 @@ def test_monte_carlo_coverage_adaptive_martingale():
         p = 0.5 + 0.45 * np.tanh(x / 5.0)
         jump = (rng.random(reps) < p).astype(float)
         x += jump - p
-    dev = azuma_dev(n, eps)
+    dev = azuma_dev(n, L(eps))
     slack = 4.0 * math.sqrt(eps * (1 - eps) / reps)
     assert np.mean(x > dev) <= eps + slack
     assert np.mean(x < -dev) <= eps + slack
+
+
+def _sqrt_calls(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "sqrt"
+    ]
+
+
+@pytest.mark.parametrize("module", ["decoy.py", "phase_error.py"])
+def test_chain_takes_every_deviation_from_concentration(module):
+    # a tail bound is a square root; the chain takes each from
+    # concentration, so that no inline copy can drift from the checked one
+    src = Path(__file__).resolve().parent.parent / "src" / "qkd_keyrate"
+    assert _sqrt_calls(src / module) == []
+    assert _sqrt_calls(src / "concentration.py")

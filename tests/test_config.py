@@ -6,6 +6,7 @@ import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.config import (
+    MAX_DISTANCES,
     ConfigError,
     RunConfig,
     load_config,
@@ -114,6 +115,24 @@ def test_direct_construction_validates():
         RunConfig(mode="sideways")
     with pytest.raises(ConfigError):
         RunConfig(n_total=0.0)
+
+
+@pytest.mark.parametrize("step_km", [1e-5, 1e-9, 5e-324])
+def test_rejects_oversized_distance_grid(step_km):
+    # counted on construction: the list of distances is never built
+    with pytest.raises(ConfigError, match="sweep.step_km"):
+        RunConfig(step_km=step_km)
+    with pytest.raises(ConfigError, match=f"more than {MAX_DISTANCES} distances"):
+        parse_config(f"[sweep]\nstep_km = {step_km!r}\n")
+
+
+def test_distance_grid_at_the_cap_is_accepted():
+    # start, start + step, ..., stop: MAX_DISTANCES points, one more is too many
+    RunConfig(start_km=0.0, stop_km=MAX_DISTANCES - 1.0, step_km=1.0)
+    with pytest.raises(ConfigError, match="distances"):
+        RunConfig(start_km=0.0, stop_km=float(MAX_DISTANCES), step_km=1.0)
+    with pytest.raises(ConfigError, match="distances"):
+        RunConfig(start_km=0.0, stop_km=1e308, step_km=1e-300)
 
 
 NON_FINITE = ("nan", "inf", "-inf")
