@@ -120,6 +120,13 @@ class EpsilonBudget:
             allocations=MappingProxyType({name: eta / len(names) for name in names}),
         )
 
+    def __reduce__(self):
+        # a mappingproxy does not pickle, so a sweep's worker processes
+        # receive the allocations as a dict; the log_inv memo is not sent
+        return _restore, (
+            self.eps_sec, self.eps_c, self.eps_s, self.eta, dict(self.allocations)
+        )
+
     @property
     def log_terms(self) -> float:
         """The secrecy and correctness terms of the key length in bits,
@@ -141,3 +148,8 @@ class EpsilonBudget:
             table = np.array([-math.log(self.alloc(name)) for name in names])
             self._tables[names] = table
         return table
+
+
+def _restore(eps_sec, eps_c, eps_s, eta, allocations) -> EpsilonBudget:
+    """An unpickled EpsilonBudget, with read-only allocations again."""
+    return EpsilonBudget(eps_sec, eps_c, eps_s, eta, MappingProxyType(allocations))

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .decoy import CountsBatch, IntensityBatch, distinct
 
 __all__ = [
+    "CellLayout",
     "ChannelConfig",
     "ChannelModel",
     "FluctuationDensity",
@@ -73,6 +74,14 @@ _CELL_STATE = np.repeat([0, 0, 1, 3], 4)
 _CELL_BASIS = np.tile([2, 2, 1, 1], 4)
 # the Z-sender, Z-receiver cells: Z0Z0, Z0Z1, Z1Z0, Z1Z1
 ZZ_CELLS = np.array([0, 1, 4, 5])
+# along the first 12 CELLS, the like-basis configurations' wrong
+# outcomes, each with its correct one (bit y; the X basis only sends 0),
+# which misalignment leaks into it
+_ALIGNED = {2 * c + 1 - y: 2 * c + y for c, (a, y, b) in enumerate(_CONFIGS) if a == b}
+_CORRECT = np.array([i in _ALIGNED.values() for i in range(12)])
+_WRONG = np.array([i in _ALIGNED for i in range(12)])
+# the outcome whose leak each outcome receives (itself where none)
+_LEAK_FROM = np.array([_ALIGNED.get(i, i) for i in range(12)])
 
 
 @dataclass(frozen=True)
@@ -130,13 +139,18 @@ class FluctuationDensity:
     sigma2: float
     norm: float
 
+    @staticmethod
+    def is_point_mass(mean: float, r: float) -> bool:
+        """Whether the density at ``mean`` and width ``r`` is a point mass."""
+        return r == 0.0 or mean == 0.0
+
     @classmethod
     def for_intensity(cls, mean: float, r: float) -> "FluctuationDensity":
         if mean < 0:
             raise ValueError("mean intensity must be nonnegative")
         if not 0.0 <= r < 1.0:
             raise ValueError("relative width r must lie in [0, 1)")
-        if r == 0.0 or mean == 0.0:
+        if cls.is_point_mass(mean, r):
             return cls(mean, mean, mean, 0.0, math.inf)
         lo, hi = (1.0 - r) * mean, (1.0 + r) * mean
         sigma2 = r * mean / 5.0
@@ -164,7 +178,12 @@ def gauss_expect(f: Callable, dens: FluctuationDensity) -> float:
 
 def _quadrature(dens: FluctuationDensity) -> tuple[np.ndarray, np.ndarray, float]:
     """Nodes, density-weighted node weights and half-width of the 64-node
-    rule on a density that is not a point mass."""
+    rule on a density that is not a point mass.
+
+    The fields of ``dens`` may also be (S, 1) arrays, a stack of S
+    densities: the nodes and weights are then (S, 64) and the half-widths
+    (S, 1), each row formed by the same operations as for one density.
+    """
     center = 0.5 * (dens.hi + dens.lo)
     half = 0.5 * (dens.hi - dens.lo)
     k = center + half * _NODES
@@ -196,27 +215,145 @@ def _overlaps(xi: float) -> tuple[float, ...]:
 
 
 def _port_click_probs(
-    cfg: ChannelConfig, nominal: float, fracs: Sequence[float]
-) -> list[float]:
-    """Click probability of each port that receives the fraction
-    ``fracs[i]`` of a pulse of nominal intensity ``nominal``.
+    cfg: ChannelConfig, nominal: Sequence[float], fracs: Sequence[float]
+) -> np.ndarray:
+    """(K, P) click probabilities: of each port that receives the
+    fraction ``fracs[j]`` of a pulse of nominal intensity ``nominal[i]``.
 
     Each port clicks unless neither its share of the attenuated pulse
-    nor a dark count fires: p = E_k[1 - (1 - p_d) exp(-eta_sy k f)].
-    All ports share one density and one set of quadrature weights, and
-    one np.exp runs over the (ports, nodes) array.  Every port's number
-    equals a separate quadrature of its own integrand bit for bit: the
-    elementwise products are the same, and each port is one dot product
-    with the weights.
+    nor a dark count fires: p = E_k[1 - (1 - p_d) exp(-eta_sy k f)].  A
+    point-mass level takes the closed form of ``_point_ports``.  The
+    other levels share one pass: their densities' quadrature weights as
+    one (S, 64) array, one np.exp over the (S, P, 64) integrands, and
+    every port's quadrature as one batched matmul.  A row's floats do
+    not depend on the other rows; each port is within a few ulps of a
+    separate quadrature of its own integrand (the dot products may sum
+    in another order).
     """
-    dens = FluctuationDensity.for_intensity(nominal, cfg.fluct_r)
-    eta = cfg.eta_sy
-    pd = cfg.dark_prob
-    if dens.lo == dens.hi:
-        return [1.0 - (1.0 - pd) * math.exp(-eta * dens.mean * f) for f in fracs]
-    k, weight, half = _quadrature(dens)
-    values = 1.0 - (1.0 - pd) * np.exp(np.multiply.outer(fracs, -eta * k))
-    return [float(weight @ row) * half for row in values]
+    eta, pd = cfg.eta_sy, cfg.dark_prob
+    r = cfg.fluct_r
+    point = [FluctuationDensity.is_point_mass(k, r) for k in nominal]
+    # a spread level's row is left to the quadrature below
+    out = np.array([
+        _point_ports(eta, pd, k, fracs) if p else [math.nan] * len(fracs)
+        for k, p in zip(nominal, point)
+    ]).reshape(len(nominal), len(fracs))
+    spread = [i for i, p in enumerate(point) if not p]
+    if spread:
+        # the spread levels' densities stacked into (S, 1) fields
+        dens = [FluctuationDensity.for_intensity(nominal[i], r) for i in spread]
+        stacked = FluctuationDensity(*np.array([
+            (d.mean, d.lo, d.hi, d.sigma2, d.norm) for d in dens
+        ]).T[:, :, None])
+        k, weight, half = _quadrature(stacked)
+        # fracs * (-eta k) as np.multiply.outer forms it, per level
+        exponent = (-eta * k)[:, None, :] * np.asarray(fracs, dtype=float)[:, None]
+        values = 1.0 - (1.0 - pd) * np.exp(exponent)
+        out[spread] = (values @ weight[:, :, None])[:, :, 0] * half
+    return out
+
+
+def _point_ports(
+    eta: float, pd: float, k: float, fracs: Sequence[float]
+) -> list[float]:
+    """``_port_click_probs`` of one point-mass level at intensity ``k``,
+    in Python floats, on a link of efficiency ``eta`` (``eta_sy``) and
+    dark-count probability ``pd``."""
+    return [1.0 - (1.0 - pd) * math.exp(-eta * k * f) for f in fracs]
+
+
+def _click_tables(
+    cfg: ChannelConfig, nominal: Sequence[float], fracs: Sequence[float]
+) -> Sequence[Sequence[float]]:
+    """The click tables at the nominal intensities ``nominal``, K rows of
+    17, from the click probabilities of their ports; ``fracs`` are the
+    port fractions of ``_CONFIGS``.
+
+    Entry i is the probability that a pulse of CELLS[i]'s sender state
+    measured in its receiver basis gives its outcome (exclusively,
+    after random double-click assignment and, for like-basis
+    configurations, misalignment); entry 16 is the Z error rate.  On a
+    link with intensity fluctuations the tables take one array pass.
+    On a link without, every level is a point mass and each table is
+    formed in Python floats by ``_point_ports`` and ``_point_table``: a
+    cold exact-mode point needs three tables, which plain floats build
+    faster than the numpy calls of the array pass.  Both apply the same
+    float operations to each entry, so a row depends neither on the path
+    nor on the other rows.
+    """
+    e_mis = cfg.e_mis
+    if cfg.fluct_r == 0.0:
+        eta, pd = cfg.eta_sy, cfg.dark_prob
+        return [_point_table(_point_ports(eta, pd, k, fracs), e_mis) for k in nominal]
+    # each outcome alone, and half of the double clicks
+    ports = _port_click_probs(cfg, nominal, fracs).reshape(len(nominal), 6, 2)
+    other = ports[:, :, ::-1]
+    q = (ports * (1.0 - other) + 0.5 * ports * other).reshape(len(nominal), 12)
+    # misalignment leaks a fraction e_mis of the correct outcome of each
+    # like-basis configuration into the wrong one; cross-basis outcomes
+    # are already error-like.  Where nothing leaks, the terms are q * 1
+    # and q * 0, which leave q's float as it is
+    keep = np.where(_CORRECT, 1.0 - e_mis, 1.0)
+    leak = np.where(_WRONG, e_mis, 0.0)
+    q = q * keep + q[:, _LEAK_FROM] * leak
+    # the X1 sender cells (12..15) are never sent; z_error_rate's
+    # operations, where the gain is 0 only if the errors are
+    table = np.zeros((len(nominal), 17))
+    table[:, :12] = q
+    gain = q[:, 0] + q[:, 1] + q[:, 4] + q[:, 5]
+    table[:, 16] = (q[:, 1] + q[:, 4]) / np.where(gain > 0.0, gain, 1.0)
+    return table
+
+
+def _point_table(ports: list[float], e_mis: float) -> list[float]:
+    """One click table of ``_click_tables`` in Python floats, from the
+    click probabilities of its 12 ports."""
+    row = []
+    for (a, y, b), p0, p1 in zip(_CONFIGS, ports[0::2], ports[1::2]):
+        # each outcome alone, and half of the double clicks
+        q0 = p0 * (1.0 - p1) + 0.5 * p0 * p1
+        q1 = p1 * (1.0 - p0) + 0.5 * p1 * p0
+        if a == b:
+            # misalignment leaks a fraction e_mis of the correct outcome
+            # (bit y; the X basis only sends 0) into the wrong one
+            if y == 0:
+                q0, q1 = q0 * (1.0 - e_mis), q0 * e_mis + q1
+            else:
+                q1, q0 = q1 * (1.0 - e_mis), q1 * e_mis + q0
+        row += (q0, q1)
+    # the X1 sender cells are never sent
+    row += [0.0] * 4
+    row.append(z_error_rate(row))
+    return row
+
+
+class CellLayout(NamedTuple):
+    """The part of a batch's counts that does not depend on the link.
+
+    Per point: its ``p_z``, the selection probability of each level
+    ``prob`` (B, 3, 1), the sender-state and receiver-basis weights
+    ``weights`` (B, 4; ``_CELL_STATE`` and ``_CELL_BASIS`` pick them
+    along CELLS), and per level the index ``which`` (B, 3) of its
+    nominal intensity into the sorted distinct ones, ``nominal``.  A
+    grid that several links share forms it once.
+    """
+
+    p_z: np.ndarray
+    prob: np.ndarray
+    weights: np.ndarray
+    nominal: np.ndarray
+    which: np.ndarray
+
+    @classmethod
+    def of(cls, intens: IntensityBatch, p_z: np.ndarray) -> "CellLayout":
+        if not ((0.0 < p_z) & (p_z < 1.0)).all():
+            raise ValueError("p_z must lie in (0, 1)")
+        # sender-state and receiver-basis weights 0.5 p_z, p_x, p_z and 0
+        # (the X1 state is never sent)
+        weights = np.array([0.5 * p_z, 1.0 - p_z, p_z, np.zeros(len(p_z))]).T
+        levels = np.array([(lv.nominal, lv.prob) for lv in intens]).T  # (B, 2, 3)
+        nominal, which = distinct(levels[:, 0])
+        return cls(p_z, levels[:, 1, :, None], weights, nominal, which)
 
 
 class ChannelModel:
@@ -226,6 +363,9 @@ class ChannelModel:
     channel parameters and the nominal intensity (its fluctuation range
     is the config's ``fluct_r``), not on the basis or intensity
     selection probabilities, so one table serves every (p_z, N) choice.
+    The tables a batch needs and the model lacks are built together, by
+    one ``_click_tables`` call.  ``expected_counts`` takes a batch's
+    ``CellLayout``, which a grid that several links share forms once.
     """
 
     def __init__(self, cfg: ChannelConfig):
@@ -234,74 +374,43 @@ class ChannelModel:
         self._fractions = tuple(
             f for o in _overlaps(cfg.xi) for f in ((1.0 + o) / 2.0, (1.0 - o) / 2.0)
         )
-        # per nominal intensity: the click table as one row, its outcome
-        # probabilities along CELLS followed by the Z error rate
-        self._tables: dict[float, list[float]] = {}
+        # per nominal intensity: its click table, a list of floats or a
+        # row of the array its batch was built in
+        self._by_nominal: dict[float, Sequence[float]] = {}
 
-    def _entry(self, nominal: float) -> list[float]:
-        """The click table at ``nominal``, built on first use.
+    def _tables(self, nominal: Sequence[float]) -> np.ndarray:
+        """(D, 17) click tables at the distinct nominal intensities
+        ``nominal``, building the missing ones in one pass."""
+        tables = self._by_nominal
+        missing = [k for k in nominal if k not in tables]
+        if missing:
+            tables.update(zip(missing, _click_tables(self.cfg, missing, self._fractions)))
+        return np.array([tables[k] for k in nominal]).reshape(-1, 17)
 
-        Entry i is the probability that a pulse of CELLS[i]'s sender state
-        measured in its receiver basis gives its outcome (exclusively,
-        after random double-click assignment and, for like-basis
-        configurations, misalignment); entry 16 is the Z error rate.
-        """
-        row = self._tables.get(nominal)
-        if row is not None:
-            return row
-        ports = _port_click_probs(self.cfg, nominal, self._fractions)
-        e_mis = self.cfg.e_mis
-        row = []
-        for (a, y, b), p0, p1 in zip(_CONFIGS, ports[0::2], ports[1::2]):
-            # each outcome alone, and half of the double clicks
-            q0 = p0 * (1.0 - p1) + 0.5 * p0 * p1
-            q1 = p1 * (1.0 - p0) + 0.5 * p1 * p0
-            if a == b:
-                # misalignment leaks a fraction e_mis of the correct
-                # outcome (bit y; the X basis only sends 0) into the
-                # wrong one; cross-basis outcomes are already error-like
-                if y == 0:
-                    q0, q1 = q0 * (1.0 - e_mis), q0 * e_mis + q1
-                else:
-                    q1, q0 = q1 * (1.0 - e_mis), q1 * e_mis + q0
-            row += (q0, q1)
-        # the X1 sender cells are never sent
-        row += [0.0] * 4
-        row.append(z_error_rate(row))
-        self._tables[nominal] = row
-        return row
-
-    def _layout(
-        self, intens: IntensityBatch, p_z: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per point: the selection probability of each level (B, 3, 1),
-        the sender-state and receiver-basis weights along CELLS (B, 1, 16)
-        and the click tables of the levels (B, 3, 17).
-
-        Each distinct nominal intensity of the batch is looked up once.
-        """
-        if not ((0.0 < p_z) & (p_z < 1.0)).all():
-            raise ValueError("p_z must lie in (0, 1)")
-        # sender-state and receiver-basis weights along the CELLS axis; the
-        # X1 state is never sent and weighs 0
-        weights = np.array([0.5 * p_z, 1.0 - p_z, p_z, np.zeros(len(p_z))]).T
-        state = weights[:, None, _CELL_STATE]
-        basis = weights[:, None, _CELL_BASIS]
-        levels = np.array([(lv.nominal, lv.prob) for lv in intens]).T  # (B, 2, 3)
-        nominal, which = distinct(levels[:, 0])
-        rows = np.array([self._entry(k) for k in nominal.tolist()])
-        return levels[:, 1, :, None], state, basis, rows.reshape(-1, 17)[which]
+    def _layout(self, layout: CellLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sender-state and receiver-basis weights along CELLS
+        (B, 1, 16) and the click tables of the levels (B, 3, 17)."""
+        state = layout.weights[:, None, _CELL_STATE]
+        basis = layout.weights[:, None, _CELL_BASIS]
+        return state, basis, self._tables(layout.nominal.tolist())[layout.which]
 
     def expected_batch(
         self, intens: IntensityBatch, p_z: np.ndarray, n_total: float
     ) -> tuple[CountsBatch, np.ndarray]:
         """Expected counts of a batch of points and the Z-basis bit error
         rate of each point's signal level."""
+        return self.expected_counts(CellLayout.of(intens, p_z), n_total)
+
+    def expected_counts(
+        self, layout: CellLayout, n_total: float
+    ) -> tuple[CountsBatch, np.ndarray]:
+        """``expected_batch`` of the batch that ``layout`` lays out."""
         if not (math.isfinite(n_total) and n_total > 0):
             raise ValueError(f"n_total must be finite and positive, got {n_total!r}")
-        prob, state, basis, rows = self._layout(intens, p_z)
-        cells = n_total * prob * state * basis * rows[:, :, :16]
+        state, basis, rows = self._layout(layout)
+        cells = n_total * layout.prob * state * basis * rows[:, :, :16]
         z_by_k = cells[:, :, ZZ_CELLS].sum(axis=2)
+        p_z = layout.p_z
         counts = CountsBatch(
             cells=cells,
             trials=n_total * state[:, 0] * basis[:, 0],
@@ -328,10 +437,11 @@ class ChannelModel:
             )
         n_total = int(n_total)
         rng = np.random.default_rng(seed)
-        prob, state, basis, rows = self._layout(intens, p_z)
+        layout = CellLayout.of(intens, p_z)
+        state, basis, rows = self._layout(layout)
         # one group per (level, configuration): the configurations are the
         # even CELLS entries, each followed by its other outcome
-        groups = (prob * state * basis)[:, :, ::2].reshape(len(p_z), 24)
+        groups = (layout.prob * state * basis)[:, :, ::2].reshape(len(rows), 24)
         groups /= groups.sum(axis=1, keepdims=True)
         trials = rng.multinomial(n_total, groups).reshape(-1, 3, 8)
         outcomes = rows[:, :, :16].reshape(-1, 3, 8, 2)

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 
+from .budget import EpsilonBudget
 from .config import ConfigError, RunConfig, load_config, with_overrides
 from .optimize import InfeasibleSearchError, optimize_rate
 from .validate import run_validation
@@ -33,11 +34,14 @@ CSV_COLUMNS = (
 )
 
 
-def _sweep_point(cfg: RunConfig, distance_km: float) -> dict:
-    """One optimized sweep row; module-level so worker processes can run it."""
+def _sweep_point(
+    cfg: RunConfig, budget: EpsilonBudget | None, distance_km: float
+) -> dict:
+    """One optimized sweep row under ``cfg.budget()``, which the caller
+    builds once per sweep; module-level so worker processes can run it."""
     opt = optimize_rate(
         cfg.channel(distance_km),
-        cfg.budget(),
+        budget,
         cfg.n_total,
         strategy=cfg.strategy,
         seed=cfg.seed,
@@ -75,11 +79,13 @@ def run_sweep(cfg: RunConfig) -> list[dict]:
     distances = cfg.distances()
     if not distances:
         raise ConfigError("sweep grid is empty")
+    budget = cfg.budget()
     workers = cfg.workers or min(len(distances), os.cpu_count() or 1)
     if workers <= 1 or len(distances) == 1:
-        return [_sweep_point(cfg, d) for d in distances]
+        return [_sweep_point(cfg, budget, d) for d in distances]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_point, [cfg] * len(distances), distances))
+        n = len(distances)
+        return list(pool.map(_sweep_point, [cfg] * n, [budget] * n, distances))
 
 
 def _fmt(value) -> str:

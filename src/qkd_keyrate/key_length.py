@@ -74,17 +74,15 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _entr(x: np.ndarray) -> np.ndarray:
-    """-x ln x elementwise, and +0 at 0."""
-    # the smallest subnormal stands in for 0 inside the log, so 0 ln 0
-    # raises no warning and gives -0 * ln(5e-324) = +0; it is below every
-    # other entry, so it changes no other value
-    return -x * np.log(np.maximum(x, 5e-324))
-
-
 def _entropy(x: np.ndarray) -> np.ndarray:
     """``binary_entropy`` of an array with entries in [0, 1]."""
-    return (_entr(x) + _entr(1.0 - x)) / math.log(2.0)
+    # -y ln y at y = x and y = 1 - x, stacked so that one log runs over
+    # both.  The smallest subnormal stands in for 0 inside the log, so
+    # 0 ln 0 raises no warning and gives -0 * ln(5e-324) = +0; it is below
+    # every other entry, so it changes no other value
+    both = np.array([x, 1.0 - x])
+    ent = -both * np.log(np.maximum(both, 5e-324))
+    return (ent[0] + ent[1]) / math.log(2.0)
 
 
 def _pa_penalty(e_ph: float) -> float:

@@ -15,9 +15,15 @@ simplex score zero rather than erroring.  Grid chunks and polls go
 through one screen_batch path; the grid in batches of GRID_CHUNK
 points, which bounds the memory a batch takes whatever the grid size.
 Each grid chunk passes the best rate so far as the screen's floor, so
-its points that cannot beat it skip the cell and phase-error bounds; the
-polls pass none, since a neighbour of the best point almost never falls
-below it by the margin m1 h(e_ph) the screen needs.
+its points that cannot beat it skip the cell and phase-error bounds;
+until some point is scored, the first feasible point's floor is -inf,
+so the screen lets it through.  The polls pass no floor, since a
+neighbour of the best point almost never falls below it by the margin
+m1 h(e_ph) the screen needs.  What a grid chunk's chain needs that does
+not depend on the link (``pipeline.prepare_batch``: feasibility,
+channel layout, decoy factors) is formed once per sweep with the grid;
+the polls prepare their batches afresh, on the same path.  A distance
+without a key thus costs its grid batches and nothing else.
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ from .key_length import KeyRateResult
 from .pipeline import (
     K_D2_DEFAULT,
     ParamBatch,
+    PreparedBatch,
     ProtocolParams,
+    prepare_batch,
     screen_batch,
 )
 
@@ -150,13 +158,15 @@ class OptimizationResult:
 
 @functools.lru_cache(maxsize=4)
 def _grid_chunks(
-    space: SearchSpace, grid_points: int
-) -> tuple[tuple[np.ndarray, ParamBatch], ...]:
-    """The grid's batches of unit vectors and their parameters.
+    space: SearchSpace, grid_points: int, mode: str, r: float
+) -> tuple[tuple[np.ndarray, ParamBatch, PreparedBatch], ...]:
+    """The grid's batches: unit vectors, their parameters and the
+    parameters' ``prepare_batch`` in ``mode`` at relative fluctuation
+    ``r``.
 
     The grid centre comes first, then the grid points in row-major
     order, GRID_CHUNK of them per batch; the first batch also takes the
-    centre.  The grid does not depend on the link, so a sweep forms it
+    centre.  None of this depends on the link, so a sweep forms it
     once; its arrays are read-only.
     """
     ticks = np.linspace(0.0, 1.0, grid_points)
@@ -167,9 +177,11 @@ def _grid_chunks(
         if start == 0:
             units = np.concatenate([np.full((1, 5), 0.5), units])
         params = space.params_batch(units)
-        for a in (units, *params):
+        prepared = prepare_batch(params, mode, r)
+        for a in (units, *params, prepared.feasible, prepared.idx,
+                  *prepared.layout, prepared.factors):
             a.setflags(write=False)
-        chunks.append((units, params))
+        chunks.append((units, params, prepared))
     return tuple(chunks)
 
 
@@ -192,7 +204,8 @@ def optimize_rate(
     ``seed`` is accepted for config compatibility and has no effect.
     When nothing in the box extracts a key, the full result of the
     first feasible grid point (the grid centre only when the centre is
-    feasible) is returned, with rate 0.  Settings that concern every
+    feasible) is returned, with rate 0: the screen lets that point
+    through, so it is scored in its chunk.  Settings that concern every
     point (mode, n_total, f_ec, a degenerate source) raise
     ``evaluate_batch``'s ValueError; InfeasibleSearchError means that no
     point of the box is feasible.
@@ -208,12 +221,13 @@ def optimize_rate(
     model = ChannelModel(cfg)
     trace: list[tuple[ProtocolParams, float]] = []
 
-    def score(points: ParamBatch, floor: float | None = None):
+    def score(points: ParamBatch, floor=None, prepared=None):
         """Rates (-inf where infeasible or screened), results, each
         point's row in the results and the mask of screened points for a
         batch of parameters."""
         feasible, screened, batch = screen_batch(
-            cfg, points, budget, n_total, floor, mode=mode, f_ec=f_ec, model=model
+            cfg, points, budget, n_total, floor,
+            mode=mode, f_ec=f_ec, model=model, prepared=prepared,
         )
         rates = np.full(len(points.p_z), -np.inf)
         scored = feasible & ~screened
@@ -225,23 +239,18 @@ def optimize_rate(
     best_rate = -1.0
     grid_evaluations = 1 + grid_points**5
     grid_screened = 0
-    for chunk, points in _grid_chunks(space, grid_points):
+    for chunk, points, prepared in _grid_chunks(space, grid_points, mode, cfg.fluct_r):
         # a point that cannot beat the best rate so far (or 0) cannot
         # enter the trace: the screen stops it before its cell and
         # phase-error bounds
-        rates, batch, slot, screened = score(points, max(best_rate, 0.0))
+        floor = max(best_rate, 0.0)
+        if best_res is None and prepared.idx.size:
+            # but the first feasible point enters it whatever its rate,
+            # so the screen lets it through
+            floor = np.full(len(chunk), floor)
+            floor[prepared.idx[0]] = -np.inf
+        rates, batch, slot, screened = score(points, floor, prepared)
         grid_screened += int(screened.sum())
-        if best_res is None and screened.any():
-            # but the first feasible point enters it whatever its rate: if
-            # the screen stopped it, it is scored again in full
-            first = int(np.argmax(np.isfinite(rates) | screened))
-            if screened[first]:
-                best_u, best_params = chunk[first], points.point(first)
-                _, again, _, _ = score(ParamBatch.of([best_params]))
-                best_res = again.result(0)
-                best_rate = best_res.rate
-                trace.append((best_params, best_rate))
-                grid_screened -= 1
         # a point enters the trace when it beats every earlier point
         before = np.maximum.accumulate(np.concatenate([[best_rate], rates[:-1]]))
         for i in np.flatnonzero(rates > before):

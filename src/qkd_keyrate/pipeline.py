@@ -10,7 +10,10 @@ and ``key_length_batch``.
 ``evaluate_batch`` evaluates many points at once, and ``evaluate_rate``
 is a batch of one.  ``screen_batch``, which the optimizer's grid uses,
 stops after stage 1 the points whose ``key_length_bound``, the length
-at a zero phase-error rate, cannot beat a given rate.  The validation
+at a zero phase-error rate, cannot beat a given rate.  Its first step,
+``prepare_batch`` (feasibility, channel layout and decoy factors), does
+not depend on the link, so the optimizer's grid forms it once for every
+distance of a sweep.  The validation
 suites call the same batch functions.  The channel statistics default
 to the expected values of the system model; ``evaluate_rate`` also
 takes a one-row ``CountsBatch`` from elsewhere, such as a
@@ -26,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .budget import EpsilonBudget
-from .channel import ZZ_CELLS, ChannelConfig, ChannelModel, z_error_rate
+from .channel import ZZ_CELLS, CellLayout, ChannelConfig, ChannelModel, z_error_rate
 from .decoy import (
     CountsBatch,
     IntensityBatch,
@@ -56,9 +59,11 @@ from .qubit_model import (
 
 __all__ = [
     "ParamBatch",
+    "PreparedBatch",
     "ProtocolParams",
     "evaluate_batch",
     "evaluate_rate",
+    "prepare_batch",
     "screen_batch",
 ]
 
@@ -148,6 +153,36 @@ def source_coeffs(xi: float) -> np.ndarray:
     return coeffs[:]
 
 
+class PreparedBatch(NamedTuple):
+    """The part of a batch's chain that does not depend on the link.
+
+    ``feasible`` is the mask of feasible points and ``idx`` their
+    indices; ``layout`` is the ``CellLayout`` of the feasible points'
+    levels and ``factors`` their ``decoy_factors``.  ``mode`` and ``r``
+    are the intensity mode and relative fluctuation it was formed for.
+    """
+
+    mode: str
+    r: float
+    feasible: np.ndarray
+    idx: np.ndarray
+    layout: CellLayout
+    factors: np.ndarray
+
+
+def prepare_batch(params: ParamBatch, mode: str, r: float) -> PreparedBatch:
+    """The link-independent part of ``params``' chain in ``mode`` at
+    relative fluctuation ``r``: feasibility, channel layout and decoy
+    factors.  An unknown mode or a bad ``r`` raises ValueError."""
+    intens, feasible = params.intensities(mode, r)
+    idx = np.flatnonzero(feasible)
+    intens = intens.take(idx)
+    return PreparedBatch(
+        mode, r, feasible, idx,
+        CellLayout.of(intens, params.p_z[idx]), decoy_factors(intens),
+    )
+
+
 def evaluate_batch(
     cfg: ChannelConfig,
     params: ParamBatch,
@@ -179,30 +214,42 @@ def screen_batch(
     params: ParamBatch,
     budget: EpsilonBudget | None,
     n_total: float,
-    floor: float | None,
+    floor: float | np.ndarray | None,
     mode: str = "exact",
     f_ec: float = 1.16,
     model: ChannelModel | None = None,
+    prepared: PreparedBatch | None = None,
 ) -> tuple[np.ndarray, np.ndarray, KeyRateBatch]:
     """``evaluate_batch`` for callers that need a rate above ``floor``.
 
-    ``floor`` is a rate of at least 0.  A feasible point is screened
-    where its m1 is 0 or its ``key_length_bound`` over n_total does not
+    ``floor`` is a rate of at least 0 or -inf, for every point or per
+    point.  A feasible point is screened where its floor is finite and
+    its m1 is 0 or its ``key_length_bound`` over n_total does not
     exceed the floor: its rate cannot exceed the floor either, and the
-    chain stops for it after m0, m1 and the EC leakage.  Returns the
-    mask of feasible points, the mask of the screened ones among them,
-    and the results of the other feasible points, in order.  With
-    ``floor`` None no point is screened.  Infeasible points and errors
+    chain stops for it after m0, m1 and the EC leakage.  A point whose
+    floor is -inf is never screened, and ``floor`` None screens no
+    point.  Returns the mask of feasible points, the mask of the
+    screened ones among them, and the results of the other feasible
+    points, in order.  ``prepared``, ``prepare_batch`` of ``params`` in
+    ``mode`` at the link's ``fluct_r``, spares forming it again: a grid
+    that several links share keeps it.  Infeasible points and errors
     are those of ``evaluate_batch``.
     """
-    intens, feasible = params.intensities(mode, cfg.fluct_r)
-    idx = np.flatnonzero(feasible)
-    intens, p_z = intens.take(idx), params.p_z[idx]
+    if prepared is None:
+        prepared = prepare_batch(params, mode, cfg.fluct_r)
+    elif (prepared.mode, prepared.r, len(prepared.feasible)) != (
+        mode, cfg.fluct_r, len(params.p_z)
+    ):
+        raise ValueError("prepared batch formed for other points, mode or fluct_r")
+    feasible, idx = prepared.feasible, prepared.idx
+    if np.ndim(floor):
+        floor = floor[idx]
     if model is None:
         model = ChannelModel(cfg)
-    counts, e_z = model.expected_batch(intens, p_z, n_total)
+    counts, e_z = model.expected_counts(prepared.layout, n_total)
     passed, batch = _rate_batch(
-        counts, e_z, intens, cfg.xi, p_z, budget, n_total, mode, f_ec, floor
+        counts, e_z, prepared.factors, cfg.xi, prepared.layout.p_z,
+        budget, n_total, mode, f_ec, floor,
     )
     screened = np.zeros_like(feasible)
     if passed is not None:
@@ -213,17 +260,18 @@ def screen_batch(
 def _rate_batch(
     counts: CountsBatch,
     e_z: np.ndarray,
-    intens: IntensityBatch,
+    factors: np.ndarray,
     xi: float,
     p_z: np.ndarray,
     budget: EpsilonBudget | None,
     n_total: float,
     mode: str,
     f_ec: float,
-    floor: float | None = None,
+    floor: float | np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, KeyRateBatch]:
-    """Decoy bounds, phase-error bound and key length from batch counts,
-    in two stages with ``screen_batch``'s screen between them.
+    """Decoy bounds, phase-error bound and key length from batch counts
+    and the points' ``decoy_factors``, in two stages with
+    ``screen_batch``'s screen between them.
 
     Stage 1 bounds m0, m1 and the EC leakage of every point; stage 2
     (the sixteen cell bounds, the phase-error weights at the points'
@@ -234,14 +282,13 @@ def _rate_batch(
     raises whatever the screen keeps.
     """
     coeffs = source_coeffs(xi)
-    factors = decoy_factors(intens)
     m0, m1 = aggregate_bounds(counts, factors, budget, mode)
     z_ks = counts.z_by_k[:, 0]
     lam = lambda_ec_batch(z_ks, e_z, f_ec)
     passed = None
     if floor is not None:
         bound = key_length_bound(m0, m1, lam, budget)
-        passed = (m1 > 0.0) & (bound / n_total > floor)
+        passed = (floor == -np.inf) | ((m1 > 0.0) & (bound / n_total > floor))
         if not passed.any():
             return passed, KeyRateBatch.empty()
         if passed.all():
@@ -290,7 +337,8 @@ def evaluate_rate(
         _check_counts(counts, n_total)
         e_z = np.array([z_error_rate(counts.cells[0, 0].tolist())])
     _, res = _rate_batch(
-        counts, e_z, levels, cfg.xi, p_z, budget, n_total, mode, f_ec
+        counts, e_z, decoy_factors(levels), cfg.xi, p_z,
+        budget, n_total, mode, f_ec,
     )
     return res.result(0)
 

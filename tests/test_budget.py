@@ -3,6 +3,7 @@ for the one rule that charges it: the key length pays the whole eta
 once, and every allocation the chain asks for is part of it."""
 
 import math
+import pickle
 from dataclasses import dataclass, field
 
 import pytest
@@ -88,6 +89,17 @@ def test_allocations_read_only():
     b = EpsilonBudget.build(EPS_SEC, EPS_C, mode="exact")
     with pytest.raises(TypeError):
         b.allocations["m0.final"] = 1e-30
+
+
+def test_pickles_with_read_only_allocations():
+    b = EpsilonBudget.build(EPS_SEC, EPS_C, "exact")
+    names = ("m0.final", "m1.final")
+    table = b.log_inv(names)
+    again = pickle.loads(pickle.dumps(b))
+    assert again == b
+    assert again.log_inv(names).tolist() == table.tolist()
+    with pytest.raises(TypeError):
+        again.allocations["m0.final"] = 1.0
 
 
 def test_validation():

@@ -80,17 +80,30 @@ def test_config_rejects_bad_link(name, value):
 def test_click_prob_frozen():
     # Z0 sent, Z measured at xi = 0: the constructive port sees the full
     # pulse, the empty port only darks
-    p0, p1 = _port_click_probs(make_cfg(), make_intens().s.nominal[0], (1.0, 0.0))
+    [[p0, p1]] = _port_click_probs(make_cfg(), make_intens().s.nominal, (1.0, 0.0))
     assert p0 == pytest.approx(P_CLICK_SIGNAL_50KM, rel=REL)
     assert p1 == pytest.approx(5e-7, rel=REL)
 
 
+def patch_ports(monkeypatch, ports):
+    """Make every level's 12 ports click with the probabilities ``ports``."""
+    monkeypatch.setattr(channel, "_point_ports", lambda *_: list(ports))
+    monkeypatch.setattr(channel, "_port_click_probs", lambda *_: np.array([ports]))
+
+
 def pairs_with_ports(monkeypatch, p0, p1):
-    """The outcome pairs of the click table that ``_entry`` builds (at
-    e_mis = 0.01) when port 0 of every configuration clicks with
-    probability p0 and port 1 with p1."""
-    monkeypatch.setattr(channel, "_port_click_probs", lambda *_: [p0, p1] * 6)
-    return outcome_pairs(ChannelModel(make_cfg(e_mis=0.01))._entry(0.5))
+    """The outcome pairs of the click table that ``_click_tables`` builds
+    (at e_mis = 0.01) when port 0 of every configuration clicks with
+    probability p0 and port 1 with p1: on a link without intensity
+    fluctuations (the Python-float tables) and on one with (the array
+    pass), which must agree bit for bit."""
+    patch_ports(monkeypatch, [p0, p1] * 6)
+    point, spread = (
+        outcome_pairs(ChannelModel(make_cfg(e_mis=0.01, fluct_r=r))._tables([0.5])[0])
+        for r in (0.0, 0.05)
+    )
+    assert point == spread
+    return point
 
 
 def test_double_click_resolution(monkeypatch):
@@ -115,6 +128,10 @@ def test_misalignment(monkeypatch):
         assert pc + pw == pytest.approx(0.6, rel=REL)
     # Z1 -> Z leaks 1% of outcome 1 into outcome 0
     assert pairs[2] == pytest.approx((0.501, 0.099), rel=REL)
+    # ports that never click leave a zero gain and a zero error rate
+    patch_ports(monkeypatch, [0.0] * 12)
+    for r in (0.0, 0.05):
+        assert ChannelModel(make_cfg(fluct_r=r))._tables([0.5])[0].tolist() == [0.0] * 17
 
 
 def test_gauss_expect_matches_quad():
@@ -159,7 +176,7 @@ def test_outcome_probs_are_probabilities(distance, xi, r):
     model = ChannelModel(cfg)
     intens = make_intens(r=r)
     for lv in intens:
-        for p0, p1 in outcome_pairs(model._entry(lv.nominal.item())):
+        for p0, p1 in outcome_pairs(model._tables([lv.nominal.item()])[0]):
             assert 0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0
             assert p0 + p1 <= 1.0 + 1e-12
 
@@ -299,7 +316,7 @@ CONFIGS = (("Z", 0, "Z"), ("Z", 0, "X"), ("Z", 1, "Z"), ("Z", 1, "X"),
 
 
 # frozen copies of the scalar helpers the click tables were once built
-# from, kept as the reference for _entry
+# from, kept as the reference for _click_tables
 
 
 def interference_factors(xi, a, y, b):
@@ -359,7 +376,7 @@ def click_probs_per_config(cfg, level, basis_pair, bit_in):
     configuration."""
     a, b = basis_pair
     fracs = interference_factors(cfg.xi, a, bit_in, b)
-    return tuple(_port_click_probs(cfg, level.nominal, fracs))
+    return tuple(_port_click_probs(cfg, [level.nominal], fracs)[0])
 
 
 def table_from_click_probs(cfg, level, click):
@@ -380,18 +397,54 @@ def table_from_click_probs(cfg, level, click):
 @pytest.mark.parametrize("distance", [0.0, 80.0, 160.0])
 @pytest.mark.parametrize("r", [0.0, 0.02, 0.05])
 def test_table_matches_separate_click_probs(distance, r):
-    # one quadrature per table must not move a single bit
+    # a point-mass table is the per-port closed form bit for bit; a
+    # quadrature table's dot products sum in the batched matmul's order,
+    # within a few ulps of a separate quadrature per port
+    rel = 0.0 if r == 0.0 else REL
     cfg = make_cfg(distance_km=distance, xi=0.147, fluct_r=r)
     rng = np.random.default_rng(int(distance) + int(1000 * r))
     for k_s, k_d1 in [(0.5, 0.1)] + [(u, 0.3 * u) for u in rng.uniform(0.05, 1.0, 5)]:
         intens = IntensitySet.fluctuating(k_s=k_s, k_d1=k_d1, k_d2=2e-4,
                                           p_s=0.6, p_d1=0.3, r=r)
-        model = ChannelModel(cfg)
-        for lab in K_LABELS:
-            level = intens.level(lab)
-            row = model._entry(level.nominal)
+        levels = [intens.level(lab) for lab in K_LABELS]
+        # the three levels' tables in one pass
+        rows = ChannelModel(cfg)._tables([level.nominal for level in levels])
+        for level, row in zip(levels, rows):
             # the X1 sender state is never sent
-            assert row[12:16] == [0.0] * 4
+            assert (row[12:16] == 0.0).all()
             for click in (click_probs_per_port, click_probs_per_config):
                 table = table_from_click_probs(cfg, level, click)
-                assert outcome_pairs(row)[:6] == [table[c] for c in CONFIGS]
+                expect = [q for c in CONFIGS for q in table[c]]
+                assert row[:12].tolist() == pytest.approx(expect, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.05])
+def test_table_rows_do_not_depend_on_the_batch(r):
+    # 300 levels built together give the floats of each built alone;
+    # at r > 0 the zero level is a point mass among quadratures
+    cfg = make_cfg(distance_km=80.0, xi=0.147, fluct_r=r)
+    nominal = [0.0] + np.random.default_rng(3).uniform(1e-4, 1.0, 299).tolist()
+    together = ChannelModel(cfg)._tables(nominal)
+    alone = np.array([ChannelModel(cfg)._tables([k])[0] for k in nominal])
+    assert together.tobytes() == alone.tobytes()
+
+
+def test_each_missing_table_is_built_once(monkeypatch):
+    built = []
+
+    def spy(cfg, nominal, fracs):
+        built.append(list(nominal))
+        return click_tables(cfg, nominal, fracs)
+
+    click_tables = channel._click_tables
+    monkeypatch.setattr(channel, "_click_tables", spy)
+    model = ChannelModel(make_cfg(fluct_r=0.05))
+    first = model._tables([0.1, 0.2, 0.3])
+    # hits are looked up, and only the new key of a batch is built
+    again = model._tables([0.2, 0.3, 0.4])
+    model._tables([0.1, 0.4])
+    assert built == [[0.1, 0.2, 0.3], [0.4]]
+    assert again[:2].tobytes() == first[1:].tobytes()
+    # another model keeps its own tables
+    ChannelModel(make_cfg(fluct_r=0.05))._tables([0.1])
+    assert built[-1] == [0.1]

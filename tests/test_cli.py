@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qkd_keyrate import cli
+from qkd_keyrate import cli, config
 from qkd_keyrate.cli import CSV_COLUMNS, main, run_sweep, write_csv
 from qkd_keyrate.config import parse_config
 
@@ -68,6 +68,24 @@ def test_sweep_deterministic(fast_rows):
     write_csv(fast_rows, a)
     write_csv(again, b)
     assert a.getvalue() == b.getvalue()
+
+
+def test_sweep_builds_one_budget(fast_rows, monkeypatch):
+    built = []
+    budget = config.RunConfig.budget
+
+    def counted(self):
+        built.append(1)
+        return budget(self)
+
+    monkeypatch.setattr(config.RunConfig, "budget", counted)
+    assert run_sweep(parse_config(FAST)) == fast_rows
+    assert len(built) == 1
+
+
+def test_sweep_workers_give_the_rows_of_one_process(fast_rows):
+    # the budget built once travels to each worker process
+    assert run_sweep(parse_config(FAST.replace("workers = 1", "workers = 2"))) == fast_rows
 
 
 def test_sweep_command_writes_file(tmp_path, capsys):

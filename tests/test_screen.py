@@ -14,7 +14,13 @@ from qkd_keyrate.channel import ChannelConfig, ChannelModel
 from qkd_keyrate.decoy import aggregate_bounds, decoy_factors
 from qkd_keyrate.key_length import key_length_bound, lambda_ec_batch
 from qkd_keyrate.optimize import SearchSpace, optimize_rate
-from qkd_keyrate.pipeline import ParamBatch, evaluate_batch, evaluate_rate, screen_batch
+from qkd_keyrate.pipeline import (
+    ParamBatch,
+    evaluate_batch,
+    evaluate_rate,
+    prepare_batch,
+    screen_batch,
+)
 
 # per mode of the property test: the chain's mode, r, N and eps_sec
 # (None: asymptotic)
@@ -90,6 +96,30 @@ def test_screen_keeps_the_results_of_the_points_it_passes():
     assert (full.rate[~kept] <= floor).all()
 
 
+def test_floor_per_point_and_prepared_batches():
+    # past the key's edge a floor of 0 stops every point; a point whose
+    # floor is -inf runs the whole chain
+    cfg, bud = channel(200.0, 0.05), budget("fluct", 1e-8)
+    params = SearchSpace().params_batch(np.random.default_rng(2).random((16, 5)))
+    feasible, full = evaluate_batch(cfg, params, bud, 1e14, mode="fluct")
+    first = int(np.argmax(feasible))
+    _, screened, none = screen_batch(cfg, params, bud, 1e14, 0.0, mode="fluct")
+    assert screened.tolist() == feasible.tolist() and len(none.rate) == 0
+    floor = np.zeros(16)
+    floor[first] = -np.inf
+    prepared = prepare_batch(params, "fluct", 0.05)
+    _, screened, kept = screen_batch(cfg, params, bud, 1e14, floor, mode="fluct",
+                                     prepared=prepared)
+    assert np.flatnonzero(feasible & ~screened).tolist() == [first]
+    assert kept.result(0) == full.result(0)
+    # a prepared batch serves only the points, mode and fluctuation it
+    # was formed for
+    for link, points, mode in ((cfg, params, "exact"), (channel(200.0, 0.02), params, "fluct"),
+                               (cfg, ParamBatch(*(a[:8] for a in params)), "fluct")):
+        with pytest.raises(ValueError, match="prepared"):
+            screen_batch(link, points, bud, 1e14, None, mode=mode, prepared=prepared)
+
+
 def unscreened(monkeypatch):
     """Run the optimizer's grid without a floor, as before the screen."""
     def no_floor(cfg, params, budget, n_total, floor, *args, **kwargs):
@@ -136,3 +166,32 @@ def test_screen_leaves_the_optimum_unchanged(case, monkeypatch):
     assert screened.grid_evaluations == full.grid_evaluations
     assert screened.polish_evaluations == full.polish_evaluations
     assert (screened.best.ell > 0) == keys
+
+
+# distances past the key's edge: sweep-fluct's link at 120 km, where the
+# screen keeps some points, and at 160 km, where it would stop them all,
+# and an exact-mode link
+KEYLESS = {
+    "fluct-120": ("fluct", 0.05, 1e14, 1e-8, 120.0),
+    "fluct-160": ("fluct", 0.05, 1e14, 1e-8, 160.0),
+    "exact-250": ("exact", 0.0, 1e9, 1e-10, 250.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEYLESS))
+def test_keyless_distance_scores_each_chunk_once(case, monkeypatch):
+    mode, r, n_total, eps_sec, distance = KEYLESS[case]
+    sizes = []
+
+    def counted(cfg, params, *args, **kwargs):
+        sizes.append(len(params.p_z))
+        return screen_batch(cfg, params, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "screen_batch", counted)
+    cfg, bud = channel(distance, r), budget(mode, eps_sec)
+    out = optimize_rate(cfg, bud, n_total, mode=mode, grid_points=4)
+    assert out.best.ell == 0
+    # the first feasible point is let through the screen, not scored
+    # again in a batch of its own
+    assert sizes == [257, 256, 256, 256]
+    assert evaluate_rate(cfg, out.best_params, bud, n_total, mode=mode) == out.best
