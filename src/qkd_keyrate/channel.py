@@ -74,16 +74,6 @@ _CELL_STATE = np.repeat([0, 0, 1, 3], 4)
 _CELL_BASIS = np.tile([2, 2, 1, 1], 4)
 # the Z-sender, Z-receiver cells: Z0Z0, Z0Z1, Z1Z0, Z1Z1
 ZZ_CELLS = np.array([0, 1, 4, 5])
-# along the first 12 CELLS, the like-basis configurations' wrong
-# outcomes, each with its correct one (bit y; the X basis only sends 0),
-# which misalignment leaks into it
-_ALIGNED = {2 * c + 1 - y: 2 * c + y for c, (a, y, b) in enumerate(_CONFIGS) if a == b}
-_CORRECT = np.array([i in _ALIGNED.values() for i in range(12)])
-_WRONG = np.array([i in _ALIGNED for i in range(12)])
-# the outcome whose leak each outcome receives (itself where none)
-_LEAK_FROM = np.array([_ALIGNED.get(i, i) for i in range(12)])
-
-
 @dataclass(frozen=True)
 class ChannelConfig:
     """System model parameters for one link."""
@@ -139,18 +129,13 @@ class FluctuationDensity:
     sigma2: float
     norm: float
 
-    @staticmethod
-    def is_point_mass(mean: float, r: float) -> bool:
-        """Whether the density at ``mean`` and width ``r`` is a point mass."""
-        return r == 0.0 or mean == 0.0
-
     @classmethod
     def for_intensity(cls, mean: float, r: float) -> "FluctuationDensity":
         if mean < 0:
             raise ValueError("mean intensity must be nonnegative")
         if not 0.0 <= r < 1.0:
             raise ValueError("relative width r must lie in [0, 1)")
-        if cls.is_point_mass(mean, r):
+        if r == 0.0 or mean == 0.0:
             return cls(mean, mean, mean, 0.0, math.inf)
         lo, hi = (1.0 - r) * mean, (1.0 + r) * mean
         sigma2 = r * mean / 5.0
@@ -216,29 +201,30 @@ def _overlaps(xi: float) -> tuple[float, ...]:
 
 def _port_click_probs(
     cfg: ChannelConfig, nominal: Sequence[float], fracs: Sequence[float]
-) -> np.ndarray:
-    """(K, P) click probabilities: of each port that receives the
+) -> list[list[float]]:
+    """K rows of P click probabilities: of each port that receives the
     fraction ``fracs[j]`` of a pulse of nominal intensity ``nominal[i]``.
 
     Each port clicks unless neither its share of the attenuated pulse
     nor a dark count fires: p = E_k[1 - (1 - p_d) exp(-eta_sy k f)].  A
-    point-mass level takes the closed form of ``_point_ports``.  The
-    other levels share one pass: their densities' quadrature weights as
-    one (S, 64) array, one np.exp over the (S, P, 64) integrands, and
-    every port's quadrature as one batched matmul.  A row's floats do
-    not depend on the other rows; each port is within a few ulps of a
-    separate quadrature of its own integrand (the dot products may sum
-    in another order).
+    point-mass level (r = 0 or intensity 0) takes the closed form in
+    Python floats.  The other levels share one pass: their densities'
+    quadrature weights as one (S, 64) array, one np.exp over the
+    (S, P, 64) integrands, and every port's quadrature as one batched
+    matmul.  A row's floats do not depend on the other rows; each port
+    is within a few ulps of a separate quadrature of its own integrand
+    (the dot products may sum in another order).
     """
-    eta, pd = cfg.eta_sy, cfg.dark_prob
-    r = cfg.fluct_r
-    point = [FluctuationDensity.is_point_mass(k, r) for k in nominal]
-    # a spread level's row is left to the quadrature below
-    out = np.array([
-        _point_ports(eta, pd, k, fracs) if p else [math.nan] * len(fracs)
-        for k, p in zip(nominal, point)
-    ]).reshape(len(nominal), len(fracs))
-    spread = [i for i, p in enumerate(point) if not p]
+    eta, pd, r = cfg.eta_sy, cfg.dark_prob, cfg.fluct_r
+    rows: list = []
+    spread = []
+    for i, k in enumerate(nominal):
+        if r == 0.0 or k == 0.0:
+            rows.append([1.0 - (1.0 - pd) * math.exp(-eta * k * f) for f in fracs])
+        else:
+            # left to the quadrature below
+            rows.append(None)
+            spread.append(i)
     if spread:
         # the spread levels' densities stacked into (S, 1) fields
         dens = [FluctuationDensity.for_intensity(nominal[i], r) for i in spread]
@@ -249,65 +235,32 @@ def _port_click_probs(
         # fracs * (-eta k) as np.multiply.outer forms it, per level
         exponent = (-eta * k)[:, None, :] * np.asarray(fracs, dtype=float)[:, None]
         values = 1.0 - (1.0 - pd) * np.exp(exponent)
-        out[spread] = (values @ weight[:, :, None])[:, :, 0] * half
-    return out
-
-
-def _point_ports(
-    eta: float, pd: float, k: float, fracs: Sequence[float]
-) -> list[float]:
-    """``_port_click_probs`` of one point-mass level at intensity ``k``,
-    in Python floats, on a link of efficiency ``eta`` (``eta_sy``) and
-    dark-count probability ``pd``."""
-    return [1.0 - (1.0 - pd) * math.exp(-eta * k * f) for f in fracs]
+        probs = (values @ weight[:, :, None])[:, :, 0] * half
+        for i, row in zip(spread, probs.tolist()):
+            rows[i] = row
+    return rows
 
 
 def _click_tables(
     cfg: ChannelConfig, nominal: Sequence[float], fracs: Sequence[float]
-) -> Sequence[Sequence[float]]:
+) -> list[list[float]]:
     """The click tables at the nominal intensities ``nominal``, K rows of
-    17, from the click probabilities of their ports; ``fracs`` are the
-    port fractions of ``_CONFIGS``.
+    17, from the click probabilities of their ports (``fracs`` are the
+    port fractions of ``_CONFIGS``), all formed by one
+    ``_port_click_probs`` call.
 
     Entry i is the probability that a pulse of CELLS[i]'s sender state
     measured in its receiver basis gives its outcome (exclusively,
     after random double-click assignment and, for like-basis
-    configurations, misalignment); entry 16 is the Z error rate.  On a
-    link with intensity fluctuations the tables take one array pass.
-    On a link without, every level is a point mass and each table is
-    formed in Python floats by ``_point_ports`` and ``_point_table``: a
-    cold exact-mode point needs three tables, which plain floats build
-    faster than the numpy calls of the array pass.  Both apply the same
-    float operations to each entry, so a row depends neither on the path
-    nor on the other rows.
+    configurations, misalignment); entry 16 is the Z error rate.
     """
-    e_mis = cfg.e_mis
-    if cfg.fluct_r == 0.0:
-        eta, pd = cfg.eta_sy, cfg.dark_prob
-        return [_point_table(_point_ports(eta, pd, k, fracs), e_mis) for k in nominal]
-    # each outcome alone, and half of the double clicks
-    ports = _port_click_probs(cfg, nominal, fracs).reshape(len(nominal), 6, 2)
-    other = ports[:, :, ::-1]
-    q = (ports * (1.0 - other) + 0.5 * ports * other).reshape(len(nominal), 12)
-    # misalignment leaks a fraction e_mis of the correct outcome of each
-    # like-basis configuration into the wrong one; cross-basis outcomes
-    # are already error-like.  Where nothing leaks, the terms are q * 1
-    # and q * 0, which leave q's float as it is
-    keep = np.where(_CORRECT, 1.0 - e_mis, 1.0)
-    leak = np.where(_WRONG, e_mis, 0.0)
-    q = q * keep + q[:, _LEAK_FROM] * leak
-    # the X1 sender cells (12..15) are never sent; z_error_rate's
-    # operations, where the gain is 0 only if the errors are
-    table = np.zeros((len(nominal), 17))
-    table[:, :12] = q
-    gain = q[:, 0] + q[:, 1] + q[:, 4] + q[:, 5]
-    table[:, 16] = (q[:, 1] + q[:, 4]) / np.where(gain > 0.0, gain, 1.0)
-    return table
+    ports = _port_click_probs(cfg, nominal, fracs)
+    return [_table_from_ports(row, cfg.e_mis) for row in ports]
 
 
-def _point_table(ports: list[float], e_mis: float) -> list[float]:
-    """One click table of ``_click_tables`` in Python floats, from the
-    click probabilities of its 12 ports."""
+def _table_from_ports(ports: list[float], e_mis: float) -> list[float]:
+    """One click table of ``_click_tables``, from the click
+    probabilities of its 12 ports."""
     row = []
     for (a, y, b), p0, p1 in zip(_CONFIGS, ports[0::2], ports[1::2]):
         # each outcome alone, and half of the double clicks
@@ -364,8 +317,9 @@ class ChannelModel:
     is the config's ``fluct_r``), not on the basis or intensity
     selection probabilities, so one table serves every (p_z, N) choice.
     The tables a batch needs and the model lacks are built together, by
-    one ``_click_tables`` call.  ``expected_counts`` takes a batch's
-    ``CellLayout``, which a grid that several links share forms once.
+    one ``_click_tables`` call, whose port quadratures share one array
+    pass.  ``expected_counts`` takes a batch's ``CellLayout``, which a
+    grid that several links share forms once.
     """
 
     def __init__(self, cfg: ChannelConfig):
@@ -374,9 +328,9 @@ class ChannelModel:
         self._fractions = tuple(
             f for o in _overlaps(cfg.xi) for f in ((1.0 + o) / 2.0, (1.0 - o) / 2.0)
         )
-        # per nominal intensity: its click table, a list of floats or a
-        # row of the array its batch was built in
-        self._by_nominal: dict[float, Sequence[float]] = {}
+        # per nominal intensity: its click table, the outcome
+        # probabilities along CELLS followed by the Z error rate
+        self._by_nominal: dict[float, list[float]] = {}
 
     def _tables(self, nominal: Sequence[float]) -> np.ndarray:
         """(D, 17) click tables at the distinct nominal intensities

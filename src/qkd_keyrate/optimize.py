@@ -221,15 +221,14 @@ def optimize_rate(
     model = ChannelModel(cfg)
     trace: list[tuple[ProtocolParams, float]] = []
 
-    def score(points: ParamBatch, floor=None, prepared=None):
+    def score(prepared: PreparedBatch, floor=None):
         """Rates (-inf where infeasible or screened), results, each
         point's row in the results and the mask of screened points for a
-        batch of parameters."""
+        prepared batch."""
         feasible, screened, batch = screen_batch(
-            cfg, points, budget, n_total, floor,
-            mode=mode, f_ec=f_ec, model=model, prepared=prepared,
+            cfg, prepared, budget, n_total, floor, f_ec=f_ec, model=model
         )
-        rates = np.full(len(points.p_z), -np.inf)
+        rates = np.full(len(feasible), -np.inf)
         scored = feasible & ~screened
         rates[scored] = batch.rate
         return rates, batch, np.cumsum(scored) - 1, screened
@@ -249,7 +248,7 @@ def optimize_rate(
             # so the screen lets it through
             floor = np.full(len(chunk), floor)
             floor[prepared.idx[0]] = -np.inf
-        rates, batch, slot, screened = score(points, floor, prepared)
+        rates, batch, slot, screened = score(prepared, floor)
         grid_screened += int(screened.sum())
         # a point enters the trace when it beats every earlier point
         before = np.maximum.accumulate(np.concatenate([[best_rate], rates[:-1]]))
@@ -272,7 +271,7 @@ def optimize_rate(
             stencil = track_u[live, None] + steps[live, None, None] * _COMPASS
             stencil = np.clip(stencil.reshape(-1, 5), 0.0, 1.0)
             points = space.params_batch(stencil)
-            rates, batch, slot, _ = score(points)
+            rates, batch, slot, _ = score(prepare_batch(points, mode, cfg.fluct_r))
             polish_evaluations += len(stencil)
             polled = rates.reshape(len(live), len(_COMPASS))
             for k, t in enumerate(live):

@@ -10,10 +10,10 @@ and ``key_length_batch``.
 ``evaluate_batch`` evaluates many points at once, and ``evaluate_rate``
 is a batch of one.  ``screen_batch``, which the optimizer's grid uses,
 stops after stage 1 the points whose ``key_length_bound``, the length
-at a zero phase-error rate, cannot beat a given rate.  Its first step,
-``prepare_batch`` (feasibility, channel layout and decoy factors), does
-not depend on the link, so the optimizer's grid forms it once for every
-distance of a sweep.  The validation
+at a zero phase-error rate, cannot beat a given rate.  It takes its
+points as ``prepare_batch`` forms them (feasibility, channel layout and
+decoy factors), which does not depend on the link, so the optimizer's
+grid forms it once for every distance of a sweep.  The validation
 suites call the same batch functions.  The channel statistics default
 to the expected values of the system model; ``evaluate_rate`` also
 takes a one-row ``CountsBatch`` from elsewhere, such as a
@@ -154,16 +154,16 @@ def source_coeffs(xi: float) -> np.ndarray:
 
 
 class PreparedBatch(NamedTuple):
-    """The part of a batch's chain that does not depend on the link.
+    """The part of a batch's chain that does not depend on the link,
+    ``prepare_batch`` of its points.
 
-    ``feasible`` is the mask of feasible points and ``idx`` their
-    indices; ``layout`` is the ``CellLayout`` of the feasible points'
-    levels and ``factors`` their ``decoy_factors``.  ``mode`` and ``r``
-    are the intensity mode and relative fluctuation it was formed for.
+    ``mode`` is the intensity mode of its chain, ``feasible`` the mask
+    of feasible points and ``idx`` their indices; ``layout`` is the
+    ``CellLayout`` of the feasible points' levels and ``factors`` their
+    ``decoy_factors``.
     """
 
     mode: str
-    r: float
     feasible: np.ndarray
     idx: np.ndarray
     layout: CellLayout
@@ -178,7 +178,7 @@ def prepare_batch(params: ParamBatch, mode: str, r: float) -> PreparedBatch:
     idx = np.flatnonzero(feasible)
     intens = intens.take(idx)
     return PreparedBatch(
-        mode, r, feasible, idx,
+        mode, feasible, idx,
         CellLayout.of(intens, params.p_z[idx]), decoy_factors(intens),
     )
 
@@ -203,25 +203,25 @@ def evaluate_batch(
     fails at every p_z in (0, 1) or at none.  ``model`` shares click
     tables across calls on one link.
     """
-    feasible, _, batch = screen_batch(
-        cfg, params, budget, n_total, None, mode, f_ec, model
-    )
+    prepared = prepare_batch(params, mode, cfg.fluct_r)
+    feasible, _, batch = screen_batch(cfg, prepared, budget, n_total, None, f_ec, model)
     return feasible, batch
 
 
 def screen_batch(
     cfg: ChannelConfig,
-    params: ParamBatch,
+    prepared: PreparedBatch,
     budget: EpsilonBudget | None,
     n_total: float,
     floor: float | np.ndarray | None,
-    mode: str = "exact",
     f_ec: float = 1.16,
     model: ChannelModel | None = None,
-    prepared: PreparedBatch | None = None,
 ) -> tuple[np.ndarray, np.ndarray, KeyRateBatch]:
-    """``evaluate_batch`` for callers that need a rate above ``floor``.
+    """``evaluate_batch`` of a prepared batch, for callers that need a
+    rate above ``floor``.
 
+    ``prepared`` is ``prepare_batch`` of the points in their mode at the
+    link's ``fluct_r``; a grid that several links share keeps it.
     ``floor`` is a rate of at least 0 or -inf, for every point or per
     point.  A feasible point is screened where its floor is finite and
     its m1 is 0 or its ``key_length_bound`` over n_total does not
@@ -230,17 +230,8 @@ def screen_batch(
     floor is -inf is never screened, and ``floor`` None screens no
     point.  Returns the mask of feasible points, the mask of the
     screened ones among them, and the results of the other feasible
-    points, in order.  ``prepared``, ``prepare_batch`` of ``params`` in
-    ``mode`` at the link's ``fluct_r``, spares forming it again: a grid
-    that several links share keeps it.  Infeasible points and errors
-    are those of ``evaluate_batch``.
+    points, in order.  Errors are those of ``evaluate_batch``.
     """
-    if prepared is None:
-        prepared = prepare_batch(params, mode, cfg.fluct_r)
-    elif (prepared.mode, prepared.r, len(prepared.feasible)) != (
-        mode, cfg.fluct_r, len(params.p_z)
-    ):
-        raise ValueError("prepared batch formed for other points, mode or fluct_r")
     feasible, idx = prepared.feasible, prepared.idx
     if np.ndim(floor):
         floor = floor[idx]
@@ -249,7 +240,7 @@ def screen_batch(
     counts, e_z = model.expected_counts(prepared.layout, n_total)
     passed, batch = _rate_batch(
         counts, e_z, prepared.factors, cfg.xi, prepared.layout.p_z,
-        budget, n_total, mode, f_ec, floor,
+        budget, n_total, prepared.mode, f_ec, floor,
     )
     screened = np.zeros_like(feasible)
     if passed is not None:

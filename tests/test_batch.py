@@ -210,9 +210,9 @@ def test_grid_is_chunked(monkeypatch):
     # first chunk, so four chunks, the first of 257 points
     sizes = []
 
-    def counted(cfg, params, *args, **kwargs):
-        sizes.append(len(params.p_z))
-        return screen_batch(cfg, params, *args, **kwargs)
+    def counted(cfg, prepared, *args, **kwargs):
+        sizes.append(len(prepared.feasible))
+        return screen_batch(cfg, prepared, *args, **kwargs)
 
     monkeypatch.setattr(optimize, "screen_batch", counted)
     out = optimize_rate(channel(60.0), EpsilonBudget.build(1e-10, 1e-15, "exact"),

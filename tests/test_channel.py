@@ -87,23 +87,15 @@ def test_click_prob_frozen():
 
 def patch_ports(monkeypatch, ports):
     """Make every level's 12 ports click with the probabilities ``ports``."""
-    monkeypatch.setattr(channel, "_point_ports", lambda *_: list(ports))
-    monkeypatch.setattr(channel, "_port_click_probs", lambda *_: np.array([ports]))
+    monkeypatch.setattr(channel, "_port_click_probs", lambda *_: [list(ports)])
 
 
 def pairs_with_ports(monkeypatch, p0, p1):
     """The outcome pairs of the click table that ``_click_tables`` builds
     (at e_mis = 0.01) when port 0 of every configuration clicks with
-    probability p0 and port 1 with p1: on a link without intensity
-    fluctuations (the Python-float tables) and on one with (the array
-    pass), which must agree bit for bit."""
+    probability p0 and port 1 with p1."""
     patch_ports(monkeypatch, [p0, p1] * 6)
-    point, spread = (
-        outcome_pairs(ChannelModel(make_cfg(e_mis=0.01, fluct_r=r))._tables([0.5])[0])
-        for r in (0.0, 0.05)
-    )
-    assert point == spread
-    return point
+    return outcome_pairs(ChannelModel(make_cfg(e_mis=0.01))._tables([0.5])[0])
 
 
 def test_double_click_resolution(monkeypatch):
@@ -130,8 +122,7 @@ def test_misalignment(monkeypatch):
     assert pairs[2] == pytest.approx((0.501, 0.099), rel=REL)
     # ports that never click leave a zero gain and a zero error rate
     patch_ports(monkeypatch, [0.0] * 12)
-    for r in (0.0, 0.05):
-        assert ChannelModel(make_cfg(fluct_r=r))._tables([0.5])[0].tolist() == [0.0] * 17
+    assert ChannelModel(make_cfg())._tables([0.5])[0].tolist() == [0.0] * 17
 
 
 def test_gauss_expect_matches_quad():

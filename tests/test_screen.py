@@ -74,7 +74,7 @@ def test_bound_is_never_below_the_key_length(mode, distance, u):
         # a floor just below the point's rate lets it through unchanged
         floor = np.nextafter(res.rate, 0.0)
         feasible, screened, batch = screen_batch(
-            cfg, ParamBatch.of([params]), bud, n_total, floor, mode=chain_mode
+            cfg, prepare_batch(ParamBatch.of([params]), chain_mode, r), bud, n_total, floor
         )
         assert feasible[0] and not screened[0]
         assert batch.result(0) == res
@@ -85,7 +85,8 @@ def test_screen_keeps_the_results_of_the_points_it_passes():
     params = SearchSpace().params_batch(np.random.default_rng(5).random((64, 5)))
     feasible, full = evaluate_batch(cfg, params, bud, 1e14, mode="fluct")
     floor = float(np.median(full.rate[full.rate > 0.0]))
-    same, screened, batch = screen_batch(cfg, params, bud, 1e14, floor, mode="fluct")
+    prepared = prepare_batch(params, "fluct", 0.05)
+    same, screened, batch = screen_batch(cfg, prepared, bud, 1e14, floor)
     assert np.array_equal(same, feasible)
     # stage 2 ran on some points only, on their rows of stage 1's arrays
     kept = ~screened[feasible]
@@ -96,34 +97,27 @@ def test_screen_keeps_the_results_of_the_points_it_passes():
     assert (full.rate[~kept] <= floor).all()
 
 
-def test_floor_per_point_and_prepared_batches():
+def test_floor_per_point():
     # past the key's edge a floor of 0 stops every point; a point whose
     # floor is -inf runs the whole chain
     cfg, bud = channel(200.0, 0.05), budget("fluct", 1e-8)
     params = SearchSpace().params_batch(np.random.default_rng(2).random((16, 5)))
     feasible, full = evaluate_batch(cfg, params, bud, 1e14, mode="fluct")
     first = int(np.argmax(feasible))
-    _, screened, none = screen_batch(cfg, params, bud, 1e14, 0.0, mode="fluct")
+    prepared = prepare_batch(params, "fluct", 0.05)
+    _, screened, none = screen_batch(cfg, prepared, bud, 1e14, 0.0)
     assert screened.tolist() == feasible.tolist() and len(none.rate) == 0
     floor = np.zeros(16)
     floor[first] = -np.inf
-    prepared = prepare_batch(params, "fluct", 0.05)
-    _, screened, kept = screen_batch(cfg, params, bud, 1e14, floor, mode="fluct",
-                                     prepared=prepared)
+    _, screened, kept = screen_batch(cfg, prepared, bud, 1e14, floor)
     assert np.flatnonzero(feasible & ~screened).tolist() == [first]
     assert kept.result(0) == full.result(0)
-    # a prepared batch serves only the points, mode and fluctuation it
-    # was formed for
-    for link, points, mode in ((cfg, params, "exact"), (channel(200.0, 0.02), params, "fluct"),
-                               (cfg, ParamBatch(*(a[:8] for a in params)), "fluct")):
-        with pytest.raises(ValueError, match="prepared"):
-            screen_batch(link, points, bud, 1e14, None, mode=mode, prepared=prepared)
 
 
 def unscreened(monkeypatch):
     """Run the optimizer's grid without a floor, as before the screen."""
-    def no_floor(cfg, params, budget, n_total, floor, *args, **kwargs):
-        return screen_batch(cfg, params, budget, n_total, None, *args, **kwargs)
+    def no_floor(cfg, prepared, budget, n_total, floor, *args, **kwargs):
+        return screen_batch(cfg, prepared, budget, n_total, None, *args, **kwargs)
 
     monkeypatch.setattr(optimize, "screen_batch", no_floor)
 
@@ -183,9 +177,9 @@ def test_keyless_distance_scores_each_chunk_once(case, monkeypatch):
     mode, r, n_total, eps_sec, distance = KEYLESS[case]
     sizes = []
 
-    def counted(cfg, params, *args, **kwargs):
-        sizes.append(len(params.p_z))
-        return screen_batch(cfg, params, *args, **kwargs)
+    def counted(cfg, prepared, *args, **kwargs):
+        sizes.append(len(prepared.feasible))
+        return screen_batch(cfg, prepared, *args, **kwargs)
 
     monkeypatch.setattr(optimize, "screen_batch", counted)
     cfg, bud = channel(distance, r), budget(mode, eps_sec)
