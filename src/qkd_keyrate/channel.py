@@ -348,17 +348,11 @@ class ChannelModel:
         basis = layout.weights[:, None, _CELL_BASIS]
         return state, basis, self._tables(layout.nominal.tolist())[layout.which]
 
-    def expected_batch(
-        self, intens: IntensityBatch, p_z: np.ndarray, n_total: float
-    ) -> tuple[CountsBatch, np.ndarray]:
-        """Expected counts of a batch of points and the Z-basis bit error
-        rate of each point's signal level."""
-        return self.expected_counts(CellLayout.of(intens, p_z), n_total)
-
     def expected_counts(
         self, layout: CellLayout, n_total: float
     ) -> tuple[CountsBatch, np.ndarray]:
-        """``expected_batch`` of the batch that ``layout`` lays out."""
+        """Expected counts of the batch that ``layout`` lays out and the
+        Z-basis bit error rate of each point's signal level."""
         if not (math.isfinite(n_total) and n_total > 0):
             raise ValueError(f"n_total must be finite and positive, got {n_total!r}")
         state, basis, rows = self._layout(layout)

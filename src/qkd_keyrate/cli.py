@@ -21,8 +21,9 @@ import os
 import sys
 
 from .budget import EpsilonBudget
+from .channel import ChannelConfig
 from .config import ConfigError, RunConfig, load_config, with_overrides
-from .optimize import InfeasibleSearchError, optimize_rate
+from .optimize import InfeasibleSearchError, OptimizationResult, optimize_rate
 from .validate import run_validation
 
 __all__ = ["run_sweep", "write_csv", "main"]
@@ -34,13 +35,12 @@ CSV_COLUMNS = (
 )
 
 
-def _sweep_point(
-    cfg: RunConfig, budget: EpsilonBudget | None, distance_km: float
-) -> dict:
-    """One optimized sweep row under ``cfg.budget()``, which the caller
-    builds once per sweep; module-level so worker processes can run it."""
-    opt = optimize_rate(
-        cfg.channel(distance_km),
+def _optimize(
+    cfg: RunConfig, budget: EpsilonBudget | None, channel: ChannelConfig
+) -> OptimizationResult:
+    """``optimize_rate`` on ``channel`` with ``cfg``'s settings."""
+    return optimize_rate(
+        channel,
         budget,
         cfg.n_total,
         strategy=cfg.strategy,
@@ -49,6 +49,14 @@ def _sweep_point(
         f_ec=cfg.f_ec,
         grid_points=cfg.grid_points,
     )
+
+
+def _sweep_point(
+    cfg: RunConfig, budget: EpsilonBudget | None, distance_km: float
+) -> dict:
+    """One optimized sweep row under ``cfg.budget()``, which the caller
+    builds once per sweep; module-level so worker processes can run it."""
+    opt = _optimize(cfg, budget, cfg.channel(distance_km))
     res, par = opt.best, opt.best_params
     return {
         "distance_km": distance_km,
@@ -80,8 +88,11 @@ def run_sweep(cfg: RunConfig) -> list[dict]:
     if not distances:
         raise ConfigError("sweep grid is empty")
     budget = cfg.budget()
-    workers = cfg.workers or min(len(distances), os.cpu_count() or 1)
-    if workers <= 1 or len(distances) == 1:
+    # a pool starts all its workers at once: never more than one per
+    # distance or per core
+    cap = min(len(distances), os.cpu_count() or 1)
+    workers = min(cfg.workers or cap, cap)
+    if workers <= 1:
         return [_sweep_point(cfg, budget, d) for d in distances]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         n = len(distances)
@@ -149,16 +160,7 @@ def _cmd_optimize(args) -> int:
         channel = cfg.channel(args.distance)
     except ValueError as exc:
         raise ConfigError(f"--distance: {exc}") from None
-    opt = optimize_rate(
-        channel,
-        cfg.budget(),
-        cfg.n_total,
-        strategy=cfg.strategy,
-        seed=cfg.seed,
-        mode=cfg.bound_mode,
-        f_ec=cfg.f_ec,
-        grid_points=cfg.grid_points,
-    )
+    opt = _optimize(cfg, cfg.budget(), channel)
     print(f"distance_km = {_fmt(float(args.distance))}")
     print(f"evaluations = {opt.evaluations}")
     print(f"grid_screened = {opt.grid_screened}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 from .budget import EpsilonBudget
 from .channel import ChannelConfig
+from .optimize import MAX_GRID_POINTS
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "DEFAULT_SECTIONS"]
 
@@ -139,6 +140,11 @@ class RunConfig:
         if self.grid_points < 2:
             raise ConfigError(
                 f"optimizer.grid_points must be >= 2, got {self.grid_points!r}"
+            )
+        if self.grid_points > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"optimizer.grid_points must be <= {MAX_GRID_POINTS} (a grid of "
+                f"{MAX_GRID_POINTS}**5 points), got {self.grid_points!r}"
             )
         if self.workers < 0:
             raise ConfigError(f"optimizer.workers must be >= 0, got {self.workers!r}")

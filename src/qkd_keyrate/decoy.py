@@ -10,14 +10,14 @@ are supported: ``exact`` (the set intensity is the emitted one) and
 every inequality is evaluated at its worst-case endpoint and mean values
 are estimated without any independence assumption).
 
-``decoy_bounds_batch`` bounds a batch of parameter points at once, with
-a leading batch axis on every array; one point is a batch of one.  It
-is ``aggregate_bounds`` (m0 and m1) followed by ``cell_bounds`` (the
-sixteen cells), both on the per-point factors of ``decoy_factors``, so
-a caller can stop after m0 and m1.  Each
-mean estimate takes its deviation, a ``concentration`` function, from
-its own allocation of the static budget, which the key length charges
-as a whole.  Passing
+The bounds take a batch of parameter points at once, with a leading
+batch axis on every array; one point is a batch of one.
+``aggregate_bounds`` gives m0 and m1 and ``cell_bounds`` the sixteen
+cells, both on the per-point factors of ``decoy_factors``, so a caller
+can stop after m0 and m1.  ``IntensityBatch.from_params`` is the one
+feasibility rule of a batch's levels.  Each mean estimate takes its
+deviation, a ``concentration`` function, from its own allocation of the
+static budget, which the key length charges as a whole.  Passing
 ``budget=None`` zeroes all statistical deviations, which turns the
 bounds into their asymptotic (infinite-key) counterparts.  The one-point
 functions the batch replaced are kept as the test reference in
@@ -48,7 +48,6 @@ __all__ = [
     "IntensityBatch",
     "aggregate_bounds",
     "cell_bounds",
-    "decoy_bounds_batch",
     "decoy_factors",
     "poisson_pk",
 ]
@@ -98,9 +97,9 @@ K_HI_CAP = 700.0
 
 
 class LevelBatch(NamedTuple):
-    """One intensity setting over a batch, (B,) arrays (floats where
-    ``from_params`` runs on one point): the nominal intensity, the ends
-    [k-, k+] of its known range and its selection probability."""
+    """One intensity setting over a batch, (B,) arrays: the nominal
+    intensity, the ends [k-, k+] of its known range and its selection
+    probability."""
 
     nominal: np.ndarray
     lo: np.ndarray
@@ -130,43 +129,37 @@ class IntensityBatch(NamedTuple):
         k_d1: np.ndarray,
         k_d2: np.ndarray,
     ) -> tuple["IntensityBatch", np.ndarray]:
-        """Levels for ``mode`` and the mask of feasible points.
+        """Levels for ``mode`` and the mask of feasible points, from (B,)
+        arrays.
 
-        This is the one feasibility rule, for a point and a batch alike:
-        it takes floats or (B,) arrays and gives levels and a mask of the
-        same kind.  A point is feasible where 0 < p_z < 1; every level has
+        This is the one feasibility rule; a point is a batch of one.  A
+        point is feasible where 0 < p_z < 1; every level has
         0 <= k- <= k <= k+ and a selection probability p in (0, 1), with
         p_d2 = 1 - p_s - p_d1, and k+ - ln p < K_HI_CAP, so that the closed
         forms' factor e^{k+}/p stays finite; and the ranges are ordered as
-        the closed forms need, k_d1- > k_d2+ and k_s- > k_d1+ + k_d2-.  An
+        the closed forms need, k_d1- > k_d2+ and k_s- > k_d1+ + k_d2-.  The
+        three levels are the rows of (3, B) arrays, tested at once.  An
         unknown mode or a bad ``r`` concerns every point and raises
-        ValueError.  On arrays, a row with infinite fields may form
-        inf - inf, which numpy warns about; the row is rejected anyway.
+        ValueError.  A row with fields out of range may form inf - inf,
+        ln 0 or ln of a negative number, quietly here; the row is rejected
+        anyway.
         """
-        if mode == "exact":
-            ranges = [(k, k) for k in (k_s, k_d1, k_d2)]
-        elif mode == "fluct":
-            if not (0.0 <= r < 1.0):
-                raise ValueError("relative fluctuation r must lie in [0, 1)")
-            ranges = [((1 - r) * k, (1 + r) * k) for k in (k_s, k_d1, k_d2)]
-        else:
+        if mode not in ("exact", "fluct"):
             raise ValueError(f"mode must be 'exact' or 'fluct', got {mode!r}")
-        probs = (p_s, p_d1, 1.0 - p_s - p_d1)
-        s, d1, d2 = levels = [
-            LevelBatch(k, lo, hi, p)
-            for k, (lo, hi), p in zip((k_s, k_d1, k_d2), ranges, probs)
-        ]
-        # & acts alike on floats and arrays
-        ok = (0.0 < p_z) & (p_z < 1.0)
-        for lv in levels:
-            ok &= (0.0 <= lv.lo) & (lv.lo <= lv.nominal) & (lv.nominal <= lv.hi)
-            ok &= (0.0 < lv.prob) & (lv.prob < 1.0)
-            # ln p where p > 0; a row with p <= 0 is rejected above
-            log_p = np.log(np.where(lv.prob > 0.0, lv.prob, 1.0))
-            ok &= lv.hi < K_HI_CAP + log_p
-        ok &= d1.lo > d2.hi
-        ok &= s.lo > d1.hi + d2.lo
-        return cls(s, d1, d2), ok
+        if mode == "fluct" and not 0.0 <= r < 1.0:
+            raise ValueError("relative fluctuation r must lie in [0, 1)")
+        with np.errstate(all="ignore"):
+            k = np.array([k_s, k_d1, k_d2], dtype=float)
+            lo, hi = (k, k) if mode == "exact" else ((1 - r) * k, (1 + r) * k)
+            prob = np.array([p_s, p_d1, 1.0 - p_s - p_d1])
+            ok = (
+                (0.0 <= lo) & (lo <= k) & (k <= hi) & (0.0 < prob) & (prob < 1.0)
+                & (hi < K_HI_CAP + np.log(prob))
+            ).all(axis=0)
+            ok &= (0.0 < p_z) & (p_z < 1.0)
+            ok &= lo[1] > hi[2]
+            ok &= lo[0] > hi[1] + lo[2]
+        return cls(*map(LevelBatch, k, lo, hi, prob)), ok
 
     def take(self, idx: np.ndarray) -> "IntensityBatch":
         return IntensityBatch(*(lv.take(idx) for lv in self))
@@ -410,21 +403,3 @@ def cell_bounds(
     c_d2_lo, c_d1_hi = est[:, 0], est[:, 3]
     up1 = clamp(up_pref * (up_d1 * c_d1_hi - up_d2 * c_d2_lo))
     return CellBoundsBatch(low0, low1, up1)
-
-
-def decoy_bounds_batch(
-    counts: CountsBatch,
-    intens: IntensityBatch,
-    budget: EpsilonBudget | None,
-    mode: str,
-) -> tuple[np.ndarray, np.ndarray, CellBoundsBatch]:
-    """m0, m1 ((B,) arrays) and the sixteen cells' bounds, per point:
-    ``aggregate_bounds`` and ``cell_bounds`` on the same factors.
-
-    The exact and fluct modes differ only in which endpoints and mean
-    estimators are used; exact mode has lo == hi, so the endpoint choice
-    is vacuous there.
-    """
-    factors = decoy_factors(intens)
-    m0, m1 = aggregate_bounds(counts, factors, budget, mode)
-    return m0, m1, cell_bounds(counts, factors, budget, mode)

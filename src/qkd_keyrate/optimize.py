@@ -50,6 +50,10 @@ from .pipeline import (
 __all__ = ["InfeasibleSearchError", "OptimizationResult", "SearchSpace", "optimize_rate"]
 
 GRID_POINTS = 7
+# the most grid points per axis: the grid's prepared chunks are kept
+# (about 45 KB per GRID_CHUNK points), and 12**5 = 248,832 points take
+# about 44 MB
+MAX_GRID_POINTS = 12
 # grid points per batch: large enough to amortize the per-batch Python
 # work, small enough that a batch's arrays stay well under a megabyte
 GRID_CHUNK = 256
@@ -207,14 +211,20 @@ def optimize_rate(
     feasible) is returned, with rate 0: the screen lets that point
     through, so it is scored in its chunk.  Settings that concern every
     point (mode, n_total, f_ec, a degenerate source) raise
-    ``evaluate_batch``'s ValueError; InfeasibleSearchError means that no
-    point of the box is feasible.
+    ``evaluate_batch``'s ValueError, and a ``grid_points`` outside
+    [2, MAX_GRID_POINTS] raises ValueError; InfeasibleSearchError means
+    that no point of the box is feasible.
     """
     if strategy not in ("grid", "grid+nm"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if grid_points < 2:
         # as RunConfig requires: the polish steps are fractions of a grid step
         raise ValueError(f"grid_points must be >= 2, got {grid_points!r}")
+    if grid_points > MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid_points must be <= MAX_GRID_POINTS = {MAX_GRID_POINTS}, "
+            f"got {grid_points!r}"
+        )
     if space is None:
         space = SearchSpace()
 

@@ -2,22 +2,23 @@
 
 This is the single code path shared by the sweep and the optimizer, so
 every consumer agrees on how the pieces chain together.  The chain runs
-on batches of parameter points, with a leading batch axis, in two
-stages: m0, m1 (``aggregate_bounds``) and the EC leakage, then the cell
-bounds (``cell_bounds``), the phase-error weights at the points' p_z
-(``phase_weights`` of the per-xi ``source_coeffs``), ``n_ph_upper_batch``
-and ``key_length_batch``.
-``evaluate_batch`` evaluates many points at once, and ``evaluate_rate``
-is a batch of one.  ``screen_batch``, which the optimizer's grid uses,
-stops after stage 1 the points whose ``key_length_bound``, the length
-at a zero phase-error rate, cannot beat a given rate.  It takes its
-points as ``prepare_batch`` forms them (feasibility, channel layout and
-decoy factors), which does not depend on the link, so the optimizer's
-grid forms it once for every distance of a sweep.  The validation
-suites call the same batch functions.  The channel statistics default
-to the expected values of the system model; ``evaluate_rate`` also
-takes a one-row ``CountsBatch`` from elsewhere, such as a
-``ChannelModel.sample`` draw.
+on batches of parameter points, with a leading batch axis, and every
+batch enters it through ``prepare_batch``: the feasibility mask
+(``IntensityBatch.from_params``), the channel layout and the decoy
+factors, none of which depends on the link, so the optimizer's grid
+forms them once for every distance of a sweep.  ``screen_batch`` then
+runs two stages on a prepared batch: m0, m1 (``aggregate_bounds``) and
+the EC leakage, then the cell bounds (``cell_bounds``), the phase-error
+weights at the points' p_z (``phase_weights`` of the per-xi
+``source_coeffs``), ``n_ph_upper_batch`` and ``key_length_batch``.  The
+optimizer's grid stops after stage 1 the points whose
+``key_length_bound``, the length at a zero phase-error rate, cannot
+beat a given rate.  ``evaluate_batch`` evaluates many points at once
+and ``evaluate_rate`` one point, a batch of one; neither has a floor.
+The validation suites call the same batch functions.  The channel
+statistics default to the expected values of the system model;
+``evaluate_rate`` also takes a one-row ``CountsBatch`` from elsewhere,
+such as a ``ChannelModel.sample`` draw, in place of stage 1's counts.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .channel import ZZ_CELLS, CellLayout, ChannelConfig, ChannelModel, z_error_
 from .decoy import (
     CountsBatch,
     IntensityBatch,
-    LevelBatch,
     aggregate_bounds,
     cell_bounds,
     decoy_factors,
@@ -84,14 +84,10 @@ class ProtocolParams:
     def intensities(self, mode: str, r: float) -> IntensityBatch:
         """This point's levels for ``mode``, a batch of one; raises
         ValueError where ``IntensityBatch.from_params`` rejects it."""
-        levels, ok = IntensityBatch.from_params(
-            mode, r, self.p_z, self.p_ks, self.p_kd1, self.k_s, self.k_d1, self.k_d2
-        )
-        if not ok:
+        levels, ok = ParamBatch.of([self]).intensities(mode, r)
+        if not ok[0]:
             raise ValueError(f"infeasible parameter point in {mode} mode: {self}")
-        # twelve (1,) rows of one array: list() forms their views in C
-        rows = list(np.array(levels, dtype=float).reshape(12, 1))
-        return IntensityBatch(*(LevelBatch(*rows[i:i + 4]) for i in (0, 4, 8)))
+        return levels
 
 
 class ParamBatch(NamedTuple):
@@ -106,10 +102,10 @@ class ParamBatch(NamedTuple):
 
     @classmethod
     def of(cls, points: Sequence[ProtocolParams]) -> "ParamBatch":
-        return cls(*(
-            np.array([getattr(p, name) for p in points], dtype=float)
-            for name in ("p_z", "p_ks", "p_kd1", "k_s", "k_d1", "k_d2")
-        ))
+        # the fields are the rows of one (6, B) array
+        return cls(*np.array([
+            (p.p_z, p.p_ks, p.p_kd1, p.k_s, p.k_d1, p.k_d2) for p in points
+        ], dtype=float).reshape(-1, 6).T.copy())
 
     def point(self, i: int) -> ProtocolParams:
         return ProtocolParams(
@@ -120,9 +116,7 @@ class ParamBatch(NamedTuple):
 
     def intensities(self, mode: str, r: float) -> tuple[IntensityBatch, np.ndarray]:
         """Intensity levels for ``mode`` and the mask of feasible points."""
-        # a row with infinite fields may form inf - inf; it is rejected
-        with np.errstate(invalid="ignore", over="ignore"):
-            return IntensityBatch.from_params(mode, r, *self)
+        return IntensityBatch.from_params(mode, r, *self)
 
 
 # a sweep or an optimization uses one xi; a few slots cover callers that
@@ -175,11 +169,12 @@ def prepare_batch(params: ParamBatch, mode: str, r: float) -> PreparedBatch:
     relative fluctuation ``r``: feasibility, channel layout and decoy
     factors.  An unknown mode or a bad ``r`` raises ValueError."""
     intens, feasible = params.intensities(mode, r)
-    idx = np.flatnonzero(feasible)
-    intens = intens.take(idx)
+    idx = feasible.nonzero()[0]
+    p_z = params.p_z
+    if len(idx) < len(p_z):
+        intens, p_z = intens.take(idx), p_z[idx]
     return PreparedBatch(
-        mode, feasible, idx,
-        CellLayout.of(intens, params.p_z[idx]), decoy_factors(intens),
+        mode, feasible, idx, CellLayout.of(intens, p_z), decoy_factors(intens)
     )
 
 
@@ -233,7 +228,7 @@ def screen_batch(
     points, in order.  Errors are those of ``evaluate_batch``.
     """
     feasible, idx = prepared.feasible, prepared.idx
-    if np.ndim(floor):
+    if isinstance(floor, np.ndarray):
         floor = floor[idx]
     if model is None:
         model = ChannelModel(cfg)
@@ -308,29 +303,32 @@ def evaluate_rate(
     f_ec: float = 1.16,
     counts: CountsBatch | None = None,
 ) -> KeyRateResult:
-    """Secret-key result at one parameter point: a batch of one.
+    """Secret-key result at one parameter point: ``prepare_batch`` of a
+    batch of one, then ``screen_batch`` without a floor.
 
     A point that ``IntensityBatch.from_params`` rejects raises
     ValueError; statistical aborts come back in the result.  A
     one-row ``counts`` (e.g. a ``ChannelModel.sample`` draw) replaces
-    the expected statistics, and the Z error rate is then read from its
+    the expected statistics: the chain then runs from the prepared
+    decoy factors, and the Z error rate is read from its
     signal-intensity Z cells; counts of the wrong shape, negative or
     non-finite counts, n_z > n_total, Z totals that are not the sums of
     their cells, an n_z that is not the trials of the Z0 -> Z and
     Z1 -> Z configurations, and outcome cells above their
     configuration's trials raise ValueError.
     """
-    levels = params.intensities(mode, cfg.fluct_r)
-    p_z = np.array([params.p_z], dtype=float)
+    prepared = prepare_batch(ParamBatch.of([params]), mode, cfg.fluct_r)
+    if not prepared.feasible[0]:
+        raise ValueError(f"infeasible parameter point in {mode} mode: {params}")
     if counts is None:
-        counts, e_z = ChannelModel(cfg).expected_batch(levels, p_z, n_total)
+        _, _, res = screen_batch(cfg, prepared, budget, n_total, None, f_ec)
     else:
         _check_counts(counts, n_total)
         e_z = np.array([z_error_rate(counts.cells[0, 0].tolist())])
-    _, res = _rate_batch(
-        counts, e_z, decoy_factors(levels), cfg.xi, p_z,
-        budget, n_total, mode, f_ec,
-    )
+        _, res = _rate_batch(
+            counts, e_z, prepared.factors, cfg.xi, prepared.layout.p_z,
+            budget, n_total, mode, f_ec,
+        )
     return res.result(0)
 
 

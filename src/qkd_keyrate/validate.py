@@ -21,12 +21,12 @@ from .decoy import (
     CELLS,
     K_LABELS,
     CountsBatch,
-    IntensityBatch,
-    decoy_bounds_batch,
+    aggregate_bounds,
+    cell_bounds,
     poisson_pk,
 )
 from .phase_error import n_ph_appendixE, n_ph_upper_batch, phase_weights
-from .pipeline import ParamBatch, ProtocolParams, source_coeffs
+from .pipeline import ParamBatch, ProtocolParams, prepare_batch, source_coeffs
 
 __all__ = [
     "coverage_suite",
@@ -171,9 +171,10 @@ def _sandwich_points(distances: tuple[float, ...], r: float) -> list[dict]:
 
     mode = "exact" if r == 0.0 else "fluct"
     count = len(distances)
-    intens, _ = IntensityBatch.from_params(
-        mode, r, *(np.full(count, v) for v in (p_z, p_ks, p_kd1, k_s, k_d1, k_d2))
-    )
+    factors = prepare_batch(
+        ParamBatch(*(np.full(count, v) for v in (p_z, p_ks, p_kd1, k_s, k_d1, k_d2))),
+        mode, r,
+    ).factors
     weights = {
         lab: _photon_weights(k, r, max_n) for lab, k in zip(K_LABELS, (k_s, k_d1, k_d2))
     }
@@ -204,7 +205,8 @@ def _sandwich_points(distances: tuple[float, ...], r: float) -> list[dict]:
         n_z=np.full(count, n_total * p_z * p_z),
     )
     budget = EpsilonBudget.build(1e-10, 1e-15, mode)
-    m0, m1, bounds = decoy_bounds_batch(counts, intens, budget, mode)
+    m0, m1 = aggregate_bounds(counts, factors, budget, mode)
+    bounds = cell_bounds(counts, factors, budget, mode)
 
     slack = 1e-9 * n_total  # float roundoff on 1e12-scale counts
     points = []
@@ -255,7 +257,7 @@ def crosscheck_suite(tolerance: float = 1e-9) -> dict:
     params = ParamBatch.of([
         ProtocolParams(p_z=p_z, p_ks=0.6, p_kd1=0.3, k_s=0.5, k_d1=0.1) for p_z in pzs
     ])
-    intens, _ = params.intensities("exact", 0.0)
+    prepared = prepare_batch(params, "exact", 0.0)
 
     points = []
     worst = 0.0
@@ -266,8 +268,9 @@ def crosscheck_suite(tolerance: float = 1e-9) -> dict:
                 distance_km=dist, det_eff=0.15, dark_prob=5e-7,
                 e_mis=0.01, fluct_r=0.0, xi=xi, atten_db_per_km=0.2,
             )
-            counts, _ = ChannelModel(cfg).expected_batch(intens, params.p_z, n_total)
-            _, m1, cells = decoy_bounds_batch(counts, intens, budget, "exact")
+            counts, _ = ChannelModel(cfg).expected_counts(prepared.layout, n_total)
+            _, m1 = aggregate_bounds(counts, prepared.factors, budget, "exact")
+            cells = cell_bounds(counts, prepared.factors, budget, "exact")
             general = n_ph_upper_batch(weights, cells, m1, budget).n_ph_upper
             closed = n_ph_appendixE(xi, params.p_z, cells, budget)
             rel = np.abs(general - closed) / np.maximum(np.abs(closed), 1e-300)

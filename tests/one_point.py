@@ -6,12 +6,14 @@ the results chain into the next batch function unchanged.
 
 import numpy as np
 
-from qkd_keyrate.channel import ChannelModel
+from qkd_keyrate.channel import CellLayout, ChannelModel
 from qkd_keyrate.decoy import (
     CELLS,
     CellBoundsBatch,
     CountsBatch,
-    decoy_bounds_batch,
+    aggregate_bounds,
+    cell_bounds,
+    decoy_factors,
 )
 from qkd_keyrate.key_length import key_length_batch
 from qkd_keyrate.phase_error import n_ph_upper_batch, phase_weights, term_coeffs
@@ -38,7 +40,8 @@ bound = phase = one
 def expected_counts(cfg, intens, p_z, n_total):
     """The expected CountsBatch of one point on link ``cfg``, given its
     one-row IntensityBatch, and its Z error rate."""
-    counts, e_z = ChannelModel(cfg).expected_batch(intens, one(p_z), n_total)
+    layout = CellLayout.of(intens, one(p_z))
+    counts, e_z = ChannelModel(cfg).expected_counts(layout, n_total)
     return counts, float(e_z[0])
 
 
@@ -59,7 +62,9 @@ def counts(z_by_k=(0.0, 0.0, 0.0), n_z=0.0, cells=None, trials=None):
 def decoy_bounds(counts, intens, budget, mode):
     """m0, m1 and the cell bounds of one run's CountsBatch and one-row
     IntensityBatch."""
-    return decoy_bounds_batch(counts, intens, budget, mode)
+    factors = decoy_factors(intens)
+    m0, m1 = aggregate_bounds(counts, factors, budget, mode)
+    return m0, m1, cell_bounds(counts, factors, budget, mode)
 
 
 def cell(cells, a, y, b, y1):

@@ -88,6 +88,39 @@ def test_sweep_workers_give_the_rows_of_one_process(fast_rows):
     assert run_sweep(parse_config(FAST.replace("workers = 1", "workers = 2"))) == fast_rows
 
 
+@pytest.mark.parametrize("cores, pool_size", [(64, 3), (2, 2), (1, None)])
+def test_sweep_workers_are_capped(fast_rows, monkeypatch, cores, pool_size):
+    # a pool forks all its workers at once: never more than the
+    # distances (3) or the cores, whatever the config asks for
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    rows = run_sweep(parse_config(FAST.replace("workers = 1", "workers = 5000")))
+    assert rows == fast_rows
+    assert sizes == ([] if pool_size is None else [pool_size])
+
+
+def test_grid_above_the_cap_exit_code(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(FAST.replace("grid_points = 2", "grid_points = 13"))
+    code = main(["sweep", "--config", str(ini), "--out", str(tmp_path / "r.csv")])
+    assert "grid_points must be <= 12" in _assert_clean_error(code, capsys)
+
+
 def test_sweep_command_writes_file(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text(FAST)

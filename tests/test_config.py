@@ -13,6 +13,7 @@ from qkd_keyrate.config import (
     parse_config,
     with_overrides,
 )
+from qkd_keyrate.optimize import MAX_GRID_POINTS
 
 
 def test_defaults_from_empty_config():
@@ -133,6 +134,13 @@ def test_distance_grid_at_the_cap_is_accepted():
         RunConfig(start_km=0.0, stop_km=float(MAX_DISTANCES), step_km=1.0)
     with pytest.raises(ConfigError, match="distances"):
         RunConfig(start_km=0.0, stop_km=1e308, step_km=1e-300)
+
+
+def test_grid_above_the_cap_is_rejected():
+    # the grid's prepared chunks are kept, so its size is capped on reading
+    RunConfig(grid_points=MAX_GRID_POINTS)
+    with pytest.raises(ConfigError, match=f"grid_points must be <= {MAX_GRID_POINTS}"):
+        parse_config(f"[optimizer]\ngrid_points = {MAX_GRID_POINTS + 1}\n")
 
 
 NON_FINITE = ("nan", "inf", "-inf")

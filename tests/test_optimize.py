@@ -12,6 +12,7 @@ import pytest
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig
 from qkd_keyrate.optimize import (
+    MAX_GRID_POINTS,
     POLISH_FIRST_STEPS,
     POLISH_HALVINGS,
     InfeasibleSearchError,
@@ -198,3 +199,10 @@ def test_single_grid_point_raises(strategy):
     with pytest.raises(ValueError, match=r"grid_points must be >= 2"):
         optimize_rate(channel(dist=50.0), budget(), 1e12, strategy=strategy,
                       grid_points=1)
+
+
+def test_grid_above_the_cap_raises():
+    # rejected before any grid chunk is formed
+    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+        optimize_rate(channel(dist=50.0), budget(), 1e12,
+                      grid_points=MAX_GRID_POINTS + 1)

@@ -110,26 +110,40 @@ ODD_VALUES = st.sampled_from(
 
 @given(
     mode=st.sampled_from([("exact", 0.0), ("fluct", 0.05), ("fluct", 0.3)]),
-    u=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
-    moved=st.dictionaries(
-        st.sampled_from(FIELDS), st.one_of(ODD_VALUES, st.floats(-1.0, 2.0)), max_size=3
+    points=st.lists(
+        st.tuples(
+            st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+            st.dictionaries(st.sampled_from(FIELDS),
+                            st.one_of(ODD_VALUES, st.floats(-1.0, 2.0)), max_size=3),
+        ),
+        min_size=1, max_size=8,
     ),
 )
 @settings(max_examples=300, deadline=None)
-def test_point_and_batch_share_the_rule(mode, u, moved):
-    # a point of the search box, with up to three fields moved anywhere
+def test_point_and_batch_share_the_rule(mode, points):
+    # a feasible point, then points of the search box with up to three
+    # fields moved anywhere: the rule gives each row of a batch what it
+    # gives that row alone, and a point raises exactly where the batch's
+    # mask is False
     mode, r = mode
-    params = dataclasses.replace(SearchSpace().params_at(np.array(u)), **moved)
-    try:
-        one = params.intensities(mode, r)
-    except ValueError:
-        one = None
-    levels, feasible = ParamBatch.of([PARAMS, params]).intensities(mode, r)
-    assert feasible.tolist() == [True, one is not None]
-    if one is not None:
-        for got, want in zip(one, levels):
+    params = [PARAMS] + [
+        dataclasses.replace(SearchSpace().params_at(np.array(u)), **moved)
+        for u, moved in points
+    ]
+    levels, feasible = ParamBatch.of(params).intensities(mode, r)
+    assert feasible[0]
+    for i, point in enumerate(params):
+        alone, ok = ParamBatch.of([point]).intensities(mode, r)
+        assert ok.tolist() == [feasible[i]]
+        for got, want in zip(levels, alone):
             for a, b in zip(got, want):
-                assert a.tobytes() == b[1:].tobytes()
+                assert a[i:i + 1].tobytes() == b.tobytes()
+        try:
+            point.intensities(mode, r)
+        except ValueError:
+            assert not feasible[i]
+        else:
+            assert feasible[i]
 
 
 def one_run(signal_cells=None, z_s=0.0, n_z=0.0):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qkd_keyrate import optimize
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig, ChannelModel
-from qkd_keyrate.decoy import aggregate_bounds, decoy_factors
+from qkd_keyrate.decoy import aggregate_bounds
 from qkd_keyrate.key_length import key_length_bound, lambda_ec_batch
 from qkd_keyrate.optimize import SearchSpace, optimize_rate
 from qkd_keyrate.pipeline import (
@@ -43,9 +43,9 @@ def budget(mode, eps_sec=1e-10):
 def stage_one(cfg, params, bud, n_total, mode):
     """m0, m1 and the zero-phase-error bound of one point, as the
     screen computes them."""
-    intens = params.intensities(mode, cfg.fluct_r)
-    counts, e_z = ChannelModel(cfg).expected_batch(intens, np.array([params.p_z]), n_total)
-    m0, m1 = aggregate_bounds(counts, decoy_factors(intens), bud, mode)
+    prepared = prepare_batch(ParamBatch.of([params]), mode, cfg.fluct_r)
+    counts, e_z = ChannelModel(cfg).expected_counts(prepared.layout, n_total)
+    m0, m1 = aggregate_bounds(counts, prepared.factors, bud, mode)
     lam = lambda_ec_batch(counts.z_by_k[:, 0], e_z)
     return m0[0], m1[0], key_length_bound(m0, m1, lam, bud)[0]
 
