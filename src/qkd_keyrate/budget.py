@@ -149,6 +149,15 @@ class EpsilonBudget:
             self._tables[names] = table
         return table
 
+    def memo(self, build):
+        """``build(self)``, formed once per budget: the constants an
+        estimator derives from fixed allocations.  The function is the
+        key, so ``build`` is a module-level function."""
+        value = self._tables.get(build)
+        if value is None:
+            value = self._tables[build] = build(self)
+        return value
+
 
 def _restore(eps_sec, eps_c, eps_s, eta, allocations) -> EpsilonBudget:
     """An unpickled EpsilonBudget, with read-only allocations again."""

@@ -72,6 +72,7 @@ _CONFIGS = tuple((a, y, b) for a, y in _SENDER_STATES for b in ("Z", "X"))
 # weight (p_z or p_x), as columns of [0.5 p_z, p_x, p_z, 0]
 _CELL_STATE = np.repeat([0, 0, 1, 3], 4)
 _CELL_BASIS = np.tile([2, 2, 1, 1], 4)
+_WEIGHT_SCALE, _WEIGHT_SHIFT = np.array([0.5, -1.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])
 # the Z-sender, Z-receiver cells: Z0Z0, Z0Z1, Z1Z0, Z1Z1
 ZZ_CELLS = np.array([0, 1, 4, 5])
 @dataclass(frozen=True)
@@ -298,15 +299,17 @@ class CellLayout(NamedTuple):
     which: np.ndarray
 
     @classmethod
-    def of(cls, intens: IntensityBatch, p_z: np.ndarray) -> "CellLayout":
-        if not ((0.0 < p_z) & (p_z < 1.0)).all():
-            raise ValueError("p_z must lie in (0, 1)")
-        # sender-state and receiver-basis weights 0.5 p_z, p_x, p_z and 0
-        # (the X1 state is never sent)
-        weights = np.array([0.5 * p_z, 1.0 - p_z, p_z, np.zeros(len(p_z))]).T
-        levels = np.array([(lv.nominal, lv.prob) for lv in intens]).T  # (B, 2, 3)
-        nominal, which = distinct(levels[:, 0])
-        return cls(p_z, levels[:, 1, :, None], weights, nominal, which)
+    def of(cls, nominal: np.ndarray, prob: np.ndarray, p_z: np.ndarray) -> "CellLayout":
+        """The layout of points whose levels have the nominal intensities
+        and selection probabilities ``nominal`` and ``prob``, (3, B)
+        arrays of ``level_arrays``, and whose Z-basis probability is
+        ``p_z``."""
+        # sender-state and receiver-basis weights 0.5 p_z, p_x = 1 - p_z,
+        # p_z and 0 (the X1 state is never sent), as p_z (0.5, -1, 1, 0)
+        # + (0, 1, 0, 0) forms them
+        weights = p_z[:, None] * _WEIGHT_SCALE + _WEIGHT_SHIFT
+        distinct_nominal, which = distinct(nominal.T)
+        return cls(p_z, prob.T[:, :, None], weights, distinct_nominal, which)
 
 
 class ChannelModel:
@@ -328,18 +331,21 @@ class ChannelModel:
         self._fractions = tuple(
             f for o in _overlaps(cfg.xi) for f in ((1.0 + o) / 2.0, (1.0 - o) / 2.0)
         )
-        # per nominal intensity: its click table, the outcome
-        # probabilities along CELLS followed by the Z error rate
-        self._by_nominal: dict[float, list[float]] = {}
+        # the click tables, rows of 17: the outcome probabilities along
+        # CELLS followed by the Z error rate; and each nominal intensity's row
+        self._rows = np.empty((0, 17))
+        self._row_of: dict[float, int] = {}
 
     def _tables(self, nominal: Sequence[float]) -> np.ndarray:
         """(D, 17) click tables at the distinct nominal intensities
         ``nominal``, building the missing ones in one pass."""
-        tables = self._by_nominal
-        missing = [k for k in nominal if k not in tables]
+        row_of = self._row_of
+        missing = [k for k in nominal if k not in row_of]
         if missing:
-            tables.update(zip(missing, _click_tables(self.cfg, missing, self._fractions)))
-        return np.array([tables[k] for k in nominal]).reshape(-1, 17)
+            tables = _click_tables(self.cfg, missing, self._fractions)
+            row_of.update(zip(missing, range(len(row_of), len(row_of) + len(missing))))
+            self._rows = np.concatenate([self._rows, tables])
+        return self._rows[[row_of[k] for k in nominal]]
 
     def _layout(self, layout: CellLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sender-state and receiver-basis weights along CELLS
@@ -357,13 +363,14 @@ class ChannelModel:
             raise ValueError(f"n_total must be finite and positive, got {n_total!r}")
         state, basis, rows = self._layout(layout)
         cells = n_total * layout.prob * state * basis * rows[:, :, :16]
-        z_by_k = cells[:, :, ZZ_CELLS].sum(axis=2)
+        # the ZZ_CELLS and the levels added in order, as .sum adds so few
+        z_by_k = cells[..., 0] + cells[..., 1] + cells[..., 4] + cells[..., 5]
         p_z = layout.p_z
         counts = CountsBatch(
             cells=cells,
             trials=n_total * state[:, 0] * basis[:, 0],
             z_by_k=z_by_k,
-            z_tot=z_by_k.sum(axis=1),
+            z_tot=z_by_k[:, 0] + z_by_k[:, 1] + z_by_k[:, 2],
             n_z=n_total * p_z * p_z,
         )
         return counts, rows[:, 0, 16]
@@ -383,9 +390,12 @@ class ChannelModel:
             raise ValueError(
                 f"n_total must be a whole number in [0, 2**63), got {n_total!r}"
             )
+        if not ((0.0 < p_z) & (p_z < 1.0)).all():
+            raise ValueError("p_z must lie in (0, 1)")
         n_total = int(n_total)
         rng = np.random.default_rng(seed)
-        layout = CellLayout.of(intens, p_z)
+        nominal, _, _, prob = intens.arrays()
+        layout = CellLayout.of(nominal, prob, p_z)
         state, basis, rows = self._layout(layout)
         # one group per (level, configuration): the configurations are the
         # even CELLS entries, each followed by its other outcome

@@ -38,7 +38,9 @@ __all__ = [
     "chernoff_dev",
     "chernoff_valid",
     "hoeffding_dev",
+    "hoeffding_or_mult_chernoff_dev",
     "mult_chernoff_dev",
+    "mult_chernoff_scale",
     "mult_chernoff_valid",
 ]
 
@@ -81,9 +83,22 @@ def mult_chernoff_dev(observed, log_inv, above):
     It holds where ``mult_chernoff_valid`` does; its validity rests on a
     Hoeffding event whose failure probability is charged on top.
     """
-    return np.sqrt(
-        observed * (_pick(above, 8.0, 3.0) * log_inv + _pick(above, _TWO_LOG16, 0.0))
-    )
+    return np.sqrt(observed * mult_chernoff_scale(log_inv, above))
+
+
+def mult_chernoff_scale(log_inv, above):
+    """The factor c of ``mult_chernoff_dev`` = ``sqrt(observed c)``; it
+    depends on eps alone, so a caller with fixed allocations forms it
+    once."""
+    return _pick(above, 8.0, 3.0) * log_inv + _pick(above, _TWO_LOG16, 0.0)
+
+
+def hoeffding_or_mult_chernoff_dev(size, log_inv, observed, scale):
+    """The smaller of ``hoeffding_dev(size, log_inv)`` and the
+    ``mult_chernoff_dev`` of ``observed`` with ``mult_chernoff_scale``
+    ``scale``, by one root of the smaller square (the root is monotone
+    and correctly rounded, so this is the same float)."""
+    return np.sqrt(np.fmin(size / 2.0 * log_inv, observed * scale))
 
 
 def mult_chernoff_valid(observed, size, log_inv_h, log_inv, above):

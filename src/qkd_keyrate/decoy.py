@@ -37,7 +37,8 @@ from .concentration import (
     chernoff_dev,
     chernoff_valid,
     hoeffding_dev,
-    mult_chernoff_dev,
+    hoeffding_or_mult_chernoff_dev,
+    mult_chernoff_scale,
 )
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "aggregate_bounds",
     "cell_bounds",
     "decoy_factors",
+    "level_arrays",
     "poisson_pk",
 ]
 
@@ -84,7 +86,8 @@ def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     times the fixed cost per call, which a batch of one would pay.
     """
     ranked = np.sort(values, axis=None)
-    first = np.ones(ranked.shape, dtype=bool)
+    first = np.empty(ranked.shape, dtype=bool)
+    first[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
     uniq = ranked[first]
     return uniq, np.searchsorted(uniq, values)
@@ -119,50 +122,62 @@ class IntensityBatch(NamedTuple):
 
     @classmethod
     def from_params(
-        cls,
-        mode: str,
-        r: float,
-        p_z: np.ndarray,
-        p_s: np.ndarray,
-        p_d1: np.ndarray,
-        k_s: np.ndarray,
-        k_d1: np.ndarray,
-        k_d2: np.ndarray,
+        cls, mode: str, r: float, *params: np.ndarray
     ) -> tuple["IntensityBatch", np.ndarray]:
-        """Levels for ``mode`` and the mask of feasible points, from (B,)
-        arrays.
+        """``level_arrays`` of the (B,) ``params`` p_z, p_s, p_d1, k_s,
+        k_d1 and k_d2, with the levels as an IntensityBatch."""
+        *arrays, ok = level_arrays(mode, r, *params)
+        return cls(*map(LevelBatch, *arrays)), ok
 
-        This is the one feasibility rule; a point is a batch of one.  A
-        point is feasible where 0 < p_z < 1; every level has
-        0 <= k- <= k <= k+ and a selection probability p in (0, 1), with
-        p_d2 = 1 - p_s - p_d1, and k+ - ln p < K_HI_CAP, so that the closed
-        forms' factor e^{k+}/p stays finite; and the ranges are ordered as
-        the closed forms need, k_d1- > k_d2+ and k_s- > k_d1+ + k_d2-.  The
-        three levels are the rows of (3, B) arrays, tested at once.  An
-        unknown mode or a bad ``r`` concerns every point and raises
-        ValueError.  A row with fields out of range may form inf - inf,
-        ln 0 or ln of a negative number, quietly here; the row is rejected
-        anyway.
-        """
-        if mode not in ("exact", "fluct"):
-            raise ValueError(f"mode must be 'exact' or 'fluct', got {mode!r}")
-        if mode == "fluct" and not 0.0 <= r < 1.0:
-            raise ValueError("relative fluctuation r must lie in [0, 1)")
-        with np.errstate(all="ignore"):
-            k = np.array([k_s, k_d1, k_d2], dtype=float)
-            lo, hi = (k, k) if mode == "exact" else ((1 - r) * k, (1 + r) * k)
-            prob = np.array([p_s, p_d1, 1.0 - p_s - p_d1])
-            ok = (
-                (0.0 <= lo) & (lo <= k) & (k <= hi) & (0.0 < prob) & (prob < 1.0)
-                & (hi < K_HI_CAP + np.log(prob))
-            ).all(axis=0)
-            ok &= (0.0 < p_z) & (p_z < 1.0)
-            ok &= lo[1] > hi[2]
-            ok &= lo[0] > hi[1] + lo[2]
-        return cls(*map(LevelBatch, k, lo, hi, prob)), ok
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The fields as ``level_arrays`` gives them, (3, B) arrays."""
+        return tuple(map(np.array, zip(*self)))
 
     def take(self, idx: np.ndarray) -> "IntensityBatch":
         return IntensityBatch(*(lv.take(idx) for lv in self))
+
+
+def level_arrays(
+    mode: str,
+    r: float,
+    p_z: np.ndarray,
+    p_s: np.ndarray,
+    p_d1: np.ndarray,
+    k_s: np.ndarray,
+    k_d1: np.ndarray,
+    k_d2: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """The levels for ``mode`` from (B,) arrays: their nominal
+    intensities, the ends [k-, k+] of their ranges and their selection
+    probabilities, (3, B) arrays with a row per level (s, d1, d2); then
+    the mask of feasible points.
+
+    This is the one feasibility rule; a point is a batch of one.  A
+    point is feasible where 0 < p_z < 1; every level has
+    0 <= k- <= k <= k+ and a selection probability p in (0, 1), with
+    p_d2 = 1 - p_s - p_d1, and k+ - ln p < K_HI_CAP, so that the closed
+    forms' factor e^{k+}/p stays finite; and the ranges are ordered as
+    the closed forms need, k_d1- > k_d2+ and k_s- > k_d1+ + k_d2-.  The
+    three levels are tested at once.  An unknown mode or a bad ``r``
+    concerns every point and raises ValueError.  A row with fields out
+    of range may form inf - inf, ln 0 or ln of a negative number,
+    quietly here; the row is rejected anyway.
+    """
+    _check_mode(mode)
+    if mode == "fluct" and not 0.0 <= r < 1.0:
+        raise ValueError("relative fluctuation r must lie in [0, 1)")
+    with np.errstate(all="ignore"):
+        k = np.array([k_s, k_d1, k_d2], dtype=float)
+        lo, hi = (k, k) if mode == "exact" else ((1 - r) * k, (1 + r) * k)
+        prob = np.array([p_s, p_d1, 1.0 - p_s - p_d1])
+        ok = (
+            (0.0 <= lo) & (lo <= k) & (k <= hi) & (0.0 < prob) & (prob < 1.0)
+            & (hi < K_HI_CAP + np.log(prob))
+        ).all(axis=0)
+        ok &= (0.0 < p_z) & (p_z < 1.0)
+        ok &= lo[1] > hi[2]
+        ok &= lo[0] > hi[1] + lo[2]
+    return k, lo, hi, prob, ok
 
 
 class CountsBatch(NamedTuple):
@@ -211,9 +226,8 @@ _ESTIMATES = (
     (0, "z.s.sin.hi", "s.hi"),
 )
 _ROWS = np.array([row for row, _, _ in _ESTIMATES])
-# which estimates bound the mean from above, and their deviations' signs
+# which estimates bound the mean from above
 _ABOVE = np.array([False, False, True, True, True])[:, None]
-_SIGNS = np.where(_ABOVE, 1.0, -1.0)
 _NAMES = tuple(
     name
     for _, aggregate, cell in _ESTIMATES
@@ -224,12 +238,16 @@ _NAMES = tuple(
 # the exponents of decoy_factors' stacked arguments: k e^{-k} at the
 # signal's range ends and peak, then e^{k} at the ends of every range
 _EXP_SIGNS = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])[:, None]
+# the levels of the e^{k} arguments: d1, d1, d2, d2, s
+_EXP_LEVELS = np.array([1, 1, 2, 2, 0])
 
 
-def decoy_factors(intens: IntensityBatch) -> np.ndarray:
-    """(12, B, 1) per-point factors of the closed forms, ready to
-    broadcast over the populations."""
-    (_, s_lo, s_hi, s_p), (_, d1_lo, d1_hi, d1_p), (_, d2_lo, d2_hi, d2_p) = intens
+def decoy_factors(lo: np.ndarray, hi: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """(B, 12, 1) per-point factors of the closed forms from the levels'
+    ``level_arrays``, ready to broadcast over the populations: first the
+    factor of each of the _ESTIMATES, in their order, then the bounds'
+    other factors."""
+    (s_lo, d1_lo, d2_lo), (s_hi, d1_hi, d2_hi), s_p = lo, hi, prob[0]
     # k e^{-k} is unimodal with its maximum at k = 1, so over the signal
     # range its minimum sits at an endpoint and its maximum at 1 clipped
     # into the range
@@ -238,9 +256,7 @@ def decoy_factors(intens: IntensityBatch) -> np.ndarray:
     exps = np.exp(_EXP_SIGNS * k)
     at_lo, at_hi, at_peak = k[:3] * exps[:3]
     # e^{k} / p of each level's intensity at either end of its range
-    e_d1_lo, e_d1_hi, e_d2_lo, e_d2_hi, e_s_hi = exps[3:] / np.array(
-        [d1_p, d1_p, d2_p, d2_p, s_p]
-    )
+    e_d1_lo, e_d1_hi, e_d2_lo, e_d2_hi, e_s_hi = exps[3:] / prob[_EXP_LEVELS]
     # p_s times the least e^{-k} and the least and most k e^{-k} over
     # the signal range
     p_vac, p_single_lo, p_single_hi = s_p * np.array(
@@ -249,26 +265,38 @@ def decoy_factors(intens: IntensityBatch) -> np.ndarray:
     vac_denom = d1_lo - d2_hi
     sin_span = d1_hi - d2_lo
     return np.array([
-        p_vac,
-        # vacuum lower bound
-        p_vac / vac_denom,
+        # the estimates': vacuum d2.lo, single-photon d1.lo and d2.hi,
+        # vacuum d1.hi, single-photon s.hi
         d1_lo * e_d2_lo,
-        d2_hi * e_d1_hi,
-        # single-photon lower bound
-        p_single_lo * s_lo / (sin_span * (s_lo - d1_hi - d2_lo)),
         e_d1_lo,
         e_d2_hi,
-        sin_span * (d1_hi + d2_lo) / (s_lo * s_lo),
+        d2_hi * e_d1_hi,
         e_s_hi,
-        # single-photon upper bound
+        # the vacuum and single-photon lower bounds' prefactors
+        p_vac,
+        p_vac / vac_denom,
+        p_single_lo * s_lo / (sin_span * (s_lo - d1_hi - d2_lo)),
+        sin_span * (d1_hi + d2_lo) / (s_lo * s_lo),
+        # the single-photon upper bound's
         p_single_hi / vac_denom,
         e_d1_hi,
         e_d2_lo,
-    ])[:, :, None]
+    ]).T[:, :, None]
 
 
-# the aggregate's column and the cells' columns of the 17 populations
-_AGGREGATE, _CELL_POPULATIONS = slice(0, 1), slice(1, 17)
+# the groups of populations an estimate runs over: all 17, the
+# aggregate's column and the cells' columns
+_GROUPS = (slice(0, 17), slice(0, 1), slice(1, 17))
+_ALL, _AGGREGATE, _CELL_POPULATIONS = range(3)
+
+
+def _estimate_terms(budget: EpsilonBudget) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per group of _GROUPS, the estimates' ln(1/eps) and their
+    ``mult_chernoff_scale``, contiguous (5, P) arrays formed once per
+    budget."""
+    log_inv = budget.log_inv(_NAMES).reshape(5, 17)
+    scale = mult_chernoff_scale(log_inv, _ABOVE)
+    return tuple((log_inv[:, g].copy(), scale[:, g].copy()) for g in _GROUPS)
 
 
 def _mean_estimates(
@@ -276,9 +304,9 @@ def _mean_estimates(
     budget: EpsilonBudget | None,
     observed: np.ndarray,
     size: np.ndarray,
-    populations: slice = slice(None),
+    group: int = _ALL,
 ) -> np.ndarray:
-    """The _ESTIMATES of the given populations, (B, 5, P) from the
+    """The _ESTIMATES of a group of populations, (B, 5, P) from the
     (B, 5, P) ``observed`` counts.
 
     Exact mode takes the Hoeffding deviation against ``size``, the
@@ -292,19 +320,15 @@ def _mean_estimates(
     """
     if budget is None:
         return observed
-    log_inv = budget.log_inv(_NAMES).reshape(5, 17)[:, populations]
+    log_inv, scale = budget.memo(_estimate_terms)[group]
     if mode == "fluct":
         dev = azuma_dev(size, log_inv)
     else:
-        # the Hoeffding deviation, replaced by the multiplicative-Chernoff
-        # one where that is smaller (in place: a batch's arrays are large)
-        dev = hoeffding_dev(size, log_inv)
-        dev_m = mult_chernoff_dev(observed, log_inv, _ABOVE)
-        multiplicative = dev_m < dev
-        np.copyto(dev, dev_m, where=multiplicative)
-        del dev_m
-    dev *= _SIGNS
-    return np.add(observed, dev, out=dev)
+        dev = hoeffding_or_mult_chernoff_dev(size, log_inv, observed, scale)
+    # the two lower estimates lie below their counts, the others above
+    np.subtract(observed[:, :2], dev[:, :2], out=dev[:, :2])
+    np.add(observed[:, 2:], dev[:, 2:], out=dev[:, 2:])
+    return dev
 
 
 def _check_mode(mode: str) -> None:
@@ -319,16 +343,11 @@ def _lower_bounds(
     mean-level arrays from the (B, 5, P) mean estimates ``est``, each
     passed through ``clamp``.  ``factors`` is ``decoy_factors`` of the
     points' intensities."""
-    p_vac, vac_pref, vac_d2, vac_d1, sin_pref, sin_d1, sin_d2, sin_vac, sin_s = (
-        factors[:9]
-    )
-    c_d2_lo, c_d1_lo, c_d2_hi, c_d1_hi, c_s_hi = est.transpose(1, 0, 2)
-    low0 = clamp(vac_pref * (vac_d2 * c_d2_lo - vac_d1 * c_d1_hi))
-    low1 = clamp(sin_pref * (
-        sin_d1 * c_d1_lo
-        - sin_d2 * c_d2_hi
-        + sin_vac * (low0 / p_vac - sin_s * c_s_hi)
-    ))
+    # each estimate times its factor, in one product
+    d2_lo, d1_lo, d2_hi, d1_hi, s_hi = (est * factors[:, :5]).transpose(1, 0, 2)
+    p_vac, vac_pref, sin_pref, sin_vac = factors[:, 5:9].transpose(1, 0, 2)
+    low0 = clamp(vac_pref * (d2_lo - d1_hi))
+    low1 = clamp(sin_pref * (d1_lo - d2_hi + sin_vac * (low0 / p_vac - s_hi)))
     return low0, low1
 
 
@@ -392,14 +411,16 @@ def cell_bounds(
     """
     _check_mode(mode)
     # (B, 5, 16): the counts behind each estimate, then cell
-    observed = counts.cells[:, _ROWS]
-    size = counts.cells.sum(axis=1) if mode == "exact" else counts.trials
+    cells = counts.cells
+    observed = cells[:, _ROWS]
+    # the levels added in order, as .sum adds so few
+    size = cells[:, 0] + cells[:, 1] + cells[:, 2] if mode == "exact" else counts.trials
     est = _mean_estimates(mode, budget, observed, size[:, None, :], _CELL_POPULATIONS)
     # a cell's bounds are capped at its signal count
     cap = observed[:, 4]
     clamp = lambda bound: np.minimum(np.maximum(bound, 0.0), cap)
     low0, low1 = _lower_bounds(est, factors, clamp)
-    up_pref, up_d1, up_d2 = factors[9:]
+    up_pref, up_d1, up_d2 = factors[:, 9:].transpose(1, 0, 2)
     c_d2_lo, c_d1_hi = est[:, 0], est[:, 3]
     up1 = clamp(up_pref * (up_d1 * c_d1_hi - up_d2 * c_d2_lo))
     return CellBoundsBatch(low0, low1, up1)

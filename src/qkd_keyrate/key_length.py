@@ -212,14 +212,17 @@ def key_length_batch(
     slack = 2.0 * _ROUNDING_REL * (m0 + m1 + logs + lam_ec) + _SLOPE_REL * m1
     decided = np.abs(raw) > slack
     phase = search & decided & (raw < 0.0)
-    for i in np.flatnonzero(search & ~decided):
+    for i in (search & ~decided).nonzero()[0]:
         threshold = eph_threshold(float(m0[i]), float(m1[i]), float(lam_ec[i]), budget)
         phase[i] = threshold < 0.5 and e_ph[i] >= threshold
-    floor = np.floor(raw)
-    keyed = positive & ~phase & (floor > 0.0)
-    ell = np.where(keyed, floor, 0.0)
-    # the reason codes of _REASONS
-    reason = _REASONS[np.where(keyed, 0, 2 - phase)]
+    ell = np.floor(raw)
+    # no key where a point is not positive, has a phase abort (which
+    # implies positive) or floors to zero
+    dropped = ~((positive ^ phase) & (ell > 0.0))
+    ell[dropped] = 0.0
+    # the reason codes of _REASONS: 0 where keyed, else 1 for a phase
+    # abort and 2 for too few counts
+    reason = _REASONS[(2 - phase) * dropped]
     return KeyRateBatch(
         ell=ell,
         rate=ell / n_total,

@@ -119,15 +119,14 @@ class SearchSpace:
 
     def params_batch(self, units: np.ndarray) -> ParamBatch:
         """``params_at`` for every row of a (B, 5) array."""
-        v = np.clip(units, 0.0, 1.0)
+        v = np.minimum(np.maximum(units, 0.0), 1.0)
         lerp = lambda t, lo, hi: lo + t * (hi - lo)
         p_ks = lerp(v[:, 1], *self.p_ks)
         k_s = lerp(v[:, 3], *self.k_s)
-        # min(cap, slice) with Python's tie rule
-        p_kd1_hi = 0.98 * (1.0 - p_ks)
-        p_kd1_hi = np.where(p_kd1_hi < self.p_kd1[1], p_kd1_hi, self.p_kd1[1])
-        k_d1_hi = 0.9 * k_s
-        k_d1_hi = np.where(k_d1_hi < self.k_d1[1], k_d1_hi, self.k_d1[1])
+        # min(slice, cap) with Python's tie rule, the cap where the slice
+        # is NaN
+        p_kd1_hi = np.fmin(0.98 * (1.0 - p_ks), self.p_kd1[1])
+        k_d1_hi = np.fmin(0.9 * k_s, self.k_d1[1])
         return ParamBatch(
             p_z=lerp(v[:, 0], *self.p_z),
             p_ks=p_ks,
@@ -232,16 +231,16 @@ def optimize_rate(
     trace: list[tuple[ProtocolParams, float]] = []
 
     def score(prepared: PreparedBatch, floor=None):
-        """Rates (-inf where infeasible or screened), results, each
-        point's row in the results and the mask of screened points for a
-        prepared batch."""
+        """Rates (-inf where infeasible or screened), results, the mask
+        of scored points (point i's result is ``scored[:i].sum()``) and
+        that of screened points for a prepared batch."""
         feasible, screened, batch = screen_batch(
             cfg, prepared, budget, n_total, floor, f_ec=f_ec, model=model
         )
         rates = np.full(len(feasible), -np.inf)
         scored = feasible & ~screened
         rates[scored] = batch.rate
-        return rates, batch, np.cumsum(scored) - 1, screened
+        return rates, batch, scored, screened
 
     t0 = time.perf_counter()
     best_u = best_params = best_res = None
@@ -258,13 +257,13 @@ def optimize_rate(
             # so the screen lets it through
             floor = np.full(len(chunk), floor)
             floor[prepared.idx[0]] = -np.inf
-        rates, batch, slot, screened = score(prepared, floor)
+        rates, batch, scored, screened = score(prepared, floor)
         grid_screened += int(screened.sum())
         # a point enters the trace when it beats every earlier point
         before = np.maximum.accumulate(np.concatenate([[best_rate], rates[:-1]]))
         for i in np.flatnonzero(rates > before):
             best_u, best_params = chunk[i], points.point(i)
-            best_res = batch.result(slot[i])
+            best_res = batch.result(np.count_nonzero(scored[:i]))
             best_rate = best_res.rate
             trace.append((best_params, best_rate))
     t1 = time.perf_counter()
@@ -279,20 +278,22 @@ def optimize_rate(
         halvings = np.zeros(len(steps), dtype=int)
         while (live := np.flatnonzero(halvings < POLISH_HALVINGS)).size:
             stencil = track_u[live, None] + steps[live, None, None] * _COMPASS
-            stencil = np.clip(stencil.reshape(-1, 5), 0.0, 1.0)
+            stencil = np.minimum(np.maximum(stencil.reshape(-1, 5), 0.0), 1.0)
             points = space.params_batch(stencil)
-            rates, batch, slot, _ = score(prepare_batch(points, mode, cfg.fluct_r))
+            rates, batch, scored, _ = score(prepare_batch(points, mode, cfg.fluct_r))
             polish_evaluations += len(stencil)
-            polled = rates.reshape(len(live), len(_COMPASS))
-            for k, t in enumerate(live):
-                i = k * len(_COMPASS) + int(np.argmax(polled[k]))
+            # each track's best neighbour
+            picks = rates.reshape(len(live), len(_COMPASS)).argmax(axis=1)
+            for k, (t, pick) in enumerate(zip(live, picks)):
+                i = k * len(_COMPASS) + pick
                 if not rates[i] > track_rate[t]:
                     steps[t] /= 2.0
                     halvings[t] += 1
                     continue
                 track_u[t], track_rate[t] = stencil[i], rates[i]
                 if rates[i] > best_rate:
-                    best_params, best_res = points.point(i), batch.result(slot[i])
+                    best_params = points.point(i)
+                    best_res = batch.result(np.count_nonzero(scored[:i]))
                     best_rate = best_res.rate
                     trace.append((best_params, best_rate))
     t2 = time.perf_counter()

@@ -37,6 +37,7 @@ from .decoy import (
     aggregate_bounds,
     cell_bounds,
     decoy_factors,
+    level_arrays,
 )
 from .key_length import (
     KeyRateBatch,
@@ -168,13 +169,14 @@ def prepare_batch(params: ParamBatch, mode: str, r: float) -> PreparedBatch:
     """The link-independent part of ``params``' chain in ``mode`` at
     relative fluctuation ``r``: feasibility, channel layout and decoy
     factors.  An unknown mode or a bad ``r`` raises ValueError."""
-    intens, feasible = params.intensities(mode, r)
+    *levels, feasible = level_arrays(mode, r, *params)
     idx = feasible.nonzero()[0]
     p_z = params.p_z
     if len(idx) < len(p_z):
-        intens, p_z = intens.take(idx), p_z[idx]
+        levels, p_z = [a[:, idx] for a in levels], p_z[idx]
+    nominal, lo, hi, prob = levels
     return PreparedBatch(
-        mode, feasible, idx, CellLayout.of(intens, p_z), decoy_factors(intens)
+        mode, feasible, idx, CellLayout.of(nominal, prob, p_z), decoy_factors(lo, hi, prob)
     )
 
 
@@ -237,7 +239,7 @@ def screen_batch(
         counts, e_z, prepared.factors, cfg.xi, prepared.layout.p_z,
         budget, n_total, prepared.mode, f_ec, floor,
     )
-    screened = np.zeros_like(feasible)
+    screened = np.zeros(feasible.shape, dtype=bool)
     if passed is not None:
         screened[idx[~passed]] = True
     return feasible, screened, batch
@@ -283,7 +285,7 @@ def _rate_batch(
             # stage 2 takes the passing points' rows of stage 1's arrays
             idx = np.flatnonzero(passed)
             counts = CountsBatch(*(a[idx] for a in counts))
-            factors = factors[:, idx]
+            factors = factors[idx]
             p_z, e_z, m0, m1, lam, z_ks = (
                 a[idx] for a in (p_z, e_z, m0, m1, lam, z_ks)
             )

@@ -40,7 +40,8 @@ bound = phase = one
 def expected_counts(cfg, intens, p_z, n_total):
     """The expected CountsBatch of one point on link ``cfg``, given its
     one-row IntensityBatch, and its Z error rate."""
-    layout = CellLayout.of(intens, one(p_z))
+    nominal, _, _, prob = intens.arrays()
+    layout = CellLayout.of(nominal, prob, one(p_z))
     counts, e_z = ChannelModel(cfg).expected_counts(layout, n_total)
     return counts, float(e_z[0])
 
@@ -62,7 +63,7 @@ def counts(z_by_k=(0.0, 0.0, 0.0), n_z=0.0, cells=None, trials=None):
 def decoy_bounds(counts, intens, budget, mode):
     """m0, m1 and the cell bounds of one run's CountsBatch and one-row
     IntensityBatch."""
-    factors = decoy_factors(intens)
+    factors = decoy_factors(*intens.arrays()[1:])
     m0, m1 = aggregate_bounds(counts, factors, budget, mode)
     return m0, m1, cell_bounds(counts, factors, budget, mode)
 

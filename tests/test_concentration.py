@@ -140,6 +140,9 @@ class FlatBudget:
     def log_inv(self, names):
         return np.full(len(names), -math.log(self.eps))
 
+    def memo(self, build):
+        return build(self)
+
 
 def best_mean_bound(observed, total, eps, direction):
     """The exact-mode mean estimate that ``decoy._mean_estimates``
