@@ -243,7 +243,7 @@ _EXP_LEVELS = np.array([1, 1, 2, 2, 0])
 
 
 def decoy_factors(lo: np.ndarray, hi: np.ndarray, prob: np.ndarray) -> np.ndarray:
-    """(B, 12, 1) per-point factors of the closed forms from the levels'
+    """(12, B, 1) per-point factors of the closed forms from the levels'
     ``level_arrays``, ready to broadcast over the populations: first the
     factor of each of the _ESTIMATES, in their order, then the bounds'
     other factors."""
@@ -281,7 +281,7 @@ def decoy_factors(lo: np.ndarray, hi: np.ndarray, prob: np.ndarray) -> np.ndarra
         p_single_hi / vac_denom,
         e_d1_hi,
         e_d2_lo,
-    ]).T[:, :, None]
+    ])[:, :, None]
 
 
 # the groups of populations an estimate runs over: all 17, the
@@ -292,11 +292,11 @@ _ALL, _AGGREGATE, _CELL_POPULATIONS = range(3)
 
 def _estimate_terms(budget: EpsilonBudget) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per group of _GROUPS, the estimates' ln(1/eps) and their
-    ``mult_chernoff_scale``, contiguous (5, P) arrays formed once per
+    ``mult_chernoff_scale``, contiguous (5, 1, P) arrays formed once per
     budget."""
-    log_inv = budget.log_inv(_NAMES).reshape(5, 17)
-    scale = mult_chernoff_scale(log_inv, _ABOVE)
-    return tuple((log_inv[:, g].copy(), scale[:, g].copy()) for g in _GROUPS)
+    log_inv = budget.log_inv(_NAMES).reshape(5, 1, 17)
+    scale = mult_chernoff_scale(log_inv, _ABOVE[:, None])
+    return tuple((log_inv[..., g].copy(), scale[..., g].copy()) for g in _GROUPS)
 
 
 def _mean_estimates(
@@ -306,8 +306,8 @@ def _mean_estimates(
     size: np.ndarray,
     group: int = _ALL,
 ) -> np.ndarray:
-    """The _ESTIMATES of a group of populations, (B, 5, P) from the
-    (B, 5, P) ``observed`` counts.
+    """The _ESTIMATES of a group of populations, (5, B, P) from the
+    (5, B, P) ``observed`` counts, estimate by estimate.
 
     Exact mode takes the Hoeffding deviation against ``size``, the
     population total, or the multiplicative-Chernoff deviation of the
@@ -326,8 +326,8 @@ def _mean_estimates(
     else:
         dev = hoeffding_or_mult_chernoff_dev(size, log_inv, observed, scale)
     # the two lower estimates lie below their counts, the others above
-    np.subtract(observed[:, :2], dev[:, :2], out=dev[:, :2])
-    np.add(observed[:, 2:], dev[:, 2:], out=dev[:, 2:])
+    np.subtract(observed[:2], dev[:2], out=dev[:2])
+    np.add(observed[2:], dev[2:], out=dev[2:])
     return dev
 
 
@@ -340,12 +340,12 @@ def _lower_bounds(
     est: np.ndarray, factors: np.ndarray, clamp
 ) -> tuple[np.ndarray, np.ndarray]:
     """The closed forms' vacuum and single-photon lower bounds, (B, P)
-    mean-level arrays from the (B, 5, P) mean estimates ``est``, each
+    mean-level arrays from the (5, B, P) mean estimates ``est``, each
     passed through ``clamp``.  ``factors`` is ``decoy_factors`` of the
     points' intensities."""
     # each estimate times its factor, in one product
-    d2_lo, d1_lo, d2_hi, d1_hi, s_hi = (est * factors[:, :5]).transpose(1, 0, 2)
-    p_vac, vac_pref, sin_pref, sin_vac = factors[:, 5:9].transpose(1, 0, 2)
+    d2_lo, d1_lo, d2_hi, d1_hi, s_hi = est * factors[:5]
+    p_vac, vac_pref, sin_pref, sin_vac = factors[5:9]
     low0 = clamp(vac_pref * (d2_lo - d1_hi))
     low1 = clamp(sin_pref * (d1_lo - d2_hi + sin_vac * (low0 / p_vac - s_hi)))
     return low0, low1
@@ -388,9 +388,9 @@ def aggregate_bounds(
     ``factors`` is ``decoy_factors`` of the points' intensities.
     """
     _check_mode(mode)
-    # (B, 5, 1): the counts behind each estimate
-    observed = counts.z_by_k[:, _ROWS, None]
-    size = (counts.z_tot if mode == "exact" else counts.n_z)[:, None, None]
+    # (5, B, 1): the counts behind each estimate
+    observed = counts.z_by_k.T[_ROWS, :, None]
+    size = (counts.z_tot if mode == "exact" else counts.n_z)[:, None]
     est = _mean_estimates(mode, budget, observed, size, _AGGREGATE)
     # unlike a cell's, the aggregate's bounds are not capped
     low0, low1 = _lower_bounds(est, factors, lambda bound: np.maximum(bound, 0.0))
@@ -410,17 +410,16 @@ def cell_bounds(
     ``factors`` is ``decoy_factors`` of the points' intensities.
     """
     _check_mode(mode)
-    # (B, 5, 16): the counts behind each estimate, then cell
+    # (5, B, 16): the counts behind each estimate, per point and cell
     cells = counts.cells
-    observed = cells[:, _ROWS]
+    observed = cells.transpose(1, 0, 2)[_ROWS]
     # the levels added in order, as .sum adds so few
     size = cells[:, 0] + cells[:, 1] + cells[:, 2] if mode == "exact" else counts.trials
-    est = _mean_estimates(mode, budget, observed, size[:, None, :], _CELL_POPULATIONS)
+    est = _mean_estimates(mode, budget, observed, size, _CELL_POPULATIONS)
     # a cell's bounds are capped at its signal count
-    cap = observed[:, 4]
+    cap = observed[4]
     clamp = lambda bound: np.minimum(np.maximum(bound, 0.0), cap)
     low0, low1 = _lower_bounds(est, factors, clamp)
-    up_pref, up_d1, up_d2 = factors[:, 9:].transpose(1, 0, 2)
-    c_d2_lo, c_d1_hi = est[:, 0], est[:, 3]
-    up1 = clamp(up_pref * (up_d1 * c_d1_hi - up_d2 * c_d2_lo))
+    up_pref, up_d1, up_d2 = factors[9:]
+    up1 = clamp(up_pref * (up_d1 * est[3] - up_d2 * est[0]))
     return CellBoundsBatch(low0, low1, up1)

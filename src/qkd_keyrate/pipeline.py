@@ -285,7 +285,7 @@ def _rate_batch(
             # stage 2 takes the passing points' rows of stage 1's arrays
             idx = np.flatnonzero(passed)
             counts = CountsBatch(*(a[idx] for a in counts))
-            factors = factors[idx]
+            factors = factors[:, idx]
             p_z, e_z, m0, m1, lam, z_ks = (
                 a[idx] for a in (p_z, e_z, m0, m1, lam, z_ks)
             )

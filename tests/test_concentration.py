@@ -152,11 +152,11 @@ def best_mean_bound(observed, total, eps, direction):
     first upper estimate."""
     est = _mean_estimates(
         "exact", FlatBudget(eps),
-        np.full((1, 5, 17), observed), np.full((1, 1, 17), total),
+        np.full((5, 1, 17), observed), np.full((1, 17), total),
     )
     row = 0 if direction == "lower" else 2
-    assert (est[0, row] == est[0, row, 0]).all()
-    return est[0, row, 0]
+    assert (est[row, 0] == est[row, 0, 0]).all()
+    return est[row, 0, 0]
 
 
 def test_best_mean_bound_picks_hoeffding_for_dense_counts():
