@@ -150,9 +150,8 @@ class EpsilonBudget:
         return table
 
     def memo(self, build):
-        """``build(self)``, formed once per budget: the constants an
-        estimator derives from fixed allocations.  The function is the
-        key, so ``build`` is a module-level function."""
+        """``build(self)`` for a module-level ``build`` (the key), formed
+        once per budget: constants derived from the allocations."""
         value = self._tables.get(build)
         if value is None:
             value = self._tables[build] = build(self)

@@ -72,7 +72,8 @@ _CONFIGS = tuple((a, y, b) for a, y in _SENDER_STATES for b in ("Z", "X"))
 # weight (p_z or p_x), as columns of [0.5 p_z, p_x, p_z, 0]
 _CELL_STATE = np.repeat([0, 0, 1, 3], 4)
 _CELL_BASIS = np.tile([2, 2, 1, 1], 4)
-_WEIGHT_SCALE, _WEIGHT_SHIFT = np.array([0.5, -1.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])
+# the weights as p_z (0.5, -1, 1, 0) + (0, 1, 0, 0) forms them
+_WEIGHT_SCALE, _WEIGHT_SHIFT = np.array([[0.5, -1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 # the Z-sender, Z-receiver cells: Z0Z0, Z0Z1, Z1Z0, Z1Z1
 ZZ_CELLS = np.array([0, 1, 4, 5])
 @dataclass(frozen=True)
@@ -300,13 +301,8 @@ class CellLayout(NamedTuple):
 
     @classmethod
     def of(cls, nominal: np.ndarray, prob: np.ndarray, p_z: np.ndarray) -> "CellLayout":
-        """The layout of points whose levels have the nominal intensities
-        and selection probabilities ``nominal`` and ``prob``, (3, B)
-        arrays of ``level_arrays``, and whose Z-basis probability is
-        ``p_z``."""
-        # sender-state and receiver-basis weights 0.5 p_z, p_x = 1 - p_z,
-        # p_z and 0 (the X1 state is never sent), as p_z (0.5, -1, 1, 0)
-        # + (0, 1, 0, 0) forms them
+        """The layout of points with Z-basis probability ``p_z`` whose
+        levels' ``level_arrays`` are ``nominal`` and ``prob``."""
         weights = p_z[:, None] * _WEIGHT_SCALE + _WEIGHT_SHIFT
         distinct_nominal, which = distinct(nominal.T)
         return cls(p_z, prob.T[:, :, None], weights, distinct_nominal, which)

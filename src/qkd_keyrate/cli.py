@@ -162,8 +162,9 @@ def _cmd_optimize(args) -> int:
         raise ConfigError(f"--distance: {exc}") from None
     opt = _optimize(cfg, cfg.budget(), channel)
     print(f"distance_km = {_fmt(float(args.distance))}")
-    print(f"evaluations = {opt.evaluations}")
-    print(f"grid_screened = {opt.grid_screened}")
+    for name in ("evaluations", "grid_evaluations", "polish_evaluations",
+                 "grid_screened", "grid_s", "polish_s"):
+        print(f"{name} = {_fmt(getattr(opt, name))}")
     print("trace (improvements):")
     for par, rate in opt.trace:
         print(

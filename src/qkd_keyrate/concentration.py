@@ -87,17 +87,15 @@ def mult_chernoff_dev(observed, log_inv, above):
 
 
 def mult_chernoff_scale(log_inv, above):
-    """The factor c of ``mult_chernoff_dev`` = ``sqrt(observed c)``; it
-    depends on eps alone, so a caller with fixed allocations forms it
-    once."""
+    """The c of ``mult_chernoff_dev`` = ``sqrt(observed c)``, which a
+    caller with fixed allocations forms once."""
     return _pick(above, 8.0, 3.0) * log_inv + _pick(above, _TWO_LOG16, 0.0)
 
 
 def hoeffding_or_mult_chernoff_dev(size, log_inv, observed, scale):
     """The smaller of ``hoeffding_dev(size, log_inv)`` and the
-    ``mult_chernoff_dev`` of ``observed`` with ``mult_chernoff_scale``
-    ``scale``, by one root of the smaller square (the root is monotone
-    and correctly rounded, so this is the same float)."""
+    ``mult_chernoff_dev`` of ``observed`` at ``mult_chernoff_scale``
+    ``scale``, as the same float: the root of the smaller square."""
     return np.sqrt(np.fmin(size / 2.0 * log_inv, observed * scale))
 
 

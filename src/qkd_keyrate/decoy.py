@@ -14,8 +14,8 @@ The bounds take a batch of parameter points at once, with a leading
 batch axis on every array; one point is a batch of one.
 ``aggregate_bounds`` gives m0 and m1 and ``cell_bounds`` the sixteen
 cells, both on the per-point factors of ``decoy_factors``, so a caller
-can stop after m0 and m1.  ``IntensityBatch.from_params`` is the one
-feasibility rule of a batch's levels.  Each mean estimate takes its
+can stop after m0 and m1.  ``level_arrays`` is the one feasibility
+rule of a batch's levels.  Each mean estimate takes its
 deviation, a ``concentration`` function, from its own allocation of the
 static budget, which the key length charges as a whole.  Passing
 ``budget=None`` zeroes all statistical deviations, which turns the
@@ -120,15 +120,6 @@ class IntensityBatch(NamedTuple):
     d1: LevelBatch
     d2: LevelBatch
 
-    @classmethod
-    def from_params(
-        cls, mode: str, r: float, *params: np.ndarray
-    ) -> tuple["IntensityBatch", np.ndarray]:
-        """``level_arrays`` of the (B,) ``params`` p_z, p_s, p_d1, k_s,
-        k_d1 and k_d2, with the levels as an IntensityBatch."""
-        *arrays, ok = level_arrays(mode, r, *params)
-        return cls(*map(LevelBatch, *arrays)), ok
-
     def arrays(self) -> tuple[np.ndarray, ...]:
         """The fields as ``level_arrays`` gives them, (3, B) arrays."""
         return tuple(map(np.array, zip(*self)))
@@ -137,16 +128,7 @@ class IntensityBatch(NamedTuple):
         return IntensityBatch(*(lv.take(idx) for lv in self))
 
 
-def level_arrays(
-    mode: str,
-    r: float,
-    p_z: np.ndarray,
-    p_s: np.ndarray,
-    p_d1: np.ndarray,
-    k_s: np.ndarray,
-    k_d1: np.ndarray,
-    k_d2: np.ndarray,
-) -> tuple[np.ndarray, ...]:
+def level_arrays(mode: str, r: float, p_z, p_s, p_d1, k_s, k_d1, k_d2) -> tuple:
     """The levels for ``mode`` from (B,) arrays: their nominal
     intensities, the ends [k-, k+] of their ranges and their selection
     probabilities, (3, B) arrays with a row per level (s, d1, d2); then
@@ -300,10 +282,7 @@ def _estimate_terms(budget: EpsilonBudget) -> tuple[tuple[np.ndarray, np.ndarray
 
 
 def _mean_estimates(
-    mode: str,
-    budget: EpsilonBudget | None,
-    observed: np.ndarray,
-    size: np.ndarray,
+    mode: str, budget: EpsilonBudget | None, observed: np.ndarray, size: np.ndarray,
     group: int = _ALL,
 ) -> np.ndarray:
     """The _ESTIMATES of a group of populations, (5, B, P) from the
@@ -336,14 +315,11 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'exact' or 'fluct', got {mode!r}")
 
 
-def _lower_bounds(
-    est: np.ndarray, factors: np.ndarray, clamp
-) -> tuple[np.ndarray, np.ndarray]:
+def _lower_bounds(est: np.ndarray, factors: np.ndarray, clamp) -> tuple:
     """The closed forms' vacuum and single-photon lower bounds, (B, P)
     mean-level arrays from the (5, B, P) mean estimates ``est``, each
     passed through ``clamp``.  ``factors`` is ``decoy_factors`` of the
     points' intensities."""
-    # each estimate times its factor, in one product
     d2_lo, d1_lo, d2_hi, d1_hi, s_hi = est * factors[:5]
     p_vac, vac_pref, sin_pref, sin_vac = factors[5:9]
     low0 = clamp(vac_pref * (d2_lo - d1_hi))
@@ -352,9 +328,7 @@ def _lower_bounds(
 
 
 def _count_bounds(
-    low0: np.ndarray,
-    low1: np.ndarray,
-    counts: CountsBatch,
+    low0: np.ndarray, low1: np.ndarray, counts: CountsBatch,
     budget: EpsilonBudget | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """m0 and m1, (B,), from population 0's (B, 1) mean-level bounds: the
@@ -375,10 +349,7 @@ def _count_bounds(
 
 
 def aggregate_bounds(
-    counts: CountsBatch,
-    factors: np.ndarray,
-    budget: EpsilonBudget | None,
-    mode: str,
+    counts: CountsBatch, factors: np.ndarray, budget: EpsilonBudget | None, mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """m0 and m1, (B,) arrays: population 0 of the closed forms alone.
 
@@ -398,10 +369,7 @@ def aggregate_bounds(
 
 
 def cell_bounds(
-    counts: CountsBatch,
-    factors: np.ndarray,
-    budget: EpsilonBudget | None,
-    mode: str,
+    counts: CountsBatch, factors: np.ndarray, budget: EpsilonBudget | None, mode: str
 ) -> CellBoundsBatch:
     """The sixteen cells' bounds: populations 1..16 of the closed forms.
 

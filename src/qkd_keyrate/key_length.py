@@ -181,14 +181,8 @@ _REASONS = np.array([None, ABORT_PHASE, ABORT_COUNTS], dtype=object)
 
 
 def key_length_batch(
-    m0: np.ndarray,
-    m1: np.ndarray,
-    e_ph: np.ndarray,
-    lam_ec: np.ndarray,
-    budget: EpsilonBudget | None,
-    *,
-    n_total: float,
-    e_z: np.ndarray,
+    m0: np.ndarray, m1: np.ndarray, e_ph: np.ndarray, lam_ec: np.ndarray,
+    budget: EpsilonBudget | None, *, n_total: float, e_z: np.ndarray,
     z_ks_size: np.ndarray,
 ) -> KeyRateBatch:
     """Extractable key length and rate per point, from the m0 and m1
@@ -216,12 +210,11 @@ def key_length_batch(
         threshold = eph_threshold(float(m0[i]), float(m1[i]), float(lam_ec[i]), budget)
         phase[i] = threshold < 0.5 and e_ph[i] >= threshold
     ell = np.floor(raw)
-    # no key where a point is not positive, has a phase abort (which
-    # implies positive) or floors to zero
+    # no key where not positive, at a phase abort (only positive points
+    # have one) or at a floor of 0; the codes of _REASONS: 0 where keyed,
+    # else 1 for a phase abort and 2 for too few counts
     dropped = ~((positive ^ phase) & (ell > 0.0))
     ell[dropped] = 0.0
-    # the reason codes of _REASONS: 0 where keyed, else 1 for a phase
-    # abort and 2 for too few counts
     reason = _REASONS[(2 - phase) * dropped]
     return KeyRateBatch(
         ell=ell,

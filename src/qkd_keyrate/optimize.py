@@ -282,7 +282,6 @@ def optimize_rate(
             points = space.params_batch(stencil)
             rates, batch, scored, _ = score(prepare_batch(points, mode, cfg.fluct_r))
             polish_evaluations += len(stencil)
-            # each track's best neighbour
             picks = rates.reshape(len(live), len(_COMPASS)).argmax(axis=1)
             for k, (t, pick) in enumerate(zip(live, picks)):
                 i = k * len(_COMPASS) + pick

@@ -4,7 +4,7 @@ This is the single code path shared by the sweep and the optimizer, so
 every consumer agrees on how the pieces chain together.  The chain runs
 on batches of parameter points, with a leading batch axis, and every
 batch enters it through ``prepare_batch``: the feasibility mask
-(``IntensityBatch.from_params``), the channel layout and the decoy
+(``level_arrays``), the channel layout and the decoy
 factors, none of which depends on the link, so the optimizer's grid
 forms them once for every distance of a sweep.  ``screen_batch`` then
 runs two stages on a prepared batch: m0, m1 (``aggregate_bounds``) and
@@ -34,6 +34,7 @@ from .channel import ZZ_CELLS, CellLayout, ChannelConfig, ChannelModel, z_error_
 from .decoy import (
     CountsBatch,
     IntensityBatch,
+    LevelBatch,
     aggregate_bounds,
     cell_bounds,
     decoy_factors,
@@ -84,7 +85,7 @@ class ProtocolParams:
 
     def intensities(self, mode: str, r: float) -> IntensityBatch:
         """This point's levels for ``mode``, a batch of one; raises
-        ValueError where ``IntensityBatch.from_params`` rejects it."""
+        ValueError where ``level_arrays`` rejects it."""
         levels, ok = ParamBatch.of([self]).intensities(mode, r)
         if not ok[0]:
             raise ValueError(f"infeasible parameter point in {mode} mode: {self}")
@@ -117,7 +118,8 @@ class ParamBatch(NamedTuple):
 
     def intensities(self, mode: str, r: float) -> tuple[IntensityBatch, np.ndarray]:
         """Intensity levels for ``mode`` and the mask of feasible points."""
-        return IntensityBatch.from_params(mode, r, *self)
+        *arrays, ok = level_arrays(mode, r, *self)
+        return IntensityBatch(*map(LevelBatch, *arrays)), ok
 
 
 # a sweep or an optimization uses one xi; a few slots cover callers that
@@ -175,25 +177,20 @@ def prepare_batch(params: ParamBatch, mode: str, r: float) -> PreparedBatch:
     if len(idx) < len(p_z):
         levels, p_z = [a[:, idx] for a in levels], p_z[idx]
     nominal, lo, hi, prob = levels
-    return PreparedBatch(
-        mode, feasible, idx, CellLayout.of(nominal, prob, p_z), decoy_factors(lo, hi, prob)
-    )
+    layout = CellLayout.of(nominal, prob, p_z)
+    return PreparedBatch(mode, feasible, idx, layout, decoy_factors(lo, hi, prob))
 
 
 def evaluate_batch(
-    cfg: ChannelConfig,
-    params: ParamBatch,
-    budget: EpsilonBudget | None,
-    n_total: float,
-    mode: str = "exact",
-    f_ec: float = 1.16,
+    cfg: ChannelConfig, params: ParamBatch, budget: EpsilonBudget | None,
+    n_total: float, mode: str = "exact", f_ec: float = 1.16,
     model: ChannelModel | None = None,
 ) -> tuple[np.ndarray, KeyRateBatch]:
     """Secret-key results at a batch of parameter points.
 
     Returns the mask of feasible points and the results of the feasible
     ones, in order.  A point is infeasible where
-    ``IntensityBatch.from_params`` rejects it, the rule under which
+    ``level_arrays`` rejects it, the rule under which
     ``evaluate_rate`` raises ValueError.  Settings that concern every point
     raise ValueError: mode, n_total, f_ec, and a source that cannot be
     built (``DegenerateStatesError``), which depends on xi alone and so
@@ -206,12 +203,8 @@ def evaluate_batch(
 
 
 def screen_batch(
-    cfg: ChannelConfig,
-    prepared: PreparedBatch,
-    budget: EpsilonBudget | None,
-    n_total: float,
-    floor: float | np.ndarray | None,
-    f_ec: float = 1.16,
+    cfg: ChannelConfig, prepared: PreparedBatch, budget: EpsilonBudget | None,
+    n_total: float, floor: float | np.ndarray | None, f_ec: float = 1.16,
     model: ChannelModel | None = None,
 ) -> tuple[np.ndarray, np.ndarray, KeyRateBatch]:
     """``evaluate_batch`` of a prepared batch, for callers that need a
@@ -246,16 +239,9 @@ def screen_batch(
 
 
 def _rate_batch(
-    counts: CountsBatch,
-    e_z: np.ndarray,
-    factors: np.ndarray,
-    xi: float,
-    p_z: np.ndarray,
-    budget: EpsilonBudget | None,
-    n_total: float,
-    mode: str,
-    f_ec: float,
-    floor: float | np.ndarray | None = None,
+    counts: CountsBatch, e_z: np.ndarray, factors: np.ndarray, xi: float,
+    p_z: np.ndarray, budget: EpsilonBudget | None, n_total: float, mode: str,
+    f_ec: float, floor: float | np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, KeyRateBatch]:
     """Decoy bounds, phase-error bound and key length from batch counts
     and the points' ``decoy_factors``, in two stages with
@@ -308,7 +294,7 @@ def evaluate_rate(
     """Secret-key result at one parameter point: ``prepare_batch`` of a
     batch of one, then ``screen_batch`` without a floor.
 
-    A point that ``IntensityBatch.from_params`` rejects raises
+    A point that ``level_arrays`` rejects raises
     ValueError; statistical aborts come back in the result.  A
     one-row ``counts`` (e.g. a ``ChannelModel.sample`` draw) replaces
     the expected statistics: the chain then runs from the prepared

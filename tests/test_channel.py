@@ -284,6 +284,14 @@ def test_sample_rejects_bad_trial_counts(n_total):
         sample_counts(make_cfg(), make_intens(), 0.5, n_total, seed=1)
 
 
+@pytest.mark.parametrize("p_z", [0.0, 1.0, math.nan])
+def test_sample_rejects_p_z_outside_the_unit_interval(p_z):
+    # a prepared batch's p_z passed the feasibility rule; sample takes
+    # its caller's p_z and tests it itself
+    with pytest.raises(ValueError, match="p_z"):
+        sample_counts(make_cfg(), make_intens(), p_z, 10**6, seed=1)
+
+
 def test_sample_accepts_integral_floats():
     samp = sample_counts(make_cfg(), make_intens(), 0.5, 1e12, seed=1)
     assert (samp.trials[:, 0::2].sum(axis=1) == 10**12).all()

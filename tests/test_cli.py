@@ -191,6 +191,9 @@ def test_optimize_command(tmp_path, capsys):
     assert "best rate" in out
     assert format(40.0, ".12e") in out
     assert "grid_screened = " in out
+    # evaluations and wall time per phase; the times are not checked
+    for name in ("grid_evaluations", "polish_evaluations", "grid_s", "polish_s"):
+        assert f"\n{name} = " in out
 
 
 def _assert_clean_error(code, capsys):
