@@ -10,8 +10,8 @@ are supported: ``exact`` (the set intensity is the emitted one) and
 every inequality is evaluated at its worst-case endpoint and mean values
 are estimated without any independence assumption).
 
-The bounds take a batch of parameter points at once, with a leading
-batch axis on every array; one point is a batch of one.
+The bounds take a batch of parameter points at once, with a batch
+axis on every array; one point is a batch of one.
 ``aggregate_bounds`` gives m0 and m1 and ``cell_bounds`` the sixteen
 cells, both on the per-point factors of ``decoy_factors``, so a caller
 can stop after m0 and m1.  ``level_arrays`` is the one feasibility
@@ -288,14 +288,14 @@ def _mean_estimates(
     """The _ESTIMATES of a group of populations, (5, B, P) from the
     (5, B, P) ``observed`` counts, estimate by estimate.
 
-    Exact mode takes the Hoeffding deviation against ``size``, the
-    population total, or the multiplicative-Chernoff deviation of the
-    observed count where that is smaller (its validity rests on a
-    Hoeffding event, which the estimate's ``.H`` allocation covers;
-    ``concentration.mult_chernoff_valid`` is not applied yet, see
-    ROADMAP open item 4);
-    fluct mode takes an Azuma deviation over ``size``, the trials.  This
-    is the library's only choice between the two mean bounds.
+    Exact mode takes ``hoeffding_or_mult_chernoff_dev``, the library's
+    only choice between the two mean bounds: the Hoeffding deviation
+    against ``size``, the population total, or the multiplicative-Chernoff
+    deviation of the observed count where that is smaller (its validity
+    rests on a Hoeffding event, which the estimate's ``.H`` allocation
+    covers; ``concentration.mult_chernoff_valid`` is not applied yet, see
+    ROADMAP open item 1); fluct mode takes an Azuma deviation over
+    ``size``, the trials.
     """
     if budget is None:
         return observed
