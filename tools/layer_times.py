@@ -7,8 +7,8 @@ polish's first 20-point stencil; ``chunk``: 256 grid points; ``point``:
 a batch of one), the timeit-minimum microseconds of each stage of the
 chain on warm click tables, and of the whole batch (``total``: the
 parameters, ``prepare_batch`` and ``screen_batch`` without a floor).
-``cold_point_us`` is a library ``evaluate_rate`` call per mode with a
-fresh channel model, as the benchmark's point calls make.  ``sweep``
+``cold_point_us`` is a library ``evaluate_rate`` call per mode at
+80 km with a fresh channel model, as the benchmark's point calls make.  ``sweep``
 holds, per ``sweep-exact`` distance, the grid and polish seconds (the
 minimum over the repeats), the evaluations of each phase and the key
 length.
