@@ -76,6 +76,11 @@ _CELL_BASIS = np.tile([2, 2, 1, 1], 4)
 _WEIGHT_SCALE, _WEIGHT_SHIFT = np.array([[0.5, -1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 # the Z-sender, Z-receiver cells: Z0Z0, Z0Z1, Z1Z0, Z1Z1
 ZZ_CELLS = np.array([0, 1, 4, 5])
+# a click table's entries that Z counts read: the ZZ_CELLS, then the Z
+# error rate
+_Z_ENTRIES = np.array([0, 1, 4, 5, 16])
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """System model parameters for one link."""
@@ -318,7 +323,9 @@ class ChannelModel:
     The tables a batch needs and the model lacks are built together, by
     one ``_click_tables`` call, whose port quadratures share one array
     pass.  ``expected_counts`` takes a batch's ``CellLayout``, which a
-    grid that several links share forms once.
+    grid that several links share forms once.  A caller that needs the
+    cells of a few points only forms the Z counts of the batch with
+    ``z_counts`` and the cells of those points with ``cell_counts``.
     """
 
     def __init__(self, cfg: ChannelConfig):
@@ -343,33 +350,58 @@ class ChannelModel:
             self._rows = np.concatenate([self._rows, tables])
         return self._rows[[row_of[k] for k in nominal]]
 
-    def _layout(self, layout: CellLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _layout(
+        self, layout: CellLayout, rows: np.ndarray | slice = slice(None)
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sender-state and receiver-basis weights along CELLS
-        (B, 1, 16) and the click tables of the levels (B, 3, 17)."""
-        state = layout.weights[:, None, _CELL_STATE]
-        basis = layout.weights[:, None, _CELL_BASIS]
-        return state, basis, self._tables(layout.nominal.tolist())[layout.which]
+        (R, 1, 16) and the click tables of the levels (R, 3, 17) of the
+        batch's points ``rows``."""
+        weights = layout.weights[rows]
+        state = weights[:, None, _CELL_STATE]
+        basis = weights[:, None, _CELL_BASIS]
+        return state, basis, self._tables(layout.nominal.tolist())[layout.which[rows]]
+
+    def _cells(
+        self, layout: CellLayout, n_total: float, rows: np.ndarray | slice
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Expected cells (R, 3, 16) and configuration trials (R, 16) of
+        the batch's points ``rows``, and their levels' click tables."""
+        state, basis, tables = self._layout(layout, rows)
+        cells = n_total * layout.prob[rows] * state * basis * tables[:, :, :16]
+        return cells, n_total * state[:, 0] * basis[:, 0], tables
 
     def expected_counts(
         self, layout: CellLayout, n_total: float
     ) -> tuple[CountsBatch, np.ndarray]:
         """Expected counts of the batch that ``layout`` lays out and the
         Z-basis bit error rate of each point's signal level."""
-        if not (math.isfinite(n_total) and n_total > 0):
-            raise ValueError(f"n_total must be finite and positive, got {n_total!r}")
-        state, basis, rows = self._layout(layout)
-        cells = n_total * layout.prob * state * basis * rows[:, :, :16]
-        # the ZZ_CELLS and the levels added in order, as .sum adds so few
-        z_by_k = cells[..., 0] + cells[..., 1] + cells[..., 4] + cells[..., 5]
-        p_z = layout.p_z
-        counts = CountsBatch(
-            cells=cells,
-            trials=n_total * state[:, 0] * basis[:, 0],
-            z_by_k=z_by_k,
-            z_tot=z_by_k[:, 0] + z_by_k[:, 1] + z_by_k[:, 2],
-            n_z=n_total * p_z * p_z,
-        )
-        return counts, rows[:, 0, 16]
+        _check_n_total(n_total)
+        cells, trials, tables = self._cells(layout, n_total, slice(None))
+        zz = cells[..., 0], cells[..., 1], cells[..., 4], cells[..., 5]
+        return _counts(cells, trials, zz, layout, n_total), tables[:, 0, 16]
+
+    def z_counts(
+        self, layout: CellLayout, n_total: float
+    ) -> tuple[CountsBatch, np.ndarray]:
+        """``expected_counts`` without its cells and trials (None): the
+        Z fields and the Z error rates, formed from the four ZZ_CELLS
+        alone by the same float operations."""
+        _check_n_total(n_total)
+        tables = self._tables(layout.nominal.tolist())[:, _Z_ENTRIES][layout.which]
+        # the ZZ_CELLS share cell 0's sender-state and receiver-basis weights
+        weights = layout.weights[:, None]
+        zz = (n_total * layout.prob * weights[..., _CELL_STATE[:1]]
+              * weights[..., _CELL_BASIS[:1]] * tables[:, :, :4])
+        return _counts(None, None, zz.transpose(2, 0, 1), layout, n_total), tables[:, 0, 4]
+
+    def cell_counts(
+        self, layout: CellLayout, n_total: float, rows: np.ndarray
+    ) -> CountsBatch:
+        """The cells and trials of ``expected_counts`` at the batch's
+        points ``rows`` alone, by the same float operations; the Z fields
+        are None (``z_counts`` forms them for the whole batch)."""
+        cells, trials, _ = self._cells(layout, n_total, rows)
+        return CountsBatch(cells, trials, None, None, None)
 
     def sample(
         self, intens: IntensityBatch, p_z: np.ndarray, n_total: int, seed: int
@@ -412,6 +444,28 @@ class ChannelModel:
             # the trials of the Z0 -> Z and Z1 -> Z configurations
             n_z=config_trials[:, 0] + config_trials[:, 4],
         )
+
+
+def _counts(
+    cells: np.ndarray | None, trials: np.ndarray | None, zz: Sequence[np.ndarray],
+    layout: CellLayout, n_total: float,
+) -> CountsBatch:
+    """Counts from their cells and trials and the ZZ_CELLS' (B, 3)
+    counts ``zz``, in order."""
+    # the ZZ_CELLS and the levels added in order, as .sum adds so few
+    z_by_k = zz[0] + zz[1] + zz[2] + zz[3]
+    return CountsBatch(
+        cells=cells,
+        trials=trials,
+        z_by_k=z_by_k,
+        z_tot=z_by_k[:, 0] + z_by_k[:, 1] + z_by_k[:, 2],
+        n_z=n_total * layout.p_z * layout.p_z,
+    )
+
+
+def _check_n_total(n_total: float) -> None:
+    if not (math.isfinite(n_total) and n_total > 0):
+        raise ValueError(f"n_total must be finite and positive, got {n_total!r}")
 
 
 def z_error_rate(cells: Sequence[float]) -> float:

@@ -275,10 +275,22 @@ _ALL, _AGGREGATE, _CELL_POPULATIONS = range(3)
 def _estimate_terms(budget: EpsilonBudget) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per group of _GROUPS, the estimates' ln(1/eps) and their
     ``mult_chernoff_scale``, contiguous (5, 1, P) arrays formed once per
-    budget."""
+    budget; (5, 1, 1) where each estimate's pair is the same for every
+    population of the group, as an equal split makes it.
+
+    Against a (5, 1, P) array, numpy runs a (5, B, P) deviation as 5 B
+    inner loops of P elements; a (5, 1, 1) column broadcasts in loops of
+    B P elements, with the same floats.
+    """
     log_inv = budget.log_inv(_NAMES).reshape(5, 1, 17)
     scale = mult_chernoff_scale(log_inv, _ABOVE[:, None])
-    return tuple((log_inv[..., g].copy(), scale[..., g].copy()) for g in _GROUPS)
+    terms = []
+    for g in _GROUPS:
+        pair = log_inv[..., g], scale[..., g]
+        if all((a == a[..., :1]).all() for a in pair):
+            pair = tuple(a[..., :1] for a in pair)
+        terms.append(tuple(a.copy() for a in pair))
+    return tuple(terms)
 
 
 def _mean_estimates(

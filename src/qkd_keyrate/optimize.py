@@ -11,15 +11,21 @@ halvings.  It runs one such track from each of POLISH_FIRST_STEPS (half
 and a quarter of a grid step) and polls both in one batch, since one
 track alone can settle in the lower of two local optima.  Parameter
 combinations that violate the intensity ordering or the probability
-simplex score zero rather than erroring.  Grid chunks and polls go
-through one screen_batch path; the grid in batches of GRID_CHUNK
-points, which bounds the memory a batch takes whatever the grid size.
-Each grid chunk passes the best rate so far as the screen's floor, so
-its points that cannot beat it skip the cell and phase-error bounds;
-until some point is scored, the first feasible point's floor is -inf,
-so the screen lets it through.  The polls pass no floor, since a
+simplex score zero rather than erroring.  Polls go through
+``screen_batch``, which forms a batch's counts once.  The grid scores
+GRID_BLOCK chunks of GRID_CHUNK points at a time: ``stage_one`` (m0, m1
+and the EC leakage, from the Z counts alone) runs on the whole block,
+then ``stage_two`` (cells, cell and phase-error bounds, key length) on
+the points whose rate ceiling beats the best rate so far (at least 0),
+GRID_CHUNK at a time.  The chunks are then replayed in order, each
+under the floor it would have had if scored alone: the best rate before
+it, and -inf for the first feasible point, which enters the trace
+whatever its rate.  Floors only rise, so the points that beat the
+block's first floor include those that beat their chunk's, and the
+trace, the best point and ``grid_screened`` are those of scoring chunk
+by chunk.  The polls pass no floor, since a
 neighbour of the best point almost never falls below it by the margin
-m1 h(e_ph) the screen needs.  What a grid chunk's chain needs that does
+m1 h(e_ph) the screen needs.  What a grid block's chain needs that does
 not depend on the link (``pipeline.prepare_batch``: feasibility,
 channel layout, decoy factors) is formed once per sweep with the grid;
 the polls prepare their batches afresh, on the same path.  A distance
@@ -32,11 +38,13 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .budget import EpsilonBudget
-from .channel import ChannelConfig, ChannelModel
+from .channel import CellLayout, ChannelConfig, ChannelModel
+from .decoy import distinct
 from .key_length import KeyRateResult
 from .pipeline import (
     K_D2_DEFAULT,
@@ -45,6 +53,8 @@ from .pipeline import (
     ProtocolParams,
     prepare_batch,
     screen_batch,
+    stage_one,
+    stage_two,
 )
 
 __all__ = ["InfeasibleSearchError", "OptimizationResult", "SearchSpace", "optimize_rate"]
@@ -57,6 +67,10 @@ MAX_GRID_POINTS = 12
 # grid points per batch: large enough to amortize the per-batch Python
 # work, small enough that a batch's arrays stay well under a megabyte
 GRID_CHUNK = 256
+# grid chunks per stage-1 batch: stage 1 forms four Z cells per point
+# where stage 2 forms sixteen, so a block of four chunks takes about a
+# chunk's memory in either stage
+GRID_BLOCK = 4
 # glibc's malloc serves a block above its mmap threshold (128 KB at start)
 # with a fresh mapping and unmaps it when freed, so a batch's larger
 # temporaries (a (256, 5, 17) float array is 174 KB) would fault their
@@ -145,7 +159,7 @@ class OptimizationResult:
     two times are wall seconds from ``time.perf_counter``.
     ``grid_screened`` counts the grid points the screen stopped after
     m0, m1 and the EC leakage, because they could not beat the best rate
-    so far; they count as evaluations too.
+    before their chunk; they count as evaluations too.
     """
 
     best_params: ProtocolParams
@@ -159,33 +173,76 @@ class OptimizationResult:
     trace: tuple = field(default_factory=tuple)
 
 
+class GridBlock(NamedTuple):
+    """GRID_BLOCK consecutive grid chunks, prepared for one stage-1 batch:
+    the unit vectors, their parameters and the parameters'
+    ``prepare_batch``, each the chunks' in order, and the bounds of each
+    chunk's feasible points in ``prepared.idx`` (chunk c holds
+    ``prepared.idx[bounds[c]:bounds[c + 1]]``)."""
+
+    units: np.ndarray
+    params: ParamBatch
+    prepared: PreparedBatch
+    bounds: np.ndarray
+
+
+def _concat_prepared(parts: list[PreparedBatch]) -> PreparedBatch:
+    """The ``prepare_batch`` of the points of ``parts`` in order, from
+    theirs: the arrays joined, ``idx`` shifted by the points before each
+    part and the layout's nominal intensities merged."""
+    offsets = np.cumsum([0] + [len(p.feasible) for p in parts[:-1]])
+    layouts = [p.layout for p in parts]
+    nominal, which = distinct(np.concatenate([lay.nominal[lay.which] for lay in layouts]))
+    return PreparedBatch(
+        parts[0].mode,
+        np.concatenate([p.feasible for p in parts]),
+        np.concatenate([p.idx + offset for p, offset in zip(parts, offsets)]),
+        CellLayout(
+            *(np.concatenate(arrays) for arrays in zip(*(lay[:3] for lay in layouts))),
+            nominal, which,
+        ),
+        np.concatenate([p.factors for p in parts], axis=1),
+    )
+
+
 @functools.lru_cache(maxsize=4)
-def _grid_chunks(
+def _grid_blocks(
     space: SearchSpace, grid_points: int, mode: str, r: float
-) -> tuple[tuple[np.ndarray, ParamBatch, PreparedBatch], ...]:
-    """The grid's batches: unit vectors, their parameters and the
-    parameters' ``prepare_batch`` in ``mode`` at relative fluctuation
-    ``r``.
+) -> tuple[GridBlock, ...]:
+    """The grid's blocks in ``mode`` at relative fluctuation ``r``.
 
     The grid centre comes first, then the grid points in row-major
-    order, GRID_CHUNK of them per batch; the first batch also takes the
-    centre.  None of this depends on the link, so a sweep forms it
+    order, GRID_CHUNK of them per chunk; the first chunk also takes the
+    centre.  Each chunk is prepared on its own, so that a batch's
+    temporaries stay at a chunk's size, and GRID_BLOCK chunks are joined
+    into a block.  None of this depends on the link, so a sweep forms it
     once; its arrays are read-only.
     """
     ticks = np.linspace(0.0, 1.0, grid_points)
-    chunks = []
-    for start in range(0, grid_points**5, GRID_CHUNK):
-        flat = np.arange(start, min(start + GRID_CHUNK, grid_points**5))
-        units = ticks[np.stack(np.unravel_index(flat, (grid_points,) * 5), axis=1)]
-        if start == 0:
-            units = np.concatenate([np.full((1, 5), 0.5), units])
-        params = space.params_batch(units)
-        prepared = prepare_batch(params, mode, r)
-        for a in (units, *params, prepared.feasible, prepared.idx,
-                  *prepared.layout, prepared.factors):
+    size = grid_points**5
+    blocks = []
+    for first in range(0, size, GRID_BLOCK * GRID_CHUNK):
+        units, params, parts = [], [], []
+        for start in range(first, min(first + GRID_BLOCK * GRID_CHUNK, size), GRID_CHUNK):
+            flat = np.arange(start, min(start + GRID_CHUNK, size))
+            chunk = ticks[np.stack(np.unravel_index(flat, (grid_points,) * 5), axis=1)]
+            if start == 0:
+                chunk = np.concatenate([np.full((1, 5), 0.5), chunk])
+            units.append(chunk)
+            params.append(space.params_batch(chunk))
+            parts.append(prepare_batch(params[-1], mode, r))
+        block = GridBlock(
+            np.concatenate(units),
+            ParamBatch(*map(np.concatenate, zip(*params))),
+            _concat_prepared(parts),
+            np.cumsum([0] + [len(p.idx) for p in parts]),
+        )
+        prepared = block.prepared
+        for a in (block.units, *block.params, prepared.feasible, prepared.idx,
+                  *prepared.layout, prepared.factors, block.bounds):
             a.setflags(write=False)
-        chunks.append((units, params, prepared))
-    return tuple(chunks)
+        blocks.append(block)
+    return tuple(blocks)
 
 
 def optimize_rate(
@@ -230,42 +287,54 @@ def optimize_rate(
     model = ChannelModel(cfg)
     trace: list[tuple[ProtocolParams, float]] = []
 
-    def score(prepared: PreparedBatch, floor=None):
-        """Rates (-inf where infeasible or screened), results, the mask
-        of scored points (point i's result is ``scored[:i].sum()``) and
-        that of screened points for a prepared batch."""
-        feasible, screened, batch = screen_batch(
-            cfg, prepared, budget, n_total, floor, f_ec=f_ec, model=model
+    def score(prepared: PreparedBatch):
+        """Rates (-inf where infeasible), results and the mask of
+        feasible points (point i's result is ``feasible[:i].sum()``) of a
+        prepared batch."""
+        feasible, _, batch = screen_batch(
+            cfg, prepared, budget, n_total, None, f_ec=f_ec, model=model
         )
         rates = np.full(len(feasible), -np.inf)
-        scored = feasible & ~screened
-        rates[scored] = batch.rate
-        return rates, batch, scored, screened
+        rates[feasible] = batch.rate
+        return rates, batch, feasible
 
     t0 = time.perf_counter()
     best_u = best_params = best_res = None
     best_rate = -1.0
     grid_evaluations = 1 + grid_points**5
     grid_screened = 0
-    for chunk, points, prepared in _grid_chunks(space, grid_points, mode, cfg.fluct_r):
-        # a point that cannot beat the best rate so far (or 0) cannot
-        # enter the trace: the screen stops it before its cell and
-        # phase-error bounds
-        floor = max(best_rate, 0.0)
-        if best_res is None and prepared.idx.size:
-            # but the first feasible point enters it whatever its rate,
-            # so the screen lets it through
-            floor = np.full(len(chunk), floor)
-            floor[prepared.idx[0]] = -np.inf
-        rates, batch, scored, screened = score(prepared, floor)
-        grid_screened += int(screened.sum())
-        # a point enters the trace when it beats every earlier point
-        before = np.maximum.accumulate(np.concatenate([[best_rate], rates[:-1]]))
-        for i in np.flatnonzero(rates > before):
-            best_u, best_params = chunk[i], points.point(i)
-            best_res = batch.result(np.count_nonzero(scored[:i]))
-            best_rate = best_res.rate
-            trace.append((best_params, best_rate))
+    for units, points, prepared, bounds in _grid_blocks(
+        space, grid_points, mode, cfg.fluct_r
+    ):
+        one = stage_one(model, prepared, budget, n_total, f_ec)
+        ceiling = one.ceiling(budget, n_total)
+        # stage 2 for the points that beat the floor at the block's start
+        passing = ceiling > max(best_rate, 0.0)
+        if best_res is None:
+            # the first feasible point enters the trace whatever its rate
+            passing[:1] = True
+        rows = passing.nonzero()[0]
+        rates = np.full(len(ceiling), -np.inf)
+        batches = []
+        for start in range(0, len(rows), GRID_CHUNK):
+            part = rows[start:start + GRID_CHUNK]
+            batches.append(stage_two(model, prepared, one, part, budget, n_total))
+            rates[part] = batches[-1].rate
+        # then each chunk in turn, under the floor it would have had alone
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            passed = ceiling[lo:hi] > max(best_rate, 0.0)
+            if best_res is None:
+                passed[:1] = True
+            grid_screened += int(hi - lo - passed.sum())
+            chunk_rates = np.where(passed, rates[lo:hi], -np.inf)
+            # a point enters the trace when it beats every earlier point
+            before = np.maximum.accumulate(np.concatenate([[best_rate], chunk_rates[:-1]]))
+            for j in lo + np.flatnonzero(chunk_rates > before):
+                i, k = prepared.idx[j], np.searchsorted(rows, j)
+                best_u, best_params = units[i], points.point(i)
+                best_res = batches[k // GRID_CHUNK].result(k % GRID_CHUNK)
+                best_rate = best_res.rate
+                trace.append((best_params, best_rate))
     t1 = time.perf_counter()
 
     polish_evaluations = 0
@@ -280,7 +349,7 @@ def optimize_rate(
             stencil = track_u[live, None] + steps[live, None, None] * _COMPASS
             stencil = np.minimum(np.maximum(stencil.reshape(-1, 5), 0.0), 1.0)
             points = space.params_batch(stencil)
-            rates, batch, scored, _ = score(prepare_batch(points, mode, cfg.fluct_r))
+            rates, batch, scored = score(prepare_batch(points, mode, cfg.fluct_r))
             polish_evaluations += len(stencil)
             picks = rates.reshape(len(live), len(_COMPASS)).argmax(axis=1)
             for k, (t, pick) in enumerate(zip(live, picks)):

@@ -6,19 +6,22 @@ on batches of parameter points, with a leading batch axis, and every
 batch enters it through ``prepare_batch``: the feasibility mask
 (``level_arrays``), the channel layout and the decoy
 factors, none of which depends on the link, so the optimizer's grid
-forms them once for every distance of a sweep.  ``screen_batch`` then
-runs two stages on a prepared batch: m0, m1 (``aggregate_bounds``) and
-the EC leakage, then the cell bounds (``cell_bounds``), the phase-error
-weights at the points' p_z (``phase_weights`` of the per-xi
+forms them once for every distance of a sweep.  The chain then runs in
+two stages.  ``stage_one`` bounds m0, m1 (``aggregate_bounds``) and the
+EC leakage from the Z counts alone; ``stage_two`` forms the cells of the
+points a caller picks and runs the cell bounds (``cell_bounds``), the
+phase-error weights at the points' p_z (``phase_weights`` of the per-xi
 ``source_coeffs``), ``n_ph_upper_batch`` and ``key_length_batch``.  The
-optimizer's grid stops after stage 1 the points whose
-``key_length_bound``, the length at a zero phase-error rate, cannot
-beat a given rate.  ``evaluate_batch`` evaluates many points at once
-and ``evaluate_rate`` one point, a batch of one; neither has a floor.
+optimizer's grid picks the points whose ``key_length_bound``, the
+length at a zero phase-error rate, can beat a given rate;
+``screen_batch`` does the same for one batch under a floor, and without
+a floor forms each point's counts once and runs both stages on every
+point.  ``evaluate_batch`` evaluates many points at once and
+``evaluate_rate`` one point, a batch of one; neither has a floor.
 The validation suites call the same batch functions.  The channel
 statistics default to the expected values of the system model;
 ``evaluate_rate`` also takes a one-row ``CountsBatch`` from elsewhere,
-such as a ``ChannelModel.sample`` draw, in place of stage 1's counts.
+such as a ``ChannelModel.sample`` draw, in place of the expected counts.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 from .budget import EpsilonBudget
 from .channel import ZZ_CELLS, CellLayout, ChannelConfig, ChannelModel, z_error_rate
 from .decoy import (
+    CELLS,
     CountsBatch,
     IntensityBatch,
     LevelBatch,
@@ -63,10 +67,13 @@ __all__ = [
     "ParamBatch",
     "PreparedBatch",
     "ProtocolParams",
+    "StageOne",
     "evaluate_batch",
     "evaluate_rate",
     "prepare_batch",
     "screen_batch",
+    "stage_one",
+    "stage_two",
 ]
 
 K_D2_DEFAULT = 2e-4
@@ -202,6 +209,58 @@ def evaluate_batch(
     return feasible, batch
 
 
+class StageOne(NamedTuple):
+    """Stage 1 of a batch's feasible points on one link, (B,) arrays:
+    the Z error rate of the signal level, the signal Z count |Z_ks|, m0,
+    m1 and the EC leakage."""
+
+    e_z: np.ndarray
+    z_ks: np.ndarray
+    m0: np.ndarray
+    m1: np.ndarray
+    lam: np.ndarray
+
+    def ceiling(self, budget: EpsilonBudget | None, n_total: float) -> np.ndarray:
+        """Per point, a rate that its key rate cannot exceed: its
+        ``key_length_bound`` over n_total where m1 > 0, else -inf (no
+        single photons, no key above a rate of 0)."""
+        bound = key_length_bound(self.m0, self.m1, self.lam, budget)
+        return np.where(self.m1 > 0.0, bound / n_total, -np.inf)
+
+
+def stage_one(
+    model: ChannelModel, prepared: PreparedBatch, budget: EpsilonBudget | None,
+    n_total: float, f_ec: float = 1.16,
+) -> StageOne:
+    """Stage 1 of a prepared batch on ``model``'s link, from its Z counts
+    alone (``ChannelModel.z_counts``); ``stage_two`` then finishes the
+    points a caller picks.
+
+    The source is built first, so a degenerate one raises whatever the
+    caller picks; errors are those of ``evaluate_batch``.
+    """
+    source_coeffs(model.cfg.xi)
+    counts, e_z = model.z_counts(prepared.layout, n_total)
+    return _stage_one(counts, e_z, prepared.factors, budget, prepared.mode, f_ec)
+
+
+def stage_two(
+    model: ChannelModel, prepared: PreparedBatch, one: StageOne, rows: np.ndarray,
+    budget: EpsilonBudget | None, n_total: float,
+) -> KeyRateBatch:
+    """The results of the feasible points ``rows`` (indices into
+    ``prepared.idx``) from their ``stage_one`` results ``one``: their
+    cells (``ChannelModel.cell_counts``), the cell bounds, the
+    phase-error bound and the key length.  Each point's result is the
+    one ``evaluate_batch`` gives it, whatever the other rows."""
+    counts = model.cell_counts(prepared.layout, n_total, rows)
+    return _stage_two(
+        counts, prepared.factors[:, rows], prepared.layout.p_z[rows],
+        StageOne(*(a[rows] for a in one)),
+        source_coeffs(model.cfg.xi), budget, n_total, prepared.mode,
+    )
+
+
 def screen_batch(
     cfg: ChannelConfig, prepared: PreparedBatch, budget: EpsilonBudget | None,
     n_total: float, floor: float | np.ndarray | None, f_ec: float = 1.16,
@@ -214,72 +273,70 @@ def screen_batch(
     link's ``fluct_r``; a grid that several links share keeps it.
     ``floor`` is a rate of at least 0 or -inf, for every point or per
     point.  A feasible point is screened where its floor is finite and
-    its m1 is 0 or its ``key_length_bound`` over n_total does not
-    exceed the floor: its rate cannot exceed the floor either, and the
-    chain stops for it after m0, m1 and the EC leakage.  A point whose
-    floor is -inf is never screened, and ``floor`` None screens no
-    point.  Returns the mask of feasible points, the mask of the
-    screened ones among them, and the results of the other feasible
-    points, in order.  Errors are those of ``evaluate_batch``.
+    its ``StageOne.ceiling`` does not exceed the floor: its rate cannot
+    exceed the floor either, and the chain stops for it after
+    ``stage_one``.  A point whose floor is -inf is never screened, and
+    ``floor`` None screens no point: the batch's counts are then formed
+    once, cells and all.  Returns the mask of feasible points, the mask
+    of the screened ones among them, and the results of the other
+    feasible points, in order.  Errors are those of ``evaluate_batch``.
     """
     feasible, idx = prepared.feasible, prepared.idx
-    if isinstance(floor, np.ndarray):
-        floor = floor[idx]
     if model is None:
         model = ChannelModel(cfg)
-    counts, e_z = model.expected_counts(prepared.layout, n_total)
-    passed, batch = _rate_batch(
-        counts, e_z, prepared.factors, cfg.xi, prepared.layout.p_z,
-        budget, n_total, prepared.mode, f_ec, floor,
-    )
     screened = np.zeros(feasible.shape, dtype=bool)
-    if passed is not None:
-        screened[idx[~passed]] = True
-    return feasible, screened, batch
+    if floor is None:
+        counts, e_z = model.expected_counts(prepared.layout, n_total)
+        return feasible, screened, _rate_batch(
+            counts, e_z, prepared.factors, cfg.xi, prepared.layout.p_z,
+            budget, n_total, prepared.mode, f_ec,
+        )
+    if isinstance(floor, np.ndarray):
+        floor = floor[idx]
+    one = stage_one(model, prepared, budget, n_total, f_ec)
+    passed = (floor == -np.inf) | (one.ceiling(budget, n_total) > floor)
+    screened[idx[~passed]] = True
+    return feasible, screened, stage_two(
+        model, prepared, one, passed.nonzero()[0], budget, n_total
+    )
+
+
+def _stage_one(
+    counts: CountsBatch, e_z: np.ndarray, factors: np.ndarray,
+    budget: EpsilonBudget | None, mode: str, f_ec: float,
+) -> StageOne:
+    """m0, m1 and the EC leakage from the Z fields of batch counts and
+    the points' ``decoy_factors``."""
+    m0, m1 = aggregate_bounds(counts, factors, budget, mode)
+    z_ks = counts.z_by_k[:, 0]
+    return StageOne(e_z, z_ks, m0, m1, lambda_ec_batch(z_ks, e_z, f_ec))
+
+
+def _stage_two(
+    counts: CountsBatch, factors: np.ndarray, p_z: np.ndarray, one: StageOne,
+    coeffs: np.ndarray, budget: EpsilonBudget | None, n_total: float, mode: str,
+) -> KeyRateBatch:
+    """The sixteen cell bounds from the cells and trials of batch counts,
+    the phase-error weights at the points' ``p_z`` from the source's
+    ``coeffs``, the phase-error bound and the key length."""
+    cells = cell_bounds(counts, factors, budget, mode)
+    eph = n_ph_upper_batch(phase_weights(coeffs, p_z), cells, one.m1, budget)
+    return key_length_batch(
+        one.m0, one.m1, eph.e_ph_upper, one.lam, budget,
+        n_total=n_total, e_z=one.e_z, z_ks_size=one.z_ks,
+    )
 
 
 def _rate_batch(
     counts: CountsBatch, e_z: np.ndarray, factors: np.ndarray, xi: float,
     p_z: np.ndarray, budget: EpsilonBudget | None, n_total: float, mode: str,
-    f_ec: float, floor: float | np.ndarray | None = None,
-) -> tuple[np.ndarray | None, KeyRateBatch]:
-    """Decoy bounds, phase-error bound and key length from batch counts
-    and the points' ``decoy_factors``, in two stages with
-    ``screen_batch``'s screen between them.
-
-    Stage 1 bounds m0, m1 and the EC leakage of every point; stage 2
-    (the sixteen cell bounds, the phase-error weights at the points'
-    ``p_z``, the phase-error bound and the key length) runs on the
-    points that pass the screen, every point when ``floor`` is None.
-    Returns the mask of those, None when every point passes, and their
-    results.  The source at ``xi`` is built first, so a degenerate one
-    raises whatever the screen keeps.
-    """
+    f_ec: float,
+) -> KeyRateBatch:
+    """Both stages of every point of whole batch counts.  The source at
+    ``xi`` is built first, so a degenerate one raises before any bound."""
     coeffs = source_coeffs(xi)
-    m0, m1 = aggregate_bounds(counts, factors, budget, mode)
-    z_ks = counts.z_by_k[:, 0]
-    lam = lambda_ec_batch(z_ks, e_z, f_ec)
-    passed = None
-    if floor is not None:
-        bound = key_length_bound(m0, m1, lam, budget)
-        passed = (floor == -np.inf) | ((m1 > 0.0) & (bound / n_total > floor))
-        if not passed.any():
-            return passed, KeyRateBatch.empty()
-        if passed.all():
-            passed = None
-        else:
-            # stage 2 takes the passing points' rows of stage 1's arrays
-            idx = np.flatnonzero(passed)
-            counts = CountsBatch(*(a[idx] for a in counts))
-            factors = factors[:, idx]
-            p_z, e_z, m0, m1, lam, z_ks = (
-                a[idx] for a in (p_z, e_z, m0, m1, lam, z_ks)
-            )
-    cells = cell_bounds(counts, factors, budget, mode)
-    eph = n_ph_upper_batch(phase_weights(coeffs, p_z), cells, m1, budget)
-    return passed, key_length_batch(
-        m0, m1, eph.e_ph_upper, lam, budget, n_total=n_total, e_z=e_z, z_ks_size=z_ks
-    )
+    one = _stage_one(counts, e_z, factors, budget, mode, f_ec)
+    return _stage_two(counts, factors, p_z, one, coeffs, budget, n_total, mode)
 
 
 def evaluate_rate(
@@ -302,8 +359,9 @@ def evaluate_rate(
     signal-intensity Z cells; counts of the wrong shape, negative or
     non-finite counts, n_z > n_total, Z totals that are not the sums of
     their cells, an n_z that is not the trials of the Z0 -> Z and
-    Z1 -> Z configurations, and outcome cells above their
-    configuration's trials raise ValueError.
+    Z1 -> Z configurations, outcome cells above their configuration's
+    trials, and cells or trials of the X1 sender state, which is never
+    sent, raise ValueError.
     """
     prepared = prepare_batch(ParamBatch.of([params]), mode, cfg.fluct_r)
     if not prepared.feasible[0]:
@@ -313,7 +371,7 @@ def evaluate_rate(
     else:
         _check_counts(counts, n_total)
         e_z = np.array([z_error_rate(counts.cells[0, 0].tolist())])
-        _, res = _rate_batch(
+        res = _rate_batch(
             counts, e_z, prepared.factors, cfg.xi, prepared.layout.p_z,
             budget, n_total, mode, f_ec,
         )
@@ -324,6 +382,8 @@ def evaluate_rate(
 _ONE_RUN = ((1, 3, 16), (1, 16), (1, 3), (1,), (1,))
 # the rounding a float count's totals may carry
 _COUNT_REL = 1e-12
+# the cells of the X1 sender state, the last four along CELLS
+_X1_CELLS = slice(CELLS.index(("X", 1, "Z", 0)), len(CELLS))
 
 
 def _check_counts(counts: CountsBatch, n_total: float) -> None:
@@ -335,6 +395,10 @@ def _check_counts(counts: CountsBatch, n_total: float) -> None:
             raise ValueError(f"counts.{name} must be finite and nonnegative")
     if not counts.n_z[0] <= n_total:
         raise ValueError("counts.n_z must not exceed n_total")
+    # the X1 sender state is never sent; counts there would enter N1, the
+    # phase-error bound's sum over the cells
+    if counts.cells[..., _X1_CELLS].any() or counts.trials[:, _X1_CELLS].any():
+        raise ValueError("counts of the X1 sender state, which is never sent, must be 0")
     zz = counts.cells[:, :, ZZ_CELLS].sum(axis=2)
     if not np.allclose(counts.z_by_k, zz, rtol=_COUNT_REL, atol=0.0):
         raise ValueError("counts.z_by_k must total the Z-sender, Z-receiver cells")

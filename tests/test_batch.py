@@ -20,13 +20,14 @@ from qkd_keyrate.channel import ChannelConfig, ChannelModel
 from qkd_keyrate.decoy import CELLS
 from qkd_keyrate.key_length import KeyRateResult, eph_threshold, key_length_batch
 from qkd_keyrate import optimize
-from qkd_keyrate.optimize import GRID_CHUNK, SearchSpace, optimize_rate
+from qkd_keyrate.optimize import GRID_BLOCK, GRID_CHUNK, SearchSpace, optimize_rate
 from qkd_keyrate.pipeline import (
     ParamBatch,
     ProtocolParams,
     evaluate_batch,
     evaluate_rate,
-    screen_batch,
+    stage_one,
+    stage_two,
 )
 
 from one_point import expected_counts, source_model
@@ -205,19 +206,29 @@ def test_key_length_at_the_phase_threshold(asymptotic):
 
 
 def test_grid_is_chunked(monkeypatch):
-    assert GRID_CHUNK == 256
+    assert (GRID_CHUNK, GRID_BLOCK) == (256, 4)
     # grid_points=4 gives 1 + 4**5 = 1025 points; the centre rides in the
-    # first chunk, so four chunks, the first of 257 points
-    sizes = []
+    # first chunk, so four chunks, the first of 257 points, and all four
+    # in one block: one stage-1 batch, then stage-2 batches of at most
+    # GRID_CHUNK points
+    ones, twos = [], []
 
-    def counted(cfg, prepared, *args, **kwargs):
-        sizes.append(len(prepared.feasible))
-        return screen_batch(cfg, prepared, *args, **kwargs)
+    def counted_one(model, prepared, *args):
+        ones.append(len(prepared.feasible))
+        return stage_one(model, prepared, *args)
 
-    monkeypatch.setattr(optimize, "screen_batch", counted)
+    def counted_two(model, prepared, one, rows, *args):
+        twos.append(len(rows))
+        return stage_two(model, prepared, one, rows, *args)
+
+    monkeypatch.setattr(optimize, "stage_one", counted_one)
+    monkeypatch.setattr(optimize, "stage_two", counted_two)
     out = optimize_rate(channel(60.0), EpsilonBudget.build(1e-10, 1e-15, "exact"),
                         1e12, strategy="grid", grid_points=4)
-    assert sizes == [257, 256, 256, 256]
+    [block] = optimize._grid_blocks(SearchSpace(), 4, "exact", 0.0)
+    assert ones == [1025]
+    assert len(block.bounds) == 5 and block.bounds[0] == 0
+    assert twos and all(n == GRID_CHUNK for n in twos[:-1]) and 0 < twos[-1] <= GRID_CHUNK
     assert out.evaluations == 1 + 4**5
     assert evaluate_rate(channel(60.0), out.best_params,
                          EpsilonBudget.build(1e-10, 1e-15, "exact"), 1e12) == out.best

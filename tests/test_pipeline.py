@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig
+from qkd_keyrate.config import RunConfig
 from qkd_keyrate.decoy import CELLS, CountsBatch
 from qkd_keyrate.optimize import SearchSpace
 from qkd_keyrate.phase_error import term_coeffs
@@ -233,6 +234,24 @@ def test_counts_must_agree_with_their_trials():
     with pytest.raises(ValueError, match="trials"):
         evaluate_rate(cfg, params, bud, 1e14, mode="fluct",
                       counts=good._replace(cells=cells))
+
+
+def test_x1_sender_counts_rejected():
+    # the X1 sender state is never sent: unchecked, copying the X0
+    # configurations' cells and trials into X1 lowered the key length
+    # from 1,409,654,031 to 1,401,214,281 (RunConfig defaults at 50 km)
+    run = RunConfig()
+    cfg, bud, n_total = run.channel(50.0), run.budget(), run.n_total
+    params = ProtocolParams(p_z=0.85, p_ks=0.88, p_kd1=0.09, k_s=0.63, k_d1=0.023)
+    good, _ = expected_counts(cfg, params.intensities("exact", 0.0), params.p_z, n_total)
+    assert evaluate_rate(cfg, params, bud, n_total, counts=good).ell == 1_409_654_031
+    x0 = slice(CELLS.index(("X", 0, "Z", 0)), CELLS.index(("X", 1, "Z", 0)))
+    cells, trials = good.cells.copy(), good.trials.copy()
+    cells[..., 12:], trials[:, 12:] = cells[..., x0], trials[:, x0]
+    for bad in (good._replace(cells=cells, trials=trials), good._replace(cells=cells),
+                good._replace(trials=trials)):
+        with pytest.raises(ValueError, match="X1"):
+            evaluate_rate(cfg, params, bud, n_total, counts=bad)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

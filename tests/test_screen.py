@@ -13,13 +13,15 @@ from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig, ChannelModel
 from qkd_keyrate.decoy import aggregate_bounds
 from qkd_keyrate.key_length import key_length_bound, lambda_ec_batch
-from qkd_keyrate.optimize import SearchSpace, optimize_rate
+from qkd_keyrate.optimize import GRID_CHUNK, SearchSpace, optimize_rate
 from qkd_keyrate.pipeline import (
     ParamBatch,
     evaluate_batch,
     evaluate_rate,
     prepare_batch,
     screen_batch,
+    stage_one,
+    stage_two,
 )
 
 # per mode of the property test: the chain's mode, r, N and eps_sec
@@ -40,7 +42,7 @@ def budget(mode, eps_sec=1e-10):
     return None if eps_sec is None else EpsilonBudget.build(eps_sec, 1e-15, mode)
 
 
-def stage_one(cfg, params, bud, n_total, mode):
+def screen_terms(cfg, params, bud, n_total, mode):
     """m0, m1 and the zero-phase-error bound of one point, as the
     screen computes them."""
     prepared = prepare_batch(ParamBatch.of([params]), mode, cfg.fluct_r)
@@ -65,7 +67,7 @@ def test_bound_is_never_below_the_key_length(mode, distance, u):
         assume(False)
     cfg, bud = channel(distance, r), budget(chain_mode, eps_sec)
     res = evaluate_rate(cfg, params, bud, n_total, mode=chain_mode)
-    m0, m1, bound = stage_one(cfg, params, bud, n_total, chain_mode)
+    m0, m1, bound = screen_terms(cfg, params, bud, n_total, chain_mode)
     assert (m0, m1) == (res.m0_l, res.m1_l)
     # an aborted point keys nothing whatever its bound; a keyed one has a
     # single-photon bound and stays below the bound
@@ -114,12 +116,21 @@ def test_floor_per_point():
     assert kept.result(0) == full.result(0)
 
 
-def unscreened(monkeypatch):
-    """Run the optimizer's grid without a floor, as before the screen."""
-    def no_floor(cfg, prepared, budget, n_total, floor, *args, **kwargs):
-        return screen_batch(cfg, prepared, budget, n_total, None, *args, **kwargs)
-
-    monkeypatch.setattr(optimize, "screen_batch", no_floor)
+def grid_oracle(cfg, bud, n_total, space, mode, grid_points):
+    """The grid's trace, best point and best result with every grid
+    point scored through ``evaluate_batch``, in the grid's order: the
+    centre first, then row-major."""
+    ticks = np.linspace(0.0, 1.0, grid_points)
+    rows = np.unravel_index(np.arange(grid_points**5), (grid_points,) * 5)
+    units = np.concatenate([np.full((1, 5), 0.5), ticks[np.stack(rows, axis=1)]])
+    points = (space or SearchSpace()).params_batch(units)
+    feasible, batch = evaluate_batch(cfg, points, bud, n_total, mode=mode)
+    trace, best = [], None
+    for k, i in enumerate(np.flatnonzero(feasible)):
+        if best is None or batch.rate[k] > best.rate:
+            best = batch.result(k)
+            trace.append((points.point(i), best.rate))
+    return tuple(trace), trace[-1][0], best
 
 
 # the centre of these boxes is infeasible: k_d1 above k_s in the first,
@@ -140,26 +151,29 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_screen_leaves_the_optimum_unchanged(case, monkeypatch):
+def test_screen_leaves_the_optimum_unchanged(case):
     mode, r, n_total, eps_sec, distance, grid_points, space, keys = CASES[case]
     if space is not None:
         centre = ParamBatch.of([space.params_at(np.full(5, 0.5))])
         feasible, _ = evaluate_batch(channel(distance, r), centre, None, n_total, mode=mode)
         assert not feasible[0]
-    run = lambda: optimize_rate(channel(distance, r), budget(mode, eps_sec), n_total,
-                                space=space, mode=mode, grid_points=grid_points)
-    screened = run()
-    unscreened(monkeypatch)
-    full = run()
-    assert screened.grid_screened > 0
-    assert full.grid_screened == 0
-    assert screened.best == full.best
-    assert screened.best_params == full.best_params
-    assert screened.trace == full.trace
-    assert screened.evaluations == full.evaluations
-    assert screened.grid_evaluations == full.grid_evaluations
-    assert screened.polish_evaluations == full.polish_evaluations
-    assert (screened.best.ell > 0) == keys
+    cfg, bud = channel(distance, r), budget(mode, eps_sec)
+    run = lambda strategy: optimize_rate(cfg, bud, n_total, space=space, strategy=strategy,
+                                         mode=mode, grid_points=grid_points)
+    grid, full = run("grid"), run("grid+nm")
+    trace, best_params, best = grid_oracle(cfg, bud, n_total, space, mode, grid_points)
+    assert grid.grid_screened > 0
+    assert grid.best == best
+    assert grid.best_params == best_params
+    assert grid.trace == trace
+    assert grid.evaluations == grid.grid_evaluations == 1 + grid_points**5
+    # the polish starts from the grid's best point
+    assert full.trace[:len(trace)] == trace
+    assert full.grid_screened == grid.grid_screened
+    assert full.grid_evaluations == grid.grid_evaluations
+    assert full.evaluations == full.grid_evaluations + full.polish_evaluations
+    assert (full.best.ell > 0) == keys
+    assert (full.polish_evaluations > 0) == keys
 
 
 # distances past the key's edge: sweep-fluct's link at 120 km, where the
@@ -175,17 +189,51 @@ KEYLESS = {
 @pytest.mark.parametrize("case", sorted(KEYLESS))
 def test_keyless_distance_scores_each_chunk_once(case, monkeypatch):
     mode, r, n_total, eps_sec, distance = KEYLESS[case]
-    sizes = []
+    ones, twos = [], []
 
-    def counted(cfg, prepared, *args, **kwargs):
-        sizes.append(len(prepared.feasible))
-        return screen_batch(cfg, prepared, *args, **kwargs)
+    def counted_one(model, prepared, *args):
+        ones.append(len(prepared.feasible))
+        return stage_one(model, prepared, *args)
 
-    monkeypatch.setattr(optimize, "screen_batch", counted)
+    def counted_two(model, prepared, one, rows, *args):
+        twos.append(len(rows))
+        return stage_two(model, prepared, one, rows, *args)
+
+    monkeypatch.setattr(optimize, "stage_one", counted_one)
+    monkeypatch.setattr(optimize, "stage_two", counted_two)
     cfg, bud = channel(distance, r), budget(mode, eps_sec)
     out = optimize_rate(cfg, bud, n_total, mode=mode, grid_points=4)
     assert out.best.ell == 0
-    # the first feasible point is let through the screen, not scored
-    # again in a batch of its own
-    assert sizes == [257, 256, 256, 256]
+    # the grid's four chunks are one block, one stage-1 batch
+    assert ones == [257 + 3 * 256]
+    # past the key's edge the best rate stays 0, so every chunk's floor is
+    # the block's: stage 2 scores exactly the points the screen passes,
+    # among them the first feasible point, GRID_CHUNK at a time
+    [block] = optimize._grid_blocks(SearchSpace(), 4, mode, r)
+    passed = len(block.prepared.idx) - out.grid_screened
+    assert passed >= 1
+    assert twos == [GRID_CHUNK] * (passed // GRID_CHUNK) + [passed % GRID_CHUNK] * (
+        passed % GRID_CHUNK > 0)
     assert evaluate_rate(cfg, out.best_params, bud, n_total, mode=mode) == out.best
+
+
+@pytest.mark.parametrize("mode, r, n_total, eps_sec, distance", [
+    ("exact", 0.0, 1e12, 1e-10, 60.0),
+    ("fluct", 0.05, 1e14, 1e-8, 20.0),
+])
+def test_stage_two_mixes_chunks(mode, r, n_total, eps_sec, distance):
+    # a stage-2 batch of rows from all four chunks of a block, out of
+    # order, gives each row its evaluate_rate result, bit for bit
+    cfg, bud = channel(distance, r), budget(mode, eps_sec)
+    units, points, prepared, bounds = optimize._grid_blocks(SearchSpace(), 4, mode, r)[0]
+    model = ChannelModel(cfg)
+    one = stage_one(model, prepared, bud, n_total)
+    rows = np.arange(bounds[-1])[::-37][:GRID_CHUNK]
+    assert len(set(np.searchsorted(bounds, rows, side="right"))) == 4
+    batch = stage_two(model, prepared, one, rows, bud, n_total)
+    keyed = 0
+    for k, j in enumerate(rows):
+        want = evaluate_rate(cfg, points.point(prepared.idx[j]), bud, n_total, mode=mode)
+        assert batch.result(k) == want
+        keyed += want.ell > 0
+    assert keyed > 0

@@ -1,11 +1,12 @@
 """Work-count guards: counts, not timings, of what an evaluation does.
 
 A distance past the key's edge should cost its grid batches and nothing
-else: one ``screen_batch`` call per grid chunk, and one click-table
-build per chunk that brings a nominal intensity the link has no table
-for yet.  A keyed distance adds one batch per poll of the polish: one
-``prepare_batch`` and one ``screen_batch`` call, with at most one
-click-table build.  A point and a batch enter the chain through one
+else: one ``stage_one`` batch per grid block, one click-table build per
+block that brings a nominal intensity the link has no table for yet,
+and ``stage_two`` batches of at most GRID_CHUNK points for the points
+the screen passes.  A keyed distance adds one batch per poll of the
+polish: one ``prepare_batch`` and one ``screen_batch`` call, with at
+most one click-table build.  A point and a batch enter the chain through one
 ``prepare_batch`` call each.
 """
 
@@ -16,7 +17,7 @@ from qkd_keyrate import channel, optimize, pipeline
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelModel
 from qkd_keyrate.config import parse_config
-from qkd_keyrate.optimize import SearchSpace, optimize_rate
+from qkd_keyrate.optimize import GRID_CHUNK, SearchSpace, optimize_rate
 from qkd_keyrate.pipeline import ParamBatch, ProtocolParams
 
 # the benchmark's sweep-exact settings (the a1 sweep on a 50 km grid)
@@ -48,44 +49,62 @@ workers = 1
 """
 
 
-@pytest.mark.parametrize("distance", [80.0, 120.0, 160.0, 200.0])
-def test_keyless_distance_costs_its_grid_batches(distance, monkeypatch):
-    cfg = parse_config(SWEEP_FLUCT)
-    screens, builds = [], []
-    screen_batch, click_tables = optimize.screen_batch, channel._click_tables
+def counting(monkeypatch, events):
+    """Record a stage-1 batch as ("one", points), a stage-2 batch as
+    ("two", points) and a click-table build as ("tables", intensities)
+    in ``events``."""
+    stage_one, stage_two = optimize.stage_one, optimize.stage_two
+    click_tables = channel._click_tables
 
-    def counted_screen(*args, **kwargs):
-        screens.append(1)
-        return screen_batch(*args, **kwargs)
+    def counted_one(model, prepared, *args):
+        events.append(("one", len(prepared.feasible)))
+        return stage_one(model, prepared, *args)
+
+    def counted_two(model, prepared, one, rows, *args):
+        events.append(("two", len(rows)))
+        return stage_two(model, prepared, one, rows, *args)
 
     def counted_build(link, nominal, fracs):
-        builds.append(list(nominal))
+        events.append(("tables", list(nominal)))
         return click_tables(link, nominal, fracs)
 
-    monkeypatch.setattr(optimize, "screen_batch", counted_screen)
+    monkeypatch.setattr(optimize, "stage_one", counted_one)
+    monkeypatch.setattr(optimize, "stage_two", counted_two)
     monkeypatch.setattr(channel, "_click_tables", counted_build)
+
+
+@pytest.mark.parametrize("distance", [80.0, 100.0, 120.0, 160.0, 200.0])
+def test_keyless_distance_costs_its_grid_batches(distance, monkeypatch):
+    cfg = parse_config(SWEEP_FLUCT)
+    events = []
+    counting(monkeypatch, events)
     out = optimize_rate(cfg.channel(distance), cfg.budget(), cfg.n_total,
                         mode=cfg.bound_mode, f_ec=cfg.f_ec, grid_points=cfg.grid_points)
     assert out.best.ell == 0
-    chunks = optimize._grid_chunks(SearchSpace(), cfg.grid_points, "fluct", cfg.fluct_r)
-    assert len(screens) == len(chunks)
-    # the chunks that bring a new nominal intensity, each built once
-    seen, expected = set(), []
-    for _, _, prepared in chunks:
-        new = [k for k in prepared.layout.nominal.tolist() if k not in seen]
-        seen.update(new)
-        if new:
-            expected.append(new)
-    assert builds == expected
+    # the grid's 1025 points are one block of four chunks: one stage-1
+    # batch, which builds every table the block needs at once
+    [block] = optimize._grid_blocks(SearchSpace(), cfg.grid_points, "fluct", cfg.fluct_r)
+    assert len(block.bounds) == 5
+    assert events[:2] == [("one", 1025),
+                          ("tables", block.prepared.layout.nominal.tolist())]
+    # then the points the screen passes, GRID_CHUNK per stage-2 batch: at
+    # 100 km 195 points, one batch where scoring chunk by chunk took four
+    passed = len(block.prepared.idx) - out.grid_screened
+    twos = [n for name, n in events[2:] if name == "two"]
+    assert len(twos) == len(events) - 2
+    assert twos == [GRID_CHUNK] * (passed // GRID_CHUNK) + [passed % GRID_CHUNK] * (
+        passed % GRID_CHUNK > 0)
+    if distance == 100.0:
+        assert twos == [195]
 
 
 def test_keyed_distance_polls_one_batch_each(monkeypatch):
     cfg = parse_config(SWEEP_EXACT)
-    # formed before counting: a sweep forms the grid's batches once
-    chunks = optimize._grid_chunks(SearchSpace(), cfg.grid_points, "exact", cfg.fluct_r)
+    # formed before counting: a sweep forms the grid's blocks once
+    blocks = optimize._grid_blocks(SearchSpace(), cfg.grid_points, "exact", cfg.fluct_r)
     events = []
+    counting(monkeypatch, events)
     prepare_batch, screen_batch = optimize.prepare_batch, optimize.screen_batch
-    click_tables = channel._click_tables
 
     def counted_prepare(params, *args):
         events.append(("prepare", len(params.p_z)))
@@ -95,24 +114,26 @@ def test_keyed_distance_polls_one_batch_each(monkeypatch):
         events.append(("screen", 0))
         return screen_batch(*args, **kwargs)
 
-    def counted_build(*args):
-        events.append(("tables", 0))
-        return click_tables(*args)
-
     monkeypatch.setattr(optimize, "prepare_batch", counted_prepare)
     monkeypatch.setattr(optimize, "screen_batch", counted_screen)
-    monkeypatch.setattr(channel, "_click_tables", counted_build)
     out = optimize_rate(cfg.channel(100.0), cfg.budget(), cfg.n_total,
                         mode=cfg.bound_mode, f_ec=cfg.f_ec, grid_points=cfg.grid_points)
     assert out.best.ell > 0
     names = [name for name, _ in events]
     polls = [size for name, size in events if name == "prepare"]
     assert polls and sum(polls) == out.polish_evaluations
-    assert names.count("screen") == len(chunks) + len(polls)
-    # the grid prepares nothing; then each poll is one prepared batch,
-    # screened once, with at most one click-table build
+    # the grid prepares nothing: 3,126 points in four blocks (4, 4, 4 and
+    # 1 chunks), one stage-1 batch and at most one table build each, and
+    # stage-2 batches of at most GRID_CHUNK points
     first = names.index("prepare")
-    assert names[:first].count("screen") == len(chunks)
+    grid = events[:first]
+    assert [n for name, n in grid if name == "one"] == [1025, 1024, 1024, 53]
+    assert len(blocks) == 4
+    assert names[:first].count("tables") <= len(blocks)
+    assert all(0 < n <= GRID_CHUNK for name, n in grid if name == "two")
+    assert {"one", "two", "tables"} >= set(names[:first])
+    # then each poll is one prepared batch, screened once, with at most
+    # one click-table build
     poll, per_poll = [], []
     for name in names[first:] + ["prepare"]:
         if name == "prepare" and poll:

@@ -8,10 +8,13 @@ a batch of one), the timeit-minimum microseconds of each stage of the
 chain on warm click tables, and of the whole batch (``total``: the
 parameters, ``prepare_batch`` and ``screen_batch`` without a floor).
 ``cold_point_us`` is a library ``evaluate_rate`` call per mode at
-80 km with a fresh channel model, as the benchmark's point calls make.  ``sweep``
-holds, per ``sweep-exact`` distance, the grid and polish seconds (the
-minimum over the repeats), the evaluations of each phase and the key
-length.
+80 km with a fresh channel model, as the benchmark's point calls make.
+``sweep`` holds, per ``sweep-exact`` distance, the grid and polish
+seconds (the minimum over the repeats), the evaluations of each phase
+and the key length; ``sweep_fluct`` holds the same per ``sweep-fluct``
+distance, with the sizes of the grid's stage-1 and stage-2 batches
+(``stage_one`` runs on a block of grid chunks, ``stage_two`` on the
+points that pass the screen, GRID_CHUNK at a time).
 
 Run from a checkout: ``PYTHONPATH=src python tools/layer_times.py``
 (``--repeat`` sets how many timeit repeats each minimum takes, and a
@@ -26,6 +29,7 @@ import timeit
 
 import numpy as np
 
+from qkd_keyrate import optimize
 from qkd_keyrate.channel import ChannelModel
 from qkd_keyrate.config import RunConfig
 from qkd_keyrate.decoy import aggregate_bounds, cell_bounds
@@ -116,23 +120,50 @@ def cold_point(run: RunConfig, distance: float, repeat: int) -> float:
         cfg, POINT, budget, run.n_total, mode=run.bound_mode, f_ec=run.f_ec), repeat), 1)
 
 
-def sweep_phases(run: RunConfig, repeat: int) -> list[dict]:
+def _batch_sizes(run: RunConfig, distance: float) -> tuple[list[int], list[int]]:
+    """The sizes of the grid's stage-1 and stage-2 batches at one
+    distance, from an untimed run with both stages wrapped."""
+    sizes = ([], [])
+    stages = optimize.stage_one, optimize.stage_two
+
+    def one(model, prepared, *args):
+        sizes[0].append(len(prepared.feasible))
+        return stages[0](model, prepared, *args)
+
+    def two(model, prepared, first, rows, *args):
+        sizes[1].append(len(rows))
+        return stages[1](model, prepared, first, rows, *args)
+
+    optimize.stage_one, optimize.stage_two = one, two
+    try:
+        optimize_rate(run.channel(distance), run.budget(), run.n_total, strategy="grid",
+                      mode=run.bound_mode, f_ec=run.f_ec, grid_points=run.grid_points)
+    finally:
+        optimize.stage_one, optimize.stage_two = stages
+    return sizes
+
+
+def sweep_phases(run: RunConfig, repeat: int, batches: bool = False) -> list[dict]:
     """Per distance of the sweep: grid and polish seconds (minimum over
-    ``repeat`` runs), evaluations and key length."""
+    ``repeat`` runs), evaluations and key length, and with ``batches``
+    the sizes of the grid's stage-1 and stage-2 batches."""
     rows = []
     for d in run.distances():
         outs = [optimize_rate(run.channel(d), run.budget(), run.n_total,
                               mode=run.bound_mode, f_ec=run.f_ec,
                               grid_points=run.grid_points) for _ in range(repeat)]
         out = outs[0]
-        rows.append({
+        row = {
             "distance_km": d,
             "grid_s": round(min(o.grid_s for o in outs), 5),
             "polish_s": round(min(o.polish_s for o in outs), 5),
             "grid_evaluations": out.grid_evaluations,
             "polish_evaluations": out.polish_evaluations,
             "ell": out.best.ell,
-        })
+        }
+        if batches:
+            row["stage_one_batches"], row["stage_two_batches"] = _batch_sizes(run, d)
+        rows.append(row)
     return rows
 
 
@@ -149,6 +180,8 @@ def main() -> None:
         }
         report["cold_point_us"][mode] = cold_point(run, 80.0, args.repeat)
     report["sweep"] = sweep_phases(MODES["exact"][0], max(1, args.repeat // 4))
+    report["sweep_fluct"] = sweep_phases(MODES["fluct"][0], max(1, args.repeat // 4),
+                                         batches=True)
     print(json.dumps(report, indent=1))
 
 
