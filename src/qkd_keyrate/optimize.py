@@ -11,25 +11,21 @@ halvings.  It runs one such track from each of POLISH_FIRST_STEPS (half
 and a quarter of a grid step) and polls both in one batch, since one
 track alone can settle in the lower of two local optima.  Parameter
 combinations that violate the intensity ordering or the probability
-simplex score zero rather than erroring.  Polls go through
-``screen_batch``, which forms a batch's counts once.  The grid scores
-GRID_BLOCK chunks of GRID_CHUNK points at a time: ``stage_one`` (m0, m1
-and the EC leakage, from the Z counts alone) runs on the whole block,
-then ``stage_two`` (cells, cell and phase-error bounds, key length) on
-the points whose rate ceiling beats the best rate so far (at least 0),
-GRID_CHUNK at a time.  The chunks are then replayed in order, each
-under the floor it would have had if scored alone: the best rate before
-it, and -inf for the first feasible point, which enters the trace
-whatever its rate.  Floors only rise, so the points that beat the
-block's first floor include those that beat their chunk's, and the
-trace, the best point and ``grid_screened`` are those of scoring chunk
-by chunk.  The polls pass no floor, since a
+simplex score zero rather than erroring.  The grid runs ``stage_one``
+(m0, m1, EC leakage) on blocks of GRID_BLOCK chunks of GRID_CHUNK
+points, and ``stage_two`` (cells, phase error, key length) only on
+points whose rate ceiling beats the best rate at the block's start,
+GRID_CHUNK at a time.  Replaying the chunks in order, each under the
+floor it would have had alone (the best rate before it, at least 0;
+-inf for the first feasible point, which enters the trace whatever its
+rate), gives the trace and counts of scoring chunk by chunk: floors
+only rise, so stage 2 scored every point that beats its chunk's floor.
+The polls go through ``screen_batch`` without a floor, since a
 neighbour of the best point almost never falls below it by the margin
-m1 h(e_ph) the screen needs.  What a grid block's chain needs that does
-not depend on the link (``pipeline.prepare_batch``: feasibility,
-channel layout, decoy factors) is formed once per sweep with the grid;
-the polls prepare their batches afresh, on the same path.  A distance
-without a key thus costs its grid batches and nothing else.
+m1 h(e_ph) the screen needs.  The grid's link-independent part
+(``pipeline.prepare_batch``) is formed once per sweep; the polls
+prepare their batches afresh.  A distance without a key thus costs its
+grid batches and nothing else.
 """
 
 from __future__ import annotations

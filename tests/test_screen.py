@@ -117,20 +117,28 @@ def test_floor_per_point():
 
 
 def grid_oracle(cfg, bud, n_total, space, mode, grid_points):
-    """The grid's trace, best point and best result with every grid
-    point scored through ``evaluate_batch``, in the grid's order: the
-    centre first, then row-major."""
+    """The grid's trace, best point, best result and screened count with
+    every grid point scored through ``evaluate_batch``, in the grid's
+    order (the centre first, then row-major), and screened as chunk by
+    chunk: GRID_CHUNK points a chunk, the first also taking the centre,
+    each under the best rate before it (at least 0)."""
     ticks = np.linspace(0.0, 1.0, grid_points)
     rows = np.unravel_index(np.arange(grid_points**5), (grid_points,) * 5)
     units = np.concatenate([np.full((1, 5), 0.5), ticks[np.stack(rows, axis=1)]])
     points = (space or SearchSpace()).params_batch(units)
     feasible, batch = evaluate_batch(cfg, points, bud, n_total, mode=mode)
-    trace, best = [], None
+    bound = key_length_bound(batch.m0_l, batch.m1_l, batch.lambda_ec, bud)
+    ceiling = np.where(batch.m1_l > 0.0, bound / n_total, -np.inf)
+    trace, best, screened, chunk = [], None, 0, -1
     for k, i in enumerate(np.flatnonzero(feasible)):
-        if best is None or batch.rate[k] > best.rate:
+        if max(i - 1, 0) // GRID_CHUNK > chunk:
+            chunk, floor = max(i - 1, 0) // GRID_CHUNK, max(best.rate if best else 0.0, 0.0)
+        if best is not None and ceiling[k] <= floor:
+            screened += 1
+        elif best is None or batch.rate[k] > best.rate:
             best = batch.result(k)
             trace.append((points.point(i), best.rate))
-    return tuple(trace), trace[-1][0], best
+    return tuple(trace), trace[-1][0], best, screened
 
 
 # the centre of these boxes is infeasible: k_d1 above k_s in the first,
@@ -161,8 +169,9 @@ def test_screen_leaves_the_optimum_unchanged(case):
     run = lambda strategy: optimize_rate(cfg, bud, n_total, space=space, strategy=strategy,
                                          mode=mode, grid_points=grid_points)
     grid, full = run("grid"), run("grid+nm")
-    trace, best_params, best = grid_oracle(cfg, bud, n_total, space, mode, grid_points)
-    assert grid.grid_screened > 0
+    trace, best_params, best, screened = grid_oracle(cfg, bud, n_total, space, mode,
+                                                     grid_points)
+    assert grid.grid_screened == screened > 0
     assert grid.best == best
     assert grid.best_params == best_params
     assert grid.trace == trace
@@ -220,7 +229,7 @@ def test_keyless_distance_scores_each_chunk_once(case, monkeypatch):
 @pytest.mark.parametrize("mode, r, n_total, eps_sec, distance", [
     ("exact", 0.0, 1e12, 1e-10, 60.0),
     ("fluct", 0.05, 1e14, 1e-8, 20.0),
-])
+], ids=["exact", "fluct"])
 def test_stage_two_mixes_chunks(mode, r, n_total, eps_sec, distance):
     # a stage-2 batch of rows from all four chunks of a block, out of
     # order, gives each row its evaluate_rate result, bit for bit

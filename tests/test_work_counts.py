@@ -6,8 +6,8 @@ block that brings a nominal intensity the link has no table for yet,
 and ``stage_two`` batches of at most GRID_CHUNK points for the points
 the screen passes.  A keyed distance adds one batch per poll of the
 polish: one ``prepare_batch`` and one ``screen_batch`` call, with at
-most one click-table build.  A point and a batch enter the chain through one
-``prepare_batch`` call each.
+most one click-table build.  A point and a batch enter the chain
+through one ``prepare_batch`` call each.
 """
 
 import numpy as np
