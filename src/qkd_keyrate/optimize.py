@@ -194,8 +194,11 @@ def _concat_prepared(parts: list[PreparedBatch]) -> PreparedBatch:
         np.concatenate([p.feasible for p in parts]),
         np.concatenate([p.idx + offset for p, offset in zip(parts, offsets)]),
         CellLayout(
-            *(np.concatenate(arrays) for arrays in zip(*(lay[:3] for lay in layouts))),
-            nominal, which,
+            np.concatenate([lay.p_z for lay in layouts]),
+            np.concatenate([lay.prob for lay in layouts]),
+            np.concatenate([lay.weights for lay in layouts]),
+            nominal,
+            which,
         ),
         np.concatenate([p.factors for p in parts], axis=1),
     )

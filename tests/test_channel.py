@@ -22,7 +22,8 @@ from qkd_keyrate.channel import (
     gauss_expect,
 )
 from qkd_keyrate.decoy import CELLS, K_LABELS
-from qkd_keyrate.pipeline import ProtocolParams
+from qkd_keyrate.optimize import SearchSpace
+from qkd_keyrate.pipeline import ProtocolParams, prepare_batch
 
 from one_point import expected_counts
 from scalar_chain import IntensitySet
@@ -447,3 +448,25 @@ def test_each_missing_table_is_built_once(monkeypatch):
     # another model keeps its own tables
     ChannelModel(make_cfg(fluct_r=0.05))._tables([0.1])
     assert built[-1] == [0.1]
+
+
+@pytest.mark.parametrize("r", [0.0, 0.05])
+def test_z_and_cell_counts_match_expected_counts(r):
+    # the two halves of expected_counts a screened batch forms: the Z
+    # fields of every point, then the cells and trials of some points,
+    # each bit for bit those of expected_counts
+    cfg = make_cfg(distance_km=60.0, xi=0.147, fluct_r=r)
+    units = np.random.default_rng(4).random((200, 5))
+    prepared = prepare_batch(SearchSpace().params_batch(units), "fluct", r)
+    full, e_z = ChannelModel(cfg).expected_counts(prepared.layout, 1e13)
+    z, z_e = ChannelModel(cfg).z_counts(prepared.layout, 1e13)
+    assert z.cells is None and z.trials is None
+    for name in ("z_by_k", "z_tot", "n_z"):
+        assert getattr(z, name).tobytes() == getattr(full, name).tobytes()
+    assert z_e.tobytes() == e_z.tobytes()
+    rows = np.array([7, 3, 150, 151, 0])
+    part = ChannelModel(cfg).cell_counts(prepared.layout, 1e13, rows)
+    assert part.cells.tobytes() == full.cells[rows].tobytes()
+    assert part.trials.tobytes() == full.trials[rows].tobytes()
+    with pytest.raises(ValueError, match="n_total"):
+        ChannelModel(cfg).z_counts(prepared.layout, math.inf)
