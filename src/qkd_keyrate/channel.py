@@ -400,6 +400,7 @@ class ChannelModel:
         """The cells and trials of ``expected_counts`` at the batch's
         points ``rows`` alone, by the same float operations; the Z fields
         are None (``z_counts`` forms them for the whole batch)."""
+        _check_n_total(n_total)
         cells, trials, _ = self._cells(layout, n_total, rows)
         return CountsBatch(cells, trials, None, None, None)
 

@@ -20,9 +20,9 @@ floor it would have had alone (the best rate before it, at least 0;
 -inf for the first feasible point, which enters the trace whatever its
 rate), gives the trace and counts of scoring chunk by chunk: floors
 only rise, so stage 2 scored every point that beats its chunk's floor.
-The polls go through ``screen_batch`` without a floor, since a
-neighbour of the best point almost never falls below it by the margin
-m1 h(e_ph) the screen needs.  The grid's link-independent part
+The polls go through ``evaluate_batch``, unscreened, since a neighbour
+of the best point almost never falls below it by the margin m1 h(e_ph)
+the screen needs.  The grid's link-independent part
 (``pipeline.prepare_batch``) is formed once per sweep; the polls
 prepare their batches afresh.  A distance without a key thus costs its
 grid batches and nothing else.
@@ -39,16 +39,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .budget import EpsilonBudget
-from .channel import CellLayout, ChannelConfig, ChannelModel
-from .decoy import distinct
+from .channel import ChannelConfig, ChannelModel
 from .key_length import KeyRateResult
 from .pipeline import (
     K_D2_DEFAULT,
     ParamBatch,
     PreparedBatch,
     ProtocolParams,
+    evaluate_batch,
     prepare_batch,
-    screen_batch,
     stage_one,
     stage_two,
 )
@@ -182,28 +181,6 @@ class GridBlock(NamedTuple):
     bounds: np.ndarray
 
 
-def _concat_prepared(parts: list[PreparedBatch]) -> PreparedBatch:
-    """The ``prepare_batch`` of the points of ``parts`` in order, from
-    theirs: the arrays joined, ``idx`` shifted by the points before each
-    part and the layout's nominal intensities merged."""
-    offsets = np.cumsum([0] + [len(p.feasible) for p in parts[:-1]])
-    layouts = [p.layout for p in parts]
-    nominal, which = distinct(np.concatenate([lay.nominal[lay.which] for lay in layouts]))
-    return PreparedBatch(
-        parts[0].mode,
-        np.concatenate([p.feasible for p in parts]),
-        np.concatenate([p.idx + offset for p, offset in zip(parts, offsets)]),
-        CellLayout(
-            np.concatenate([lay.p_z for lay in layouts]),
-            np.concatenate([lay.prob for lay in layouts]),
-            np.concatenate([lay.weights for lay in layouts]),
-            nominal,
-            which,
-        ),
-        np.concatenate([p.factors for p in parts], axis=1),
-    )
-
-
 @functools.lru_cache(maxsize=4)
 def _grid_blocks(
     space: SearchSpace, grid_points: int, mode: str, r: float
@@ -212,32 +189,25 @@ def _grid_blocks(
 
     The grid centre comes first, then the grid points in row-major
     order, GRID_CHUNK of them per chunk; the first chunk also takes the
-    centre.  Each chunk is prepared on its own, so that a batch's
-    temporaries stay at a chunk's size, and GRID_BLOCK chunks are joined
-    into a block.  None of this depends on the link, so a sweep forms it
-    once; its arrays are read-only.
+    centre.  GRID_BLOCK chunks form a block, prepared in one
+    ``prepare_batch`` call.  None of this depends on the link, so a
+    sweep forms it once; its arrays are read-only.
     """
     ticks = np.linspace(0.0, 1.0, grid_points)
     size = grid_points**5
     blocks = []
     for first in range(0, size, GRID_BLOCK * GRID_CHUNK):
-        units, params, parts = [], [], []
-        for start in range(first, min(first + GRID_BLOCK * GRID_CHUNK, size), GRID_CHUNK):
-            flat = np.arange(start, min(start + GRID_CHUNK, size))
-            chunk = ticks[np.stack(np.unravel_index(flat, (grid_points,) * 5), axis=1)]
-            if start == 0:
-                chunk = np.concatenate([np.full((1, 5), 0.5), chunk])
-            units.append(chunk)
-            params.append(space.params_batch(chunk))
-            parts.append(prepare_batch(params[-1], mode, r))
-        block = GridBlock(
-            np.concatenate(units),
-            ParamBatch(*map(np.concatenate, zip(*params))),
-            _concat_prepared(parts),
-            np.cumsum([0] + [len(p.idx) for p in parts]),
-        )
-        prepared = block.prepared
-        for a in (block.units, *block.params, prepared.feasible, prepared.idx,
+        flat = np.arange(first, min(first + GRID_BLOCK * GRID_CHUNK, size))
+        units = ticks[np.stack(np.unravel_index(flat, (grid_points,) * 5), axis=1)]
+        # the block's point index of each chunk's first point, and its end
+        starts = np.append(np.arange(0, len(flat), GRID_CHUNK), len(flat))
+        if first == 0:
+            units = np.concatenate([np.full((1, 5), 0.5), units])
+            starts[1:] += 1
+        params = space.params_batch(units)
+        prepared = prepare_batch(params, mode, r)
+        block = GridBlock(units, params, prepared, np.searchsorted(prepared.idx, starts))
+        for a in (units, *params, prepared.feasible, prepared.idx,
                   *prepared.layout, prepared.factors, block.bounds):
             a.setflags(write=False)
         blocks.append(block)
@@ -286,12 +256,12 @@ def optimize_rate(
     model = ChannelModel(cfg)
     trace: list[tuple[ProtocolParams, float]] = []
 
-    def score(prepared: PreparedBatch):
+    def score(points: ParamBatch):
         """Rates (-inf where infeasible), results and the mask of
         feasible points (point i's result is ``feasible[:i].sum()``) of a
-        prepared batch."""
-        feasible, _, batch = screen_batch(
-            cfg, prepared, budget, n_total, None, f_ec=f_ec, model=model
+        batch."""
+        feasible, batch = evaluate_batch(
+            cfg, points, budget, n_total, mode=mode, f_ec=f_ec, model=model
         )
         rates = np.full(len(feasible), -np.inf)
         rates[feasible] = batch.rate
@@ -348,7 +318,7 @@ def optimize_rate(
             stencil = track_u[live, None] + steps[live, None, None] * _COMPASS
             stencil = np.minimum(np.maximum(stencil.reshape(-1, 5), 0.0), 1.0)
             points = space.params_batch(stencil)
-            rates, batch, scored = score(prepare_batch(points, mode, cfg.fluct_r))
+            rates, batch, scored = score(points)
             polish_evaluations += len(stencil)
             picks = rates.reshape(len(live), len(_COMPASS)).argmax(axis=1)
             for k, (t, pick) in enumerate(zip(live, picks)):

@@ -13,12 +13,10 @@ points a caller picks and runs the cell bounds (``cell_bounds``), the
 phase-error weights at the points' p_z (``phase_weights`` of the per-xi
 ``source_coeffs``), ``n_ph_upper_batch`` and ``key_length_batch``.  The
 optimizer's grid picks the points whose ``key_length_bound``, the
-length at a zero phase-error rate, can beat a given rate;
-``screen_batch`` does the same for one batch under a floor, and without
-a floor forms each point's counts once and runs both stages on every
-point.  ``evaluate_batch`` evaluates many points at once and
-``evaluate_rate`` one point, a batch of one; neither has a floor.
-The validation suites call the same batch functions.  The channel
+length at a zero phase-error rate, can beat a given rate.
+``evaluate_batch`` evaluates many points at once and ``evaluate_rate``
+one point, a batch of one: both form each point's counts once, cells
+and all, and run both stages on every point.  The validation suites call the same batch functions.  The channel
 statistics default to the expected values of the system model;
 ``evaluate_rate`` also takes a one-row ``CountsBatch`` from elsewhere,
 such as a ``ChannelModel.sample`` draw, in place of the expected counts.
@@ -71,7 +69,6 @@ __all__ = [
     "evaluate_batch",
     "evaluate_rate",
     "prepare_batch",
-    "screen_batch",
     "stage_one",
     "stage_two",
 ]
@@ -205,8 +202,22 @@ def evaluate_batch(
     tables across calls on one link.
     """
     prepared = prepare_batch(params, mode, cfg.fluct_r)
-    feasible, _, batch = screen_batch(cfg, prepared, budget, n_total, None, f_ec, model)
-    return feasible, batch
+    if model is None:
+        model = ChannelModel(cfg)
+    return prepared.feasible, _evaluate_prepared(model, prepared, budget, n_total, f_ec)
+
+
+def _evaluate_prepared(
+    model: ChannelModel, prepared: PreparedBatch, budget: EpsilonBudget | None,
+    n_total: float, f_ec: float,
+) -> KeyRateBatch:
+    """Both stages of every feasible point of a prepared batch on
+    ``model``'s link, from its counts formed once, cells and all."""
+    counts, e_z = model.expected_counts(prepared.layout, n_total)
+    return _rate_batch(
+        counts, e_z, prepared.factors, model.cfg.xi, prepared.layout.p_z,
+        budget, n_total, prepared.mode, f_ec,
+    )
 
 
 class StageOne(NamedTuple):
@@ -261,46 +272,6 @@ def stage_two(
     )
 
 
-def screen_batch(
-    cfg: ChannelConfig, prepared: PreparedBatch, budget: EpsilonBudget | None,
-    n_total: float, floor: float | np.ndarray | None, f_ec: float = 1.16,
-    model: ChannelModel | None = None,
-) -> tuple[np.ndarray, np.ndarray, KeyRateBatch]:
-    """``evaluate_batch`` of a prepared batch, for callers that need a
-    rate above ``floor``.
-
-    ``prepared`` is ``prepare_batch`` of the points in their mode at the
-    link's ``fluct_r``; a grid that several links share keeps it.
-    ``floor`` is a rate of at least 0 or -inf, for every point or per
-    point.  A feasible point is screened where its floor is finite and
-    its ``StageOne.ceiling`` does not exceed the floor: its rate cannot
-    exceed the floor either, and the chain stops for it after
-    ``stage_one``.  A point whose floor is -inf is never screened, and
-    ``floor`` None screens no point: the batch's counts are then formed
-    once, cells and all.  Returns the mask of feasible points, the mask
-    of the screened ones among them, and the results of the other
-    feasible points, in order.  Errors are those of ``evaluate_batch``.
-    """
-    feasible, idx = prepared.feasible, prepared.idx
-    if model is None:
-        model = ChannelModel(cfg)
-    screened = np.zeros(feasible.shape, dtype=bool)
-    if floor is None:
-        counts, e_z = model.expected_counts(prepared.layout, n_total)
-        return feasible, screened, _rate_batch(
-            counts, e_z, prepared.factors, cfg.xi, prepared.layout.p_z,
-            budget, n_total, prepared.mode, f_ec,
-        )
-    if isinstance(floor, np.ndarray):
-        floor = floor[idx]
-    one = stage_one(model, prepared, budget, n_total, f_ec)
-    passed = (floor == -np.inf) | (one.ceiling(budget, n_total) > floor)
-    screened[idx[~passed]] = True
-    return feasible, screened, stage_two(
-        model, prepared, one, passed.nonzero()[0], budget, n_total
-    )
-
-
 def _stage_one(
     counts: CountsBatch, e_z: np.ndarray, factors: np.ndarray,
     budget: EpsilonBudget | None, mode: str, f_ec: float,
@@ -348,8 +319,8 @@ def evaluate_rate(
     f_ec: float = 1.16,
     counts: CountsBatch | None = None,
 ) -> KeyRateResult:
-    """Secret-key result at one parameter point: ``prepare_batch`` of a
-    batch of one, then ``screen_batch`` without a floor.
+    """Secret-key result at one parameter point: ``evaluate_batch`` of a
+    batch of one.
 
     A point that ``level_arrays`` rejects raises
     ValueError; statistical aborts come back in the result.  A
@@ -367,7 +338,7 @@ def evaluate_rate(
     if not prepared.feasible[0]:
         raise ValueError(f"infeasible parameter point in {mode} mode: {params}")
     if counts is None:
-        _, _, res = screen_batch(cfg, prepared, budget, n_total, None, f_ec)
+        res = _evaluate_prepared(ChannelModel(cfg), prepared, budget, n_total, f_ec)
     else:
         _check_counts(counts, n_total)
         e_z = np.array([z_error_rate(counts.cells[0, 0].tolist())])

@@ -1,10 +1,12 @@
 """Bit-level guard: the chain's answers on a few batches, byte for byte.
 
 ``batch_bytes.json`` holds, per case below, the sha256 of the feasible
-and screened masks and of every ``KeyRateBatch`` field that
-``screen_batch`` returns.  The cases are the batches the optimizer and
+and screened masks and of every ``KeyRateBatch`` field of the points
+that are not screened.  The cases are the batches the optimizer and
 the library calls run: a 20-point compass stencil in each mode, a grid
-chunk under a finite floor in each mode, a batch with infeasible rows,
+chunk screened under a finite floor in each mode (``stage_one``, then
+``stage_two`` on the points whose ``StageOne.ceiling`` exceeds the
+floor), a batch with infeasible rows,
 and a batch of one in each population of library calls (exact,
 asymptotic, fluctuating).  A change meant to leave every answer alone
 keeps every digest; no tolerance applies.  Print the digests of the
@@ -18,9 +20,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qkd_keyrate.channel import ChannelModel
 from qkd_keyrate.config import RunConfig
 from qkd_keyrate.optimize import SearchSpace
-from qkd_keyrate.pipeline import ParamBatch, ProtocolParams, prepare_batch, screen_batch
+from qkd_keyrate.pipeline import (
+    ParamBatch,
+    ProtocolParams,
+    evaluate_batch,
+    prepare_batch,
+    stage_one,
+    stage_two,
+)
 
 GOLDEN = Path(__file__).with_name("batch_bytes.json")
 
@@ -86,12 +96,28 @@ def _digest(a: np.ndarray) -> str:
     return hashlib.sha256(head + data).hexdigest()
 
 
-def digests(name: str) -> dict[str, str]:
+def run_case(name: str):
+    """The feasible mask, the screened mask and the results of the
+    points that are not screened; without a floor no point is screened."""
     run, distance, points, floor = CASES[name]
+    cfg, budget, n_total = run.channel(distance), run.budget(), run.n_total
+    if floor is None:
+        feasible, batch = evaluate_batch(
+            cfg, points(), budget, n_total, mode=run.bound_mode, f_ec=run.f_ec
+        )
+        return feasible, np.zeros_like(feasible), batch
     prepared = prepare_batch(points(), run.bound_mode, run.fluct_r)
-    feasible, screened, batch = screen_batch(
-        run.channel(distance), prepared, run.budget(), run.n_total, floor, f_ec=run.f_ec
-    )
+    model = ChannelModel(cfg)
+    one = stage_one(model, prepared, budget, n_total, run.f_ec)
+    passed = one.ceiling(budget, n_total) > floor
+    screened = np.zeros_like(prepared.feasible)
+    screened[prepared.idx[~passed]] = True
+    batch = stage_two(model, prepared, one, passed.nonzero()[0], budget, n_total)
+    return prepared.feasible, screened, batch
+
+
+def digests(name: str) -> dict[str, str]:
+    feasible, screened, batch = run_case(name)
     out = {"feasible": _digest(feasible), "screened": _digest(screened)}
     out.update((field, _digest(a)) for field, a in zip(batch._fields, batch))
     return out

@@ -470,3 +470,5 @@ def test_z_and_cell_counts_match_expected_counts(r):
     assert part.trials.tobytes() == full.trials[rows].tobytes()
     with pytest.raises(ValueError, match="n_total"):
         ChannelModel(cfg).z_counts(prepared.layout, math.inf)
+    with pytest.raises(ValueError, match="n_total"):
+        ChannelModel(cfg).cell_counts(prepared.layout, math.inf, rows)

@@ -19,7 +19,6 @@ from qkd_keyrate.pipeline import (
     evaluate_batch,
     evaluate_rate,
     prepare_batch,
-    screen_batch,
     stage_one,
     stage_two,
 )
@@ -75,11 +74,11 @@ def test_bound_is_never_below_the_key_length(mode, distance, u):
     if res.ell > 0:
         # a floor just below the point's rate lets it through unchanged
         floor = np.nextafter(res.rate, 0.0)
-        feasible, screened, batch = screen_batch(
-            cfg, prepare_batch(ParamBatch.of([params]), chain_mode, r), bud, n_total, floor
-        )
-        assert feasible[0] and not screened[0]
-        assert batch.result(0) == res
+        model = ChannelModel(cfg)
+        prepared = prepare_batch(ParamBatch.of([params]), chain_mode, r)
+        one = stage_one(model, prepared, bud, n_total)
+        assert one.ceiling(bud, n_total)[0] > floor
+        assert stage_two(model, prepared, one, np.array([0]), bud, n_total).result(0) == res
 
 
 def test_screen_keeps_the_results_of_the_points_it_passes():
@@ -88,10 +87,12 @@ def test_screen_keeps_the_results_of_the_points_it_passes():
     feasible, full = evaluate_batch(cfg, params, bud, 1e14, mode="fluct")
     floor = float(np.median(full.rate[full.rate > 0.0]))
     prepared = prepare_batch(params, "fluct", 0.05)
-    same, screened, batch = screen_batch(cfg, prepared, bud, 1e14, floor)
-    assert np.array_equal(same, feasible)
-    # stage 2 ran on some points only, on their rows of stage 1's arrays
-    kept = ~screened[feasible]
+    assert np.array_equal(prepared.feasible, feasible)
+    model = ChannelModel(cfg)
+    one = stage_one(model, prepared, bud, 1e14)
+    kept = one.ceiling(bud, 1e14) > floor
+    # stage 2 runs on some points only, on their rows of stage 1's arrays
+    batch = stage_two(model, prepared, one, kept.nonzero()[0], bud, 1e14)
     assert 0 < kept.sum() < feasible.sum()
     assert len(batch.rate) == kept.sum()
     for j, i in enumerate(np.flatnonzero(kept)):
@@ -100,20 +101,18 @@ def test_screen_keeps_the_results_of_the_points_it_passes():
 
 
 def test_floor_per_point():
-    # past the key's edge a floor of 0 stops every point; a point whose
-    # floor is -inf runs the whole chain
+    # past the key's edge the grid's floor of 0 stops every point; the
+    # first feasible point, whose floor is -inf, runs the whole chain alone
     cfg, bud = channel(200.0, 0.05), budget("fluct", 1e-8)
     params = SearchSpace().params_batch(np.random.default_rng(2).random((16, 5)))
     feasible, full = evaluate_batch(cfg, params, bud, 1e14, mode="fluct")
-    first = int(np.argmax(feasible))
+    assert feasible.any()
+    model = ChannelModel(cfg)
     prepared = prepare_batch(params, "fluct", 0.05)
-    _, screened, none = screen_batch(cfg, prepared, bud, 1e14, 0.0)
-    assert screened.tolist() == feasible.tolist() and len(none.rate) == 0
-    floor = np.zeros(16)
-    floor[first] = -np.inf
-    _, screened, kept = screen_batch(cfg, prepared, bud, 1e14, floor)
-    assert np.flatnonzero(feasible & ~screened).tolist() == [first]
-    assert kept.result(0) == full.result(0)
+    one = stage_one(model, prepared, bud, 1e14)
+    assert (one.ceiling(bud, 1e14) <= 0.0).all()
+    kept = stage_two(model, prepared, one, np.array([0]), bud, 1e14)
+    assert len(kept.rate) == 1 and kept.result(0) == full.result(0)
 
 
 def grid_oracle(cfg, bud, n_total, space, mode, grid_points):

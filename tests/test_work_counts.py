@@ -5,8 +5,8 @@ else: one ``stage_one`` batch per grid block, one click-table build per
 block that brings a nominal intensity the link has no table for yet,
 and ``stage_two`` batches of at most GRID_CHUNK points for the points
 the screen passes.  A keyed distance adds one batch per poll of the
-polish: one ``prepare_batch`` and one ``screen_batch`` call, with at
-most one click-table build.  A point and a batch enter the chain
+polish: one ``evaluate_batch`` call, with at most one click-table
+build.  A point and a batch enter the chain
 through one ``prepare_batch`` call each.
 """
 
@@ -104,44 +104,38 @@ def test_keyed_distance_polls_one_batch_each(monkeypatch):
     blocks = optimize._grid_blocks(SearchSpace(), cfg.grid_points, "exact", cfg.fluct_r)
     events = []
     counting(monkeypatch, events)
-    prepare_batch, screen_batch = optimize.prepare_batch, optimize.screen_batch
+    evaluate_batch = optimize.evaluate_batch
 
-    def counted_prepare(params, *args):
-        events.append(("prepare", len(params.p_z)))
-        return prepare_batch(params, *args)
+    def counted_poll(cfg, params, *args, **kwargs):
+        events.append(("poll", len(params.p_z)))
+        return evaluate_batch(cfg, params, *args, **kwargs)
 
-    def counted_screen(*args, **kwargs):
-        events.append(("screen", 0))
-        return screen_batch(*args, **kwargs)
-
-    monkeypatch.setattr(optimize, "prepare_batch", counted_prepare)
-    monkeypatch.setattr(optimize, "screen_batch", counted_screen)
+    monkeypatch.setattr(optimize, "evaluate_batch", counted_poll)
     out = optimize_rate(cfg.channel(100.0), cfg.budget(), cfg.n_total,
                         mode=cfg.bound_mode, f_ec=cfg.f_ec, grid_points=cfg.grid_points)
     assert out.best.ell > 0
     names = [name for name, _ in events]
-    polls = [size for name, size in events if name == "prepare"]
+    polls = [size for name, size in events if name == "poll"]
     assert polls and sum(polls) == out.polish_evaluations
-    # the grid prepares nothing: 3,126 points in four blocks (4, 4, 4 and
+    # the grid polls nothing: 3,126 points in four blocks (4, 4, 4 and
     # 1 chunks), one stage-1 batch and at most one table build each, and
     # stage-2 batches of at most GRID_CHUNK points
-    first = names.index("prepare")
+    first = names.index("poll")
     grid = events[:first]
     assert [n for name, n in grid if name == "one"] == [1025, 1024, 1024, 53]
     assert len(blocks) == 4
     assert names[:first].count("tables") <= len(blocks)
     assert all(0 < n <= GRID_CHUNK for name, n in grid if name == "two")
     assert {"one", "two", "tables"} >= set(names[:first])
-    # then each poll is one prepared batch, screened once, with at most
-    # one click-table build
+    # then each poll is one batch with at most one click-table build
     poll, per_poll = [], []
-    for name in names[first:] + ["prepare"]:
-        if name == "prepare" and poll:
+    for name in names[first:] + ["poll"]:
+        if name == "poll" and poll:
             per_poll.append(tuple(poll))
             poll = []
         poll.append(name)
     assert len(per_poll) == len(polls)
-    assert set(per_poll) <= {("prepare", "screen"), ("prepare", "screen", "tables")}
+    assert set(per_poll) <= {("poll",), ("poll", "tables")}
 
 
 POINT = ProtocolParams(p_z=0.9, p_ks=0.8, p_kd1=0.12, k_s=0.46, k_d1=0.11)

@@ -6,7 +6,7 @@ settings, r = 0.05, at 20 km) and per batch (``poll``: the compass
 polish's first 20-point stencil; ``chunk``: 256 grid points; ``point``:
 a batch of one), the timeit-minimum microseconds of each stage of the
 chain on warm click tables, and of the whole batch (``total``: the
-parameters, ``prepare_batch`` and ``screen_batch`` without a floor).
+parameters and ``evaluate_batch``).
 ``cold_point_us`` is a library ``evaluate_rate`` call per mode at
 80 km with a fresh channel model, as the benchmark's point calls make.
 ``sweep`` holds, per ``sweep-exact`` distance, the grid and polish
@@ -38,9 +38,9 @@ from qkd_keyrate.optimize import SearchSpace, optimize_rate
 from qkd_keyrate.phase_error import n_ph_upper_batch, phase_weights
 from qkd_keyrate.pipeline import (
     ProtocolParams,
+    evaluate_batch,
     evaluate_rate,
     prepare_batch,
-    screen_batch,
     source_coeffs,
 )
 
@@ -93,8 +93,7 @@ def stage_times(run: RunConfig, distance: float, units, repeat: int) -> dict:
     eph = n_ph_upper_batch(phase_weights(coeffs, p_z), cells, m1, budget)
 
     def total():
-        batch = prepare_batch(space.params_batch(units), mode, r)
-        screen_batch(cfg, batch, budget, n, None, f_ec, model)
+        evaluate_batch(cfg, space.params_batch(units), budget, n, mode, f_ec, model)
 
     stages = {
         "params_batch": lambda: space.params_batch(units),
