@@ -149,12 +149,14 @@ class EpsilonBudget:
             self._tables[names] = table
         return table
 
-    def memo(self, build):
-        """``build(self)`` for a module-level ``build`` (the key), formed
-        once per budget: constants derived from the allocations."""
-        value = self._tables.get(build)
+    def memo(self, build, *args):
+        """``build(self, *args)`` for a module-level ``build`` and hashable
+        ``args`` (the key), formed once per budget: constants derived from
+        the allocations."""
+        key = (build, *args) if args else build
+        value = self._tables.get(key)
         if value is None:
-            value = self._tables[build] = build(self)
+            value = self._tables[key] = build(self, *args)
         return value
 
 

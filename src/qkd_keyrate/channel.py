@@ -144,16 +144,29 @@ class FluctuationDensity:
             raise ValueError("relative width r must lie in [0, 1)")
         if r == 0.0 or mean == 0.0:
             return cls(mean, mean, mean, 0.0, math.inf)
-        lo, hi = (1.0 - r) * mean, (1.0 + r) * mean
-        sigma2 = r * mean / 5.0
-        sigma = math.sqrt(sigma2)
-        scale = sigma * math.sqrt(2.0)
-        mass = (
-            sigma
-            * math.sqrt(math.pi / 2.0)
-            * (math.erf((hi - mean) / scale) - math.erf((lo - mean) / scale))
-        )
-        return cls(mean, lo, hi, sigma2, 1.0 / mass)
+        return cls(*_spread(mean, r))
+
+    @classmethod
+    def stack(cls, means: Sequence[float], r: float) -> "FluctuationDensity":
+        """The densities of ``for_intensity`` at the positive ``means``
+        and 0 < r < 1 as one density with (S, 1) fields, each row the
+        fields of its mean's."""
+        fields = np.array([_spread(mean, r) for mean in means]).reshape(-1, 5)
+        return cls(*fields.T[:, :, None])
+
+
+def _spread(mean: float, r: float) -> tuple[float, ...]:
+    """The fields of the density at a positive ``mean`` and 0 < r < 1."""
+    lo, hi = (1.0 - r) * mean, (1.0 + r) * mean
+    sigma2 = r * mean / 5.0
+    sigma = math.sqrt(sigma2)
+    scale = sigma * math.sqrt(2.0)
+    mass = (
+        sigma
+        * math.sqrt(math.pi / 2.0)
+        * (math.erf((hi - mean) / scale) - math.erf((lo - mean) / scale))
+    )
+    return mean, lo, hi, sigma2, 1.0 / mass
 
 
 def gauss_expect(f: Callable, dens: FluctuationDensity) -> float:
@@ -215,12 +228,13 @@ def _port_click_probs(
     Each port clicks unless neither its share of the attenuated pulse
     nor a dark count fires: p = E_k[1 - (1 - p_d) exp(-eta_sy k f)].  A
     point-mass level (r = 0 or intensity 0) takes the closed form in
-    Python floats.  The other levels share one pass: their densities'
-    quadrature weights as one (S, 64) array, one np.exp over the
-    (S, P, 64) integrands, and every port's quadrature as one batched
-    matmul.  A row's floats do not depend on the other rows; each port
-    is within a few ulps of a separate quadrature of its own integrand
-    (the dot products may sum in another order).
+    Python floats.  The other levels share one pass: their densities as
+    one ``FluctuationDensity.stack``, their quadrature weights as one
+    (S, 64) array, one np.exp over the (S, P, 64) integrands, and every
+    port's quadrature as one batched matmul.  A row's floats do not
+    depend on the other rows; each port is within a few ulps of a
+    separate quadrature of its own integrand (the dot products may sum
+    in another order).
     """
     eta, pd, r = cfg.eta_sy, cfg.dark_prob, cfg.fluct_r
     rows: list = []
@@ -233,12 +247,8 @@ def _port_click_probs(
             rows.append(None)
             spread.append(i)
     if spread:
-        # the spread levels' densities stacked into (S, 1) fields
-        dens = [FluctuationDensity.for_intensity(nominal[i], r) for i in spread]
-        stacked = FluctuationDensity(*np.array([
-            (d.mean, d.lo, d.hi, d.sigma2, d.norm) for d in dens
-        ]).T[:, :, None])
-        k, weight, half = _quadrature(stacked)
+        dens = FluctuationDensity.stack([nominal[i] for i in spread], r)
+        k, weight, half = _quadrature(dens)
         # fracs * (-eta k) as np.multiply.outer forms it, per level
         exponent = (-eta * k)[:, None, :] * np.asarray(fracs, dtype=float)[:, None]
         values = 1.0 - (1.0 - pd) * np.exp(exponent)

@@ -12,12 +12,13 @@ are estimated without any independence assumption).
 
 The bounds take a batch of parameter points at once, with a batch
 axis on every array; one point is a batch of one.
-``aggregate_bounds`` gives m0 and m1 and ``cell_bounds`` the sixteen
-cells, both on the per-point factors of ``decoy_factors``, so a caller
-can stop after m0 and m1.  ``level_arrays`` is the one feasibility
-rule of a batch's levels.  Each mean estimate takes its
-deviation, a ``concentration`` function, from its own allocation of the
-static budget, which the key length charges as a whole.  Passing
+``aggregate_bounds`` gives m0 and m1 and ``cell_bounds`` the cells'
+bounds a caller asks for, both on the per-point factors of
+``decoy_factors``, so a caller can stop after m0 and m1.
+``level_arrays`` is the one feasibility rule of a batch's levels.  Each
+mean estimate takes its deviation, a ``concentration`` function, from
+its own allocation of the static budget, which the key length charges
+as a whole.  Passing
 ``budget=None`` zeroes all statistical deviations, which turns the
 bounds into their asymptotic (infinite-key) counterparts.  The one-point
 functions the batch replaced are kept as the test reference in
@@ -26,6 +27,7 @@ functions the batch replaced are kept as the test reference in
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -42,6 +44,7 @@ from .concentration import (
 )
 
 __all__ = [
+    "ALL_CELLS",
     "CELLS",
     "K_LABELS",
     "CellBoundsBatch",
@@ -65,6 +68,8 @@ CELLS = tuple(
     for b in ("Z", "X")
     for y1 in (0, 1)
 )
+# every cell's index, in CELLS order
+ALL_CELLS = tuple(range(len(CELLS)))
 
 
 def poisson_pk(n: int, k: float) -> float:
@@ -182,9 +187,10 @@ class CountsBatch(NamedTuple):
 
 
 class CellBoundsBatch(NamedTuple):
-    """The vacuum and single-photon bounds of the sixteen cells, (B, 16)
-    arrays: lower bounds on the vacuum and single-photon counts and an
-    upper bound on the single-photon count, all restricted to
+    """The vacuum and single-photon bounds of cells: lower bounds on the
+    vacuum and single-photon counts, (B, L) arrays over the L cells a
+    ``cell_bounds`` call asked for, and an upper bound on the
+    single-photon count, (B, 16) over every cell; all restricted to
     signal-intensity emissions within the cell and clamped to [0, the
     cell's signal count]."""
 
@@ -266,39 +272,77 @@ def decoy_factors(lo: np.ndarray, hi: np.ndarray, prob: np.ndarray) -> np.ndarra
     ])[:, :, None]
 
 
-# the groups of populations an estimate runs over: all 17, the
-# aggregate's column and the cells' columns
-_GROUPS = (slice(0, 17), slice(0, 1), slice(1, 17))
-_ALL, _AGGREGATE, _CELL_POPULATIONS = range(3)
+def _aggregate_terms(budget: EpsilonBudget) -> tuple[np.ndarray, np.ndarray]:
+    """The aggregate's five estimates' ln(1/eps) and their
+    ``mult_chernoff_scale``, (5, 1, 1) columns formed once per budget."""
+    log_inv = budget.log_inv(_NAMES).reshape(5, 17)[:, :1, None].copy()
+    return log_inv, mult_chernoff_scale(log_inv, _ABOVE[:, None])
 
 
-def _estimate_terms(budget: EpsilonBudget) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per group of _GROUPS, the estimates' ln(1/eps) and their
-    ``mult_chernoff_scale``, contiguous (5, 1, P) arrays formed once per
-    budget; (5, 1, 1) where each estimate's pair is the same for every
-    population of the group, as an equal split makes it.
+# the aggregate's key of budget.memo, and its lower and upper estimates
+_AGGREGATE_TERMS = (_aggregate_terms,)
+_AGGREGATE_SPLIT = (np.s_[:2], np.s_[2:])
 
-    Against a (5, 1, P) array, numpy runs a (5, B, P) deviation as 5 B
-    inner loops of P elements; a (5, 1, 1) column broadcasts in loops of
-    B P elements, with the same floats.
-    """
-    log_inv = budget.log_inv(_NAMES).reshape(5, 1, 17)
-    scale = mult_chernoff_scale(log_inv, _ABOVE[:, None])
-    terms = []
-    for g in _GROUPS:
-        pair = log_inv[..., g], scale[..., g]
-        if all((a == a[..., :1]).all() for a in pair):
-            pair = tuple(a[..., :1] for a in pair)
-        terms.append(tuple(a.copy() for a in pair))
-    return tuple(terms)
+
+class _Columns(NamedTuple):
+    """The estimate columns of ``cell_bounds`` with the lower bounds of
+    some cells: per column its index into the (B, 48) cells (level row,
+    then cell), its cell and its estimate (index into _ESTIMATES); the
+    indices of the lower and the upper estimates' columns, the lower
+    bounds' five estimates per cell and their signal counts."""
+
+    index: np.ndarray
+    cell: np.ndarray
+    est: np.ndarray
+    lower: tuple
+    upper: tuple
+    block: tuple
+    signal: tuple
+
+
+@functools.lru_cache(maxsize=16)
+def _cell_columns(lower: tuple[int, ...]) -> _Columns:
+    """The estimate columns of ``cell_bounds`` with the lower bounds of
+    the cells ``lower``: the d2.lo estimates of the sixteen cells, the
+    five _ESTIMATES of the cells ``lower`` (estimate by estimate), then
+    the d1.hi estimates of the sixteen cells.  The lower estimates come
+    first."""
+    t = len(lower)
+    est = np.repeat([0, 0, 1, 2, 3, 4, 3], [16, t, t, t, t, t, 16])
+    cell = np.concatenate([np.arange(16), np.tile(np.array(lower, dtype=int), 5),
+                           np.arange(16)])
+    return _Columns(
+        _ROWS[est] * 16 + cell, cell, est, np.s_[:, :16 + 2 * t],
+        np.s_[:, 16 + 2 * t:], np.s_[:, 16:16 + 5 * t], np.s_[:, 16 + 4 * t:16 + 5 * t],
+    )
+
+
+def _cell_terms(
+    budget: EpsilonBudget, lower: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of ``_cell_columns(lower)``, its ln(1/eps) and its
+    ``mult_chernoff_scale``, (C,) arrays formed once per budget; the
+    ln(1/eps) as one element where every column's is the same, as an
+    equal split makes it, so that the deviations run in one inner loop."""
+    _, cell, est, *_ = _cell_columns(lower)
+    log_inv = budget.log_inv(_NAMES).reshape(5, 17)[est, cell + 1]
+    scale = mult_chernoff_scale(log_inv, _ABOVE[est, 0])
+    if (log_inv == log_inv[0]).all():
+        log_inv = log_inv[:1].copy()
+    return log_inv, scale
 
 
 def _mean_estimates(
-    mode: str, budget: EpsilonBudget | None, observed: np.ndarray, size: np.ndarray,
-    group: int = _ALL,
+    mode: str, budget: EpsilonBudget | None, observed: np.ndarray,
+    size: np.ndarray | None, terms: tuple, lower: tuple, upper: tuple,
 ) -> np.ndarray:
-    """The _ESTIMATES of a group of populations, (5, B, P) from the
-    (5, B, P) ``observed`` counts, estimate by estimate.
+    """The mean estimates of the ``observed`` counts, element by element
+    against ``size``, which broadcasts with them: the part ``lower`` (an
+    index into ``observed``) bounds the mean from below, the part
+    ``upper`` from above.  ``budget.memo(*terms)`` gives the elements'
+    ln(1/eps) and ``mult_chernoff_scale``, which broadcast with them too.
+    Without a budget the estimates are the counts, and ``size`` is not
+    read.
 
     Exact mode takes ``hoeffding_or_mult_chernoff_dev``, the library's
     only choice between the two mean bounds: the Hoeffding deviation
@@ -311,14 +355,14 @@ def _mean_estimates(
     """
     if budget is None:
         return observed
-    log_inv, scale = budget.memo(_estimate_terms)[group]
+    log_inv, scale = budget.memo(*terms)
     if mode == "fluct":
         dev = azuma_dev(size, log_inv)
     else:
         dev = hoeffding_or_mult_chernoff_dev(size, log_inv, observed, scale)
-    # the two lower estimates lie below their counts, the others above
-    np.subtract(observed[:2], dev[:2], out=dev[:2])
-    np.add(observed[2:], dev[2:], out=dev[2:])
+    below, above = dev[lower], dev[upper]
+    np.subtract(observed[lower], below, out=below)
+    np.add(observed[upper], above, out=above)
     return dev
 
 
@@ -374,32 +418,59 @@ def aggregate_bounds(
     # (5, B, 1): the counts behind each estimate
     observed = counts.z_by_k.T[_ROWS, :, None]
     size = (counts.z_tot if mode == "exact" else counts.n_z)[:, None]
-    est = _mean_estimates(mode, budget, observed, size, _AGGREGATE)
+    est = _mean_estimates(
+        mode, budget, observed, size, _AGGREGATE_TERMS, *_AGGREGATE_SPLIT
+    )
     # unlike a cell's, the aggregate's bounds are not capped
     low0, low1 = _lower_bounds(est, factors, lambda bound: np.maximum(bound, 0.0))
     return _count_bounds(low0, low1, counts, budget)
 
 
 def cell_bounds(
-    counts: CountsBatch, factors: np.ndarray, budget: EpsilonBudget | None, mode: str
+    counts: CountsBatch, factors: np.ndarray, budget: EpsilonBudget | None, mode: str,
+    lower: tuple[int, ...] = ALL_CELLS,
 ) -> CellBoundsBatch:
-    """The sixteen cells' bounds: populations 1..16 of the closed forms.
+    """The cells' bounds, populations 1..16 of the closed forms: upper1
+    of all sixteen cells, lower0 and lower1 of the cells ``lower``
+    (indices into CELLS, in the order given; all sixteen by default).
+
+    A cell's upper1 reads two of its five mean estimates, d2.lo and
+    d1.hi; its lower bounds read all five.  The phase-error bound reads
+    every upper1 (N1 is their sum) but the lower1 of only the few cells
+    whose weight can be <= 0 (``phase_error.lower_terms``), so the chain
+    asks for those alone and forms 32 + 3 len(lower) estimates per
+    point instead of 80.  Each bound comes from the same float
+    operations whichever others are formed, so it equals the matching
+    column of a call with every cell.
 
     In exact mode the means are estimated against the cell total, in
     fluct mode the martingales run over the cell's configuration trials.
     ``factors`` is ``decoy_factors`` of the points' intensities.
     """
     _check_mode(mode)
-    # (5, B, 16): the counts behind each estimate, per point and cell
+    columns = _cell_columns(lower)
     cells = counts.cells
-    observed = cells.transpose(1, 0, 2)[_ROWS]
-    # the levels added in order, as .sum adds so few
-    size = cells[:, 0] + cells[:, 1] + cells[:, 2] if mode == "exact" else counts.trials
-    est = _mean_estimates(mode, budget, observed, size, _CELL_POPULATIONS)
+    b = len(cells)
+    # (B, C): the counts behind each estimate column and, with a budget,
+    # their population
+    observed = cells.reshape(b, 48)[:, columns.index]
+    size = None
+    if budget is not None:
+        # the levels added in order, as .sum adds so few
+        if mode == "exact":
+            size = cells[:, 0] + cells[:, 1] + cells[:, 2]
+        else:
+            size = counts.trials
+        size = size[:, columns.cell]
+    est = _mean_estimates(
+        mode, budget, observed, size, (_cell_terms, lower), columns.lower, columns.upper
+    )
     # a cell's bounds are capped at its signal count
-    cap = observed[4]
-    clamp = lambda bound: np.minimum(np.maximum(bound, 0.0), cap)
-    low0, low1 = _lower_bounds(est, factors, clamp)
+    cap = observed[columns.signal]
+    low0, low1 = _lower_bounds(
+        est[columns.block].reshape(b, 5, len(lower)).transpose(1, 0, 2), factors,
+        lambda bound: np.minimum(np.maximum(bound, 0.0), cap),
+    )
     up_pref, up_d1, up_d2 = factors[9:]
-    up1 = clamp(up_pref * (up_d1 * est[3] - up_d2 * est[0]))
-    return CellBoundsBatch(low0, low1, up1)
+    up1 = up_pref * (up_d1 * est[:, -16:] - up_d2 * est[:, :16])
+    return CellBoundsBatch(low0, low1, np.minimum(np.maximum(up1, 0.0), cells[:, 0]))

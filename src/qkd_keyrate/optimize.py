@@ -14,12 +14,21 @@ combinations that violate the intensity ordering or the probability
 simplex score zero rather than erroring.  The grid runs ``stage_one``
 (m0, m1, EC leakage) on blocks of GRID_BLOCK chunks of GRID_CHUNK
 points, and ``stage_two`` (cells, phase error, key length) only on
-points whose rate ceiling beats the best rate at the block's start,
-GRID_CHUNK at a time.  Replaying the chunks in order, each under the
-floor it would have had alone (the best rate before it, at least 0;
--inf for the first feasible point, which enters the trace whatever its
-rate), gives the trace and counts of scoring chunk by chunk: floors
-only rise, so stage 2 scored every point that beats its chunk's floor.
+points whose rate ceiling beats the floor of their chunk as far as it
+is known, GRID_CHUNK at a time.  A chunk's floor is the best rate
+before it, at least 0; the first feasible point enters the trace
+whatever its rate.  Stage 2 starts with the points that beat the floor
+at the block's start; after each stage-2 batch every chunk before the
+first pending point's is complete, so that chunk's floor is exact, and
+the pending points that do not beat it are dropped (floors only rise,
+so none of them beats its own chunk's).  One pass then replays the
+block as scoring chunk by chunk would: a running maximum over the
+block's rates (-inf where unscored) from the best rate before the
+block gives each point the best rate before it, each chunk its floor
+and so the screened count, and the trace the points that beat every
+earlier one.  A point that stage 2 scored but its own chunk would
+have screened never enters it: its rate is at most its ceiling, which
+is at most that chunk's floor.
 The polls go through ``evaluate_batch``, unscreened, since a neighbour
 of the best point almost never falls below it by the margin m1 h(e_ph)
 the screen needs.  The grid's link-independent part
@@ -154,7 +163,9 @@ class OptimizationResult:
     two times are wall seconds from ``time.perf_counter``.
     ``grid_screened`` counts the grid points the screen stopped after
     m0, m1 and the EC leakage, because they could not beat the best rate
-    before their chunk; they count as evaluations too.
+    before their chunk; they count as evaluations too.  The count and
+    the trace are those of scoring the grid chunk by chunk, whichever
+    points stage 2 actually scored (the module docstring's replay).
     """
 
     best_params: ProtocolParams
@@ -279,31 +290,38 @@ def optimize_rate(
         ceiling = one.ceiling(budget, n_total)
         # stage 2 for the points that beat the floor at the block's start
         passing = ceiling > max(best_rate, 0.0)
-        if best_res is None:
-            # the first feasible point enters the trace whatever its rate
-            passing[:1] = True
-        rows = passing.nonzero()[0]
+        # the first feasible point enters the trace whatever its rate
+        first = best_res is None
+        passing[:1] |= first
+        pending = passing.nonzero()[0]
         rates = np.full(len(ceiling), -np.inf)
         batches = []
-        for start in range(0, len(rows), GRID_CHUNK):
-            part = rows[start:start + GRID_CHUNK]
-            batches.append(stage_two(model, prepared, one, part, budget, n_total))
-            rates[part] = batches[-1].rate
-        # then each chunk in turn, under the floor it would have had alone
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            passed = ceiling[lo:hi] > max(best_rate, 0.0)
-            if best_res is None:
-                passed[:1] = True
-            grid_screened += int(hi - lo - passed.sum())
-            chunk_rates = np.where(passed, rates[lo:hi], -np.inf)
-            # a point enters the trace when it beats every earlier point
-            before = np.maximum.accumulate(np.concatenate([[best_rate], chunk_rates[:-1]]))
-            for j in lo + np.flatnonzero(chunk_rates > before):
-                i, k = prepared.idx[j], np.searchsorted(rows, j)
-                best_u, best_params = units[i], points.point(i)
-                best_res = batches[k // GRID_CHUNK].result(k % GRID_CHUNK)
-                best_rate = best_res.rate
-                trace.append((best_params, best_rate))
+        while pending.size:
+            rows, pending = pending[:GRID_CHUNK], pending[GRID_CHUNK:]
+            batch = stage_two(model, prepared, one, rows, budget, n_total)
+            batches.append((rows, batch))
+            rates[rows] = batch.rate
+            if pending.size:
+                # the chunks before the first pending point's are complete,
+                # so that chunk's floor is exact, and no later chunk's is lower
+                start = bounds[bounds.searchsorted(pending[0], "right") - 1]
+                floor = max(best_rate, rates[:start].max(initial=-np.inf), 0.0)
+                pending = pending[ceiling[pending] > floor]
+        # the replay: the best rate before each point and after the block,
+        # each chunk's floor, and the points that beat every earlier one
+        running = np.maximum.accumulate(np.concatenate([[best_rate], rates]))
+        floors = np.maximum(running[bounds[:-1]], 0.0)
+        passed = ceiling > np.repeat(floors, np.diff(bounds))
+        passed[:1] |= first
+        grid_screened += len(ceiling) - int(np.count_nonzero(passed))
+        for j in np.flatnonzero(rates > running[:-1]).tolist():
+            trace.append((points.point(prepared.idx[j]), float(rates[j])))
+        if running[-1] > best_rate:
+            # the block's best point is its last in the trace, j
+            rows, batch = next(b for b in batches if b[0][-1] >= j)
+            best_u, best_params = units[prepared.idx[j]], trace[-1][0]
+            best_res = batch.result(int(rows.searchsorted(j)))
+            best_rate = best_res.rate
     t1 = time.perf_counter()
 
     polish_evaluations = 0

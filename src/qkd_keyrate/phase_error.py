@@ -25,6 +25,7 @@ closed form in p_z.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -36,6 +37,7 @@ from .decoy import CELLS, CellBoundsBatch
 
 __all__ = [
     "PhaseErrorBatch",
+    "lower_terms",
     "n_ph_appendixE",
     "n_ph_upper_batch",
 ]
@@ -69,11 +71,13 @@ _DEV_NAMES = (
     *(f"ph.az.{s ^ 1}.{omega}" for s, omega in _TERMS),
     *(f"ph.az.{s ^ 1}.{s + 1}" for s in (0, 1)),
 )
+# no budget, no deviations: zeros for the longest list of _deviations
+_NO_DEV = np.zeros((1, 8 + len(_TERMS)))
 
 
 def term_coeffs(c: np.ndarray, w: tuple[float, float]) -> np.ndarray:
     """Per term of _TERMS its source coefficient, (6,), from the ``c`` and
-    ``w`` of ``VirtualStateCoeffs``.
+    ``w`` of ``qubit_model.pair_coeffs``.
 
     For each half s the coefficients of the three collective outcomes
     are 1 + (-1)^s sum_t w_t C_{t,0}, 1 + (-1)^s sum_t w_t C_{t,1} and
@@ -100,11 +104,39 @@ def phase_weights(coeffs: np.ndarray, p_z: np.ndarray) -> np.ndarray:
     return coeffs * np.array([half, half, sq, half, half, sq]).T
 
 
+def lower_terms(coeffs: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The terms whose weight can be <= 0 at the source coefficients
+    ``coeffs`` and their cells (indices into CELLS), in term order: the
+    only cells whose lower bound ``n_ph_upper_batch`` reads.
+
+    A term's weight is its coefficient times a positive closed form in
+    p_z (``phase_weights``), or 0 where that underflows, and a zero
+    weight adds zero whichever bound its term takes.  So every other
+    term may take the upper bound.
+    """
+    terms = np.flatnonzero(~(coeffs > 0.0))
+    return tuple(terms.tolist()), tuple(_TERM_CELLS[terms].tolist())
+
+
+@functools.lru_cache(maxsize=16)
+def _deviations(
+    terms: tuple[int, ...] | None,
+) -> tuple[tuple[str, ...], np.ndarray | None]:
+    """The allocation names of ``n_ph_upper_batch``'s deviations with
+    the lower terms ``terms``: the terms', the two tails', then the lower
+    terms' again, so that one Azuma call forms them in the order they
+    are read; and ``terms`` as an index array."""
+    if terms is None:
+        return _DEV_NAMES, None
+    return _DEV_NAMES + tuple(_DEV_NAMES[k] for k in terms), np.array(terms, dtype=int)
+
+
 def n_ph_upper_batch(
     weights: np.ndarray,
     cells: CellBoundsBatch,
     m1: np.ndarray,
     budget: EpsilonBudget | None,
+    terms: tuple[int, ...] | None = None,
 ) -> PhaseErrorBatch:
     """Phase-error bound for an arbitrary characterised source, per point.
 
@@ -113,19 +145,28 @@ def n_ph_upper_batch(
     Azuma deviation over N_1, any other the lower bound minus it
     (floored at zero, a count cannot be negative); each half then adds
     its tail deviation.  A term with a zero weight adds zero.
+
+    ``cells`` holds every cell's upper1.  Without ``terms`` it holds
+    every cell's lower1 too, and each term takes its bound by the sign
+    of its weight at each point.  Otherwise ``terms`` and the cells of
+    ``cells.lower1``'s columns are a ``lower_terms`` pair: those terms
+    take the lower bound and the others the upper one, the same bounds
+    for weights whose signs are those of its coefficients.
     """
-    upper, lower = cells.upper1, cells.lower1
+    upper = cells.upper1
     n1 = upper.sum(axis=1)
+    names, index = _deviations(terms)
     if budget is None:
-        dev = tail = 0.0
+        dev, tail = _NO_DEV, 0.0
     else:
-        dev = azuma_dev(n1[:, None], budget.log_inv(_DEV_NAMES))
-        dev, tail = dev[:, :6], dev[:, 6] + dev[:, 7]
-    value = np.where(
-        weights > 0.0,
-        upper[:, _TERM_CELLS] + dev,
-        np.maximum(lower[:, _TERM_CELLS] - dev, 0.0),
-    )
+        dev = azuma_dev(n1[:, None], budget.log_inv(names))
+        tail = dev[:, 6] + dev[:, 7]
+    value = upper[:, _TERM_CELLS] + dev[:, :6]
+    if terms is None:
+        lower = np.maximum(cells.lower1[:, _TERM_CELLS] - dev[:, :6], 0.0)
+        value = np.where(weights > 0.0, value, lower)
+    else:
+        value[:, index] = np.maximum(cells.lower1 - dev[:, 8:8 + len(terms)], 0.0)
     n_ph = np.maximum((weights * value).sum(axis=1) + tail, 0.0)
     # 1.0 where the single-photon bound is empty
     ratio = np.divide(n_ph, m1, out=np.ones(len(n1)), where=m1 > 0.0)

@@ -49,7 +49,7 @@ from .key_length import (
     key_length_bound,
     lambda_ec_batch,
 )
-from .phase_error import n_ph_upper_batch, phase_weights, term_coeffs
+from .phase_error import lower_terms, n_ph_upper_batch, phase_weights, term_coeffs
 from .qubit_model import (
     EncodingFlawModel,
     THETA_0X,
@@ -152,6 +152,15 @@ def source_coeffs(xi: float) -> np.ndarray:
     coeffs.setflags(write=False)
     # a view of a read-only base cannot be flagged writable again
     return coeffs[:]
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_source(xi: float) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """``source_coeffs(xi)`` and its ``lower_terms``: the terms whose
+    weight can be <= 0 and their cells, the lower cell bounds stage 2
+    forms."""
+    coeffs = source_coeffs(xi)
+    return (coeffs, *lower_terms(coeffs))
 
 
 class PreparedBatch(NamedTuple):
@@ -268,7 +277,7 @@ def stage_two(
     return _stage_two(
         counts, prepared.factors[:, rows], prepared.layout.p_z[rows],
         StageOne(*(a[rows] for a in one)),
-        source_coeffs(model.cfg.xi), budget, n_total, prepared.mode,
+        _phase_source(model.cfg.xi), budget, n_total, prepared.mode,
     )
 
 
@@ -285,13 +294,16 @@ def _stage_one(
 
 def _stage_two(
     counts: CountsBatch, factors: np.ndarray, p_z: np.ndarray, one: StageOne,
-    coeffs: np.ndarray, budget: EpsilonBudget | None, n_total: float, mode: str,
+    source: tuple, budget: EpsilonBudget | None, n_total: float, mode: str,
 ) -> KeyRateBatch:
-    """The sixteen cell bounds from the cells and trials of batch counts,
-    the phase-error weights at the points' ``p_z`` from the source's
-    ``coeffs``, the phase-error bound and the key length."""
-    cells = cell_bounds(counts, factors, budget, mode)
-    eph = n_ph_upper_batch(phase_weights(coeffs, p_z), cells, one.m1, budget)
+    """The cell bounds the phase-error bound reads, from the cells and
+    trials of batch counts: every cell's upper1 and the lower1 of the
+    cells of the source's ``lower_terms``; the phase-error weights at the
+    points' ``p_z`` from the source's coefficients (``source`` is
+    ``_phase_source``), the phase-error bound and the key length."""
+    coeffs, terms, lower = source
+    cells = cell_bounds(counts, factors, budget, mode, lower)
+    eph = n_ph_upper_batch(phase_weights(coeffs, p_z), cells, one.m1, budget, terms)
     return key_length_batch(
         one.m0, one.m1, eph.e_ph_upper, one.lam, budget,
         n_total=n_total, e_z=one.e_z, z_ks_size=one.z_ks,
@@ -305,9 +317,9 @@ def _rate_batch(
 ) -> KeyRateBatch:
     """Both stages of every point of whole batch counts.  The source at
     ``xi`` is built first, so a degenerate one raises before any bound."""
-    coeffs = source_coeffs(xi)
+    source = _phase_source(xi)
     one = _stage_one(counts, e_z, factors, budget, mode, f_ec)
-    return _stage_two(counts, factors, p_z, one, coeffs, budget, n_total, mode)
+    return _stage_two(counts, factors, p_z, one, source, budget, n_total, mode)
 
 
 def evaluate_rate(

@@ -27,11 +27,10 @@ __all__ = [
     "BlochVector",
     "FilteredQubit",
     "TransmissionMatrix",
-    "VirtualStateCoeffs",
     "bloch_of_state",
     "apply_filter",
     "build_transmission_matrix",
-    "virtual_state_coeffs",
+    "pair_coeffs",
 ]
 
 DEGENERACY_THRESHOLD = 1e-12
@@ -232,30 +231,15 @@ def build_transmission_matrix(
     return TransmissionMatrix(a=a, a_inv=a_inv, q=q)
 
 
-@dataclass(frozen=True)
-class VirtualStateCoeffs:
-    """Decomposition data of the virtual states built from the two Z states.
-
-    ``overlap`` is the inner product of the purified Z states, ``c[t][l]``
-    the coefficients that express the virtual transmission rates through the
-    three physical ones, ``w[t]`` the geometric-mean eigenvalue weights
-    sqrt(P_t^{0z} P_t^{1z}) that multiply them, ``probs[c]`` the preparation
-    probabilities of the five virtual-protocol states, and ``q[omega]`` the
-    outcome weights of the collective measurement.
-    """
-
-    overlap: float
-    c: np.ndarray
-    w: tuple[float, float]
-    probs: dict[int, float]
-    q: dict[int, float]
-
-
 def pair_coeffs(
     s0z: FilteredQubit, s1z: FilteredQubit, a_inv: np.ndarray
 ) -> tuple[float, np.ndarray, tuple[float, float]]:
-    """The part of ``virtual_state_coeffs`` that does not depend on p_z:
-    ``overlap``, ``c`` and ``w`` of the two filtered Z states."""
+    """The p_z-free decomposition data of the virtual states built from
+    the two filtered Z states: the inner product ``overlap`` of the
+    purified Z states, the coefficients ``c[t][l]`` that express the
+    virtual transmission rates through the three physical ones, and the
+    geometric-mean eigenvalue weights ``w[t]`` = sqrt(P_t^{0z} P_t^{1z})
+    that multiply them."""
     pairs = [
         (s0z.a0, s0z.b0, s1z.a0, s1z.b0, s0z.p0, s1z.p0),
         (s0z.a1, s0z.b1, s1z.a1, s1z.b1, s0z.p1, s1z.p1),
@@ -273,31 +257,3 @@ def pair_coeffs(
                 + (a * ap - b * bp) * a_inv[2, l]
             )
     return overlap, c, (w[0], w[1])
-
-
-def virtual_state_coeffs(
-    s0z: FilteredQubit,
-    s1z: FilteredQubit,
-    a_inv: np.ndarray,
-    p_z: float,
-) -> VirtualStateCoeffs:
-    if not (0.0 < p_z < 1.0):
-        raise ValueError("p_z must lie strictly in (0, 1)")
-    p_x = 1.0 - p_z
-    overlap, c, w = pair_coeffs(s0z, s1z, a_inv)
-    probs = {
-        1: p_z**2 * (1.0 + overlap) / 2.0,
-        2: p_z**2 * (1.0 - overlap) / 2.0,
-        3: p_z * p_x / 2.0,
-        4: p_z * p_x / 2.0,
-        5: p_x,
-    }
-    q = {
-        1: probs[1],
-        2: probs[2],
-        3: probs[3],
-        4: probs[4],
-        5: p_x * probs[5],
-        6: p_z * probs[5],
-    }
-    return VirtualStateCoeffs(overlap=overlap, c=c, w=w, probs=probs, q=q)

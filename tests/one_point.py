@@ -25,8 +25,9 @@ from qkd_keyrate.qubit_model import (
     apply_filter,
     bloch_of_state,
     build_transmission_matrix,
-    virtual_state_coeffs,
 )
+
+from virtual_states import virtual_state_coeffs
 
 
 def one(value):

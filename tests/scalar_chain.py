@@ -39,7 +39,8 @@ from qkd_keyrate.key_length import (
     binary_entropy,
     eph_threshold,
 )
-from qkd_keyrate.qubit_model import VirtualStateCoeffs
+
+from virtual_states import VirtualStateCoeffs
 
 # ---------------------------------------------------------------------------
 # the scalar intensity settings

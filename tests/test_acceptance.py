@@ -30,11 +30,11 @@ from qkd_keyrate.qubit_model import (
     apply_filter,
     bloch_of_state,
     build_transmission_matrix,
-    virtual_state_coeffs,
 )
 from qkd_keyrate.validate import coverage_suite, crosscheck_suite, sandwich_suite
 
 from one_point import bound, key_length, phase
+from virtual_states import virtual_state_coeffs
 
 SWEEP_TEMPLATE = """\
 [source]

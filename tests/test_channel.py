@@ -4,6 +4,7 @@ Frozen values were computed with mpmath at 60 digits from the threshold
 detector model with independent dark counts per port.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -472,3 +473,18 @@ def test_z_and_cell_counts_match_expected_counts(r):
         ChannelModel(cfg).z_counts(prepared.layout, math.inf)
     with pytest.raises(ValueError, match="n_total"):
         ChannelModel(cfg).cell_counts(prepared.layout, math.inf, rows)
+
+
+def test_stacked_densities_equal_for_intensity():
+    # the (S, 1) fields that the cold tables' quadrature reads are each
+    # row's for_intensity fields bit for bit
+    means = np.geomspace(1e-6, 1.0, 31).tolist()
+    names = [f.name for f in dataclasses.fields(FluctuationDensity)]
+    for r in (1e-3, 0.01, 0.05, 0.2, 0.5, 0.9):
+        stacked = FluctuationDensity.stack(means, r)
+        for name in names:
+            assert getattr(stacked, name).shape == (len(means), 1)
+        for i, mean in enumerate(means):
+            one = FluctuationDensity.for_intensity(mean, r)
+            for name in names:
+                assert getattr(stacked, name)[i, 0] == getattr(one, name), (mean, r, name)

@@ -23,7 +23,7 @@ from qkd_keyrate.concentration import (
     mult_chernoff_valid,
 )
 from qkd_keyrate.budget import allocation_names
-from qkd_keyrate.decoy import _NAMES, _mean_estimates
+from qkd_keyrate.decoy import _NAMES, _aggregate_terms, _mean_estimates
 
 # mpmath, 60 digits
 CHERNOFF_LOWER_1E6 = 6786.1404244151118  # sqrt(2e6 ln 1e10)
@@ -140,8 +140,8 @@ class FlatBudget:
     def log_inv(self, names):
         return np.full(len(names), -math.log(self.eps))
 
-    def memo(self, build):
-        return build(self)
+    def memo(self, build, *args):
+        return build(self, *args)
 
 
 def best_mean_bound(observed, total, eps, direction):
@@ -153,6 +153,7 @@ def best_mean_bound(observed, total, eps, direction):
     est = _mean_estimates(
         "exact", FlatBudget(eps),
         np.full((5, 1, 17), observed), np.full((1, 17), total),
+        (_aggregate_terms,), np.s_[:2], np.s_[2:],
     )
     row = 0 if direction == "lower" else 2
     assert (est[row, 0] == est[row, 0, 0]).all()

@@ -7,13 +7,17 @@ computed with mpmath at 60 digits.
 """
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
-from qkd_keyrate.decoy import CELLS, poisson_pk
-from qkd_keyrate.pipeline import ProtocolParams
+from qkd_keyrate.channel import ChannelConfig, ChannelModel
+from qkd_keyrate.decoy import ALL_CELLS, CELLS, cell_bounds, poisson_pk
+from qkd_keyrate.optimize import SearchSpace
+from qkd_keyrate.phase_error import lower_terms
+from qkd_keyrate.pipeline import ProtocolParams, prepare_batch, source_coeffs
 
 from one_point import cell, counts as one_run, decoy_bounds
 from scalar_chain import IntensitySet
@@ -223,3 +227,36 @@ def test_cell_bounds_mode_validation():
     counts, intens = flat_yield_counts()
     with pytest.raises(ValueError):
         decoy_bounds(counts, intens, None, "other")
+
+
+def uneven_budget(mode, seed=5):
+    """A budget of ``mode`` whose allocations differ name by name."""
+    even = EpsilonBudget.build(1e-10, 1e-15, mode)
+    w = np.random.default_rng(seed).uniform(0.5, 1.5, len(even.allocations))
+    shares = (even.eta * w / w.sum()).tolist()
+    return EpsilonBudget(even.eps_sec, even.eps_c, even.eps_s, even.eta,
+                         MappingProxyType(dict(zip(even.allocations, shares))))
+
+
+@pytest.mark.parametrize("mode", ["exact", "fluct"])
+def test_restricted_cell_bounds_equal_full_columns(mode):
+    # the lower bounds of a few cells, as the chain asks for them, equal
+    # the matching columns of a call with every cell, and upper1 is the
+    # same, with an equal split, an uneven budget and none
+    r = 0.05 if mode == "fluct" else 0.0
+    cfg = ChannelConfig(distance_km=60.0, det_eff=0.15, dark_prob=5e-7,
+                        e_mis=0.01, fluct_r=r, xi=0.147)
+    units = np.random.default_rng(3).random((64, 5))
+    prepared = prepare_batch(SearchSpace().params_batch(units), mode, r)
+    counts, _ = ChannelModel(cfg).expected_counts(prepared.layout, 1e12)
+    assert len(prepared.idx) > 20
+    lowers = [lower_terms(source_coeffs(xi))[1] for xi in (0.0, 0.11025, 0.147)]
+    lowers += [(), (11, 2, 6), ALL_CELLS[::-1]]
+    for budget in (EpsilonBudget.build(1e-10, 1e-15, mode), uneven_budget(mode), None):
+        full = cell_bounds(counts, prepared.factors, budget, mode)
+        assert full.lower0.shape == full.lower1.shape == full.upper1.shape
+        for lower in lowers:
+            part = cell_bounds(counts, prepared.factors, budget, mode, lower)
+            assert (part.upper1 == full.upper1).all()
+            assert (part.lower0 == full.lower0[:, list(lower)]).all()
+            assert (part.lower1 == full.lower1[:, list(lower)]).all()

@@ -11,16 +11,23 @@ import numpy as np
 import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
-from qkd_keyrate.channel import ChannelConfig
-from qkd_keyrate.decoy import CELLS, CellBoundsBatch
+from qkd_keyrate.channel import ChannelConfig, ChannelModel
+from qkd_keyrate.decoy import CELLS, CellBoundsBatch, aggregate_bounds, cell_bounds
 from qkd_keyrate.key_length import ABORT_COUNTS
 from qkd_keyrate.phase_error import (
+    lower_terms,
     n_ph_appendixE,
     n_ph_upper_batch,
     phase_weights,
     term_coeffs,
 )
-from qkd_keyrate.pipeline import ProtocolParams, evaluate_rate
+from qkd_keyrate.pipeline import (
+    ParamBatch,
+    ProtocolParams,
+    evaluate_rate,
+    prepare_batch,
+    source_coeffs,
+)
 
 from one_point import bound as m1_bound
 from one_point import decoy_bounds, expected_counts, phase_bound, source_model
@@ -196,3 +203,39 @@ def test_unbalanced_source_still_bounded():
     bound = phase_bound(0.147, 0.5, cells, m1, budget, gamma=0.9)
     assert bound.n_ph_upper >= 0.0
     assert 0.0 <= bound.e_ph_upper <= 1.0
+
+
+def test_lower_terms_follow_the_coefficients_signs():
+    # at xi = 0.147 the coefficients are [0, 0, 1.85, 2, 2, -1.85]: the
+    # Z0 -> X1, Z1 -> X1 and X0 -> X0 terms read a lower bound
+    terms, cells = lower_terms(source_coeffs(0.147))
+    assert terms == (0, 1, 5)
+    assert cells == tuple(CELLS.index(c) for c in
+                          (("Z", 0, "X", 1), ("Z", 1, "X", 1), ("X", 0, "X", 0)))
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.11025, 0.147, 1.0])
+@pytest.mark.parametrize("finite", [True, False])
+def test_lower_terms_give_the_bound_of_every_cell(xi, finite):
+    # the bound from lower_terms' cells equals the bound from every
+    # cell's, bit for bit, down to a p_z whose (r/2)^2 underflows to 0
+    budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact") if finite else None
+    p_z = np.array([1e-170, 1e-3, 0.3, 0.5, 0.9, 0.999])
+    cfg = ChannelConfig(distance_km=40.0, det_eff=0.15, dark_prob=5e-7,
+                        e_mis=0.01, fluct_r=0.0, xi=xi)
+    params = ParamBatch.of([ProtocolParams(p_z=float(p), p_ks=0.6, p_kd1=0.3, k_s=0.5,
+                                           k_d1=0.1) for p in p_z])
+    prepared = prepare_batch(params, "exact", 0.0)
+    counts, _ = ChannelModel(cfg).expected_counts(prepared.layout, 1e12)
+    _, m1 = aggregate_bounds(counts, prepared.factors, budget, "exact")
+    coeffs = source_coeffs(xi)
+    weights = phase_weights(coeffs, p_z)
+    assert (weights[0, [2, 5]] == 0.0).all()
+    terms, cells = lower_terms(coeffs)
+    full = n_ph_upper_batch(
+        weights, cell_bounds(counts, prepared.factors, budget, "exact"), m1, budget)
+    part = n_ph_upper_batch(
+        weights, cell_bounds(counts, prepared.factors, budget, "exact", cells), m1, budget,
+        terms)
+    for a, b in zip(full, part):
+        assert a.tobytes() == b.tobytes()

@@ -9,6 +9,14 @@ chain on warm click tables, and of the whole batch (``total``: the
 parameters and ``evaluate_batch``).
 ``cold_point_us`` is a library ``evaluate_rate`` call per mode at
 80 km with a fresh channel model, as the benchmark's point calls make.
+``stage_two_us`` holds, per mode at its ``stages`` distance, the
+timeit-minimum microseconds of ``pipeline.stage_two`` on 1, 20, 195 and
+256 points of the first grid block: the sizes of a batch of one, a
+poll, a keyless ``sweep-fluct`` distance's stage 2 and a full stage-2
+batch.  ``grid_parts_us`` splits the grid phase of ``sweep-fluct`` at
+100 km, a keyless distance, into stage 1 (with its cold click tables),
+stage 2 and the rest (the screens and the replay of the chunks), from
+the repeat with the least grid time.
 ``sweep`` holds, per ``sweep-exact`` distance, the grid and polish
 seconds (the minimum over the repeats), the evaluations of each phase
 and the key length; ``sweep_fluct`` holds the same per ``sweep-fluct``
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import time
 import timeit
 
 import numpy as np
@@ -42,6 +51,8 @@ from qkd_keyrate.pipeline import (
     evaluate_rate,
     prepare_batch,
     source_coeffs,
+    stage_one,
+    stage_two,
 )
 
 # the benchmark's sweep settings, the distance each mode is timed at and
@@ -56,6 +67,9 @@ MODES = {
 }
 COMPASS = np.concatenate([np.eye(5), -np.eye(5)])
 POINT = ProtocolParams(p_z=0.9, p_ks=0.8, p_kd1=0.12, k_s=0.46, k_d1=0.11)
+# the stage-2 batch sizes timed: a batch of one, a poll, the stage 2 of a
+# keyless sweep-fluct distance (100 km) and a full batch
+STAGE_TWO_ROWS = (1, 20, 195, 256)
 
 
 def _batches(run: RunConfig, u) -> dict[str, np.ndarray]:
@@ -109,6 +123,53 @@ def stage_times(run: RunConfig, distance: float, units, repeat: int) -> dict:
         "total": total,
     }
     return {name: round(_best(fn, repeat), 1) for name, fn in stages.items()}
+
+
+def stage_two_times(run: RunConfig, distance: float, repeat: int) -> dict[str, float]:
+    """Microseconds of ``stage_two`` on the first STAGE_TWO_ROWS points
+    of the first grid block, on warm tables."""
+    model = ChannelModel(run.channel(distance))
+    budget, n = run.budget(), run.n_total
+    block = optimize._grid_blocks(SearchSpace(), run.grid_points, run.bound_mode,
+                                  run.fluct_r)[0]
+    one = stage_one(model, block.prepared, budget, n, run.f_ec)
+    return {
+        str(k): round(_best(lambda rows=np.arange(k): stage_two(
+            model, block.prepared, one, rows, budget, n), repeat), 1)
+        for k in STAGE_TWO_ROWS
+    }
+
+
+def grid_parts(run: RunConfig, distance: float, repeat: int) -> dict[str, float]:
+    """Microseconds of the grid phase at one distance and of its parts,
+    from the one of ``repeat`` grid-only runs with the least grid time:
+    the ``stage_one`` and ``stage_two`` calls, and the rest."""
+    cfg, budget = run.channel(distance), run.budget()
+    stages = optimize.stage_one, optimize.stage_two
+    spent = [0.0, 0.0]
+
+    def timed(k):
+        def call(*args):
+            t0 = time.perf_counter()
+            out = stages[k](*args)
+            spent[k] += time.perf_counter() - t0
+            return out
+        return call
+
+    runs = []
+    optimize.stage_one, optimize.stage_two = timed(0), timed(1)
+    try:
+        for _ in range(repeat):
+            spent[:] = 0.0, 0.0
+            out = optimize_rate(cfg, budget, run.n_total, strategy="grid",
+                                mode=run.bound_mode, f_ec=run.f_ec,
+                                grid_points=run.grid_points)
+            runs.append((out.grid_s, *spent))
+    finally:
+        optimize.stage_one, optimize.stage_two = stages
+    grid, one, two = (t * 1e6 for t in min(runs))
+    return {"distance_km": distance, "grid": round(grid, 1), "stage_one": round(one, 1),
+            "stage_two": round(two, 1), "rest": round(grid - one - two, 1)}
 
 
 def cold_point(run: RunConfig, distance: float, repeat: int) -> float:
@@ -171,13 +232,15 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=20,
                         help="timeit repeats per minimum (default 20)")
     args = parser.parse_args()
-    report = {"stages": {}, "cold_point_us": {}}
+    report = {"stages": {}, "cold_point_us": {}, "stage_two_us": {}}
     for mode, (run, distance, u) in MODES.items():
         report["stages"][mode] = {
             name: stage_times(run, distance, units, args.repeat)
             for name, units in _batches(run, u).items()
         }
         report["cold_point_us"][mode] = cold_point(run, 80.0, args.repeat)
+        report["stage_two_us"][mode] = stage_two_times(run, distance, args.repeat)
+    report["grid_parts_us"] = grid_parts(MODES["fluct"][0], 100.0, args.repeat)
     report["sweep"] = sweep_phases(MODES["exact"][0], max(1, args.repeat // 4))
     report["sweep_fluct"] = sweep_phases(MODES["fluct"][0], max(1, args.repeat // 4),
                                          batches=True)
