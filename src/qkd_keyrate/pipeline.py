@@ -9,7 +9,8 @@ factors, none of which depends on the link, so the optimizer's grid
 forms them once for every distance of a sweep.  The chain then runs in
 two stages.  ``stage_one`` bounds m0, m1 (``aggregate_bounds``) and the
 EC leakage from the Z counts alone; ``stage_two`` forms the cells of the
-points a caller picks and runs the cell bounds (``cell_bounds``), the
+points a caller picks and runs the cell bounds the phase-error bound
+reads (``cell_bounds`` of the cells of ``phase_error.lower_terms``), the
 phase-error weights at the points' p_z (``phase_weights`` of the per-xi
 ``source_coeffs``), ``n_ph_upper_batch`` and ``key_length_batch``.  The
 optimizer's grid picks the points whose ``key_length_bound``, the

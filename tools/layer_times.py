@@ -140,34 +140,46 @@ def stage_two_times(run: RunConfig, distance: float, repeat: int) -> dict[str, f
     }
 
 
-def grid_parts(run: RunConfig, distance: float, repeat: int) -> dict[str, float]:
-    """Microseconds of the grid phase at one distance and of its parts,
-    from the one of ``repeat`` grid-only runs with the least grid time:
-    the ``stage_one`` and ``stage_two`` calls, and the rest."""
+def _grid_runs(run: RunConfig, distance: float, repeat: int) -> list[dict]:
+    """``repeat`` grid-only runs at one distance with both stages
+    wrapped: per run the grid seconds and, per stage, its seconds and
+    the sizes of its batches."""
     cfg, budget = run.channel(distance), run.budget()
     stages = optimize.stage_one, optimize.stage_two
-    spent = [0.0, 0.0]
+    # a stage-1 batch's size is its prepared points, a stage-2 batch's
+    # its rows
+    sizes = (lambda args: len(args[1].feasible), lambda args: len(args[3]))
 
-    def timed(k):
+    def wrapped(k, record):
         def call(*args):
             t0 = time.perf_counter()
             out = stages[k](*args)
-            spent[k] += time.perf_counter() - t0
+            record["s"][k] += time.perf_counter() - t0
+            record["sizes"][k].append(sizes[k](args))
             return out
         return call
 
     runs = []
-    optimize.stage_one, optimize.stage_two = timed(0), timed(1)
     try:
         for _ in range(repeat):
-            spent[:] = 0.0, 0.0
+            record = {"s": [0.0, 0.0], "sizes": ([], [])}
+            optimize.stage_one = wrapped(0, record)
+            optimize.stage_two = wrapped(1, record)
             out = optimize_rate(cfg, budget, run.n_total, strategy="grid",
                                 mode=run.bound_mode, f_ec=run.f_ec,
                                 grid_points=run.grid_points)
-            runs.append((out.grid_s, *spent))
+            runs.append({**record, "grid_s": out.grid_s})
     finally:
         optimize.stage_one, optimize.stage_two = stages
-    grid, one, two = (t * 1e6 for t in min(runs))
+    return runs
+
+
+def grid_parts(run: RunConfig, distance: float, repeat: int) -> dict[str, float]:
+    """Microseconds of the grid phase at one distance and of its parts,
+    from the one of ``repeat`` runs with the least grid time: the
+    ``stage_one`` and ``stage_two`` calls, and the rest."""
+    best = min(_grid_runs(run, distance, repeat), key=lambda r: r["grid_s"])
+    grid, (one, two) = best["grid_s"] * 1e6, (t * 1e6 for t in best["s"])
     return {"distance_km": distance, "grid": round(grid, 1), "stage_one": round(one, 1),
             "stage_two": round(two, 1), "rest": round(grid - one - two, 1)}
 
@@ -178,29 +190,6 @@ def cold_point(run: RunConfig, distance: float, repeat: int) -> float:
     cfg, budget = run.channel(distance), run.budget()
     return round(_best(lambda: evaluate_rate(
         cfg, POINT, budget, run.n_total, mode=run.bound_mode, f_ec=run.f_ec), repeat), 1)
-
-
-def _batch_sizes(run: RunConfig, distance: float) -> tuple[list[int], list[int]]:
-    """The sizes of the grid's stage-1 and stage-2 batches at one
-    distance, from an untimed run with both stages wrapped."""
-    sizes = ([], [])
-    stages = optimize.stage_one, optimize.stage_two
-
-    def one(model, prepared, *args):
-        sizes[0].append(len(prepared.feasible))
-        return stages[0](model, prepared, *args)
-
-    def two(model, prepared, first, rows, *args):
-        sizes[1].append(len(rows))
-        return stages[1](model, prepared, first, rows, *args)
-
-    optimize.stage_one, optimize.stage_two = one, two
-    try:
-        optimize_rate(run.channel(distance), run.budget(), run.n_total, strategy="grid",
-                      mode=run.bound_mode, f_ec=run.f_ec, grid_points=run.grid_points)
-    finally:
-        optimize.stage_one, optimize.stage_two = stages
-    return sizes
 
 
 def sweep_phases(run: RunConfig, repeat: int, batches: bool = False) -> list[dict]:
@@ -222,7 +211,8 @@ def sweep_phases(run: RunConfig, repeat: int, batches: bool = False) -> list[dic
             "ell": out.best.ell,
         }
         if batches:
-            row["stage_one_batches"], row["stage_two_batches"] = _batch_sizes(run, d)
+            sizes = _grid_runs(run, d, 1)[0]["sizes"]
+            row["stage_one_batches"], row["stage_two_batches"] = sizes
         rows.append(row)
     return rows
 
