@@ -438,10 +438,11 @@ def cell_bounds(
     d1.hi; its lower bounds read all five.  The phase-error bound reads
     every upper1 (N1 is their sum) but the lower1 of only the few cells
     whose weight can be <= 0 (``phase_error.lower_terms``), so the chain
-    asks for those alone and forms 32 + 3 len(lower) estimates per
-    point instead of 80.  Each bound comes from the same float
-    operations whichever others are formed, so it equals the matching
-    column of a call with every cell.
+    asks for those alone and forms 32 + 3 len(lower) distinct estimates
+    per point instead of 80 (the d2.lo and d1.hi of the cells ``lower``
+    are formed twice, so that their closed forms read slices).  Each
+    bound comes from the same float operations whichever others are
+    formed, so it equals the matching column of a call with every cell.
 
     In exact mode the means are estimated against the cell total, in
     fluct mode the martingales run over the cell's configuration trials.
