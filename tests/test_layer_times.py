@@ -38,7 +38,7 @@ def test_layer_times_prints_its_keys():
         assert report["cold_point_us"][mode] > 0.0
         assert set(report["stage_two_us"][mode]) == {"1", "20", "195", "256"}
     parts = report["grid_parts_us"]
-    assert set(parts) == {"distance_km", "grid", "stage_one", "stage_two", "rest"}
+    assert set(parts) == {"distance_km", "grid", "stage_one", "stage_two", "replay"}
     assert parts["stage_one"] + parts["stage_two"] <= parts["grid"]
     distances = [row["distance_km"] for row in report["sweep"]]
     assert distances == [0.0, 50.0, 100.0, 150.0, 200.0]

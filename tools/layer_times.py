@@ -15,8 +15,8 @@ timeit-minimum microseconds of ``pipeline.stage_two`` on 1, 20, 195 and
 poll, a keyless ``sweep-fluct`` distance's stage 2 and a full stage-2
 batch.  ``grid_parts_us`` splits the grid phase of ``sweep-fluct`` at
 100 km, a keyless distance, into stage 1 (with its cold click tables),
-stage 2 and the rest (the screens and the replay of the chunks), from
-the repeat with the least grid time.
+stage 2 and ``replay``, the rest of the grid loop (the screens and the
+replay of the chunks), from the repeat with the least grid time.
 ``sweep`` holds, per ``sweep-exact`` distance, the grid and polish
 seconds (the minimum over the repeats), the evaluations of each phase
 and the key length; ``sweep_fluct`` holds the same per ``sweep-fluct``
@@ -177,11 +177,12 @@ def _grid_runs(run: RunConfig, distance: float, repeat: int) -> list[dict]:
 def grid_parts(run: RunConfig, distance: float, repeat: int) -> dict[str, float]:
     """Microseconds of the grid phase at one distance and of its parts,
     from the one of ``repeat`` runs with the least grid time: the
-    ``stage_one`` and ``stage_two`` calls, and the rest."""
+    ``stage_one`` and ``stage_two`` calls, and the rest of the grid loop
+    (the screens and the replay)."""
     best = min(_grid_runs(run, distance, repeat), key=lambda r: r["grid_s"])
     grid, (one, two) = best["grid_s"] * 1e6, (t * 1e6 for t in best["s"])
     return {"distance_km": distance, "grid": round(grid, 1), "stage_one": round(one, 1),
-            "stage_two": round(two, 1), "rest": round(grid - one - two, 1)}
+            "stage_two": round(two, 1), "replay": round(grid - one - two, 1)}
 
 
 def cold_point(run: RunConfig, distance: float, repeat: int) -> float:
