@@ -17,18 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .decoy import CountsBatch, IntensityBatch, distinct
+from .decoy import CountsBatch, distinct
 
 __all__ = [
     "CellLayout",
     "ChannelConfig",
     "ChannelModel",
-    "FluctuationDensity",
-    "gauss_expect",
     "z_error_rate",
 ]
 
@@ -121,42 +119,11 @@ class ChannelConfig:
         return self.det_eff * self.eta_ch
 
 
-@dataclass(frozen=True)
-class FluctuationDensity:
-    """Truncated Gaussian intensity density on [(1-r)mu, (1+r)mu].
-
-    The dispersion is sigma^2 = r mu / 5 and ``norm`` rescales the
-    truncated Gaussian to unit mass.  r = 0 degenerates to a point mass
-    at mu, signalled by lo == hi.
-    """
-
-    mean: float
-    lo: float
-    hi: float
-    sigma2: float
-    norm: float
-
-    @classmethod
-    def for_intensity(cls, mean: float, r: float) -> "FluctuationDensity":
-        if mean < 0:
-            raise ValueError("mean intensity must be nonnegative")
-        if not 0.0 <= r < 1.0:
-            raise ValueError("relative width r must lie in [0, 1)")
-        if r == 0.0 or mean == 0.0:
-            return cls(mean, mean, mean, 0.0, math.inf)
-        return cls(*_spread(mean, r))
-
-    @classmethod
-    def stack(cls, means: Sequence[float], r: float) -> "FluctuationDensity":
-        """The densities of ``for_intensity`` at the positive ``means``
-        and 0 < r < 1 as one density with (S, 1) fields, each row the
-        fields of its mean's."""
-        fields = np.array([_spread(mean, r) for mean in means]).reshape(-1, 5)
-        return cls(*fields.T[:, :, None])
-
-
 def _spread(mean: float, r: float) -> tuple[float, ...]:
-    """The fields of the density at a positive ``mean`` and 0 < r < 1."""
+    """The truncated Gaussian intensity density on [(1-r)mu, (1+r)mu] at
+    a positive ``mean`` mu and 0 < r < 1: its mean, its ends, its
+    dispersion sigma^2 = r mu / 5 and ``norm``, which rescales the
+    truncated Gaussian to unit mass."""
     lo, hi = (1.0 - r) * mean, (1.0 + r) * mean
     sigma2 = r * mean / 5.0
     sigma = math.sqrt(sigma2)
@@ -169,32 +136,20 @@ def _spread(mean: float, r: float) -> tuple[float, ...]:
     return mean, lo, hi, sigma2, 1.0 / mass
 
 
-def gauss_expect(f: Callable, dens: FluctuationDensity) -> float:
-    """Expectation of f under the truncated-Gaussian intensity density.
-
-    Fixed 64-node Gauss-Legendre quadrature, calling f once per node; a
-    point-mass density simply evaluates f at the mean.
-    """
-    if dens.lo == dens.hi:
-        return f(dens.mean)
-    k, weight, half = _quadrature(dens)
-    return float(weight @ np.array([f(x) for x in k.tolist()])) * half
-
-
-def _quadrature(dens: FluctuationDensity) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nodes, density-weighted node weights and half-width of the 64-node
-    rule on a density that is not a point mass.
-
-    The fields of ``dens`` may also be (S, 1) arrays, a stack of S
-    densities: the nodes and weights are then (S, 64) and the half-widths
-    (S, 1), each row formed by the same operations as for one density.
-    """
-    center = 0.5 * (dens.hi + dens.lo)
-    half = 0.5 * (dens.hi - dens.lo)
-    k = center + half * _NODES
-    weight = _WEIGHTS * (
-        dens.norm * np.exp(-((k - dens.mean) ** 2) / (2.0 * dens.sigma2))
+def _quadrature(
+    means: Sequence[float], r: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes and density-weighted node weights, (S, 64), and half-widths,
+    (S, 1), of the 64-node rule on the densities (``_spread``) at the S
+    positive ``means`` and 0 < r < 1.  Each row is formed by the same
+    operations whatever the other rows."""
+    mean, lo, hi, sigma2, norm = (
+        np.array([_spread(m, r) for m in means]).reshape(-1, 5).T[:, :, None]
     )
+    center = 0.5 * (hi + lo)
+    half = 0.5 * (hi - lo)
+    k = center + half * _NODES
+    weight = _WEIGHTS * (norm * np.exp(-((k - mean) ** 2) / (2.0 * sigma2)))
     return k, weight, half
 
 
@@ -228,10 +183,10 @@ def _port_click_probs(
     Each port clicks unless neither its share of the attenuated pulse
     nor a dark count fires: p = E_k[1 - (1 - p_d) exp(-eta_sy k f)].  A
     point-mass level (r = 0 or intensity 0) takes the closed form in
-    Python floats.  The other levels share one pass: their densities as
-    one ``FluctuationDensity.stack``, their quadrature weights as one
-    (S, 64) array, one np.exp over the (S, P, 64) integrands, and every
-    port's quadrature as one batched matmul.  A row's floats do not
+    Python floats.  The other levels share one pass: their nodes and
+    quadrature weights as one (S, 64) ``_quadrature``, one np.exp over
+    the (S, P, 64) integrands, and every port's quadrature as one
+    batched matmul.  A row's floats do not
     depend on the other rows; each port is within a few ulps of a
     separate quadrature of its own integrand (the dot products may sum
     in another order).
@@ -247,8 +202,7 @@ def _port_click_probs(
             rows.append(None)
             spread.append(i)
     if spread:
-        dens = FluctuationDensity.stack([nominal[i] for i in spread], r)
-        k, weight, half = _quadrature(dens)
+        k, weight, half = _quadrature([nominal[i] for i in spread], r)
         # fracs * (-eta k) as np.multiply.outer forms it, per level
         exponent = (-eta * k)[:, None, :] * np.asarray(fracs, dtype=float)[:, None]
         values = 1.0 - (1.0 - pd) * np.exp(exponent)
@@ -415,10 +369,11 @@ class ChannelModel:
         return CountsBatch(cells, trials, None, None, None)
 
     def sample(
-        self, intens: IntensityBatch, p_z: np.ndarray, n_total: int, seed: int
+        self, levels: tuple[np.ndarray, ...], p_z: np.ndarray, n_total: int, seed: int
     ) -> CountsBatch:
         """Monte-Carlo counts with integer cells, one independent draw per
-        point; a point that appears twice is drawn twice.
+        point of the levels ``levels``, ``level_arrays``' four (3, B)
+        arrays; a point that appears twice is drawn twice.
 
         Each point's trials are split multinomially over (intensity,
         sender state, receiver basis), then each group draws its two
@@ -433,7 +388,7 @@ class ChannelModel:
             raise ValueError("p_z must lie in (0, 1)")
         n_total = int(n_total)
         rng = np.random.default_rng(seed)
-        nominal, _, _, prob = intens.arrays()
+        nominal, _, _, prob = levels
         layout = CellLayout.of(nominal, prob, p_z)
         state, basis, rows = self._layout(layout)
         # one group per (level, configuration): the configurations are the

@@ -279,11 +279,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse the INI file at ``path``; missing file is a ConfigError."""
+    """Parse the INI file at ``path``; a missing file or one that is not
+    UTF-8 is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     return parse_config(text)
 

@@ -49,7 +49,6 @@ __all__ = [
     "K_LABELS",
     "CellBoundsBatch",
     "CountsBatch",
-    "IntensityBatch",
     "aggregate_bounds",
     "cell_bounds",
     "decoy_factors",
@@ -102,35 +101,6 @@ def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # keeps it below e^{K_HI_CAP}, about 1e304 (a float overflows past
 # e^{709.78})
 K_HI_CAP = 700.0
-
-
-class LevelBatch(NamedTuple):
-    """One intensity setting over a batch, (B,) arrays: the nominal
-    intensity, the ends [k-, k+] of its known range and its selection
-    probability."""
-
-    nominal: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    prob: np.ndarray
-
-    def take(self, idx: np.ndarray) -> "LevelBatch":
-        return LevelBatch(*(a[idx] for a in self))
-
-
-class IntensityBatch(NamedTuple):
-    """The three intensity settings of a batch of points."""
-
-    s: LevelBatch
-    d1: LevelBatch
-    d2: LevelBatch
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """The fields as ``level_arrays`` gives them, (3, B) arrays."""
-        return tuple(map(np.array, zip(*self)))
-
-    def take(self, idx: np.ndarray) -> "IntensityBatch":
-        return IntensityBatch(*(lv.take(idx) for lv in self))
 
 
 def level_arrays(mode: str, r: float, p_z, p_s, p_d1, k_s, k_d1, k_d2) -> tuple:

@@ -119,15 +119,11 @@ def lower_terms(coeffs: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=16)
-def _deviations(
-    terms: tuple[int, ...] | None,
-) -> tuple[tuple[str, ...], np.ndarray | None]:
+def _deviations(terms: tuple[int, ...]) -> tuple[tuple[str, ...], np.ndarray]:
     """The allocation names of ``n_ph_upper_batch``'s deviations with
     the lower terms ``terms``: the terms', the two tails', then the lower
     terms' again, so that one Azuma call forms them in the order they
     are read; and ``terms`` as an index array."""
-    if terms is None:
-        return _DEV_NAMES, None
     return _DEV_NAMES + tuple(_DEV_NAMES[k] for k in terms), np.array(terms, dtype=int)
 
 
@@ -136,7 +132,7 @@ def n_ph_upper_batch(
     cells: CellBoundsBatch,
     m1: np.ndarray,
     budget: EpsilonBudget | None,
-    terms: tuple[int, ...] | None = None,
+    terms: tuple[int, ...],
 ) -> PhaseErrorBatch:
     """Phase-error bound for an arbitrary characterised source, per point.
 
@@ -146,12 +142,11 @@ def n_ph_upper_batch(
     (floored at zero, a count cannot be negative); each half then adds
     its tail deviation.  A term with a zero weight adds zero.
 
-    ``cells`` holds every cell's upper1.  Without ``terms`` it holds
-    every cell's lower1 too, and each term takes its bound by the sign
-    of its weight at each point.  Otherwise ``terms`` and the cells of
+    ``cells`` holds every cell's upper1, and ``terms`` and the cells of
     ``cells.lower1``'s columns are a ``lower_terms`` pair: those terms
     take the lower bound and the others the upper one, the same bounds
-    for weights whose signs are those of its coefficients.
+    as a choice by the sign of each point's weight, for weights whose
+    signs are those of the pair's coefficients.
     """
     upper = cells.upper1
     n1 = upper.sum(axis=1)
@@ -162,11 +157,7 @@ def n_ph_upper_batch(
         dev = azuma_dev(n1[:, None], budget.log_inv(names))
         tail = dev[:, 6] + dev[:, 7]
     value = upper[:, _TERM_CELLS] + dev[:, :6]
-    if terms is None:
-        lower = np.maximum(cells.lower1[:, _TERM_CELLS] - dev[:, :6], 0.0)
-        value = np.where(weights > 0.0, value, lower)
-    else:
-        value[:, index] = np.maximum(cells.lower1 - dev[:, 8:8 + len(terms)], 0.0)
+    value[:, index] = np.maximum(cells.lower1 - dev[:, 8:8 + len(terms)], 0.0)
     n_ph = np.maximum((weights * value).sum(axis=1) + tail, 0.0)
     # 1.0 where the single-photon bound is empty
     ratio = np.divide(n_ph, m1, out=np.ones(len(n1)), where=m1 > 0.0)

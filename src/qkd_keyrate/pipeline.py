@@ -36,8 +36,6 @@ from .channel import ZZ_CELLS, CellLayout, ChannelConfig, ChannelModel, z_error_
 from .decoy import (
     CELLS,
     CountsBatch,
-    IntensityBatch,
-    LevelBatch,
     aggregate_bounds,
     cell_bounds,
     decoy_factors,
@@ -88,13 +86,14 @@ class ProtocolParams:
     k_d1: float
     k_d2: float = K_D2_DEFAULT
 
-    def intensities(self, mode: str, r: float) -> IntensityBatch:
-        """This point's levels for ``mode``, a batch of one; raises
-        ValueError where ``level_arrays`` rejects it."""
-        levels, ok = ParamBatch.of([self]).intensities(mode, r)
+    def intensities(self, mode: str, r: float) -> tuple[np.ndarray, ...]:
+        """This point's levels for ``mode``, a batch of one: the four
+        (3, 1) arrays of ``level_arrays``; raises ValueError where
+        ``level_arrays`` rejects it."""
+        *levels, ok = level_arrays(mode, r, *ParamBatch.of([self]))
         if not ok[0]:
             raise ValueError(f"infeasible parameter point in {mode} mode: {self}")
-        return levels
+        return tuple(levels)
 
 
 class ParamBatch(NamedTuple):
@@ -121,11 +120,6 @@ class ParamBatch(NamedTuple):
             k_d1=float(self.k_d1[i]), k_d2=float(self.k_d2[i]),
         )
 
-    def intensities(self, mode: str, r: float) -> tuple[IntensityBatch, np.ndarray]:
-        """Intensity levels for ``mode`` and the mask of feasible points."""
-        *arrays, ok = level_arrays(mode, r, *self)
-        return IntensityBatch(*map(LevelBatch, *arrays)), ok
-
 
 # a sweep or an optimization uses one xi; a few slots cover callers that
 # alternate between flaw settings
@@ -140,9 +134,7 @@ def source_coeffs(xi: float) -> np.ndarray:
     raises, and raises again on the next call: lru_cache stores only
     results.
     """
-    flaw = (
-        EncodingFlawModel(model_xi=xi) if xi != 0.0 else EncodingFlawModel.exact()
-    )
+    flaw = EncodingFlawModel(model_xi=xi)
     s0z, s1z, s0x = (
         apply_filter(bloch_of_state(theta, flaw))
         for theta in (THETA_0Z, THETA_1Z, THETA_0X)
@@ -214,19 +206,10 @@ def evaluate_batch(
     prepared = prepare_batch(params, mode, cfg.fluct_r)
     if model is None:
         model = ChannelModel(cfg)
-    return prepared.feasible, _evaluate_prepared(model, prepared, budget, n_total, f_ec)
-
-
-def _evaluate_prepared(
-    model: ChannelModel, prepared: PreparedBatch, budget: EpsilonBudget | None,
-    n_total: float, f_ec: float,
-) -> KeyRateBatch:
-    """Both stages of every feasible point of a prepared batch on
-    ``model``'s link, from its counts formed once, cells and all."""
     counts, e_z = model.expected_counts(prepared.layout, n_total)
-    return _rate_batch(
+    return prepared.feasible, _rate_batch(
         counts, e_z, prepared.factors, model.cfg.xi, prepared.layout.p_z,
-        budget, n_total, prepared.mode, f_ec,
+        budget, n_total, mode, f_ec,
     )
 
 
@@ -351,15 +334,14 @@ def evaluate_rate(
     if not prepared.feasible[0]:
         raise ValueError(f"infeasible parameter point in {mode} mode: {params}")
     if counts is None:
-        res = _evaluate_prepared(ChannelModel(cfg), prepared, budget, n_total, f_ec)
+        counts, e_z = ChannelModel(cfg).expected_counts(prepared.layout, n_total)
     else:
         _check_counts(counts, n_total)
         e_z = np.array([z_error_rate(counts.cells[0, 0].tolist())])
-        res = _rate_batch(
-            counts, e_z, prepared.factors, cfg.xi, prepared.layout.p_z,
-            budget, n_total, mode, f_ec,
-        )
-    return res.result(0)
+    return _rate_batch(
+        counts, e_z, prepared.factors, cfg.xi, prepared.layout.p_z,
+        budget, n_total, mode, f_ec,
+    ).result(0)
 
 
 # the shape of each CountsBatch field for one run

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .budget import EpsilonBudget
-from .channel import ChannelConfig, ChannelModel, FluctuationDensity, gauss_expect
+from .channel import ChannelConfig, ChannelModel, _quadrature
 from .concentration import azuma_dev, chernoff_dev, hoeffding_dev, mult_chernoff_dev
 from .decoy import (
     CELLS,
@@ -25,7 +25,7 @@ from .decoy import (
     cell_bounds,
     poisson_pk,
 )
-from .phase_error import n_ph_appendixE, n_ph_upper_batch, phase_weights
+from .phase_error import lower_terms, n_ph_appendixE, n_ph_upper_batch, phase_weights
 from .pipeline import ParamBatch, ProtocolParams, prepare_batch, source_coeffs
 
 __all__ = [
@@ -134,9 +134,10 @@ def _photon_weights(k: float, r: float, max_n: int) -> np.ndarray:
     """P(n photons) for intensity k, quadrature-averaged when r > 0."""
     if r == 0.0:
         return np.array([poisson_pk(n, k) for n in range(max_n)])
-    dens = FluctuationDensity.for_intensity(k, r)
+    nodes, weight, half = (a[0] for a in _quadrature([k], r))
     return np.array([
-        gauss_expect(lambda kk: poisson_pk(n, kk), dens) for n in range(max_n)
+        float(weight @ np.array([poisson_pk(n, kk) for kk in nodes.tolist()])) * half[0]
+        for n in range(max_n)
     ])
 
 
@@ -241,38 +242,56 @@ def _sandwich_points(distances: tuple[float, ...], r: float) -> list[dict]:
     return points
 
 
+def _phase_bounds(
+    cfg: ChannelConfig, params: ParamBatch, budget: EpsilonBudget, n_total: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The general and the closed-form phase-error bounds of the feasible
+    exact-mode points ``params`` on link ``cfg``, and their m1, (B,)
+    arrays.
+
+    The general bound is the chain's: ``n_ph_upper_batch`` with the
+    source's ``lower_terms`` and the matching restricted ``cell_bounds``,
+    as ``pipeline.stage_two`` forms it.  The closed form reads every
+    cell's bounds.
+    """
+    prepared = prepare_batch(params, "exact", 0.0)
+    counts, _ = ChannelModel(cfg).expected_counts(prepared.layout, n_total)
+    _, m1 = aggregate_bounds(counts, prepared.factors, budget, "exact")
+    coeffs, p_z = source_coeffs(cfg.xi), prepared.layout.p_z
+    terms, lower = lower_terms(coeffs)
+    general = n_ph_upper_batch(
+        phase_weights(coeffs, p_z),
+        cell_bounds(counts, prepared.factors, budget, "exact", lower), m1, budget, terms,
+    ).n_ph_upper
+    cells = cell_bounds(counts, prepared.factors, budget, "exact")
+    return general, n_ph_appendixE(cfg.xi, p_z, cells, budget), m1
+
+
 def crosscheck_suite(tolerance: float = 1e-9) -> dict:
     """Agreement of the two phase-error estimators on a 50-point grid.
 
     The general coefficient path and the closed form are independent
     derivations of the same bound; any disagreement beyond roundoff
     means one of them is wrong, so the tolerance is tight.  Each (xi,
-    distance) is one batch over p_z.
+    distance) is one batch over p_z (``_phase_bounds``).
     """
     xis = (0.0, 0.03675, 0.0735, 0.11025, 0.147)
     pzs = (0.35, 0.5, 0.65, 0.8, 0.9)
     dists = (30.0, 90.0)
     budget = EpsilonBudget.build(1e-10, 1e-15, "exact")
-    n_total = 1e12
     params = ParamBatch.of([
         ProtocolParams(p_z=p_z, p_ks=0.6, p_kd1=0.3, k_s=0.5, k_d1=0.1) for p_z in pzs
     ])
-    prepared = prepare_batch(params, "exact", 0.0)
 
     points = []
     worst = 0.0
     for xi in xis:
-        weights = phase_weights(source_coeffs(xi), params.p_z)
         for dist in dists:
             cfg = ChannelConfig(
                 distance_km=dist, det_eff=0.15, dark_prob=5e-7,
                 e_mis=0.01, fluct_r=0.0, xi=xi, atten_db_per_km=0.2,
             )
-            counts, _ = ChannelModel(cfg).expected_counts(prepared.layout, n_total)
-            _, m1 = aggregate_bounds(counts, prepared.factors, budget, "exact")
-            cells = cell_bounds(counts, prepared.factors, budget, "exact")
-            general = n_ph_upper_batch(weights, cells, m1, budget).n_ph_upper
-            closed = n_ph_appendixE(xi, params.p_z, cells, budget)
+            general, closed, _ = _phase_bounds(cfg, params, budget, 1e12)
             rel = np.abs(general - closed) / np.maximum(np.abs(closed), 1e-300)
             for p_z, rel_diff in zip(pzs, rel.tolist()):
                 worst = max(worst, rel_diff)

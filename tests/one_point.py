@@ -16,7 +16,12 @@ from qkd_keyrate.decoy import (
     decoy_factors,
 )
 from qkd_keyrate.key_length import key_length_batch
-from qkd_keyrate.phase_error import n_ph_upper_batch, phase_weights, term_coeffs
+from qkd_keyrate.phase_error import (
+    lower_terms,
+    n_ph_upper_batch,
+    phase_weights,
+    term_coeffs,
+)
 from qkd_keyrate.qubit_model import (
     THETA_0X,
     THETA_0Z,
@@ -40,8 +45,8 @@ bound = phase = one
 
 def expected_counts(cfg, intens, p_z, n_total):
     """The expected CountsBatch of one point on link ``cfg``, given its
-    one-row IntensityBatch, and its Z error rate."""
-    nominal, _, _, prob = intens.arrays()
+    levels (``ProtocolParams.intensities``), and its Z error rate."""
+    nominal, _, _, prob = intens
     layout = CellLayout.of(nominal, prob, one(p_z))
     counts, e_z = ChannelModel(cfg).expected_counts(layout, n_total)
     return counts, float(e_z[0])
@@ -62,9 +67,9 @@ def counts(z_by_k=(0.0, 0.0, 0.0), n_z=0.0, cells=None, trials=None):
 
 
 def decoy_bounds(counts, intens, budget, mode):
-    """m0, m1 and the cell bounds of one run's CountsBatch and one-row
-    IntensityBatch."""
-    factors = decoy_factors(*intens.arrays()[1:])
+    """m0, m1 and the cell bounds of one run's CountsBatch and one
+    point's levels."""
+    factors = decoy_factors(*intens[1:])
     m0, m1 = aggregate_bounds(counts, factors, budget, mode)
     return m0, m1, cell_bounds(counts, factors, budget, mode)
 
@@ -91,7 +96,17 @@ def phase_bound(xi, p_z, cells, m1, budget, gamma=1.0):
     (xi, p_z, gamma)."""
     qm = source_model(xi, p_z, gamma)
     weights = phase_weights(term_coeffs(qm.c, qm.w), one(p_z))
-    return n_ph_upper_batch(weights, cells, m1, budget)
+    return phase_by_sign(weights, cells, m1, budget)
+
+
+def phase_by_sign(weights, cells, m1, budget):
+    """The phase-error bound of one point from its (1, 6) ``weights`` and
+    every cell's bounds ``cells``: each term takes the lower bound of its
+    cell where its weight is <= 0 and the upper one elsewhere."""
+    terms, lower = lower_terms(weights[0])
+    part = CellBoundsBatch(cells.lower0[:, list(lower)], cells.lower1[:, list(lower)],
+                           cells.upper1)
+    return n_ph_upper_batch(weights, part, m1, budget, terms)
 
 
 def key_length(m0, m1, e_ph, lam_ec, budget, *, n_total, e_z=0.0, z_ks_size=0.0):

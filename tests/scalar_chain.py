@@ -9,7 +9,7 @@ and ``observed_error_rate`` they called, and ``observed_counts``, which
 turns one row of a ``CountsBatch`` into ``ObservedCounts``.  The scalar
 ``IntensitySet`` they read is frozen here too, with the mode dispatch
 that built it from a ``ProtocolParams`` (``intensity_set``) and its
-conversion to a one-row ``IntensityBatch`` (``level_batch``), so its
+conversion to one point's ``level_arrays`` (``level_batch``), so its
 feasibility checks stay an independent rule for the batch mask.  So
 are the scalar ``hoeffding_dev`` and ``azuma_dev`` of an epsilon that
 they called, so that the reference does not follow the library's
@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from qkd_keyrate.budget import EpsilonBudget
-from qkd_keyrate.decoy import CELLS, K_LABELS, CountsBatch, IntensityBatch, LevelBatch
+from qkd_keyrate.decoy import CELLS, K_LABELS, CountsBatch
 from qkd_keyrate.key_length import (
     ABORT_COUNTS,
     ABORT_PHASE,
@@ -149,15 +149,15 @@ def intensity_set(params, mode: str, r: float) -> IntensitySet:
     raise ValueError(f"mode must be 'exact' or 'fluct', got {mode!r}")
 
 
-def level_batch(intens: IntensitySet) -> IntensityBatch:
-    """Batch of one from an already validated IntensitySet."""
-    def level(lv: IntensityLevel) -> LevelBatch:
-        return LevelBatch(
-            np.array([lv.nominal], dtype=float), np.array([lv.lo], dtype=float),
-            np.array([lv.hi], dtype=float), np.array([lv.prob], dtype=float),
-        )
-
-    return IntensityBatch(level(intens.s), level(intens.d1), level(intens.d2))
+def level_batch(intens: IntensitySet) -> tuple[np.ndarray, ...]:
+    """The nominal intensities, range ends and selection probabilities of
+    an already validated IntensitySet, as ``level_arrays`` gives them for
+    a batch of one: four (3, 1) arrays."""
+    levels = (intens.s, intens.d1, intens.d2)
+    return tuple(
+        np.array([[getattr(lv, field)] for lv in levels], dtype=float)
+        for field in ("nominal", "lo", "hi", "prob")
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ Frozen values were computed with mpmath at 60 digits from the threshold
 detector model with independent dark counts per port.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -15,12 +14,11 @@ from qkd_keyrate import channel
 from qkd_keyrate.channel import (
     ChannelConfig,
     ChannelModel,
-    FluctuationDensity,
     _NODES,
     _WEIGHTS,
     _port_click_probs,
     _quadrature,
-    gauss_expect,
+    _spread,
 )
 from qkd_keyrate.decoy import CELLS, K_LABELS
 from qkd_keyrate.optimize import SearchSpace
@@ -49,7 +47,7 @@ def make_intens(r=0.0):
 
 def sample_counts(cfg, intens, p_z, n_total, seed, draws=1):
     """``draws`` Monte-Carlo draws of one point, one per row."""
-    batch = intens.take(np.zeros(draws, dtype=int))
+    batch = tuple(a[:, np.zeros(draws, dtype=int)] for a in intens)
     return ChannelModel(cfg).sample(batch, np.full(draws, p_z), n_total, seed)
 
 
@@ -82,7 +80,7 @@ def test_config_rejects_bad_link(name, value):
 def test_click_prob_frozen():
     # Z0 sent, Z measured at xi = 0: the constructive port sees the full
     # pulse, the empty port only darks
-    [[p0, p1]] = _port_click_probs(make_cfg(), make_intens().s.nominal, (1.0, 0.0))
+    [[p0, p1]] = _port_click_probs(make_cfg(), make_intens()[0][0], (1.0, 0.0))
     assert p0 == pytest.approx(P_CLICK_SIGNAL_50KM, rel=REL)
     assert p1 == pytest.approx(5e-7, rel=REL)
 
@@ -128,14 +126,17 @@ def test_misalignment(monkeypatch):
 
 
 def test_gauss_expect_matches_quad():
-    dens = FluctuationDensity.for_intensity(0.5, 0.05)
-    f = lambda k: 1.0 - math.exp(-0.8 * k)
-    sigma = math.sqrt(dens.sigma2)
+    # the expectation that _quadrature's nodes and weights form, against
+    # an adaptive quadrature of the truncated-Gaussian density
+    mean, lo, hi, sigma2, norm = _spread(0.5, 0.05)
+    f = lambda k: 1.0 - np.exp(-0.8 * k)
+    sigma = math.sqrt(sigma2)
     num, _ = quad(
-        lambda k: f(k) * dens.norm * math.exp(-0.5 * ((k - dens.mean) / sigma) ** 2),
-        dens.lo, dens.hi, epsabs=1e-14, epsrel=1e-13,
+        lambda k: f(k) * norm * math.exp(-0.5 * ((k - mean) / sigma) ** 2),
+        lo, hi, epsabs=1e-14, epsrel=1e-13,
     )
-    assert gauss_expect(f, dens) == pytest.approx(num, rel=1e-9)
+    k, weight, half = _quadrature([0.5], 0.05)
+    assert float(weight[0] @ f(k[0])) * half[0, 0] == pytest.approx(num, rel=1e-9)
 
 
 def test_quadrature_literals_are_roots_legendre():
@@ -146,17 +147,12 @@ def test_quadrature_literals_are_roots_legendre():
     assert _WEIGHTS.dtype == weights.dtype and _WEIGHTS.tobytes() == weights.tobytes()
 
 
-def test_gauss_expect_point_mass():
-    dens = FluctuationDensity.for_intensity(0.5, 0.0)
-    assert gauss_expect(lambda k: k * k, dens) == 0.25
-
-
 def test_density_normalised():
-    dens = FluctuationDensity.for_intensity(0.5, 0.05)
-    sigma = math.sqrt(dens.sigma2)
+    mean, lo, hi, sigma2, norm = _spread(0.5, 0.05)
+    sigma = math.sqrt(sigma2)
     mass, _ = quad(
-        lambda k: dens.norm * math.exp(-0.5 * ((k - dens.mean) / sigma) ** 2),
-        dens.lo, dens.hi, epsabs=1e-14,
+        lambda k: norm * math.exp(-0.5 * ((k - mean) / sigma) ** 2),
+        lo, hi, epsabs=1e-14,
     )
     assert mass == pytest.approx(1.0, rel=1e-10)
 
@@ -167,9 +163,9 @@ def test_density_normalised():
 def test_outcome_probs_are_probabilities(distance, xi, r):
     cfg = make_cfg(distance_km=distance, xi=xi, fluct_r=r)
     model = ChannelModel(cfg)
-    intens = make_intens(r=r)
-    for lv in intens:
-        for p0, p1 in outcome_pairs(model._tables([lv.nominal.item()])[0]):
+    nominal, _, _, _ = make_intens(r=r)
+    for k in nominal[:, 0].tolist():
+        for p0, p1 in outcome_pairs(model._tables([k])[0]):
             assert 0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0
             assert p0 + p1 <= 1.0 + 1e-12
 
@@ -359,14 +355,14 @@ def click_probs_per_port(cfg, level, basis_pair, bit_in):
     """The two ports' click probabilities as one quadrature per port, the
     reference for the shared quadrature."""
     a, b = basis_pair
-    dens = FluctuationDensity.for_intensity(level.nominal, cfg.fluct_r)
+    mean, r = level.nominal, cfg.fluct_r
     eta, pd = cfg.eta_sy, cfg.dark_prob
 
     def port(frac):
-        if dens.lo == dens.hi:
-            return 1.0 - (1.0 - pd) * math.exp(-eta * dens.mean * frac)
-        k, weight, half = _quadrature(dens)
-        return float(weight @ (1.0 - (1.0 - pd) * np.exp(-eta * k * frac))) * half
+        if r == 0.0 or mean == 0.0:
+            return 1.0 - (1.0 - pd) * math.exp(-eta * mean * frac)
+        k, weight, half = (a[0] for a in _quadrature([mean], r))
+        return float(weight @ (1.0 - (1.0 - pd) * np.exp(-eta * k * frac))) * half[0]
 
     f0, f1 = interference_factors(cfg.xi, a, bit_in, b)
     return port(f0), port(f1)
@@ -473,18 +469,3 @@ def test_z_and_cell_counts_match_expected_counts(r):
         ChannelModel(cfg).z_counts(prepared.layout, math.inf)
     with pytest.raises(ValueError, match="n_total"):
         ChannelModel(cfg).cell_counts(prepared.layout, math.inf, rows)
-
-
-def test_stacked_densities_equal_for_intensity():
-    # the (S, 1) fields that the cold tables' quadrature reads are each
-    # row's for_intensity fields bit for bit
-    means = np.geomspace(1e-6, 1.0, 31).tolist()
-    names = [f.name for f in dataclasses.fields(FluctuationDensity)]
-    for r in (1e-3, 0.01, 0.05, 0.2, 0.5, 0.9):
-        stacked = FluctuationDensity.stack(means, r)
-        for name in names:
-            assert getattr(stacked, name).shape == (len(means), 1)
-        for i, mean in enumerate(means):
-            one = FluctuationDensity.for_intensity(mean, r)
-            for name in names:
-                assert getattr(stacked, name)[i, 0] == getattr(one, name), (mean, r, name)

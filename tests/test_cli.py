@@ -158,6 +158,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_config_exit_code(tmp_path, capsys):
+    ini = tmp_path / "latin1.ini"
+    ini.write_bytes("[run]\n# r\u00e9glage\nn_total = 1e12\n".encode("latin-1"))
+    code = main(["sweep", "--config", str(ini), "--out", str(tmp_path / "r.csv")])
+    err = _assert_clean_error(code, capsys)
+    assert "cannot read config" in err and err.count("\n") == 1
+
+
 def test_removed_k_d2_key_exit_code(tmp_path, capsys):
     # the weakest decoy intensity is pinned by the search space, not the config
     ini = tmp_path / "k_d2.ini"

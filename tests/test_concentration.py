@@ -19,7 +19,9 @@ from qkd_keyrate.concentration import (
     chernoff_dev,
     chernoff_valid,
     hoeffding_dev,
+    hoeffding_or_mult_chernoff_dev,
     mult_chernoff_dev,
+    mult_chernoff_scale,
     mult_chernoff_valid,
 )
 from qkd_keyrate.budget import allocation_names
@@ -265,9 +267,10 @@ def test_monte_carlo_coverage_iid_bounds():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="known defect, ROADMAP open item 4: the decoy mean estimates take "
-    "the multiplicative-Chernoff deviation without its validity condition, "
-    "and at a mean of 5 the upper form fails about 7x more often than eps",
+    reason="known defect, ROADMAP open item 1: the exact-mode decoy mean "
+    "estimates take the smaller of the Hoeffding and the multiplicative-Chernoff "
+    "deviations without the latter's validity condition, and at a mean of 5 "
+    "the upper estimate fails about 6.5x more often than eps",
 )
 def test_mult_chernoff_upper_fails_where_invalid():
     rng = np.random.default_rng(20140)
@@ -275,9 +278,10 @@ def test_mult_chernoff_upper_fails_where_invalid():
     x = rng.binomial(n, mean / n, size=reps)
     # the condition the chain does not apply rules this regime out ...
     assert not mult_chernoff_valid(x, n, L(eps), L(eps), True).any()
-    # ... and without it the upper bound misses the mean too often
-    # (every x = 0 draw, with probability e^-5 = 6.7e-3, misses it)
-    miss = np.mean(mean > x + mult_chernoff_dev(x, L(eps), True))
+    # ... and without it the chain's upper estimate misses the mean too
+    # often (every x = 0 draw, with probability e^-5 = 6.7e-3, misses it)
+    dev = hoeffding_or_mult_chernoff_dev(n, L(eps), x, mult_chernoff_scale(L(eps), True))
+    miss = np.mean(mean > x + dev)
     assert miss <= eps + 4.0 * math.sqrt(eps * (1 - eps) / reps)
 
 

@@ -45,7 +45,7 @@ def make_intens(r=None, **kw):
 
 def flat_yield_counts(n_z=1e10, y=1e-3):
     intens = make_intens()
-    z = [n_z * lv.prob[0] * y for lv in intens]
+    z = [n_z * p * y for p in intens[3][:, 0]]
     return one_run(z, n_z=n_z), intens
 
 
@@ -57,13 +57,14 @@ def m0_m1(counts, intens, budget, mode="exact"):
 def poisson_mixture_counts(yields, n_z=1e10, max_n=80):
     """Aggregate Z counts from per-photon-number yields (index = n)."""
     intens = make_intens()
+    nominal, _, _, prob = intens
     z = []
-    for lv in intens:
-        gain = sum(poisson_pk(n, lv.nominal[0]) * yields[min(n, len(yields) - 1)]
+    for k, p in zip(nominal[:, 0], prob[:, 0]):
+        gain = sum(poisson_pk(n, k) * yields[min(n, len(yields) - 1)]
                    for n in range(max_n))
-        z.append(n_z * lv.prob[0] * gain)
-    truth0 = n_z * intens.s.prob[0] * poisson_pk(0, 0.5) * yields[0]
-    truth1 = n_z * intens.s.prob[0] * poisson_pk(1, 0.5) * yields[1]
+        z.append(n_z * p * gain)
+    truth0 = n_z * prob[0, 0] * poisson_pk(0, 0.5) * yields[0]
+    truth1 = n_z * prob[0, 0] * poisson_pk(1, 0.5) * yields[1]
     return one_run(z, n_z=n_z), intens, truth0, truth1
 
 
@@ -94,10 +95,10 @@ def test_intensity_set_invariants():
 
 
 def test_fluctuating_endpoints():
-    intens = make_intens(r=0.05)
-    assert intens.s.lo == pytest.approx(0.95 * 0.5, rel=REL)
-    assert intens.s.hi == pytest.approx(1.05 * 0.5, rel=REL)
-    assert intens.d2.lo == pytest.approx(0.95 * 2e-4, rel=REL)
+    _, lo, hi, _ = make_intens(r=0.05)
+    assert lo[0, 0] == pytest.approx(0.95 * 0.5, rel=REL)
+    assert hi[0, 0] == pytest.approx(1.05 * 0.5, rel=REL)
+    assert lo[2, 0] == pytest.approx(0.95 * 2e-4, rel=REL)
 
 
 def test_signal_joint_probabilities():
@@ -123,14 +124,14 @@ def test_signal_joint_probabilities():
 
 def test_flat_yield_vacuum_ratio():
     counts, intens = flat_yield_counts()
-    truth = counts.n_z[0] * intens.s.prob[0] * math.exp(-0.5) * 1e-3
+    truth = counts.n_z[0] * intens[3][0, 0] * math.exp(-0.5) * 1e-3
     m0, _ = m0_m1(counts, intens, None)
     assert m0 / truth == pytest.approx(VACUUM_RATIO, rel=REL)
 
 
 def test_flat_yield_single_ratio():
     counts, intens = flat_yield_counts()
-    truth = counts.n_z[0] * intens.s.prob[0] * POISSON_1_HALF * 1e-3
+    truth = counts.n_z[0] * intens[3][0, 0] * POISSON_1_HALF * 1e-3
     _, m1 = m0_m1(counts, intens, None)
     assert m1 / truth == pytest.approx(SINGLE_RATIO, rel=REL)
 
@@ -150,18 +151,19 @@ def test_cell_bound_sandwich(seed):
     rng = np.random.default_rng(100 + seed)
     yields = rng.uniform(0.0, 1.0, size=30)
     intens = make_intens()
+    nominal, _, _, prob = intens
     n_cfg = 1e9
     # the Z0 -> X configuration's cells are Z0X0 and Z0X1
     z0x1 = CELLS.index(("Z", 0, "X", 1))
     cells = np.zeros((3, 16))
     trials = np.zeros(16)
     trials[z0x1 - 1:z0x1 + 1] = n_cfg
-    for i, lv in enumerate(intens):
-        gain = sum(poisson_pk(n, lv.nominal[0]) * yields[min(n, 29)] for n in range(80))
-        cells[i, z0x1] = n_cfg * lv.prob[0] * gain
+    for i, (k, p) in enumerate(zip(nominal[:, 0], prob[:, 0])):
+        gain = sum(poisson_pk(n, k) * yields[min(n, 29)] for n in range(80))
+        cells[i, z0x1] = n_cfg * p * gain
     counts = one_run(cells=cells, trials=trials)
-    truth0 = n_cfg * intens.s.prob[0] * poisson_pk(0, 0.5) * yields[0]
-    truth1 = n_cfg * intens.s.prob[0] * poisson_pk(1, 0.5) * yields[1]
+    truth0 = n_cfg * prob[0, 0] * poisson_pk(0, 0.5) * yields[0]
+    truth1 = n_cfg * prob[0, 0] * poisson_pk(1, 0.5) * yields[1]
     for mode in ("exact", "fluct"):
         cb = cell(decoy_bounds(counts, intens, None, mode)[2], "Z", 0, "X", 1)
         assert cb.lower0 <= truth0 * (1 + 1e-12)

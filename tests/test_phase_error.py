@@ -30,7 +30,13 @@ from qkd_keyrate.pipeline import (
 )
 
 from one_point import bound as m1_bound
-from one_point import decoy_bounds, expected_counts, phase_bound, source_model
+from one_point import (
+    decoy_bounds,
+    expected_counts,
+    phase_bound,
+    phase_by_sign,
+    source_model,
+)
 
 
 def build_stats(xi, p_z, distance_km, budget, p_d=5e-7, e_mis=0.01, n=1e12):
@@ -124,7 +130,7 @@ def test_upper_branch_dominates_lower():
         def one_term(weight):
             weights = np.zeros((1, 6))
             weights[0, 3] = weight
-            return n_ph_upper_batch(weights, cells, m1, budget).n_ph_upper[0]
+            return phase_by_sign(weights, cells, m1, budget).n_ph_upper[0]
 
         hi, lo, tails = one_term(+2.0), one_term(-2.0), one_term(0.0)
         assert hi > tails >= lo
@@ -217,8 +223,9 @@ def test_lower_terms_follow_the_coefficients_signs():
 @pytest.mark.parametrize("xi", [0.0, 0.11025, 0.147, 1.0])
 @pytest.mark.parametrize("finite", [True, False])
 def test_lower_terms_give_the_bound_of_every_cell(xi, finite):
-    # the bound from lower_terms' cells equals the bound from every
-    # cell's, bit for bit, down to a p_z whose (r/2)^2 underflows to 0
+    # the bound from lower_terms' cells equals, bit for bit, each point's
+    # bound with every term's cell bound chosen by the sign of its weight,
+    # down to a p_z whose (r/2)^2 underflows to 0
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact") if finite else None
     p_z = np.array([1e-170, 1e-3, 0.3, 0.5, 0.9, 0.999])
     cfg = ChannelConfig(distance_km=40.0, det_eff=0.15, dark_prob=5e-7,
@@ -232,10 +239,13 @@ def test_lower_terms_give_the_bound_of_every_cell(xi, finite):
     weights = phase_weights(coeffs, p_z)
     assert (weights[0, [2, 5]] == 0.0).all()
     terms, cells = lower_terms(coeffs)
-    full = n_ph_upper_batch(
-        weights, cell_bounds(counts, prepared.factors, budget, "exact"), m1, budget)
+    full = cell_bounds(counts, prepared.factors, budget, "exact")
     part = n_ph_upper_batch(
         weights, cell_bounds(counts, prepared.factors, budget, "exact", cells), m1, budget,
         terms)
-    for a, b in zip(full, part):
-        assert a.tobytes() == b.tobytes()
+    for i in range(len(p_z)):
+        row = slice(i, i + 1)
+        alone = phase_by_sign(
+            weights[row], CellBoundsBatch(*(a[row] for a in full)), m1[row], budget)
+        for a, b in zip(alone, part):
+            assert a.tobytes() == b[row].tobytes()

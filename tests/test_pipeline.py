@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig
 from qkd_keyrate.config import RunConfig
-from qkd_keyrate.decoy import CELLS, CountsBatch
+from qkd_keyrate.decoy import CELLS, CountsBatch, level_arrays
 from qkd_keyrate.optimize import SearchSpace
 from qkd_keyrate.phase_error import term_coeffs
 from qkd_keyrate.pipeline import (
@@ -131,14 +131,13 @@ def test_point_and_batch_share_the_rule(mode, points):
         dataclasses.replace(SearchSpace().params_at(np.array(u)), **moved)
         for u, moved in points
     ]
-    levels, feasible = ParamBatch.of(params).intensities(mode, r)
+    *levels, feasible = level_arrays(mode, r, *ParamBatch.of(params))
     assert feasible[0]
     for i, point in enumerate(params):
-        alone, ok = ParamBatch.of([point]).intensities(mode, r)
+        *alone, ok = level_arrays(mode, r, *ParamBatch.of([point]))
         assert ok.tolist() == [feasible[i]]
         for got, want in zip(levels, alone):
-            for a, b in zip(got, want):
-                assert a[i:i + 1].tobytes() == b.tobytes()
+            assert got[:, i:i + 1].tobytes() == want.tobytes()
         try:
             point.intensities(mode, r)
         except ValueError:

@@ -1,6 +1,12 @@
 """Structure and determinism of the validation suites."""
 
+import numpy as np
+
+from qkd_keyrate.budget import EpsilonBudget
+from qkd_keyrate.channel import ChannelConfig
+from qkd_keyrate.pipeline import ParamBatch, ProtocolParams, evaluate_batch
 from qkd_keyrate.validate import (
+    _phase_bounds,
     coverage_suite,
     crosscheck_suite,
     run_validation,
@@ -42,6 +48,22 @@ def test_crosscheck_agreement_and_fail_path():
     # a tolerance below the achieved agreement must flip the flag
     broken = crosscheck_suite(tolerance=1e-17)
     assert broken["pass"] is False
+
+
+def test_crosscheck_checks_the_chains_phase_error_rate():
+    # at one of the crosscheck's (xi, distance) pairs, its general bound
+    # over m1 is the phase-error rate the chain's evaluations use
+    cfg = ChannelConfig(distance_km=30.0, det_eff=0.15, dark_prob=5e-7,
+                        e_mis=0.01, fluct_r=0.0, xi=0.147, atten_db_per_km=0.2)
+    params = ParamBatch.of([
+        ProtocolParams(p_z=p_z, p_ks=0.6, p_kd1=0.3, k_s=0.5, k_d1=0.1)
+        for p_z in (0.35, 0.5, 0.65, 0.8, 0.9)
+    ])
+    budget = EpsilonBudget.build(1e-10, 1e-15, "exact")
+    general, _, m1 = _phase_bounds(cfg, params, budget, 1e12)
+    feasible, res = evaluate_batch(cfg, params, budget, 1e12)
+    assert feasible.all() and (m1 > 0.0).all()
+    assert (np.minimum(general / m1, 1.0) == res.e_ph_u).all()
 
 
 def test_run_validation_aggregates():

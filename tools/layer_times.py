@@ -5,8 +5,10 @@ Prints one JSON object.  ``stages`` holds, per mode (``exact``: the
 settings, r = 0.05, at 20 km) and per batch (``poll``: the compass
 polish's first 20-point stencil; ``chunk``: 256 grid points; ``point``:
 a batch of one), the timeit-minimum microseconds of each stage of the
-chain on warm click tables, and of the whole batch (``total``: the
-parameters and ``evaluate_batch``).
+chain on warm click tables, in the forms stage 2 runs them
+(``cell_bounds`` and ``phase_error`` with the source's
+``lower_terms``), and of the whole batch (``total``: the parameters and
+``evaluate_batch``).
 ``cold_point_us`` is a library ``evaluate_rate`` call per mode at
 80 km with a fresh channel model, as the benchmark's point calls make.
 ``stage_two_us`` holds, per mode at its ``stages`` distance, the
@@ -44,7 +46,7 @@ from qkd_keyrate.config import RunConfig
 from qkd_keyrate.decoy import aggregate_bounds, cell_bounds
 from qkd_keyrate.key_length import key_length_batch, lambda_ec_batch
 from qkd_keyrate.optimize import SearchSpace, optimize_rate
-from qkd_keyrate.phase_error import n_ph_upper_batch, phase_weights
+from qkd_keyrate.phase_error import lower_terms, n_ph_upper_batch, phase_weights
 from qkd_keyrate.pipeline import (
     ProtocolParams,
     evaluate_batch,
@@ -102,9 +104,10 @@ def stage_times(run: RunConfig, distance: float, units, repeat: int) -> dict:
     m0, m1 = aggregate_bounds(counts, factors, budget, mode)
     z_ks = counts.z_by_k[:, 0]
     lam = lambda_ec_batch(z_ks, e_z, f_ec)
-    cells = cell_bounds(counts, factors, budget, mode)
     coeffs = source_coeffs(cfg.xi)
-    eph = n_ph_upper_batch(phase_weights(coeffs, p_z), cells, m1, budget)
+    terms, lower = lower_terms(coeffs)
+    cells = cell_bounds(counts, factors, budget, mode, lower)
+    eph = n_ph_upper_batch(phase_weights(coeffs, p_z), cells, m1, budget, terms)
 
     def total():
         evaluate_batch(cfg, space.params_batch(units), budget, n, mode, f_ec, model)
@@ -115,9 +118,9 @@ def stage_times(run: RunConfig, distance: float, units, repeat: int) -> dict:
         "expected_counts": lambda: model.expected_counts(prepared.layout, n),
         "aggregate_bounds": lambda: aggregate_bounds(counts, factors, budget, mode),
         "lambda_ec_batch": lambda: lambda_ec_batch(z_ks, e_z, f_ec),
-        "cell_bounds": lambda: cell_bounds(counts, factors, budget, mode),
+        "cell_bounds": lambda: cell_bounds(counts, factors, budget, mode, lower),
         "phase_error": lambda: n_ph_upper_batch(
-            phase_weights(coeffs, p_z), cells, m1, budget),
+            phase_weights(coeffs, p_z), cells, m1, budget, terms),
         "key_length_batch": lambda: key_length_batch(
             m0, m1, eph.e_ph_upper, lam, budget, n_total=n, e_z=e_z, z_ks_size=z_ks),
         "total": total,
