@@ -44,7 +44,6 @@ def _optimize(
         budget,
         cfg.n_total,
         strategy=cfg.strategy,
-        seed=cfg.seed,
         mode=cfg.bound_mode,
         f_ec=cfg.f_ec,
         grid_points=cfg.grid_points,

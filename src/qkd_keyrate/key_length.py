@@ -137,12 +137,6 @@ class KeyRateBatch(NamedTuple):
     z_ks_size: np.ndarray
     abort_reason: np.ndarray
 
-    @classmethod
-    def empty(cls) -> "KeyRateBatch":
-        """The results of no point."""
-        none = np.empty(0)
-        return cls(*(none,) * 8, abort_reason=np.empty(0, dtype=object))
-
     def result(self, i: int) -> KeyRateResult:
         """The KeyRateResult of point ``i``."""
         ell = int(self.ell[i])

@@ -231,7 +231,6 @@ def optimize_rate(
     n_total: float,
     space: SearchSpace | None = None,
     strategy: str = "grid+nm",
-    seed: int = 0,
     mode: str = "exact",
     f_ec: float = 1.16,
     grid_points: int = GRID_POINTS,
@@ -240,8 +239,7 @@ def optimize_rate(
 
     ``"grid"`` scores the grid alone; ``"grid+nm"`` (a name kept from
     the Nelder-Mead polish it once ran) then polishes the best grid
-    point with the compass search.  Both are deterministic:
-    ``seed`` is accepted for config compatibility and has no effect.
+    point with the compass search.  Both are deterministic.
     When nothing in the box extracts a key, the full result of the
     first feasible grid point (the grid centre only when the centre is
     feasible) is returned, with rate 0: the screen lets that point

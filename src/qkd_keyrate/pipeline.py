@@ -17,10 +17,11 @@ optimizer's grid picks the points whose ``key_length_bound``, the
 length at a zero phase-error rate, can beat a given rate.
 ``evaluate_batch`` evaluates many points at once and ``evaluate_rate``
 one point, a batch of one: both form each point's counts once, cells
-and all, and run both stages on every point.  The validation suites call the same batch functions.  The channel
-statistics default to the expected values of the system model;
-``evaluate_rate`` also takes a one-row ``CountsBatch`` from elsewhere,
-such as a ``ChannelModel.sample`` draw, in place of the expected counts.
+and all, and run both stages on every point.  The validation suites
+call the same batch functions.  The channel statistics default to the
+expected values of the system model; ``evaluate_rate`` also takes a
+one-row ``CountsBatch`` from elsewhere, such as a ``ChannelModel.sample``
+draw, in place of the expected counts.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .key_length import (
 )
 from .phase_error import lower_terms, n_ph_upper_batch, phase_weights, term_coeffs
 from .qubit_model import (
-    EncodingFlawModel,
     THETA_0X,
     THETA_0Z,
     THETA_1Z,
@@ -134,9 +134,8 @@ def source_coeffs(xi: float) -> np.ndarray:
     raises, and raises again on the next call: lru_cache stores only
     results.
     """
-    flaw = EncodingFlawModel(model_xi=xi)
     s0z, s1z, s0x = (
-        apply_filter(bloch_of_state(theta, flaw))
+        apply_filter(*bloch_of_state(theta, xi))
         for theta in (THETA_0Z, THETA_1Z, THETA_0X)
     )
     a_inv = build_transmission_matrix(s0z, s1z, s0x).a_inv

@@ -1,11 +1,13 @@
 """Single-photon source characterisation.
 
-Alice's three states (two Z-basis states and one X-basis state) are emitted
-with encoding flaws, so their single-photon parts are mixed qubits described
-by Bloch vectors.  A filter projection onto the X-Z plane of the Bloch
-sphere, an eigendecomposition of each filtered state, and the inversion of
-the transmission-rate matrix built from the three states provide everything
-the phase-error estimator needs.
+Alice's three states (two Z-basis states and one X-basis state) are
+emitted with the proportional encoding flaw delta = xi * theta / pi and
+balanced pulses, so their single-photon parts are pure qubits whose Bloch
+vectors lie in the X-Z plane.  The filter of the filtered protocol is the
+identity on that plane.  An eigendecomposition of each filtered state,
+which also takes the mixed states of a vector inside the unit disc, and
+the inversion of the transmission-rate matrix built from the three states
+provide everything the phase-error estimator needs.
 
 All amplitudes are real: filtered states live in the X-Z plane by
 construction, and the eigenvector convention fixes the |1_z> component to be
@@ -23,8 +25,6 @@ import numpy as np
 __all__ = [
     "DEGENERACY_THRESHOLD",
     "DegenerateStatesError",
-    "EncodingFlawModel",
-    "BlochVector",
     "FilteredQubit",
     "TransmissionMatrix",
     "bloch_of_state",
@@ -43,53 +43,6 @@ THETA_0X = math.pi / 2
 
 class DegenerateStatesError(ValueError):
     """The three filtered states are collinear in the X-Z plane."""
-
-
-@dataclass(frozen=True)
-class EncodingFlawModel:
-    """Distribution of the phase-encoding error angle.
-
-    Either a fixed list of point masses ``(delta, weight)`` independent of
-    the target angle, or the proportional model ``delta = xi * theta / pi``
-    (a single theta-dependent point mass).  Exactly one of the two must be
-    given.
-    """
-
-    point_masses: tuple[tuple[float, float], ...] = ()
-    model_xi: float | None = None
-
-    def __post_init__(self) -> None:
-        if (self.model_xi is None) == (len(self.point_masses) == 0):
-            raise ValueError("specify exactly one of point_masses or model_xi")
-        if self.point_masses:
-            total = sum(w for _, w in self.point_masses)
-            if any(w < 0 for _, w in self.point_masses):
-                raise ValueError("weights must be nonnegative")
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"weights must sum to 1, got {total!r}")
-
-    @classmethod
-    def exact(cls) -> "EncodingFlawModel":
-        """Flawless encoding (delta identically zero)."""
-        return cls(point_masses=((0.0, 1.0),))
-
-    def masses_at(self, theta_a: float) -> tuple[tuple[float, float], ...]:
-        """Point masses of the error angle for a state with angle theta_a."""
-        if self.model_xi is not None:
-            return ((self.model_xi * theta_a / math.pi, 1.0),)
-        return self.point_masses
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    v_x: float
-    v_y: float
-    v_z: float
-
-    def __post_init__(self) -> None:
-        norm2 = self.v_x**2 + self.v_y**2 + self.v_z**2
-        if norm2 > 1.0 + 1e-12:
-            raise ValueError(f"Bloch vector norm exceeds 1: |v|^2 = {norm2!r}")
 
 
 @dataclass(frozen=True)
@@ -129,23 +82,12 @@ class TransmissionMatrix:
     q: float
 
 
-def bloch_of_state(
-    theta_a: float, flaw: EncodingFlawModel, gamma: float = 1.0
-) -> BlochVector:
-    """Bloch vector of the single-photon part of the state with angle theta_a.
-
-    ``gamma`` is the amplitude ratio of the two interfering pulses; a
-    balanced source has gamma = 1, which puts the state in the X-Z plane.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    g2 = gamma * gamma
-    weight = 2.0 * gamma / (1.0 + g2)
-    v_z = v_x = 0.0
-    for delta, w in flaw.masses_at(theta_a):
-        v_z += w * math.cos(theta_a + delta)
-        v_x += w * math.sin(theta_a + delta)
-    return BlochVector(weight * v_x, (1.0 - g2) / (1.0 + g2), weight * v_z)
+def bloch_of_state(theta_a: float, xi: float) -> tuple[float, float]:
+    """In-plane Bloch vector ``(r_x, r_z)`` of the single-photon part of
+    the state with angle theta_a, encoded with the flaw
+    delta = xi * theta_a / pi."""
+    phi = theta_a + xi * theta_a / math.pi
+    return math.sin(phi), math.cos(phi)
 
 
 def _eigvec(c: float, r_x: float) -> tuple[float, float]:
@@ -160,17 +102,14 @@ def _eigvec(c: float, r_x: float) -> tuple[float, float]:
     return a, b
 
 
-def apply_filter(v: BlochVector) -> FilteredQubit:
-    """Project a Bloch vector onto the X-Z plane of the filtered protocol.
+def apply_filter(r_x: float, r_z: float) -> FilteredQubit:
+    """The filtered state of the in-plane Bloch vector ``(r_x, r_z)`` and
+    its eigendecomposition.
 
-    The filter succeeds with a Y-dependent probability, leaving the state
-    ``(I + r_x sigma_X + r_z sigma_Z)/2`` with ``r = (v_x, v_z)/sqrt(1-v_y^2)``.
-    Raises for ``|v_y|`` within 1e-12 of 1, where the filter is undefined.
+    The filter is the identity on the X-Z plane, so the state stays
+    ``(I + r_x sigma_X + r_z sigma_Z)/2``; a vector outside the unit disc
+    raises.
     """
-    if abs(v.v_y) >= 1.0 - 1e-12:
-        raise ValueError("filter undefined: |v_y| too close to 1")
-    f = 1.0 / math.sqrt(1.0 - v.v_y**2)
-    r_x, r_z = v.v_x * f, v.v_z * f
     r_norm = math.hypot(r_x, r_z)
     if r_norm > 1.0 + 1e-12:
         raise ValueError("filtered vector leaves the unit disc")

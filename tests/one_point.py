@@ -26,7 +26,6 @@ from qkd_keyrate.qubit_model import (
     THETA_0X,
     THETA_0Z,
     THETA_1Z,
-    EncodingFlawModel,
     apply_filter,
     bloch_of_state,
     build_transmission_matrix,
@@ -80,21 +79,27 @@ def cell(cells, a, y, b, y1):
     return CellBoundsBatch(*(part[:, i] for part in cells))
 
 
-def source_model(xi, p_z, gamma=1.0):
-    """The VirtualStateCoeffs of the proportional flaw model at (xi, p_z),
-    built without the library's memo; ``gamma`` is the amplitude ratio of
-    the two pulses, 1 for the balanced source the library builds."""
-    flaw = EncodingFlawModel(model_xi=xi) if xi != 0.0 else EncodingFlawModel.exact()
-    s0z, s1z, s0x = (apply_filter(bloch_of_state(theta, flaw, gamma))
-                     for theta in (THETA_0Z, THETA_1Z, THETA_0X))
+def filtered_states(xi, norm=1.0):
+    """The filtered Z0, Z1 and X0 states of the proportional flaw model at
+    xi, each Bloch vector scaled by ``norm``.  At 1 they are the pure
+    states the library builds; cos(d) gives the equal mixture of the flaw
+    angles delta - d and delta + d, whose states are mixed."""
+    return [apply_filter(*(norm * r for r in bloch_of_state(theta, xi)))
+            for theta in (THETA_0Z, THETA_1Z, THETA_0X)]
+
+
+def source_model(xi, p_z, norm=1.0):
+    """The VirtualStateCoeffs of the ``filtered_states`` at (xi, norm) and
+    p_z, built without the library's memo."""
+    s0z, s1z, s0x = filtered_states(xi, norm)
     a_inv = build_transmission_matrix(s0z, s1z, s0x).a_inv
     return virtual_state_coeffs(s0z, s1z, a_inv, p_z)
 
 
-def phase_bound(xi, p_z, cells, m1, budget, gamma=1.0):
+def phase_bound(xi, p_z, cells, m1, budget, norm=1.0):
     """The phase-error bound of one point with the ``source_model`` at
-    (xi, p_z, gamma)."""
-    qm = source_model(xi, p_z, gamma)
+    (xi, p_z, norm)."""
+    qm = source_model(xi, p_z, norm)
     weights = phase_weights(term_coeffs(qm.c, qm.w), one(p_z))
     return phase_by_sign(weights, cells, m1, budget)
 

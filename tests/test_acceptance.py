@@ -22,18 +22,10 @@ from qkd_keyrate.cli import run_sweep
 from qkd_keyrate.config import parse_config, with_overrides
 from qkd_keyrate.optimize import optimize_rate
 from qkd_keyrate.pipeline import ProtocolParams, evaluate_rate
-from qkd_keyrate.qubit_model import (
-    EncodingFlawModel,
-    THETA_0X,
-    THETA_0Z,
-    THETA_1Z,
-    apply_filter,
-    bloch_of_state,
-    build_transmission_matrix,
-)
+from qkd_keyrate.qubit_model import build_transmission_matrix
 from qkd_keyrate.validate import coverage_suite, crosscheck_suite, sandwich_suite
 
-from one_point import bound, key_length, phase
+from one_point import bound, filtered_states, key_length, phase
 from virtual_states import virtual_state_coeffs
 
 SWEEP_TEMPLATE = """\
@@ -189,7 +181,7 @@ def asymptotic_crossing(r, mode):
     def rate_at(d):
         cfg = ChannelConfig(distance_km=float(d), det_eff=0.15,
                             dark_prob=5e-7, e_mis=0.01, fluct_r=r, xi=0.147)
-        out = optimize_rate(cfg, None, 1e12, mode=mode, seed=0, grid_points=4)
+        out = optimize_rate(cfg, None, 1e12, mode=mode, grid_points=4)
         return out.best.rate
 
     d, prev = 170.0, None
@@ -248,12 +240,6 @@ def test_a7_decoy_sandwich():
         assert point["violations"] == [], point
 
 
-def filtered_states(xi):
-    flaw = EncodingFlawModel(model_xi=xi) if xi else EncodingFlawModel.exact()
-    return [apply_filter(bloch_of_state(t, flaw))
-            for t in (THETA_0Z, THETA_1Z, THETA_0X)]
-
-
 def test_a8_algebraic_batteries():
     eye = np.eye(3)
     for xi in (0.0, 0.05, 0.147, 0.3):
@@ -309,6 +295,6 @@ def test_a8_optimized_rate_monotone(sweep_flawed):
         cfg = ChannelConfig(distance_km=50.0, det_eff=0.15, dark_prob=5e-7,
                             e_mis=0.01, fluct_r=0.0, xi=0.147)
         bud = EpsilonBudget.build(1e-10, 1e-15, "exact")
-        return optimize_rate(cfg, bud, n_total, seed=0, grid_points=3).best.rate
+        return optimize_rate(cfg, bud, n_total, grid_points=3).best.rate
 
     assert best(1e11) < best(1e12)

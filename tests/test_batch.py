@@ -247,7 +247,7 @@ def test_optimizer_golden(mode):
     gold = GOLDEN[mode]
     out = optimize_rate(channel(60.0, gold["r"]),
                         EpsilonBudget.build(1e-10, 1e-15, mode), gold["n_total"],
-                        seed=0, grid_points=3, mode=mode)
+                        grid_points=3, mode=mode)
     assert out.best_params == ProtocolParams(*gold["params"])
     assert_same(out.best, KeyRateResult(**gold["best"]))
     assert out.evaluations == gold["evaluations"]

@@ -82,21 +82,8 @@ def test_deterministic():
     assert a.trace == b.trace
 
 
-def test_seed_has_no_effect():
-    runs = [
-        optimize_rate(channel(), budget(), 1e12, seed=s, grid_points=3)
-        for s in (0, 1, 2)
-    ]
-    assert runs[0].best.rate > 0.0
-    for other in runs[1:]:
-        assert other.best == runs[0].best
-        assert other.best_params == runs[0].best_params
-        assert other.evaluations == runs[0].evaluations
-        assert other.trace == runs[0].trace
-
-
 def test_trace_is_strictly_improving():
-    out = optimize_rate(channel(), budget(), 1e12, seed=0, grid_points=3)
+    out = optimize_rate(channel(), budget(), 1e12, grid_points=3)
     rates = [r for _, r in out.trace]
     assert all(b > a for a, b in zip(rates, rates[1:]))
     assert rates[-1] == out.best.rate
@@ -104,16 +91,15 @@ def test_trace_is_strictly_improving():
 
 
 def test_best_point_reproduces():
-    out = optimize_rate(channel(), budget(), 1e12, seed=0, grid_points=3)
+    out = optimize_rate(channel(), budget(), 1e12, grid_points=3)
     redone = evaluate_rate(channel(), out.best_params, budget(), 1e12)
     assert redone == out.best
 
 
 def test_polish_refinement_helps():
-    grid = optimize_rate(channel(), budget(), 1e12, strategy="grid",
-                         seed=0, grid_points=3)
+    grid = optimize_rate(channel(), budget(), 1e12, strategy="grid", grid_points=3)
     refined = optimize_rate(channel(), budget(), 1e12, strategy="grid+nm",
-                            seed=0, grid_points=3)
+                            grid_points=3)
     assert refined.best.rate >= grid.best.rate
     assert refined.evaluations > grid.evaluations
 
@@ -168,8 +154,7 @@ def test_phases_report_their_cost():
 
 
 def test_hopeless_link_reports_zero():
-    out = optimize_rate(channel(dist=250.0), budget(), 1e9,
-                        seed=0, grid_points=3)
+    out = optimize_rate(channel(dist=250.0), budget(), 1e9, grid_points=3)
     assert isinstance(out, OptimizationResult)
     assert out.best.rate == 0.0
     assert out.best.aborted

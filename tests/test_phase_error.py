@@ -162,14 +162,15 @@ def per_source_weights(qm):
 
 
 @pytest.mark.parametrize("xi", [0.0, 0.147, 1.0, 1.5])
-@pytest.mark.parametrize("gamma", [1.0, 0.9])
-def test_weights_match_per_source_algebra(xi, gamma):
+@pytest.mark.parametrize("norm", [1.0, 0.9])
+def test_weights_match_per_source_algebra(xi, norm):
+    # norm 0.9 mixes the states, so both eigenvalue weights enter
     p_z = np.array([1e-3, 0.3, 0.5, 0.95, 0.999])
-    qm = source_model(xi, 0.5, gamma)
+    qm = source_model(xi, 0.5, norm)
     weights = phase_weights(term_coeffs(qm.c, qm.w), p_z)
     assert weights.shape == (len(p_z), 6)
     for row, pz in zip(weights.tolist(), p_z.tolist()):
-        ref = per_source_weights(source_model(xi, pz, gamma))
+        ref = per_source_weights(source_model(xi, pz, norm))
         for a, b in zip(row, ref):
             assert a == b or abs(a - b) <= 1e-15 * abs(b), (pz, a, b)
 
@@ -202,11 +203,13 @@ def test_error_rate_clamped_to_one():
 
 
 def test_unbalanced_source_still_bounded():
-    # gamma != 1 leaves the closed form's domain but the general path
-    # must still produce a sane bound
+    # mixed states (Bloch vectors of norm 0.9) leave the closed form's
+    # pure states, but the general path must still produce a sane bound.
+    # Unbalanced pulses (gamma = 0.9) never left them: after the filter
+    # their states were bit-equal to the balanced ones.
     budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
     cells, m1 = build_stats(0.147, 0.5, 50.0, budget)
-    bound = phase_bound(0.147, 0.5, cells, m1, budget, gamma=0.9)
+    bound = phase_bound(0.147, 0.5, cells, m1, budget, norm=0.9)
     assert bound.n_ph_upper >= 0.0
     assert 0.0 <= bound.e_ph_upper <= 1.0
 

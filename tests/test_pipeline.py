@@ -1,6 +1,7 @@
 """End-to-end checks of the single-point evaluation chain."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -290,6 +291,18 @@ def test_cached_source_model_matches_uncached():
         qm = source_model(xi, 0.5)
         want = term_coeffs(qm.c, qm.w)
         assert got.dtype == want.dtype and (got == want).all(), xi
+
+
+# sha256 of the concatenated source_coeffs(xi).tobytes() over
+# SOURCE_PIN_XI, recorded before qubit_model was reduced to the in-plane
+# source: the reduction must not move a bit
+SOURCE_PIN_XI = (0.0, 0.03675, 0.0735, 0.11025, 0.147, 0.3, 1.0)
+SOURCE_PIN = "1b6260a67a4b5486ca0694a67672852d226a6261d732ec7ddbfb2c1c4dda26d6"
+
+
+def test_source_coeffs_bytes_are_pinned():
+    data = b"".join(source_coeffs(xi).tobytes() for xi in SOURCE_PIN_XI)
+    assert hashlib.sha256(data).hexdigest() == SOURCE_PIN
 
 
 def test_source_model_is_memoized_read_only():

@@ -13,109 +13,58 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkd_keyrate.qubit_model import (
-    THETA_0X,
-    THETA_0Z,
-    THETA_1Z,
-    BlochVector,
     DegenerateStatesError,
-    EncodingFlawModel,
     apply_filter,
     bloch_of_state,
     build_transmission_matrix,
 )
 
+from one_point import filtered_states
 from virtual_states import virtual_state_coeffs
 
 XI = 0.147
 COS_HALF_XI = 0.99730009079375857
 SIN_HALF_XI = 0.073433840310587802
-GAMMA_V04 = 0.81649658092772603  # sqrt(0.4/0.6)
-VZ_V04 = 0.97979589711327124  # 2 gamma / (1 + gamma^2)
-
-
-def _filtered_three(xi, gamma=1.0):
-    flaw = EncodingFlawModel(model_xi=xi)
-    return tuple(
-        apply_filter(bloch_of_state(theta, flaw, gamma))
-        for theta in (THETA_0Z, THETA_1Z, THETA_0X)
-    )
 
 
 def test_bloch_ideal_z_state():
-    v = bloch_of_state(0.0, EncodingFlawModel.exact(), 1.0)
-    assert (v.v_x, v.v_y, v.v_z) == (0.0, 0.0, 1.0)
+    assert bloch_of_state(0.0, 0.0) == (0.0, 1.0)
 
 
 def test_bloch_flawed_x_state():
-    v = bloch_of_state(math.pi / 2, EncodingFlawModel(model_xi=XI), 1.0)
-    assert v.v_x == pytest.approx(COS_HALF_XI, rel=1e-12)
-    assert v.v_z == pytest.approx(-SIN_HALF_XI, rel=1e-12)
-    assert v.v_y == 0.0
-
-
-def test_bloch_unbalanced_interferometer():
-    v = bloch_of_state(0.0, EncodingFlawModel.exact(), GAMMA_V04)
-    assert v.v_y == pytest.approx(0.2, rel=1e-12)
-    assert v.v_z == pytest.approx(VZ_V04, rel=1e-12)
-    assert v.v_x == 0.0
-
-
-def test_flaw_model_validation():
-    with pytest.raises(ValueError):
-        EncodingFlawModel()  # neither variant specified
-    with pytest.raises(ValueError):
-        EncodingFlawModel(point_masses=((0.0, 0.5),))  # weights do not sum to 1
-    with pytest.raises(ValueError):
-        EncodingFlawModel(point_masses=((0.0, 1.5), (0.1, -0.5)))
-    m = EncodingFlawModel(point_masses=((0.1, 0.25), (0.2, 0.75)))
-    assert m.masses_at(1.0) == ((0.1, 0.25), (0.2, 0.75))
+    v_x, v_z = bloch_of_state(math.pi / 2, XI)
+    assert v_x == pytest.approx(COS_HALF_XI, rel=1e-12)
+    assert v_z == pytest.approx(-SIN_HALF_XI, rel=1e-12)
 
 
 def test_filter_pure_z_state():
-    s = apply_filter(BlochVector(0.0, 0.0, 1.0))
+    s = apply_filter(0.0, 1.0)
     assert (s.r_x, s.r_z) == (0.0, 1.0)
     assert (s.p0, s.p1) == (0.0, 1.0)
     assert (s.a1, s.b1) == (1.0, 0.0)  # dominant eigenvector is |0_z>
     assert (s.a0, s.b0) == (0.0, 1.0)
 
 
-def test_filter_scale_factor():
-    s = apply_filter(BlochVector(0.3, 0.6, 0.4))
-    assert s.r_x == pytest.approx(0.3 * 1.25, rel=1e-12)
-    assert s.r_z == pytest.approx(0.4 * 1.25, rel=1e-12)
-
-
 def test_filter_maximally_mixed_convention():
-    s = apply_filter(BlochVector(0.0, 0.0, 0.0))
+    s = apply_filter(0.0, 0.0)
     assert s.p0 == s.p1 == 0.5
     assert (s.a0, s.b0, s.a1, s.b1) == (1.0, 0.0, 0.0, 1.0)
 
 
-def test_filter_singularity():
-    with pytest.raises(ValueError):
-        apply_filter(BlochVector(0.0, 1.0 - 1e-13, 0.0))
-
-
 def test_filter_negative_rz_branch():
-    s = apply_filter(BlochVector(0.0, 0.0, -1.0))
+    s = apply_filter(0.0, -1.0)
     assert (s.a0, s.b0) == (1.0, 0.0)  # |i_z>
     assert (s.a1, s.b1) == (0.0, 1.0)
 
 
-@st.composite
-def bloch_vectors(draw):
-    v = draw(
-        st.tuples(
-            st.floats(-1, 1), st.floats(-0.9, 0.9), st.floats(-1, 1)
-        ).filter(lambda t: t[0] ** 2 + t[1] ** 2 + t[2] ** 2 <= 0.999)
+@given(
+    v=st.tuples(st.floats(-1, 1), st.floats(-1, 1)).filter(
+        lambda t: t[0] ** 2 + t[1] ** 2 <= 0.999
     )
-    return BlochVector(*v)
-
-
-@given(v=bloch_vectors())
+)
 @settings(max_examples=200, deadline=None)
 def test_filter_reconstruction(v):
-    s = apply_filter(v)
+    s = apply_filter(*v)
     rho = np.zeros((2, 2))
     for p, a, b in ((s.p0, s.a0, s.b0), (s.p1, s.a1, s.b1)):
         vec = np.array([a, b])
@@ -131,15 +80,15 @@ def test_filter_reconstruction(v):
 def test_filter_idempotent_in_plane(v_x, v_z):
     if v_x**2 + v_z**2 > 1.0:
         return
-    s = apply_filter(BlochVector(v_x, 0.0, v_z))
+    s = apply_filter(v_x, v_z)
     assert s.r_x == v_x
     assert s.r_z == v_z
 
 
 def test_transmission_matrix_ideal_states():
-    s0z = apply_filter(BlochVector(0.0, 0.0, 1.0))
-    s1z = apply_filter(BlochVector(0.0, 0.0, -1.0))
-    s0x = apply_filter(BlochVector(1.0, 0.0, 0.0))
+    s0z = apply_filter(0.0, 1.0)
+    s1z = apply_filter(0.0, -1.0)
+    s0x = apply_filter(1.0, 0.0)
     tm = build_transmission_matrix(s0z, s1z, s0x)
     assert tm.q == pytest.approx(2.0)
     assert np.allclose(tm.a_inv[0], [1.0, 1.0, 0.0], atol=1e-12)
@@ -147,8 +96,8 @@ def test_transmission_matrix_ideal_states():
 
 
 def test_transmission_matrix_degeneracy():
-    s = apply_filter(BlochVector(0.0, 0.0, 1.0))
-    s0x = apply_filter(BlochVector(1.0, 0.0, 0.0))
+    s = apply_filter(0.0, 1.0)
+    s0x = apply_filter(1.0, 0.0)
     with pytest.raises(DegenerateStatesError):
         build_transmission_matrix(s, s, s0x)
 
@@ -160,7 +109,7 @@ def test_closed_form_inverse_third_row_correction():
     # entry into the last position; this test documents that the duplicated
     # variant disagrees with the numeric inverse while the corrected one
     # matches, which is why the implementation inverts numerically.
-    s0z, s1z, s0x = _filtered_three(XI)
+    s0z, s1z, s0x = filtered_states(XI)
     tm = build_transmission_matrix(s0z, s1z, s0x)
     corrected = (
         np.array(
@@ -199,7 +148,7 @@ def test_closed_form_inverse_third_row_correction():
 def test_matrix_relation_round_trip(tx, ty, tz):
     # synthesize Pauli transmission rates, push them through A, and recover
     # them through the inverse
-    s0z, s1z, s0x = _filtered_three(XI)
+    s0z, s1z, s0x = filtered_states(XI)
     tm = build_transmission_matrix(s0z, s1z, s0x)
     pauli = np.array([tx, ty, tz])
     rates = tm.a @ pauli
@@ -207,7 +156,7 @@ def test_matrix_relation_round_trip(tx, ty, tz):
 
 
 def test_virtual_probs_sum_to_one():
-    s0z, s1z, s0x = _filtered_three(XI)
+    s0z, s1z, s0x = filtered_states(XI)
     tm = build_transmission_matrix(s0z, s1z, s0x)
     for p_z in (0.1, 0.5, 0.66, 0.9, 0.99):
         vc = virtual_state_coeffs(s0z, s1z, tm.a_inv, p_z)
@@ -215,7 +164,7 @@ def test_virtual_probs_sum_to_one():
 
 
 def test_virtual_probs_ideal_states():
-    s0z, s1z, s0x = _filtered_three(0.0)
+    s0z, s1z, s0x = filtered_states(0.0)
     tm = build_transmission_matrix(s0z, s1z, s0x)
     vc = virtual_state_coeffs(s0z, s1z, tm.a_inv, 0.8)
     assert vc.overlap == pytest.approx(0.0, abs=1e-14)
@@ -224,7 +173,7 @@ def test_virtual_probs_ideal_states():
 
 
 def test_virtual_outcome_weights():
-    s0z, s1z, s0x = _filtered_three(XI)
+    s0z, s1z, s0x = filtered_states(XI)
     tm = build_transmission_matrix(s0z, s1z, s0x)
     vc = virtual_state_coeffs(s0z, s1z, tm.a_inv, 0.9)
     assert vc.q[3] == pytest.approx(0.9 * 0.1 / 2.0, rel=1e-12)
@@ -240,7 +189,7 @@ def test_coefficient_table_flawed_symmetric_source():
     #   C[0] = ((s-1)/(1+s), (s-1)/(1+s), (2+2s^2)/(1+s))
     #   C[1] = (-1, -1, 2(1-s))
     s, c = SIN_HALF_XI, COS_HALF_XI
-    s0z, s1z, s0x = _filtered_three(XI)
+    s0z, s1z, s0x = filtered_states(XI)
     tm = build_transmission_matrix(s0z, s1z, s0x)
     vc = virtual_state_coeffs(s0z, s1z, tm.a_inv, 0.9)
     assert vc.overlap == pytest.approx(-s, rel=1e-12)
@@ -256,17 +205,15 @@ def test_coefficient_table_flawed_symmetric_source():
 def test_eigenvalue_weights():
     # balanced source: each Z state is pure after filtering, so one
     # eigenvalue is 0 and the geometric-mean weights are (0, 1)
-    s0z, s1z, s0x = _filtered_three(XI)
+    s0z, s1z, s0x = filtered_states(XI)
     tm = build_transmission_matrix(s0z, s1z, s0x)
     vc = virtual_state_coeffs(s0z, s1z, tm.a_inv, 0.9)
     assert vc.w[0] == pytest.approx(0.0, abs=1e-12)
     assert vc.w[1] == pytest.approx(1.0, rel=1e-12)
-    # a flaw-angle mixture leaves the filtered states mixed, so both
-    # weights are strictly inside (0, 1)
-    flaw = EncodingFlawModel(point_masses=((-0.2, 0.5), (0.2, 0.5)))
-    f0 = apply_filter(bloch_of_state(THETA_0Z, flaw))
-    f1 = apply_filter(bloch_of_state(THETA_1Z, flaw))
-    fx = apply_filter(bloch_of_state(THETA_0X, flaw))
+    # the equal mixture of flaw angles -0.2 and 0.2 about each nominal
+    # angle, one Bloch vector of norm cos 0.2, leaves the filtered states
+    # mixed, so both weights are strictly inside (0, 1)
+    f0, f1, fx = filtered_states(0.0, math.cos(0.2))
     tm = build_transmission_matrix(f0, f1, fx)
     vc = virtual_state_coeffs(f0, f1, tm.a_inv, 0.9)
     assert vc.w[0] == pytest.approx(math.sqrt(f0.p0 * f1.p0), rel=1e-12)
