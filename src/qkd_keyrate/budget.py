@@ -1,13 +1,16 @@
 """Failure-probability bookkeeping for the composable security claim.
 
-The secrecy parameter splits as eps_sec = eps_c + eps_s, and the smoothing
-slice eta = eps_s^2 / 2 is divided equally over a static list of named
-allocations that depends only on the intensity-control mode, keeping the
-deviation terms independent of the observed data.  Each statistical
-estimate takes its deviation from its own allocation; the key length
-charges the whole committed eta once, in the secrecy log term
-log2(2/(eps_s^2 - eta)) = log2(4/eps_s^2), whichever estimates a run
-ends up using.
+A budget is the value of (eps_sec, eps_c, mode), and everything else is
+derived from it: the secrecy parameter splits as eps_sec = eps_c + eps_s,
+and the smoothing slice eta = eps_s^2 / 2 is divided equally over a
+static list of named allocations that depends only on the
+intensity-control mode, keeping the deviation terms independent of the
+observed data.  Each statistical estimate is charged to its own named
+allocation, and since the split is equal, every estimate takes its
+deviation from the one ln(1/eps) that ``EpsilonBudget.log_inv`` returns.
+The key length charges the whole committed eta once, in the secrecy log
+term log2(2/(eps_s^2 - eta)) = log2(4/eps_s^2), whichever estimates a
+run ends up using.
 
 Allocation names:
 
@@ -27,10 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping
-
-import numpy as np
 
 __all__ = ["CELL_IDS", "EpsilonBudget", "allocation_names"]
 
@@ -79,53 +78,40 @@ def allocation_names(mode: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class EpsilonBudget:
-    """Frozen epsilon split for one key-rate evaluation."""
+    """Frozen epsilon split for one key-rate evaluation: eps_s = eps_sec -
+    eps_c, eta = eps_s^2 / 2 and the equal share eta / n of each of the
+    n ``allocation_names(mode)``, all derived from the three fields."""
 
     eps_sec: float
     eps_c: float
-    eps_s: float
-    eta: float
-    allocations: Mapping[str, float] = field(repr=False)
+    mode: str
+    eps_s: float = field(init=False)
+    eta: float = field(init=False)
+    _names: frozenset = field(init=False, repr=False, compare=False)
+    _share: float = field(init=False, repr=False, compare=False)
     _tables: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
+        names = allocation_names(self.mode)
         if not (0.0 < self.eps_c < self.eps_sec):
             raise ValueError("need 0 < eps_c < eps_sec")
-        if abs(self.eps_s - (self.eps_sec - self.eps_c)) > 1e-30:
-            raise ValueError("eps_s must equal eps_sec - eps_c")
-        if not (0.0 < self.eta < self.eps_s**2):
+        eps_s = self.eps_sec - self.eps_c
+        eta = 0.5 * eps_s * eps_s
+        if not (0.0 < eta < eps_s**2):
             raise ValueError(
                 "eta must lie strictly between 0 and eps_s^2; "
-                f"got eta={self.eta!r}, eps_s^2={self.eps_s**2!r}"
+                f"got eta={eta!r}, eps_s^2={eps_s**2!r}"
             )
-        total = sum(self.allocations.values())
-        if abs(total - self.eta) > 1e-9 * self.eta:
-            raise ValueError("allocations must sum to eta")
-
-    @classmethod
-    def build(cls, eps_sec: float, eps_c: float, mode: str) -> "EpsilonBudget":
-        """Equal split of eta = eps_s^2 / 2 over the static names."""
-        eps_s = eps_sec - eps_c
-        if eps_s <= 0:
-            raise ValueError("eps_sec must exceed eps_c")
-        names = allocation_names(mode)
-        eta = 0.5 * eps_s * eps_s
-        return cls(
-            eps_sec=eps_sec,
-            eps_c=eps_c,
-            eps_s=eps_s,
-            eta=eta,
-            allocations=MappingProxyType({name: eta / len(names) for name in names}),
-        )
-
-    def __reduce__(self):
-        # a mappingproxy does not pickle, so a sweep's worker processes
-        # receive the allocations as a dict; the log_inv memo is not sent
-        return _restore, (
-            self.eps_sec, self.eps_c, self.eps_s, self.eta, dict(self.allocations)
-        )
+        share = eta / len(names)
+        # a subnormal share may round away more than a rounding error of
+        # eta: then the shares would not add up to the eta charged
+        if abs(share * len(names) - eta) > 1e-9 * eta:
+            raise ValueError(f"the equal split of eta={eta!r} underflows")
+        for name, value in (("eps_s", eps_s), ("eta", eta),
+                            ("_names", frozenset(names)), ("_share", share)):
+            object.__setattr__(self, name, value)
 
     @property
     def log_terms(self) -> float:
@@ -135,19 +121,16 @@ class EpsilonBudget:
 
     def alloc(self, name: str) -> float:
         """Allocation for ``name``; unknown names are a programming error."""
-        return self.allocations[name]
+        if name not in self._names:
+            raise KeyError(name)
+        return self._share
 
-    def log_inv(self, names: tuple[str, ...]) -> np.ndarray:
-        """ln(1/eps) of the allocations of ``names``, as an array.
-
-        Memoized per name tuple, since the batch estimators ask for the
-        same tuples at every evaluation.
-        """
-        table = self._tables.get(names)
-        if table is None:
-            table = np.array([-math.log(self.alloc(name)) for name in names])
-            self._tables[names] = table
-        return table
+    def log_inv(self, names: tuple[str, ...]) -> float:
+        """ln(1/eps) of the allocations of ``names``, one float, since the
+        split is equal; an unknown name raises KeyError.  Memoized per
+        name tuple, since the estimators ask for the same tuples at every
+        evaluation."""
+        return self.memo(_log_inv, names)
 
     def memo(self, build, *args):
         """``build(self, *args)`` for a module-level ``build`` and hashable
@@ -160,6 +143,8 @@ class EpsilonBudget:
         return value
 
 
-def _restore(eps_sec, eps_c, eps_s, eta, allocations) -> EpsilonBudget:
-    """An unpickled EpsilonBudget, with read-only allocations again."""
-    return EpsilonBudget(eps_sec, eps_c, eps_s, eta, MappingProxyType(allocations))
+def _log_inv(budget: EpsilonBudget, names: tuple[str, ...]) -> float:
+    """``budget.log_inv(names)``, formed once per budget and name tuple."""
+    for name in names:
+        budget.alloc(name)
+    return -math.log(budget._share)

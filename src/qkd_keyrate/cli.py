@@ -121,7 +121,6 @@ def _cmd_sweep(args) -> int:
     cfg = with_overrides(
         cfg,
         asymptotic=True if args.asymptotic else None,
-        seed=args.seed,
         output=args.out,
     )
     rows = run_sweep(cfg)
@@ -192,9 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--asymptotic", action="store_true",
         help="drop all statistical deviations",
-    )
-    p_sweep.add_argument(
-        "--seed", type=int, help="optimizer seed override (accepted, no effect)"
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 

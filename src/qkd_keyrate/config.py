@@ -97,6 +97,13 @@ class RunConfig:
             raise ConfigError(
                 "run.mode = fluctuating requires source.fluct_r > 0"
             )
+        # the channel would integrate the fluctuation that the exact
+        # bounds assume away
+        if self.mode == "exact" and self.fluct_r > 0.0:
+            raise ConfigError(
+                "run.mode = exact requires source.fluct_r = 0, got "
+                f"{self.fluct_r!r}; set run.mode = fluctuating to bound it"
+            )
         if not 0.0 < self.det_eff <= 1.0:
             raise ConfigError(
                 f"channel.det_eff must lie in (0, 1], got {self.det_eff!r}"
@@ -149,7 +156,7 @@ class RunConfig:
         if self.workers < 0:
             raise ConfigError(f"optimizer.workers must be >= 0, got {self.workers!r}")
         try:
-            EpsilonBudget.build(self.eps_sec, self.eps_c, self.bound_mode)
+            EpsilonBudget(self.eps_sec, self.eps_c, self.bound_mode)
         except ValueError as exc:
             eps_s = self.eps_sec - self.eps_c
             raise ConfigError(
@@ -187,7 +194,7 @@ class RunConfig:
         """Epsilon allocation, or None when running asymptotically."""
         if self.asymptotic:
             return None
-        return EpsilonBudget.build(self.eps_sec, self.eps_c, self.bound_mode)
+        return EpsilonBudget(self.eps_sec, self.eps_c, self.bound_mode)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

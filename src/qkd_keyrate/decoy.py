@@ -242,10 +242,10 @@ def decoy_factors(lo: np.ndarray, hi: np.ndarray, prob: np.ndarray) -> np.ndarra
     ])[:, :, None]
 
 
-def _aggregate_terms(budget: EpsilonBudget) -> tuple[np.ndarray, np.ndarray]:
-    """The aggregate's five estimates' ln(1/eps) and their
-    ``mult_chernoff_scale``, (5, 1, 1) columns formed once per budget."""
-    log_inv = budget.log_inv(_NAMES).reshape(5, 17)[:, :1, None].copy()
+def _aggregate_terms(budget: EpsilonBudget) -> tuple[float, np.ndarray]:
+    """The estimates' ln(1/eps) and the aggregate's five estimates'
+    ``mult_chernoff_scale``, a (5, 1, 1) column, formed once per budget."""
+    log_inv = budget.log_inv(_NAMES)
     return log_inv, mult_chernoff_scale(log_inv, _ABOVE[:, None])
 
 
@@ -289,17 +289,12 @@ def _cell_columns(lower: tuple[int, ...]) -> _Columns:
 
 def _cell_terms(
     budget: EpsilonBudget, lower: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of ``_cell_columns(lower)``, its ln(1/eps) and its
-    ``mult_chernoff_scale``, (C,) arrays formed once per budget; the
-    ln(1/eps) as one element where every column's is the same, as an
-    equal split makes it, so that the deviations run in one inner loop."""
-    _, cell, est, *_ = _cell_columns(lower)
-    log_inv = budget.log_inv(_NAMES).reshape(5, 17)[est, cell + 1]
-    scale = mult_chernoff_scale(log_inv, _ABOVE[est, 0])
-    if (log_inv == log_inv[0]).all():
-        log_inv = log_inv[:1].copy()
-    return log_inv, scale
+) -> tuple[float, np.ndarray]:
+    """The estimates' ln(1/eps) and, per column of
+    ``_cell_columns(lower)``, its ``mult_chernoff_scale``, a (C,) array
+    formed once per budget."""
+    log_inv = budget.log_inv(_NAMES)
+    return log_inv, mult_chernoff_scale(log_inv, _ABOVE[_cell_columns(lower).est, 0])
 
 
 def _mean_estimates(
@@ -307,10 +302,11 @@ def _mean_estimates(
     size: np.ndarray | None, terms: tuple, lower: tuple, upper: tuple,
 ) -> np.ndarray:
     """The mean estimates of the ``observed`` counts, element by element
-    against ``size``, which broadcasts with them: the part ``lower`` (an
-    index into ``observed``) bounds the mean from below, the part
-    ``upper`` from above.  ``budget.memo(*terms)`` gives the elements'
-    ln(1/eps) and ``mult_chernoff_scale``, which broadcast with them too.
+    against ``size``, which has their shape in fluct mode and broadcasts
+    to it in exact mode: the part ``lower`` (an index into ``observed``)
+    bounds the mean from below, the part ``upper`` from above.
+    ``budget.memo(*terms)`` gives the estimates' ln(1/eps) and the
+    elements' ``mult_chernoff_scale``, which broadcasts with them too.
     Without a budget the estimates are the counts, and ``size`` is not
     read.
 
@@ -385,9 +381,9 @@ def aggregate_bounds(
     ``factors`` is ``decoy_factors`` of the points' intensities.
     """
     _check_mode(mode)
-    # (5, B, 1): the counts behind each estimate
+    # (5, B, 1): the counts behind each estimate, and their population
     observed = counts.z_by_k.T[_ROWS, :, None]
-    size = (counts.z_tot if mode == "exact" else counts.n_z)[:, None]
+    size = (counts.z_tot if mode == "exact" else counts.n_z)[None, :, None].repeat(5, 0)
     est = _mean_estimates(
         mode, budget, observed, size, _AGGREGATE_TERMS, *_AGGREGATE_SPLIT
     )

@@ -9,9 +9,10 @@ martingale deviation over N_1.  N_1 is not the number of signal
 single-photon emissions: it is the sum of the per-cell ``upper1``
 bounds, an upper bound on the detected signal-intensity single-photon
 events summed over the sixteen (sender state, receiver outcome) cells.
-Each deviation takes its own ``ph.az`` allocation.  N_1 rests on the
-mean estimates of all sixteen cells, so no per-estimate failure sum is
-kept: the key length charges the budget's whole eta once.
+Each deviation is charged to its own ``ph.az`` allocation; the split is
+equal, so one Azuma deviation over N_1 serves every term and tail.  N_1
+rests on the mean estimates of all sixteen cells, so no per-estimate
+failure sum is kept: the key length charges the budget's whole eta once.
 
 Two implementations are provided: ``n_ph_upper_batch``, the general path,
 and ``n_ph_appendixE``, the closed form valid for the proportional flaw
@@ -25,7 +26,6 @@ closed form in p_z.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -71,8 +71,6 @@ _DEV_NAMES = (
     *(f"ph.az.{s ^ 1}.{omega}" for s, omega in _TERMS),
     *(f"ph.az.{s ^ 1}.{s + 1}" for s in (0, 1)),
 )
-# no budget, no deviations: zeros for the longest list of _deviations
-_NO_DEV = np.zeros((1, 8 + len(_TERMS)))
 
 
 def term_coeffs(c: np.ndarray, w: tuple[float, float]) -> np.ndarray:
@@ -118,15 +116,6 @@ def lower_terms(coeffs: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(terms.tolist()), tuple(_TERM_CELLS[terms].tolist())
 
 
-@functools.lru_cache(maxsize=16)
-def _deviations(terms: tuple[int, ...]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The allocation names of ``n_ph_upper_batch``'s deviations with
-    the lower terms ``terms``: the terms', the two tails', then the lower
-    terms' again, so that one Azuma call forms them in the order they
-    are read; and ``terms`` as an index array."""
-    return _DEV_NAMES + tuple(_DEV_NAMES[k] for k in terms), np.array(terms, dtype=int)
-
-
 def n_ph_upper_batch(
     weights: np.ndarray,
     cells: CellBoundsBatch,
@@ -150,14 +139,13 @@ def n_ph_upper_batch(
     """
     upper = cells.upper1
     n1 = upper.sum(axis=1)
-    names, index = _deviations(terms)
     if budget is None:
-        dev, tail = _NO_DEV, 0.0
+        dev = tail = 0.0
     else:
-        dev = azuma_dev(n1[:, None], budget.log_inv(names))
-        tail = dev[:, 6] + dev[:, 7]
-    value = upper[:, _TERM_CELLS] + dev[:, :6]
-    value[:, index] = np.maximum(cells.lower1 - dev[:, 8:8 + len(terms)], 0.0)
+        dev = azuma_dev(n1[:, None], budget.log_inv(_DEV_NAMES))
+        tail = dev[:, 0] + dev[:, 0]
+    value = upper[:, _TERM_CELLS] + dev
+    value[:, terms] = np.maximum(cells.lower1 - dev, 0.0)
     n_ph = np.maximum((weights * value).sum(axis=1) + tail, 0.0)
     # 1.0 where the single-photon bound is empty
     ratio = np.divide(n_ph, m1, out=np.ones(len(n1)), where=m1 > 0.0)
@@ -198,17 +186,11 @@ def n_ph_appendixE(
     half_r2 = (1.0 - math.sin(xi / 2.0)) / 2.0 * ratio * ratio
     upper, lower = cells.upper1, cells.lower1
     n1 = upper.sum(axis=1)
-    if budget is None:
-        d_x0x1 = d_z0x0 = d_z1x0 = d_x0x0 = tail_s0 = tail_s1 = 0.0
-    else:
-        log_inv = budget.log_inv(_APPENDIX_E_NAMES)
-        d_x0x1, d_z0x0, d_z1x0, d_x0x0, tail_s0, tail_s1 = azuma_dev(
-            n1, log_inv[:, None]
-        )
+    dev = 0.0 if budget is None else azuma_dev(n1, budget.log_inv(_APPENDIX_E_NAMES))
     return (
-        half_r2 * (upper[:, _X0X1] + d_x0x1)
-        + ratio * (upper[:, _Z0X0] + upper[:, _Z1X0] + d_z0x0 + d_z1x0)
-        - half_r2 * np.maximum(lower[:, _X0X0] - d_x0x0, 0.0)
-        + tail_s0
-        + tail_s1
+        half_r2 * (upper[:, _X0X1] + dev)
+        + ratio * (upper[:, _Z0X0] + upper[:, _Z1X0] + dev + dev)
+        - half_r2 * np.maximum(lower[:, _X0X0] - dev, 0.0)
+        + dev
+        + dev
     )

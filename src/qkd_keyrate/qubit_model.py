@@ -64,7 +64,9 @@ class FilteredQubit:
     b1: float
 
     def __post_init__(self) -> None:
-        if self.r_x**2 + self.r_z**2 > 1.0 + 1e-12:
+        # the one unit-disc check of a filtered state; products, unlike
+        # **2, do not raise OverflowError on a huge component
+        if self.r_x * self.r_x + self.r_z * self.r_z > 1.0 + 1e-12:
             raise ValueError("filtered Bloch vector leaves the unit disc")
         if abs(self.p0 + self.p1 - 1.0) > 1e-12:
             raise ValueError("eigenvalue weights must sum to 1")
@@ -108,12 +110,9 @@ def apply_filter(r_x: float, r_z: float) -> FilteredQubit:
 
     The filter is the identity on the X-Z plane, so the state stays
     ``(I + r_x sigma_X + r_z sigma_Z)/2``; a vector outside the unit disc
-    raises.
+    raises ValueError (``FilteredQubit``'s check).
     """
-    r_norm = math.hypot(r_x, r_z)
-    if r_norm > 1.0 + 1e-12:
-        raise ValueError("filtered vector leaves the unit disc")
-    r_norm = min(r_norm, 1.0)
+    r_norm = min(math.hypot(r_x, r_z), 1.0)
     p0 = (1.0 - r_norm) / 2.0
     p1 = (1.0 + r_norm) / 2.0
     if r_x != 0.0:

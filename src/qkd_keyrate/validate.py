@@ -205,7 +205,7 @@ def _sandwich_points(distances: tuple[float, ...], r: float) -> list[dict]:
         z_tot=np.array([sum(row) for row in z_by_k.tolist()]),
         n_z=np.full(count, n_total * p_z * p_z),
     )
-    budget = EpsilonBudget.build(1e-10, 1e-15, mode)
+    budget = EpsilonBudget(1e-10, 1e-15, mode)
     m0, m1 = aggregate_bounds(counts, factors, budget, mode)
     bounds = cell_bounds(counts, factors, budget, mode)
 
@@ -278,7 +278,7 @@ def crosscheck_suite(tolerance: float = 1e-9) -> dict:
     xis = (0.0, 0.03675, 0.0735, 0.11025, 0.147)
     pzs = (0.35, 0.5, 0.65, 0.8, 0.9)
     dists = (30.0, 90.0)
-    budget = EpsilonBudget.build(1e-10, 1e-15, "exact")
+    budget = EpsilonBudget(1e-10, 1e-15, "exact")
     params = ParamBatch.of([
         ProtocolParams(p_z=p_z, p_ks=0.6, p_kd1=0.3, k_s=0.5, k_d1=0.1) for p_z in pzs
     ])

@@ -261,7 +261,7 @@ def test_a8_algebraic_batteries():
             assert abs(sum(qm.probs.values()) - 1.0) <= 1e-12
 
     # key length responds monotonically to each input
-    budget = EpsilonBudget.build(1e-10, 1e-15, "exact")
+    budget = EpsilonBudget(1e-10, 1e-15, "exact")
 
     def ell(m0=1e4, m1=1e6, e_ph=0.05, lam=2e5):
         return key_length(
@@ -294,7 +294,7 @@ def test_a8_optimized_rate_monotone(sweep_flawed):
     def best(n_total):
         cfg = ChannelConfig(distance_km=50.0, det_eff=0.15, dark_prob=5e-7,
                             e_mis=0.01, fluct_r=0.0, xi=0.147)
-        bud = EpsilonBudget.build(1e-10, 1e-15, "exact")
+        bud = EpsilonBudget(1e-10, 1e-15, "exact")
         return optimize_rate(cfg, bud, n_total, grid_points=3).best.rate
 
     assert best(1e11) < best(1e12)

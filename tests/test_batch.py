@@ -98,7 +98,7 @@ DISTANCES = (0.0, 90.0, 180.0)
 @pytest.mark.parametrize("population", sorted(POPULATIONS))
 def test_batch_matches_scalar_chain(population):
     mode, r, n_total, budget_mode = POPULATIONS[population]
-    budget = None if budget_mode is None else EpsilonBudget.build(1e-10, 1e-15, budget_mode)
+    budget = None if budget_mode is None else EpsilonBudget(1e-10, 1e-15, budget_mode)
     rng = np.random.default_rng(2014 + len(population))
     space = SearchSpace()
     feasible_points = aborts = 0
@@ -131,7 +131,7 @@ def test_batch_matches_scalar_chain(population):
 @pytest.mark.parametrize("population", sorted(POPULATIONS))
 def test_single_point_is_a_batch_of_one(population):
     mode, r, n_total, budget_mode = POPULATIONS[population]
-    budget = None if budget_mode is None else EpsilonBudget.build(1e-10, 1e-15, budget_mode)
+    budget = None if budget_mode is None else EpsilonBudget(1e-10, 1e-15, budget_mode)
     cfg = channel(80.0, r)
     params = ProtocolParams(p_z=0.9, p_ks=0.8, p_kd1=0.12, k_s=0.46, k_d1=0.11)
     feasible, batch = evaluate_batch(
@@ -148,7 +148,7 @@ def test_single_point_is_a_batch_of_one(population):
 def test_sampled_counts_match_scalar_chain(mode, r):
     # integer Monte-Carlo counts, fed to a batch of one
     cfg = channel(25.0, r)
-    budget = EpsilonBudget.build(1e-10, 1e-15, mode)
+    budget = EpsilonBudget(1e-10, 1e-15, mode)
     params = ProtocolParams(p_z=0.85, p_ks=0.7, p_kd1=0.2, k_s=0.5, k_d1=0.1)
     intens = params.intensities(mode, r)
     for seed in range(5):
@@ -160,7 +160,7 @@ def test_sampled_counts_match_scalar_chain(mode, r):
 
 def test_infeasible_points_are_masked():
     cfg = channel(40.0, 0.05)
-    budget = EpsilonBudget.build(1e-10, 1e-15, "fluct")
+    budget = EpsilonBudget(1e-10, 1e-15, "fluct")
     good = ProtocolParams(p_z=0.9, p_ks=0.8, p_kd1=0.1, k_s=0.46, k_d1=0.11)
     overlap = dataclasses.replace(good, k_s=0.1, k_d1=0.099)
     simplex = dataclasses.replace(good, p_kd1=0.3)
@@ -181,7 +181,7 @@ def test_infeasible_points_are_masked():
 def test_key_length_at_the_phase_threshold(asymptotic):
     # phase-error rates around the zero-key threshold, where the batch
     # must fall back on the root search: same length and abort reason
-    budget = None if asymptotic else EpsilonBudget.build(1e-10, 1e-15, "exact")
+    budget = None if asymptotic else EpsilonBudget(1e-10, 1e-15, "exact")
     cases = []
     for m0, m1, lam in ((2.6e5, 2.0e9, 4.3e8), (0.0, 3.2e10, 4.8e9), (12.0, 900.0, 80.0)):
         root = eph_threshold(m0, m1, lam, budget)
@@ -223,7 +223,7 @@ def test_grid_is_chunked(monkeypatch):
 
     monkeypatch.setattr(optimize, "stage_one", counted_one)
     monkeypatch.setattr(optimize, "stage_two", counted_two)
-    out = optimize_rate(channel(60.0), EpsilonBudget.build(1e-10, 1e-15, "exact"),
+    out = optimize_rate(channel(60.0), EpsilonBudget(1e-10, 1e-15, "exact"),
                         1e12, strategy="grid", grid_points=4)
     [block] = optimize._grid_blocks(SearchSpace(), 4, "exact", 0.0)
     assert ones == [1025]
@@ -231,7 +231,7 @@ def test_grid_is_chunked(monkeypatch):
     assert twos and all(n == GRID_CHUNK for n in twos[:-1]) and 0 < twos[-1] <= GRID_CHUNK
     assert out.evaluations == 1 + 4**5
     assert evaluate_rate(channel(60.0), out.best_params,
-                         EpsilonBudget.build(1e-10, 1e-15, "exact"), 1e12) == out.best
+                         EpsilonBudget(1e-10, 1e-15, "exact"), 1e12) == out.best
 
 
 # Recorded from optimize_rate at 60 km, grid_points=3, seed 0, when the
@@ -246,7 +246,7 @@ GOLDEN = json.loads((Path(__file__).parent / "optimizer_golden.json").read_text(
 def test_optimizer_golden(mode):
     gold = GOLDEN[mode]
     out = optimize_rate(channel(60.0, gold["r"]),
-                        EpsilonBudget.build(1e-10, 1e-15, mode), gold["n_total"],
+                        EpsilonBudget(1e-10, 1e-15, mode), gold["n_total"],
                         grid_points=3, mode=mode)
     assert out.best_params == ProtocolParams(*gold["params"])
     assert_same(out.best, KeyRateResult(**gold["best"]))

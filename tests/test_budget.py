@@ -2,10 +2,12 @@
 for the one rule that charges it: the key length pays the whole eta
 once, and every allocation the chain asks for is part of it."""
 
+import hashlib
 import math
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 
+import numpy as np
 import pytest
 
 from qkd_keyrate.budget import CELL_IDS, EpsilonBudget, allocation_names
@@ -45,26 +47,53 @@ def test_cell_ids_cover_all_sixteen():
 
 
 def test_equal_split():
-    b = EpsilonBudget.build(EPS_SEC, EPS_C, mode="exact")
+    b = EpsilonBudget(EPS_SEC, EPS_C, mode="exact")
     eps_s = EPS_SEC - EPS_C
     assert b.eps_s == pytest.approx(eps_s, rel=1e-12)
     assert b.eta == pytest.approx(0.5 * eps_s**2, rel=1e-12)
     per = b.eta / 180
     assert b.alloc("m0.final") == pytest.approx(per, rel=1e-12)
     assert b.alloc("cell.Z0X1.d1.lo") == pytest.approx(per, rel=1e-12)
-    assert sum(b.allocations.values()) == pytest.approx(b.eta, rel=1e-12)
+    names = allocation_names("exact")
+    assert sum(b.alloc(name) for name in names) == pytest.approx(b.eta, rel=1e-12)
+    # every estimate takes the one ln(1/eps) of the equal split
+    assert b.log_inv(names) == -math.log(per)
+
+
+# sha256 of every allocation (in allocation_names order), log_terms,
+# eps_s and eta as float64 bytes; (1e-155, 1e-170) has a subnormal
+# equal share, 2.78e-313 in exact mode
+BUDGET_BYTES = {
+    (1e-10, 1e-15, "exact"): "cf6f49c45d71f792318eab918d4e8f2f8ac4cd1035ffd197df3017f406cd4968",
+    (1e-08, 1e-15, "exact"): "9f843991847087089e3e379105cf9ff42819400f786dd33ee9d2a0d7fa03ce3b",
+    (1e-155, 1e-170, "exact"): "f18da164992363021b8b08a4cf063aac3e13ee3e92237a9f1ad3c82ec7f9d3b2",
+    (1e-10, 1e-15, "fluct"): "a7ad4026b7b223e2d1676ae1beccfacc81f0bec1e79c53f88c7e51ecdfaa1fad",
+    (1e-08, 1e-15, "fluct"): "fd7031ee70054e4e94d917d67065bf55ec602dc34b4ae7909e5f7660fe572a4a",
+    (1e-155, 1e-170, "fluct"): "d5b6a5c96237ad7a765209b8a29c4b751d62ff8ae9e3220e8cf29978cc40918e",
+}
+
+
+@pytest.mark.parametrize("key", sorted(BUDGET_BYTES, key=str))
+def test_budget_bytes(key):
+    eps_sec, eps_c, mode = key
+    b = EpsilonBudget(eps_sec, eps_c, mode)
+    names = allocation_names(mode)
+    values = [b.alloc(name) for name in names] + [b.log_terms, b.eps_s, b.eta]
+    assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == BUDGET_BYTES[key]
+    assert b.log_inv(names) == -math.log(b.alloc(names[0]))
 
 
 def test_exact_mode_has_hoeffding_pairs():
-    b = EpsilonBudget.build(EPS_SEC, EPS_C, mode="exact")
-    assert "z.d2.vac.lo.H" in b.allocations
-    assert "cell.X0X0.s.hi.H" in b.allocations
+    b = EpsilonBudget(EPS_SEC, EPS_C, mode="exact")
+    assert b.alloc("z.d2.vac.lo.H") == b.alloc("cell.X0X0.s.hi.H") == b.eta / 180
 
 
 def test_fluct_mode_has_no_hoeffding_pairs():
-    b = EpsilonBudget.build(EPS_SEC, EPS_C, mode="fluct")
-    assert not any(name.endswith(".H") for name in b.allocations)
-    assert "z.d2.vac.lo" in b.allocations
+    b = EpsilonBudget(EPS_SEC, EPS_C, mode="fluct")
+    assert not any(name.endswith(".H") for name in allocation_names("fluct"))
+    assert b.alloc("z.d2.vac.lo") == b.eta / 95
+    with pytest.raises(KeyError):
+        b.alloc("z.d2.vac.lo.H")
 
 
 def test_phase_martingale_names():
@@ -75,43 +104,67 @@ def test_phase_martingale_names():
         "ph.az.1.3", "ph.az.1.4", "ph.az.1.5",
     }
     for mode in ("exact", "fluct"):
-        b = EpsilonBudget.build(EPS_SEC, EPS_C, mode=mode)
-        assert expected <= set(b.allocations)
+        assert expected <= set(allocation_names(mode))
 
 
 def test_unknown_alloc_is_error():
-    b = EpsilonBudget.build(EPS_SEC, EPS_C, mode="exact")
+    b = EpsilonBudget(EPS_SEC, EPS_C, mode="exact")
     with pytest.raises(KeyError):
         b.alloc("z.d1.vac")
+    # log_inv checks every name, before and after a tuple is memoized
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            b.log_inv(("m0.final", "z.d1.vac"))
+    assert b.log_inv(("m0.final",)) == -math.log(b.alloc("m0.final"))
 
 
 def test_allocations_read_only():
-    b = EpsilonBudget.build(EPS_SEC, EPS_C, mode="exact")
-    with pytest.raises(TypeError):
-        b.allocations["m0.final"] = 1e-30
+    # the allocations are derived from the frozen (eps_sec, eps_c, mode)
+    b = EpsilonBudget(EPS_SEC, EPS_C, mode="exact")
+    for name in ("eps_sec", "mode", "eps_s", "eta"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(b, name, 1e-30)
+    assert [f.name for f in fields(b) if f.init] == ["eps_sec", "eps_c", "mode"]
 
 
 def test_pickles_with_read_only_allocations():
-    b = EpsilonBudget.build(EPS_SEC, EPS_C, "exact")
+    b = EpsilonBudget(EPS_SEC, EPS_C, "exact")
     names = ("m0.final", "m1.final")
-    table = b.log_inv(names)
+    log_inv = b.log_inv(names)
     again = pickle.loads(pickle.dumps(b))
     assert again == b
-    assert again.log_inv(names).tolist() == table.tolist()
-    with pytest.raises(TypeError):
-        again.allocations["m0.final"] = 1.0
+    assert (again.eps_s, again.eta) == (b.eps_s, b.eta)
+    assert again.log_inv(names) == log_inv
+    with pytest.raises(FrozenInstanceError):
+        again.eta = 1.0
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        EpsilonBudget.build(1e-15, 1e-15, mode="exact")  # eps_s = 0
-    # eta must leave a secrecy gap: this guard is why the key length
-    # needs no abort for an exhausted budget
-    b = EpsilonBudget.build(EPS_SEC, EPS_C, mode="exact")
-    with pytest.raises(ValueError):
-        EpsilonBudget(b.eps_sec, b.eps_c, b.eps_s, b.eps_s**2, {"all": b.eps_s**2})
+        EpsilonBudget(1e-15, 1e-15, mode="exact")  # eps_s = 0
     with pytest.raises(ValueError):
         allocation_names("other")
+
+
+# splits float arithmetic cannot keep, and bad fields: (1e-160, 1e-170)
+# has a subnormal equal share whose n copies miss eta by far more than
+# a rounding error, (inf, 1e-15) fails eta < eps_s^2 and (1e-200,
+# 1e-210) squares to 0
+REJECTED = [
+    (1e-160, 1e-170, "exact"), (1e-160, 1e-170, "fluct"),
+    (math.inf, 1e-15, "exact"), (math.inf, 1e-15, "fluct"),
+    (1e-200, 1e-210, "exact"), (1e-200, 1e-210, "fluct"),
+    (1e-15, 1e-15, "exact"), (1e-15, 1e-10, "fluct"),
+    (1e-10, 0.0, "exact"), (1e-10, -1e-15, "exact"),
+    (math.nan, 1e-15, "exact"), (1e-10, math.nan, "fluct"),
+    (1e-10, 1e-15, "other"),
+]
+
+
+@pytest.mark.parametrize("eps_sec, eps_c, mode", REJECTED)
+def test_rejects_bad_splits(eps_sec, eps_c, mode):
+    with pytest.raises(ValueError):
+        EpsilonBudget(eps_sec, eps_c, mode)
 
 
 @dataclass(frozen=True)
@@ -153,16 +206,17 @@ def test_every_estimate_is_charged_once(mode):
     r, n_total = GUARDED[mode]
     cfg = ChannelConfig(distance_km=20.0, det_eff=0.15, dark_prob=5e-7,
                         e_mis=0.01, fluct_r=r, xi=0.147)
-    one = RecordingBudget.build(EPS_SEC, EPS_C, mode)
+    one = RecordingBudget(EPS_SEC, EPS_C, mode)
     res = evaluate_rate(cfg, KEYED[0], one, n_total, mode=mode)
-    many = RecordingBudget.build(EPS_SEC, EPS_C, mode)
+    many = RecordingBudget(EPS_SEC, EPS_C, mode)
     feasible, batch = evaluate_batch(cfg, ParamBatch.of(KEYED), many, n_total, mode=mode)
     assert feasible.all()
     for budget in (one, many):
-        names = set(budget.allocations)
+        names = set(allocation_names(mode))
         # everything asked for is allocated, and the allocations are eta
         assert budget.asked <= names
-        assert sum(budget.allocations.values()) == pytest.approx(budget.eta, rel=1e-12)
+        shares = [EpsilonBudget.alloc(budget, name) for name in names]  # unrecorded
+        assert sum(shares) == pytest.approx(budget.eta, rel=1e-12)
         # only the Hoeffding helpers of exact mode go unasked: the
         # multiplicative-Chernoff route rests on their events
         assert names - budget.asked == {n for n in names if n.endswith(".H")}

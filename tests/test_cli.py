@@ -258,6 +258,17 @@ def test_infeasible_search_box_exit_code(tmp_path, capsys, command):
     assert "no feasible parameter point" in _assert_clean_error(code, capsys)
 
 
+def test_exact_mode_with_fluctuating_source_exit_code(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nmode = exact\n[source]\nfluct_r = 0.05\n")
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--config", str(ini), "--out", str(out)])
+    err = _assert_clean_error(code, capsys)
+    assert err.count("\n") == 1
+    assert "run.mode = exact" in err and "source.fluct_r" in err
+    assert not out.exists()
+
+
 def test_module_entry_point_runs_from_a_checkout():
     # python -m qkd_keyrate, with only src/ on the path
     src = Path(__file__).resolve().parent.parent / "src"

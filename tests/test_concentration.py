@@ -140,7 +140,7 @@ class FlatBudget:
         self.eps = eps
 
     def log_inv(self, names):
-        return np.full(len(names), -math.log(self.eps))
+        return -math.log(self.eps)
 
     def memo(self, build, *args):
         return build(self, *args)

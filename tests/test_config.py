@@ -60,6 +60,16 @@ def test_fluct_mode_wiring():
         parse_config("[run]\nmode = fluctuating\n")
 
 
+def test_exact_mode_rejects_fluctuating_source():
+    # the channel would integrate the fluctuation while the exact bounds
+    # assume stable intensities, so the rate would not be backed
+    with pytest.raises(ConfigError, match=r"run\.mode = exact.*source\.fluct_r = 0"):
+        parse_config("[source]\nfluct_r = 0.05\n")
+    with pytest.raises(ConfigError, match="source.fluct_r"):
+        RunConfig(mode="exact", fluct_r=1e-12)
+    assert RunConfig(mode="exact", fluct_r=0.0).fluct_r == 0.0
+
+
 def test_invariant_violations():
     with pytest.raises(ConfigError):
         parse_config("[run]\neps_sec = 1e-16\n")  # below eps_c

@@ -7,7 +7,6 @@ computed with mpmath at 60 digits.
 """
 
 import math
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -195,8 +194,8 @@ def test_fluct_bounds_weaken_with_width():
 
 def test_finite_budget_never_beats_asymptotic():
     counts, intens = flat_yield_counts()
-    loose = EpsilonBudget.build(1e-6, 1e-15, mode="exact")
-    tight = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
+    loose = EpsilonBudget(1e-6, 1e-15, mode="exact")
+    tight = EpsilonBudget(1e-10, 1e-15, mode="exact")
     m0a, m1a = m0_m1(counts, intens, None)
     m0l, m1l = m0_m1(counts, intens, loose)
     m0t, m1t = m0_m1(counts, intens, tight)
@@ -208,7 +207,7 @@ def test_finite_budget_never_beats_asymptotic():
 
 def test_finite_cap_at_signal_count():
     counts, intens = flat_yield_counts()
-    budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
+    budget = EpsilonBudget(1e-10, 1e-15, mode="exact")
     _, m1 = m0_m1(counts, intens, budget)
     assert m1 <= counts.z_by_k[0, 0]
 
@@ -216,7 +215,7 @@ def test_finite_cap_at_signal_count():
 def test_zero_counts():
     intens = make_intens()
     counts = one_run()
-    budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
+    budget = EpsilonBudget(1e-10, 1e-15, mode="exact")
     for b in (None, budget):
         m0, m1 = m0_m1(counts, intens, b)
         assert m0 == 0.0
@@ -231,20 +230,11 @@ def test_cell_bounds_mode_validation():
         decoy_bounds(counts, intens, None, "other")
 
 
-def uneven_budget(mode, seed=5):
-    """A budget of ``mode`` whose allocations differ name by name."""
-    even = EpsilonBudget.build(1e-10, 1e-15, mode)
-    w = np.random.default_rng(seed).uniform(0.5, 1.5, len(even.allocations))
-    shares = (even.eta * w / w.sum()).tolist()
-    return EpsilonBudget(even.eps_sec, even.eps_c, even.eps_s, even.eta,
-                         MappingProxyType(dict(zip(even.allocations, shares))))
-
-
 @pytest.mark.parametrize("mode", ["exact", "fluct"])
 def test_restricted_cell_bounds_equal_full_columns(mode):
     # the lower bounds of a few cells, as the chain asks for them, equal
     # the matching columns of a call with every cell, and upper1 is the
-    # same, with an equal split, an uneven budget and none
+    # same, with a budget and without
     r = 0.05 if mode == "fluct" else 0.0
     cfg = ChannelConfig(distance_km=60.0, det_eff=0.15, dark_prob=5e-7,
                         e_mis=0.01, fluct_r=r, xi=0.147)
@@ -254,7 +244,7 @@ def test_restricted_cell_bounds_equal_full_columns(mode):
     assert len(prepared.idx) > 20
     lowers = [lower_terms(source_coeffs(xi))[1] for xi in (0.0, 0.11025, 0.147)]
     lowers += [(), (11, 2, 6), ALL_CELLS[::-1]]
-    for budget in (EpsilonBudget.build(1e-10, 1e-15, mode), uneven_budget(mode), None):
+    for budget in (EpsilonBudget(1e-10, 1e-15, mode), None):
         full = cell_bounds(counts, prepared.factors, budget, mode)
         assert full.lower0.shape == full.lower1.shape == full.upper1.shape
         for lower in lowers:

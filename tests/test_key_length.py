@@ -40,13 +40,7 @@ ELL_SPOT = 523483  # floor of the frozen spot formula below
 
 
 def spot_budget():
-    return EpsilonBudget.build(1e-10 + 1e-15, 1e-15, mode="exact")
-
-
-def budget_with_eta(eta):
-    """The spot budget's epsilons with a single allocation of ``eta``."""
-    b = spot_budget()
-    return EpsilonBudget(b.eps_sec, b.eps_c, b.eps_s, eta, {"all": eta})
+    return EpsilonBudget(1e-10 + 1e-15, 1e-15, mode="exact")
 
 
 def test_entropy_frozen_values():
@@ -124,17 +118,18 @@ def test_key_length_spot_value():
 
 
 def test_consumed_failure_tightens_log_term():
-    # the whole committed eta is charged, whatever the estimates use:
-    # eta -> 0 leaves log2(2/eps_s^2), and each halving of the secrecy
-    # gap eps_s^2 - eta costs one bit here
+    # the whole committed eta = eps_s^2 / 2 is charged, whatever the
+    # estimates use, in log2(2/(eps_s^2 - eta)) = log2(4/eps_s^2); each
+    # halving of the secrecy gap eps_s^2 - eta costs one bit here
     budget = spot_budget()
-    eps_s2 = budget.eps_s**2
     assert budget.log_terms == pytest.approx(
-        math.log2(4.0 / eps_s2) + math.log2(2.0 / budget.eps_c), rel=1e-15
+        math.log2(4.0 / budget.eps_s**2) + math.log2(2.0 / budget.eps_c), rel=1e-15
     )
-    for frac, ell in ((1e-9, ELL_SPOT + 1), (0.5, ELL_SPOT), (0.75, ELL_SPOT - 1)):
+    for scale, ell in ((math.sqrt(2.0), ELL_SPOT + 1), (1.0, ELL_SPOT),
+                       (math.sqrt(0.5), ELL_SPOT - 1)):
+        scaled = EpsilonBudget(1e-10 * scale + 1e-15, 1e-15, mode="exact")
         res = key_length(bound(1e4), bound(1e6), phase(0.05), 2e5,
-                         budget_with_eta(frac * eps_s2), n_total=1e12)
+                         scaled, n_total=1e12)
         assert not res.aborted
         assert res.ell == ell
 

@@ -29,7 +29,7 @@ def channel(dist=60.0, r=0.0, xi=0.147):
 
 
 def budget(mode="exact"):
-    return EpsilonBudget.build(1e-10, 1e-15, mode)
+    return EpsilonBudget(1e-10, 1e-15, mode)
 
 
 def test_space_validation():

@@ -54,7 +54,7 @@ def build_stats(xi, p_z, distance_km, budget, p_d=5e-7, e_mis=0.01, n=1e12):
 @pytest.mark.parametrize("finite", [False, True])
 def test_general_matches_closed_form(xi, distance, finite):
     p_z = 0.5
-    budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact") if finite else None
+    budget = EpsilonBudget(1e-10, 1e-15, mode="exact") if finite else None
     cells, m1 = build_stats(xi, p_z, distance, budget)
     general = phase_bound(xi, p_z, cells, m1, budget)
     reduced = n_ph_appendixE(xi, np.array([p_z]), cells, budget)
@@ -99,7 +99,7 @@ def test_ideal_source_decoy_residual_is_moderate():
 
 
 def test_n1_upper_sums_cells():
-    budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
+    budget = EpsilonBudget(1e-10, 1e-15, mode="exact")
     cells, m1 = build_stats(0.147, 0.5, 50.0, budget)
     total = sum(cells.upper1[0].tolist())
     n1 = phase_bound(0.147, 0.5, cells, m1, budget).n1_upper
@@ -109,7 +109,7 @@ def test_n1_upper_sums_cells():
 def test_deviations_only_loosen():
     bounds = []
     # asymptotic, then ever smaller allocations per estimate
-    for budget in (None, *(EpsilonBudget.build(eps, 1e-15, mode="exact")
+    for budget in (None, *(EpsilonBudget(eps, 1e-15, mode="exact")
                            for eps in (1e-6, 1e-10))):
         cells, m1 = build_stats(0.147, 0.5, 80.0, budget)
         bounds.append(phase_bound(0.147, 0.5, cells, m1, budget))
@@ -124,7 +124,7 @@ def test_upper_branch_dominates_lower():
     # lower bound minus it, floored at zero; a zero weight leaves only the
     # two tail deviations, and without a budget nothing at all
     cell = CELLS.index(("Z", 0, "X", 0))
-    for budget in (EpsilonBudget.build(1e-10, 1e-15, mode="exact"), None):
+    for budget in (EpsilonBudget(1e-10, 1e-15, mode="exact"), None):
         cells, m1 = build_stats(0.147, 0.5, 50.0, budget)
 
         def one_term(weight):
@@ -182,7 +182,7 @@ def test_tiny_p_z_aborts_for_counts(p_z):
     cfg = ChannelConfig(distance_km=50.0, det_eff=0.15, dark_prob=5e-7,
                         e_mis=0.01, fluct_r=0.0, xi=0.147)
     params = ProtocolParams(p_z=p_z, p_ks=0.6, p_kd1=0.3, k_s=0.5, k_d1=0.1)
-    res = evaluate_rate(cfg, params, EpsilonBudget.build(1e-10, 1e-15, "exact"), 1e12)
+    res = evaluate_rate(cfg, params, EpsilonBudget(1e-10, 1e-15, "exact"), 1e12)
     assert res.aborted and res.abort_reason == ABORT_COUNTS and res.ell == 0
     assert all(math.isfinite(v) for v in (res.rate, res.m0_l, res.m1_l, res.e_ph_u))
 
@@ -207,7 +207,7 @@ def test_unbalanced_source_still_bounded():
     # pure states, but the general path must still produce a sane bound.
     # Unbalanced pulses (gamma = 0.9) never left them: after the filter
     # their states were bit-equal to the balanced ones.
-    budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact")
+    budget = EpsilonBudget(1e-10, 1e-15, mode="exact")
     cells, m1 = build_stats(0.147, 0.5, 50.0, budget)
     bound = phase_bound(0.147, 0.5, cells, m1, budget, norm=0.9)
     assert bound.n_ph_upper >= 0.0
@@ -229,7 +229,7 @@ def test_lower_terms_give_the_bound_of_every_cell(xi, finite):
     # the bound from lower_terms' cells equals, bit for bit, each point's
     # bound with every term's cell bound chosen by the sign of its weight,
     # down to a p_z whose (r/2)^2 underflows to 0
-    budget = EpsilonBudget.build(1e-10, 1e-15, mode="exact") if finite else None
+    budget = EpsilonBudget(1e-10, 1e-15, mode="exact") if finite else None
     p_z = np.array([1e-170, 1e-3, 0.3, 0.5, 0.9, 0.999])
     cfg = ChannelConfig(distance_km=40.0, det_eff=0.15, dark_prob=5e-7,
                         e_mis=0.01, fluct_r=0.0, xi=xi)

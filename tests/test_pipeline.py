@@ -35,7 +35,7 @@ def channel(dist=40.0, r=0.0, xi=0.147):
 
 
 def budget(mode="exact", eps_sec=1e-10):
-    return EpsilonBudget.build(eps_sec, 1e-15, mode)
+    return EpsilonBudget(eps_sec, 1e-15, mode)
 
 
 def test_asymptotic_dominates_finite():

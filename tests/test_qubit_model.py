@@ -51,6 +51,18 @@ def test_filter_maximally_mixed_convention():
     assert (s.a0, s.b0, s.a1, s.b1) == (1.0, 0.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("excess, inside", [(4e-13, True), (8e-13, False), (2e-12, False)])
+def test_filter_unit_disc_tolerance(excess, inside):
+    # one check, on r_x^2 + r_z^2 <= 1 + 1e-12: a norm of 1 + 8e-13
+    # squares past it
+    for r in ((0.0, 1.0 + excess), (-(1.0 + excess), 0.0)):
+        if inside:
+            assert apply_filter(*r).p0 == 0.0
+        else:
+            with pytest.raises(ValueError, match="unit disc"):
+                apply_filter(*r)
+
+
 def test_filter_negative_rz_branch():
     s = apply_filter(0.0, -1.0)
     assert (s.a0, s.b0) == (1.0, 0.0)  # |i_z>

@@ -38,7 +38,7 @@ def channel(dist, r=0.0):
 
 
 def budget(mode, eps_sec=1e-10):
-    return None if eps_sec is None else EpsilonBudget.build(eps_sec, 1e-15, mode)
+    return None if eps_sec is None else EpsilonBudget(eps_sec, 1e-15, mode)
 
 
 def screen_terms(cfg, params, bud, n_total, mode):

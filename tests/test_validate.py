@@ -59,7 +59,7 @@ def test_crosscheck_checks_the_chains_phase_error_rate():
         ProtocolParams(p_z=p_z, p_ks=0.6, p_kd1=0.3, k_s=0.5, k_d1=0.1)
         for p_z in (0.35, 0.5, 0.65, 0.8, 0.9)
     ])
-    budget = EpsilonBudget.build(1e-10, 1e-15, "exact")
+    budget = EpsilonBudget(1e-10, 1e-15, "exact")
     general, _, m1 = _phase_bounds(cfg, params, budget, 1e12)
     feasible, res = evaluate_batch(cfg, params, budget, 1e12)
     assert feasible.all() and (m1 > 0.0).all()

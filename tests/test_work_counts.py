@@ -144,7 +144,7 @@ POINT = ProtocolParams(p_z=0.9, p_ks=0.8, p_kd1=0.12, k_s=0.46, k_d1=0.11)
 @pytest.mark.parametrize("call", ["evaluate_rate", "evaluate_rate counts", "evaluate_batch"])
 def test_one_prepare_batch_per_evaluation(call, monkeypatch):
     cfg = parse_config("").channel(80.0)
-    budget = EpsilonBudget.build(1e-10, 1e-15, "exact")
+    budget = EpsilonBudget(1e-10, 1e-15, "exact")
     draw = ChannelModel(cfg).sample(
         POINT.intensities("exact", 0.0), np.array([POINT.p_z]), 10**12, seed=1
     )
