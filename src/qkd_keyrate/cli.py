@@ -123,6 +123,15 @@ def _cmd_sweep(args) -> int:
         asymptotic=True if args.asymptotic else None,
         output=args.out,
     )
+    # refused before the sweep, which open() would reach only after every
+    # distance; the file itself is opened only once the rows exist, so an
+    # error in the sweep leaves an existing CSV as it was
+    if os.path.isdir(cfg.output):
+        raise ConfigError(f"output path {cfg.output!r} is a directory")
+    parent = os.path.dirname(cfg.output) or os.curdir
+    if not os.path.isdir(parent):
+        raise ConfigError(
+            f"output directory {parent!r} does not exist or is not a directory")
     rows = run_sweep(cfg)
     with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
         write_csv(rows, fh)
@@ -161,7 +170,7 @@ def _cmd_optimize(args) -> int:
     opt = _optimize(cfg, cfg.budget(), channel)
     print(f"distance_km = {_fmt(float(args.distance))}")
     for name in ("evaluations", "grid_evaluations", "polish_evaluations",
-                 "grid_screened", "grid_s", "polish_s"):
+                 "polish_batches", "grid_screened", "grid_s", "polish_s"):
         print(f"{name} = {_fmt(getattr(opt, name))}")
     print("trace (improvements):")
     for par, rate in opt.trace:

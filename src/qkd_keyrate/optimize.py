@@ -4,16 +4,23 @@ The objective is cheap but non-smooth at abort boundaries, so the
 search runs a coarse grid over a fixed box and polishes the best grid
 point with a compass search (the pattern search of Hooke and Jeeves,
 J. ACM 8, 212 (1961); Torczon, SIAM J. Optim. 7, 1 (1997) proves its
-convergence).  The polish polls the ten axis neighbours u +- step*e_i
-of the unit-box point, moves to the best one that strictly raises the
-rate, and halves the step when none does, until POLISH_HALVINGS
-halvings.  It runs one such track from each of POLISH_FIRST_STEPS (half
-and a quarter of a grid step) and polls both in one batch, since one
-track alone can settle in the lower of two local optima.  Parameter
-combinations that violate the intensity ordering or the probability
-simplex score zero rather than erroring.  The grid runs ``stage_one``
-(m0, m1, EC leakage) on blocks of GRID_BLOCK chunks of GRID_CHUNK
-points, and ``stage_two`` (cells, phase error, key length) only on
+convergence).  A compass decision polls the ten axis neighbours
+u +- step*e_i of the unit-box point, moves to the best one that
+strictly raises the rate, and halves the step when none does, until
+POLISH_HALVINGS halvings.  The polish runs one such track from each of
+POLISH_FIRST_STEPS (half and a quarter of a grid step), since one track
+alone can settle in the lower of two local optima.  Each batch makes
+two decisions per track: it holds every live track's ten neighbours,
+the 60 distinct points one step beyond them (the neighbours after any
+move) and its ten halved-step neighbours (those after a halving, left
+out at its last halving).  The points are formed with the float
+operations of polling one decision per batch, and the decisions run in
+that polling's order, so the answers are its answers in half the
+batches; a batch's cost is mostly a fixed cost, not its rows.
+Parameter combinations that violate the intensity ordering or the
+probability simplex score zero rather than erroring.  The grid runs
+``stage_one`` (m0, m1, EC leakage) on blocks of GRID_BLOCK chunks of
+GRID_CHUNK points, and ``stage_two`` (cells, phase error, key length) only on
 points whose rate ceiling beats the floor of their chunk as far as it
 is known, GRID_CHUNK at a time.  A chunk's floor is the best rate
 before it, at least 0; the first feasible point enters the trace
@@ -29,11 +36,11 @@ and so the screened count, and the trace the points that beat every
 earlier one.  A point that stage 2 scored but its own chunk would
 have screened never enters it: its rate is at most its ceiling, which
 is at most that chunk's floor.
-The polls go through ``evaluate_batch``, unscreened, since a neighbour
-of the best point almost never falls below it by the margin m1 h(e_ph)
-the screen needs.  The grid's link-independent part
-(``pipeline.prepare_batch``) is formed once per sweep; the polls
-prepare their batches afresh.  A distance without a key thus costs its
+The polish's batches go through ``evaluate_batch``, unscreened, since
+a neighbour of the best point almost never falls below it by the
+margin m1 h(e_ph) the screen needs.  The grid's link-independent part
+(``pipeline.prepare_batch``) is formed once per sweep; the polish
+prepares its batches afresh.  A distance without a key thus costs its
 grid batches and nothing else.
 """
 
@@ -93,6 +100,35 @@ POLISH_FIRST_STEPS = (0.5, 0.25)
 POLISH_HALVINGS = 12
 # the ten polling directions +- e_i of the compass
 _COMPASS = np.concatenate([np.eye(5), -np.eye(5)])
+
+
+def _batch_layout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A track's rows in a polish batch, for a track at u with step s:
+    rows 0-9 are clip(u + s C[i]) over the compass directions C, rows
+    70-79 clip(u + (s/2) C[i]), and rows 10-69 the second ring
+    clip(clip(u + s C[i]) + s C[j]), whose (i, j) and (j, i) on two axes
+    give the same floats.  Returns the (10, 10) map from (i, j) to its
+    row, each ring row's i, and each row's step in units of s."""
+    pairs: dict[tuple[int, int], int] = {}
+    ring = np.empty((10, 10), dtype=np.intp)
+    for i in range(10):
+        for j in range(10):
+            pair = (j, i) if i % 5 != j % 5 and (j, i) in pairs else (i, j)
+            ring[i, j] = 10 + pairs.setdefault(pair, len(pairs))
+    first, second = np.array(list(pairs)).T
+    # s * (C / 2) is (s / 2) * C to the last bit: both round the exact s/2
+    moves = np.concatenate([_COMPASS, _COMPASS[second], _COMPASS / 2.0])
+    for a in (ring, first, moves):
+        a.setflags(write=False)
+    return ring, first, moves
+
+
+# a track's second decision polls _RING_ROWS[i] after a move in direction
+# i and _HALVED_ROWS after a halving, which a track at its last halving
+# never polls
+_RING_ROWS, _RING_FIRST, _MOVES = _batch_layout()
+_NEAR_ROWS = np.arange(10)
+_HALVED_ROWS = np.arange(70, 80)
 
 
 class InfeasibleSearchError(ValueError):
@@ -159,8 +195,11 @@ class SearchSpace:
 class OptimizationResult:
     """Best point of one optimization, with its cost split by phase.
 
-    ``evaluations`` is ``grid_evaluations + polish_evaluations``; the
-    two times are wall seconds from ``time.perf_counter``.
+    ``evaluations`` is ``grid_evaluations + polish_evaluations``, which
+    counts ten neighbours per compass decision; ``polish_batches``
+    counts the polish's ``evaluate_batch`` calls, two decisions per
+    track each.  The two times are wall seconds from
+    ``time.perf_counter``.
     ``grid_screened`` counts the grid points the screen stopped after
     m0, m1 and the EC leakage, because they could not beat the best rate
     before their chunk; they count as evaluations too.  The count and
@@ -173,6 +212,7 @@ class OptimizationResult:
     evaluations: int
     grid_evaluations: int
     polish_evaluations: int
+    polish_batches: int
     grid_s: float
     polish_s: float
     grid_screened: int
@@ -322,33 +362,13 @@ def optimize_rate(
             best_rate = best_res.rate
     t1 = time.perf_counter()
 
-    polish_evaluations = 0
+    polish_evaluations = polish_batches = 0
     if strategy == "grid+nm" and best_res is not None and best_rate > 0.0:
-        # every track still polling contributes its ten neighbours to one
-        # batch; a track moves or halves on its own rate, not the best
-        steps = np.array(POLISH_FIRST_STEPS) / (grid_points - 1)
-        track_u = np.tile(best_u, (len(steps), 1))
-        track_rate = np.full(len(steps), best_rate)
-        halvings = np.zeros(len(steps), dtype=int)
-        while (live := np.flatnonzero(halvings < POLISH_HALVINGS)).size:
-            stencil = track_u[live, None] + steps[live, None, None] * _COMPASS
-            stencil = np.minimum(np.maximum(stencil.reshape(-1, 5), 0.0), 1.0)
-            points = space.params_batch(stencil)
-            rates, batch, scored = score(points)
-            polish_evaluations += len(stencil)
-            picks = rates.reshape(len(live), len(_COMPASS)).argmax(axis=1)
-            for k, (t, pick) in enumerate(zip(live, picks)):
-                i = k * len(_COMPASS) + pick
-                if not rates[i] > track_rate[t]:
-                    steps[t] /= 2.0
-                    halvings[t] += 1
-                    continue
-                track_u[t], track_rate[t] = stencil[i], rates[i]
-                if rates[i] > best_rate:
-                    best_params = points.point(i)
-                    best_res = batch.result(np.count_nonzero(scored[:i]))
-                    best_rate = best_res.rate
-                    trace.append((best_params, best_rate))
+        found, polish_evaluations, polish_batches = _polish(
+            space, score, best_u, best_rate, grid_points)
+        trace.extend((params, res.rate) for params, res in found)
+        if found:
+            best_params, best_res = found[-1]
     t2 = time.perf_counter()
 
     if best_res is None:
@@ -363,8 +383,77 @@ def optimize_rate(
         evaluations=grid_evaluations + polish_evaluations,
         grid_evaluations=grid_evaluations,
         polish_evaluations=polish_evaluations,
+        polish_batches=polish_batches,
         grid_s=t1 - t0,
         polish_s=t2 - t1,
         grid_screened=grid_screened,
         trace=tuple(trace),
     )
+
+
+def _clip(units: np.ndarray) -> np.ndarray:
+    """``units`` clipped into the unit box."""
+    return np.minimum(np.maximum(units, 0.0), 1.0)
+
+
+def _polish_rows(units: np.ndarray, steps: np.ndarray, last: list[bool]) -> np.ndarray:
+    """The unit-box rows of one polish batch for tracks at ``units``
+    (T, 5) with ``steps`` (T,): per track the 80 rows of
+    ``_batch_layout``, or its first 70 where ``last`` (its last
+    halving)."""
+    delta = steps[:, None, None] * _MOVES
+    rows = units[:, None] + delta
+    rows[:, 10:70] = np.take(_clip(rows[:, :10]), _RING_FIRST, axis=1) + delta[:, 10:70]
+    rows = _clip(rows)
+    if not any(last):
+        return rows.reshape(-1, 5)
+    return np.concatenate([r[:70] if end else r for r, end in zip(rows, last)])
+
+
+def _polish(space: SearchSpace, score, u: np.ndarray, rate: float, grid_points: int):
+    """The compass polish from the grid point ``u`` of rate ``rate``.
+
+    ``score`` maps a ParamBatch to its rates (-inf where infeasible), its
+    KeyRateBatch and its feasible mask.  Returns the improvements on
+    ``rate``, in order, as (params, result) pairs, the evaluations (ten
+    per decision) and the batches.  A track moves or halves on
+    its own rate, not the best.
+    """
+    steps = np.array(POLISH_FIRST_STEPS) / (grid_points - 1)
+    track_u = np.tile(u, (len(steps), 1))
+    track_rate = [rate] * len(steps)
+    halvings = [0] * len(steps)
+    found = []
+    evaluations = batches = 0
+    while live := [t for t, h in enumerate(halvings) if h < POLISH_HALVINGS]:
+        last = [halvings[t] == POLISH_HALVINGS - 1 for t in live]
+        stencil = _polish_rows(track_u[live], steps[live], last)
+        points = space.params_batch(stencil)
+        rates, batch, scored = score(points)
+        batches += 1
+        sizes = [70 if end else 80 for end in last]
+        starts = [sum(sizes[:k]) for k in range(len(live))]
+        # each track's next decision polls these of its rows: first its
+        # neighbours, then the second ring after a move or the halved
+        # neighbours after a halving
+        polled = [_NEAR_ROWS] * len(live)
+        for _ in range(2):
+            for k, t in enumerate(live):
+                if halvings[t] == POLISH_HALVINGS:
+                    continue
+                rows = starts[k] + polled[k]
+                pick = rates[rows].argmax()
+                i = rows[pick]
+                evaluations += len(_COMPASS)
+                if not rates[i] > track_rate[t]:
+                    steps[t] /= 2.0
+                    halvings[t] += 1
+                    polled[k] = _HALVED_ROWS
+                    continue
+                polled[k] = _RING_ROWS[pick]
+                track_u[t], track_rate[t] = stencil[i], rates[i]
+                if rates[i] > rate:
+                    res = batch.result(np.count_nonzero(scored[:i]))
+                    rate = res.rate
+                    found.append((points.point(i), res))
+    return found, evaluations, batches

@@ -200,7 +200,8 @@ def test_optimize_command(tmp_path, capsys):
     assert format(40.0, ".12e") in out
     assert "grid_screened = " in out
     # evaluations and wall time per phase; the times are not checked
-    for name in ("grid_evaluations", "polish_evaluations", "grid_s", "polish_s"):
+    for name in ("grid_evaluations", "polish_evaluations", "polish_batches",
+                 "grid_s", "polish_s"):
         assert f"\n{name} = " in out
 
 
@@ -267,6 +268,36 @@ def test_exact_mode_with_fluctuating_source_exit_code(tmp_path, capsys):
     assert err.count("\n") == 1
     assert "run.mode = exact" in err and "source.fluct_r" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_path_stops_before_the_sweep(tmp_path, capsys, monkeypatch, where):
+    ini = tmp_path / "run.ini"
+    ini.write_text(FAST)
+    out = tmp_path if where == "directory" else tmp_path / "gone" / "r.csv"
+    optimized = []
+    monkeypatch.setattr(cli, "optimize_rate",
+                        lambda *args, **kwargs: optimized.append(1))
+    code = main(["sweep", "--config", str(ini), "--out", str(out)])
+    err = _assert_clean_error(code, capsys)
+    assert err.count("\n") == 1
+    assert ("is a directory" if where == "directory" else "does not exist") in err
+    assert optimized == []
+    assert not (tmp_path / "gone").exists()
+
+
+def test_failed_sweep_keeps_an_existing_csv(tmp_path, capsys):
+    # the search box of this config has no feasible point: the sweep
+    # fails after the output path was accepted
+    ini = tmp_path / "wide.ini"
+    ini.write_text("[run]\nmode = fluctuating\n[source]\nfluct_r = 0.95\n"
+                   "[sweep]\nstart_km = 0\nstop_km = 0\n"
+                   "[optimizer]\ngrid_points = 2\nworkers = 1\n")
+    out = tmp_path / "r.csv"
+    out.write_text("kept\n")
+    code = main(["sweep", "--config", str(ini), "--out", str(out)])
+    assert "no feasible parameter point" in _assert_clean_error(code, capsys)
+    assert out.read_text() == "kept\n"
 
 
 def test_module_entry_point_runs_from_a_checkout():

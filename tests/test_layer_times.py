@@ -14,7 +14,7 @@ STAGES = {
 }
 SWEEP_ROW = {
     "distance_km", "grid_s", "polish_s", "grid_evaluations", "polish_evaluations",
-    "ell",
+    "polish_batches", "ell",
 }
 
 
@@ -32,7 +32,7 @@ def test_layer_times_prints_its_keys():
         "sweep_fluct",
     }
     for mode in ("exact", "fluct"):
-        assert set(report["stages"][mode]) == {"poll", "chunk", "point"}
+        assert set(report["stages"][mode]) == {"poll", "lookahead", "chunk", "point"}
         for batch in report["stages"][mode].values():
             assert set(batch) == STAGES
         assert report["cold_point_us"][mode] > 0.0

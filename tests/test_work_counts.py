@@ -4,11 +4,13 @@ A distance past the key's edge should cost its grid batches and nothing
 else: one ``stage_one`` batch per grid block, one click-table build per
 block that brings a nominal intensity the link has no table for yet,
 and ``stage_two`` batches of at most GRID_CHUNK points for the points
-the screen passes.  A keyed distance adds one batch per poll of the
-polish: one ``evaluate_batch`` call, with at most one click-table
-build.  A point and a batch enter the chain
+the screen passes.  A keyed distance adds one batch per two decisions of
+the polish's tracks: one ``evaluate_batch`` call, with at most one
+click-table build.  A point and a batch enter the chain
 through one ``prepare_batch`` call each.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from qkd_keyrate.channel import ChannelModel
 from qkd_keyrate.config import parse_config
 from qkd_keyrate.optimize import GRID_CHUNK, SearchSpace, optimize_rate
 from qkd_keyrate.pipeline import ParamBatch, ProtocolParams
+from one_event_polish import one_event_polish
 
 # the benchmark's sweep-exact settings (the a1 sweep on a 50 km grid)
 SWEEP_EXACT = """\
@@ -100,6 +103,8 @@ def test_keyless_distance_costs_its_grid_batches(distance, monkeypatch):
 
 def test_keyed_distance_polls_one_batch_each(monkeypatch):
     cfg = parse_config(SWEEP_EXACT)
+    args = (cfg.channel(100.0), cfg.budget(), cfg.n_total)
+    kwargs = {"mode": cfg.bound_mode, "f_ec": cfg.f_ec, "grid_points": cfg.grid_points}
     # formed before counting: a sweep forms the grid's blocks once
     blocks = optimize._grid_blocks(SearchSpace(), cfg.grid_points, "exact", cfg.fluct_r)
     events = []
@@ -111,12 +116,11 @@ def test_keyed_distance_polls_one_batch_each(monkeypatch):
         return evaluate_batch(cfg, params, *args, **kwargs)
 
     monkeypatch.setattr(optimize, "evaluate_batch", counted_poll)
-    out = optimize_rate(cfg.channel(100.0), cfg.budget(), cfg.n_total,
-                        mode=cfg.bound_mode, f_ec=cfg.f_ec, grid_points=cfg.grid_points)
+    out = optimize_rate(*args, **kwargs)
     assert out.best.ell > 0
     names = [name for name, _ in events]
     polls = [size for name, size in events if name == "poll"]
-    assert polls and sum(polls) == out.polish_evaluations
+    assert len(polls) == out.polish_batches == 25
     # the grid polls nothing: 3,126 points in four blocks (4, 4, 4 and
     # 1 chunks), one stage-1 batch and at most one table build each, and
     # stage-2 batches of at most GRID_CHUNK points
@@ -127,7 +131,8 @@ def test_keyed_distance_polls_one_batch_each(monkeypatch):
     assert names[:first].count("tables") <= len(blocks)
     assert all(0 < n <= GRID_CHUNK for name, n in grid if name == "two")
     assert {"one", "two", "tables"} >= set(names[:first])
-    # then each poll is one batch with at most one click-table build
+    # then each polish batch is one evaluate_batch call with at most one
+    # click-table build
     poll, per_poll = [], []
     for name in names[first:] + ["poll"]:
         if name == "poll" and poll:
@@ -136,6 +141,18 @@ def test_keyed_distance_polls_one_batch_each(monkeypatch):
         poll.append(name)
     assert len(per_poll) == len(polls)
     assert set(per_poll) <= {("poll",), ("poll", "tables")}
+    # the one-decision polish took 49 batches for the same decisions;
+    # batch k makes its decisions 2k and 2k + 1, and holds 80 rows per
+    # track live at decision 2k, 70 for a track at its last halving
+    one_event = []
+    monkeypatch.setattr(optimize, "_polish", functools.partial(one_event_polish,
+                                                              polls=one_event))
+    ref = optimize_rate(*args, **kwargs)
+    assert ref.polish_batches == len(one_event) == 49
+    assert out.polish_evaluations == ref.polish_evaluations
+    last = optimize.POLISH_HALVINGS - 1
+    assert polls == [sum(70 if h == last else 80 for h in halvings)
+                     for _, halvings in one_event[::2]]
 
 
 POINT = ProtocolParams(p_z=0.9, p_ks=0.8, p_kd1=0.12, k_s=0.46, k_d1=0.11)

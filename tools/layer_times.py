@@ -3,7 +3,9 @@
 Prints one JSON object.  ``stages`` holds, per mode (``exact``: the
 ``sweep-exact`` settings at 100 km; ``fluct``: the ``sweep-fluct``
 settings, r = 0.05, at 20 km) and per batch (``poll``: the compass
-polish's first 20-point stencil; ``chunk``: 256 grid points; ``point``:
+polish's first 20-point stencil, the ten neighbours of both tracks;
+``lookahead``: the polish's first batch from the same point, 160 rows
+for both tracks' two decisions; ``chunk``: 256 grid points; ``point``:
 a batch of one), the timeit-minimum microseconds of each stage of the
 chain on warm click tables, in the forms stage 2 runs them
 (``cell_bounds`` and ``phase_error`` with the source's
@@ -20,11 +22,12 @@ batch.  ``grid_parts_us`` splits the grid phase of ``sweep-fluct`` at
 stage 2 and ``replay``, the rest of the grid loop (the screens and the
 replay of the chunks), from the repeat with the least grid time.
 ``sweep`` holds, per ``sweep-exact`` distance, the grid and polish
-seconds (the minimum over the repeats), the evaluations of each phase
-and the key length; ``sweep_fluct`` holds the same per ``sweep-fluct``
-distance, with the sizes of the grid's stage-1 and stage-2 batches
-(``stage_one`` runs on a block of grid chunks, ``stage_two`` on the
-points that pass the screen, GRID_CHUNK at a time).
+seconds (the minimum over the repeats), the evaluations of each phase,
+the polish's batches and the key length; ``sweep_fluct`` holds the same
+per ``sweep-fluct`` distance, with the sizes of the grid's stage-1 and
+stage-2 batches (``stage_one`` runs on a block of grid chunks,
+``stage_two`` on the points that pass the screen, GRID_CHUNK at a
+time).
 
 Run from a checkout: ``PYTHONPATH=src python tools/layer_times.py``
 (``--repeat`` sets how many timeit repeats each minimum takes, and a
@@ -75,13 +78,15 @@ STAGE_TWO_ROWS = (1, 20, 195, 256)
 
 
 def _batches(run: RunConfig, u) -> dict[str, np.ndarray]:
-    """Unit vectors of the three batches."""
-    steps = np.array([0.5, 0.25]) / (run.grid_points - 1)
+    """Unit vectors of the four batches."""
+    steps = np.array(optimize.POLISH_FIRST_STEPS) / (run.grid_points - 1)
     poll = np.clip((np.asarray(u) + steps[:, None, None] * COMPASS).reshape(-1, 5), 0, 1)
+    lookahead = optimize._polish_rows(np.tile(u, (len(steps), 1)), steps,
+                                      [False] * len(steps))
     ticks = np.linspace(0.0, 1.0, run.grid_points)
     flat = np.arange(256, 512)
     chunk = ticks[np.stack(np.unravel_index(flat, (run.grid_points,) * 5), axis=1)]
-    return {"poll": poll, "chunk": chunk, "point": poll[:1]}
+    return {"poll": poll, "lookahead": lookahead, "chunk": chunk, "point": poll[:1]}
 
 
 def _best(fn, repeat: int) -> float:
@@ -198,8 +203,9 @@ def cold_point(run: RunConfig, distance: float, repeat: int) -> float:
 
 def sweep_phases(run: RunConfig, repeat: int, batches: bool = False) -> list[dict]:
     """Per distance of the sweep: grid and polish seconds (minimum over
-    ``repeat`` runs), evaluations and key length, and with ``batches``
-    the sizes of the grid's stage-1 and stage-2 batches."""
+    ``repeat`` runs), evaluations, polish batches and key length, and
+    with ``batches`` the sizes of the grid's stage-1 and stage-2
+    batches."""
     rows = []
     for d in run.distances():
         outs = [optimize_rate(run.channel(d), run.budget(), run.n_total,
@@ -212,6 +218,7 @@ def sweep_phases(run: RunConfig, repeat: int, batches: bool = False) -> list[dic
             "polish_s": round(min(o.polish_s for o in outs), 5),
             "grid_evaluations": out.grid_evaluations,
             "polish_evaluations": out.polish_evaluations,
+            "polish_batches": out.polish_batches,
             "ell": out.best.ell,
         }
         if batches:
