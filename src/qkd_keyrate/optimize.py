@@ -404,10 +404,7 @@ def _polish_rows(units: np.ndarray, steps: np.ndarray, last: list[bool]) -> np.n
     delta = steps[:, None, None] * _MOVES
     rows = units[:, None] + delta
     rows[:, 10:70] = np.take(_clip(rows[:, :10]), _RING_FIRST, axis=1) + delta[:, 10:70]
-    rows = _clip(rows)
-    if not any(last):
-        return rows.reshape(-1, 5)
-    return np.concatenate([r[:70] if end else r for r, end in zip(rows, last)])
+    return _clip(np.concatenate([r[:70] if end else r for r, end in zip(rows, last)]))
 
 
 def _polish(space: SearchSpace, score, u: np.ndarray, rate: float, grid_points: int):
