@@ -155,6 +155,11 @@ class RunConfig:
             )
         if self.workers < 0:
             raise ConfigError(f"optimizer.workers must be >= 0, got {self.workers!r}")
+        # an empty path's directory is the working one, so the sweep's
+        # output checks pass it and the sweep would run in full before
+        # open('') failed
+        if not self.output:
+            raise ConfigError("output.path must name a file, got an empty path")
         try:
             EpsilonBudget(self.eps_sec, self.eps_c, self.bound_mode)
         except ValueError as exc:

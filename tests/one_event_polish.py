@@ -8,8 +8,10 @@ is copied unchanged apart from the frame of ``optimize._polish``: the
 same arguments and the same return value, so a test can put it in
 ``_polish``'s place and compare the whole ``optimize_rate`` result.
 ``polls``, if given, receives per batch the live tracks and their
-halvings at its start.  ``tests/test_two_event_polish.py`` asserts that
-the library's polish gives the same answers to the last bit.
+halvings at its start, and ``states`` per batch each live track's
+(point, step) as bytes, in the order the tracks decide.
+``tests/test_two_event_polish.py`` asserts that the library's polish
+gives the same answers to the last bit.
 Nothing in the library calls it.
 """
 
@@ -23,7 +25,8 @@ from qkd_keyrate.optimize import POLISH_FIRST_STEPS, POLISH_HALVINGS
 _COMPASS = np.concatenate([np.eye(5), -np.eye(5)])
 
 
-def one_event_polish(space, score, best_u, best_rate, grid_points, polls=None):
+def one_event_polish(space, score, best_u, best_rate, grid_points, polls=None,
+                     states=None):
     """The compass polish from the grid point ``best_u`` of rate
     ``best_rate``, one decision per track and batch: the improvements as
     (params, result) pairs, the evaluations and the batches."""
@@ -38,6 +41,9 @@ def one_event_polish(space, score, best_u, best_rate, grid_points, polls=None):
     while (live := np.flatnonzero(halvings < POLISH_HALVINGS)).size:
         if polls is not None:
             polls.append((live.tolist(), halvings[live].tolist()))
+        if states is not None:
+            states.append([(t, track_u[t].tobytes() + steps[t].tobytes())
+                           for t in live.tolist()])
         stencil = track_u[live, None] + steps[live, None, None] * _COMPASS
         stencil = np.minimum(np.maximum(stencil.reshape(-1, 5), 0.0), 1.0)
         points = space.params_batch(stencil)

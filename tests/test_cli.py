@@ -286,6 +286,21 @@ def test_unwritable_out_path_stops_before_the_sweep(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "gone").exists()
 
 
+@pytest.mark.parametrize("where", ["config", "--out"])
+def test_empty_out_path_stops_before_the_sweep(tmp_path, capsys, monkeypatch, where):
+    ini = tmp_path / "run.ini"
+    ini.write_text(FAST + ("[output]\npath =\n" if where == "config" else ""))
+    optimized = []
+    monkeypatch.setattr(cli, "optimize_rate",
+                        lambda *args, **kwargs: optimized.append(1))
+    extra = ["--out", ""] if where == "--out" else []
+    code = main(["sweep", "--config", str(ini), *extra])
+    err = _assert_clean_error(code, capsys)
+    assert err.count("\n") == 1
+    assert "output.path" in err
+    assert optimized == []
+
+
 def test_failed_sweep_keeps_an_existing_csv(tmp_path, capsys):
     # the search box of this config has no feasible point: the sweep
     # fails after the output path was accepted

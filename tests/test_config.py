@@ -121,6 +121,17 @@ def test_with_overrides():
         with_overrides(cfg, eps_sec=1e-20)
 
 
+def test_empty_output_path_is_rejected():
+    # its directory would be the working one, so only open('') after the
+    # whole sweep would notice
+    with pytest.raises(ConfigError, match="output.path"):
+        parse_config("[output]\npath =\n")
+    with pytest.raises(ConfigError, match="output.path"):
+        with_overrides(parse_config(""), output="")
+    with pytest.raises(ConfigError, match="output.path"):
+        RunConfig(output="")
+
+
 def test_direct_construction_validates():
     with pytest.raises(ConfigError):
         RunConfig(mode="sideways")

@@ -14,7 +14,7 @@ STAGES = {
 }
 SWEEP_ROW = {
     "distance_km", "grid_s", "polish_s", "grid_evaluations", "polish_evaluations",
-    "polish_batches", "ell",
+    "polish_batches", "polish_rows", "ell",
 }
 
 

@@ -6,8 +6,9 @@ block that brings a nominal intensity the link has no table for yet,
 and ``stage_two`` batches of at most GRID_CHUNK points for the points
 the screen passes.  A keyed distance adds one batch per two decisions of
 the polish's tracks: one ``evaluate_batch`` call, with at most one
-click-table build.  A point and a batch enter the chain
-through one ``prepare_batch`` call each.
+click-table build, and one block of rows per state the live tracks are
+at, so tracks that have met poll one block.  A point and a batch enter
+the chain through one ``prepare_batch`` call each.
 """
 
 import functools
@@ -120,7 +121,7 @@ def test_keyed_distance_polls_one_batch_each(monkeypatch):
     assert out.best.ell > 0
     names = [name for name, _ in events]
     polls = [size for name, size in events if name == "poll"]
-    assert len(polls) == out.polish_batches == 25
+    assert len(polls) == out.polish_batches == 24
     # the grid polls nothing: 3,126 points in four blocks (4, 4, 4 and
     # 1 chunks), one stage-1 batch and at most one table build each, and
     # stage-2 batches of at most GRID_CHUNK points
@@ -141,18 +142,45 @@ def test_keyed_distance_polls_one_batch_each(monkeypatch):
         poll.append(name)
     assert len(per_poll) == len(polls)
     assert set(per_poll) <= {("poll",), ("poll", "tables")}
-    # the one-decision polish took 49 batches for the same decisions;
-    # batch k makes its decisions 2k and 2k + 1, and holds 80 rows per
-    # track live at decision 2k, 70 for a track at its last halving
+    # the one-decision polish took 49 batches for the same decisions.
+    # Until the tracks meet, batch k makes their decisions 2k and 2k + 1
+    # and holds 80 rows per track; from then on one block serves both,
+    # 70 rows once the track left is at its last halving
     one_event = []
     monkeypatch.setattr(optimize, "_polish", functools.partial(one_event_polish,
                                                               polls=one_event))
     ref = optimize_rate(*args, **kwargs)
     assert ref.polish_batches == len(one_event) == 49
     assert out.polish_evaluations == ref.polish_evaluations
-    last = optimize.POLISH_HALVINGS - 1
-    assert polls == [sum(70 if h == last else 80 for h in halvings)
-                     for _, halvings in one_event[::2]]
+    assert polls == [160] * 4 + [80] * 19 + [70]
+
+
+# per keyed sweep-exact distance, the polish's rows and batches; the
+# tracks meet at each, and without sharing rows they took 4,760, 4,280,
+# 3,820 and 2,880 rows in 31, 28, 25 and 18 batches
+POLISH_WORK = {0.0: (2940, 31), 50.0: (2540, 28), 100.0: (2230, 24), 150.0: (1600, 18)}
+
+
+def test_polish_rows_per_distance(monkeypatch):
+    cfg = parse_config(SWEEP_EXACT)
+    evaluate_batch = optimize.evaluate_batch
+    rows = []
+
+    def counted_poll(cfg, params, *args, **kwargs):
+        rows.append(len(params.p_z))
+        return evaluate_batch(cfg, params, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "evaluate_batch", counted_poll)
+    work = {}
+    for d in cfg.distances():
+        rows.clear()
+        out = optimize_rate(cfg.channel(d), cfg.budget(), cfg.n_total,
+                            mode=cfg.bound_mode, f_ec=cfg.f_ec,
+                            grid_points=cfg.grid_points)
+        assert len(rows) == out.polish_batches
+        if rows:
+            work[d] = (sum(rows), out.polish_batches)
+    assert work == POLISH_WORK
 
 
 POINT = ProtocolParams(p_z=0.9, p_ks=0.8, p_kd1=0.12, k_s=0.46, k_d1=0.11)

@@ -6,38 +6,42 @@ settings, r = 0.05, at 20 km) and per batch (``poll``: the compass
 polish's first 20-point stencil, the ten neighbours of both tracks;
 ``lookahead``: the polish's first batch from the same point, 160 rows
 for both tracks' two decisions; ``chunk``: 256 grid points; ``point``:
-a batch of one), the timeit-minimum microseconds of each stage of the
-chain on warm click tables, in the forms stage 2 runs them
-(``cell_bounds`` and ``phase_error`` with the source's
-``lower_terms``), and of the whole batch (``total``: the parameters and
-``evaluate_batch``).
+a batch of one), the minimum microseconds of each stage of the chain
+on warm click tables, in the forms stage 2 runs them (``cell_bounds``
+and ``phase_error`` with the source's ``lower_terms``), and of the
+whole batch (``total``: the parameters and ``evaluate_batch``).
 ``cold_point_us`` is a library ``evaluate_rate`` call per mode at
 80 km with a fresh channel model, as the benchmark's point calls make.
 ``stage_two_us`` holds, per mode at its ``stages`` distance, the
-timeit-minimum microseconds of ``pipeline.stage_two`` on 1, 20, 195 and
-256 points of the first grid block: the sizes of a batch of one, a
-poll, a keyless ``sweep-fluct`` distance's stage 2 and a full stage-2
-batch.  ``grid_parts_us`` splits the grid phase of ``sweep-fluct`` at
+minimum microseconds of ``pipeline.stage_two`` on 1, 20, 195 and 256
+points of the first grid block: the sizes of a batch of one, a poll, a
+keyless ``sweep-fluct`` distance's stage 2 and a full stage-2 batch.
+A mode's times are taken in interleaved rounds: each round times every
+one of them once, over about 10 ms of calls, and each keeps its
+minimum over the rounds, so a busy spell inflates no whole row.
+``grid_parts_us`` splits the grid phase of ``sweep-fluct`` at
 100 km, a keyless distance, into stage 1 (with its cold click tables),
 stage 2 and ``replay``, the rest of the grid loop (the screens and the
 replay of the chunks), from the repeat with the least grid time.
 ``sweep`` holds, per ``sweep-exact`` distance, the grid and polish
-seconds (the minimum over the repeats), the evaluations of each phase,
-the polish's batches and the key length; ``sweep_fluct`` holds the same
+seconds (the minimum over the repeats, which run the sweep's distances
+in turn), the evaluations of each phase, the polish's batches and
+the rows they score, and the key length; ``sweep_fluct`` holds the same
 per ``sweep-fluct`` distance, with the sizes of the grid's stage-1 and
 stage-2 batches (``stage_one`` runs on a block of grid chunks,
 ``stage_two`` on the points that pass the screen, GRID_CHUNK at a
 time).
 
 Run from a checkout: ``PYTHONPATH=src python tools/layer_times.py``
-(``--repeat`` sets how many timeit repeats each minimum takes, and a
-quarter of it the sweep's repeats).
+(``--repeat`` sets how many rounds each minimum takes, and a quarter of
+it the sweep's repeats).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import time
 import timeit
 
@@ -89,16 +93,21 @@ def _batches(run: RunConfig, u) -> dict[str, np.ndarray]:
     return {"poll": poll, "lookahead": lookahead, "chunk": chunk, "point": poll[:1]}
 
 
-def _best(fn, repeat: int) -> float:
-    """Timeit minimum of one ``fn()`` call, in microseconds, over
-    ``repeat`` runs of about 10 ms each."""
-    timer = timeit.Timer(fn)
-    number = max(1, int(1e-2 / timer.timeit(1)))
-    return min(timer.repeat(repeat, number)) / number * 1e6
+def _minima(fns: dict, repeat: int) -> dict:
+    """Per key of ``fns``, the minimum microseconds of one call over
+    ``repeat`` rounds, each of which times every function once over
+    about 10 ms of calls."""
+    timers = {key: timeit.Timer(fn) for key, fn in fns.items()}
+    numbers = {key: max(1, int(1e-2 / t.timeit(1))) for key, t in timers.items()}
+    best = dict.fromkeys(fns, math.inf)
+    for _ in range(repeat):
+        for key, t in timers.items():
+            best[key] = min(best[key], t.timeit(numbers[key]) / numbers[key])
+    return {key: round(s * 1e6, 1) for key, s in best.items()}
 
 
-def stage_times(run: RunConfig, distance: float, units, repeat: int) -> dict:
-    """Microseconds of each stage of one batch on warm tables."""
+def stage_fns(run: RunConfig, distance: float, units) -> dict:
+    """Each stage of one batch on warm tables, as a call to time."""
     space, mode, r = SearchSpace(), run.bound_mode, run.fluct_r
     cfg, budget, n, f_ec = run.channel(distance), run.budget(), run.n_total, run.f_ec
     model = ChannelModel(cfg)
@@ -117,7 +126,7 @@ def stage_times(run: RunConfig, distance: float, units, repeat: int) -> dict:
     def total():
         evaluate_batch(cfg, space.params_batch(units), budget, n, mode, f_ec, model)
 
-    stages = {
+    return {
         "params_batch": lambda: space.params_batch(units),
         "prepare_batch": lambda: prepare_batch(params, mode, r),
         "expected_counts": lambda: model.expected_counts(prepared.layout, n),
@@ -130,20 +139,19 @@ def stage_times(run: RunConfig, distance: float, units, repeat: int) -> dict:
             m0, m1, eph.e_ph_upper, lam, budget, n_total=n, e_z=e_z, z_ks_size=z_ks),
         "total": total,
     }
-    return {name: round(_best(fn, repeat), 1) for name, fn in stages.items()}
 
 
-def stage_two_times(run: RunConfig, distance: float, repeat: int) -> dict[str, float]:
-    """Microseconds of ``stage_two`` on the first STAGE_TWO_ROWS points
-    of the first grid block, on warm tables."""
+def stage_two_fns(run: RunConfig, distance: float) -> dict:
+    """``stage_two`` on the first STAGE_TWO_ROWS points of the first
+    grid block, on warm tables, as calls to time."""
     model = ChannelModel(run.channel(distance))
     budget, n = run.budget(), run.n_total
     block = optimize._grid_blocks(SearchSpace(), run.grid_points, run.bound_mode,
                                   run.fluct_r)[0]
     one = stage_one(model, block.prepared, budget, n, run.f_ec)
     return {
-        str(k): round(_best(lambda rows=np.arange(k): stage_two(
-            model, block.prepared, one, rows, budget, n), repeat), 1)
+        str(k): lambda rows=np.arange(k): stage_two(
+            model, block.prepared, one, rows, budget, n)
         for k in STAGE_TWO_ROWS
     }
 
@@ -193,32 +201,70 @@ def grid_parts(run: RunConfig, distance: float, repeat: int) -> dict[str, float]
             "stage_two": round(two, 1), "replay": round(grid - one - two, 1)}
 
 
-def cold_point(run: RunConfig, distance: float, repeat: int) -> float:
-    """Microseconds of one ``evaluate_rate`` call: a fresh channel model,
-    so its click tables are built."""
+def cold_point_fn(run: RunConfig, distance: float):
+    """One ``evaluate_rate`` call with a fresh channel model, so its click
+    tables are built, as a call to time."""
     cfg, budget = run.channel(distance), run.budget()
-    return round(_best(lambda: evaluate_rate(
-        cfg, POINT, budget, run.n_total, mode=run.bound_mode, f_ec=run.f_ec), repeat), 1)
+    return lambda: evaluate_rate(
+        cfg, POINT, budget, run.n_total, mode=run.bound_mode, f_ec=run.f_ec)
+
+
+def mode_times(run: RunConfig, distance: float, u, repeat: int) -> dict:
+    """The ``stages``, ``stage_two_us`` and ``cold_point_us`` entries of
+    one mode, timed in the same rounds."""
+    fns = {("stages", batch, stage): fn
+           for batch, units in _batches(run, u).items()
+           for stage, fn in stage_fns(run, distance, units).items()}
+    fns.update({("stage_two_us", k): fn
+                for k, fn in stage_two_fns(run, distance).items()})
+    fns[("cold_point_us",)] = cold_point_fn(run, 80.0)
+    report: dict = {}
+    for (*path, last), us in _minima(fns, repeat).items():
+        tree = report
+        for key in path:
+            tree = tree.setdefault(key, {})
+        tree[last] = us
+    return report
 
 
 def sweep_phases(run: RunConfig, repeat: int, batches: bool = False) -> list[dict]:
     """Per distance of the sweep: grid and polish seconds (minimum over
-    ``repeat`` runs), evaluations, polish batches and key length, and
-    with ``batches`` the sizes of the grid's stage-1 and stage-2
-    batches."""
+    ``repeat`` runs of the sweep's distances in turn), evaluations,
+    polish batches and rows, and key length, and with ``batches`` the
+    sizes of the grid's stage-1 and stage-2 batches."""
+    distances = run.distances()
+    outs = {d: [] for d in distances}
+    polish_rows = {}
+    evaluate_batch = optimize.evaluate_batch
+    polled = []
+
+    def counted(cfg, params, *args, **kwargs):
+        polled.append(len(params.p_z))
+        return evaluate_batch(cfg, params, *args, **kwargs)
+
+    try:
+        # the grid scores through the stages, so these are the polish's
+        optimize.evaluate_batch = counted
+        for _ in range(repeat):
+            for d in distances:
+                polled.clear()
+                outs[d].append(optimize_rate(run.channel(d), run.budget(), run.n_total,
+                                             mode=run.bound_mode, f_ec=run.f_ec,
+                                             grid_points=run.grid_points))
+                polish_rows[d] = sum(polled)
+    finally:
+        optimize.evaluate_batch = evaluate_batch
     rows = []
-    for d in run.distances():
-        outs = [optimize_rate(run.channel(d), run.budget(), run.n_total,
-                              mode=run.bound_mode, f_ec=run.f_ec,
-                              grid_points=run.grid_points) for _ in range(repeat)]
-        out = outs[0]
+    for d in distances:
+        out = outs[d][0]
         row = {
             "distance_km": d,
-            "grid_s": round(min(o.grid_s for o in outs), 5),
-            "polish_s": round(min(o.polish_s for o in outs), 5),
+            "grid_s": round(min(o.grid_s for o in outs[d]), 5),
+            "polish_s": round(min(o.polish_s for o in outs[d]), 5),
             "grid_evaluations": out.grid_evaluations,
             "polish_evaluations": out.polish_evaluations,
             "polish_batches": out.polish_batches,
+            "polish_rows": polish_rows[d],
             "ell": out.best.ell,
         }
         if batches:
@@ -235,12 +281,8 @@ def main() -> None:
     args = parser.parse_args()
     report = {"stages": {}, "cold_point_us": {}, "stage_two_us": {}}
     for mode, (run, distance, u) in MODES.items():
-        report["stages"][mode] = {
-            name: stage_times(run, distance, units, args.repeat)
-            for name, units in _batches(run, u).items()
-        }
-        report["cold_point_us"][mode] = cold_point(run, 80.0, args.repeat)
-        report["stage_two_us"][mode] = stage_two_times(run, distance, args.repeat)
+        for entry, times in mode_times(run, distance, u, args.repeat).items():
+            report[entry][mode] = times
     report["grid_parts_us"] = grid_parts(MODES["fluct"][0], 100.0, args.repeat)
     report["sweep"] = sweep_phases(MODES["exact"][0], max(1, args.repeat // 4))
     report["sweep_fluct"] = sweep_phases(MODES["fluct"][0], max(1, args.repeat // 4),
