@@ -102,6 +102,12 @@ class ChannelConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if not 0.0 <= self.fluct_r < 1.0:
             raise ValueError("fluct_r must lie in [0, 1)")
+        # (1 + r) mu would round to mu, and _spread's mass to 0
+        if self.fluct_r > 0.0 and 1.0 + self.fluct_r == 1.0:
+            raise ValueError(
+                f"fluct_r = {self.fluct_r!r} is below the float spacing: "
+                "(1 + r) mu rounds to mu"
+            )
         if not math.isfinite(self.xi):
             raise ValueError(f"xi must be finite, got {self.xi!r}")
         if not (math.isfinite(self.atten_db_per_km) and self.atten_db_per_km >= 0):

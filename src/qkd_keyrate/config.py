@@ -104,6 +104,13 @@ class RunConfig:
                 "run.mode = exact requires source.fluct_r = 0, got "
                 f"{self.fluct_r!r}; set run.mode = fluctuating to bound it"
             )
+        # the channel's truncated Gaussian would have no mass
+        if self.fluct_r > 0.0 and 1.0 + self.fluct_r == 1.0:
+            raise ConfigError(
+                f"source.fluct_r = {self.fluct_r!r} is below the float spacing: "
+                "(1 + r) mu rounds to mu, so the channel cannot integrate the "
+                "fluctuation; it must exceed 2**-53, about 1.1e-16"
+            )
         if not 0.0 < self.det_eff <= 1.0:
             raise ConfigError(
                 f"channel.det_eff must lie in (0, 1], got {self.det_eff!r}"
@@ -130,12 +137,21 @@ class RunConfig:
                 f"start={self.start_km!r} stop={self.stop_km!r}"
             )
         # distances() gives floor(span / step) + 1 points; counted here
-        # without building them
-        if (self.stop_km + _STOP_TOL - self.start_km) / self.step_km >= MAX_DISTANCES:
+        # before they are built
+        if self._span_steps() >= MAX_DISTANCES:
             raise ConfigError(
                 f"sweep.step_km = {self.step_km!r} gives more than "
                 f"{MAX_DISTANCES} distances from {self.start_km!r} to "
                 f"{self.stop_km!r} km"
+            )
+        # far out, a step below the float spacing rounds away
+        distances = self.distances()
+        if (self.start_km + self.step_km == self.start_km
+                or len(set(distances)) < len(distances)):
+            raise ConfigError(
+                f"sweep.step_km = {self.step_km!r} is below the float spacing "
+                f"between sweep.start_km = {self.start_km!r} and sweep.stop_km = "
+                f"{self.stop_km!r}, so the distances would not advance"
             )
         if self.strategy not in _STRATEGIES:
             raise ConfigError(
@@ -175,14 +191,14 @@ class RunConfig:
         """Internal estimator-mode token ('exact' or 'fluct')."""
         return "exact" if self.mode == "exact" else "fluct"
 
+    def _span_steps(self) -> float:
+        """The steps from start to stop, with the stop's tolerance."""
+        return (self.stop_km + _STOP_TOL - self.start_km) / self.step_km
+
     def distances(self) -> tuple[float, ...]:
         """Sweep grid start, start+step, ... up to and including stop."""
-        out = []
-        i = 0
-        while (d := self.start_km + i * self.step_km) <= self.stop_km + _STOP_TOL:
-            out.append(d)
-            i += 1
-        return tuple(out)
+        count = int(self._span_steps()) + 1
+        return tuple(self.start_km + i * self.step_km for i in range(count))
 
     def channel(self, distance_km: float) -> ChannelConfig:
         return ChannelConfig(

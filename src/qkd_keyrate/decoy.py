@@ -37,8 +37,6 @@ from .budget import CELL_IDS, EpsilonBudget
 from .concentration import (
     azuma_dev,
     chernoff_dev,
-    chernoff_valid,
-    hoeffding_dev,
     hoeffding_or_mult_chernoff_dev,
     mult_chernoff_scale,
 )
@@ -116,13 +114,19 @@ def level_arrays(mode: str, r: float, p_z, p_s, p_d1, k_s, k_d1, k_d2) -> tuple:
     forms' factor e^{k+}/p stays finite; and the ranges are ordered as
     the closed forms need, k_d1- > k_d2+ and k_s- > k_d1+ + k_d2-.  The
     three levels are tested at once.  An unknown mode or a bad ``r``
-    concerns every point and raises ValueError.  A row with fields out
+    (outside [0, 1), or positive with 1 + r == 1 in float64) concerns
+    every point and raises ValueError.  A row with fields out
     of range may form inf - inf, ln 0 or ln of a negative number,
     quietly here; the row is rejected anyway.
     """
     _check_mode(mode)
     if mode == "fluct" and not 0.0 <= r < 1.0:
         raise ValueError("relative fluctuation r must lie in [0, 1)")
+    if mode == "fluct" and r > 0.0 and 1.0 + r == 1.0:
+        raise ValueError(
+            f"relative fluctuation r = {r!r} is below the float spacing: "
+            "(1 + r) k rounds to k"
+        )
     with np.errstate(all="ignore"):
         k = np.array([k_s, k_d1, k_d2], dtype=float)
         lo, hi = (k, k) if mode == "exact" else ((1 - r) * k, (1 + r) * k)
@@ -359,13 +363,9 @@ def _count_bounds(
         return low0[:, 0], low1[:, 0]
     mu = np.concatenate([low0, low1], axis=1)
     log_inv = budget.log_inv(("m0.final", "m1.final"))
-    # the lower Chernoff deviation where it is valid, Hoeffding over N_z
-    # elsewhere
-    dev = np.where(
-        chernoff_valid(mu, log_inv, False),
-        chernoff_dev(mu, log_inv, False),
-        hoeffding_dev(counts.n_z[:, None], log_inv),
-    )
+    # the lower Chernoff deviation; where it is not valid, mu <= 2 ln(1/eps),
+    # so the deviation sqrt(2 mu ln(1/eps)) >= mu and the bound is 0
+    dev = chernoff_dev(mu, log_inv, False)
     value = np.minimum(np.maximum(mu - dev, 0.0), counts.z_by_k[:, :1])
     return value[:, 0], value[:, 1]
 

@@ -6,7 +6,10 @@ made two decisions per track: every batch polls each live track's ten
 neighbours u +- step*e_i, and each track then moves or halves once.  It
 is copied unchanged apart from the frame of ``optimize._polish``: the
 same arguments and the same return value, so a test can put it in
-``_polish``'s place and compare the whole ``optimize_rate`` result.
+``_polish``'s place and compare the whole ``optimize_rate`` result;
+and, as the library's polish does, it holds its points and steps on the
+integer lattice of ``POLISH_LATTICE_BITS`` and scores a point at its
+coordinates times the lattice unit.
 ``polls``, if given, receives per batch the live tracks and their
 halvings at its start, and ``states`` per batch each live track's
 (point, step) as bytes, in the order the tracks decide.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qkd_keyrate.optimize import POLISH_FIRST_STEPS, POLISH_HALVINGS
+from qkd_keyrate.optimize import POLISH_FIRST_STEPS, POLISH_HALVINGS, POLISH_LATTICE_BITS
 
 # the ten polling directions +- e_i of the compass
 _COMPASS = np.concatenate([np.eye(5), -np.eye(5)])
@@ -34,8 +37,9 @@ def one_event_polish(space, score, best_u, best_rate, grid_points, polls=None,
     polish_evaluations = batches = 0
     # every track still polling contributes its ten neighbours to one
     # batch; a track moves or halves on its own rate, not the best
-    steps = np.array(POLISH_FIRST_STEPS) / (grid_points - 1)
-    track_u = np.tile(best_u, (len(steps), 1))
+    top = float((grid_points - 1) << POLISH_LATTICE_BITS)
+    steps = np.array(POLISH_FIRST_STEPS) * (1 << POLISH_LATTICE_BITS)
+    track_u = np.tile(np.rint(best_u * top), (len(steps), 1))
     track_rate = np.full(len(steps), best_rate)
     halvings = np.zeros(len(steps), dtype=int)
     while (live := np.flatnonzero(halvings < POLISH_HALVINGS)).size:
@@ -45,8 +49,8 @@ def one_event_polish(space, score, best_u, best_rate, grid_points, polls=None,
             states.append([(t, track_u[t].tobytes() + steps[t].tobytes())
                            for t in live.tolist()])
         stencil = track_u[live, None] + steps[live, None, None] * _COMPASS
-        stencil = np.minimum(np.maximum(stencil.reshape(-1, 5), 0.0), 1.0)
-        points = space.params_batch(stencil)
+        stencil = np.minimum(np.maximum(stencil.reshape(-1, 5), 0.0), top)
+        points = space.params_batch(stencil * (1.0 / top))
         rates, batch, scored = score(points)
         batches += 1
         polish_evaluations += len(stencil)

@@ -77,6 +77,13 @@ def test_config_rejects_bad_link(name, value):
         make_cfg(**{name: value})
 
 
+@pytest.mark.parametrize("fluct_r", [1e-17, 2.0**-53])
+def test_config_rejects_unresolvable_fluctuation(fluct_r):
+    # (1 + r) mu would round to mu, and _spread would divide by a zero mass
+    with pytest.raises(ValueError, match="fluct_r"):
+        make_cfg(fluct_r=fluct_r)
+
+
 def test_click_prob_frozen():
     # Z0 sent, Z measured at xi = 0: the constructive port sees the full
     # pulse, the empty port only darks

@@ -270,6 +270,22 @@ def test_exact_mode_with_fluctuating_source_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, text, name", [
+    ("source", "[run]\nmode = fluctuating\n[source]\nfluct_r = 1e-17\n", "source.fluct_r"),
+    ("sweep", "[sweep]\nstart_km = 1e18\nstop_km = 1e18\nstep_km = 1\n", "sweep.step_km"),
+], ids=["fluct_r", "step_km"])
+def test_input_below_the_float_spacing_exit_code(tmp_path, capsys, section, text, name):
+    # a fluctuation that rounds away once divided by zero in the channel,
+    # and a step that rounds away once repeated one distance
+    ini = tmp_path / f"{section}.ini"
+    ini.write_text(text)
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--config", str(ini), "--out", str(out)])
+    err = _assert_clean_error(code, capsys)
+    assert err.count("\n") == 1 and name in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["directory", "missing parent"])
 def test_unwritable_out_path_stops_before_the_sweep(tmp_path, capsys, monkeypatch, where):
     ini = tmp_path / "run.ini"

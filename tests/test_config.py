@@ -1,5 +1,6 @@
 """INI config parsing, defaults, and diagnostics."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,35 @@ def test_distance_grid_at_the_cap_is_accepted():
         RunConfig(start_km=0.0, stop_km=float(MAX_DISTANCES), step_km=1.0)
     with pytest.raises(ConfigError, match="distances"):
         RunConfig(start_km=0.0, stop_km=1e308, step_km=1e-300)
+
+
+@pytest.mark.parametrize("start_km", [1e18, 1e20])
+def test_distance_step_that_does_not_advance_is_rejected(start_km):
+    # start + step rounds to start, so the grid would repeat one distance
+    with pytest.raises(ConfigError, match="sweep.step_km"):
+        RunConfig(start_km=start_km, stop_km=start_km, step_km=1.0)
+    # a step that moves the start but not every distance: the spacing is
+    # 128 at 1e18 and 16,384 at 1e20, so two of the steps round to one
+    spacing = math.ulp(start_km)
+    with pytest.raises(ConfigError, match="sweep.step_km"):
+        RunConfig(start_km=start_km, stop_km=start_km + 2 * spacing,
+                  step_km=0.51 * spacing)
+    # a step that does advance gives the one distance the count allows
+    cfg = RunConfig(start_km=start_km, stop_km=start_km, step_km=start_km / 1e10)
+    assert cfg.distances() == (start_km,)
+
+
+@pytest.mark.parametrize("fluct_r", [1e-17, 2.0**-53])
+def test_unresolvable_fluctuation_is_rejected(fluct_r):
+    # (1 + r) mu rounds to mu, and the channel's density would have no mass
+    with pytest.raises(ConfigError, match="source.fluct_r"):
+        RunConfig(mode="fluctuating", fluct_r=fluct_r)
+    with pytest.raises(ConfigError, match="source.fluct_r"):
+        parse_config(f"[run]\nmode = fluctuating\n[source]\nfluct_r = {fluct_r!r}\n")
+
+
+def test_smallest_resolvable_fluctuation_is_accepted():
+    RunConfig(mode="fluctuating", fluct_r=math.nextafter(2.0**-53, 1.0))
 
 
 def test_grid_above_the_cap_is_rejected():

@@ -13,7 +13,7 @@ import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig, ChannelModel
-from qkd_keyrate.decoy import ALL_CELLS, CELLS, cell_bounds, poisson_pk
+from qkd_keyrate.decoy import ALL_CELLS, CELLS, cell_bounds, level_arrays, poisson_pk
 from qkd_keyrate.optimize import SearchSpace
 from qkd_keyrate.phase_error import lower_terms
 from qkd_keyrate.pipeline import ProtocolParams, prepare_batch, source_coeffs
@@ -91,6 +91,15 @@ def test_intensity_set_invariants():
         make_intens(p_ks=0.8)
     # fluctuation ranges must stay ordered too: 10% around these levels is fine
     make_intens(r=0.1)
+
+
+@pytest.mark.parametrize("r", [1e-17, 2.0**-53])
+def test_levels_reject_unresolvable_fluctuation(r):
+    # (1 + r) k rounds to k: the range's top end is the nominal intensity
+    one = np.ones(1)
+    with pytest.raises(ValueError, match="relative fluctuation"):
+        level_arrays("fluct", r, one / 2, 0.6 * one, 0.3 * one, one / 2, one / 10,
+                     2e-4 * one)
 
 
 def test_fluctuating_endpoints():

@@ -10,7 +10,8 @@ tracks meet and share rows.  The cases are those
 ``tests/grid_pin.json`` does not pin: grid sizes other than the
 benchmark sweeps' 4 and 5, the asymptotic limit, a box whose best
 point lies on its edge, so that the stencil clips, and tracks that meet
-in fluctuating mode or with track 0 behind track 1.
+in fluctuating mode, on grids whose grid_points - 1 is not a power of
+two, or with track 0 behind track 1.
 """
 
 import functools
@@ -80,11 +81,25 @@ def test_both_modes_with_and_without_budget(name, distance, budget, monkeypatch)
 
 @pytest.mark.parametrize("distance", [0.0, 20.0, 40.0, 60.0])
 def test_fluctuating_tracks_that_meet(distance, monkeypatch):
-    # grid 5: every row and step is dyadic, so the tracks reach one state
-    # bit for bit; at 20 km both arrive in the same round and share rows
+    # grid 5: the tracks reach one lattice state; at 20 km both arrive in
+    # the same round and share rows
     states = []
     new, ref, _ = both(monkeypatch, "sweep-fluct", distance, states=states,
                        grid_points=5)
+    assert meeting(states) is not None
+    assert_same(new, ref)
+
+
+@pytest.mark.parametrize("name, distance, grid_points", [
+    ("sweep-fluct", 20.0, 4), ("sweep-fluct", 60.0, 4), ("sweep-exact", 50.0, 7),
+])
+def test_tracks_meet_on_other_grids(name, distance, grid_points, monkeypatch):
+    # grid_points - 1 is not a power of two, so a grid step is no dyadic
+    # fraction of the box, but the lattice keeps both paths to a point
+    # the same integers
+    states = []
+    new, ref, _ = both(monkeypatch, name, distance, states=states,
+                       grid_points=grid_points)
     assert meeting(states) is not None
     assert_same(new, ref)
 

@@ -7,8 +7,8 @@ and ``stage_two`` batches of at most GRID_CHUNK points for the points
 the screen passes.  A keyed distance adds one batch per two decisions of
 the polish's tracks: one ``evaluate_batch`` call, with at most one
 click-table build, and one block of rows per state the live tracks are
-at, so tracks that have met poll one block.  A point and a batch enter
-the chain through one ``prepare_batch`` call each.
+at, so tracks that have met poll one block, on every grid.  A point and
+a batch enter the chain through one ``prepare_batch`` call each.
 """
 
 import functools
@@ -159,10 +159,18 @@ def test_keyed_distance_polls_one_batch_each(monkeypatch):
 # tracks meet at each, and without sharing rows they took 4,760, 4,280,
 # 3,820 and 2,880 rows in 31, 28, 25 and 18 batches
 POLISH_WORK = {0.0: (2940, 31), 50.0: (2540, 28), 100.0: (2230, 24), 150.0: (1600, 18)}
+# the same per keyed sweep-fluct distance, 11,200 rows in all: the tracks
+# meet at 0, 20 and 60 km, and settle in two optima at 40 km; without
+# sharing rows they took 3,590, 5,160, 3,260 and 3,960 rows in 23, 34, 22
+# and 27 batches
+POLISH_WORK_FLUCT = {0.0: (2310, 23), 20.0: (3180, 33), 40.0: (3260, 22),
+                     60.0: (2450, 26)}
 
 
-def test_polish_rows_per_distance(monkeypatch):
-    cfg = parse_config(SWEEP_EXACT)
+def polish_work(monkeypatch, text: str) -> dict:
+    """Per keyed distance of the sweep ``text``, the rows and batches
+    of its polish."""
+    cfg = parse_config(text)
     evaluate_batch = optimize.evaluate_batch
     rows = []
 
@@ -180,7 +188,17 @@ def test_polish_rows_per_distance(monkeypatch):
         assert len(rows) == out.polish_batches
         if rows:
             work[d] = (sum(rows), out.polish_batches)
-    assert work == POLISH_WORK
+    return work
+
+
+def test_polish_rows_per_distance(monkeypatch):
+    assert polish_work(monkeypatch, SWEEP_EXACT) == POLISH_WORK
+
+
+def test_fluctuating_polish_rows_per_distance(monkeypatch):
+    work = polish_work(monkeypatch, SWEEP_FLUCT)
+    assert work == POLISH_WORK_FLUCT
+    assert sum(rows for rows, _ in work.values()) == 11_200
 
 
 POINT = ProtocolParams(p_z=0.9, p_ks=0.8, p_kd1=0.12, k_s=0.46, k_d1=0.11)

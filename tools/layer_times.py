@@ -74,7 +74,6 @@ MODES = {
                         grid_points=4, step_km=20.0, workers=1),
               20.0, [2 / 3, 1 / 3, 1 / 3, 0.0, 0.0]),
 }
-COMPASS = np.concatenate([np.eye(5), -np.eye(5)])
 POINT = ProtocolParams(p_z=0.9, p_ks=0.8, p_kd1=0.12, k_s=0.46, k_d1=0.11)
 # the stage-2 batch sizes timed: a batch of one, a poll, the stage 2 of a
 # keyless sweep-fluct distance (100 km) and a full batch
@@ -83,10 +82,14 @@ STAGE_TWO_ROWS = (1, 20, 195, 256)
 
 def _batches(run: RunConfig, u) -> dict[str, np.ndarray]:
     """Unit vectors of the four batches."""
-    steps = np.array(optimize.POLISH_FIRST_STEPS) / (run.grid_points - 1)
-    poll = np.clip((np.asarray(u) + steps[:, None, None] * COMPASS).reshape(-1, 5), 0, 1)
-    lookahead = optimize._polish_rows(np.tile(u, (len(steps), 1)), steps,
-                                      [False] * len(steps))
+    bits = optimize.POLISH_LATTICE_BITS
+    top = float((run.grid_points - 1) << bits)
+    steps = np.array(optimize.POLISH_FIRST_STEPS) * (1 << bits)
+    lattice = optimize._polish_rows(np.tile(np.rint(np.asarray(u) * top), (len(steps), 1)),
+                                    steps, [False] * len(steps), top)
+    lookahead = lattice * (1.0 / top)
+    # each track's first 10 of its 80 rows are its neighbours
+    poll = lookahead.reshape(len(steps), -1, 5)[:, :10].reshape(-1, 5)
     ticks = np.linspace(0.0, 1.0, run.grid_points)
     flat = np.arange(256, 512)
     chunk = ticks[np.stack(np.unravel_index(flat, (run.grid_points,) * 5), axis=1)]
