@@ -39,6 +39,9 @@ _STRATEGIES = ("grid", "grid+nm")
 MAX_DISTANCES = 10_000
 # absorbs accumulated float error at the sweep's stop endpoint
 _STOP_TOL = 1e-9
+# the largest n_total and f_ec * n_total: past about 1e306 the counts'
+# deviations and the EC leakage overflow
+MAX_COUNT = 1e300
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,16 @@ class RunConfig:
                 "need 0 < run.eps_c < run.eps_sec < 1, got "
                 f"eps_c={self.eps_c!r} eps_sec={self.eps_sec!r}"
             )
-        if self.n_total <= 0:
-            raise ConfigError(f"run.n_total must be positive, got {self.n_total!r}")
-        if self.f_ec < 1.0:
-            raise ConfigError(f"run.f_ec must be >= 1, got {self.f_ec!r}")
+        # below one pulse a rate's key length over n_total can overflow
+        if not 1.0 <= self.n_total <= MAX_COUNT:
+            raise ConfigError(
+                f"run.n_total must lie in [1, {MAX_COUNT:g}], got {self.n_total!r}"
+            )
+        if not 1.0 <= self.f_ec <= MAX_COUNT / self.n_total:
+            raise ConfigError(
+                f"run.f_ec must lie in [1, {MAX_COUNT:g} / run.n_total], got "
+                f"{self.f_ec!r} at n_total = {self.n_total!r}"
+            )
         if not 0.0 <= self.xi < math.pi / 2:
             raise ConfigError(f"source.xi must lie in [0, pi/2), got {self.xi!r}")
         if not 0.0 <= self.fluct_r < 1.0:

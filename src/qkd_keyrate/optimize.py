@@ -34,28 +34,24 @@ lattice exactly, the first steps are 2**12 and 2**11 units and the
 last polled step one unit, and every sum stays far below 2**53, so two
 paths to one point give the same floats and the tracks meet bit for
 bit on every grid (Torczon's convergence proof takes iterates on such
-a rational lattice).  Sharing rows, the polish forms 9,310 rows
-against 15,740 on the exact sweep in 50 km steps at grid 5, and 11,200
-against 15,970 on the fluctuating sweep in 20 km steps at grid 4.
+a rational lattice).
 Parameter combinations that violate the intensity ordering or the
 probability simplex score zero rather than erroring.  The grid runs
-``stage_one`` (m0, m1, EC leakage) on blocks of GRID_BLOCK chunks of
-GRID_CHUNK points, and ``stage_two`` (cells, phase error, key length) only on
-points whose rate ceiling beats the floor of their chunk as far as it
-is known, GRID_CHUNK at a time.  A chunk's floor is the best rate
-before it, at least 0; the first feasible point enters the trace
-whatever its rate.  Stage 2 starts with the points that beat the floor
-at the block's start; after each stage-2 batch every chunk before the
-first pending point's is complete, so that chunk's floor is exact, and
-the pending points that do not beat it are dropped (floors only rise,
-so none of them beats its own chunk's).  One pass then replays the
-block as scoring chunk by chunk would: a running maximum over the
-block's rates (-inf where unscored) from the best rate before the
-block gives each point the best rate before it, each chunk its floor
-and so the screened count, and the trace the points that beat every
-earlier one.  A point that stage 2 scored but its own chunk would
-have screened never enters it: its rate is at most its ceiling, which
-is at most that chunk's floor.
+``stage_one`` (m0, m1, EC leakage) on blocks of GRID_BLOCK·GRID_CHUNK
+points, and ``stage_two`` (cells, phase error, key length) only on
+points whose rate ceiling beats the best rate before them (at least
+0), at most GRID_CHUNK at a time; the first feasible point enters the
+trace whatever its rate.  Stage 2 starts with the points that beat the
+best rate at the block's start, lowest index first, so every scored
+point lies before every pending one, and after each stage-2 batch the
+pending points that do not beat the best rate so far are dropped.  One
+pass then replays the block: a running maximum over the block's rates
+(-inf where unscored) from the best rate before the block gives each
+point the best rate before it, and so the screened count, and the trace
+the points that beat every earlier one.  A point that stage 2 scored
+but the replay screens never enters it: its rate is at most its
+ceiling, which is at most the best rate before it.  Neither batch size
+changes any reported number.
 The polish's batches go through ``evaluate_batch``, unscreened, since
 a neighbour of the best point almost never falls below it by the
 margin m1 h(e_ph) the screen needs.  The grid's link-independent part
@@ -91,21 +87,22 @@ from .pipeline import (
 __all__ = ["InfeasibleSearchError", "OptimizationResult", "SearchSpace", "optimize_rate"]
 
 GRID_POINTS = 7
-# the most grid points per axis: the grid's prepared chunks are kept
-# (about 45 KB per GRID_CHUNK points), and 12**5 = 248,832 points take
-# about 44 MB
+# the most grid points per axis: the grid's prepared blocks are kept
+# (about 45 KB per 256 points), and 12**5 = 248,832 points take about
+# 44 MB
 MAX_GRID_POINTS = 12
-# grid points per batch: large enough to amortize the per-batch Python
-# work, small enough that a batch's arrays stay well under a megabyte
+# the most grid points per stage-2 batch: large enough to amortize the
+# per-batch Python work, small enough that a batch's arrays stay well
+# under a megabyte
 GRID_CHUNK = 256
-# grid chunks per stage-1 batch: stage 1 forms four Z cells per point
-# where stage 2 forms sixteen, so a block of four chunks takes about a
-# chunk's memory in either stage
+# a stage-1 batch takes GRID_BLOCK * GRID_CHUNK grid points: stage 1
+# forms four Z cells per point where stage 2 forms sixteen, so either
+# batch takes about the same memory
 GRID_BLOCK = 4
 # glibc's malloc serves a block above its mmap threshold (128 KB at start)
 # with a fresh mapping and unmaps it when freed, so a batch's larger
 # temporaries (a (256, 5, 17) float array is 174 KB) would fault their
-# pages in again in every chunk: about 5,000 minor faults and 8% of the
+# pages in again in every batch: about 5,000 minor faults and 8% of the
 # wall time of a 50 km-step exact sweep.  Freeing one mapped block raises
 # the threshold to that block's size, and the heap's trim threshold to
 # twice it.  The block is never written, so it takes no resident memory.
@@ -224,10 +221,11 @@ class OptimizationResult:
     track each (one track's, once the tracks have met).  The two times are
     wall seconds from ``time.perf_counter``.
     ``grid_screened`` counts the grid points the screen stopped after
-    m0, m1 and the EC leakage, because they could not beat the best rate
-    before their chunk; they count as evaluations too.  The count and
-    the trace are those of scoring the grid chunk by chunk, whichever
-    points stage 2 actually scored (the module docstring's replay).
+    m0, m1 and the EC leakage, because their ceiling does not beat the
+    best rate before them (at least 0); they count as evaluations too.
+    The count and the trace are those of scoring the grid point by
+    point, whichever points stage 2 actually scored (the module
+    docstring's replay).
     """
 
     best_params: ProtocolParams
@@ -243,16 +241,13 @@ class OptimizationResult:
 
 
 class GridBlock(NamedTuple):
-    """GRID_BLOCK consecutive grid chunks, prepared for one stage-1 batch:
-    the unit vectors, their parameters and the parameters'
-    ``prepare_batch``, each the chunks' in order, and the bounds of each
-    chunk's feasible points in ``prepared.idx`` (chunk c holds
-    ``prepared.idx[bounds[c]:bounds[c + 1]]``)."""
+    """GRID_BLOCK·GRID_CHUNK consecutive grid points, prepared for one
+    stage-1 batch: the unit vectors, their parameters and the
+    parameters' ``prepare_batch``."""
 
     units: np.ndarray
     params: ParamBatch
     prepared: PreparedBatch
-    bounds: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
@@ -261,11 +256,11 @@ def _grid_blocks(
 ) -> tuple[GridBlock, ...]:
     """The grid's blocks in ``mode`` at relative fluctuation ``r``.
 
-    The grid centre comes first, then the grid points in row-major
-    order, GRID_CHUNK of them per chunk; the first chunk also takes the
-    centre.  GRID_BLOCK chunks form a block, prepared in one
-    ``prepare_batch`` call.  None of this depends on the link, so a
-    sweep forms it once; its arrays are read-only.
+    The grid centre comes first, as point 0 of the first block, then the
+    grid points in row-major order, GRID_BLOCK·GRID_CHUNK of them per
+    block, each block prepared in one ``prepare_batch`` call.  None of
+    this depends on the link, so a sweep forms it once; its arrays are
+    read-only.
     """
     ticks = np.linspace(0.0, 1.0, grid_points)
     size = grid_points**5
@@ -273,18 +268,14 @@ def _grid_blocks(
     for first in range(0, size, GRID_BLOCK * GRID_CHUNK):
         flat = np.arange(first, min(first + GRID_BLOCK * GRID_CHUNK, size))
         units = ticks[np.stack(np.unravel_index(flat, (grid_points,) * 5), axis=1)]
-        # the block's point index of each chunk's first point, and its end
-        starts = np.append(np.arange(0, len(flat), GRID_CHUNK), len(flat))
         if first == 0:
             units = np.concatenate([np.full((1, 5), 0.5), units])
-            starts[1:] += 1
         params = space.params_batch(units)
         prepared = prepare_batch(params, mode, r)
-        block = GridBlock(units, params, prepared, np.searchsorted(prepared.idx, starts))
         for a in (units, *params, prepared.feasible, prepared.idx,
-                  *prepared.layout, prepared.factors, block.bounds):
+                  *prepared.layout, prepared.factors):
             a.setflags(write=False)
-        blocks.append(block)
+        blocks.append(GridBlock(units, params, prepared))
     return tuple(blocks)
 
 
@@ -306,7 +297,7 @@ def optimize_rate(
     When nothing in the box extracts a key, the full result of the
     first feasible grid point (the grid centre only when the centre is
     feasible) is returned, with rate 0: the screen lets that point
-    through, so it is scored in its chunk.  Settings that concern every
+    through, so stage 2 scores it.  Settings that concern every
     point (mode, n_total, f_ec, a degenerate source) raise
     ``evaluate_batch``'s ValueError, and a ``grid_points`` outside
     [2, MAX_GRID_POINTS] raises ValueError; InfeasibleSearchError means
@@ -344,12 +335,10 @@ def optimize_rate(
     best_rate = -1.0
     grid_evaluations = 1 + grid_points**5
     grid_screened = 0
-    for units, points, prepared, bounds in _grid_blocks(
-        space, grid_points, mode, cfg.fluct_r
-    ):
+    for units, points, prepared in _grid_blocks(space, grid_points, mode, cfg.fluct_r):
         one = stage_one(model, prepared, budget, n_total, f_ec)
         ceiling = one.ceiling(budget, n_total)
-        # stage 2 for the points that beat the floor at the block's start
+        # stage 2 for the points that beat the best rate at the block's start
         passing = ceiling > max(best_rate, 0.0)
         # the first feasible point enters the trace whatever its rate
         first = best_res is None
@@ -362,17 +351,12 @@ def optimize_rate(
             batch = stage_two(model, prepared, one, rows, budget, n_total)
             batches.append((rows, batch))
             rates[rows] = batch.rate
-            if pending.size:
-                # the chunks before the first pending point's are complete,
-                # so that chunk's floor is exact, and no later chunk's is lower
-                start = bounds[bounds.searchsorted(pending[0], "right") - 1]
-                floor = max(best_rate, rates[:start].max(initial=-np.inf), 0.0)
-                pending = pending[ceiling[pending] > floor]
+            # every scored point comes before every pending one
+            pending = pending[ceiling[pending] > max(best_rate, rates.max(), 0.0)]
         # the replay: the best rate before each point and after the block,
-        # each chunk's floor, and the points that beat every earlier one
+        # and the points that beat every earlier one
         running = np.maximum.accumulate(np.concatenate([[best_rate], rates]))
-        floors = np.maximum(running[bounds[:-1]], 0.0)
-        passed = ceiling > np.repeat(floors, np.diff(bounds))
+        passed = ceiling > np.maximum(running[:-1], 0.0)
         passed[:1] |= first
         grid_screened += len(ceiling) - int(np.count_nonzero(passed))
         for j in np.flatnonzero(rates > running[:-1]).tolist():

@@ -208,9 +208,8 @@ def test_key_length_at_the_phase_threshold(asymptotic):
 def test_grid_is_chunked(monkeypatch):
     assert (GRID_CHUNK, GRID_BLOCK) == (256, 4)
     # grid_points=4 gives 1 + 4**5 = 1025 points; the centre rides in the
-    # first chunk, so four chunks, the first of 257 points, and all four
-    # in one block: one stage-1 batch, then stage-2 batches of at most
-    # GRID_CHUNK points
+    # first block, so all of them are one block: one stage-1 batch, then
+    # stage-2 batches of at most GRID_CHUNK points
     ones, twos = [], []
 
     def counted_one(model, prepared, *args):
@@ -227,7 +226,8 @@ def test_grid_is_chunked(monkeypatch):
                         1e12, strategy="grid", grid_points=4)
     [block] = optimize._grid_blocks(SearchSpace(), 4, "exact", 0.0)
     assert ones == [1025]
-    assert len(block.bounds) == 5 and block.bounds[0] == 0
+    assert len(block.units) == 1 + GRID_BLOCK * GRID_CHUNK
+    assert (block.units[0] == 0.5).all()
     assert twos and all(n == GRID_CHUNK for n in twos[:-1]) and 0 < twos[-1] <= GRID_CHUNK
     assert out.evaluations == 1 + 4**5
     assert evaluate_rate(channel(60.0), out.best_params,

@@ -1,17 +1,23 @@
 """CLI behaviour: sweeps, CSV contract, exit codes."""
 
+import contextlib
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qkd_keyrate import cli, config
 from qkd_keyrate.cli import CSV_COLUMNS, main, run_sweep, write_csv
-from qkd_keyrate.config import parse_config
+from qkd_keyrate.config import DEFAULT_SECTIONS, ConfigError, RunConfig, parse_config
 
 FAST = """\
 [run]
@@ -339,3 +345,80 @@ def test_module_entry_point_runs_from_a_checkout():
                          capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
     assert "sweep" in out.stdout and "optimize" in out.stdout
+
+
+# every numeric field of the config, and the values at the ends of the
+# float range
+FUZZED = [(section, key) for section in ("run", "source", "channel", "sweep")
+          for key in DEFAULT_SECTIONS[section] if isinstance(getattr(RunConfig(), key), float)]
+EXTREMES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+            1e300, -1e300, 1.7e308, -1.7e308)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A one-distance sweep at grid_points 2 in either mode, with one to
+    three numeric fields drawn from anywhere in the float range."""
+    mode = draw(st.sampled_from(["exact", "fluctuating"]))
+    sections = {
+        "run": {"mode": mode, "asymptotic": str(draw(st.booleans()))},
+        "source": {"fluct_r": "0.05"} if mode == "fluctuating" else {},
+        "channel": {},
+        "sweep": {"start_km": "50.0"},
+        "optimizer": {"grid_points": "2", "workers": "1"},
+    }
+    value = st.one_of(st.sampled_from(EXTREMES), st.floats(0.0, 1.0), st.floats(1.0, 1e20),
+                      st.floats())
+    drawn = draw(st.sets(st.sampled_from(FUZZED), min_size=1, max_size=3))
+    for section, key in drawn:
+        sections[section][key] = repr(draw(value))
+    sections["sweep"].setdefault("stop_km", sections["sweep"]["start_km"])
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in sections.items())
+
+
+def clean_sweep(text):
+    """Exit code of ``sweep`` on the config ``text``, which either wrote
+    finite numbers or stopped with one error line; a RuntimeWarning is
+    an error in this suite, so it fails the caller."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ini, out = os.path.join(tmp, "run.ini"), os.path.join(tmp, "r.csv")
+        with open(ini, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["sweep", "--config", ini, "--out", out])
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not os.path.exists(out)
+            return code
+        assert code == 0 and err.getvalue() == ""
+        with open(out, encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+    for row in rows:
+        for col in CSV_COLUMNS[:-2]:
+            assert math.isfinite(float(row[col])), (col, row[col])
+    return code
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=fuzzed_configs())
+def test_fuzzed_config_exits_cleanly(text):
+    try:
+        distances = len(parse_config(text).distances())
+    except ConfigError:
+        distances = 1
+    # a drawn stop_km can give up to 10,000 distances: one is enough here
+    assume(distances == 1)
+    clean_sweep(text)
+
+
+@pytest.mark.parametrize("n_total, f_ec", [(1e300, 1.0), (1e12, 1e288), (1.0, 1e300)])
+@pytest.mark.parametrize("mode, source", [
+    ("exact", ""), ("fluctuating", "[source]\nfluct_r = 0.05\n"),
+], ids=["exact", "fluct"])
+def test_counts_at_the_cap_run_cleanly(mode, source, n_total, f_ec):
+    # the largest counts the config takes keep every number finite
+    text = (f"[run]\nmode = {mode}\nn_total = {n_total!r}\nf_ec = {f_ec!r}\n{source}"
+            "[sweep]\nstart_km = 50\nstop_km = 50\n[optimizer]\ngrid_points = 2\nworkers = 1\n")
+    assert clean_sweep(text) == 0

@@ -7,6 +7,7 @@ import pytest
 
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.config import (
+    MAX_COUNT,
     MAX_DISTANCES,
     ConfigError,
     RunConfig,
@@ -188,10 +189,41 @@ def test_smallest_resolvable_fluctuation_is_accepted():
 
 
 def test_grid_above_the_cap_is_rejected():
-    # the grid's prepared chunks are kept, so its size is capped on reading
+    # the grid's prepared blocks are kept, so its size is capped on reading
     RunConfig(grid_points=MAX_GRID_POINTS)
     with pytest.raises(ConfigError, match=f"grid_points must be <= {MAX_GRID_POINTS}"):
         parse_config(f"[optimizer]\ngrid_points = {MAX_GRID_POINTS + 1}\n")
+
+
+N_TOTAL_CAP = r"^run\.n_total must lie in \[1, 1e\+300\]"
+F_EC_CAP = r"^run\.f_ec must lie in \[1, 1e\+300 / run\.n_total\]"
+
+
+@pytest.mark.parametrize("n_total, f_ec, message", [
+    (math.nextafter(MAX_COUNT, math.inf), 1.0, N_TOTAL_CAP),
+    (1e308, 1.16, N_TOTAL_CAP),
+    (math.nextafter(1.0, 0.0), 1.16, N_TOTAL_CAP),
+    (5e-324, 1.16, N_TOTAL_CAP),
+    (MAX_COUNT, 1.16, F_EC_CAP),
+    (1e12, math.nextafter(MAX_COUNT / 1e12, math.inf), F_EC_CAP),
+    (1e12, 1e308, F_EC_CAP),
+])
+def test_overflowing_counts_are_rejected(n_total, f_ec, message):
+    # past about 1e306 the deviations and the EC leakage overflow, and
+    # below one pulse the rate ceiling can
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(n_total=n_total, f_ec=f_ec)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(f"[run]\nn_total = {n_total!r}\nf_ec = {f_ec!r}\n")
+
+
+@pytest.mark.parametrize("mode, fluct_r", [("exact", 0.0), ("fluctuating", 0.05)])
+def test_counts_at_the_cap_are_accepted(mode, fluct_r):
+    for n_total, f_ec in [(MAX_COUNT, 1.0), (1e12, MAX_COUNT / 1e12), (1.0, MAX_COUNT)]:
+        cfg = RunConfig(mode=mode, fluct_r=fluct_r, n_total=n_total, f_ec=f_ec)
+        assert cfg.f_ec * cfg.n_total == MAX_COUNT
+    with pytest.raises(ConfigError, match=F_EC_CAP):
+        RunConfig(mode=mode, fluct_r=fluct_r, f_ec=math.nextafter(1.0, 0.0))
 
 
 NON_FINITE = ("nan", "inf", "-inf")

@@ -187,7 +187,7 @@ def test_single_grid_point_raises(strategy):
 
 
 def test_grid_above_the_cap_raises():
-    # rejected before any grid chunk is formed
+    # rejected before any grid block is formed
     with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
         optimize_rate(channel(dist=50.0), budget(), 1e12,
                       grid_points=MAX_GRID_POINTS + 1)

@@ -3,6 +3,8 @@ phase-error rate cannot beat the best rate so far skips the cell and
 phase-error stages.  The screen must be exact: it may only drop points
 that could not have entered the trace."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from qkd_keyrate import optimize
 from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig, ChannelModel
+from qkd_keyrate.config import parse_config
 from qkd_keyrate.decoy import aggregate_bounds
 from qkd_keyrate.key_length import key_length_bound, lambda_ec_batch
 from qkd_keyrate.optimize import GRID_CHUNK, SearchSpace, optimize_rate
@@ -22,6 +25,7 @@ from qkd_keyrate.pipeline import (
     stage_one,
     stage_two,
 )
+from test_sweep_golden import SWEEPS
 
 # per mode of the property test: the chain's mode, r, N and eps_sec
 # (None: asymptotic)
@@ -118,9 +122,8 @@ def test_floor_per_point():
 def grid_oracle(cfg, bud, n_total, space, mode, grid_points):
     """The grid's trace, best point, best result and screened count with
     every grid point scored through ``evaluate_batch``, in the grid's
-    order (the centre first, then row-major), and screened as chunk by
-    chunk: GRID_CHUNK points a chunk, the first also taking the centre,
-    each under the best rate before it (at least 0)."""
+    order (the centre first, then row-major), and each point screened
+    under the best rate before it (at least 0)."""
     ticks = np.linspace(0.0, 1.0, grid_points)
     rows = np.unravel_index(np.arange(grid_points**5), (grid_points,) * 5)
     units = np.concatenate([np.full((1, 5), 0.5), ticks[np.stack(rows, axis=1)]])
@@ -128,11 +131,9 @@ def grid_oracle(cfg, bud, n_total, space, mode, grid_points):
     feasible, batch = evaluate_batch(cfg, points, bud, n_total, mode=mode)
     bound = key_length_bound(batch.m0_l, batch.m1_l, batch.lambda_ec, bud)
     ceiling = np.where(batch.m1_l > 0.0, bound / n_total, -np.inf)
-    trace, best, screened, chunk = [], None, 0, -1
+    trace, best, screened = [], None, 0
     for k, i in enumerate(np.flatnonzero(feasible)):
-        if max(i - 1, 0) // GRID_CHUNK > chunk:
-            chunk, floor = max(i - 1, 0) // GRID_CHUNK, max(best.rate if best else 0.0, 0.0)
-        if best is not None and ceiling[k] <= floor:
+        if best is not None and ceiling[k] <= max(best.rate, 0.0):
             screened += 1
         elif best is None or batch.rate[k] > best.rate:
             best = batch.result(k)
@@ -212,9 +213,9 @@ def test_keyless_distance_scores_each_chunk_once(case, monkeypatch):
     cfg, bud = channel(distance, r), budget(mode, eps_sec)
     out = optimize_rate(cfg, bud, n_total, mode=mode, grid_points=4)
     assert out.best.ell == 0
-    # the grid's four chunks are one block, one stage-1 batch
-    assert ones == [257 + 3 * 256]
-    # past the key's edge the best rate stays 0, so every chunk's floor is
+    # the grid's 1 + 4**5 points are one block, one stage-1 batch
+    assert ones == [1025]
+    # past the key's edge the best rate stays 0, so every point's floor is
     # the block's: stage 2 scores exactly the points the screen passes,
     # among them the first feasible point, GRID_CHUNK at a time
     [block] = optimize._grid_blocks(SearchSpace(), 4, mode, r)
@@ -230,14 +231,14 @@ def test_keyless_distance_scores_each_chunk_once(case, monkeypatch):
     ("fluct", 0.05, 1e14, 1e-8, 20.0),
 ], ids=["exact", "fluct"])
 def test_stage_two_mixes_chunks(mode, r, n_total, eps_sec, distance):
-    # a stage-2 batch of rows from all four chunks of a block, out of
-    # order, gives each row its evaluate_rate result, bit for bit
+    # a stage-2 batch of rows spread over the whole block, out of order,
+    # gives each row its evaluate_rate result, bit for bit
     cfg, bud = channel(distance, r), budget(mode, eps_sec)
-    units, points, prepared, bounds = optimize._grid_blocks(SearchSpace(), 4, mode, r)[0]
+    units, points, prepared = optimize._grid_blocks(SearchSpace(), 4, mode, r)[0]
     model = ChannelModel(cfg)
     one = stage_one(model, prepared, bud, n_total)
-    rows = np.arange(bounds[-1])[::-37][:GRID_CHUNK]
-    assert len(set(np.searchsorted(bounds, rows, side="right"))) == 4
+    rows = np.arange(len(prepared.idx))[::-37][:GRID_CHUNK]
+    assert rows[0] > 3 * len(prepared.idx) // 4 and rows[-1] < len(prepared.idx) // 4
     batch = stage_two(model, prepared, one, rows, bud, n_total)
     keyed = 0
     for k, j in enumerate(rows):
@@ -245,3 +246,31 @@ def test_stage_two_mixes_chunks(mode, r, n_total, eps_sec, distance):
         assert batch.result(k) == want
         keyed += want.ell > 0
     assert keyed > 0
+
+
+@pytest.mark.parametrize("chunk, block", [(64, 1), (64, 16), (1000, 1), (1000, 16)])
+@pytest.mark.parametrize("name, distance", [("sweep-exact", 50.0), ("sweep-fluct", 20.0)])
+def test_answers_do_not_depend_on_batch_sizes(name, distance, chunk, block, monkeypatch):
+    # GRID_CHUNK caps a stage-2 batch and GRID_BLOCK·GRID_CHUNK sizes a
+    # stage-1 batch; every reported number but the times is the same
+    # whatever they are
+    cfg = parse_config(SWEEPS[name])
+
+    def run():
+        out = optimize_rate(cfg.channel(distance), cfg.budget(), cfg.n_total,
+                            strategy=cfg.strategy, mode=cfg.bound_mode, f_ec=cfg.f_ec,
+                            grid_points=cfg.grid_points)
+        return dataclasses.replace(out, grid_s=0.0, polish_s=0.0)
+
+    want = run()
+    optimize._grid_blocks.cache_clear()
+    monkeypatch.setattr(optimize, "GRID_CHUNK", chunk)
+    monkeypatch.setattr(optimize, "GRID_BLOCK", block)
+    try:
+        got = run()
+        blocks = optimize._grid_blocks(SearchSpace(), cfg.grid_points, cfg.bound_mode,
+                                       cfg.fluct_r)
+        assert len(blocks) == -(-cfg.grid_points**5 // (chunk * block))
+    finally:
+        optimize._grid_blocks.cache_clear()
+    assert got == want

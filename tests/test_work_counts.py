@@ -85,14 +85,14 @@ def test_keyless_distance_costs_its_grid_batches(distance, monkeypatch):
     out = optimize_rate(cfg.channel(distance), cfg.budget(), cfg.n_total,
                         mode=cfg.bound_mode, f_ec=cfg.f_ec, grid_points=cfg.grid_points)
     assert out.best.ell == 0
-    # the grid's 1025 points are one block of four chunks: one stage-1
-    # batch, which builds every table the block needs at once
+    # the grid's 1025 points are one block: one stage-1 batch, which
+    # builds every table the block needs at once
     [block] = optimize._grid_blocks(SearchSpace(), cfg.grid_points, "fluct", cfg.fluct_r)
-    assert len(block.bounds) == 5
+    assert len(block.units) == 1025
     assert events[:2] == [("one", 1025),
                           ("tables", block.prepared.layout.nominal.tolist())]
     # then the points the screen passes, GRID_CHUNK per stage-2 batch: at
-    # 100 km 195 points, one batch where scoring chunk by chunk took four
+    # 100 km 195 points, one batch
     passed = len(block.prepared.idx) - out.grid_screened
     twos = [n for name, n in events[2:] if name == "two"]
     assert len(twos) == len(events) - 2
@@ -122,9 +122,9 @@ def test_keyed_distance_polls_one_batch_each(monkeypatch):
     names = [name for name, _ in events]
     polls = [size for name, size in events if name == "poll"]
     assert len(polls) == out.polish_batches == 24
-    # the grid polls nothing: 3,126 points in four blocks (4, 4, 4 and
-    # 1 chunks), one stage-1 batch and at most one table build each, and
-    # stage-2 batches of at most GRID_CHUNK points
+    # the grid polls nothing: 3,126 points in four blocks, one stage-1
+    # batch and at most one table build each, and stage-2 batches of at
+    # most GRID_CHUNK points
     first = names.index("poll")
     grid = events[:first]
     assert [n for name, n in grid if name == "one"] == [1025, 1024, 1024, 53]

@@ -22,15 +22,15 @@ minimum over the rounds, so a busy spell inflates no whole row.
 ``grid_parts_us`` splits the grid phase of ``sweep-fluct`` at
 100 km, a keyless distance, into stage 1 (with its cold click tables),
 stage 2 and ``replay``, the rest of the grid loop (the screens and the
-replay of the chunks), from the repeat with the least grid time.
+replay of each block), from the repeat with the least grid time.
 ``sweep`` holds, per ``sweep-exact`` distance, the grid and polish
 seconds (the minimum over the repeats, which run the sweep's distances
 in turn), the evaluations of each phase, the polish's batches and
 the rows they score, and the key length; ``sweep_fluct`` holds the same
 per ``sweep-fluct`` distance, with the sizes of the grid's stage-1 and
-stage-2 batches (``stage_one`` runs on a block of grid chunks,
-``stage_two`` on the points that pass the screen, GRID_CHUNK at a
-time).
+stage-2 batches (``stage_one`` runs on a block of grid points,
+``stage_two`` on the points that pass the screen, at most GRID_CHUNK
+at a time).
 
 Run from a checkout: ``PYTHONPATH=src python tools/layer_times.py``
 (``--repeat`` sets how many rounds each minimum takes, and a quarter of
