@@ -28,7 +28,6 @@ from .key_length import KeyRateResult, binary_entropy, eph_threshold
 from .optimize import OptimizationResult, SearchSpace, optimize_rate
 from .phase_error import n_ph_appendixE
 from .pipeline import ProtocolParams, evaluate_rate
-from .validate import run_validation
 
 __version__ = "0.1.0"
 
@@ -52,3 +51,12 @@ __all__ = [
     "evaluate_rate",
     "run_validation",
 ]
+
+
+def __getattr__(name: str):
+    # validate loads on first use: the key-rate chain never needs it
+    if name == "run_validation":
+        from .validate import run_validation
+
+        return run_validation
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

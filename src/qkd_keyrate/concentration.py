@@ -64,8 +64,8 @@ def chernoff_dev(mean, log_inv, above):
 
 def chernoff_valid(mean, log_inv, above):
     """Where ``chernoff_dev`` holds: ``mean > 2 ln(1/eps)`` below the mean,
-    ``mean > 3 ln(1/eps)`` above it.  Callers fall back to Hoeffding
-    elsewhere."""
+    ``mean > 3 ln(1/eps)`` above it.  No caller in the key-rate chain:
+    below, an invalid deviation is at least the mean, a bound of 0."""
     return mean > _pick(above, 3.0, 2.0) * log_inv
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields, replace
 from .budget import EpsilonBudget
 from .channel import ChannelConfig
 from .optimize import MAX_GRID_POINTS
+from .pipeline import MAX_COUNT
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "DEFAULT_SECTIONS"]
 
@@ -39,9 +40,6 @@ _STRATEGIES = ("grid", "grid+nm")
 MAX_DISTANCES = 10_000
 # absorbs accumulated float error at the sweep's stop endpoint
 _STOP_TOL = 1e-9
-# the largest n_total and f_ec * n_total: past about 1e306 the counts'
-# deviations and the EC leakage overflow
-MAX_COUNT = 1e300
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ is charged once, log2(2/(eps_s^2 - eta)) + log2(2/eps_c), whatever the
 observed data.  Passing ``budget=None`` drops the two log terms, which
 is the asymptotic limit used for cross-checks and optimizer seeding.
 ``key_length_batch`` computes the length for a batch of points; one
-point is a batch of one.
+point is a batch of one, and each abort is decided from the length it
+computes, not from ``eph_threshold``'s root search.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class KeyRateResult:
     """Key length, rate, and the inputs that produced them.
 
     ``aborted`` is true exactly when no key can be extracted; the reason
-    distinguishes counts too small for a positive length from a
-    phase-error bound past the abort threshold.
+    is a phase-error abort where only a lower phase-error rate would give
+    a positive length, and too few counts otherwise.
     """
 
     ell: int
@@ -108,8 +109,7 @@ def eph_threshold(
         return 0.0
     if ell(0.5) > 0.0:
         return 0.5
-    # bisection keeps ell(lo) > 0 >= ell(hi), down to the bracket width
-    # that the comment above _ROUNDING_REL relies on
+    # bisection keeps ell(lo) > 0 >= ell(hi)
     lo, hi = 0.0, 0.5
     while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
@@ -154,22 +154,6 @@ class KeyRateBatch(NamedTuple):
         )
 
 
-# The root search behind a batch's phase-error aborts is skipped where
-# its outcome is certain.  eph_threshold bisects [0, 1/2], keeping the
-# computed length f(e) positive at lo and not positive at hi, until
-# hi - lo <= 1e-15 (every halving shrinks the bracket: no float in
-# [0, 1/2] has an ulp above 1.2e-16), and returns the midpoint.  So the
-# threshold lies within 1.5e-15 of a sign change of f.  f is within E of
-# the exact length g(e) = m0 + m1 (1 - h(e)) - logs - lam, which does not
-# increase in e and moves by at most m1 h(1.5e-15) < 1e-13 m1 over
-# 1.5e-15 (h is concave with h(0) = 0).
-# So where f(e_ph) > 2E + 1e-13 m1 every sign change of f lies above
-# e_ph, and so does the threshold: no phase abort.  Where f(e_ph) is
-# below minus that, the threshold lies below e_ph and below 1/2: a phase
-# abort.  E is taken as 1e-12 (m0 + m1 + logs + lam), some hundreds of
-# times the rounding error of f.  Only points in between run the search.
-_ROUNDING_REL = 1e-12
-_SLOPE_REL = 1e-13
 # a batch's abort reasons, indexed by code
 _REASONS = np.array([None, ABORT_PHASE, ABORT_COUNTS], dtype=object)
 
@@ -182,32 +166,24 @@ def key_length_batch(
     """Extractable key length and rate per point, from the m0 and m1
     bounds and the phase-error rate bound ``e_ph``.
 
-    Aborts are returned, never raised: a phase-error bound at or past
-    the zero-key threshold and a nonpositive floored length yield
-    ell = 0 with a reason.
+    Aborts are returned, never raised, as ell = 0 with a reason: a
+    phase-error abort where the zero-rate length is positive and the
+    computed one is not, else too few counts.  Near that threshold the
+    reason follows the rounding of h, so it can switch back and forth
+    as ``e_ph`` rises; ell is 0 either way.
     """
     if n_total <= 0.0:
         raise ValueError("n_total must be positive")
     logs = 0.0 if budget is None else budget.log_terms
-    # the length at a saturated, at a zero and at the bounded phase-error
-    # rate (_pa_penalty: the entropy is 1 from 1/2 on); the zero-rate one
-    # is key_length_bound, by the same operations
+    # the length at a saturated and at the bounded phase-error rate
+    # (_pa_penalty); at a zero rate it is at_half + m1, key_length_bound
     at_half = m0 - logs - lam_ec
     raw = at_half + m1 * (1.0 - _entropy(np.minimum(e_ph, 0.5)))
     positive = (m1 > 0.0) & (at_half + m1 > 0.0)
-    # an interior threshold exists where the saturated length is not positive
-    search = positive & (at_half <= 0.0)
-    slack = 2.0 * _ROUNDING_REL * (m0 + m1 + logs + lam_ec) + _SLOPE_REL * m1
-    decided = np.abs(raw) > slack
-    phase = search & decided & (raw < 0.0)
-    for i in (search & ~decided).nonzero()[0]:
-        threshold = eph_threshold(float(m0[i]), float(m1[i]), float(lam_ec[i]), budget)
-        phase[i] = threshold < 0.5 and e_ph[i] >= threshold
+    phase = positive & (raw <= 0.0)
     ell = np.floor(raw)
-    # no key where not positive, at a phase abort (only positive points
-    # have one) or at a floor of 0; the codes of _REASONS: 0 where keyed,
-    # else 1 for a phase abort and 2 for too few counts
-    dropped = ~((positive ^ phase) & (ell > 0.0))
+    # the codes of _REASONS: 0 where keyed, 1 phase, 2 counts
+    dropped = ~(positive & (ell > 0.0))
     ell[dropped] = 0.0
     reason = _REASONS[(2 - phase) * dropped]
     return KeyRateBatch(

@@ -439,31 +439,29 @@ def _polish(space: SearchSpace, score, u: np.ndarray, rate: float, grid_points: 
     track_rate = [rate] * len(tracks)
     halvings = [0] * len(tracks)
     # per state a track has left, the state after the decision taken
-    # there and its rate; ``met`` once a track reaches a state another
-    # track is at or has left
+    # there and its rate; a track never revisits a state, so the replay
+    # and the dedupe below act only once tracks have met
     taken: dict[bytes, tuple[bytes, float]] = {}
-    met = False
     found = []
     evaluations = batches = 0
     while True:
         live = [t for t, h in enumerate(halvings) if h < POLISH_HALVINGS]
-        if met:
-            # a track at a state another track has left repeats that
-            # track's decisions without rows; their moves never beat the
-            # best, which already holds them
-            for t in live:
-                while halvings[t] < POLISH_HALVINGS and (after := taken.get(keys[t])):
-                    keys[t], track_rate[t] = after
-                    row = np.frombuffer(keys[t])
-                    halvings[t] += bool(row[5] < steps[t])
-                    tracks[t] = row
-                    evaluations += len(_COMPASS)
-            # of the tracks at one state only the last polls: its first
-            # step was the smallest (POLISH_FIRST_STEPS falls), so it has
-            # halved the fewest times and outlives the others, which
-            # repeat its decisions before the next batch
-            live = list({keys[t]: t for t in live
-                         if halvings[t] < POLISH_HALVINGS}.values())
+        # a track at a state another track has left repeats that track's
+        # decisions without rows; their moves never beat the best, which
+        # already holds them
+        for t in live:
+            while halvings[t] < POLISH_HALVINGS and (after := taken.get(keys[t])):
+                keys[t], track_rate[t] = after
+                row = np.frombuffer(keys[t])
+                halvings[t] += bool(row[5] < steps[t])
+                tracks[t] = row
+                evaluations += len(_COMPASS)
+        # of the tracks at one state only the last polls: its first step
+        # was the smallest (POLISH_FIRST_STEPS falls), so it has halved
+        # the fewest times and outlives the others, which repeat its
+        # decisions before the next batch
+        live = list({keys[t]: t for t in live
+                     if halvings[t] < POLISH_HALVINGS}.values())
         if not live:
             break
         last = [halvings[t] == POLISH_HALVINGS - 1 for t in live]
@@ -497,7 +495,6 @@ def _polish(space: SearchSpace, score, u: np.ndarray, rate: float, grid_points: 
                         rate = res.rate
                         found.append((points.point(i), res))
                 key = rows_of[t].tobytes()
-                met = met or key in taken or key in keys
                 taken[keys[t]] = key, track_rate[t]
                 keys[t] = key
     return found, evaluations, batches

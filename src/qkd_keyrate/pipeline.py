@@ -73,6 +73,9 @@ __all__ = [
 ]
 
 K_D2_DEFAULT = 2e-4
+# the largest n_total and f_ec * n_total: past about 1e306 the counts'
+# deviations and the EC leakage overflow, and below n_total = 1 a rate can
+MAX_COUNT = 1e300
 
 
 @dataclass(frozen=True)
@@ -197,11 +200,13 @@ def evaluate_batch(
     ones, in order.  A point is infeasible where
     ``level_arrays`` rejects it, the rule under which
     ``evaluate_rate`` raises ValueError.  Settings that concern every point
-    raise ValueError: mode, n_total, f_ec, and a source that cannot be
+    raise ValueError: mode, an n_total outside [1, MAX_COUNT], an f_ec
+    outside [1, MAX_COUNT / n_total], and a source that cannot be
     built (``DegenerateStatesError``), which depends on xi alone and so
     fails at every p_z in (0, 1) or at none.  ``model`` shares click
     tables across calls on one link.
     """
+    _check_scale(n_total, f_ec)
     prepared = prepare_batch(params, mode, cfg.fluct_r)
     if model is None:
         model = ChannelModel(cfg)
@@ -242,6 +247,7 @@ def stage_one(
     The source is built first, so a degenerate one raises whatever the
     caller picks; errors are those of ``evaluate_batch``.
     """
+    _check_scale(n_total, f_ec)
     source_coeffs(model.cfg.xi)
     counts, e_z = model.z_counts(prepared.layout, n_total)
     return _stage_one(counts, e_z, prepared.factors, budget, prepared.mode, f_ec)
@@ -318,7 +324,8 @@ def evaluate_rate(
     batch of one.
 
     A point that ``level_arrays`` rejects raises
-    ValueError; statistical aborts come back in the result.  A
+    ValueError, and so do the settings ``evaluate_batch`` rejects;
+    statistical aborts come back in the result.  A
     one-row ``counts`` (e.g. a ``ChannelModel.sample`` draw) replaces
     the expected statistics: the chain then runs from the prepared
     decoy factors, and the Z error rate is read from its
@@ -329,6 +336,7 @@ def evaluate_rate(
     trials, and cells or trials of the X1 sender state, which is never
     sent, raise ValueError.
     """
+    _check_scale(n_total, f_ec)
     prepared = prepare_batch(ParamBatch.of([params]), mode, cfg.fluct_r)
     if not prepared.feasible[0]:
         raise ValueError(f"infeasible parameter point in {mode} mode: {params}")
@@ -341,6 +349,14 @@ def evaluate_rate(
         counts, e_z, prepared.factors, cfg.xi, prepared.layout.p_z,
         budget, n_total, mode, f_ec,
     ).result(0)
+
+
+def _check_scale(n_total: float, f_ec: float) -> None:
+    """Reject what would overflow: see MAX_COUNT."""
+    if not 1.0 <= n_total <= MAX_COUNT:
+        raise ValueError(f"n_total must lie in [1, {MAX_COUNT:g}], got {n_total!r}")
+    if not 1.0 <= f_ec <= MAX_COUNT / n_total:
+        raise ValueError(f"f_ec must lie in [1, {MAX_COUNT:g} / n_total], got {f_ec!r}")
 
 
 # the shape of each CountsBatch field for one run

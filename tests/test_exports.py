@@ -1,5 +1,5 @@
 """Every exported name resolves, in the package and in each module, and
-the package imports without scipy."""
+the package imports without scipy and without its validation suites."""
 
 import importlib
 import os
@@ -37,3 +37,19 @@ def test_import_loads_no_scipy():
                          capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_import_defers_validate():
+    # the package serves run_validation on first use, so an import that
+    # needs no validation does not compile the suites
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, qkd_keyrate, qkd_keyrate.config; "
+        "print('qkd_keyrate.validate' in sys.modules); "
+        "print(qkd_keyrate.run_validation.__module__)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "qkd_keyrate.validate"]

@@ -13,9 +13,10 @@ from qkd_keyrate.budget import EpsilonBudget
 from qkd_keyrate.channel import ChannelConfig
 from qkd_keyrate.config import RunConfig
 from qkd_keyrate.decoy import CELLS, CountsBatch, level_arrays
-from qkd_keyrate.optimize import SearchSpace
+from qkd_keyrate.optimize import SearchSpace, optimize_rate
 from qkd_keyrate.phase_error import term_coeffs
 from qkd_keyrate.pipeline import (
+    MAX_COUNT,
     ParamBatch,
     ProtocolParams,
     evaluate_batch,
@@ -77,6 +78,39 @@ def test_infeasible_params_raise():
                       mode="fluct")
     with pytest.raises(ValueError):
         evaluate_rate(channel(), PARAMS, budget(), 1e12, mode="bogus")
+
+
+# (n_total, f_ec) on both sides of each bound of the library's scale:
+# n_total in [1, MAX_COUNT] and f_ec in [1, MAX_COUNT / n_total].  Past
+# about 1e306 the deviations and the EC leakage overflow, and below one
+# pulse the rate ceiling does; the suite turns their warnings into errors
+AT_SCALE = [(1.0, 1.16), (MAX_COUNT, 1.0), (1.0, MAX_COUNT), (1e12, MAX_COUNT / 1e12)]
+PAST_SCALE = [
+    (math.nextafter(1.0, 0.0), 1.16, "n_total"),
+    (1e-320, 1.16, "n_total"),
+    (math.nextafter(MAX_COUNT, math.inf), 1.0, "n_total"),
+    (1e308, 1.16, "n_total"),
+    (1e12, math.nextafter(MAX_COUNT / 1e12, math.inf), "f_ec"),
+    (1e12, 1e308, "f_ec"),
+]
+
+
+@pytest.mark.parametrize("mode, r", [("exact", 0.0), ("fluct", 0.05)])
+def test_counts_at_the_scale_bounds_evaluate(mode, r):
+    cfg = channel(r=r)
+    for n_total, f_ec in AT_SCALE:
+        one = evaluate_rate(cfg, PARAMS, budget(mode), n_total, mode=mode, f_ec=f_ec)
+        best = optimize_rate(cfg, budget(mode), n_total, mode=mode, f_ec=f_ec,
+                             grid_points=2).best
+        assert 0.0 <= one.rate <= 1.0 and 0.0 <= best.rate <= 1.0
+
+
+@pytest.mark.parametrize("n_total, f_ec, name", PAST_SCALE)
+def test_counts_past_the_scale_bounds_raise(n_total, f_ec, name):
+    with pytest.raises(ValueError, match=f"^{name} must lie in"):
+        evaluate_rate(channel(), PARAMS, budget(), n_total, f_ec=f_ec)
+    with pytest.raises(ValueError, match=f"^{name} must lie in"):
+        optimize_rate(channel(), budget(), n_total, f_ec=f_ec, grid_points=2)
 
 
 # an infinite k_s, and k_s^+ = 756 at r = 0.05, where e^{k+} overflows:
