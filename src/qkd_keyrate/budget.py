@@ -95,14 +95,14 @@ class EpsilonBudget:
 
     def __post_init__(self) -> None:
         names = allocation_names(self.mode)
-        if not (0.0 < self.eps_c < self.eps_sec):
-            raise ValueError("need 0 < eps_c < eps_sec")
+        if not (0.0 < self.eps_c < self.eps_sec < 1.0):
+            raise ValueError("need 0 < eps_c < eps_sec < 1")
         eps_s = self.eps_sec - self.eps_c
         eta = 0.5 * eps_s * eps_s
         if not (0.0 < eta < eps_s**2):
             raise ValueError(
-                "eta must lie strictly between 0 and eps_s^2; "
-                f"got eta={eta!r}, eps_s^2={eps_s**2!r}"
+                f"eps_s^2 = {eps_s**2!r} underflows double precision, so no "
+                f"failure budget eta = {eta!r} can be split from it"
             )
         share = eta / len(names)
         # a subnormal share may round away more than a rounding error of

@@ -24,7 +24,6 @@ from .budget import EpsilonBudget
 from .channel import ChannelConfig
 from .config import ConfigError, RunConfig, load_config, with_overrides
 from .optimize import InfeasibleSearchError, OptimizationResult, optimize_rate
-from .validate import run_validation
 
 __all__ = ["run_sweep", "write_csv", "main"]
 
@@ -146,6 +145,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    from .validate import run_validation  # the other commands never need it
+
     report = run_validation(seed=args.seed)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 from .budget import EpsilonBudget
 from .channel import ChannelConfig
+from .key_length import F_EC_DEFAULT
 from .optimize import MAX_GRID_POINTS
 from .pipeline import MAX_COUNT
 
@@ -51,7 +52,7 @@ class RunConfig:
     n_total: float = 1e12
     eps_sec: float = 1e-10
     eps_c: float = 1e-15
-    f_ec: float = 1.16
+    f_ec: float = F_EC_DEFAULT
     xi: float = 0.147
     fluct_r: float = 0.0
     det_eff: float = 0.15
@@ -79,11 +80,12 @@ class RunConfig:
             raise ConfigError(
                 f"run.mode must be one of {_MODES}, got {self.mode!r}"
             )
-        if not 0.0 < self.eps_c < self.eps_sec < 1.0:
+        try:
+            EpsilonBudget(self.eps_sec, self.eps_c, self.bound_mode)
+        except ValueError as exc:
             raise ConfigError(
-                "need 0 < run.eps_c < run.eps_sec < 1, got "
-                f"eps_c={self.eps_c!r} eps_sec={self.eps_sec!r}"
-            )
+                f"run.eps_sec = {self.eps_sec!r}, run.eps_c = {self.eps_c!r}: {exc}"
+            ) from None
         # below one pulse a rate's key length over n_total can overflow
         if not 1.0 <= self.n_total <= MAX_COUNT:
             raise ConfigError(
@@ -183,15 +185,6 @@ class RunConfig:
         # open('') failed
         if not self.output:
             raise ConfigError("output.path must name a file, got an empty path")
-        try:
-            EpsilonBudget(self.eps_sec, self.eps_c, self.bound_mode)
-        except ValueError as exc:
-            eps_s = self.eps_sec - self.eps_c
-            raise ConfigError(
-                f"run.eps_sec - run.eps_c = {eps_s!r} is too small: its square "
-                f"{eps_s * eps_s!r} underflows double precision, so no failure "
-                f"budget can be split from it ({exc})"
-            ) from None
 
     @property
     def bound_mode(self) -> str:

@@ -8,7 +8,8 @@ events in the sifted Z key, plus generalized lower/upper bounds for any
 are supported: ``exact`` (the set intensity is the emitted one) and
 ``fluct`` (only a range [k-, k+] per setting is known, in which case
 every inequality is evaluated at its worst-case endpoint and mean values
-are estimated without any independence assumption).
+are estimated without any independence assumption).  The budget's
+mode picks the mean estimates, the ones its allocations charge.
 
 The bounds take a batch of parameter points at once, with a batch
 axis on every array; one point is a batch of one.
@@ -119,7 +120,8 @@ def level_arrays(mode: str, r: float, p_z, p_s, p_d1, k_s, k_d1, k_d2) -> tuple:
     of range may form inf - inf, ln 0 or ln of a negative number,
     quietly here; the row is rejected anyway.
     """
-    _check_mode(mode)
+    if mode not in ("exact", "fluct"):
+        raise ValueError(f"mode must be 'exact' or 'fluct', got {mode!r}")
     if mode == "fluct" and not 0.0 <= r < 1.0:
         raise ValueError("relative fluctuation r must lie in [0, 1)")
     if mode == "fluct" and r > 0.0 and 1.0 + r == 1.0:
@@ -302,7 +304,7 @@ def _cell_terms(
 
 
 def _mean_estimates(
-    mode: str, budget: EpsilonBudget | None, observed: np.ndarray,
+    budget: EpsilonBudget | None, observed: np.ndarray,
     size: np.ndarray | None, terms: tuple, lower: tuple, upper: tuple,
 ) -> np.ndarray:
     """The mean estimates of the ``observed`` counts, element by element
@@ -314,19 +316,20 @@ def _mean_estimates(
     Without a budget the estimates are the counts, and ``size`` is not
     read.
 
-    Exact mode takes ``hoeffding_or_mult_chernoff_dev``, the library's
-    only choice between the two mean bounds: the Hoeffding deviation
-    against ``size``, the population total, or the multiplicative-Chernoff
-    deviation of the observed count where that is smaller (its validity
-    rests on a Hoeffding event, which the estimate's ``.H`` allocation
-    covers; ``concentration.mult_chernoff_valid`` is not applied yet, see
-    ROADMAP open item 1); fluct mode takes an Azuma deviation over
-    ``size``, the trials.
+    ``budget.mode`` picks the deviation.  An exact budget takes
+    ``hoeffding_or_mult_chernoff_dev``, the library's only choice between
+    the two mean bounds: the Hoeffding deviation against ``size``, the
+    population total, or the multiplicative-Chernoff deviation of the
+    observed count where that is smaller (its validity rests on a
+    Hoeffding event, which the estimate's ``.H`` allocation covers;
+    ``concentration.mult_chernoff_valid`` is not applied yet, see ROADMAP
+    open item 1); a fluct budget takes an Azuma deviation over ``size``,
+    the trials.
     """
     if budget is None:
         return observed
     log_inv, scale = budget.memo(*terms)
-    if mode == "fluct":
+    if budget.mode == "fluct":
         dev = azuma_dev(size, log_inv)
     else:
         dev = hoeffding_or_mult_chernoff_dev(size, log_inv, observed, scale)
@@ -334,11 +337,6 @@ def _mean_estimates(
     np.subtract(observed[lower], below, out=below)
     np.add(observed[upper], above, out=above)
     return dev
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("exact", "fluct"):
-        raise ValueError(f"mode must be 'exact' or 'fluct', got {mode!r}")
 
 
 def _lower_bounds(est: np.ndarray, factors: np.ndarray, clamp) -> tuple:
@@ -371,29 +369,27 @@ def _count_bounds(
 
 
 def aggregate_bounds(
-    counts: CountsBatch, factors: np.ndarray, budget: EpsilonBudget | None, mode: str
+    counts: CountsBatch, factors: np.ndarray, budget: EpsilonBudget | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """m0 and m1, (B,) arrays: population 0 of the closed forms alone.
 
     m0 and m1 lower-bound the vacuum and single-photon events of the
-    signal-intensity Z key.  In exact mode the means are estimated
-    against the Z total, in fluct mode the martingales run over N_z.
+    signal-intensity Z key.  An exact budget estimates the means against
+    the Z total, a fluct one runs the martingales over N_z.
     ``factors`` is ``decoy_factors`` of the points' intensities.
     """
-    _check_mode(mode)
     # (5, B, 1): the counts behind each estimate, and their population
     observed = counts.z_by_k.T[_ROWS, :, None]
-    size = (counts.z_tot if mode == "exact" else counts.n_z)[None, :, None].repeat(5, 0)
-    est = _mean_estimates(
-        mode, budget, observed, size, _AGGREGATE_TERMS, *_AGGREGATE_SPLIT
-    )
+    size = counts.n_z if budget is not None and budget.mode == "fluct" else counts.z_tot
+    size = size[None, :, None].repeat(5, 0)
+    est = _mean_estimates(budget, observed, size, _AGGREGATE_TERMS, *_AGGREGATE_SPLIT)
     # unlike a cell's, the aggregate's bounds are not capped
     low0, low1 = _lower_bounds(est, factors, lambda bound: np.maximum(bound, 0.0))
     return _count_bounds(low0, low1, counts, budget)
 
 
 def cell_bounds(
-    counts: CountsBatch, factors: np.ndarray, budget: EpsilonBudget | None, mode: str,
+    counts: CountsBatch, factors: np.ndarray, budget: EpsilonBudget | None,
     lower: tuple[int, ...] = ALL_CELLS,
 ) -> CellBoundsBatch:
     """The cells' bounds, populations 1..16 of the closed forms: upper1
@@ -410,11 +406,10 @@ def cell_bounds(
     bound comes from the same float operations whichever others are
     formed, so it equals the matching column of a call with every cell.
 
-    In exact mode the means are estimated against the cell total, in
-    fluct mode the martingales run over the cell's configuration trials.
+    An exact budget estimates the means against the cell total, a fluct
+    one runs the martingales over the cell's configuration trials.
     ``factors`` is ``decoy_factors`` of the points' intensities.
     """
-    _check_mode(mode)
     columns = _cell_columns(lower)
     cells = counts.cells
     b = len(cells)
@@ -424,13 +419,13 @@ def cell_bounds(
     size = None
     if budget is not None:
         # the levels added in order, as .sum adds so few
-        if mode == "exact":
+        if budget.mode == "exact":
             size = cells[:, 0] + cells[:, 1] + cells[:, 2]
         else:
             size = counts.trials
         size = size[:, columns.cell]
     est = _mean_estimates(
-        mode, budget, observed, size, (_cell_terms, lower), columns.lower, columns.upper
+        budget, observed, size, (_cell_terms, lower), columns.lower, columns.upper
     )
     # a cell's bounds are capped at its signal count
     cap = observed[columns.signal]

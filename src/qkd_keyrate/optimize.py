@@ -72,7 +72,7 @@ import numpy as np
 
 from .budget import EpsilonBudget
 from .channel import ChannelConfig, ChannelModel
-from .key_length import KeyRateResult
+from .key_length import F_EC_DEFAULT, KeyRateResult
 from .pipeline import (
     K_D2_DEFAULT,
     ParamBatch,
@@ -286,7 +286,7 @@ def optimize_rate(
     space: SearchSpace | None = None,
     strategy: str = "grid+nm",
     mode: str = "exact",
-    f_ec: float = 1.16,
+    f_ec: float = F_EC_DEFAULT,
     grid_points: int = GRID_POINTS,
 ) -> OptimizationResult:
     """Best rate over the search box at one distance.
@@ -297,9 +297,9 @@ def optimize_rate(
     When nothing in the box extracts a key, the full result of the
     first feasible grid point (the grid centre only when the centre is
     feasible) is returned, with rate 0: the screen lets that point
-    through, so stage 2 scores it.  Settings that concern every
-    point (mode, n_total, f_ec, a degenerate source) raise
-    ``evaluate_batch``'s ValueError, and a ``grid_points`` outside
+    through, so stage 2 scores it.  Settings that concern every point
+    (mode, a budget of another mode, n_total, f_ec, a degenerate source)
+    raise ``evaluate_batch``'s ValueError, and a ``grid_points`` outside
     [2, MAX_GRID_POINTS] raises ValueError; InfeasibleSearchError means
     that no point of the box is feasible.
     """

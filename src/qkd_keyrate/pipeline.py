@@ -43,6 +43,7 @@ from .decoy import (
     level_arrays,
 )
 from .key_length import (
+    F_EC_DEFAULT,
     KeyRateBatch,
     KeyRateResult,
     key_length_batch,
@@ -73,8 +74,8 @@ __all__ = [
 ]
 
 K_D2_DEFAULT = 2e-4
-# the largest n_total and f_ec * n_total: past about 1e306 the counts'
-# deviations and the EC leakage overflow, and below n_total = 1 a rate can
+# the largest n_total and f_ec * n_total: past about 1e306 the deviations
+# and the EC leakage overflow; below n_total = 1 the rate ell/n_total can too
 MAX_COUNT = 1e300
 
 
@@ -191,7 +192,7 @@ def prepare_batch(params: ParamBatch, mode: str, r: float) -> PreparedBatch:
 
 def evaluate_batch(
     cfg: ChannelConfig, params: ParamBatch, budget: EpsilonBudget | None,
-    n_total: float, mode: str = "exact", f_ec: float = 1.16,
+    n_total: float, mode: str = "exact", f_ec: float = F_EC_DEFAULT,
     model: ChannelModel | None = None,
 ) -> tuple[np.ndarray, KeyRateBatch]:
     """Secret-key results at a batch of parameter points.
@@ -200,20 +201,20 @@ def evaluate_batch(
     ones, in order.  A point is infeasible where
     ``level_arrays`` rejects it, the rule under which
     ``evaluate_rate`` raises ValueError.  Settings that concern every point
-    raise ValueError: mode, an n_total outside [1, MAX_COUNT], an f_ec
-    outside [1, MAX_COUNT / n_total], and a source that cannot be
-    built (``DegenerateStatesError``), which depends on xi alone and so
-    fails at every p_z in (0, 1) or at none.  ``model`` shares click
-    tables across calls on one link.
+    raise ValueError: mode, a budget of another mode, an n_total outside
+    [1, MAX_COUNT], an f_ec outside [1, MAX_COUNT / n_total], and a
+    source that cannot be built (``DegenerateStatesError``), which
+    depends on xi alone and so fails at every p_z in (0, 1) or at none.
+    ``model`` shares click tables across calls on one link.
     """
-    _check_scale(n_total, f_ec)
+    _check_settings(budget, mode, n_total, f_ec)
     prepared = prepare_batch(params, mode, cfg.fluct_r)
     if model is None:
         model = ChannelModel(cfg)
     counts, e_z = model.expected_counts(prepared.layout, n_total)
     return prepared.feasible, _rate_batch(
         counts, e_z, prepared.factors, model.cfg.xi, prepared.layout.p_z,
-        budget, n_total, mode, f_ec,
+        budget, n_total, f_ec,
     )
 
 
@@ -238,7 +239,7 @@ class StageOne(NamedTuple):
 
 def stage_one(
     model: ChannelModel, prepared: PreparedBatch, budget: EpsilonBudget | None,
-    n_total: float, f_ec: float = 1.16,
+    n_total: float, f_ec: float = F_EC_DEFAULT,
 ) -> StageOne:
     """Stage 1 of a prepared batch on ``model``'s link, from its Z counts
     alone (``ChannelModel.z_counts``); ``stage_two`` then finishes the
@@ -247,10 +248,10 @@ def stage_one(
     The source is built first, so a degenerate one raises whatever the
     caller picks; errors are those of ``evaluate_batch``.
     """
-    _check_scale(n_total, f_ec)
+    _check_settings(budget, prepared.mode, n_total, f_ec)
     source_coeffs(model.cfg.xi)
     counts, e_z = model.z_counts(prepared.layout, n_total)
-    return _stage_one(counts, e_z, prepared.factors, budget, prepared.mode, f_ec)
+    return _stage_one(counts, e_z, prepared.factors, budget, f_ec)
 
 
 def stage_two(
@@ -261,29 +262,31 @@ def stage_two(
     ``prepared.idx``) from their ``stage_one`` results ``one``: their
     cells (``ChannelModel.cell_counts``), the cell bounds, the
     phase-error bound and the key length.  Each point's result is the
-    one ``evaluate_batch`` gives it, whatever the other rows."""
+    one ``evaluate_batch`` gives it, whatever the other rows.  Errors are
+    those of ``stage_one``."""
+    _check_settings(budget, prepared.mode, n_total)
     counts = model.cell_counts(prepared.layout, n_total, rows)
     return _stage_two(
         counts, prepared.factors[:, rows], prepared.layout.p_z[rows],
         StageOne(*(a[rows] for a in one)),
-        _phase_source(model.cfg.xi), budget, n_total, prepared.mode,
+        _phase_source(model.cfg.xi), budget, n_total,
     )
 
 
 def _stage_one(
     counts: CountsBatch, e_z: np.ndarray, factors: np.ndarray,
-    budget: EpsilonBudget | None, mode: str, f_ec: float,
+    budget: EpsilonBudget | None, f_ec: float,
 ) -> StageOne:
     """m0, m1 and the EC leakage from the Z fields of batch counts and
     the points' ``decoy_factors``."""
-    m0, m1 = aggregate_bounds(counts, factors, budget, mode)
+    m0, m1 = aggregate_bounds(counts, factors, budget)
     z_ks = counts.z_by_k[:, 0]
     return StageOne(e_z, z_ks, m0, m1, lambda_ec_batch(z_ks, e_z, f_ec))
 
 
 def _stage_two(
     counts: CountsBatch, factors: np.ndarray, p_z: np.ndarray, one: StageOne,
-    source: tuple, budget: EpsilonBudget | None, n_total: float, mode: str,
+    source: tuple, budget: EpsilonBudget | None, n_total: float,
 ) -> KeyRateBatch:
     """The cell bounds the phase-error bound reads, from the cells and
     trials of batch counts: every cell's upper1 and the lower1 of the
@@ -291,7 +294,7 @@ def _stage_two(
     points' ``p_z`` from the source's coefficients (``source`` is
     ``_phase_source``), the phase-error bound and the key length."""
     coeffs, terms, lower = source
-    cells = cell_bounds(counts, factors, budget, mode, lower)
+    cells = cell_bounds(counts, factors, budget, lower)
     eph = n_ph_upper_batch(phase_weights(coeffs, p_z), cells, one.m1, budget, terms)
     return key_length_batch(
         one.m0, one.m1, eph.e_ph_upper, one.lam, budget,
@@ -301,14 +304,13 @@ def _stage_two(
 
 def _rate_batch(
     counts: CountsBatch, e_z: np.ndarray, factors: np.ndarray, xi: float,
-    p_z: np.ndarray, budget: EpsilonBudget | None, n_total: float, mode: str,
-    f_ec: float,
+    p_z: np.ndarray, budget: EpsilonBudget | None, n_total: float, f_ec: float,
 ) -> KeyRateBatch:
     """Both stages of every point of whole batch counts.  The source at
     ``xi`` is built first, so a degenerate one raises before any bound."""
     source = _phase_source(xi)
-    one = _stage_one(counts, e_z, factors, budget, mode, f_ec)
-    return _stage_two(counts, factors, p_z, one, source, budget, n_total, mode)
+    one = _stage_one(counts, e_z, factors, budget, f_ec)
+    return _stage_two(counts, factors, p_z, one, source, budget, n_total)
 
 
 def evaluate_rate(
@@ -317,7 +319,7 @@ def evaluate_rate(
     budget: EpsilonBudget | None,
     n_total: float,
     mode: str = "exact",
-    f_ec: float = 1.16,
+    f_ec: float = F_EC_DEFAULT,
     counts: CountsBatch | None = None,
 ) -> KeyRateResult:
     """Secret-key result at one parameter point: ``evaluate_batch`` of a
@@ -336,7 +338,7 @@ def evaluate_rate(
     trials, and cells or trials of the X1 sender state, which is never
     sent, raise ValueError.
     """
-    _check_scale(n_total, f_ec)
+    _check_settings(budget, mode, n_total, f_ec)
     prepared = prepare_batch(ParamBatch.of([params]), mode, cfg.fluct_r)
     if not prepared.feasible[0]:
         raise ValueError(f"infeasible parameter point in {mode} mode: {params}")
@@ -347,12 +349,18 @@ def evaluate_rate(
         e_z = np.array([z_error_rate(counts.cells[0, 0].tolist())])
     return _rate_batch(
         counts, e_z, prepared.factors, cfg.xi, prepared.layout.p_z,
-        budget, n_total, mode, f_ec,
+        budget, n_total, f_ec,
     ).result(0)
 
 
-def _check_scale(n_total: float, f_ec: float) -> None:
-    """Reject what would overflow: see MAX_COUNT."""
+def _check_settings(
+    budget: EpsilonBudget | None, mode: str, n_total: float, f_ec: float = 1.0
+) -> None:
+    """Reject a budget of another mode, since the estimators follow its
+    mode, and what would overflow: see MAX_COUNT.  A stage without EC
+    leakage passes the least f_ec, 1."""
+    if budget is not None and budget.mode != mode:
+        raise ValueError(f"budget mode {budget.mode!r} differs from mode {mode!r}")
     if not 1.0 <= n_total <= MAX_COUNT:
         raise ValueError(f"n_total must lie in [1, {MAX_COUNT:g}], got {n_total!r}")
     if not 1.0 <= f_ec <= MAX_COUNT / n_total:

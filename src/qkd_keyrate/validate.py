@@ -206,8 +206,8 @@ def _sandwich_points(distances: tuple[float, ...], r: float) -> list[dict]:
         n_z=np.full(count, n_total * p_z * p_z),
     )
     budget = EpsilonBudget(1e-10, 1e-15, mode)
-    m0, m1 = aggregate_bounds(counts, factors, budget, mode)
-    bounds = cell_bounds(counts, factors, budget, mode)
+    m0, m1 = aggregate_bounds(counts, factors, budget)
+    bounds = cell_bounds(counts, factors, budget)
 
     slack = 1e-9 * n_total  # float roundoff on 1e12-scale counts
     points = []
@@ -256,14 +256,14 @@ def _phase_bounds(
     """
     prepared = prepare_batch(params, "exact", 0.0)
     counts, _ = ChannelModel(cfg).expected_counts(prepared.layout, n_total)
-    _, m1 = aggregate_bounds(counts, prepared.factors, budget, "exact")
+    _, m1 = aggregate_bounds(counts, prepared.factors, budget)
     coeffs, p_z = source_coeffs(cfg.xi), prepared.layout.p_z
     terms, lower = lower_terms(coeffs)
     general = n_ph_upper_batch(
         phase_weights(coeffs, p_z),
-        cell_bounds(counts, prepared.factors, budget, "exact", lower), m1, budget, terms,
+        cell_bounds(counts, prepared.factors, budget, lower), m1, budget, terms,
     ).n_ph_upper
-    cells = cell_bounds(counts, prepared.factors, budget, "exact")
+    cells = cell_bounds(counts, prepared.factors, budget)
     return general, n_ph_appendixE(cfg.xi, p_z, cells, budget), m1
 
 

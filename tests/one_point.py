@@ -65,12 +65,12 @@ def counts(z_by_k=(0.0, 0.0, 0.0), n_z=0.0, cells=None, trials=None):
     )
 
 
-def decoy_bounds(counts, intens, budget, mode):
+def decoy_bounds(counts, intens, budget):
     """m0, m1 and the cell bounds of one run's CountsBatch and one
-    point's levels."""
+    point's levels, estimated as ``budget.mode`` prescribes."""
     factors = decoy_factors(*intens[1:])
-    m0, m1 = aggregate_bounds(counts, factors, budget, mode)
-    return m0, m1, cell_bounds(counts, factors, budget, mode)
+    m0, m1 = aggregate_bounds(counts, factors, budget)
+    return m0, m1, cell_bounds(counts, factors, budget)
 
 
 def cell(cells, a, y, b, y1):

@@ -158,6 +158,7 @@ REJECTED = [
     (1e-10, 0.0, "exact"), (1e-10, -1e-15, "exact"),
     (math.nan, 1e-15, "exact"), (1e-10, math.nan, "fluct"),
     (1e-10, 1e-15, "other"),
+    (1.0, 1e-15, "exact"), (2.0, 1e-15, "fluct"), (100.0, 1e-15, "exact"),
 ]
 
 

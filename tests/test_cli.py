@@ -182,7 +182,7 @@ def test_removed_k_d2_key_exit_code(tmp_path, capsys):
 
 def test_validate_exit_codes(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "run_validation",
+        "qkd_keyrate.validate.run_validation",
         lambda seed=0: {"passed": True, "seed": seed},
     )
     out = tmp_path / "report.json"
@@ -191,7 +191,7 @@ def test_validate_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
     monkeypatch.setattr(
-        cli, "run_validation", lambda seed=0: {"passed": False}
+        "qkd_keyrate.validate.run_validation", lambda seed=0: {"passed": False}
     )
     assert main(["validate"]) == 2
     assert "FAILED" in capsys.readouterr().err

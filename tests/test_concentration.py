@@ -134,7 +134,9 @@ def test_azuma_frozen_values():
 
 
 class FlatBudget:
-    """An epsilon budget that allocates ``eps`` to every name."""
+    """An exact-mode epsilon budget that allocates ``eps`` to every name."""
+
+    mode = "exact"
 
     def __init__(self, eps):
         self.eps = eps
@@ -153,7 +155,7 @@ def best_mean_bound(observed, total, eps, direction):
     is given the same counts; rows 0 and 2 are the first lower and the
     first upper estimate."""
     est = _mean_estimates(
-        "exact", FlatBudget(eps),
+        FlatBudget(eps),
         np.full((5, 1, 17), observed), np.full((1, 17), total),
         (_aggregate_terms,), np.s_[:2], np.s_[2:],
     )

@@ -48,8 +48,8 @@ def flat_yield_counts(n_z=1e10, y=1e-3):
     return one_run(z, n_z=n_z), intens
 
 
-def m0_m1(counts, intens, budget, mode="exact"):
-    m0, m1, _ = decoy_bounds(counts, intens, budget, mode)
+def m0_m1(counts, intens, budget):
+    m0, m1, _ = decoy_bounds(counts, intens, budget)
     return m0, m1
 
 
@@ -172,19 +172,18 @@ def test_cell_bound_sandwich(seed):
     counts = one_run(cells=cells, trials=trials)
     truth0 = n_cfg * prob[0, 0] * poisson_pk(0, 0.5) * yields[0]
     truth1 = n_cfg * prob[0, 0] * poisson_pk(1, 0.5) * yields[1]
-    for mode in ("exact", "fluct"):
-        cb = cell(decoy_bounds(counts, intens, None, mode)[2], "Z", 0, "X", 1)
-        assert cb.lower0 <= truth0 * (1 + 1e-12)
-        assert cb.lower1 <= truth1 * (1 + 1e-12) <= max(cb.upper1, truth1)
-        assert cb.upper1 >= truth1 * (1 - 1e-12)
+    cb = cell(decoy_bounds(counts, intens, None)[2], "Z", 0, "X", 1)
+    assert cb.lower0 <= truth0 * (1 + 1e-12)
+    assert cb.lower1 <= truth1 * (1 + 1e-12) <= max(cb.upper1, truth1)
+    assert cb.upper1 >= truth1 * (1 - 1e-12)
 
 
 def test_fluct_reduces_to_exact_at_zero_width():
     counts, _ = flat_yield_counts()
     exact = make_intens()
     degenerate = make_intens(r=0.0)
-    m0e, m1e = m0_m1(counts, exact, None, "exact")
-    m0f, m1f = m0_m1(counts, degenerate, None, "fluct")
+    m0e, m1e = m0_m1(counts, exact, None)
+    m0f, m1f = m0_m1(counts, degenerate, None)
     assert m0f == pytest.approx(m0e, rel=REL)
     assert m1f == pytest.approx(m1e, rel=REL)
 
@@ -194,7 +193,7 @@ def test_fluct_bounds_weaken_with_width():
     values = []
     for r in (0.0, 0.02, 0.05, 0.1):
         intens = make_intens(r=r)
-        m0, m1 = m0_m1(counts, intens, None, "fluct")
+        m0, m1 = m0_m1(counts, intens, None)
         values.append((m0, m1))
     for (a0, a1), (b0, b1) in zip(values, values[1:]):
         assert b0 <= a0 * (1 + 1e-12)
@@ -229,14 +228,8 @@ def test_zero_counts():
         m0, m1 = m0_m1(counts, intens, b)
         assert m0 == 0.0
         assert m1 == 0.0
-    cb = cell(decoy_bounds(counts, intens, budget, "exact")[2], "Z", 0, "X", 0)
+    cb = cell(decoy_bounds(counts, intens, budget)[2], "Z", 0, "X", 0)
     assert cb.lower0 == cb.lower1 == cb.upper1 == 0.0
-
-
-def test_cell_bounds_mode_validation():
-    counts, intens = flat_yield_counts()
-    with pytest.raises(ValueError):
-        decoy_bounds(counts, intens, None, "other")
 
 
 @pytest.mark.parametrize("mode", ["exact", "fluct"])
@@ -254,10 +247,10 @@ def test_restricted_cell_bounds_equal_full_columns(mode):
     lowers = [lower_terms(source_coeffs(xi))[1] for xi in (0.0, 0.11025, 0.147)]
     lowers += [(), (11, 2, 6), ALL_CELLS[::-1]]
     for budget in (EpsilonBudget(1e-10, 1e-15, mode), None):
-        full = cell_bounds(counts, prepared.factors, budget, mode)
+        full = cell_bounds(counts, prepared.factors, budget)
         assert full.lower0.shape == full.lower1.shape == full.upper1.shape
         for lower in lowers:
-            part = cell_bounds(counts, prepared.factors, budget, mode, lower)
+            part = cell_bounds(counts, prepared.factors, budget, lower)
             assert (part.upper1 == full.upper1).all()
             assert (part.lower0 == full.lower0[:, list(lower)]).all()
             assert (part.lower1 == full.lower1[:, list(lower)]).all()

@@ -40,11 +40,12 @@ def test_import_loads_no_scipy():
 
 
 def test_import_defers_validate():
-    # the package serves run_validation on first use, so an import that
-    # needs no validation does not compile the suites
+    # the package serves run_validation on first use, and cli loads it
+    # for the validate command alone, so an import that needs no
+    # validation does not compile the suites
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
-        "import sys, qkd_keyrate, qkd_keyrate.config; "
+        "import sys, qkd_keyrate, qkd_keyrate.config, qkd_keyrate.cli; "
         "print('qkd_keyrate.validate' in sys.modules); "
         "print(qkd_keyrate.run_validation.__module__)"
     )

@@ -45,7 +45,7 @@ def build_stats(xi, p_z, distance_km, budget, p_d=5e-7, e_mis=0.01, n=1e12):
     params = ProtocolParams(p_z=p_z, p_ks=0.6, p_kd1=0.3, k_s=0.5, k_d1=0.1, k_d2=2e-4)
     intens = params.intensities("exact", 0.0)
     counts, _ = expected_counts(cfg, intens, p_z, n)
-    _, m1, cells = decoy_bounds(counts, intens, budget, "exact")
+    _, m1, cells = decoy_bounds(counts, intens, budget)
     return cells, m1
 
 
@@ -237,14 +237,14 @@ def test_lower_terms_give_the_bound_of_every_cell(xi, finite):
                                            k_d1=0.1) for p in p_z])
     prepared = prepare_batch(params, "exact", 0.0)
     counts, _ = ChannelModel(cfg).expected_counts(prepared.layout, 1e12)
-    _, m1 = aggregate_bounds(counts, prepared.factors, budget, "exact")
+    _, m1 = aggregate_bounds(counts, prepared.factors, budget)
     coeffs = source_coeffs(xi)
     weights = phase_weights(coeffs, p_z)
     assert (weights[0, [2, 5]] == 0.0).all()
     terms, cells = lower_terms(coeffs)
-    full = cell_bounds(counts, prepared.factors, budget, "exact")
+    full = cell_bounds(counts, prepared.factors, budget)
     part = n_ph_upper_batch(
-        weights, cell_bounds(counts, prepared.factors, budget, "exact", cells), m1, budget,
+        weights, cell_bounds(counts, prepared.factors, budget, cells), m1, budget,
         terms)
     for i in range(len(p_z)):
         row = slice(i, i + 1)

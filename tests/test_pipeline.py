@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qkd_keyrate.budget import EpsilonBudget
-from qkd_keyrate.channel import ChannelConfig
+from qkd_keyrate.channel import ChannelConfig, ChannelModel
 from qkd_keyrate.config import RunConfig
 from qkd_keyrate.decoy import CELLS, CountsBatch, level_arrays
 from qkd_keyrate.optimize import SearchSpace, optimize_rate
@@ -21,7 +21,10 @@ from qkd_keyrate.pipeline import (
     ProtocolParams,
     evaluate_batch,
     evaluate_rate,
+    prepare_batch,
     source_coeffs,
+    stage_one,
+    stage_two,
 )
 from qkd_keyrate.qubit_model import DegenerateStatesError
 
@@ -111,6 +114,30 @@ def test_counts_past_the_scale_bounds_raise(n_total, f_ec, name):
         evaluate_rate(channel(), PARAMS, budget(), n_total, f_ec=f_ec)
     with pytest.raises(ValueError, match=f"^{name} must lie in"):
         optimize_rate(channel(), budget(), n_total, f_ec=f_ec, grid_points=2)
+
+
+@pytest.mark.parametrize("mode, r, other", [
+    ("exact", 0.0, "fluct"), ("fluct", 0.05, "exact"),
+])
+def test_a_budget_of_the_other_mode_raises(mode, r, other):
+    # the levels follow ``mode`` and the estimators the budget's mode, so
+    # a mix would charge one mode's estimates to the other's allocations;
+    # without a budget there is nothing to charge
+    cfg, mixed = channel(r=r), budget(other)
+    prepared = prepare_batch(ParamBatch.of([PARAMS]), mode, r)
+    model = ChannelModel(cfg)
+    one = stage_one(model, prepared, None, 1e12)
+    calls = (
+        lambda b: evaluate_rate(cfg, PARAMS, b, 1e12, mode=mode),
+        lambda b: evaluate_batch(cfg, ParamBatch.of([PARAMS]), b, 1e12, mode=mode),
+        lambda b: stage_one(model, prepared, b, 1e12),
+        lambda b: stage_two(model, prepared, one, np.array([0]), b, 1e12),
+        lambda b: optimize_rate(cfg, b, 1e12, mode=mode, grid_points=2),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"mode '{other}'.*mode '{mode}'"):
+            call(mixed)
+        call(None)
 
 
 # an infinite k_s, and k_s^+ = 756 at r = 0.05, where e^{k+} overflows:

@@ -50,7 +50,7 @@ def screen_terms(cfg, params, bud, n_total, mode):
     screen computes them."""
     prepared = prepare_batch(ParamBatch.of([params]), mode, cfg.fluct_r)
     counts, e_z = ChannelModel(cfg).expected_counts(prepared.layout, n_total)
-    m0, m1 = aggregate_bounds(counts, prepared.factors, bud, mode)
+    m0, m1 = aggregate_bounds(counts, prepared.factors, bud)
     lam = lambda_ec_batch(counts.z_by_k[:, 0], e_z)
     return m0[0], m1[0], key_length_bound(m0, m1, lam, bud)[0]
 

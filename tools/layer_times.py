@@ -118,12 +118,12 @@ def stage_fns(run: RunConfig, distance: float, units) -> dict:
     prepared = prepare_batch(params, mode, r)
     counts, e_z = model.expected_counts(prepared.layout, n)
     factors, p_z = prepared.factors, prepared.layout.p_z
-    m0, m1 = aggregate_bounds(counts, factors, budget, mode)
+    m0, m1 = aggregate_bounds(counts, factors, budget)
     z_ks = counts.z_by_k[:, 0]
     lam = lambda_ec_batch(z_ks, e_z, f_ec)
     coeffs = source_coeffs(cfg.xi)
     terms, lower = lower_terms(coeffs)
-    cells = cell_bounds(counts, factors, budget, mode, lower)
+    cells = cell_bounds(counts, factors, budget, lower)
     eph = n_ph_upper_batch(phase_weights(coeffs, p_z), cells, m1, budget, terms)
 
     def total():
@@ -133,9 +133,9 @@ def stage_fns(run: RunConfig, distance: float, units) -> dict:
         "params_batch": lambda: space.params_batch(units),
         "prepare_batch": lambda: prepare_batch(params, mode, r),
         "expected_counts": lambda: model.expected_counts(prepared.layout, n),
-        "aggregate_bounds": lambda: aggregate_bounds(counts, factors, budget, mode),
+        "aggregate_bounds": lambda: aggregate_bounds(counts, factors, budget),
         "lambda_ec_batch": lambda: lambda_ec_batch(z_ks, e_z, f_ec),
-        "cell_bounds": lambda: cell_bounds(counts, factors, budget, mode, lower),
+        "cell_bounds": lambda: cell_bounds(counts, factors, budget, lower),
         "phase_error": lambda: n_ph_upper_batch(
             phase_weights(coeffs, p_z), cells, m1, budget, terms),
         "key_length_batch": lambda: key_length_batch(
